@@ -4,33 +4,39 @@
 and writes one JSON report per scenario plus a summary.  ``formcalc
 suite <name> [--seed S] [--out DIR]`` runs a named verification battery
 (or ``all``).  The environment variable ``FORMCALC_TOL_SCALE`` scales
-every tolerance (default 1.0).
+every tolerance (default 1.0); it must be a positive finite number.
 
 Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
-4 parse errors or unknown operations.
+4 malformed input: scenario file, operation, operand or tolerance scale.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .reporting import FAIL, PASS, SCHEMA_VERSION, UNCERTIFIED, write_csv, write_report
-from .scenarios import UnknownOperation, run_scenario
+from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNCERTIFIED, EXIT_USAGE = 0, 2, 3, 4
 
 
 def _tol_scale() -> float:
+    raw = os.environ.get("FORMCALC_TOL_SCALE", "1.0")
     try:
-        return float(os.environ.get("FORMCALC_TOL_SCALE", "1.0"))
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError("FORMCALC_TOL_SCALE must be a positive finite "
+                         f"number, got {raw!r}")
+    return scale
 
 
 def _exit_code(verdicts) -> int:
@@ -54,16 +60,15 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    tol_scale = _tol_scale()
     try:
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(
-                    lambda sc: run_scenario(sc, tol_scale), scenarios))
+                    lambda sc: run_scenario(sc, args.tol_scale), scenarios))
         else:
-            reports = [run_scenario(sc, tol_scale) for sc in scenarios]
-    except UnknownOperation as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            reports = [run_scenario(sc, args.tol_scale) for sc in scenarios]
+    except (UnknownOperation, MissingOperand) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     reports.sort(key=lambda r: r.scenario)
     for rep in reports:
@@ -97,7 +102,7 @@ def cmd_suite(args) -> int:
         print(f"error: unknown suite {args.name!r} (choose from "
               f"{', '.join(SUITE_NAMES + ('all',))})", file=sys.stderr)
         return EXIT_USAGE
-    res = run_suite(args.name, seed=args.seed, tol_scale=_tol_scale())
+    res = run_suite(args.name, seed=args.seed, tol_scale=args.tol_scale)
     for rep in res.reports:
         mark = "control" if rep.control else "claim"
         print(f"{rep.verdict:11s} [{mark}] {rep.scenario}")
@@ -148,6 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.tol_scale = _tol_scale()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.fn(args)
 
 

@@ -304,12 +304,13 @@ class DenseOperator:
         return tuple(cls(self.action_mat[:, j], self.backend) for j in range(self.d))
 
     def coefficients_of(self, x: np.ndarray, rtol: float = TOL_SUB) -> np.ndarray:
-        """Coefficients of x in the domain basis; DomainError when x is
-        outside the span beyond ``rtol``."""
+        """Coefficients of x in the domain basis; DomainError when x, or
+        any column of a matrix x, is outside the span beyond ``rtol``."""
         c, *_ = np.linalg.lstsq(self.basis_mat, x, rcond=None)
-        res = np.linalg.norm(self.basis_mat @ c - x)
-        if res > rtol * max(np.linalg.norm(x), 1e-300):
-            raise DomainError(f"vector outside the operator domain (residual {res:.3e})")
+        res = np.linalg.norm(self.basis_mat @ c - x, axis=0)
+        if np.any(res > rtol * np.maximum(np.linalg.norm(x, axis=0), 1e-300)):
+            raise DomainError("vector outside the operator domain "
+                              f"(residual {np.max(res):.3e})")
         return c
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -408,21 +409,13 @@ def is_extension(S: DenseOperator, T: DenseOperator,
         return order[S.domain_rule] <= order[T.domain_rule]
     if S.n != T.n:
         return False
-    Bt, Zt = T.basis_mat, T.action_mat
     scale_act = max(operator_norm(T.action_mat), operator_norm(S.action_mat), 1e-300)
-    for j in range(S.d):
-        s = S.basis_mat[:, j]
-        z = S.action_mat[:, j]
-        ns = np.linalg.norm(s)
-        if ns == 0.0:
-            return False
-        c, *_ = np.linalg.lstsq(Bt, s, rcond=None)
-        if np.linalg.norm(Bt @ c - s) > tol_sub * ns:
-            return False
-        if np.linalg.norm(Zt @ c - z) > tol_act * scale_act * max(
-                1.0, float(np.linalg.norm(c))):
-            return False
-    return True
+    C, *_ = np.linalg.lstsq(T.basis_mat, S.basis_mat, rcond=None)
+    sub = np.linalg.norm(T.basis_mat @ C - S.basis_mat, axis=0)
+    act = np.linalg.norm(T.action_mat @ C - S.action_mat, axis=0)
+    return bool(np.all(sub <= tol_sub * np.linalg.norm(S.basis_mat, axis=0)) and
+                np.all(act <= tol_act * scale_act *
+                       np.maximum(1.0, np.linalg.norm(C, axis=0))))
 
 
 def graph_domain_contains(A: DenseOperator, y: Vector) -> bool:

@@ -194,12 +194,11 @@ def riesz_solve(t: SesquilinearForm, v: Functional, dp: DualityPair) -> Vector:
         raise LowerBoundError("riesz solve needs a positive lower bound")
     coef = riesz_coefficients(t, v.coords)
     f = t.basis_mat @ coef
-    # defining identity on the basis: (v, b_j) = [f, b_j]
-    for j in range(t.d):
-        lhs = complex(np.vdot(t.basis_mat[:, j], v.coords))
-        rhs = gram_inner(t.gram, coef, np.eye(t.d)[j])
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
-            raise ArithmeticError("riesz identity violated beyond tolerance")
+    # defining identity on the basis: (v, b_j) = [f, b_j] for every j
+    lhs = t.basis_mat.conj().T @ v.coords
+    rhs = t.gram.T @ coef
+    if np.any(np.abs(lhs - rhs) > 1e-10 * np.maximum(1.0, np.abs(lhs))):
+        raise ArithmeticError("riesz identity violated beyond tolerance")
     return Vector(f, DENSE)
 
 

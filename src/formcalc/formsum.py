@@ -147,12 +147,8 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     # extension of A + B on dom A intersect dom B = dom t_B here
     M_AB = AB.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
-    worst = 0.0
-    for j in range(C.shape[1]):
-        z1 = M_AB @ C[:, j]
-        z2 = M_sum @ C[:, j]
-        worst = max(worst, float(np.linalg.norm(z1 - z2)) / max(
-            operator_norm(M_sum), 1.0))
+    worst = float(np.max(np.linalg.norm(M_AB @ C - M_sum @ C, axis=0))) / max(
+        operator_norm(M_sum), 1.0)
     collapse = bool(A.is_full_domain() and B.is_full_domain())
     if collapse:
         exact = float(operator_norm(M_AB - M_sum)) / max(operator_norm(M_sum), 1.0)
@@ -167,12 +163,8 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
 
 def _aform_gram(fac: FactorizationResult, C: np.ndarray) -> np.ndarray:
     """Gram of the form of A, t_A(u, v) = [J* u, J* v], over columns of C."""
-    cols = [fac.jstar_coefficients(C[:, j]) for j in range(C.shape[1])]
-    G = np.empty((C.shape[1],) * 2, dtype=complex)
-    for i, ci in enumerate(cols):
-        for j, cj in enumerate(cols):
-            G[i, j] = gram_inner(fac.gram, ci, cj)
-    return G
+    Cc = fac.jstar_coefficients(C)
+    return Cc.T @ fac.gram @ np.conj(Cc)
 
 
 def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
@@ -271,17 +263,13 @@ class CommutantLift:
 
 def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
     """Residual of E^H A against A E on dom A (including invariance)."""
-    worst = 0.0
-    scale = max(operator_norm(A.action_mat), 1.0)
-    for j in range(A.d):
-        b = A.basis_mat[:, j]
-        try:
-            lhs = E_mat.conj().T @ A.apply(b)
-            rhs = A.apply(E_mat @ b)
-        except DomainError:
-            return math.inf
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    return worst
+    try:
+        lhs = E_mat.conj().T @ A.apply(A.basis_mat)
+        rhs = A.apply(E_mat @ A.basis_mat)
+    except DomainError:
+        return math.inf
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=0))) / max(
+        operator_norm(A.action_mat), 1.0)
 
 
 def lift_commutant(A: DenseOperator, E: DenseOperator,
@@ -308,11 +296,9 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
     piv = fac.pivots
     r = len(piv)
     # columns: coefficients of A E b_p in the pivot basis {A b_q}
-    E_hat = np.empty((r, r), dtype=complex)
-    for col, p in enumerate(piv):
-        Eb = E_mat @ A.basis_mat[:, p]
-        A.coefficients_of(Eb)          # invariance of dom A, raises otherwise
-        E_hat[:, col] = fac.jstar_coefficients(Eb)
+    EB = E_mat @ A.basis_mat[:, piv]
+    A.coefficients_of(EB)    # invariance of dom A per column, raises otherwise
+    E_hat = fac.jstar_coefficients(EB)
     lam_E = np.linalg.eigvals(E_mat)
     r_e2 = float(np.max(np.abs(lam_E)) ** 2) if lam_E.size else 0.0
     # spectral-radius bound sampled on random H_A elements

@@ -7,10 +7,10 @@ Cholesky.  The value of the form of A at y,
 
     sup { |(Ax, y)|^2 : x in dom A, (Ax, x) <= 1 },
 
-reduces in the dense backend to a weighted least-squares solve (the
-constrained maximization is kept as a cross-check oracle, not the
-primary path).  On the sequence backend the value is a certified series
-with tail or divergence certificate.
+reduces in the dense backend to one eigensolve of the form gram, shared
+by every probe evaluated against it (the constrained maximization is
+kept as a cross-check oracle).  On the sequence backend the value is a
+certified series with tail or divergence certificate.
 
 Orderings are probe-based: a verdict certifies the relation over the
 probe set and says so in the report.
@@ -44,11 +44,12 @@ class FactorizationResult:
     details: dict = field(default_factory=dict)
 
     def jstar_coefficients(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of J* y in the pivot basis {A b_p} of H_A."""
-        A = self.operator
-        rhs = np.array([np.vdot(y, A.action_mat[:, p]) for p in self.pivots])
-        d_conj = np.linalg.solve(self.gram, rhs)
-        return np.conj(d_conj)
+        """Coefficients of J* y in the pivot basis {A b_p} of H_A.
+
+        A matrix y gives one column of coefficients per column of y, all
+        from a single solve against the gram."""
+        Zp = self.operator.action_mat[:, self.pivots]
+        return np.conj(np.linalg.solve(self.gram, Zp.T @ np.conj(y)))
 
     def h_inner(self, c: np.ndarray, d: np.ndarray) -> complex:
         return gram_inner(self.gram, c, d)
@@ -80,12 +81,8 @@ def factorize(A: DenseOperator) -> FactorizationResult:
     res = FactorizationResult(A, pivots, K_r, rank, 0.0,
                               {"action_rank": action_rank,
                                "rank_gap": abs(action_rank - rank)})
-    worst = 0.0
-    for j in range(A.d):
-        z = A.action_mat[:, j]
-        c = res.jstar_coefficients(A.basis_mat[:, j])
-        z_jj = A.action_mat[:, pivots] @ c
-        worst = max(worst, float(np.linalg.norm(z_jj - z)) / scale)
+    Z_jj = A.action_mat[:, pivots] @ res.jstar_coefficients(A.basis_mat)
+    worst = float(np.max(np.linalg.norm(Z_jj - A.action_mat, axis=0))) / scale
     object.__setattr__(res, "extension_residual", worst)
     if worst > 1e-10:
         raise ArithmeticError(f"JJ* does not reproduce A (residual {worst:.3e})")
@@ -107,32 +104,46 @@ class FormValue:
         return math.isfinite(self.value)
 
 
+def _form_columns(A: DenseOperator, Y: np.ndarray):
+    """Form of a dense A at every column of Y from one eigensolve.
+
+    With quad = V diag(lam) V^H the Hermitian form gram and
+    T = V^H (Z^H Y), the value at column k is sum |T_ik|^2 / lam_i over
+    the live eigenvalues; a column whose mass on the numerical kernel
+    exceeds 1e-8 of its norm escapes the form domain and gets +inf.
+    Returns (values, dead_mass, lam, V, live, T).
+    """
+    F = A.form_gram()
+    quad = np.conj(F)
+    lam, V = scipy.linalg.eigh(0.5 * (quad + quad.conj().T))
+    live = lam > 1e-12 * max(float(lam[-1]), 1e-300)
+    T = V.conj().T @ (A.action_mat.conj().T @ Y)
+    dead_mass = np.linalg.norm(T[~live], axis=0)
+    escaped = dead_mass > 1e-8 * np.maximum(1.0, np.linalg.norm(T, axis=0))
+    values = np.sum(np.abs(T[live]) ** 2 / lam[live, None], axis=0)
+    values[escaped] = math.inf
+    return values, dead_mass, lam, V, live, T
+
+
 def form_on_X(A: DenseOperator, y: Vector) -> FormValue:
     """sup |(Ax, y)|^2 over (Ax, x) <= 1, certified.
 
-    Dense backend: exact reduction through the A-weighted least-squares
-    solve (Cauchy-Schwarz saturates; the eigensolve cross-check lives in
-    the verification suites).  Sequence backend, diagonal generator a_n:
-    the certified series sum a_n |y_n|^2, or +inf with a divergence
-    record.
+    Dense backend: exact reduction through the eigensolve of the form
+    gram (Cauchy-Schwarz saturates; the constrained-maximization oracle
+    lives in the verification suites).  This is the one-probe case of the
+    batch evaluation that :func:`compare` runs over all its probes.
+    Sequence backend, diagonal generator a_n: the certified series sum
+    a_n |y_n|^2, or +inf with a divergence record.
     """
     if A.backend == SEQUENCE:
         return _form_sequence(A, y)
-    F = A.form_gram()
-    quad = np.conj(F)
-    w = A.action_mat.conj().T @ y.coords          # w_j = conj((A b_j, y))
-    lam, V = scipy.linalg.eigh(0.5 * (quad + quad.conj().T))
-    lam_max = max(float(lam[-1]), 1e-300)
-    t = V.conj().T @ w
-    live = lam > 1e-12 * lam_max
-    dead_mass = float(np.linalg.norm(t[~live]))
-    if dead_mass > 1e-8 * max(1.0, float(np.linalg.norm(t))):
+    values, dead_mass, lam, V, live, T = _form_columns(A, y.coords[:, None])
+    if not math.isfinite(values[0]):
         return FormValue(math.inf, None, "tail-divergence",
-                         {"kind": "kernel-escape", "mass": dead_mass})
-    value = float(np.sum(np.abs(t[live]) ** 2 / lam[live]))
-    cstar = V[:, live] @ (t[live] / lam[live])
+                         {"kind": "kernel-escape", "mass": float(dead_mass[0])})
+    cstar = V[:, live] @ (T[live, 0] / lam[live])
     witness = A.basis_mat @ cstar
-    return FormValue(value, witness, "exact-eigensolve",
+    return FormValue(float(values[0]), witness, "exact-eigensolve",
                      {"spectrum_floor": float(lam[0])})
 
 
@@ -216,49 +227,42 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
     Probes are the supplied samples plus structured ones: both domain
     bases, seeded random unit vectors and the eigenvectors of the
     difference of the effective matrices (adversarial directions).  The
-    verdict is certified over this probe set only.
+    verdict is certified over this probe set only.  On the dense backend
+    the probes are stacked into one matrix and evaluated from a single
+    eigensolve of each operand's form gram.
     """
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     if A.backend == DENSE and A.n != B.n:
         raise BackendMismatch("operands on different ambient dimensions")
-    probes: list[tuple[str, Vector]] = [(f"sample:{i}", s)
-                                        for i, s in enumerate(samples)]
+    labels = [f"sample:{i}" for i in range(len(samples))]
     if A.backend == DENSE:
-        n = A.n
         rng = np.random.default_rng(seed)
-        for j in range(A.d):
-            probes.append((f"basisA:{j}", Vector(A.basis_mat[:, j])))
-        for j in range(B.d):
-            probes.append((f"basisB:{j}", Vector(B.basis_mat[:, j])))
-        for k in range(max(4, n)):
-            z = rng.normal(size=n) + 1j * rng.normal(size=n)
-            probes.append((f"random:{k}", Vector(z / np.linalg.norm(z))))
+        # the real then the imaginary draws of each random probe
+        R = rng.normal(size=(max(4, A.n), 2, A.n))
+        Zr = (R[:, 0] + 1j * R[:, 1]).T
         D = A.effective_matrix() - B.effective_matrix()
         _, V = scipy.linalg.eigh(0.5 * (D + D.conj().T))
-        for k in range(V.shape[1]):
-            probes.append((f"adversarial:{k}", Vector(V[:, k])))
+        blocks = {"basisA": A.basis_mat, "basisB": B.basis_mat,
+                  "random": Zr / np.linalg.norm(Zr, axis=0), "adversarial": V}
+        labels += [f"{name}:{k}" for name, M in blocks.items()
+                   for k in range(M.shape[1])]
+        Y = np.column_stack([s.coords for s in samples] + list(blocks.values()))
+        values_a = _form_columns(A, Y)[0].tolist()
+        values_b = _form_columns(B, Y)[0].tolist()
     else:
-        for k in range(4):
-            c = np.zeros(8, dtype=complex)
-            c[k] = 1.0
-            probes.append((f"basis:{k}", Vector(c, SEQUENCE)))
-    records = []
-    dom_fwd, dom_bwd = True, True
-    for label, y in probes:
-        fa, fb = form_on_X(A, y), form_on_X(B, y)
-        records.append(ProbeRecord(label, fa.value, fb.value))
-        if fa.finite and not fb.finite:
-            dom_bwd = False     # y in dom J_A* but escapes dom J_B*
-        if fb.finite and not fa.finite:
-            dom_fwd = False
-    ge = _all_ge([r.value_a for r in records], [r.value_b for r in records],
-                 rel_slack)
-    le = _all_ge([r.value_b for r in records], [r.value_a for r in records],
-                 rel_slack)
-    # domain inclusion for A >= B means dom J_A* inside dom J_B*
-    ge = ge and dom_bwd
-    le = le and dom_fwd
+        probes = list(samples) + [Vector(np.eye(8, dtype=complex)[k], SEQUENCE)
+                                  for k in range(4)]
+        labels += [f"basis:{k}" for k in range(4)]
+        values_a = [form_on_X(A, y).value for y in probes]
+        values_b = [form_on_X(B, y).value for y in probes]
+    records = tuple(map(ProbeRecord, labels, values_a, values_b))
+    fin_a, fin_b = np.isfinite(values_a), np.isfinite(values_b)
+    # y in dom J_A* but escaping dom J_B* breaks dom J_A* inside dom J_B*,
+    # the domain inclusion that A >= B needs
+    dom_bwd, dom_fwd = not np.any(fin_a & ~fin_b), not np.any(fin_b & ~fin_a)
+    ge = dom_bwd and _all_ge(values_a, values_b, rel_slack)
+    le = dom_fwd and _all_ge(values_b, values_a, rel_slack)
     if ge and le:
         verdict = "equal"
     elif ge:
@@ -267,7 +271,7 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
         verdict = "B>=A"
     else:
         verdict = "incomparable"
-    return OrderingReport(verdict, tuple(records),
+    return OrderingReport(verdict, records,
                           {"domain_A_le_B": dom_bwd, "domain_B_le_A": dom_fwd},
                           rel_slack)
 

@@ -485,6 +485,10 @@ class UnknownOperation(KeyError):
     pass
 
 
+class MissingOperand(KeyError):
+    pass
+
+
 def run_scenario(sc: dict, tol_scale: float = 1.0) -> Report:
     op = sc.get("op")
     if op not in OPERATIONS:
@@ -500,6 +504,8 @@ def run_scenario(sc: dict, tol_scale: float = 1.0) -> Report:
         rep = make_report(sid, claims, residuals, tols, certificates=certs,
                           details=details, tol_scale=tol_scale,
                           wall_time=time.perf_counter() - t0)
+    except KeyError as exc:
+        raise MissingOperand(f"scenario {sid!r} lacks operand {exc}") from exc
     except Uncertifiable as exc:
         rep = make_report(sid, [], {"raised": 1.0}, {"raised": 0.0},
                           details={"error": f"{type(exc).__name__}: {exc}"},

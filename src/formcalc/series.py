@@ -18,6 +18,7 @@ attaches a tail bound, :func:`decide_summable` returns either a
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,9 @@ class Term:
     start: int = 1
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.coef) and math.isfinite(self.alpha)
+                and math.isfinite(self.ratio)):
+            raise ValueError("coef, alpha and ratio must be finite")
         if self.ratio <= 0:
             raise ValueError("ratio must be positive")
         if self.start < 1:
@@ -322,8 +326,9 @@ def rule_lower_bound(rule: Rule) -> float:
     """Certified inf over n >= 1 of a real nonnegative rule.
 
     Exact for monotone single-term rules; for sums of nondecreasing terms
-    the value at n = 1 is returned, otherwise the decreasing parts
-    contribute their limit (0 unless alpha = 0 = log ratio).
+    active from n = 1 the value at n = 1 is returned.  Every other term
+    contributes 0: a decreasing term has infimum 0 unless alpha = 0 =
+    log ratio, and a term starting past n = 1 is 0 at n = 1.
     """
     if not rule.is_nonnegative:
         raise Uncertifiable("lower bound certified only for nonnegative rules")
@@ -332,10 +337,8 @@ def rule_lower_bound(rule: Rule) -> float:
         c = complex(t.coef).real
         if c == 0.0:
             continue
-        if t.ratio >= 1.0 and t.alpha >= 0.0:
-            total += c * t.start ** t.alpha * t.ratio ** t.start
-        # decreasing or mixed-monotonicity terms contribute their safe
-        # under-estimate 0 (infimum over the tail)
+        if t.start == 1 and t.ratio >= 1.0 and t.alpha >= 0.0:
+            total += c * t.ratio
     return total
 
 

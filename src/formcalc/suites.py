@@ -10,6 +10,7 @@ seed; summaries therefore omit wall times.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,24 +89,21 @@ class SuiteResult:
         }
 
 
-def _failing(scenario, claims, exc, control=False, tol_scale=1.0) -> Report:
-    uncert = isinstance(exc, Uncertifiable)
-    return make_report(scenario, claims, {"raised": 1.0}, {"raised": 0.0},
-                       details={"error": f"{type(exc).__name__}: {exc}"},
-                       uncertified=uncert, control=control, tol_scale=tol_scale)
-
-
 def _guard(scenario, claims, fn, control=False, tol_scale=1.0) -> Report:
     """Run fn() -> (residuals, tolerances, details, certificates); failures
     become fail/uncertified reports instead of raising."""
+    t0 = time.perf_counter()
     try:
         residuals, tolerances, details, certs = fn()
-    except FormcalcError as exc:
-        return _failing(scenario, claims, exc, control, tol_scale)
-    except (ArithmeticError, ValueError) as exc:
-        return _failing(scenario, claims, exc, control, tol_scale)
+    except (FormcalcError, ArithmeticError, ValueError) as exc:
+        return make_report(scenario, claims, {"raised": 1.0}, {"raised": 0.0},
+                           details={"error": f"{type(exc).__name__}: {exc}"},
+                           wall_time=time.perf_counter() - t0,
+                           uncertified=isinstance(exc, Uncertifiable),
+                           control=control, tol_scale=tol_scale)
     return make_report(scenario, claims, residuals, tolerances,
-                       certificates=certs, details=details, control=control,
+                       certificates=certs, details=details,
+                       wall_time=time.perf_counter() - t0, control=control,
                        tol_scale=tol_scale)
 
 

@@ -1,6 +1,7 @@
 """Scenario runner, suites, exit codes, determinism, coverage."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,27 @@ class TestScenarioDispatch:
         with pytest.raises(KeyError):
             run_scenario({"id": "x", "op": "no-such-op"})
 
+    def test_friedrichs_late_start_fails(self):
+        rep = run_scenario({
+            "id": "fr-late", "op": "friedrichs",
+            "space": {"backend": "sequence", "truncation": 64, "p": 2.0},
+            "generator": {"terms": [{"coef": [1, 0], "alpha": 0,
+                                     "ratio": 1, "start": 5}]},
+        })
+        assert rep.verdict == "fail"
+
+    def test_form_on_x_nan_alpha_rejected(self):
+        rep = run_scenario({
+            "id": "form-nan", "op": "form-on-x",
+            "A": {"backend": "sequence", "direction": "to-dual",
+                  "diagonal": {"terms": [{"coef": [1, 0], "alpha": math.nan,
+                                          "ratio": 1.0, "start": 1}]},
+                  "domain": "finitely-supported"},
+            "y": {"backend": "sequence", "coords": [[1.0, 0.0]] * 8},
+        })
+        assert rep.verdict == "fail"
+        assert rep.details["error"].startswith("ValueError")
+
 
 class TestCliRun:
     def test_empty_scenario_list(self, tmp_path, capsys):
@@ -115,6 +137,16 @@ class TestCliRun:
         f = write_scenarios(tmp_path / "unknown.json",
                             [{"id": "x", "op": "definitely-not-registered"}])
         assert main(["run", f]) == 4
+
+    def test_missing_operand_exits_four(self, tmp_path, capsys):
+        f = write_scenarios(tmp_path / "missing.json", [
+            {"id": "ok", "op": "norm", "p": 2.0,
+             "x": {"coords": [[3, 0], [4, 0]]}, "expected": 5.0},
+            {"id": "x", "op": "factorize"},
+        ])
+        assert main(["run", f]) == 4
+        err = capsys.readouterr().err
+        assert "lacks operand" in err and "Traceback" not in err
 
     def test_jobs_parallel_deterministic(self, tmp_path):
         scenarios = [{
@@ -189,3 +221,21 @@ class TestSuites:
         summary = json.loads((out / "summary.json").read_text())
         tol = summary["reports"][0]["tolerances"]["ab_identity"]
         assert tol == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_tol_scale_rejects_bad_values(self, monkeypatch, tmp_path, capsys,
+                                          value):
+        monkeypatch.setenv("FORMCALC_TOL_SCALE", value)
+        f = write_scenarios(tmp_path / "t4.json", [{
+            "id": "thm4-off", "op": "form-sum", "space": DENSE2,
+            "A": op_json([[1, 0], [0, 2]]),
+            "B": op_json([[3, 0], [0, 4]]),
+            "expected_matrix": [[[40, 0], [0, 0]], [[0, 0], [60, 0]]],
+        }])
+        assert main(["run", f]) == 4
+        assert main(["suite", "representation"]) == 4
+        assert "FORMCALC_TOL_SCALE" in capsys.readouterr().err
+
+    def test_suite_reports_carry_wall_time(self):
+        reports = run_suite("representation", seed=7).reports
+        assert all(r.wall_time > 0.0 for r in reports)

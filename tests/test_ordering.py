@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from formcalc import series
 from formcalc.duality import (
-    DOMAIN_FINITE, Vector, dense_pair, diagonal_operator, operator_from_matrix,
-    restricted_operator, sequence_pair, vector,
+    DENSE, DOMAIN_FINITE, DenseOperator, Vector, dense_pair, diagonal_operator,
+    operator_from_matrix, restricted_operator, sequence_pair, vector,
 )
 from formcalc.errors import NotPositive
 from formcalc.ordering import (
@@ -188,6 +189,87 @@ class TestCompare:
         rep = compare(A, B, [y])
         assert rep.verdict == "A>=B"
         assert rep.domain_inclusion["domain_A_le_B"]
+
+
+def loop_probes(A, B, samples, seed=0):
+    """The dense probe set of compare, built one probe at a time: the
+    reference for its batched evaluation."""
+    n = A.n
+    rng = np.random.default_rng(seed)
+    probes = [s.coords for s in samples]
+    probes += [A.basis_mat[:, j] for j in range(A.d)]
+    probes += [B.basis_mat[:, j] for j in range(B.d)]
+    for _ in range(max(4, n)):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        probes.append(z / np.linalg.norm(z))
+    D = A.effective_matrix() - B.effective_matrix()
+    _, V = scipy.linalg.eigh(0.5 * (D + D.conj().T))
+    return probes + [V[:, k] for k in range(n)]
+
+
+def escaping_operator(rng, n):
+    """Domain e_1..e_{n-1}, form gram with kernel e_1, and an action on
+    e_1 that leaves the domain: probes with a last coordinate escape."""
+    W = rng.normal(size=(n, n - 2)) + 1j * rng.normal(size=(n, n - 2))
+    W[0] = 0.0
+    basis = np.eye(n)[:, :n - 1]
+    action = W @ W.conj().T @ basis
+    action[n - 1, 0] += 1.0
+    return DenseOperator(DENSE, "to-dual", basis, action)
+
+
+def operator_kinds(rng, n):
+    W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    hpd = W @ W.conj().T / n + 0.5 * np.eye(n)
+    basis = rng.normal(size=(n, n - n // 3)) + 1j * rng.normal(size=(n, n - n // 3))
+    return {"hpd": operator_from_matrix(hpd, dense_pair(n)),
+            "psd-kernel": operator_from_matrix(random_psd(rng, n, True),
+                                               dense_pair(n)),
+            "restricted": restricted_operator(hpd, basis, dense_pair(n)),
+            "escaping": escaping_operator(rng, n)}
+
+
+def rel_gap(u, v, op, y):
+    """Relative gap, floored at the form's scale ||A|| |y|^2: a probe in the
+    kernel has a value at the rounding level of that scale."""
+    floor = np.linalg.norm(op.action_mat, 2) * np.linalg.norm(y) ** 2
+    return abs(u - v) / max(abs(u), abs(v), floor)
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize("n", [3, 8, 16, 24])
+    def test_compare_probes_match_single_probe_and_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        kinds_a, kinds_b = operator_kinds(rng, n), operator_kinds(rng, n)
+        escaped = 0
+        for kind in kinds_a:
+            A, B = kinds_a[kind], kinds_b[kind]
+            samples = [Vector(rng.normal(size=n) + 1j * rng.normal(size=n))]
+            rep = compare(A, B, samples, seed=n)
+            probes = loop_probes(A, B, samples, seed=n)
+            assert len(rep.probes) == len(probes)
+            for rec, y in zip(rep.probes, probes):
+                for op, got in ((A, rec.value_a), (B, rec.value_b)):
+                    single = form_on_X(op, Vector(y)).value
+                    assert math.isinf(got) == math.isinf(single), (kind, rec.label)
+                    if math.isinf(got):
+                        escaped += 1
+                        continue
+                    assert rel_gap(got, single, op, y) <= 1e-12, (kind, rec.label)
+                    oracle = form_oracle_eigensolve(op, Vector(y))
+                    assert rel_gap(got, oracle, op, y) <= 1e-12, (kind, rec.label)
+        assert escaped > 0
+
+    def test_jstar_coefficients_matrix_matches_columns(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 5, 12):
+            A = operator_from_matrix(random_psd(rng, n, True), dense_pair(n))
+            fac = factorize(A)
+            Y = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
+            C = fac.jstar_coefficients(Y)
+            for j in range(Y.shape[1]):
+                np.testing.assert_allclose(C[:, j], fac.jstar_coefficients(Y[:, j]),
+                                           rtol=1e-12, atol=1e-14)
 
 
 class TestAntisymmetry:

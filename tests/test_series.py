@@ -125,3 +125,20 @@ class TestLowerBound:
 
     def test_decaying_rule_gives_zero(self):
         assert series.rule_lower_bound(series.geometric(0.5)) == 0.0
+
+    def test_late_start_gives_zero(self):
+        # zero for n < 5, so the infimum over n >= 1 is 0
+        late = series.power_geometric(1.0, 0.0, 1.0, start=5)
+        assert series.rule_lower_bound(late) == 0.0
+        assert series.rule_lower_bound(late + series.polynomial(1.0)) == 1.0
+
+
+class TestTermValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"coef": math.nan}, {"coef": complex(1.0, math.inf)},
+        {"coef": 1.0, "alpha": math.nan}, {"coef": 1.0, "alpha": -math.inf},
+        {"coef": 1.0, "ratio": math.nan}, {"coef": 1.0, "ratio": math.inf},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            series.Term(**kwargs)
