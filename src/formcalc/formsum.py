@@ -7,6 +7,11 @@ J : H_A (+) H_B -> X*, J(Ax (+) By) = Ax + By, satisfies J** J* equal to
 the form sum and extends A + B; both facts are verified numerically on
 every construction.
 
+Every dense construction factorizes each operand once and reuses it: the
+form sum keeps the factorization of A, the joint factor takes it from
+there, and the resolvent lifts of the spectrum check share the one of
+their lift.  Sampled identities run on whole matrices of samples.
+
 A bounded E on X that leaves dom A invariant and intertwines through
 E^H A contained in A E lifts to a bounded operator on H_A acting by
 A x -> A E x.  The lift is self-adjoint in the H_A inner product, obeys
@@ -33,7 +38,7 @@ from .forms import (
     CLOSED_AUTOMATIC, CLOSED_SEQUENTIAL, SesquilinearForm, associated_operator,
     form_from_gram, form_of_operator, lower_bound,
 )
-from .linalg import gram_inner, relative_residual
+from .linalg import gram_quadratic, relative_residual
 from .ordering import FactorizationResult, factorize
 
 
@@ -103,11 +108,16 @@ class FormSumResult:
     density_record: dict
     extension_residual: float          # against A + B on dom A and dom B
     collapse_exact: bool               # full domains: A (+) B == A + B
+    factorization: FactorizationResult | None   # of A; None on sequences
     details: dict = field(default_factory=dict)
 
 
 def _dense_gamma(A: DenseOperator, dp: DualityPair) -> float:
     return lower_bound(form_of_operator(A), dp).gamma
+
+
+def _max_column_norm(M: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
 
 
 def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
@@ -147,8 +157,7 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     # extension of A + B on dom A intersect dom B = dom t_B here
     M_AB = AB.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
-    worst = float(np.max(np.linalg.norm(M_AB @ C - M_sum @ C, axis=0))) / max(
-        operator_norm(M_sum), 1.0)
+    worst = _max_column_norm(M_AB @ C - M_sum @ C) / max(operator_norm(M_sum), 1.0)
     collapse = bool(A.is_full_domain() and B.is_full_domain())
     if collapse:
         exact = float(operator_norm(M_AB - M_sum)) / max(operator_norm(M_sum), 1.0)
@@ -157,7 +166,7 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
                 f"everywhere-defined collapse violated (residual {exact:.3e})")
     if worst > 1e-10:
         raise ArithmeticError(f"form sum fails to extend A + B ({worst:.3e})")
-    return FormSumResult(AB, rep.gamma, density, worst, collapse,
+    return FormSumResult(AB, rep.gamma, density, worst, collapse, fac_a,
                          {"closedness": closedness.kind})
 
 
@@ -185,7 +194,7 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     if not probes_ok:
         raise DomainError("density check failed on finitely supported probes")
     gam = series.rule_lower_bound(rule)
-    return FormSumResult(AB, gam, density, 0.0, False, {})
+    return FormSumResult(AB, gam, density, 0.0, False, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -209,39 +218,36 @@ def joint_factorize(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     if A.backend != DENSE:
         raise BackendMismatch("joint factorization is dense-backend only")
     fs = form_sum(A, B, dp)
-    fac_a, fac_b = factorize(A), factorize(B)
-    rng = np.random.default_rng(seed)
+    fac_a, fac_b = fs.factorization, factorize(B)
     if samples is None:
-        samples = [Vector(rng.normal(size=dp.n) + 1j * rng.normal(size=dp.n))
-                   for _ in range(6)]
+        # the real then the imaginary draws of each sample
+        R = np.random.default_rng(seed).normal(size=(6, 2, dp.n))
+        Y = (R[:, 0] + 1j * R[:, 1]).T
+    else:
+        Y = np.array([y.coords for y in samples], dtype=complex).reshape(-1, dp.n).T
     M_AB = fs.operator.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
     scale = max(operator_norm(M_sum), 1.0)
-    jstar_res = comp_res = energy_res = 0.0
-    P_B = B.effective_projector()
-    for y in samples:
-        z = P_B @ y.coords      # restrict to dom t_B, the sum domain here
-        ca = fac_a.jstar_coefficients(z)
-        cb = fac_b.jstar_coefficients(z)
-        # J* z must be Az (+) Bz: compare in action coordinates
-        az = fac_a.operator.action_mat[:, fac_a.pivots] @ ca
-        bz = fac_b.operator.action_mat[:, fac_b.pivots] @ cb
-        try:
-            az_direct = A.apply(z)
-            bz_direct = B.apply(z)
-            jstar_res = max(jstar_res,
-                            float(np.linalg.norm(az - az_direct)) / scale,
-                            float(np.linalg.norm(bz - bz_direct)) / scale)
-        except DomainError:
-            pass                # z outside dom A cap dom B: J* still defined
-        # J** J* z = Az + Bz extends A + B and equals the form sum
-        comp_res = max(comp_res,
-                       float(np.linalg.norm((az + bz) - M_AB @ z)) / scale)
-        # the energy identity [J* y, J* y] = ((A (+) B) y, y)
-        lhs = float(np.real(gram_inner(fac_a.gram, ca, ca) +
-                            gram_inner(fac_b.gram, cb, cb)))
-        rhs = float(np.real(np.vdot(z, M_AB @ z)))
-        energy_res = max(energy_res, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    Z = B.effective_projector() @ Y    # restrict to dom t_B, the sum domain here
+    Ca = fac_a.jstar_coefficients(Z)
+    Cb = fac_b.jstar_coefficients(Z)
+    # J* z must be Az (+) Bz: compare in action coordinates
+    AZ = fac_a.operator.action_mat[:, fac_a.pivots] @ Ca
+    BZ = fac_b.operator.action_mat[:, fac_b.pivots] @ Cb
+    jstar_res = 0.0
+    try:
+        jstar_res = max(_max_column_norm(AZ - A.apply(Z)),
+                        _max_column_norm(BZ - B.apply(Z))) / scale
+    except DomainError:
+        pass                # z outside dom A cap dom B: J* still defined
+    # J** J* z = Az + Bz extends A + B and equals the form sum
+    MZ = M_AB @ Z
+    comp_res = _max_column_norm(AZ + BZ - MZ) / scale
+    # the energy identity [J* y, J* y] = ((A (+) B) y, y)
+    lhs = gram_quadratic(fac_a.gram, Ca) + gram_quadratic(fac_b.gram, Cb)
+    rhs = np.real(np.sum(np.conj(Z) * MZ, axis=0))
+    energy_res = float(np.max(np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), 1.0), initial=0.0))
     return JointFactorization(fs, fac_a, fac_b, jstar_res, comp_res, energy_res)
 
 
@@ -268,8 +274,7 @@ def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
         rhs = A.apply(E_mat @ A.basis_mat)
     except DomainError:
         return math.inf
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=0))) / max(
-        operator_norm(A.action_mat), 1.0)
+    return _max_column_norm(lhs - rhs) / max(operator_norm(A.action_mat), 1.0)
 
 
 def lift_commutant(A: DenseOperator, E: DenseOperator,
@@ -286,30 +291,33 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
         raise BackendMismatch("commutant lifts are dense-backend only")
     if E.direction != ENDO or not E.is_full_domain():
         raise DomainError("E must be a bounded operator defined on all of X")
-    E_mat = E.canonical_matrix()
+    return CommutantLift(E, *_lift(A, E.canonical_matrix(), seed))
+
+
+def _lift(A: DenseOperator, E_mat: np.ndarray, seed: int,
+          fac: FactorizationResult | None = None) -> tuple:
+    """The lift of E_mat to H_A with its checks, returning the fields of
+    :class:`CommutantLift` after E, in order.  A is factorized only once
+    E_mat passes the commutation identity, unless ``fac`` already holds
+    its factorization."""
     eq7 = _eq7_residual(A, E_mat)
-    tol = 1e-9
-    if not math.isfinite(eq7) or eq7 > tol:
+    if not math.isfinite(eq7) or eq7 > 1e-9:
         raise DomainError(
             f"commutation identity violated (residual {eq7 if math.isfinite(eq7) else 'inf'})")
-    fac = factorize(A)
-    piv = fac.pivots
-    r = len(piv)
+    fac = factorize(A) if fac is None else fac
     # columns: coefficients of A E b_p in the pivot basis {A b_q}
-    EB = E_mat @ A.basis_mat[:, piv]
+    EB = E_mat @ A.basis_mat[:, fac.pivots]
     A.coefficients_of(EB)    # invariance of dom A per column, raises otherwise
     E_hat = fac.jstar_coefficients(EB)
     lam_E = np.linalg.eigvals(E_mat)
     r_e2 = float(np.max(np.abs(lam_E)) ** 2) if lam_E.size else 0.0
-    # spectral-radius bound sampled on random H_A elements
-    rng = np.random.default_rng(seed)
-    margin = 0.0
-    for _ in range(24):
-        c = rng.normal(size=r) + 1j * rng.normal(size=r)
-        num = float(np.real(gram_inner(fac.gram, E_hat @ c, E_hat @ c)))
-        den = float(np.real(gram_inner(fac.gram, c, c))) * max(r_e2, 1e-300)
-        if den > 0:
-            margin = max(margin, num / den)
+    # spectral-radius bound sampled on 24 random H_A elements, the real
+    # then the imaginary draws of each
+    R = np.random.default_rng(seed).normal(size=(24, 2, fac.rank))
+    C = (R[:, 0] + 1j * R[:, 1]).T
+    num = gram_quadratic(fac.gram, E_hat @ C)
+    den = gram_quadratic(fac.gram, C) * max(r_e2, 1e-300)
+    margin = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
     # whitened norm: the K quadratic is c^H conj(K) c = c^H L L^H c, so the
     # K-norm of the lift is the 2-norm of L^H E^ L^-H
     LH = scipy.linalg.cholesky(np.conj(fac.gram), lower=True).conj().T
@@ -321,7 +329,7 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
         raise ArithmeticError(f"lift not self-adjoint in H_A ({sa_res:.3e})")
     if margin > 1.0 + 1e-8:
         raise ArithmeticError(f"spectral-radius bound violated ({margin:.12g})")
-    return CommutantLift(E, E_hat, fac, r_e2, margin, norm_bound, sa_res, eq7)
+    return E_hat, fac, r_e2, margin, norm_bound, sa_res, eq7
 
 
 def commuting_pair(A_mat: np.ndarray, K_mat: np.ndarray,
@@ -356,32 +364,25 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     incl = float(operator_norm(E_mat.conj().T @ M - M @ E_mat)) / scale
     # intermediate identities on samples: E* J = J (E^_A (+) E^_B) and
     # (E^_A (+) E^_B) J* = J* E on dom A cap dom B
-    rng = np.random.default_rng(seed + 2)
     fac_a, fac_b = lift_a.factorization, lift_b.factorization
-    res_j = res_jstar = 0.0
-    for _ in range(6):
-        ca = rng.normal(size=len(fac_a.pivots)) + 1j * rng.normal(size=len(fac_a.pivots))
-        cb = rng.normal(size=len(fac_b.pivots)) + 1j * rng.normal(size=len(fac_b.pivots))
-        # J applied to the pair, then E*
-        jx = fac_a.operator.action_mat[:, fac_a.pivots] @ ca + \
-            fac_b.operator.action_mat[:, fac_b.pivots] @ cb
-        lhs = E_mat.conj().T @ jx
-        rhs = fac_a.operator.action_mat[:, fac_a.pivots] @ (lift_a.E_hat @ ca) + \
-            fac_b.operator.action_mat[:, fac_b.pivots] @ (lift_b.E_hat @ cb)
-        res_j = max(res_j, float(np.linalg.norm(lhs - rhs)) / scale)
-        z = rng.normal(size=dp.n) + 1j * rng.normal(size=dp.n)
-        za = fac_a.jstar_coefficients(z)
-        zb = fac_b.jstar_coefficients(z)
-        lhs_a = lift_a.E_hat @ za
-        lhs_b = lift_b.E_hat @ zb
-        rhs_a = fac_a.jstar_coefficients(E_mat @ z)
-        rhs_b = fac_b.jstar_coefficients(E_mat @ z)
-        # compare in H_A / H_B energy norms
-        da, db = lhs_a - rhs_a, lhs_b - rhs_b
-        res_jstar = max(
-            res_jstar,
-            math.sqrt(abs(np.real(gram_inner(fac_a.gram, da, da)))) / scale,
-            math.sqrt(abs(np.real(gram_inner(fac_b.gram, db, db)))) / scale)
+    # six samples, each drawing the real then the imaginary parts of ca,
+    # then of cb, then of z
+    R = np.random.default_rng(seed + 2).normal(
+        size=(6, 2 * (fac_a.rank + fac_b.rank + dp.n)))
+    re_a, im_a, re_b, im_b, re_z, im_z = np.split(
+        R, np.cumsum([fac_a.rank, fac_a.rank, fac_b.rank, fac_b.rank, dp.n]), axis=1)
+    Ca, Cb, Z = (re_a + 1j * im_a).T, (re_b + 1j * im_b).T, (re_z + 1j * im_z).T
+    Pa = fac_a.operator.action_mat[:, fac_a.pivots]
+    Pb = fac_b.operator.action_mat[:, fac_b.pivots]
+    # J applied to the pair, then E*
+    lhs = E_mat.conj().T @ (Pa @ Ca + Pb @ Cb)
+    rhs = Pa @ (lift_a.E_hat @ Ca) + Pb @ (lift_b.E_hat @ Cb)
+    res_j = _max_column_norm(lhs - rhs) / scale
+    # compare in H_A / H_B energy norms
+    Da = lift_a.E_hat @ fac_a.jstar_coefficients(Z) - fac_a.jstar_coefficients(E_mat @ Z)
+    Db = lift_b.E_hat @ fac_b.jstar_coefficients(Z) - fac_b.jstar_coefficients(E_mat @ Z)
+    res_jstar = float(np.max(np.sqrt(np.abs(np.concatenate(
+        [gram_quadratic(fac_a.gram, Da), gram_quadratic(fac_b.gram, Db)]))))) / scale
     ok = incl <= 1e-9 and res_j <= 1e-9 and res_jstar <= 1e-9
     return CommutationReport(lift_a, lift_b, incl,
                              {"E_star_J": res_j, "J_star_E": res_jstar}, ok)
@@ -404,22 +405,21 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator, dp: DualityPair,
     resolvent identity checked at three real points outside sigma(E)."""
     lift = lift_commutant(A, E, dp, seed)
     lam_hat = np.linalg.eigvals(lift.E_hat)
-    lam_e = np.linalg.eigvals(E.canonical_matrix())
+    E_mat = E.canonical_matrix()
+    lam_e = np.linalg.eigvals(E_mat)
     scale = max(float(np.max(np.abs(lam_e))), 1.0) if lam_e.size else 1.0
     max_imag = float(np.max(np.abs(lam_hat.imag))) if lam_hat.size else 0.0
-    max_dist = 0.0
-    for mu in lam_hat:
-        max_dist = max(max_dist, float(np.min(np.abs(lam_e - mu))))
+    max_dist = float(np.max(np.min(np.abs(lam_e - lam_hat[:, None]), axis=1),
+                            initial=0.0))
     base = float(np.max(np.abs(lam_e))) if lam_e.size else 0.0
     points = tuple(base + k for k in (1.0, 2.0, 3.0))
-    E_mat = E.canonical_matrix()
     res_res = 0.0
     for lam in points:
-        R = np.linalg.inv(E_mat - lam * np.eye(dp.n))
-        Rop = operator_from_matrix(R, dp, ENDO)
-        lift_R = lift_commutant(A, Rop, dp, seed)
+        # the resolvent lifts reuse the factorization of the lift of E
+        R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)), seed,
+                      lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))
-        res_res = max(res_res, float(np.linalg.norm(lift_R.E_hat - direct)) /
+        res_res = max(res_res, float(np.linalg.norm(R_hat - direct)) /
                       max(float(np.linalg.norm(direct)), 1.0))
     ok = (max_imag <= 1e-9 * scale and max_dist <= 1e-8 * scale and
           res_res <= 1e-8)

@@ -8,6 +8,10 @@ Conventions used everywhere:
   ``sum_ij c_i * conj(d_j) * G[i, j]`` (see :func:`gram_inner`);
 * the quadratic ``t(x, x)`` in the original coefficients is the Hermitian
   quadratic form of ``conj(G)``.
+
+Factorizations go to LAPACK: :func:`pivoted_cholesky` is ``zpstrf``
+(Hammarling, Higham and Lucas, *LAPACK-style codes for pivoted Cholesky
+and QR updating*, 2007).
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ def gram_inner(G: np.ndarray, c: np.ndarray, d: np.ndarray) -> complex:
     return complex(np.einsum("i,ij,j->", c, G, np.conj(d)))
 
 
-def gram_quadratic(G: np.ndarray, c: np.ndarray) -> float:
-    """Real quadratic t(x, x); imaginary part must be numerical noise."""
-    v = gram_inner(G, c, c)
-    return float(v.real)
+def gram_quadratic(G: np.ndarray, c: np.ndarray):
+    """Real quadratic t(x, x) at c, or at each column of a matrix c; the
+    imaginary part must be numerical noise."""
+    return np.real(np.sum(c * (G @ np.conj(c)), axis=0))
 
 
 def hermitian_residual(G: np.ndarray) -> float:
@@ -53,37 +57,20 @@ def assert_psd(G: np.ndarray, tol: float = 1e-12, what: str = "gram"):
 
 
 def pivoted_cholesky(G: np.ndarray, tol: float | None = None):
-    """Column-pivoted Cholesky of a Hermitian PSD matrix.
+    """Column-pivoted Cholesky of a Hermitian PSD matrix, by LAPACK zpstrf.
 
     Returns ``(L, piv, rank)`` with ``G[piv][:, piv] ~= L L^H`` on the
-    leading ``rank`` block.  The pivot threshold defaults to
-    ``1e-10 * max diagonal``, the kernel-quotient rule used by the
-    factorization module.
+    leading ``rank`` block.  At each step the largest remaining diagonal
+    is the pivot, and the factorization stops at the first pivot
+    ``<= tol``.  The threshold defaults to ``1e-10 * max diagonal``, the
+    kernel-quotient rule used by the factorization module.
     """
-    A = np.array(G, dtype=complex)
-    n = A.shape[0]
-    piv = np.arange(n)
-    dmax = float(np.max(np.abs(np.diag(A).real))) if n else 0.0
+    A = np.asarray(G, dtype=complex)
     if tol is None:
+        dmax = float(np.max(np.abs(np.diag(A).real))) if A.shape[0] else 0.0
         tol = 1e-10 * max(dmax, 1e-300)
-    rank = n
-    for k in range(n):
-        d = np.real(np.diag(A)).copy()
-        j = k + int(np.argmax(d[k:]))
-        pivot = d[j]
-        if pivot <= tol:
-            rank = k
-            break
-        if j != k:
-            A[:, [k, j]] = A[:, [j, k]]
-            A[[k, j], :] = A[[j, k], :]
-            piv[[k, j]] = piv[[j, k]]
-        A[k, k] = np.sqrt(pivot)
-        A[k + 1:, k] /= A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], np.conj(A[k + 1:, k]))
-        A[k, k + 1:] = 0.0
-    L = np.tril(A)[:, :rank]
-    return L, piv, rank
+    c, piv, rank, _ = scipy.linalg.lapack.zpstrf(A, tol=tol, lower=1)
+    return np.tril(c)[:, :rank], piv - 1, int(rank)
 
 
 def smallest_generalized_eig(Gq: np.ndarray, S: np.ndarray,

@@ -101,6 +101,24 @@ class TestScenarioDispatch:
         assert rep.verdict == "fail"
         assert rep.details["error"].startswith("ValueError")
 
+    def test_signed_basis_independent_sum_passes(self):
+        # the signed-basis residual is error over allowed error, so it
+        # passes at 1 or less; this one reads about 0.25
+        def rule(ratio):
+            return {"terms": [{"coef": [1, 0], "alpha": 0.0, "ratio": ratio,
+                               "start": 1}]}
+        space = {"kind": "paired-rule", "rule": rule(0.5)}
+        variable = {"kind": "signed-basis", "scale": rule(1.1)}
+        rep = run_scenario({
+            "id": "indep-signed", "op": "independent-sum",
+            "space_pair": {"backend": "sequence", "truncation": 24, "p": 2.0},
+            "probability_xi": space, "probability_eta": space,
+            "xi": variable, "eta": variable,
+        })
+        assert rep.details["kind"] == "diagonal-rules"
+        assert 0.2 < rep.residuals["covariance_vs_formsum"] < 0.3
+        assert rep.verdict == "pass"
+
 
 class TestCliRun:
     def test_empty_scenario_list(self, tmp_path, capsys):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from formcalc import series
+from formcalc import formsum, ordering, series
 from formcalc.duality import (
-    DOMAIN_FINITE, ENDO, dense_pair, diagonal_operator, generated_vector,
-    graph_domain_contains, identity_operator, is_extension,
+    DOMAIN_FINITE, ENDO, Vector, dense_pair, diagonal_operator,
+    generated_vector, graph_domain_contains, identity_operator, is_extension,
     operator_from_matrix, restricted_operator, sequence_pair,
 )
 from formcalc.errors import DomainError, LowerBoundError
@@ -17,6 +17,8 @@ from formcalc.formsum import (
     commutation_formsum, commuting_pair, form_sum, is_closed, joint_factorize,
     lift_commutant, spectrum_inclusion,
 )
+from formcalc.linalg import gram_inner
+from formcalc.ordering import factorize
 
 DP2 = dense_pair(2)
 SP = sequence_pair(48)
@@ -295,3 +297,181 @@ class TestSpectrumInclusion:
             rep = spectrum_inclusion(A, E, dp)
             assert rep.passed
             assert rep.resolvent_residual <= 1e-8
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """Operands of every factorize call made through either module."""
+    calls = []
+    real = ordering.factorize
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(ordering, "factorize", counted)
+    monkeypatch.setattr(formsum, "factorize", counted)
+    return calls
+
+
+@pytest.fixture
+def eq7_calls(monkeypatch):
+    calls = []
+    real = formsum._eq7_residual
+
+    def counted(A, E_mat):
+        calls.append(E_mat)
+        return real(A, E_mat)
+
+    monkeypatch.setattr(formsum, "_eq7_residual", counted)
+    return calls
+
+
+def commuting_instance(rng, n):
+    A_mat = random_hpd(rng, n)
+    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dp = dense_pair(n)
+    return A_mat, operator_from_matrix(A_mat, dp), \
+        commuting_pair(A_mat, K + K.conj().T, dp), dp
+
+
+class TestFactorOnce:
+    def test_spectrum_inclusion_factorizes_once(self, factorize_calls, eq7_calls):
+        _, A, E, dp = commuting_instance(np.random.default_rng(81), 4)
+        assert spectrum_inclusion(A, E, dp).passed
+        assert factorize_calls == [A]
+        # E and each of the three resolvents still pass the eq7 check
+        assert len(eq7_calls) == 4
+
+    def test_joint_factorize_factorizes_each_operand_once(self, factorize_calls):
+        rng = np.random.default_rng(82)
+        dp = dense_pair(4)
+        A = operator_from_matrix(random_hpd(rng, 4), dp)
+        B = operator_from_matrix(random_hpd(rng, 4), dp)
+        jf = joint_factorize(A, B, dp)
+        assert factorize_calls == [A, B]
+        assert jf.fac_a is jf.formsum.factorization
+
+    def test_form_sum_keeps_factorization_of_a(self):
+        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        fs = form_sum(A, identity_operator(DP2), DP2)
+        assert fs.factorization.operator is A
+        seq = form_sum(diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE),
+                       diagonal_operator(series.polynomial(4.0), SP, DOMAIN_FINITE), SP)
+        assert seq.factorization is None
+
+    def test_broken_commutation_factorizes_nothing(self, factorize_calls):
+        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], DP2, ENDO)
+        with pytest.raises(DomainError):
+            lift_commutant(A, E, DP2)
+        assert factorize_calls == []
+
+
+def close(got, ref):
+    """Residuals are already relative to their operator scale; compare them
+    relative to max(|ref|, 1)."""
+    return abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def loop_joint_residuals(A, B, dp, samples):
+    """The three joint-factorization residuals, one sample at a time."""
+    fac_a, fac_b = factorize(A), factorize(B)
+    M_AB = form_sum(A, B, dp).operator.canonical_matrix()
+    scale = max(np.linalg.norm(A.canonical_matrix() + B.canonical_matrix(), 2), 1.0)
+    P_B = B.effective_projector()
+    jstar = comp = energy = 0.0
+    for y in samples:
+        z = P_B @ y
+        ca, cb = fac_a.jstar_coefficients(z), fac_b.jstar_coefficients(z)
+        az = A.action_mat[:, fac_a.pivots] @ ca
+        bz = B.action_mat[:, fac_b.pivots] @ cb
+        jstar = max(jstar, np.linalg.norm(az - A.apply(z)) / scale,
+                    np.linalg.norm(bz - B.apply(z)) / scale)
+        comp = max(comp, np.linalg.norm(az + bz - M_AB @ z) / scale)
+        lhs = np.real(gram_inner(fac_a.gram, ca, ca) + gram_inner(fac_b.gram, cb, cb))
+        rhs = np.real(np.vdot(z, M_AB @ z))
+        energy = max(energy, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return jstar, comp, energy
+
+
+def seeded_samples(seed, n, count):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(count)]
+
+
+class TestBatchedSamples:
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_joint_factorize_matches_per_sample(self, n):
+        rng = np.random.default_rng(90 + n)
+        dp = dense_pair(n)
+        # B on a proper subspace invariant under A and B, so the samples are
+        # projected on dom t_B and the form sum still extends A + B
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        A = operator_from_matrix(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T, dp)
+        B = restricted_operator(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T,
+                                Q[:, :max(1, n - n // 3)], dp)
+        jf = joint_factorize(A, B, dp, seed=n)
+        ref = loop_joint_residuals(A, B, dp, seeded_samples(n, n, 6))
+        got = (jf.jstar_residual, jf.composition_residual, jf.energy_residual)
+        assert all(map(close, got, ref)), (got, ref)
+        given = seeded_samples(n + 1, n, 3)
+        jf = joint_factorize(A, B, dp, samples=[Vector(y) for y in given])
+        got = (jf.jstar_residual, jf.composition_residual, jf.energy_residual)
+        assert all(map(close, got, loop_joint_residuals(A, B, dp, given)))
+        jf = joint_factorize(A, B, dp, samples=[])
+        assert (jf.jstar_residual, jf.composition_residual, jf.energy_residual) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_commutation_factor_inclusions_match_per_sample(self, n):
+        rng = np.random.default_rng(100 + n)
+        A_mat, A, E, dp = commuting_instance(rng, n)
+        B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat, dp)
+        seed = 7
+        rep = commutation_formsum(A, B, E, dp, seed=seed)
+        M = form_sum(A, B, dp).operator.canonical_matrix()
+        scale = max(np.linalg.norm(M, 2), 1.0)
+        E_mat = E.canonical_matrix()
+        la, lb = rep.lift_a, rep.lift_b
+        fa, fb = la.factorization, lb.factorization
+        Pa, Pb = A.action_mat[:, fa.pivots], B.action_mat[:, fb.pivots]
+        sample = np.random.default_rng(seed + 2)
+        res_j = res_jstar = 0.0
+        for _ in range(6):
+            ca = sample.normal(size=fa.rank) + 1j * sample.normal(size=fa.rank)
+            cb = sample.normal(size=fb.rank) + 1j * sample.normal(size=fb.rank)
+            lhs = E_mat.conj().T @ (Pa @ ca + Pb @ cb)
+            rhs = Pa @ (la.E_hat @ ca) + Pb @ (lb.E_hat @ cb)
+            res_j = max(res_j, np.linalg.norm(lhs - rhs) / scale)
+            z = sample.normal(size=n) + 1j * sample.normal(size=n)
+            for lift, fac in ((la, fa), (lb, fb)):
+                d = lift.E_hat @ fac.jstar_coefficients(z) - \
+                    fac.jstar_coefficients(E_mat @ z)
+                res_jstar = max(res_jstar, math.sqrt(abs(np.real(
+                    gram_inner(fac.gram, d, d)))) / scale)
+        assert close(rep.factor_inclusions["E_star_J"], res_j)
+        assert close(rep.factor_inclusions["J_star_E"], res_jstar)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_lift_bound_margin_matches_per_sample(self, n):
+        _, A, E, dp = commuting_instance(np.random.default_rng(110 + n), n)
+        lift = lift_commutant(A, E, dp, seed=n)
+        K, r = lift.factorization.gram, lift.factorization.rank
+        sample = np.random.default_rng(n)
+        margin = 0.0
+        for _ in range(24):
+            c = sample.normal(size=r) + 1j * sample.normal(size=r)
+            Ec = lift.E_hat @ c
+            num = np.real(gram_inner(K, Ec, Ec))
+            den = np.real(gram_inner(K, c, c)) * max(lift.spectral_radius_sq, 1e-300)
+            if den > 0:
+                margin = max(margin, num / den)
+        assert margin > 0
+        assert abs(lift.bound_margin - margin) <= 1e-12 * margin
+
+    def test_spectrum_distance_matches_per_eigenvalue(self):
+        _, A, E, dp = commuting_instance(np.random.default_rng(120), 6)
+        rep = spectrum_inclusion(A, E, dp)
+        ref = max(float(np.min(np.abs(rep.e_eigenvalues - mu)))
+                  for mu in rep.lift_eigenvalues)
+        assert rep.max_distance == ref

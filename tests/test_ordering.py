@@ -323,3 +323,48 @@ class TestHilbertConsistency:
             A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             assert hilbert_consistency(A, [y], dense_pair(n)).passed
+
+    def test_batched_samples_match_per_sample(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 3, 8, 16):
+            dp = dense_pair(n)
+            basis = rng.normal(size=(n, max(1, n - 2))) + 1j * rng.normal(
+                size=(n, max(1, n - 2)))
+            for A in (operator_from_matrix(random_psd(rng, n, True), dp),
+                      restricted_operator(random_psd(rng, n), basis, dp)):
+                ys = [Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
+                      for _ in range(5)]
+                got = hilbert_consistency(A, ys, dp).worst_residual
+                ref = loop_hilbert_residual(A, ys)
+                assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
+
+    def test_escaping_sample_gives_inf(self):
+        # the Hermitian part diag(1, 0, 0) passes the positivity gate, but
+        # the skew block makes the form infinite off the first axis
+        dp = dense_pair(3)
+        A = operator_from_matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dp)
+        inside, escaping = vector([2, 0, 0], dp), vector([1, 1, 0], dp)
+        assert form_on_X(A, escaping).value == math.inf
+        assert hilbert_consistency(A, [inside], dp).passed
+        rep = hilbert_consistency(A, [inside, escaping], dp)
+        assert rep.worst_residual == math.inf == loop_hilbert_residual(A, [inside, escaping])
+        assert not rep.passed
+        assert hilbert_consistency(A, [], dp).worst_residual == 0.0
+
+
+def loop_hilbert_residual(A, samples):
+    """Worst square-root-identity residual, one sample at a time; a sample
+    outside the form domain has residual inf."""
+    M = A.effective_matrix()
+    lam, V = scipy.linalg.eigh(0.5 * (M + M.conj().T))
+    lam = np.where(lam > 1e-14 * max(float(lam[-1]), 1e-300), lam, 0.0)
+    root = V @ np.diag(np.sqrt(lam)) @ V.conj().T
+    P = A.effective_projector()
+    worst = 0.0
+    for y in samples:
+        yp = P @ y.coords
+        lhs = form_on_X(A, Vector(yp)).value
+        rhs = float(np.linalg.norm(root @ yp) ** 2)
+        res = math.inf if math.isinf(lhs) else abs(lhs - rhs) / max(lhs, rhs, 1.0)
+        worst = max(worst, res)
+    return worst
