@@ -341,9 +341,7 @@ class DenseOperator:
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         if self.backend == SEQUENCE:
-            vals = self.diagonal(np.arange(1, 65))
-            return bool(np.max(np.abs(vals.imag)) <= tol * max(
-                1.0, float(np.max(np.abs(vals)))))
+            return series.imaginary_residual(self.diagonal) <= tol
         G = self.form_gram()
         scale = max(operator_norm(G), 1e-300)
         return bool(np.linalg.norm(G - G.conj().T) <= tol * scale)
@@ -432,8 +430,6 @@ def graph_domain_contains(A: DenseOperator, y: Vector) -> bool:
 
 def selfadjointness_residual(A: DenseOperator) -> float:
     if A.backend == SEQUENCE:
-        vals = A.diagonal(np.arange(1, 65))
-        return relative_residual(np.max(np.abs(vals.imag)),
-                                 [np.max(np.abs(vals)), 1.0])
+        return series.imaginary_residual(A.diagonal)
     M = A.effective_matrix()
     return relative_residual(np.linalg.norm(M - M.conj().T), [operator_norm(M), 1.0])

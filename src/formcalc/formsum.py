@@ -135,6 +135,14 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
         raise BackendMismatch("operands on different backends")
     if A.backend == SEQUENCE:
         return _form_sum_sequence(A, B, dp)
+    return _form_sum_dense(A, B, dp, closedness)
+
+
+def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
+                    closedness: ClosednessWitness | None,
+                    fac_a: FactorizationResult | None = None) -> FormSumResult:
+    """The dense form sum; A is factorized here unless ``fac_a`` already
+    holds its factorization."""
     gamma_a = _dense_gamma(A, dp)
     if gamma_a <= 0:
         raise LowerBoundError("form sum needs a positive lower bound on A")
@@ -149,7 +157,7 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
                "spans_ambient": bool(C.shape[1] == dp.n)}
     if C.shape[1] == 0:
         raise DomainError("intersection domain is trivial")
-    fac_a = factorize(A)
+    fac_a = factorize(A) if fac_a is None else fac_a
     G_sum = _aform_gram(fac_a, C) + form_of_operator(B).gram
     t_sum = form_from_gram(C, G_sum)
     rep = associated_operator(t_sum, dp)
@@ -357,7 +365,8 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     lift_b = lift_commutant(B, E, dp, seed + 1)
     if _dense_gamma(A, dp) <= 0 or _dense_gamma(B, dp) <= 0:
         raise LowerBoundError("both summands need positive lower bounds")
-    fs = form_sum(A, B, dp)
+    # the lift of A already holds its factorization
+    fs = _form_sum_dense(A, B, dp, None, lift_a.factorization)
     M = fs.operator.canonical_matrix()
     E_mat = E.canonical_matrix()
     scale = max(operator_norm(M), 1.0)

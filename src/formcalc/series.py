@@ -7,13 +7,24 @@ shape
 
 This family is closed under addition, multiplication and complex
 conjugation, which is what lets every tail the library meets be bounded
-rigorously: a ratio test when ratio < 1, an integral test when ratio = 1
-and alpha < -1.  Divergent series are reported with a partial-sum growth
-record instead of a bound.
+rigorously: a ratio test when ratio < 1, and Euler-Maclaurin through the
+B4 term when ratio = 1 and alpha < -1.  For the latter the summand
+n**alpha is completely monotone, so the remainder lies between 0 and the
+first omitted (B6) term (Olver, *Asymptotics and Special Functions*,
+ch. 8); a p-series then certifies to 1e-12 in 64 terms.  Every sum also
+carries a bound on its floating-point error: the exp/log evaluation of
+each term, its exactly rounded summation by ``math.fsum`` and the few
+operations after it, each bounded by a multiple of the unit roundoff
+times the summed moduli (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 4).  Divergent series are reported with a partial-sum
+growth record instead of a bound.
 
 Values are never returned without a certificate: :func:`certified_sum`
 attaches a tail bound, :func:`decide_summable` returns either a
-:class:`TailCertificate` or a :class:`DivergenceCertificate`.
+:class:`TailCertificate` or a :class:`DivergenceCertificate`.  Equality
+and realness of rules are decided exactly (:func:`rules_agree`,
+:func:`imaginary_residual`): pointwise before the last start, by the
+merged coefficients of the linearly independent n**alpha ratio**n after.
 """
 
 from __future__ import annotations
@@ -130,9 +141,11 @@ def constant(coef: complex) -> Rule:
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """Bound for sum_{n > first} |a_n|, with the test that produced it."""
+    """Error bound of a sum of ``first`` terms plus a tail estimate, with
+    the tail test that produced it; ``detail`` splits the bound into its
+    truncation and rounding parts."""
 
-    kind: str                     # "ratio" | "integral" | "finite" | "empty"
+    kind: str                     # "ratio" | "integral" (Euler-Maclaurin)
     first: int                    # tail starts at first + 1
     bound: float
     detail: dict = field(default_factory=dict)
@@ -194,8 +207,8 @@ def _term_tail_bound(t: Term, n_from: int) -> float:
         head = abs(complex(t.values(np.array([n2 + 1.0]))[0]))
         return extra + head / (1.0 - target)
     if t.ratio == 1.0 and t.alpha < -1.0:
-        m = max(lo, 1)
-        return c * m ** (t.alpha + 1.0) / (-t.alpha - 1.0)
+        # integral test from lo; from lo = 0 the first term, 1, comes first
+        return c * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0))
     return math.inf
 
 
@@ -240,86 +253,167 @@ def divergence_record(rule: Rule, points: int = 12) -> DivergenceCertificate:
     return DivergenceCertificate(witness, tuple(checkpoints), tuple(sums), ratios)
 
 
-def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float]:
-    """(correction, error): the signed tail of the rule past ``n_from`` is
-    ``correction`` up to ``error``.  Ratio-test terms are bounded crudely
-    (they decay geometrically anyway); integral-test terms get the
-    two-sided bracket  I <= sum <= I + f(N+1)  for decreasing f, so the
-    midpoint halves the uncertainty and slow polynomial tails stay
-    reachable."""
+def _euler_maclaurin(alpha: float, a: float) -> tuple[float, float]:
+    """(midpoint, half-width) enclosing sum_{n >= a} n**alpha, alpha < -1.
+
+    Euler-Maclaurin through the B4 term.  x**alpha is completely monotone,
+    so the remainder lies between 0 and the B6 term -B6/6! f^(5)(a) =
+    |f^(5)(a)| / 30240; half of it is added and half is the error.  The
+    derivatives are falling factorials times powers of a."""
+    f = a ** alpha
+    d1 = alpha * f / a
+    d3 = d1 * (alpha - 1.0) * (alpha - 2.0) / (a * a)
+    d5 = d3 * (alpha - 3.0) * (alpha - 4.0) / (a * a)
+    b6 = -d5 / 30240.0
+    mid = a * f / (-alpha - 1.0) + f / 2.0 - d1 / 12.0 + d3 / 720.0 + b6 / 2.0
+    return mid, b6 / 2.0
+
+
+def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
+    """(correction, error, size): the signed tail of the rule past
+    ``n_from`` is ``correction`` up to the truncation ``error``; ``size``
+    is the sum of the moduli of the terms' corrections, which scales their
+    rounding.  Ratio-test terms are bounded crudely (they decay
+    geometrically anyway); terms with ratio 1 get the Euler-Maclaurin
+    enclosure of :func:`_euler_maclaurin` from a = max(n_from, start - 1)
+    + 1, whose error falls below rounding level within 64 terms."""
     correction = 0.0 + 0.0j
-    err = 0.0
+    err = size = 0.0
     for t in rule.terms:
         if t.coef == 0:
             continue
         if t.ratio < 1.0:
             err += _term_tail_bound(t, n_from)
         else:
-            m = max(n_from, t.start - 1)
-            integral = (m + 1.0) ** (t.alpha + 1.0) / (-t.alpha - 1.0)
-            first = (m + 1.0) ** t.alpha
-            correction += t.coef * (integral + first / 2.0)
-            err += abs(t.coef) * first / 2.0
-    return correction, err
+            mid, half = _euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
+            correction += t.coef * mid
+            err += abs(t.coef) * half
+            size += abs(t.coef) * mid
+    return correction, err, size
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _partial_sum(rule: Rule, lo: int, hi: int) -> tuple[complex, float, float]:
+    """(sum, mass, rounding) over lo <= n <= hi: the sum of a_n, the sum
+    of the moduli of the term values, and a bound, in units of the
+    roundoff u, on the error of the sum.
+
+    A term is evaluated as c * exp(alpha log n + n log ratio).  Its
+    relative error is the absolute error of the exponent, at most
+    4 (|alpha log n| + |n log ratio|) u with logarithms and exp good to
+    one ulp, plus a few u for the exponential and the product with c; a
+    value that underflows is off by less than 1e-300 |c|, far below any
+    target.  The values are added by ``math.fsum``, which rounds the
+    exact sum once, so the summation costs u of the mass whatever the
+    number of values."""
+    ns = np.arange(lo, hi + 1, dtype=float)
+    logn = np.log(ns)
+    total = 0.0 + 0.0j
+    mass = evaluation = 0.0
+    for t in rule.terms:
+        vals = Rule((t,))(ns)      # through Rule.__call__, like every evaluation
+        mods = np.abs(vals)
+        mass += float(np.sum(mods))
+        evaluation += float(np.sum(mods * (
+            4.0 * abs(t.alpha) * logn + 4.0 * abs(math.log(t.ratio)) * ns + 8.0)))
+        total += complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    # fsum rounds once, and adding the T term sums rounds T times
+    return total, mass, evaluation + (len(rule.terms) + 1) * mass
+
+
+def _tail_kind(rule: Rule) -> str:
+    return "integral" if any(t.ratio == 1.0 and t.coef != 0
+                             for t in rule.terms) else "ratio"
+
+
+def _with_tail(rule: Rule, n_used: int, partial: complex, mass: float,
+               rounding_u: float) -> SumResult:
+    """The partial sum of ``n_used`` terms, with its ``mass`` and its
+    ``rounding_u`` in units of u from :func:`_partial_sum`, plus the tail
+    estimate; the bound is truncation plus rounding.  32 u more of the
+    mass and of the correction's size covers adding up the at most 16
+    doubling rounds, the correction, and the few operations of each
+    term's correction."""
+    correction, trunc, size = _tail_estimate(rule, n_used)
+    rounding = _UNIT_ROUNDOFF * (rounding_u + 32.0 * (mass + size))
+    err = trunc + rounding
+    return SumResult(partial + correction, n_used, err, TailCertificate(
+        _tail_kind(rule), n_used, err, {"truncation": trunc, "rounding": rounding}))
+
+
+def _doubling_sum(rule: Rule, tol: float, floor: float) -> tuple[SumResult, str]:
+    """Sum 64, 128, ... terms of a convergent rule until the error bound
+    meets ``tol * max(floor, |value|)``.  Returns the last result with ''
+    once it does, or with the reason it stopped: rounding alone above the
+    target (more terms only raise it; the sum goes on until truncation is
+    below rounding, so the bound is within twice the best one), or the
+    term cap."""
+    partial = 0.0 + 0.0j
+    mass = rounding_u = 0.0
+    n_done = 0
+    n_next = 64
+    while True:
+        chunk, chunk_mass, chunk_rounding = _partial_sum(rule, n_done + 1, n_next)
+        partial += chunk
+        mass += chunk_mass
+        rounding_u += chunk_rounding
+        n_done = n_next
+        res = _with_tail(rule, n_done, partial, mass, rounding_u)
+        parts = res.certificate.detail
+        target = tol * max(floor, abs(res.value))
+        if res.tail <= target:
+            return res, ""
+        if parts["rounding"] > max(target, parts["truncation"]):
+            return res, (f"rounding bound {parts['rounding']:.3e} above target "
+                         f"{target:.3e}: more terms cannot help")
+        if n_next >= _MAX_TERMS:
+            return res, f"tail bound {res.tail:.3e} still above target after {n_done} terms"
+        n_next *= 2
 
 
 def certified_sum(rule: Rule, tol: float = 1e-12, scale: float | None = None) -> SumResult:
     """Sum the series with a certified absolute error bound.
 
-    The accepted error is ``tol * max(scale, |value|)`` with ``scale``
-    defaulting to 1, i.e. relative with an absolute floor.  Raises
-    :class:`SeriesDiverges` (with certificate) on a divergent rule and
-    :class:`Uncertifiable` when the bound cannot be pushed below the
-    target within the term cap.
+    The bound is the truncation error of the tail estimate plus the
+    rounding error of the whole evaluation.  The accepted error is
+    ``tol * max(scale, |value|)`` with ``scale`` defaulting to 1, i.e.
+    relative with an absolute floor.  Raises :class:`SeriesDiverges`
+    (with certificate) on a divergent rule and :class:`Uncertifiable`
+    when the bound cannot be pushed below the target within the term
+    cap, or when rounding alone, which grows with the term count,
+    already exceeds it.
     """
     if not rule_convergent(rule):
         raise SeriesDiverges("series diverges", divergence_record(rule))
-    floor = 1.0 if scale is None else float(scale)
-    partial = 0.0 + 0.0j
-    n_done = 0
-    n_next = 64
-    while True:
-        ns = np.arange(n_done + 1, n_next + 1, dtype=float)
-        partial += complex(np.sum(rule(ns)))
-        n_done = n_next
-        correction, err = _tail_estimate(rule, n_done)
-        value = partial + correction
-        if err <= tol * max(floor, abs(value)):
-            cert_kind = "integral" if any(
-                t.ratio == 1.0 and t.coef != 0 for t in rule.terms) else "ratio"
-            return SumResult(value, n_done, err,
-                             TailCertificate(cert_kind, n_done, err))
-        if n_next >= _MAX_TERMS:
-            raise Uncertifiable(
-                f"tail bound {err:.3e} still above target after {n_done} terms")
-        n_next *= 2
+    res, failure = _doubling_sum(rule, tol, 1.0 if scale is None else float(scale))
+    if failure:
+        raise Uncertifiable(failure)
+    return res
 
 
 def decide_summable(rule: Rule, tol: float = 1e-12):
     """Return (True, SumResult) or (False, DivergenceCertificate).
 
-    Slowly convergent rules (integral exponents barely below -1) cannot
-    reach tight tolerances; the sum then comes back at the best certified
-    bound instead of failing, since convergence itself is decided exactly
-    within the rule class."""
-    if rule_convergent(rule):
-        try:
-            return True, certified_sum(rule, tol=tol)
-        except Uncertifiable:
-            return True, best_effort_sum(rule)
-    return False, divergence_record(rule)
+    Convergence is decided exactly within the rule class.  Polynomial
+    tails certify through Euler-Maclaurin.  A rule that still misses
+    ``tol`` comes back at its best certified bound, truncation plus
+    rounding, instead of failing: where rounding stopped the sum, the
+    sum as it stopped; where the term cap did (ratio terms close to 1),
+    :func:`best_effort_sum`."""
+    if not rule_convergent(rule):
+        return False, divergence_record(rule)
+    res, failure = _doubling_sum(rule, tol, 1.0)
+    if failure and res.n_used >= _MAX_TERMS:
+        return True, best_effort_sum(rule)
+    return True, res
 
 
 def best_effort_sum(rule: Rule, n_used: int = 2 ** 16) -> SumResult:
     """Partial sum plus tail midpoint with the certified (possibly loose)
-    half-width as the error bound; for convergent rules only."""
-    ns = np.arange(1, n_used + 1, dtype=float)
-    partial = complex(np.sum(rule(ns)))
-    correction, err = _tail_estimate(rule, n_used)
-    kind = "integral" if any(t.ratio == 1.0 and t.coef != 0
-                             for t in rule.terms) else "ratio"
-    return SumResult(partial + correction, n_used, err,
-                     TailCertificate(kind, n_used, err))
+    error bound, truncation plus rounding; for convergent rules only."""
+    return _with_tail(rule, n_used, *_partial_sum(rule, 1, n_used))
 
 
 def rule_lower_bound(rule: Rule) -> float:
@@ -342,8 +436,56 @@ def rule_lower_bound(rule: Rule) -> float:
     return total
 
 
-def rules_agree(a: Rule, b: Rule, n_max: int = 64, rtol: float = 1e-10) -> bool:
-    ns = np.arange(1, n_max + 1)
+# terms whose alpha and ratio agree to this relative precision are one
+# term up to the rounding of the arithmetic that produced them (a ratio
+# of 0.25 * sqrt(2)**2 is 0.5 plus one ulp)
+_PARAM_RTOL = 2.0 ** -44
+
+
+def _merged(rule: Rule) -> tuple[int, list[list]]:
+    """(start, groups): from n = start on every live term is active and
+    a_n = sum_g C_g n**alpha_g ratio_g**n.  A group [alpha, ratio, C_g, m_g]
+    gathers the terms with that alpha and ratio; m_g is the sum of their
+    |c|, the scale of the rounding in C_g.  The sequences n**alpha ratio**n
+    are linearly independent, so the rule is zero from ``start`` on iff
+    every C_g is.  Raises :class:`Uncertifiable` when ``start`` lies past
+    the term cap."""
+    live = [t for t in rule.terms if t.coef != 0]
+    start = max((t.start for t in live), default=1)
+    if start > _MAX_TERMS:
+        raise Uncertifiable("a term starts past the term cap")
+    groups = []
+    for t in live:
+        for g in groups:
+            if (abs(t.alpha - g[0]) <= _PARAM_RTOL * max(1.0, abs(g[0]))
+                    and abs(t.ratio - g[1]) <= _PARAM_RTOL * g[1]):
+                g[2] += t.coef
+                g[3] += abs(t.coef)
+                break
+        else:
+            groups.append([t.alpha, t.ratio, complex(t.coef), abs(t.coef)])
+    return start, groups
+
+
+def rules_agree(a: Rule, b: Rule, rtol: float = 1e-10) -> bool:
+    """Exact equality of two rules as sequences, up to rounding at ``rtol``:
+    pointwise before the last start of a term (relative to the largest
+    value there), then coefficient by coefficient of a - b."""
+    start, groups = _merged(a + b.scale(-1.0))
+    ns = np.arange(1, start)
     va, vb = a(ns), b(ns)
-    scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1e-300)
-    return bool(np.max(np.abs(va - vb)) <= rtol * scale)
+    scale = max(float(np.max(np.abs(va), initial=0.0)),
+                float(np.max(np.abs(vb), initial=0.0)), 1e-300)
+    return bool(np.max(np.abs(va - vb), initial=0.0) <= rtol * scale
+                and all(abs(c) <= rtol * m for _, _, c, m in groups))
+
+
+def imaginary_residual(rule: Rule) -> float:
+    """Exact measure of how far a rule is from real: before the last start
+    the largest imaginary part relative to max(1, largest value), after it
+    the largest |Im C_g| / m_g over the merged coefficients; 0 iff real."""
+    start, groups = _merged(rule)
+    vals = rule(np.arange(1, start))
+    head = float(np.max(np.abs(vals.imag), initial=0.0)) / max(
+        float(np.max(np.abs(vals), initial=0.0)), 1.0)
+    return max([head] + [abs(c.imag) / m for _, _, c, m in groups])

@@ -206,3 +206,48 @@ class TestOperatorBasics:
     def test_identity_operator(self):
         I = identity_operator(DP3)
         np.testing.assert_allclose(I.canonical_matrix(), np.eye(3))
+
+
+class TestSequenceSymmetry:
+    """Realness of a generator is decided exactly, not on its first terms."""
+
+    LATE = series.Rule((series.Term(1, 1, 1, 1), series.Term(1j, 0, 1, 100)))
+
+    def test_late_imaginary_term_is_not_symmetric(self):
+        A = diagonal_operator(self.LATE, sequence_pair(48))
+        assert not A.is_symmetric()
+        assert not A.is_symmetric(1e-10)
+        assert duality.selfadjointness_residual(A) == 1.0
+
+    def test_late_imaginary_term_is_not_its_real_part(self):
+        dp = sequence_pair(48)
+        real = diagonal_operator(series.polynomial(1.0), dp)
+        late = diagonal_operator(self.LATE, dp)
+        assert not is_extension(real, late)
+        assert not is_extension(late, real)
+
+    def test_friedrichs_rejects_late_imaginary_generator(self):
+        from formcalc.errors import NotPositive
+        from formcalc.friedrichs import friedrichs
+        dp = sequence_pair(48)
+        A = diagonal_operator(self.LATE, dp, duality.DOMAIN_FINITE)
+        with pytest.raises(NotPositive):
+            friedrichs(A, dp)
+
+    def test_real_generators_stay_symmetric(self):
+        dp = sequence_pair(16)
+        y = series.power_geometric(1 - 2j, -1.0, 0.5) + series.polynomial(-2.0, coef=1j)
+        for rule in (series.polynomial(2.0) + series.geometric(1.2, coef=0.5),
+                     y.abs_square(),
+                     series.power_geometric(1.0, 0.0, 1.0, start=7)):
+            A = diagonal_operator(rule, dp)
+            assert A.is_symmetric()
+            assert duality.selfadjointness_residual(A) == 0.0
+
+    def test_imaginary_head_before_last_start(self):
+        # imaginary only at n = 2, then a real term takes over from n = 3
+        rule = series.Rule((series.Term(1j, 0, 1, 2), series.Term(-1j, 0, 1, 3),
+                            series.Term(1.0, 0, 1, 3)))
+        A = diagonal_operator(rule, sequence_pair(8))
+        assert not A.is_symmetric()
+        assert duality.selfadjointness_residual(A) == 1.0

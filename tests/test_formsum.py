@@ -360,6 +360,22 @@ class TestFactorOnce:
                        diagonal_operator(series.polynomial(4.0), SP, DOMAIN_FINITE), SP)
         assert seq.factorization is None
 
+    def test_commutation_formsum_factorizes_each_operand_once(self, factorize_calls):
+        rng = np.random.default_rng(83)
+        A_mat, A, E, dp = commuting_instance(rng, 4)
+        B = operator_from_matrix(2.5 * A_mat, dp)    # shares the commutant of A
+        rep = commutation_formsum(A, B, E, dp)
+        assert rep.passed
+        # the lift of A hands its factorization to the form sum
+        assert factorize_calls == [A, B]
+        # and the report is the one of a form sum that factorizes A again
+        fs = form_sum(A, B, dp)
+        M = fs.operator.canonical_matrix()
+        E_mat = E.canonical_matrix()
+        incl = float(np.linalg.norm(E_mat.conj().T @ M - M @ E_mat, 2)) / max(
+            float(np.linalg.norm(M, 2)), 1.0)
+        assert rep.formsum_inclusion == incl
+
     def test_broken_commutation_factorizes_nothing(self, factorize_calls):
         A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
         E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], DP2, ENDO)

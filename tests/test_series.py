@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formcalc import series
 from formcalc.errors import SeriesDiverges, Uncertifiable
@@ -142,3 +143,171 @@ class TestTermValidation:
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError):
             series.Term(**kwargs)
+
+
+class TestExactRuleDecisions:
+    """rules_agree and imaginary_residual decide on the whole sequence:
+    pointwise before the last start, coefficientwise after it."""
+
+    LATE = series.Rule((series.Term(1, 1, 1, 1), series.Term(1j, 0, 1, 100)))
+
+    def test_late_term_is_seen(self):
+        assert not series.rules_agree(self.LATE, series.polynomial(1.0))
+        assert series.imaginary_residual(self.LATE) == 1.0
+        # the first 64 values agree exactly: a sampled test cannot see it
+        ns = np.arange(1, 65)
+        assert np.array_equal(self.LATE(ns), series.polynomial(1.0)(ns))
+
+    def test_like_terms_merge(self):
+        a = series.polynomial(2.0) + series.polynomial(2.0, coef=2.0)
+        assert series.rules_agree(a, series.polynomial(2.0, coef=3.0))
+        assert not series.rules_agree(a, series.polynomial(2.0, coef=3.0 + 1e-6))
+
+    def test_parameters_equal_up_to_rounding_merge(self):
+        # 0.25 * sqrt(2)**2 is 0.5 plus one ulp
+        r = 0.25 * math.sqrt(2.0) ** 2
+        assert r != 0.5
+        assert series.rules_agree(series.geometric(r), series.geometric(0.5))
+        assert not series.rules_agree(series.geometric(0.5 + 1e-9),
+                                      series.geometric(0.5))
+
+    def test_head_is_checked_pointwise(self):
+        late = series.power_geometric(1.0, 0.0, 1.0, start=3)
+        assert not series.rules_agree(late, series.constant(1.0))
+        split = series.Rule((series.Term(1.0, 0, 1, 1), series.Term(1.0, 0, 1, 5),
+                             series.Term(-1.0, 0, 1, 5)))
+        assert series.rules_agree(split, series.constant(1.0))
+
+    def test_start_past_term_cap_is_uncertifiable(self):
+        far = series.Rule((series.Term(1.0, 0, 1, 1),
+                           series.Term(1j, 0, 1, series._MAX_TERMS + 1)))
+        with pytest.raises(Uncertifiable):
+            series.imaginary_residual(far)
+        with pytest.raises(Uncertifiable):
+            series.rules_agree(far, series.constant(1.0))
+
+
+def exact_sum(rule):
+    """sum_{n >= 1} a_n in 40-digit arithmetic from the double parameters:
+    the Hurwitz zeta function for ratio 1, the geometric series for alpha
+    0, and term by term past the peak until the terms fall below 1e-45
+    otherwise."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for t in rule.terms:
+            alpha, ratio = mpmath.mpf(t.alpha), mpmath.mpf(t.ratio)
+            if t.ratio == 1.0:
+                part = mpmath.zeta(-alpha, t.start)
+            elif t.alpha == 0.0:
+                part = ratio ** t.start / (1 - ratio)
+            else:
+                peak = max(t.alpha, 0.0) / -math.log(t.ratio)
+                part, n = mpmath.mpf(0), t.start
+                while True:
+                    term = mpmath.mpf(n) ** alpha * ratio ** n
+                    part += term
+                    if n > peak and term < mpmath.mpf("1e-45"):
+                        break
+                    n += 1
+            total += mpmath.mpc(t.coef) * part
+        return total
+
+
+def within(res, exact):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return abs(mpmath.mpc(res.value) - exact) <= res.tail
+
+
+COEFS = st.one_of(
+    st.floats(0.1, 3.0), st.floats(-3.0, -0.1),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
+                       allow_nan=False, allow_infinity=False))
+TERMS = st.builds(
+    lambda c, shape, start: series.Term(c, shape[0], shape[1], start),
+    COEFS,
+    st.one_of(st.tuples(st.floats(-2.0, 2.0), st.floats(0.2, 0.95)),
+              st.tuples(st.floats(-4.0, -1.05), st.just(1.0))),
+    st.integers(1, 5))
+RULES = st.lists(TERMS, min_size=1, max_size=4).map(lambda ts: series.Rule(tuple(ts)))
+
+
+class TestCertificateOracle:
+    """Sums and their bounds against 40-digit sums, so that a certificate
+    is checked for the whole series and under rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(RULES)
+    def test_random_rules_within_certificate(self, rule):
+        exact = exact_sum(rule)
+        try:
+            res = series.certified_sum(rule)
+        except Uncertifiable:
+            # cancellation can put the rounding bound above the target
+            ok, res = series.decide_summable(rule)
+            assert ok
+        else:
+            assert res.tail <= 1e-12 * max(1.0, abs(res.value))
+        assert within(res, exact)
+        detail = res.certificate.detail
+        assert res.tail == detail["truncation"] + detail["rounding"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-6.0, -1.01), st.integers(1, 10 ** 6))
+    def test_euler_maclaurin_encloses_hurwitz_zeta(self, alpha, a):
+        mpmath = pytest.importorskip("mpmath")
+        mid, half = series._euler_maclaurin(alpha, float(a))
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(-mpmath.mpf(alpha), a)
+            # the remainder lies between 0 and the B6 term, up to the
+            # rounding of the few operations that form mid
+            assert abs(mpmath.mpf(mid) - exact) <= half + 1e-15 * mid
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-1.7, -1.4), st.floats(0.1, 3.0), st.integers(1, 5))
+    def test_slow_p_series_certify_in_64_terms(self, alpha, coef, start):
+        rule = series.power_geometric(coef, alpha, 1.0, start)
+        res = series.certified_sum(rule)
+        assert res.n_used == 64
+        assert res.certificate.kind == "integral"
+        assert within(res, exact_sum(rule))
+
+    def test_p_series_1_4_uses_64_terms(self):
+        res = series.certified_sum(series.polynomial(-1.4))
+        assert res.n_used == 64
+        assert within(res, exact_sum(series.polynomial(-1.4)))
+
+    def test_basel_rounding_is_in_the_bound(self):
+        # at 64 terms the error of the computed sum of zeta(2) exceeds its
+        # truncation bound alone; the rounding term covers it
+        res = series.certified_sum(series.polynomial(-2.0))
+        assert res.n_used == 64
+        assert within(res, exact_sum(series.polynomial(-2.0)))
+
+    def test_ratio_near_one_falls_back_to_best_effort(self):
+        rule = series.geometric(0.99999)
+        with pytest.raises(Uncertifiable):
+            series.certified_sum(rule)
+        ok, res = series.decide_summable(rule)
+        assert ok
+        assert res.n_used == 2 ** 16
+        assert within(res, exact_sum(rule))
+
+    def test_cancelling_rule_stops_on_rounding(self):
+        # two geometric series of size 2e6 whose sum is about 0.8: rounding
+        # alone exceeds 1e-12, and summing more terms would not help
+        rule = series.Rule((series.Term(1e6, 0.0, 0.5), series.Term(-1e6, 0.0, 0.5000001)))
+        with pytest.raises(Uncertifiable, match="rounding"):
+            series.certified_sum(rule)
+        ok, res = series.decide_summable(rule)
+        assert ok
+        assert res.n_used < 2 ** 16
+        assert res.certificate.detail["truncation"] <= res.certificate.detail["rounding"]
+        assert within(res, exact_sum(rule))
+
+    def test_tail_bound_from_zero_counts_the_first_term(self):
+        # sum_{n >= 1} n^-2 = zeta(2) > the integral from 1, which is 1
+        assert series.tail_bound(series.polynomial(-2.0), 0) >= math.pi ** 2 / 6
+        bound = series.tail_bound(series.power_geometric(1.0, -3.0, 1.0, start=4), 0)
+        assert bound >= float(exact_sum(series.power_geometric(1.0, -3.0, 1.0, start=4)).real)
