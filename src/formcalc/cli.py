@@ -20,7 +20,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .reporting import FAIL, PASS, SCHEMA_VERSION, UNCERTIFIED, write_csv, write_report
+from .reporting import (
+    FAIL, SCHEMA_VERSION, UNCERTIFIED, _verdict_counts, write_csv, write_report,
+)
 from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
 
@@ -45,6 +47,19 @@ def _exit_code(verdicts) -> int:
     if any(v == UNCERTIFIED for v in verdicts):
         return EXIT_UNCERTIFIED
     return EXIT_PASS
+
+
+def _write_out(out, reports, csvs: dict, summary: dict) -> None:
+    """One JSON file per report, the CSVs (name -> (header, rows)) and
+    ``summary.json``, all under ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for rep in reports:
+        write_report(rep, out / f"{rep.scenario}.json")
+    for name, (header, rows) in csvs.items():
+        write_csv(out / name, header, rows)
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -77,22 +92,14 @@ def cmd_run(args) -> int:
     summary = {
         "schema": SCHEMA_VERSION,
         "scenarios": [r.as_dict(with_time=False) for r in reports],
-        "counts": {"total": len(reports),
-                   "passed": sum(r.verdict == PASS for r in reports),
-                   "failed": sum(r.verdict == FAIL for r in reports),
-                   "uncertified": sum(r.verdict == UNCERTIFIED
-                                      for r in reports)},
+        "counts": _verdict_counts(reports),
         "exit_code": code,
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for rep in reports:
-            write_report(rep, out / f"{rep.scenario}.json")
-            for name, (header, rows) in rep.details.get("csv", {}).items():
-                write_csv(out / f"{rep.scenario}-{name}", header, rows)
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_out(args.out, reports,
+                   {f"{rep.scenario}-{name}": table for rep in reports
+                    for name, table in rep.details.get("csv", {}).items()},
+                   summary)
     print(f"{summary['counts']['passed']}/{summary['counts']['total']} passed")
     return code
 
@@ -111,14 +118,7 @@ def cmd_suite(args) -> int:
     if args.name == "all":
         summary["coverage_complete"] = not missing
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for rep in res.reports:
-            write_report(rep, out / f"{rep.scenario}.json")
-        for name, (header, rows) in res.artifacts.items():
-            write_csv(out / name, header, rows)
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_out(args.out, res.reports, res.artifacts, summary)
     counts = summary["counts"]
     print(f"{counts['passed']}/{counts['total']} passed, "
           f"{counts['controls']} controls")

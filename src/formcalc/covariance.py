@@ -118,11 +118,6 @@ class RandomVariable:
         else:
             raise ValueError(f"unknown variable kind {self.kind!r}")
 
-    def exp_poly_value(self, n: int, k_max: int) -> np.ndarray:
-        ks = np.arange(1, k_max + 1, dtype=float)
-        log_v = ks * math.log(n) - np.cumsum(np.log(ks))
-        return np.exp(log_v).astype(complex)
-
 
 def table_variable(space, values, dp: DualityPair) -> RandomVariable:
     return RandomVariable("table", space, dp, values=tuple(values))

@@ -73,10 +73,6 @@ class Mesh1D:
     def m(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def h_max(self) -> float:
-        return float(np.max(np.diff(self.nodes)))
-
     def quad_points(self):
         """Per-element Gauss points and weights, flattened."""
         x, w = _GAUSS4

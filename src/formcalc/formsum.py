@@ -112,10 +112,6 @@ class FormSumResult:
     details: dict = field(default_factory=dict)
 
 
-def _dense_gamma(A: DenseOperator, dp: DualityPair) -> float:
-    return lower_bound(form_of_operator(A), dp).gamma
-
-
 def _max_column_norm(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
 
@@ -143,8 +139,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
                     fac_a: FactorizationResult | None = None) -> FormSumResult:
     """The dense form sum; A is factorized here unless ``fac_a`` already
     holds its factorization."""
-    gamma_a = _dense_gamma(A, dp)
-    if gamma_a <= 0:
+    if lower_bound(form_of_operator(A), dp).gamma <= 0:
         raise LowerBoundError("form sum needs a positive lower bound on A")
     if A.effective_projector().trace().real < dp.n - 1e-9:
         raise DomainError("A must be effectively everywhere defined "
@@ -363,8 +358,6 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E."""
     lift_a = lift_commutant(A, E, dp, seed)
     lift_b = lift_commutant(B, E, dp, seed + 1)
-    if _dense_gamma(A, dp) <= 0 or _dense_gamma(B, dp) <= 0:
-        raise LowerBoundError("both summands need positive lower bounds")
     # the lift of A already holds its factorization
     fs = _form_sum_dense(A, B, dp, None, lift_a.factorization)
     M = fs.operator.canonical_matrix()

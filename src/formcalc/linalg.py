@@ -48,14 +48,6 @@ def min_eigenvalue(G: np.ndarray) -> float:
     return float(scipy.linalg.eigvalsh(G)[0])
 
 
-def assert_psd(G: np.ndarray, tol: float = 1e-12, what: str = "gram"):
-    assert_hermitian(G, max(tol, 1e-12), what)
-    lam = min_eigenvalue(G)
-    scale = max(float(np.linalg.norm(G, 2)), 1.0)
-    if lam < -tol * scale:
-        raise NotPositive(f"{what} has negative eigenvalue {lam:.3e}")
-
-
 def pivoted_cholesky(G: np.ndarray, tol: float | None = None):
     """Column-pivoted Cholesky of a Hermitian PSD matrix, by LAPACK zpstrf.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Functional, Vector,
     dense_pair, sequence_pair,
 )
+from .errors import FormcalcError, Uncertifiable
 
 SCHEMA_VERSION = "1"
 
@@ -57,8 +59,8 @@ class Report:
             "schema": SCHEMA_VERSION,
             "scenario": self.scenario,
             "claims": list(self.claims),
-            "residuals": {k: _num(v) for k, v in self.residuals.items()},
-            "tolerances": {k: _num(v) for k, v in self.tolerances.items()},
+            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "tolerances": {k: float(v) for k, v in self.tolerances.items()},
             "certificates": self.certificates,
             "verdict": self.verdict,
             "control": self.control,
@@ -67,11 +69,6 @@ class Report:
         if with_time:
             out["wall_time"] = self.wall_time
         return out
-
-
-def _num(v) -> float:
-    v = float(v)
-    return v
 
 
 def _jsonable(obj):
@@ -108,13 +105,37 @@ def make_report(scenario: str, claims, residuals: dict, tolerances: dict,
                   dict(details or {}), control)
 
 
+def _run_check(scenario: str, claims, fn, control: bool = False,
+               tol_scale: float = 1.0) -> Report:
+    """Run ``fn() -> (residuals, tolerances, details, certificates)`` and
+    judge it, timing the call.  This is the one place where an exception
+    becomes a verdict: :class:`Uncertifiable` gives ``uncertified``, any
+    other library error, ``ArithmeticError`` or ``ValueError`` gives
+    ``fail`` with the error in ``details``; anything else propagates."""
+    t0 = time.perf_counter()
+    try:
+        residuals, tolerances, details, certs = fn()
+        uncertified = False
+    except (FormcalcError, ArithmeticError, ValueError) as exc:
+        residuals, tolerances, certs = {"raised": 1.0}, {"raised": 0.0}, []
+        details = {"error": f"{type(exc).__name__}: {exc}"}
+        uncertified = isinstance(exc, Uncertifiable)
+    return make_report(scenario, claims, residuals, tolerances,
+                       certificates=certs, details=details,
+                       wall_time=time.perf_counter() - t0,
+                       uncertified=uncertified, control=control,
+                       tol_scale=tol_scale)
+
+
+def _verdict_counts(reports) -> dict:
+    return {"total": len(reports),
+            "passed": sum(r.verdict == PASS for r in reports),
+            "failed": sum(r.verdict == FAIL for r in reports),
+            "uncertified": sum(r.verdict == UNCERTIFIED for r in reports)}
+
+
 # ---------------------------------------------------------------------------
 # JSON wire schemas
-
-
-def complex_to_json(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def complex_from_json(v) -> complex:
@@ -123,27 +144,13 @@ def complex_from_json(v) -> complex:
     return complex(v[0], v[1])
 
 
-def array_to_json(a: np.ndarray):
-    return [complex_to_json(z) for z in np.asarray(a, dtype=complex).ravel()]
-
-
 def array_from_json(v) -> np.ndarray:
     return np.array([complex_from_json(z) for z in v], dtype=complex)
-
-
-def matrix_to_json(M: np.ndarray):
-    return [[complex_to_json(z) for z in row] for row in np.asarray(M, dtype=complex)]
 
 
 def matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex_from_json(z) for z in row] for row in rows],
                     dtype=complex)
-
-
-def rule_to_json(rule: series.Rule):
-    return {"terms": [{"coef": complex_to_json(t.coef), "alpha": t.alpha,
-                       "ratio": t.ratio, "start": t.start}
-                      for t in rule.terms]}
 
 
 def rule_from_json(obj) -> series.Rule:
@@ -153,25 +160,10 @@ def rule_from_json(obj) -> series.Rule:
         for t in obj["terms"]))
 
 
-def pair_to_json(dp: DualityPair):
-    if dp.backend == DENSE:
-        return {"backend": DENSE, "dim": dp.dim, "p": dp.p}
-    return {"backend": SEQUENCE, "truncation": dp.truncation, "p": dp.p,
-            "tail_certificates": dp.tail_certificates}
-
-
 def pair_from_json(obj) -> DualityPair:
     if obj["backend"] == DENSE:
         return dense_pair(int(obj["dim"]), float(obj.get("p", 2.0)))
     return sequence_pair(int(obj["truncation"]), float(obj.get("p", 2.0)))
-
-
-def vector_to_json(x: Vector | Functional):
-    out = {"backend": x.backend, "coords": array_to_json(x.coords)}
-    if x.backend == SEQUENCE:
-        out["tail"] = ({"kind": "exact"} if x.tail is None
-                       else {"kind": "rule", **rule_to_json(x.tail)})
-    return out
 
 
 def vector_from_json(obj, cls=Vector):
@@ -186,15 +178,6 @@ def functional_from_json(obj) -> Functional:
     return vector_from_json(obj, cls=Functional)
 
 
-def operator_to_json(A: DenseOperator):
-    if A.backend == SEQUENCE:
-        return {"backend": SEQUENCE, "direction": A.direction,
-                "diagonal": rule_to_json(A.diagonal), "domain": A.domain_rule}
-    return {"backend": DENSE, "direction": A.direction,
-            "domain_basis": matrix_to_json(A.basis_mat),
-            "action": matrix_to_json(A.action_mat)}
-
-
 def operator_from_json(obj) -> DenseOperator:
     if obj["backend"] == SEQUENCE:
         return DenseOperator(SEQUENCE, obj.get("direction", "to-dual"),
@@ -203,15 +186,6 @@ def operator_from_json(obj) -> DenseOperator:
     basis = matrix_from_json(obj["domain_basis"])
     action = matrix_from_json(obj["action"])
     return DenseOperator(DENSE, obj.get("direction", "to-dual"), basis, action)
-
-
-def form_to_json(t):
-    if t.backend == SEQUENCE:
-        return {"backend": SEQUENCE, "diagonal": rule_to_json(t.diagonal),
-                "closedness": t.closedness}
-    return {"backend": DENSE, "basis": matrix_to_json(t.basis_mat),
-            "gram": matrix_to_json(t.gram), "symmetric": t.symmetric,
-            "closedness": t.closedness}
 
 
 def write_report(report: Report, path):

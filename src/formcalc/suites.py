@@ -1,16 +1,18 @@
 """Seeded verification batteries, one per module, with negative controls.
 
-Each battery runs its module's invariant and property checks and returns
-:class:`Report` objects tagged with claim identifiers.  Every battery
-contains at least one deliberately violated instance (``control=True``)
-whose verdict must be ``fail``.  Everything is deterministic given the
-seed; summaries therefore omit wall times.
+Each battery collects its module's invariant and property checks as
+``(name, claims, fn)`` and runs them in order through the one runner of
+:mod:`formcalc.reporting`, which returns :class:`Report` objects tagged
+with claim identifiers.  Every battery contains at least one deliberately
+violated instance whose verdict must be ``fail``: a check is a control
+(``control=True``) exactly when its name starts with ``control-``.
+Everything is deterministic given the seed; summaries therefore omit
+wall times.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +46,7 @@ from .ordering import (
     antisymmetry_check, compare, factorize, form_on_X, form_oracle_eigensolve,
     hilbert_consistency,
 )
-from .reporting import CLAIM_TAGS, Report, make_report
-
-SUITE_NAMES = ("representation", "friedrichs", "ordering", "formsum",
-               "covariance", "elliptic")
+from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,34 +76,16 @@ class SuiteResult:
             "seed": self.seed,
             "reports": [r.as_dict(with_time=False) for r in self.reports],
             "coverage": self.coverage(),
-            "counts": {
-                "total": len(self.reports),
-                "passed": sum(r.verdict == "pass" for r in self.reports),
-                "failed": sum(r.verdict == "fail" for r in self.reports),
-                "uncertified": sum(r.verdict == "uncertified"
-                                   for r in self.reports),
-                "controls": sum(r.control for r in self.reports),
-            },
+            "counts": {**_verdict_counts(self.reports),
+                       "controls": sum(r.control for r in self.reports)},
             "ok": self.ok,
         }
 
 
-def _guard(scenario, claims, fn, control=False, tol_scale=1.0) -> Report:
-    """Run fn() -> (residuals, tolerances, details, certificates); failures
-    become fail/uncertified reports instead of raising."""
-    t0 = time.perf_counter()
-    try:
-        residuals, tolerances, details, certs = fn()
-    except (FormcalcError, ArithmeticError, ValueError) as exc:
-        return make_report(scenario, claims, {"raised": 1.0}, {"raised": 0.0},
-                           details={"error": f"{type(exc).__name__}: {exc}"},
-                           wall_time=time.perf_counter() - t0,
-                           uncertified=isinstance(exc, Uncertifiable),
-                           control=control, tol_scale=tol_scale)
-    return make_report(scenario, claims, residuals, tolerances,
-                       certificates=certs, details=details,
-                       wall_time=time.perf_counter() - t0, control=control,
-                       tol_scale=tol_scale)
+def _run_checks(checks, tol_scale: float) -> list[Report]:
+    """Run ``(name, claims, fn)`` checks in order through the one runner."""
+    return [_run_check(name, claims, fn, name.startswith("control-"), tol_scale)
+            for name, claims, fn in checks]
 
 
 def _random_hpd(rng, n, shift=0.5):
@@ -123,7 +104,6 @@ def _random_psd(rng, n, force_kernel=False):
 
 def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
-    reports = []
 
     def inverses():
         worst = {"ab_identity": 0.0, "ba_identity": 0.0, "selfadjoint": 0.0,
@@ -144,9 +124,6 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                "selfadjoint": 1e-12, "b_norm_excess": 1e-8}
         return worst, tol, {"instances": 200}, []
 
-    reports.append(_guard("thm1-random-inverses", ["Thm1"], inverses,
-                          tol_scale=tol_scale))
-
     def lem1():
         worst = 0.0
         for _ in range(50):
@@ -160,9 +137,6 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"composition": worst}, {"composition": 1e-10},
                 {"instances": 50}, [])
 
-    reports.append(_guard("lem1-bounded-inverse", ["Lem1"], lem1,
-                          tol_scale=tol_scale))
-
     def worked():
         rep = associated_operator(
             form_from_gram(np.eye(2), np.array([[2.0, 1j], [-1j, 2.0]])),
@@ -173,27 +147,27 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"eigenvalues": 1e-10, "b_norm_minus_one": 1e-10},
                 {"gamma": rep.gamma}, [])
 
-    reports.append(_guard("thm1-offdiagonal-example", ["Thm1"], worked,
-                          tol_scale=tol_scale))
-
     def control():
         associated_operator(form_from_gram(np.eye(2), np.diag([1.0, -1.0])),
                             dense_pair(2))
         return {}, {}, {}, []
 
-    reports.append(_guard("control-indefinite-form", ["Thm1"], control,
-                          control=True, tol_scale=tol_scale))
-    return reports
+    return _run_checks([
+        ("thm1-random-inverses", ["Thm1"], inverses),
+        ("lem1-bounded-inverse", ["Lem1"], lem1),
+        ("thm1-offdiagonal-example", ["Thm1"], worked),
+        ("control-indefinite-form", ["Thm1"], control),
+    ], tol_scale)
 
 
 def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     sp = sequence_pair(64)
-    reports = []
+    checks = []
     generators = [("square", series.polynomial(2.0), 1.0, 2.0),
                   ("exponential", series.geometric(math.e), math.e, 1.0),
                   ("geometric-2", series.geometric(2.0), 2.0, 0.5)]
     for name, rule, gamma, in_decay in generators:
-        def one(rule=rule, gamma=gamma, in_decay=in_decay):
+        def one(name=name, rule=rule, gamma=gamma, in_decay=in_decay):
             a = diagonal_operator(rule, sp, DOMAIN_FINITE)
             res = friedrichs(a, sp)
             ext_ok = is_extension(a, res.extension)
@@ -229,8 +203,7 @@ def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                      "membership_mistakes": 0.0, "embedding": 1e-10,
                      "core_tail": 1e-6, "idempotent": 0.0},
                     {"generator": name, "max_diag_64": float(a_vals[-1])}, [])
-        reports.append(_guard(f"thm2-{name}", ["Thm2"], one,
-                              tol_scale=tol_scale))
+        checks.append((f"thm2-{name}", ["Thm2"], one))
 
     def dense_case():
         rng = np.random.default_rng(seed)
@@ -247,22 +220,20 @@ def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"selfadjoint_fixed_point": worst},
                 {"selfadjoint_fixed_point": 1e-10}, {"instances": 20}, [])
 
-    reports.append(_guard("thm2-dense-fixed-point", ["Thm2"], dense_case,
-                          tol_scale=tol_scale))
-
     def control():
         friedrichs(diagonal_operator(series.geometric(0.5), sp, DOMAIN_FINITE), sp)
         return {}, {}, {}, []
 
-    reports.append(_guard("control-decaying-generator", ["Thm2"], control,
-                          control=True, tol_scale=tol_scale))
-    return reports
+    checks += [
+        ("thm2-dense-fixed-point", ["Thm2"], dense_case),
+        ("control-decaying-generator", ["Thm2"], control),
+    ]
+    return _run_checks(checks, tol_scale)
 
 
 def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
     sp = sequence_pair(48)
-    reports = []
 
     def lem2():
         worst = 0.0
@@ -277,9 +248,6 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"jjstar": worst, "rank_gaps": float(rank_gaps)},
                 {"jjstar": 1e-10, "rank_gaps": 0.0}, {"instances": 200}, [])
 
-    reports.append(_guard("lem2-factorization", ["Lem2"], lem2,
-                          tol_scale=tol_scale))
-
     def remark():
         worst = 0.0
         for _ in range(100):
@@ -290,9 +258,6 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
             worst = max(worst, rep.worst_residual)
         return ({"sqrt_identity": worst}, {"sqrt_identity": 1e-8},
                 {"samples": 100}, [])
-
-    reports.append(_guard("lem2-remark-sqrt", ["Lem2"], remark,
-                          tol_scale=tol_scale))
 
     def lem3():
         worst = 0.0
@@ -316,9 +281,6 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"sup_vs_eigensolve": worst, "membership_mistakes": float(mistakes)},
                 {"sup_vs_eigensolve": 1e-6, "membership_mistakes": 0.0},
                 {"dense_instances": 100, "sequence_pairs": 10}, [])
-
-    reports.append(_guard("lem3-form-characterization", ["Lem3"], lem3,
-                          tol_scale=tol_scale))
 
     def order():
         checks = {}
@@ -345,9 +307,6 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"verdict_mistakes": float(bad)}, {"verdict_mistakes": 0.0},
                 {k: bool(v) for k, v in checks.items()}, [])
 
-    reports.append(_guard("order-definition", ["Def-Order"], order,
-                          tol_scale=tol_scale))
-
     def control():
         A = operator_from_matrix(np.diag([2.0, 3.0]), dense_pair(2))
         B = operator_from_matrix(np.diag([2.0, 3.0 + 1e-6]), dense_pair(2))
@@ -355,14 +314,17 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         antisymmetry_check(A, B, rep)   # refuses: verdict is not "equal"
         return {}, {}, {}, []
 
-    reports.append(_guard("control-antisymmetry-refusal", ["Def-Order"],
-                          control, control=True, tol_scale=tol_scale))
-    return reports
+    return _run_checks([
+        ("lem2-factorization", ["Lem2"], lem2),
+        ("lem2-remark-sqrt", ["Lem2"], remark),
+        ("lem3-form-characterization", ["Lem3"], lem3),
+        ("order-definition", ["Def-Order"], order),
+        ("control-antisymmetry-refusal", ["Def-Order"], control),
+    ], tol_scale)
 
 
 def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
-    reports = []
 
     def thm4():
         worst_energy = worst_ext = worst_collapse = 0.0
@@ -385,9 +347,6 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"energy_identity": 1e-9, "extension": 1e-9,
                  "collapse": 1e-12}, {"pairs": 100}, [])
 
-    reports.append(_guard("thm4-joint-factorization", ["Thm4"], thm4,
-                          tol_scale=tol_scale))
-
     def closedness():
         sp = sequence_pair(48)
         t = diagonal_form(series.polynomial(2.0))
@@ -402,9 +361,6 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                  "divergent_rejected": 0.0 if rejected else 1.0},
                 {"run_contracts": 0.0, "divergent_rejected": 0.0},
                 {"kind": wit.kind}, [])
-
-    reports.append(_guard("closedness-sequential", ["Thm4"], closedness,
-                          tol_scale=tol_scale))
 
     def commutants():
         worst = {"lemma4_excess": 0.0, "lemma5_selfadjoint": 0.0,
@@ -441,10 +397,6 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                "thm6_distance": 1e-8, "thm6_resolvent": 1e-8}
         return worst, tol, {"triples": 50}, []
 
-    reports.append(_guard("eq7-lemmas45-thm56", ["Eq7", "Lem4", "Lem5", "Thm5",
-                                                 "Thm6"], commutants,
-                          tol_scale=tol_scale))
-
     def block_construction():
         # independent route: simultaneously block-diagonal A, B and E in
         # a random unitary frame (E need not come from A^-1 K here)
@@ -467,9 +419,6 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"thm5_inclusion": worst}, {"thm5_inclusion": 1e-9},
                 {"instances": 10, "frame": "random unitary"}, [])
 
-    reports.append(_guard("thm5-block-construction", ["Thm5"],
-                          block_construction, tol_scale=tol_scale))
-
     def control():
         dp = dense_pair(2)
         A = operator_from_matrix(np.diag([1.0, 2.0]), dp)
@@ -477,14 +426,17 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         lift_commutant(A, E, dp)    # Eq. (7) violated: must raise
         return {}, {}, {}, []
 
-    reports.append(_guard("control-broken-commutation", ["Eq7"], control,
-                          control=True, tol_scale=tol_scale))
-    return reports
+    return _run_checks([
+        ("thm4-joint-factorization", ["Thm4"], thm4),
+        ("closedness-sequential", ["Thm4"], closedness),
+        ("eq7-lemmas45-thm56", ["Eq7", "Lem4", "Lem5", "Thm5", "Thm6"], commutants),
+        ("thm5-block-construction", ["Thm5"], block_construction),
+        ("control-broken-commutation", ["Eq7"], control),
+    ], tol_scale)
 
 
 def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
-    reports = []
 
     def worked_example():
         sp = exponential_space(1.5)
@@ -511,9 +463,6 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"weights": "c e^(-1.5 n)", "checked_functionals": 12},
                 [cert.certificate])
 
-    reports.append(_guard("thm7-second-moment-example", ["Thm7"],
-                          worked_example, tol_scale=tol_scale))
-
     def closed_form():
         nu = series.geometric(0.25, coef=3.0)
         s = series.geometric(math.sqrt(0.5))
@@ -526,9 +475,6 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         psd = 0.0 if t.diagonal.is_nonnegative else 1.0
         return ({"closed_runs": 0.0 if ok else 1.0, "psd": psd},
                 {"closed_runs": 0.0, "psd": 0.0}, {"runs": len(wit.runs)}, [])
-
-    reports.append(_guard("thm7-closedness", ["Thm7"], closed_form,
-                          tol_scale=tol_scale))
 
     def thm8():
         worst = 0.0
@@ -560,20 +506,19 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"finite_product": 1e-10, "diagonal_rules": 0.0},
                 {"instances": 50}, [])
 
-    reports.append(_guard("thm8-independent-sums", ["Thm8"], thm8,
-                          tol_scale=tol_scale))
-
     def control():
         rule_space(series.geometric(0.5, coef=3.0))   # sums to 3, not 1
         return {}, {}, {}, []
 
-    reports.append(_guard("control-unnormalized-weights", ["Thm7"], control,
-                          control=True, tol_scale=tol_scale))
-    return reports
+    return _run_checks([
+        ("thm7-second-moment-example", ["Thm7"], worked_example),
+        ("thm7-closedness", ["Thm7"], closed_form),
+        ("thm8-independent-sums", ["Thm8"], thm8),
+        ("control-unnormalized-weights", ["Thm7"], control),
+    ], tol_scale)
 
 
 def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
-    reports = []
     pb = problem(1.0, "1", "1", 1.0)
     laplace = problem(1.0, "1", "0", 1.0)
 
@@ -586,17 +531,11 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"ordering_violations": float(bad)},
                 {"ordering_violations": 0.0}, {"meshes": [16, 32, 64]}, [])
 
-    reports.append(_guard("thm3-dirichlet-vs-neumann", ["Thm3", "Elliptic"],
-                          ordering, tol_scale=tol_scale))
-
     def poincare():
         lam = discrete_poincare(laplace, uniform_mesh(64))
         rel = abs(lam - math.pi ** 2) / math.pi ** 2
         return ({"poincare_rel_error": rel}, {"poincare_rel_error": 0.02},
                 {"lambda_h": lam, "pi_sq": math.pi ** 2}, [])
-
-    reports.append(_guard("elliptic-poincare", ["Elliptic"], poincare,
-                          tol_scale=tol_scale))
 
     def convergence():
         rows = convergence_table(laplace, "pi^2 * sin(pi*x)", "sin(pi*x)",
@@ -607,9 +546,6 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                   "" if r["ratio"] is None else r["ratio"]] for r in rows]
         return ({"ratio_offset": off}, {"ratio_offset": 0.4},
                 {"rows": table}, [])
-
-    reports.append(_guard("elliptic-convergence", ["Elliptic"], convergence,
-                          tol_scale=tol_scale))
 
     def solves():
         rules = ["1", "x", "exp(x)", "sin(3*x)", "cos(pi*x)", "x^2 - x",
@@ -624,9 +560,6 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         return ({"galerkin": worst}, {"galerkin": 1e-10},
                 {"rules": len(rules) + 1}, [])
 
-    reports.append(_guard("elliptic-weak-solves", ["Elliptic"], solves,
-                          tol_scale=tol_scale))
-
     def bounds():
         c2 = sobolev_lower_bound(laplace, uniform_mesh(32), seed=seed)
         p4 = problem(1.0, "1", "0", 1.0, p=4.0)
@@ -636,16 +569,18 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"p2_slack": 1e-10, "p4_slack": 1e-10},
                 {"c_p2": c2.gamma, "c_p4": c4.gamma}, [])
 
-    reports.append(_guard("elliptic-lower-bounds", ["Elliptic"], bounds,
-                          tol_scale=tol_scale))
-
     def control():
         neumann_operator(laplace, uniform_mesh(8))   # b = 0: degenerate
         return {}, {}, {}, []
 
-    reports.append(_guard("control-neumann-kernel", ["Elliptic"], control,
-                          control=True, tol_scale=tol_scale))
-    return reports
+    return _run_checks([
+        ("thm3-dirichlet-vs-neumann", ["Thm3", "Elliptic"], ordering),
+        ("elliptic-poincare", ["Elliptic"], poincare),
+        ("elliptic-convergence", ["Elliptic"], convergence),
+        ("elliptic-weak-solves", ["Elliptic"], solves),
+        ("elliptic-lower-bounds", ["Elliptic"], bounds),
+        ("control-neumann-kernel", ["Elliptic"], control),
+    ], tol_scale)
 
 
 _SUITES = {
@@ -658,26 +593,31 @@ _SUITES = {
 }
 
 
+
+_SUITES = {
+    "representation": representation_suite,
+    "friedrichs": friedrichs_suite,
+    "ordering": ordering_suite,
+    "formsum": formsum_suite,
+    "covariance": covariance_suite,
+    "elliptic": elliptic_suite,
+}
+
+
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0) -> SuiteResult:
-    if name == "all":
-        reports = []
-        artifacts = {}
-        for sub in SUITE_NAMES:
-            part = _SUITES[sub](seed, tol_scale)
-            reports.extend(part)
-        res = SuiteResult("all", seed, tuple(reports))
-        artifacts.update(_artifacts_from(res))
-        return SuiteResult("all", seed, tuple(reports), artifacts)
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    reports = tuple(_SUITES[name](seed, tol_scale))
-    res = SuiteResult(name, seed, reports)
-    return SuiteResult(name, seed, reports, _artifacts_from(res))
+    names = SUITE_NAMES if name == "all" else (name,)
+    reports = tuple(r for sub in names for r in _SUITES[sub](seed, tol_scale))
+    return SuiteResult(name, seed, reports, _artifacts_from(reports))
 
 
-def _artifacts_from(res: SuiteResult) -> dict:
+def _artifacts_from(reports) -> dict:
     artifacts = {}
-    for r in res.reports:
+    for r in reports:
         if r.scenario == "elliptic-convergence" and "rows" in r.details:
             artifacts["convergence.csv"] = (
                 ["m", "h", "l2_error", "ratio"], r.details["rows"])

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from formcalc.cli import main
+from formcalc.errors import LowerBoundError, Uncertifiable
 from formcalc.reporting import CLAIM_TAGS
-from formcalc.scenarios import run_scenario
-from formcalc.suites import run_suite
+from formcalc.scenarios import OPERATIONS, MissingOperand, run_scenario
+from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
 
 
 def write_scenarios(path, scenarios):
@@ -257,3 +258,80 @@ class TestSuites:
     def test_suite_reports_carry_wall_time(self):
         reports = run_suite("representation", seed=7).reports
         assert all(r.wall_time > 0.0 for r in reports)
+
+
+def raising(exc):
+    def fn(*args):
+        raise exc
+    return fn
+
+
+def run_raising(via, exc, monkeypatch):
+    """One check that raises ``exc``, run as a suite check or a scenario."""
+    if via == "suite":
+        return _run_checks([("check", ("Thm1",), raising(exc))], 1.0)[0]
+    monkeypatch.setitem(OPERATIONS, "raise", (("Thm1",), raising(exc)))
+    return run_scenario({"id": "check", "op": "raise"})
+
+
+@pytest.mark.parametrize("via", ["suite", "scenario"])
+class TestOneRunner:
+    def test_uncertifiable_is_uncertified(self, via, monkeypatch):
+        rep = run_raising(via, Uncertifiable("tail outside the rule classes"),
+                          monkeypatch)
+        assert rep.verdict == "uncertified"
+        assert rep.details["error"].startswith("Uncertifiable")
+
+    @pytest.mark.parametrize("exc", [LowerBoundError("gamma <= 0"),
+                                     ArithmeticError("overflow"),
+                                     ValueError("bad operand")],
+                             ids=lambda e: type(e).__name__)
+    def test_errors_fail(self, via, exc, monkeypatch):
+        rep = run_raising(via, exc, monkeypatch)
+        assert rep.verdict == "fail"
+        assert rep.details["error"].startswith(type(exc).__name__)
+        # a raised report keeps the claims of its check or op
+        assert rep.claims == ("Thm1",)
+        assert rep.residuals == {"raised": 1.0}
+        assert rep.wall_time > 0.0
+
+    def test_other_exceptions_propagate(self, via, monkeypatch):
+        with pytest.raises(TypeError):
+            run_raising(via, TypeError("a program fault"), monkeypatch)
+
+
+class TestRunnerCallers:
+    def test_missing_operand_still_raises(self):
+        with pytest.raises(MissingOperand, match="lacks operand"):
+            run_scenario({"id": "x", "op": "factorize"})
+
+    def test_raised_scenario_carries_op_claims(self):
+        rep = run_scenario({
+            "id": "fr-decaying", "op": "friedrichs",
+            "space": {"backend": "sequence", "truncation": 64, "p": 2.0},
+            "generator": {"terms": [{"coef": [1, 0], "alpha": 0.0,
+                                     "ratio": 0.5, "start": 1}]},
+        })
+        assert rep.verdict == "fail"
+        assert "raised" in rep.residuals
+        assert rep.claims == ("Thm2",)
+
+    def test_thm2_checks_report_their_generator(self):
+        details = {r.scenario: r.details.get("generator")
+                   for r in friedrichs_suite(0)}
+        for name in ("square", "exponential", "geometric-2"):
+            assert details[f"thm2-{name}"] == name
+
+    def test_controls_fail_for_their_reason(self):
+        # each battery's one control, in SUITE_NAMES order, and the
+        # exception it was written to provoke
+        expected = ["NotPositive", "LowerBoundError", "ValueError",
+                    "DomainError", "ValueError", "DomainError"]
+        res = run_suite("all", seed=3)
+        controls = [r for r in res.reports if r.control]
+        assert all(r.control == r.scenario.startswith("control-")
+                   for r in res.reports)
+        assert len(controls) == len(SUITE_NAMES) == len(expected)
+        for rep, cls in zip(controls, expected):
+            assert rep.verdict == "fail", rep.scenario
+            assert rep.details["error"].split(":")[0] == cls, rep.scenario

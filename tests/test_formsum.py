@@ -376,6 +376,30 @@ class TestFactorOnce:
             float(np.linalg.norm(M, 2)), 1.0)
         assert rep.formsum_inclusion == incl
 
+    def test_commutation_formsum_bounds_each_operand_once(self, monkeypatch):
+        calls = []
+        real = formsum.lower_bound
+
+        def counted(t, dp):
+            calls.append(t)
+            return real(t, dp)
+
+        monkeypatch.setattr(formsum, "lower_bound", counted)
+        A_mat, A, E, dp = commuting_instance(np.random.default_rng(84), 4)
+        assert commutation_formsum(A, operator_from_matrix(1.5 * A_mat, dp),
+                                   E, dp).passed
+        # the form sum bounds A, and the closedness of t_B bounds B
+        assert len(calls) == 2
+
+    def test_commutation_formsum_rejects_singular_summand(self):
+        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        E = operator_from_matrix(np.diag([1.0, -1.0]), DP2, ENDO)
+        singular = operator_from_matrix(np.diag([1.0, 0.0]), DP2)
+        with pytest.raises(LowerBoundError):
+            commutation_formsum(A, singular, E, DP2)
+        with pytest.raises(LowerBoundError):
+            commutation_formsum(singular, A, E, DP2)
+
     def test_broken_commutation_factorizes_nothing(self, factorize_calls):
         A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
         E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], DP2, ENDO)
