@@ -6,6 +6,13 @@ suite <name> [--seed S] [--out DIR]`` runs a named verification battery
 (or ``all``).  The environment variable ``FORMCALC_TOL_SCALE`` scales
 every tolerance (default 1.0); it must be a positive finite number.
 
+BLAS threads: :func:`main` sets every OpenBLAS mapped into the process
+to one thread before it parses its arguments, because the small dense
+eigensolves and SVDs of formcalc run faster on one thread at every size
+measured.  Setting ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
+overrides this: then main leaves the thread count alone.  Calling
+``main()`` in-process leaves that process pinned to one thread.
+
 Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
 4 malformed input: scenario file, operation, operand or tolerance scale.
 """
@@ -13,6 +20,7 @@ Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -27,6 +35,37 @@ from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNCERTIFIED, EXIT_USAGE = 0, 2, 3, 4
+
+# thread setters of numpy's OpenBLAS (64-bit integer interface), of
+# scipy's, and of a plain OpenBLAS build
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads")
+
+
+def _pin_blas_threads() -> None:
+    """One thread in every OpenBLAS file mapped into this process, unless
+    the environment already chooses a count; a library without a known
+    setter is left as it is."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh
+                      if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(p for p in mapped if os.path.isfile(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def _tol_scale() -> float:
@@ -152,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         args.tol_scale = _tol_scale()

@@ -241,6 +241,14 @@ def dual_norm(v: Functional, dp: DualityPair) -> float:
 # dense operators
 
 
+def _rank(B: np.ndarray) -> int:
+    """Rank of B at the tolerance 1e-9 max(1, ||B||), from one SVD."""
+    s = np.linalg.svd(B, compute_uv=False)
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > 1e-9 * max(1.0, float(s[0]))))
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Operator given by a domain basis and its action on that basis.
@@ -267,8 +275,7 @@ class DenseOperator:
             Z = np.asarray(self.action_mat, dtype=complex)
             if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
                 raise ValueError("basis and action must be matching n x d matrices")
-            if B.shape[1] == 0 or np.linalg.matrix_rank(B, tol=1e-9 * max(
-                    1.0, operator_norm(B))) < B.shape[1]:
+            if B.shape[1] == 0 or _rank(B) < B.shape[1]:
                 raise DomainError("domain basis is not linearly independent")
             B.setflags(write=False)
             Z.setflags(write=False)
@@ -323,8 +330,15 @@ class DenseOperator:
         return Z @ np.linalg.solve(Gb, B.conj().T)
 
     def effective_projector(self) -> np.ndarray:
-        Q = scipy.linalg.orth(self.basis_mat)
-        return Q @ Q.conj().T
+        """Orthogonal projector on the domain span, computed once per
+        operator and returned read-only."""
+        P = self.__dict__.get("_projector")
+        if P is None:
+            Q = scipy.linalg.orth(self.basis_mat)
+            P = Q @ Q.conj().T
+            P.setflags(write=False)
+            object.__setattr__(self, "_projector", P)
+        return P
 
     def effective_matrix(self) -> np.ndarray:
         """Canonical matrix with the action restricted to the effective

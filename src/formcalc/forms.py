@@ -57,7 +57,8 @@ class SesquilinearForm:
             if self.symmetric:
                 assert_hermitian(G, 1e-12, "form gram")
             lam = min_eigenvalue(0.5 * (G + G.conj().T))
-            if lam < -1e-12 * max(1.0, operator_norm(G)):
+            # the norm scales the slack only, so lam >= 0 needs no SVD
+            if lam < 0 and lam < -1e-12 * max(1.0, operator_norm(G)):
                 raise NotPositive(f"form indefinite (eigenvalue {lam:.3e})")
             B.setflags(write=False)
             G.setflags(write=False)
@@ -96,7 +97,9 @@ def form_of_operator(A: DenseOperator) -> SesquilinearForm:
     if A.backend == SEQUENCE:
         return SesquilinearForm(SEQUENCE, diagonal=A.diagonal)
     G = A.form_gram()
-    sym = bool(np.linalg.norm(G - G.conj().T) <= 1e-10 * max(1.0, operator_norm(G)))
+    asym = np.linalg.norm(G - G.conj().T)
+    # the tolerance is at least 1e-10, so below that no SVD is needed
+    sym = bool(asym <= 1e-10 or asym <= 1e-10 * max(1.0, operator_norm(G)))
     return SesquilinearForm(DENSE, A.basis_mat, G, symmetric=sym)
 
 
@@ -146,7 +149,7 @@ def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
     Gq = np.conj(t.gram)          # quadratic matrix in original coefficients
     S = B.conj().T @ B
     gamma2 = smallest_generalized_eig(0.5 * (Gq + Gq.conj().T), S)
-    if gamma2 < -1e-12 * max(1.0, operator_norm(t.gram)):
+    if gamma2 < 0 and gamma2 < -1e-12 * max(1.0, operator_norm(t.gram)):
         raise NotPositive(f"form indefinite (gamma {gamma2:.3e})")
     gamma2 = max(gamma2, 0.0)
     if dp.p == 2.0:
@@ -228,12 +231,13 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
 
     P = A.effective_projector()
     M_A = A.canonical_matrix()
-    scale = max(operator_norm(M_A), operator_norm(R), 1.0)
+    norm_a, norm_r = operator_norm(M_A), operator_norm(R)
+    scale = max(norm_a, norm_r, 1.0)
     ab_res = relative_residual(operator_norm(M_A @ R - P), [scale])
     ba_res = relative_residual(operator_norm(R @ M_A @ P - P), [scale])
     sa_res = relative_residual(operator_norm(P @ M_A - (P @ M_A).conj().T),
-                               [operator_norm(M_A), 1.0])
-    bnorm = _b_operator_norm(R, dp)
+                               [norm_a, 1.0])
+    bnorm = _b_operator_norm(norm_r, dp)
     residuals = {
         "ab_identity": ab_res,
         "ba_identity": ba_res,
@@ -251,10 +255,10 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     return RepresentationResult(A, Bop, cert.gamma, cert, residuals)
 
 
-def _b_operator_norm(R: np.ndarray, dp: DualityPair) -> float:
-    """Norm of B as a map (X*, q) -> (X, p); spectral norm for p = 2,
-    a certified over-estimate through norm equivalence otherwise."""
-    s = operator_norm(R)
+def _b_operator_norm(s: float, dp: DualityPair) -> float:
+    """Norm of B as a map (X*, q) -> (X, p) from its spectral norm s:
+    s itself for p = 2, a certified over-estimate through norm
+    equivalence otherwise."""
     if dp.p == 2.0:
         return s
     n = dp.n
@@ -278,21 +282,23 @@ def inverse_selfadjoint(B: DenseOperator, dp: DualityPair) -> DenseOperator:
     if not B.is_full_domain():
         raise ValueError("B must be everywhere defined (bounded)")
     M = B.canonical_matrix()
-    smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-    if smin <= 1e-12 * max(1.0, operator_norm(M)):
+    s = np.linalg.svd(M, compute_uv=False)
+    smin, norm_m = float(s[-1]), float(s[0])
+    if smin <= 1e-12 * max(1.0, norm_m):
         raise ValueError(f"B not injective (smallest singular value {smin:.3e})")
-    sa = relative_residual(operator_norm(M - M.conj().T), [operator_norm(M), 1.0])
+    sa = relative_residual(operator_norm(M - M.conj().T), [norm_m, 1.0])
     if sa > 1e-10:
         raise ValueError(f"B not self-adjoint (residual {sa:.3e})")
     # dom A = ran B: swap basis and action
     A = DenseOperator(DENSE, TO_DUAL, B.action_mat, B.basis_mat)
     M_A = A.effective_matrix()
+    norm_a = operator_norm(M_A)
     adj_res = relative_residual(
-        operator_norm(adjoint(A).effective_matrix() - M_A), [operator_norm(M_A), 1.0])
+        operator_norm(adjoint(A).effective_matrix() - M_A), [norm_a, 1.0])
     if adj_res > 1e-10:
         raise ArithmeticError(f"inverse failed self-adjointness check ({adj_res:.3e})")
     comp = relative_residual(operator_norm(M_A @ M - A.effective_projector()),
-                             [operator_norm(M_A), 1.0])
+                             [norm_a, 1.0])
     if comp > 1e-10:
         raise ArithmeticError(f"A o B != id (residual {comp:.3e})")
     return A

@@ -160,10 +160,11 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     # extension of A + B on dom A intersect dom B = dom t_B here
     M_AB = AB.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
-    worst = _max_column_norm(M_AB @ C - M_sum @ C) / max(operator_norm(M_sum), 1.0)
+    scale = max(operator_norm(M_sum), 1.0)
+    worst = _max_column_norm(M_AB @ C - M_sum @ C) / scale
     collapse = bool(A.is_full_domain() and B.is_full_domain())
     if collapse:
-        exact = float(operator_norm(M_AB - M_sum)) / max(operator_norm(M_sum), 1.0)
+        exact = float(operator_norm(M_AB - M_sum)) / scale
         if exact > 1e-12:
             raise ArithmeticError(
                 f"everywhere-defined collapse violated (residual {exact:.3e})")

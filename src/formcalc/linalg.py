@@ -85,18 +85,11 @@ def smallest_generalized_eig(Gq: np.ndarray, S: np.ndarray,
 
 
 def operator_norm(M: np.ndarray) -> float:
+    """Spectral norm of a matrix: its largest singular value, the value
+    ``np.linalg.norm(M, 2)`` returns, without that call's overhead."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
-
-
-def rank_of(M: np.ndarray, rel_tol: float = 1e-10) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def relative_residual(delta, scale_terms) -> float:

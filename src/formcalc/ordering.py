@@ -29,7 +29,7 @@ from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Vector, operator_norm,
 )
 from .errors import BackendMismatch, NotPositive
-from .linalg import gram_inner, hermitian_residual, pivoted_cholesky, rank_of
+from .linalg import gram_inner, hermitian_residual, pivoted_cholesky
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +71,16 @@ def factorize(A: DenseOperator) -> FactorizationResult:
         raise NotPositive(f"operator form not symmetric (residual {herm:.3e})")
     quad = np.conj(F)
     lam_min = float(scipy.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[0])
-    if lam_min < -1e-12 * max(1.0, operator_norm(F)):
+    # the norm scales the slack only, so lam_min >= 0 needs no SVD
+    if lam_min < 0 and lam_min < -1e-12 * max(1.0, operator_norm(F)):
         raise NotPositive(f"operator not positive (eigenvalue {lam_min:.3e})")
-    scale = max(operator_norm(A.action_mat), 1e-300)
+    # the action scale and its rank (relative tolerance 1e-10) from one SVD
+    s = np.linalg.svd(A.action_mat, compute_uv=False)
+    scale = max(float(s[0]), 1e-300)
     L, piv, rank = pivoted_cholesky(quad, tol=1e-10 * scale)
     pivots = piv[:rank]
     K_r = F[np.ix_(pivots, pivots)]
-    action_rank = rank_of(A.action_mat)
+    action_rank = int(np.sum(s > 1e-10 * s[0]))
     res = FactorizationResult(A, pivots, K_r, rank, 0.0,
                               {"action_rank": action_rank,
                                "rank_gap": abs(action_rank - rank)})

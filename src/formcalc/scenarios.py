@@ -24,13 +24,14 @@ from .covariance import (
     weak_expectation,
 )
 from .duality import (
-    DOMAIN_FINITE, ENDO, adjoint, diagonal_operator, is_extension, norm,
+    DENSE, DOMAIN_FINITE, ENDO, adjoint, diagonal_operator, is_extension, norm,
     operator_from_matrix, pair as pairing,
 )
 from .elliptic import (
     assemble, dirichlet_vs_neumann, problem, sobolev_lower_bound, uniform_mesh,
     weak_solve,
 )
+from .errors import BackendMismatch
 from .forms import associated_operator, form_from_gram, inverse_selfadjoint, lower_bound, riesz_solve
 from .formsum import (
     commutation_formsum, commuting_pair, form_sum, joint_factorize,
@@ -94,6 +95,18 @@ def _variable(ops):
     return _variable_from_json(ops["variable"], space, dp)
 
 
+def _in_space(dp, *operands):
+    """Raise :class:`BackendMismatch` unless every vector, functional or
+    operator lives on the backend of ``dp`` and, on the dense backend,
+    has its ``dp.n`` coordinates."""
+    for obj in operands:
+        if obj.backend != dp.backend:
+            raise BackendMismatch(f"{obj.backend} operand in a {dp.backend} space")
+        if dp.backend == DENSE and obj.n != dp.n:
+            raise BackendMismatch(f"operand of size {obj.n} in a space of "
+                                  f"dimension {dp.n}")
+
+
 def _relative_error(got, want) -> float:
     """Relative Frobenius error ||got - want|| / max(1, ||want||)."""
     return float(np.linalg.norm(got - want)) / max(
@@ -108,6 +121,7 @@ def _op_pair(ops, seed):
     dp = pair_from_json(ops["space"])
     v = functional_from_json(ops["v"])
     x = vector_from_json(ops["x"])
+    _in_space(dp, v, x)
     got = pairing(v, x)
     details = {"value": [got.real, got.imag]}
     residuals, tols = {}, {}
@@ -132,6 +146,7 @@ def _op_norm(ops, seed):
 def _op_adjoint_involution(ops, seed):
     dp = pair_from_json(ops["space"])
     A = operator_from_json(ops["operator"])
+    _in_space(dp, A)
     back = adjoint(adjoint(A))
     res = float(np.linalg.norm(back.effective_matrix() - A.effective_matrix()))
     scale = max(float(np.linalg.norm(A.effective_matrix())), 1.0)

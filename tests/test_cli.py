@@ -38,6 +38,30 @@ class TestScenarioDispatch:
         })
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("space", [{"backend": "dense", "dim": 3},
+                                       {"backend": "sequence", "truncation": 2}])
+    def test_pair_outside_its_space_fails(self, space):
+        # dense 2-vectors: the wrong dimension, then the wrong backend
+        rep = run_scenario({"id": "pair-bad", "op": "pair", "space": space,
+                            "v": {"coords": [[1, 0], [2, 0]]},
+                            "x": {"coords": [[1, 0], [1, 1]]}})
+        assert rep.verdict == "fail"
+        assert rep.details["error"].startswith("BackendMismatch")
+
+    def test_adjoint_involution_outside_its_space_fails(self):
+        rep = run_scenario({
+            "id": "adj-bad", "op": "adjoint-involution",
+            "space": {"backend": "dense", "dim": 5},
+            "operator": op_json([[1, 2], [3, 4]]),
+        })
+        assert rep.verdict == "fail"
+        assert rep.details["error"].startswith("BackendMismatch")
+
+    def test_adjoint_involution_in_its_space_passes(self):
+        rep = run_scenario({"id": "adj", "op": "adjoint-involution",
+                            "space": DENSE2, "operator": op_json([[1, 2], [3, 4]])})
+        assert rep.verdict == "pass"
+
     def test_associated_operator_scenario(self):
         rep = run_scenario({
             "id": "rep-1", "op": "associated-operator", "space": DENSE2,

@@ -207,6 +207,40 @@ class TestOperatorBasics:
         I = identity_operator(DP3)
         np.testing.assert_allclose(I.canonical_matrix(), np.eye(3))
 
+    def test_basis_rank_rule_at_its_threshold(self):
+        # a basis is accepted exactly when matrix_rank at the tolerance
+        # 1e-9 max(1, ||B||) finds it independent
+        rng = np.random.default_rng(81)
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            d = int(rng.integers(2, n + 1))
+            U = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))[0]
+            V = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            top = 10.0 ** rng.uniform(-3, 3)
+            s = top * 10.0 ** rng.uniform(-4, 0, size=d)
+            s[0] = top
+            s[-1] = 1e-9 * max(1.0, top) * (1.0 + rng.uniform(-1e-5, 1e-5))
+            B = (U * s) @ V.conj().T
+            want = np.linalg.matrix_rank(
+                B, tol=1e-9 * max(1.0, float(np.linalg.norm(B, 2)))) == d
+            try:
+                DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+                got = True
+            except DomainError:
+                got = False
+            assert got == want
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_effective_projector_is_computed_once_read_only(self):
+        S = restricted_operator(np.eye(3), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]), DP3)
+        P = S.effective_projector()
+        assert S.effective_projector() is P
+        assert not P.flags.writeable
+        np.testing.assert_allclose(P @ P, P, atol=1e-14)
+        np.testing.assert_allclose(np.trace(P).real, 2.0)
+
 
 class TestSequenceSymmetry:
     """Realness of a generator is decided exactly, not on its first terms."""

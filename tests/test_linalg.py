@@ -1,8 +1,11 @@
-"""LAPACK pivoted Cholesky and the column-wise gram quadratic."""
+"""LAPACK pivoted Cholesky, the column-wise gram quadratic, the spectral
+norm and the SVD rank of a factorized action."""
 
 import numpy as np
 
-from formcalc.linalg import gram_inner, gram_quadratic, pivoted_cholesky
+from formcalc.duality import dense_pair, operator_from_matrix
+from formcalc.linalg import gram_inner, gram_quadratic, operator_norm, pivoted_cholesky
+from formcalc.ordering import factorize
 
 
 def loop_pivoted_cholesky(G, tol=None):
@@ -93,3 +96,53 @@ def test_gram_quadratic_columns_match_gram_inner():
         ref = gram_inner(G, C[:, j], C[:, j]).real
         assert abs(q[j] - ref) <= 1e-12 * max(abs(ref), 1.0)
     assert abs(gram_quadratic(G, C[:, 0]) - q[0]) <= 1e-12 * max(abs(q[0]), 1.0)
+
+
+def test_operator_norm_is_numpy_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(75)
+    shapes = [(1, 1), (1, 9), (9, 1), (0, 3), (3, 0), (0, 0)] + [
+        tuple(int(k) for k in rng.integers(1, 40, size=2)) for _ in range(80)]
+    for shape in shapes:
+        for complex_entries in (False, True):
+            M = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8)
+            if complex_entries:
+                M = M + 1j * rng.normal(size=shape)
+            assert operator_norm(M) == float(np.linalg.norm(M, 2))
+
+
+def svd_rank(M, rel_tol=1e-10):
+    """Rank of M at rel_tol times its largest singular value: the rule
+    that sets ``action_rank`` in a factorization."""
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rel_tol * s[0]))
+
+
+def test_factorize_action_rank_follows_the_svd_rule_at_its_threshold():
+    rng = np.random.default_rng(76)
+    sides, checked = set(), 0
+    for k in range(300):
+        n = int(rng.integers(2, 10))
+        W = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        top = 10.0 ** rng.uniform(-3, 3)
+        lam = top * 10.0 ** rng.uniform(-6, 0, size=n)
+        lam[0] = top
+        # the smallest eigenvalue sits on the rank threshold
+        lam[-1] = 1e-10 * top * (1.0 + rng.uniform(-1e-5, 1e-5))
+        if n > 2 and k % 2:
+            lam[1] = 0.0
+        H = (W * lam) @ W.conj().T
+        A = operator_from_matrix(0.5 * (H + H.conj().T), dense_pair(n))
+        try:
+            fac = factorize(A)
+        except ArithmeticError:
+            continue    # JJ* refuses this near-singular operator: no rank
+        checked += 1
+        want = svd_rank(A.action_mat)
+        assert fac.details["action_rank"] == want
+        s = np.linalg.svd(A.action_mat, compute_uv=False)
+        sides.add(bool(s[-1] > 1e-10 * s[0]))
+    assert checked >= 250 and sides == {True, False}
