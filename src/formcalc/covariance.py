@@ -276,9 +276,6 @@ class SecondMomentDomain:
 
     xi: RandomVariable
 
-    def contains(self, f: Functional) -> bool:
-        return in_second_moment_domain(self.xi, f)
-
     def density_witness(self, count: int = 12) -> dict:
         """Every coordinate functional (finitely supported) is a member;
         density of their span is the recorded surrogate, inferred."""

@@ -15,6 +15,13 @@ Genuinely proper dense domains live on the sequence backend, which is
 restricted to diagonal operators with power-geometric coefficient
 generators so that every tail admits a certificate (see
 :mod:`formcalc.series`).
+
+A dense operator factors its domain basis B once, by a thin SVD
+B = U diag(s) V^H.  The rank test, the projector U U^H on the span, the
+canonical matrix, the coefficients of a vector, the adjoint's basis and
+the extension test all come from that one factorization; none of them
+goes through the normal equations B^H B, which square the condition
+number of the basis.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import series
 from .errors import BackendMismatch, DomainError, Uncertifiable
@@ -241,14 +247,6 @@ def dual_norm(v: Functional, dp: DualityPair) -> float:
 # dense operators
 
 
-def _rank(B: np.ndarray) -> int:
-    """Rank of B at the tolerance 1e-9 max(1, ||B||), from one SVD."""
-    s = np.linalg.svd(B, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > 1e-9 * max(1.0, float(s[0]))))
-
-
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Operator given by a domain basis and its action on that basis.
@@ -259,6 +257,12 @@ class DenseOperator:
     are diagonal with a coefficient generator and one of two domain
     rules: all finitely supported vectors, or the maximal graph domain
     {y : sum |a_n y_n|^2 certified finite}.
+
+    A dense basis is factored once, by the thin SVD B = U diag(s) V^H
+    taken at construction.  The basis is independent when
+    s_min > 1e-9 max(1, s_max).  The operator keeps U, an orthonormal
+    basis of the span, and the pseudo-inverse V diag(1/s) U^H; every
+    basis operation below is a product with one of them.
     """
 
     backend: str
@@ -275,12 +279,16 @@ class DenseOperator:
             Z = np.asarray(self.action_mat, dtype=complex)
             if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
                 raise ValueError("basis and action must be matching n x d matrices")
-            if B.shape[1] == 0 or _rank(B) < B.shape[1]:
+            if not 0 < B.shape[1] <= B.shape[0]:
                 raise DomainError("domain basis is not linearly independent")
-            B.setflags(write=False)
-            Z.setflags(write=False)
-            object.__setattr__(self, "basis_mat", B)
-            object.__setattr__(self, "action_mat", Z)
+            U, s, Vh = np.linalg.svd(B, full_matrices=False)
+            if s[-1] <= 1e-9 * max(1.0, float(s[0])):
+                raise DomainError("domain basis is not linearly independent")
+            pinv = (Vh.conj().T / s) @ U.conj().T
+            for name, M in (("basis_mat", B), ("action_mat", Z),
+                            ("_U", U), ("_pinv", pinv)):
+                M.setflags(write=False)
+                object.__setattr__(self, name, M)
         elif self.backend == SEQUENCE:
             if self.diagonal is None:
                 raise ValueError("sequence operators need a diagonal generator")
@@ -300,20 +308,10 @@ class DenseOperator:
     def d(self) -> int:
         return self.basis_mat.shape[1]
 
-    @property
-    def domain_basis(self) -> tuple:
-        cls = Functional if self.direction == FROM_DUAL else Vector
-        return tuple(cls(self.basis_mat[:, j], self.backend) for j in range(self.d))
-
-    @property
-    def action(self) -> tuple:
-        cls = Functional if self.direction == TO_DUAL else Vector
-        return tuple(cls(self.action_mat[:, j], self.backend) for j in range(self.d))
-
     def coefficients_of(self, x: np.ndarray, rtol: float = TOL_SUB) -> np.ndarray:
         """Coefficients of x in the domain basis; DomainError when x, or
         any column of a matrix x, is outside the span beyond ``rtol``."""
-        c, *_ = np.linalg.lstsq(self.basis_mat, x, rcond=None)
+        c = self._pinv @ x
         res = np.linalg.norm(self.basis_mat @ c - x, axis=0)
         if np.any(res > rtol * np.maximum(np.linalg.norm(x, axis=0), 1e-300)):
             raise DomainError("vector outside the operator domain "
@@ -325,17 +323,14 @@ class DenseOperator:
 
     def canonical_matrix(self) -> np.ndarray:
         """Matrix acting on the domain span (zero on its complement)."""
-        B, Z = self.basis_mat, self.action_mat
-        Gb = B.conj().T @ B
-        return Z @ np.linalg.solve(Gb, B.conj().T)
+        return self.action_mat @ self._pinv
 
     def effective_projector(self) -> np.ndarray:
         """Orthogonal projector on the domain span, computed once per
         operator and returned read-only."""
         P = self.__dict__.get("_projector")
         if P is None:
-            Q = scipy.linalg.orth(self.basis_mat)
-            P = Q @ Q.conj().T
+            P = self._U @ self._U.conj().T
             P.setflags(write=False)
             object.__setattr__(self, "_projector", P)
         return P
@@ -402,9 +397,8 @@ def adjoint(A: DenseOperator) -> DenseOperator:
     if A.direction == ENDO:
         raise DomainError("adjoint of an X -> X endomorphism lives on X*; "
                           "use its conjugate-transpose matrix directly")
-    Q = scipy.linalg.orth(A.basis_mat)
-    M_eff = A.effective_matrix()
-    return DenseOperator(DENSE, A.direction, Q, M_eff.conj().T @ Q)
+    Q = A._U
+    return DenseOperator(DENSE, A.direction, Q, A.effective_matrix().conj().T @ Q)
 
 
 def is_extension(S: DenseOperator, T: DenseOperator,
@@ -422,7 +416,7 @@ def is_extension(S: DenseOperator, T: DenseOperator,
     if S.n != T.n:
         return False
     scale_act = max(operator_norm(T.action_mat), operator_norm(S.action_mat), 1e-300)
-    C, *_ = np.linalg.lstsq(T.basis_mat, S.basis_mat, rcond=None)
+    C = T._pinv @ S.basis_mat
     sub = np.linalg.norm(T.basis_mat @ C - S.basis_mat, axis=0)
     act = np.linalg.norm(T.action_mat @ C - S.action_mat, axis=0)
     return bool(np.all(sub <= tol_sub * np.linalg.norm(S.basis_mat, axis=0)) and

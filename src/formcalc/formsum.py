@@ -141,11 +141,12 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     holds its factorization."""
     if lower_bound(form_of_operator(A), dp).gamma <= 0:
         raise LowerBoundError("form sum needs a positive lower bound on A")
-    if A.effective_projector().trace().real < dp.n - 1e-9:
+    if A.d < dp.n:
         raise DomainError("A must be effectively everywhere defined "
                           "(its closure carries the representation)")
+    t_b = form_of_operator(B)
     if closedness is None:
-        closedness = is_closed(form_of_operator(B), None, dp)
+        closedness = is_closed(t_b, None, dp)
     # H_{A,B} = dom J_A* (everything here) intersected with dom t_B
     C = B.basis_mat
     density = {"dim": int(C.shape[1]), "ambient": dp.n,
@@ -153,7 +154,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     if C.shape[1] == 0:
         raise DomainError("intersection domain is trivial")
     fac_a = factorize(A) if fac_a is None else fac_a
-    G_sum = _aform_gram(fac_a, C) + form_of_operator(B).gram
+    G_sum = _aform_gram(fac_a, C) + t_b.gram
     t_sum = form_from_gram(C, G_sum)
     rep = associated_operator(t_sum, dp)
     AB = rep.A

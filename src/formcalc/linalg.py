@@ -65,25 +65,6 @@ def pivoted_cholesky(G: np.ndarray, tol: float | None = None):
     return np.tril(c)[:, :rank], piv - 1, int(rank)
 
 
-def smallest_generalized_eig(Gq: np.ndarray, S: np.ndarray,
-                             pivot_rel: float = 1e-12) -> float:
-    """Smallest eigenvalue of the pencil (Gq, S), S Hermitian PD.
-
-    Reduction to standard form via the Cholesky factor of S; pivot
-    threshold ``pivot_rel * max diagonal`` guards near-singular basis
-    grams.
-    """
-    S = np.asarray(S, dtype=complex)
-    dmax = float(np.max(np.abs(np.diag(S).real)))
-    if min_eigenvalue(S) <= pivot_rel * max(dmax, 1e-300):
-        raise NotPositive("basis gram numerically singular")
-    R = scipy.linalg.cholesky(S, lower=False)
-    W = scipy.linalg.solve_triangular(R.conj().T, Gq, lower=True)
-    W = scipy.linalg.solve_triangular(R.conj().T, W.conj().T, lower=True).conj().T
-    W = 0.5 * (W + W.conj().T)
-    return float(scipy.linalg.eigvalsh(W)[0])
-
-
 def operator_norm(M: np.ndarray) -> float:
     """Spectral norm of a matrix: its largest singular value, the value
     ``np.linalg.norm(M, 2)`` returns, without that call's overhead."""

@@ -103,7 +103,16 @@ class Rule:
         return Rule(tuple(Term(np.conj(t.coef), t.alpha, t.ratio, t.start) for t in self.terms))
 
     def abs_square(self) -> "Rule":
-        return self * self.conjugate()
+        """|a_n|^2 with each cross pair i < j once: the products
+        c_i conj(c_j) and c_j conj(c_i) are exact conjugates, so their
+        sum 2 Re(c_i conj(c_j)) is exact."""
+        prods = []
+        for i, a in enumerate(self.terms):
+            for j, b in enumerate(self.terms[i:], i):
+                c = a.coef * np.conj(b.coef)
+                prods.append(Term(c if j == i else 2.0 * c.real, a.alpha + b.alpha,
+                                  a.ratio * b.ratio, max(a.start, b.start)))
+        return Rule(tuple(prods))
 
     @property
     def is_nonnegative(self) -> bool:

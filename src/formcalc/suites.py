@@ -593,17 +593,6 @@ _SUITES = {
 }
 
 
-
-_SUITES = {
-    "representation": representation_suite,
-    "friedrichs": friedrichs_suite,
-    "ordering": ordering_suite,
-    "formsum": formsum_suite,
-    "covariance": covariance_suite,
-    "elliptic": elliptic_suite,
-}
-
-
 SUITE_NAMES = tuple(_SUITES)
 
 

@@ -4,6 +4,9 @@ A public module-level function or method of ``src/formcalc`` must be
 named somewhere in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
 outside its own definition: as an identifier in code, or inside a
 string.  Comments do not count; names re-exported by ``__init__`` do.
+A method counts as named only as an attribute, right after a ``.``, so
+that a JSON key, a local variable or a test name that happens to share
+its name does not keep it alive.
 """
 
 import ast
@@ -16,12 +19,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "formcalc"
 SEARCHED = ("src", "tests", "demos", "perfbench")
-IDENT = re.compile(r"[A-Za-z_]\w*")
+IDENT = re.compile(r"(\.?)([A-Za-z_]\w*)")
 
 
 def public_definitions():
-    """(name, file, first line, last line) of each public module-level
-    function and each public method of a module-level class."""
+    """(name, file, first line, last line, is method) of each public
+    module-level function and each public method of a module-level
+    class."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
@@ -32,31 +36,38 @@ def public_definitions():
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not fn.name.startswith("_")):
                     start = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
-                    yield fn.name, path, start, fn.end_lineno
+                    yield fn.name, path, start, fn.end_lineno, fn is not node
 
 
 def name_occurrences():
-    """name -> [(file, line)] for identifiers in code and in strings;
-    the name after ``def`` is a definition, not an occurrence."""
-    found = defaultdict(list)
+    """(all, dotted): name -> [(file, line)] for identifiers in code and
+    in strings, and for those among them that follow a ``.``; the name
+    after ``def`` is a definition, not an occurrence."""
+    found, dotted = defaultdict(list), defaultdict(list)
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tokens = list(tokenize.generate_tokens(
                 io.StringIO(path.read_text()).readline))
             for prev, tok in zip([None] + tokens, tokens):
+                where = (path, tok.start[0])
                 if tok.type == tokenize.NAME:
                     if not (prev is not None and prev.string == "def"):
-                        found[tok.string].append((path, tok.start[0]))
+                        found[tok.string].append(where)
+                        if prev is not None and prev.string == ".":
+                            dotted[tok.string].append(where)
                 elif tok.type == tokenize.STRING:
-                    for ident in IDENT.findall(tok.string):
-                        found[ident].append((path, tok.start[0]))
-    return found
+                    for dot, ident in IDENT.findall(tok.string):
+                        found[ident].append(where)
+                        if dot:
+                            dotted[ident].append(where)
+    return found, dotted
 
 
 def test_every_public_definition_is_named_elsewhere():
-    occurrences = name_occurrences()
+    found, dotted = name_occurrences()
     unused = []
-    for name, path, first, last in public_definitions():
+    for name, path, first, last, method in public_definitions():
+        occurrences = dotted if method else found
         outside = [(f, line) for f, line in occurrences.get(name, [])
                    if not (f == path and first <= line <= last)]
         if not outside:

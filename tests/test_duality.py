@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from formcalc import duality, series
@@ -240,6 +241,94 @@ class TestOperatorBasics:
         assert not P.flags.writeable
         np.testing.assert_allclose(P @ P, P, atol=1e-14)
         np.testing.assert_allclose(np.trace(P).real, 2.0)
+
+
+def random_basis(rng, n, d):
+    """n x d complex basis with column scales between 1e-3 and 1e3."""
+    B = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return B * 10.0 ** rng.uniform(-3, 3, size=d)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Arguments of every call to the factorizations a dense basis could
+    go through, by name."""
+    calls = {}
+    targets = [(np.linalg, "svd"), (np.linalg, "lstsq"), (np.linalg, "solve"),
+               (scipy.linalg, "orth"), (scipy.linalg, "cholesky")]
+    for mod, name in targets:
+        calls[name] = []
+
+        def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name].append(args[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestOneFactorization:
+    def test_basis_operations_share_one_svd(self, linalg_calls):
+        rng = np.random.default_rng(91)
+        n, d = 6, 4
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        dp = dense_pair(n)
+        S = restricted_operator(M, random_basis(rng, n, d), dp)
+        T = operator_from_matrix(M, dp)
+        x = S.basis_mat @ rng.normal(size=d)
+        S.canonical_matrix()
+        S.effective_matrix()
+        S.effective_projector()
+        S.coefficients_of(x)
+        S.apply(x)
+        adjoint(S)
+        assert is_extension(S, T)
+        assert not is_extension(T, S)
+        of_basis = [a for a in linalg_calls["svd"]
+                    if np.shape(a) == S.basis_mat.shape and np.array_equal(a, S.basis_mat)]
+        assert len(of_basis) == 1
+        assert all(linalg_calls[name] == [] for name in
+                   ("lstsq", "solve", "orth", "cholesky"))
+
+    def test_reference_values_on_restricted_bases(self):
+        rng = np.random.default_rng(92)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            d = int(rng.integers(1, max(1, n - 1) + 1))
+            B = random_basis(rng, n, d)
+            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            S = restricted_operator(M, B, dense_pair(n))
+            # backward-stable solvers agree to rounding times cond(B)
+            tol = 1e-13 * np.linalg.cond(B)
+            want = S.action_mat @ np.linalg.pinv(B)
+            assert np.linalg.norm(S.canonical_matrix() - want) <= tol * np.linalg.norm(want)
+            x = B @ (rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)))
+            want = np.linalg.lstsq(B, x, rcond=None)[0]
+            err = np.linalg.norm(S.coefficients_of(x) - want, axis=0)
+            assert np.all(err <= tol * np.linalg.norm(want, axis=0))
+
+    def test_rank_threshold_either_side(self):
+        rng = np.random.default_rng(93)
+        for _ in range(50):
+            n = int(rng.integers(2, 20))
+            d = int(rng.integers(2, n + 1))
+            U = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))[0]
+            V = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            top = 10.0 ** rng.uniform(-3, 3)
+            s = top * 10.0 ** rng.uniform(-4, 0, size=d)
+            s[0] = top
+            for factor, accepted in ((2.0, True), (0.5, False)):
+                s[-1] = factor * 1e-9 * max(1.0, top)
+                B = (U * s) @ V.conj().T
+                if accepted:
+                    DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+                else:
+                    with pytest.raises(DomainError):
+                        DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+        with pytest.raises(DomainError):
+            DenseOperator(duality.DENSE, duality.TO_DUAL, np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(DomainError):
+            DenseOperator(duality.DENSE, duality.TO_DUAL, np.ones((2, 0)), np.ones((2, 0)))
 
 
 class TestSequenceSymmetry:

@@ -10,7 +10,7 @@ from formcalc.duality import Vector
 from formcalc.elliptic import (
     assemble, convergence_table, dirichlet_operator, dirichlet_vs_neumann,
     discrete_poincare, l2_error, neumann_operator, problem,
-    sobolev_lower_bound, uniform_mesh, weak_solve,
+    smooth_probe_set, sobolev_lower_bound, uniform_mesh, weak_solve,
 )
 from formcalc.errors import DomainError, NotPositive
 from formcalc.ordering import form_on_X
@@ -178,6 +178,22 @@ class TestDirichletVsNeumann:
             assert rep.verdict == "A>=B"
             for r in rep.probes:
                 assert r.value_a >= r.value_b * (1 - 1e-9)
+
+    def test_batched_values_match_per_probe_forms(self):
+        for pb, m, seed in ((WITH_MASS, 16, 0), (WITH_MASS, 48, 3),
+                            (problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), 32, 5),
+                            (problem(2.0, "0.5", "2", 0.5), 24, 7)):
+            mesh = uniform_mesh(m)
+            A_d, A_n = dirichlet_operator(pb, mesh), neumann_operator(pb, mesh)
+            probes = smooth_probe_set(mesh, seed)
+            rep = dirichlet_vs_neumann(pb, mesh, seed=seed)
+            assert [r.label for r in rep.probes] == [label for label, _ in probes]
+            for r, (_, y) in zip(rep.probes, probes):
+                for got, A in ((r.value_a, A_d), (r.value_b, A_n)):
+                    want = form_on_X(A, y).value
+                    assert math.isinf(got) == math.isinf(want)
+                    if not math.isinf(want):
+                        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_degenerate_neumann_rejected(self):
         with pytest.raises(DomainError):

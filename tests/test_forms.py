@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from formcalc.duality import FROM_DUAL, dense_pair, functional, operator_from_matrix
 from formcalc.errors import LowerBoundError, NotPositive
@@ -63,6 +64,90 @@ class TestLowerBound:
             xs /= np.linalg.norm(xs, axis=0)
             rq = np.real(np.einsum("in,ij,jn->n", xs.conj(), M, xs))
             assert np.min(rq) >= gamma - 1e-9 * max(1.0, gamma)
+
+
+def normal_equation_gamma(t):
+    """The p = 2 gamma through the normal equations: Cholesky of B^H B
+    and two triangular solves.  On an identity basis the SVD reduction
+    must give the same bits."""
+    B = t.basis_mat
+    R = scipy.linalg.cholesky(B.conj().T @ B, lower=False)
+    Gq = np.conj(t.gram)
+    W = scipy.linalg.solve_triangular(R.conj().T, 0.5 * (Gq + Gq.conj().T), lower=True)
+    W = scipy.linalg.solve_triangular(R.conj().T, W.conj().T, lower=True).conj().T
+    return float(scipy.linalg.eigvalsh(0.5 * (W + W.conj().T))[0])
+
+
+def singular_margin(B):
+    """lambda_min(B^H B) over the singular threshold 1e-12 max_j ||b_j||^2."""
+    S = B.conj().T @ B
+    return scipy.linalg.eigvalsh(S)[0] / (1e-12 * np.max(np.diag(S).real))
+
+
+class TestLowerBoundFromOneSVD:
+    def test_one_svd_and_no_cholesky(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        B = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+        t = form_from_gram(B, (B.conj().T @ random_hpd(rng, 7) @ B).T)
+        calls = {"svd": 0, "cholesky": 0}
+        for mod, name in ((np.linalg, "svd"), (scipy.linalg, "cholesky")):
+            def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+        lower_bound(t, dense_pair(7))
+        assert calls == {"svd": 1, "cholesky": 0}
+
+    def test_generalized_eigenvalue_oracle(self):
+        rng = np.random.default_rng(62)
+        compared = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            d = int(rng.integers(1, max(1, n - 1) + 1))
+            B = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            B = B * 10.0 ** rng.uniform(-3, 3, size=d)
+            t = form_from_gram(B, (B.conj().T @ random_hpd(rng, n) @ B).T)
+            margin = singular_margin(B)
+            if margin < 0.5:
+                with pytest.raises(NotPositive):
+                    lower_bound(t, dense_pair(n))
+            elif margin > 2.0:
+                Gq = np.conj(t.gram)
+                want = scipy.linalg.eigh(0.5 * (Gq + Gq.conj().T), B.conj().T @ B,
+                                         eigvals_only=True)[0]
+                assert abs(lower_bound(t, dense_pair(n)).gamma - want) <= 1e-10 * abs(want)
+                compared += 1
+        assert compared > 100
+
+    def test_identity_basis_is_bit_identical(self):
+        rng = np.random.default_rng(63)
+        for n in range(1, 41):
+            t = form_from_gram(np.eye(n), random_hpd(rng, n).T)
+            assert lower_bound(t, dense_pair(n)).gamma == normal_equation_gamma(t)
+
+    def test_singular_threshold_either_side(self):
+        rng = np.random.default_rng(64)
+        for _ in range(50):
+            n = int(rng.integers(2, 20))
+            d = int(rng.integers(2, n + 1))
+            U = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))[0]
+            V = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            s = 10.0 ** rng.uniform(-2, 2, size=d)
+            for factor in (2.0, 0.5):
+                s[-1] = 0.0
+                col_max = np.max(np.linalg.norm((U * s) @ V.conj().T, axis=0) ** 2)
+                s[-1] = np.sqrt(factor * 1e-12 * col_max)
+                B = (U * s) @ V.conj().T
+                t = form_from_gram(B, np.eye(d))
+                # the normal equations see the same side of the threshold
+                assert (singular_margin(B) > 1.0) == (factor > 1.0)
+                if factor > 1.0:
+                    assert lower_bound(t, dense_pair(n)).gamma > 0
+                else:
+                    with pytest.raises(NotPositive, match="numerically singular"):
+                        lower_bound(t, dense_pair(n))
+        with pytest.raises(NotPositive, match="numerically singular"):
+            lower_bound(form_from_gram(np.ones((2, 3)), np.eye(3)), DP2)
 
 
 class TestAssociatedOperator:

@@ -88,6 +88,11 @@ class TestFormSum:
         z = fs.operator.apply(np.array([1.0, 0.0]))
         np.testing.assert_allclose(z, [4.0, 0.0], atol=1e-12)
 
+    def test_restricted_a_domain_rejected(self):
+        A = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]), DP2)
+        with pytest.raises(DomainError, match="everywhere defined"):
+            form_sum(A, operator_from_matrix(np.eye(2), DP2), DP2)
+
     def test_gamma_gate(self):
         A = operator_from_matrix(np.diag([1.0, 0.0]), DP2)
         B = operator_from_matrix(np.eye(2), DP2)
@@ -359,6 +364,20 @@ class TestFactorOnce:
         seq = form_sum(diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE),
                        diagonal_operator(series.polynomial(4.0), SP, DOMAIN_FINITE), SP)
         assert seq.factorization is None
+
+    def test_form_sum_builds_each_form_once(self, monkeypatch):
+        calls = []
+        real = formsum.form_of_operator
+
+        def counted(op):
+            calls.append(op)
+            return real(op)
+
+        monkeypatch.setattr(formsum, "form_of_operator", counted)
+        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        B = operator_from_matrix(np.diag([3.0, 1.0]), DP2)
+        form_sum(A, B, DP2)
+        assert calls == [A, B]
 
     def test_commutation_formsum_factorizes_each_operand_once(self, factorize_calls):
         rng = np.random.default_rng(83)

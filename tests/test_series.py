@@ -111,6 +111,22 @@ class TestRuleAlgebra:
         np.testing.assert_allclose(vals.real, np.abs(a(np.arange(1, 20))) ** 2,
                                    rtol=1e-13)
 
+    def test_abs_square_emits_each_cross_pair_once(self):
+        rng = np.random.default_rng(21)
+        ns = np.arange(1, 60)
+        for count in range(1, 7):
+            a = series.Rule(tuple(
+                series.Term(complex(rng.normal(), rng.normal()),
+                            float(rng.choice([-1.0, 0.0, 0.5, 2.0])),
+                            float(rng.uniform(0.3, 1.0)), int(rng.integers(1, 6)))
+                for _ in range(count)))
+            sq = a.abs_square()
+            assert len(sq.terms) == count * (count + 1) // 2
+            assert all(complex(t.coef).imag == 0.0 for t in sq.terms)
+            want = (a * a.conjugate())(ns)
+            scale = series.Rule((a.majorant(),))(ns).real ** 2
+            assert np.all(np.abs(sq(ns) - want) <= 1e-14 * scale)
+
     def test_majorant_dominates(self):
         a = series.power_geometric(-3.0, 1.0, 0.5) + series.geometric(0.7, coef=2j)
         m = series.Rule((a.majorant(),))
