@@ -11,6 +11,11 @@ algebra on C^n, and certified truncations of sequence spaces driven by
 power-geometric tail certificates.
 """
 
+# numpy loads numpy.random on its first use; the checks of every workload
+# draw seeded probes, so it loads with the package instead of inside the
+# first check that draws
+import numpy.random
+
 from .duality import (
     DenseOperator, DualityPair, Functional, Vector, adjoint, basis_functional,
     basis_vector, dense_pair, diagonal_operator, dual_norm, functional,

@@ -36,8 +36,8 @@ from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNCERTIFIED, EXIT_USAGE = 0, 2, 3, 4
 
-# thread setters of numpy's OpenBLAS (64-bit integer interface), of
-# scipy's, and of a plain OpenBLAS build
+# thread setters of numpy's OpenBLAS (64-bit integer interface), of the
+# 32-bit interface build other wheels bundle, and of a plain OpenBLAS
 BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
                        "scipy_openblas_set_num_threads",
                        "openblas_set_num_threads")

@@ -100,10 +100,16 @@ def sequence_pair(truncation: int, p: float = 2.0) -> DualityPair:
     return DualityPair(SEQUENCE, p, truncation=truncation)
 
 
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    """ValueError unless every entry is finite: numpy.linalg does not
+    check, so a NaN or inf is rejected where it enters."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} must be finite")
+
+
 def _as_coords(coords, n=None) -> np.ndarray:
     a = np.ascontiguousarray(coords, dtype=complex).reshape(-1)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("coordinates must be finite")
+    _require_finite("coordinates", a)
     if n is not None and a.size != n:
         raise ValueError(f"expected {n} coordinates, got {a.size}")
     a.setflags(write=False)
@@ -279,6 +285,7 @@ class DenseOperator:
             Z = np.asarray(self.action_mat, dtype=complex)
             if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
                 raise ValueError("basis and action must be matching n x d matrices")
+            _require_finite("basis and action", B, Z)
             if not 0 < B.shape[1] <= B.shape[0]:
                 raise DomainError("domain basis is not linearly independent")
             U, s, Vh = np.linalg.svd(B, full_matrices=False)

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .coeffexpr import compile_rule
 from .duality import DENSE, TO_DUAL, DenseOperator, Vector
 from .errors import DomainError, NotPositive
 from .forms import LowerBoundCertificate, SesquilinearForm, form_from_gram
+from .linalg import generalized_eigvalsh
 from .ordering import OrderingReport, ProbeRecord, _all_ge, _form_columns
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
@@ -87,9 +87,16 @@ def uniform_mesh(m: int, length: float = 1.0, quad_order: int = 4) -> Mesh1D:
     return Mesh1D(np.linspace(0.0, length, m + 1), quad_order)
 
 
+def _finite(what: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} is not finite at an evaluation node")
+    return values
+
+
 def _check_coefficients(prob: EllipticProblem, pts: np.ndarray):
-    a = prob.a(pts)
-    b = prob.b(pts)
+    a = _finite("coefficient a(x)", prob.a(pts))
+    b = _finite("potential b(x)", prob.b(pts))
     if np.any(a < prob.gamma - 1e-12):
         raise NotPositive("coefficient a(x) drops below gamma at a "
                           "quadrature node")
@@ -188,8 +195,7 @@ def dirichlet_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
     Z = S[:, idx].astype(complex)
     h_first = mesh.nodes[1] - mesh.nodes[0]
     h_last = mesh.nodes[-1] - mesh.nodes[-2]
-    a0 = float(prob.a(np.array([mesh.nodes[0]]))[0])
-    aL = float(prob.a(np.array([mesh.nodes[-1]]))[0])
+    a0, aL = _finite("coefficient a(x)", prob.a(mesh.nodes[[0, -1]]))
     # phi_1'(0+) = 1/h1 and phi_{n-2}'(L-) = -1/h_m are the only nonzero
     # boundary derivatives among interior hats
     Z[0, 0] += a0 * (1.0 / h_first)
@@ -252,9 +258,7 @@ def discrete_poincare(prob: EllipticProblem, mesh: Mesh1D) -> float:
     M = _mass_matrix(mesh)
     n = mesh.nodes.size
     idx = np.arange(1, n - 1)
-    vals = scipy.linalg.eigh(S[np.ix_(idx, idx)], M[np.ix_(idx, idx)],
-                             eigvals_only=True)
-    return float(vals[0])
+    return float(generalized_eigvalsh(S[np.ix_(idx, idx)], M[np.ix_(idx, idx)])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +279,27 @@ class WeakSolution:
         return np.concatenate([[0.0], self.coefficients.real, [0.0]])
 
 
+def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S x = rhs for the symmetric tridiagonal S with this diagonal
+    and off-diagonal through S = L D L^T, in O(m) sweeps (the recurrences
+    of LAPACK ``dpttrf`` and ``dpttrs``).  A pivot <= 0 raises
+    NotPositive."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(len(d)):
+        if not d[i] > 0.0:
+            raise NotPositive("stiffness not positive definite")
+        if i < len(e):
+            ei = e[i]
+            e[i] = ei / d[i]
+            d[i + 1] -= e[i] * ei
+    for i in range(1, len(x)):
+        x[i] -= x[i - 1] * e[i - 1]
+    x[-1] /= d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return np.array(x)
+
+
 def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     """Galerkin solve of -(a f')' + b f = g over interior hats.
 
@@ -286,25 +311,19 @@ def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     diag, off = _tridiag_stiffness(prob, mesh)
     n = mesh.nodes.size
     pts, wts, t = _element_data(mesh)
-    gv = np.asarray(gfun(pts.ravel()), dtype=float).reshape(pts.shape)
+    gv = _finite("load g(x)", gfun(pts.ravel())).reshape(pts.shape)
     load_full = np.zeros(n)
     np.add.at(load_full, np.arange(n - 1), np.sum(wts * gv * (1.0 - t), axis=1))
     np.add.at(load_full, np.arange(1, n), np.sum(wts * gv * t, axis=1))
     d_i, o_i, load = diag[1:-1], off[1:-1], load_full[1:-1]
-    ab = np.zeros((2, n - 2))
-    ab[0, 1:] = o_i
-    ab[1, :] = d_i
     def matvec(v):
         out = d_i * v
         out[1:] += o_i * v[:-1]
         out[:-1] += o_i * v[1:]
         return out
 
-    try:
-        u = scipy.linalg.solveh_banded(ab, load)
-        u = u + scipy.linalg.solveh_banded(ab, load - matvec(u))
-    except scipy.linalg.LinAlgError as exc:     # guarded; cannot occur when
-        raise NotPositive("stiffness not positive definite") from exc  # pre holds
+    u = _tridiag_solve(d_i, o_i, load)
+    u = u + _tridiag_solve(d_i, o_i, load - matvec(u))
     # normwise backward error: ||S u - l|| / (||S|| ||u|| + ||l||)
     s_norm = float(np.max(np.abs(d_i)) + 2 * np.max(np.abs(o_i), initial=0.0))
     res = float(np.linalg.norm(matvec(u) - load)) / max(

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import series
 from .duality import (
     DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DualityPair,
-    Functional, Vector, operator_norm,
+    Functional, Vector, _require_finite, operator_norm,
 )
 from .errors import BackendMismatch, LowerBoundError, NotPositive, Uncertifiable
 from .linalg import assert_hermitian, min_eigenvalue, relative_residual
@@ -51,6 +50,7 @@ class SesquilinearForm:
             G = np.asarray(self.gram, dtype=complex)
             if G.shape != (B.shape[1], B.shape[1]):
                 raise ValueError("gram must be d x d for a d-column basis")
+            _require_finite("basis and gram", B, G)
             if self.symmetric:
                 assert_hermitian(G, 1e-12, "form gram")
             lam = min_eigenvalue(0.5 * (G + G.conj().T))
@@ -175,8 +175,9 @@ class RepresentationResult:
 
 
 def _solve_chol(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    c, low = scipy.linalg.cho_factor(H)
-    return scipy.linalg.cho_solve((c, low), rhs)
+    """Solve H x = rhs through H = L L^H, reading the upper triangle of H."""
+    L = np.linalg.cholesky(H.conj().T)
+    return np.linalg.solve(L.conj().T, np.linalg.solve(L, rhs))
 
 
 def riesz_coefficients(t: SesquilinearForm, v_coords: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import series
 from .duality import (
@@ -325,7 +324,7 @@ def _lift(A: DenseOperator, E_mat: np.ndarray, seed: int,
     margin = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
     # whitened norm: the K quadratic is c^H conj(K) c = c^H L L^H c, so the
     # K-norm of the lift is the 2-norm of L^H E^ L^-H
-    LH = scipy.linalg.cholesky(np.conj(fac.gram), lower=True).conj().T
+    LH = np.linalg.cholesky(np.conj(fac.gram)).conj().T
     norm_bound = operator_norm(LH @ E_hat @ np.linalg.inv(LH))
     sa_res = relative_residual(
         np.linalg.norm(E_hat.T @ fac.gram - fac.gram @ np.conj(E_hat)),

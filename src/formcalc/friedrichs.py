@@ -5,7 +5,9 @@ t_a completed over the closure of dom a, so an already self-adjoint
 operator is its own extension.  Sequence backend: diagonal generators
 a_n >= gamma > 0 on finitely supported vectors; these are essentially
 self-adjoint and the extension is the same generator on the maximal
-graph domain {y : sum a_n^2 |y_n|^2 certified finite}.  The embedding of
+graph domain {y : sum a_n^2 |y_n|^2 certified finite}.  Its lower bound
+inf a_n is exact for p >= 2; below 2 it is not a bound, and the sequence
+extension is uncertified.  The embedding of
 the energy space into X is checked injective by sampling its defining
 identity [t, y] = (a t, I_a y).
 """
@@ -75,13 +77,19 @@ def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
         raise NotPositive("diagonal generator must be real")
     if a.domain_rule != DOMAIN_FINITE:
         raise DomainError("input operator must act on finitely supported vectors")
+    # inf a_n is the l^p lower bound only for p >= 2, where ||x||_p <=
+    # ||x||_2 and the basis vectors attain it; below 2 it overstates gamma
+    if dp.p < 2.0:
+        raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
+                            "certified (inf a_n overstates it)")
     gamma = series.rule_lower_bound(rule)
     if gamma <= 0:
         raise LowerBoundError(
             f"generator lower bound {gamma:.3e} is not positive (certified)")
     ext = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
     emb = _embedding_residual(rule, dp)
-    cert = LowerBoundCertificate(gamma, "exact-p2", detail={"p": 2.0})
+    cert = LowerBoundCertificate(gamma, "exact-p2" if dp.p == 2.0 else "exact-inf",
+                                 detail={"p": dp.p})
     return FriedrichsResult(ext, SesquilinearForm(SEQUENCE, diagonal=rule),
                             emb, cert, {"backend": SEQUENCE})
 

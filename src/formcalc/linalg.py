@@ -9,15 +9,18 @@ Conventions used everywhere:
 * the quadratic ``t(x, x)`` in the original coefficients is the Hermitian
   quadratic form of ``conj(G)``.
 
-Factorizations go to LAPACK: :func:`pivoted_cholesky` is ``zpstrf``
-(Hammarling, Higham and Lucas, *LAPACK-style codes for pivoted Cholesky
-and QR updating*, 2007).
+Every kernel is numpy.linalg: Hermitian eigensolves, Cholesky
+factorizations and SVDs.  The one kernel numpy lacks, the pivoted
+Cholesky, is a left-looking numpy loop with the pivot and stopping rules
+of LAPACK ``zpstrf`` (Hammarling, Higham and Lucas, *LAPACK-style codes
+for pivoted Cholesky and QR updating*, 2007).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositive
 
@@ -45,24 +48,62 @@ def assert_hermitian(G: np.ndarray, tol: float = 1e-12, what: str = "gram"):
 
 
 def min_eigenvalue(G: np.ndarray) -> float:
-    return float(scipy.linalg.eigvalsh(G)[0])
+    return float(np.linalg.eigvalsh(G)[0])
+
+
+def generalized_eigvalsh(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian pencil (A, M), M positive
+    definite: with M = L L^H they are those of L^-1 A L^-H, the reduction
+    LAPACK ``hegv`` performs."""
+    L = np.linalg.cholesky(M)
+    C = np.linalg.solve(L, np.linalg.solve(L, A).conj().T)
+    return np.linalg.eigvalsh(0.5 * (C + C.conj().T))
 
 
 def pivoted_cholesky(G: np.ndarray, tol: float | None = None):
-    """Column-pivoted Cholesky of a Hermitian PSD matrix, by LAPACK zpstrf.
+    """Column-pivoted Cholesky of a Hermitian PSD matrix.
 
     Returns ``(L, piv, rank)`` with ``G[piv][:, piv] ~= L L^H`` on the
-    leading ``rank`` block.  At each step the largest remaining diagonal
-    is the pivot, and the factorization stops at the first pivot
-    ``<= tol``.  The threshold defaults to ``1e-10 * max diagonal``, the
-    kernel-quotient rule used by the factorization module.
+    leading ``rank`` block, ``L`` lower trapezoidal (exact zeros above its
+    diagonal) and ``piv`` 0-based.  At each step the largest remaining
+    diagonal is the pivot, the first in pivot order on a tie, and the
+    factorization stops at the first pivot ``<= tol``.  The threshold
+    defaults to ``1e-10 * max diagonal``, the kernel-quotient rule used by
+    the factorization module.
+
+    Like LAPACK ``zpstf2`` the loop is left-looking and reads the lower
+    triangle; it keeps the residual diagonal as the diagonal minus the
+    accumulated ``|L_ik|^2`` and builds each column in the original row
+    order, so only the pivot vector is permuted.
     """
     A = np.asarray(G, dtype=complex)
+    n = A.shape[0]
+    diag = A.diagonal().real.copy()
     if tol is None:
-        dmax = float(np.max(np.abs(np.diag(A).real))) if A.shape[0] else 0.0
-        tol = 1e-10 * max(dmax, 1e-300)
-    c, piv, rank, _ = scipy.linalg.lapack.zpstrf(A, tol=tol, lower=1)
-    return np.tril(c)[:, :rank], piv - 1, int(rank)
+        tol = 1e-10 * max(float(np.max(np.abs(diag), initial=0.0)), 1e-300)
+    acc = np.zeros(n)
+    L = np.zeros((n, n), dtype=complex)
+    piv = np.arange(n)
+    rank = n
+    for k in range(n):
+        rest = diag[piv[k:]] - acc[piv[k:]]
+        j = int(rest.argmax())
+        pivot = float(rest[j])
+        if not pivot > tol:
+            rank = k
+            break
+        piv[k], piv[k + j] = piv[k + j], piv[k]
+        p = piv[k]
+        # column p of the Hermitian matrix the lower triangle defines
+        col = A[:, p].copy()
+        col[:p] = A[p, :p].conj()
+        ljj = math.sqrt(pivot)
+        col = (col - L[:, :k] @ L[p, :k].conj()) * (1.0 / ljj)
+        col[piv[:k + 1]] = 0.0
+        acc += col.real ** 2 + col.imag ** 2
+        col[p] = ljj
+        L[:, k] = col
+    return L[piv, :rank], piv, rank
 
 
 def operator_norm(M: np.ndarray) -> float:

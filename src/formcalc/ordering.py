@@ -22,14 +22,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import series
 from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Vector, operator_norm,
 )
 from .errors import BackendMismatch, NotPositive
-from .linalg import gram_inner, hermitian_residual, pivoted_cholesky
+from .linalg import (
+    generalized_eigvalsh, gram_inner, hermitian_residual, pivoted_cholesky,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,7 @@ def factorize(A: DenseOperator) -> FactorizationResult:
     if herm > 1e-10:
         raise NotPositive(f"operator form not symmetric (residual {herm:.3e})")
     quad = np.conj(F)
-    lam_min = float(scipy.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[0])
+    lam_min = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[0])
     # the norm scales the slack only, so lam_min >= 0 needs no SVD
     if lam_min < 0 and lam_min < -1e-12 * max(1.0, operator_norm(F)):
         raise NotPositive(f"operator not positive (eigenvalue {lam_min:.3e})")
@@ -118,7 +119,7 @@ def _form_columns(A: DenseOperator, Y: np.ndarray):
     """
     F = A.form_gram()
     quad = np.conj(F)
-    lam, V = scipy.linalg.eigh(0.5 * (quad + quad.conj().T))
+    lam, V = np.linalg.eigh(0.5 * (quad + quad.conj().T))
     live = lam > 1e-12 * max(float(lam[-1]), 1e-300)
     T = V.conj().T @ (A.action_mat.conj().T @ Y)
     dead_mass = np.linalg.norm(T[~live], axis=0)
@@ -173,18 +174,17 @@ def in_dom_Jstar(A: DenseOperator, y: Vector) -> bool:
 
 def form_oracle_eigensolve(A: DenseOperator, y: Vector) -> float:
     """Constrained-maximization oracle: the largest generalized eigenvalue
-    of the pencil (w w^H, form gram), solved by the LAPACK generalized
-    path rather than the reduction used in form_on_X."""
+    of the pencil (w w^H, form gram), reduced through a Cholesky of the
+    form gram rather than the eigensolve used in form_on_X."""
     F = A.form_gram()
     quad = 0.5 * (np.conj(F) + F.T)
     w = A.action_mat.conj().T @ y.coords
-    lam, V = scipy.linalg.eigh(quad)
+    lam, V = np.linalg.eigh(quad)
     keep = lam > 1e-12 * max(float(lam[-1]), 1e-300)
     Vr = V[:, keep]
     quad_r = Vr.conj().T @ quad @ Vr
     wr = Vr.conj().T @ w
-    vals = scipy.linalg.eigh(np.outer(wr, wr.conj()), quad_r, eigvals_only=True)
-    return float(vals[-1])
+    return float(generalized_eigvalsh(np.outer(wr, wr.conj()), quad_r)[-1])
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
         R = rng.normal(size=(max(4, A.n), 2, A.n))
         Zr = (R[:, 0] + 1j * R[:, 1]).T
         D = A.effective_matrix() - B.effective_matrix()
-        _, V = scipy.linalg.eigh(0.5 * (D + D.conj().T))
+        _, V = np.linalg.eigh(0.5 * (D + D.conj().T))
         blocks = {"basisA": A.basis_mat, "basisB": B.basis_mat,
                   "random": Zr / np.linalg.norm(Zr, axis=0), "adversarial": V}
         labels += [f"{name}:{k}" for name, M in blocks.items()
@@ -327,7 +327,7 @@ def hilbert_consistency(A: DenseOperator, samples: list[Vector],
         raise BackendMismatch("dense backend only")
     M = A.effective_matrix()
     M = 0.5 * (M + M.conj().T)
-    lam, V = scipy.linalg.eigh(M)
+    lam, V = np.linalg.eigh(M)
     if float(lam[0]) < -1e-12 * max(float(abs(lam[-1])), 1.0):
         raise NotPositive("operator must be positive semidefinite")
     lam = np.where(lam > 1e-14 * max(float(lam[-1]), 1e-300), lam, 0.0)

@@ -1,5 +1,5 @@
 """The command line runs OpenBLAS on one thread unless the environment
-chooses a count.
+chooses a count, and formcalc runs on numpy alone.
 
 Each case runs ``formcalc.cli.main`` in a fresh interpreter and asks
 every OpenBLAS mapped into it for its thread count, before and after the
@@ -17,8 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-PROBE = r"""
-import ctypes, json, os
+COUNTS = r"""
+import ctypes, json, os, sys
 import formcalc.cli
 
 GETTERS = ("scipy_openblas_get_num_threads64_",
@@ -41,8 +41,9 @@ def counts():
                     out[os.path.basename(path)] = int(getter())
                     break
     return out
+"""
 
-
+PROBE = COUNTS + r"""
 before = counts()
 # an unknown suite returns at once, after the thread policy has run
 code = formcalc.cli.main(["suite", "no-such-suite"])
@@ -50,15 +51,21 @@ print(json.dumps({"before": before, "after": counts(), "code": code}))
 """
 
 
-def probe(**env_vars):
+def run_script(script, *args, **env_vars):
+    """Run ``script`` in a fresh interpreter without the thread variables
+    and return the JSON object on its last line of output."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def probe(**env_vars):
+    result = run_script(PROBE, **env_vars)
     assert result["code"] == 4
     if not result["after"]:
         pytest.skip("no OpenBLAS with a thread-count getter is mapped")
@@ -76,3 +83,52 @@ def test_environment_count_wins(var):
     assert result["after"] == result["before"], result
     if (os.cpu_count() or 1) >= 2 and var == "OPENBLAS_NUM_THREADS":
         assert set(result["after"].values()) == {2}, result
+
+
+GUARD = COUNTS + r"""
+import contextlib, io
+out, scenarios = sys.argv[1], sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [formcalc.cli.main(["suite", "all", "--seed", "1", "--out", out + "/suite"]),
+             formcalc.cli.main(["run", scenarios, "--out", out + "/run"])]
+print(json.dumps({"codes": codes, "after": counts(),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+DENSE3 = {"backend": "dense", "dim": 3, "p": 2.0}
+
+
+def dense_op(diagonal):
+    eye = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    action = [[[diagonal[i] if i == j else 0.5, 0.0] for j in range(3)]
+              for i in range(3)]
+    return {"backend": "dense", "direction": "to-dual", "domain_basis": eye,
+            "action": action}
+
+
+GUARD_SCENARIOS = [
+    {"id": "compare", "op": "compare", "A": dense_op([3.0, 4.0, 5.0]),
+     "B": dense_op([2.0, 2.0, 2.0]), "expected": "A>=B"},
+    {"id": "form-sum", "op": "form-sum", "space": DENSE3,
+     "A": dense_op([3.0, 4.0, 5.0]), "B": dense_op([2.0, 2.0, 2.0])},
+    {"id": "lift", "op": "lift-commutant", "space": DENSE3,
+     "A": dense_op([3.0, 4.0, 5.0]),
+     "K": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]},
+    {"id": "weak-solve", "op": "weak-solve",
+     "problem": {"length": 1.0, "a": "1 + x", "b": "1", "gamma": 1.0},
+     "m": 32, "g": "sin(pi*x)"},
+    {"id": "friedrichs", "op": "friedrichs",
+     "space": {"backend": "sequence", "truncation": 64, "p": 2.0},
+     "generator": {"terms": [{"coef": [1, 0], "alpha": 2, "ratio": 1, "start": 1}]}},
+]
+
+
+def test_scipy_stays_out_and_blas_stays_on_one_thread(tmp_path):
+    scenarios = tmp_path / "dense.json"
+    scenarios.write_text(json.dumps({"scenarios": GUARD_SCENARIOS}))
+    result = run_script(GUARD, str(tmp_path / "out"), str(scenarios))
+    assert result["codes"] == [0, 0], result
+    assert result["scipy"] == [], result
+    assert set(result["after"].values()) <= {1}, result
+    reports = json.loads((tmp_path / "out" / "run" / "summary.json").read_text())
+    assert [s["verdict"] for s in reports["scenarios"]] == ["pass"] * 5

@@ -126,6 +126,32 @@ class TestScenarioDispatch:
         assert rep.verdict == "fail"
         assert rep.details["error"].startswith("ValueError")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected_where_it_enters(self, bad):
+        # numpy.linalg does not check for NaN or inf: the operator and the
+        # form refuse them at construction
+        A = op_json([[1, 0], [0, bad]])
+        for sc in ({"op": "factorize", "A": A},
+                   {"op": "compare", "A": A, "B": op_json([[1, 0], [0, 1]])},
+                   {"op": "form-sum", "space": DENSE2, "A": op_json([[1, 0], [0, 1]]),
+                    "B": A},
+                   {"op": "associated-operator", "space": DENSE2,
+                    "gram": [[[2, 0], [0, 0]], [[0, 0], [bad, 0]]]}):
+            rep = run_scenario({"id": "non-finite", **sc})
+            assert rep.verdict == "fail"
+            assert rep.details["error"].startswith("ValueError: basis and "), rep.details
+
+    @pytest.mark.parametrize("op", ["weak-solve", "dirichlet-vs-neumann",
+                                    "elliptic-assemble", "sobolev-lower-bound"])
+    def test_non_finite_coefficient_rejected_where_it_enters(self, op):
+        with np.errstate(all="ignore"):
+            rep = run_scenario({
+                "id": "non-finite", "op": op, "m": 8, "g": "1",
+                "problem": {"length": 1.0, "a": "1 + 0*exp(1000*x)", "b": "1",
+                            "gamma": 1.0}})
+        assert rep.verdict == "fail"
+        assert rep.details["error"].startswith("DomainError: coefficient a(x)")
+
     def test_signed_basis_independent_sum_passes(self):
         # the signed-basis residual is error over allowed error, so it
         # passes at 1 or less; this one reads about 0.25
@@ -170,6 +196,19 @@ class TestCliRun:
             "E": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
         }])
         assert main(["run", f]) == 2
+
+    def test_non_finite_operands_fail(self, tmp_path):
+        f = write_scenarios(tmp_path / "nan.json", [
+            {"id": "nan-matrix", "op": "factorize", "A": op_json([[1, 0], [0, math.nan]])},
+            {"id": "nan-coefficient", "op": "weak-solve", "m": 8, "g": "1",
+             "problem": {"length": 1.0, "a": "1", "b": "0*exp(1000*x)", "gamma": 1.0}}])
+        out = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            assert main(["run", f, "--out", str(out)]) == 2
+        errors = [json.loads((out / f"{sid}.json").read_text())["details"]["error"]
+                  for sid in ("nan-matrix", "nan-coefficient")]
+        assert errors == ["ValueError: basis and action must be finite",
+                          "DomainError: potential b(x) is not finite at an evaluation node"]
 
     def test_parse_error_exits_four(self, tmp_path):
         f = tmp_path / "bad.json"

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from formcalc.coeffexpr import ExpressionError, compile_rule
 from formcalc.duality import Vector
 from formcalc.elliptic import (
+    _full_stiffness, _mass_matrix, _tridiag_solve, _tridiag_stiffness,
     assemble, convergence_table, dirichlet_operator, dirichlet_vs_neumann,
     discrete_poincare, l2_error, neumann_operator, problem,
     smooth_probe_set, sobolev_lower_bound, uniform_mesh, weak_solve,
@@ -98,6 +100,15 @@ class TestSobolevLowerBound:
         assert lam64 >= math.pi ** 2 - 1e-12
         assert abs(lam64 - math.pi ** 2) / math.pi ** 2 < 0.02
 
+    @pytest.mark.parametrize("m", [8, 16, 64, 128])
+    def test_discrete_poincare_matches_scipy_pencil(self, m):
+        mesh = uniform_mesh(m)
+        idx = np.arange(1, m)
+        S = _full_stiffness(LAPLACE, mesh)[np.ix_(idx, idx)]
+        M = _mass_matrix(mesh)[np.ix_(idx, idx)]
+        want = scipy.linalg.eigh(S, M, eigvals_only=True)[0]
+        assert abs(discrete_poincare(LAPLACE, mesh) - want) <= 1e-12 * want
+
     def test_p4_certificate_sampled(self):
         pb = problem(1.0, "1", "0", 1.0, p=4.0)
         cert = sobolev_lower_bound(pb, uniform_mesh(24), samples=100)
@@ -149,6 +160,75 @@ class TestWeakSolve:
         for g in rules:
             sol = weak_solve(WITH_MASS, uniform_mesh(32), g)
             assert sol.galerkin_residual <= 1e-10
+
+
+class TestTridiagonalSweep:
+    """The O(m) LDL^T sweep behind the weak solve, against a dense solve."""
+
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(91)
+        pb = problem(1.0, "1 + x^2", "1 + sin(3*x)", 1.0)
+        for m in range(2, 301):
+            diag, off = _tridiag_stiffness(pb, uniform_mesh(m + 1))
+            pairs = [(diag[1:-1], off[1:-1]),
+                     (rng.uniform(2.5, 4.0, size=m), rng.uniform(-1.0, 1.0, size=m - 1))]
+            for d, e in pairs:
+                S = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                b = rng.normal(size=m)
+                want = np.linalg.solve(S, b)
+                got = _tridiag_solve(d, e, b)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_single_unknown(self):
+        np.testing.assert_allclose(_tridiag_solve(np.array([4.0]), np.array([]),
+                                                  np.array([2.0])), [0.5])
+
+    @pytest.mark.parametrize("d, e", [([1.0, -1.0], [0.0]), ([1.0, 1.0], [2.0]),
+                                      ([2.0, 2.0, 2.0], [-1.0, 2.0]),
+                                      ([0.0], []), ([math.nan, 1.0], [0.0])])
+    def test_indefinite_raises_not_positive(self, d, e):
+        with pytest.raises(NotPositive):
+            _tridiag_solve(np.array(d), np.array(e), np.ones(len(d)))
+
+    def test_weak_solve_refuses_indefinite_stiffness(self, monkeypatch):
+        import formcalc.elliptic as elliptic
+
+        def indefinite(prob, mesh):
+            diag, off = _tridiag_stiffness(prob, mesh)
+            return diag, 3.0 * off
+        monkeypatch.setattr(elliptic, "_tridiag_stiffness", indefinite)
+        with pytest.raises(NotPositive):
+            weak_solve(WITH_MASS, uniform_mesh(16), "1")
+
+
+class TestNonFiniteCoefficients:
+    """numpy.linalg does not check for NaN or inf, so a coefficient, load
+    or boundary value that is not finite is refused where it is evaluated."""
+
+    NAN = "1 + 0*exp(1000*x)"        # 0 * inf at every node
+    INF = "exp(1000*x)"
+
+    @pytest.mark.parametrize("rule", [NAN, INF])
+    def test_coefficients(self, rule):
+        mesh = uniform_mesh(8)
+        with np.errstate(all="ignore"):
+            for pb in (problem(1.0, rule, "1", 1.0), problem(1.0, "1", rule, 1.0)):
+                for call in (lambda: weak_solve(pb, mesh, "1"),
+                             lambda: assemble(pb, mesh, "dirichlet"),
+                             lambda: dirichlet_vs_neumann(pb, mesh),
+                             lambda: sobolev_lower_bound(pb, mesh, samples=4)):
+                    with pytest.raises(DomainError):
+                        call()
+
+    @pytest.mark.parametrize("rule", [NAN, INF])
+    def test_load(self, rule):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            weak_solve(LAPLACE, uniform_mesh(8), rule)
+
+    def test_boundary_value_of_a(self):
+        # finite at every Gauss point, infinite at x = 0
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            dirichlet_operator(problem(1.0, "1 + 1/x - 1/x", "0", 1.0), uniform_mesh(8))
 
 
 class TestDirichletVsNeumann:

@@ -10,10 +10,11 @@ from formcalc.duality import (
     DOMAIN_FINITE, DOMAIN_MAXIMAL, Vector, dense_pair, diagonal_operator,
     generated_vector, is_extension, operator_from_matrix, sequence_pair,
 )
-from formcalc.errors import DomainError, LowerBoundError
+from formcalc.errors import DomainError, LowerBoundError, Uncertifiable
 from formcalc.friedrichs import (
     core_check, friedrichs, idempotent, in_energy_domain, in_extension_domain,
 )
+from formcalc.scenarios import run_scenario
 
 SP = sequence_pair(64)
 
@@ -82,6 +83,43 @@ class TestSequenceBackend:
     def test_idempotent(self):
         a = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
         assert idempotent(friedrichs(a, SP), SP)
+
+
+
+class TestSequenceExponent:
+    """inf a_n bounds (Ax, x) >= gamma ||x||_p^2 for p >= 2 only."""
+
+    @staticmethod
+    def scenario(coef, alpha, p):
+        return run_scenario({
+            "id": "fr-p", "op": "friedrichs",
+            "space": {"backend": "sequence", "truncation": 64, "p": p},
+            "generator": {"terms": [{"coef": [coef, 0], "alpha": alpha,
+                                     "ratio": 1, "start": 1}]}})
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_below_two_is_uncertified(self, alpha):
+        # the constant generator has true gamma 0 at p = 1.5 (N leading ones
+        # give the ratio N^(-1/3)), n^2 has zeta(6)^(-1/3) < 1
+        dp = sequence_pair(64, p=1.5)
+        a = diagonal_operator(series.Rule((series.Term(1.0, alpha, 1.0, 1),)), dp,
+                              DOMAIN_FINITE)
+        with pytest.raises(Uncertifiable):
+            friedrichs(a, dp)
+        assert self.scenario(1.0, alpha, 1.5).verdict == "uncertified"
+
+    def test_above_two_is_the_infimum(self):
+        dp = sequence_pair(64, p=3.0)
+        res = friedrichs(diagonal_operator(series.polynomial(2.0), dp, DOMAIN_FINITE), dp)
+        cert = res.gamma_preserved
+        assert (cert.gamma, cert.kind, cert.detail) == (1.0, "exact-inf", {"p": 3.0})
+        rep = self.scenario(1.0, 2.0, 3.0)
+        assert rep.verdict == "pass" and rep.details["gamma"] == 1.0
+
+    def test_two_keeps_its_certificate(self):
+        res = friedrichs(diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE), SP)
+        cert = res.gamma_preserved
+        assert (cert.gamma, cert.kind, cert.detail) == (1.0, "exact-p2", {"p": 2.0})
 
 
 class TestDenseBackend:

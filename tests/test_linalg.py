@@ -1,16 +1,21 @@
-"""LAPACK pivoted Cholesky, the column-wise gram quadratic, the spectral
-norm and the SVD rank of a factorized action."""
+"""The pivoted Cholesky, the generalized Hermitian eigensolve, the
+column-wise gram quadratic, the spectral norm and the SVD rank of a
+factorized action."""
 
 import numpy as np
+import scipy.linalg
 
 from formcalc.duality import dense_pair, operator_from_matrix
-from formcalc.linalg import gram_inner, gram_quadratic, operator_norm, pivoted_cholesky
+from formcalc.linalg import (
+    generalized_eigvalsh, gram_inner, gram_quadratic, operator_norm, pivoted_cholesky,
+)
 from formcalc.ordering import factorize
 
 
 def loop_pivoted_cholesky(G, tol=None):
     """Right-looking pivoted Cholesky one column at a time: the reference
-    for the LAPACK factorization (same pivot rule, same stopping rule)."""
+    for the left-looking factorization (same pivot rule, same stopping
+    rule)."""
     A = np.array(G, dtype=complex)
     n = A.shape[0]
     piv = np.arange(n)
@@ -85,6 +90,43 @@ class TestPivotedCholesky:
                 np.testing.assert_array_equal(piv, piv0)
                 np.testing.assert_allclose(L, L0, rtol=0, atol=1e-12 * max(
                     1.0, float(np.max(np.abs(L0), initial=0.0))))
+
+    def test_matches_lapack_zpstrf(self):
+        # n above 64 takes LAPACK's blocked path
+        rng = np.random.default_rng(77)
+        sizes = [int(k) for k in rng.integers(1, 41, size=150)] + [
+            int(k) for k in rng.integers(41, 121, size=30)] + [64, 65, 120]
+        for k, n in enumerate(sizes):
+            d = int(rng.integers(0, n)) if k % 3 == 0 else n
+            G = psd_of_rank(rng, n, d) * 10.0 ** rng.uniform(-4, 4)
+            for tol in (None, 1e-10 * max(np.linalg.norm(G, 2), 1e-300)):
+                L, piv, rank = pivoted_cholesky(G, tol)
+                if tol is None:
+                    tol = 1e-10 * max(float(np.max(np.diag(G).real)), 1e-300)
+                c, piv0, rank0, _ = scipy.linalg.lapack.zpstrf(G, tol=tol, lower=1)
+                L0 = np.tril(c)[:, :rank0]
+                assert rank == rank0
+                np.testing.assert_array_equal(piv, piv0 - 1)
+                np.testing.assert_allclose(L, L0, rtol=0, atol=1e-12 * max(
+                    1.0, float(np.max(np.abs(L0), initial=0.0))))
+
+    def test_ties_go_to_the_first_index_in_pivot_order(self):
+        # after the first pivot swaps positions 0 and 2, the tie between
+        # indices 0 and 1 goes to 1, which now comes first
+        for G in (np.diag([1.0, 1.0, 2.0]), np.eye(4), np.diag([3.0, 1.0, 3.0, 1.0])):
+            piv0 = scipy.linalg.lapack.zpstrf(G.astype(complex), tol=1e-10, lower=1)[1]
+            np.testing.assert_array_equal(pivoted_cholesky(G)[1], piv0 - 1)
+
+
+def test_generalized_eigvalsh_matches_scipy():
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        A = psd_of_rank(rng, n, n) - psd_of_rank(rng, n, n)
+        M = psd_of_rank(rng, n, n) + 0.1 * np.eye(n)
+        want = scipy.linalg.eigh(A, M, eigvals_only=True)
+        got = generalized_eigvalsh(A, M)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 def test_gram_quadratic_columns_match_gram_inner():

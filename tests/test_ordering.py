@@ -95,6 +95,25 @@ class TestFormOnX:
             v2 = form_oracle_eigensolve(A, y)
             assert abs(v1 - v2) <= 1e-6 * max(v1, v2, 1.0)
 
+    def test_oracle_matches_scipy_generalized_eigh(self):
+        # the oracle reduces the pencil through a Cholesky; scipy's
+        # generalized eigh is LAPACK hegv on the same truncated pencil
+        rng = np.random.default_rng(24)
+        for k in range(100):
+            n = int(rng.integers(1, 13))
+            A = restricted_operator(random_psd(rng, n, force_kernel=k % 2 == 1),
+                                    rng.normal(size=(n, max(1, n - k % 3))), dense_pair(n))
+            y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
+            F = A.form_gram()
+            quad = 0.5 * (np.conj(F) + F.T)
+            lam, V = scipy.linalg.eigh(quad)
+            Vr = V[:, lam > 1e-12 * max(float(lam[-1]), 1e-300)]
+            wr = Vr.conj().T @ (A.action_mat.conj().T @ y.coords)
+            want = scipy.linalg.eigh(np.outer(wr, wr.conj()), Vr.conj().T @ quad @ Vr,
+                                     eigvals_only=True)[-1]
+            got = form_oracle_eigensolve(A, y)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
     def test_full_domain_quadratic_identity(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
