@@ -29,7 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .reporting import (
-    FAIL, SCHEMA_VERSION, UNCERTIFIED, _verdict_counts, write_csv, write_report,
+    FAIL, SCHEMA_VERSION, UNCERTIFIED, MalformedOperand, _verdict_counts,
+    write_csv, write_report,
 )
 from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
@@ -121,7 +122,7 @@ def cmd_run(args) -> int:
                     lambda sc: run_scenario(sc, args.tol_scale), scenarios))
         else:
             reports = [run_scenario(sc, args.tol_scale) for sc in scenarios]
-    except (UnknownOperation, MissingOperand) as exc:
+    except (UnknownOperation, MissingOperand, MalformedOperand) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     reports.sort(key=lambda r: r.scenario)

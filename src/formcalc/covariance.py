@@ -388,8 +388,8 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable,
         B = covariance_operator(eta, basis)
         dual = xi.codomain.dual()
         fs = form_sum(
-            DenseOperator(DENSE, "to-dual", A.basis_mat, A.action_mat),
-            DenseOperator(DENSE, "to-dual", B.basis_mat, B.action_mat), dual)
+            DenseOperator(DENSE, "to-dual", A._basis, A.action_mat),
+            DenseOperator(DENSE, "to-dual", B._basis, B.action_mat), dual)
         M1 = cov_sum.canonical_matrix()
         M2 = fs.operator.canonical_matrix()
         res = float(np.linalg.norm(M1 - M2)) / max(1.0, float(np.linalg.norm(M2)))

@@ -16,17 +16,20 @@ restricted to diagonal operators with power-geometric coefficient
 generators so that every tail admits a certificate (see
 :mod:`formcalc.series`).
 
-A dense operator factors its domain basis B once, by a thin SVD
-B = U diag(s) V^H.  The rank test, the projector U U^H on the span, the
-canonical matrix, the coefficients of a vector, the adjoint's basis and
-the extension test all come from that one factorization; none of them
-goes through the normal equations B^H B, which square the condition
-number of the basis.
+A dense domain basis B is factored once, by a thin SVD
+B = U diag(s) V^H held in one private :class:`_Basis` that operators
+and forms on that basis share.  The rank test, the projector U U^H on
+the span, the canonical matrix, the coefficients of a vector, the
+adjoint's basis, the extension test and the form lower bound all come
+from that one factorization; none of them goes through the normal
+equations B^H B, which square the condition number of the basis.  The
+identity basis needs no SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -254,6 +257,45 @@ def dual_norm(v: Functional, dp: DualityPair) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _Basis:
+    """A dense domain basis ``mat`` with its thin SVD
+    ``mat = U diag(s) Vh``, all arrays read-only.
+
+    The identity is recognised by one exact comparison and gets
+    U = Vh = I and s = 1 without an SVD; that is the factorization LAPACK
+    returns for it, so nothing downstream changes.  ``identity`` lets a
+    form reuse its coefficient spectrum.  The rank rule is the consumer's:
+    operators and forms apply different ones to the same ``s``.
+    """
+
+    mat: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    identity: bool = False
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse V diag(1/s) U^H of a full-rank basis."""
+        P = (self.Vh.conj().T / self.s) @ self.U.conj().T
+        P.setflags(write=False)
+        return P
+
+
+def _factor_basis(B: np.ndarray) -> _Basis:
+    """Factor a finite complex n x d basis; read-only from here on."""
+    n, d = B.shape
+    identity = n == d and np.array_equal(B, np.eye(n))
+    if identity:
+        U, s, Vh = B, np.ones(n), B
+    else:
+        U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    for M in (B, U, s, Vh):
+        M.setflags(write=False)
+    return _Basis(B, U, s, Vh, identity)
+
+
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Operator given by a domain basis and its action on that basis.
 
@@ -265,15 +307,18 @@ class DenseOperator:
     {y : sum |a_n y_n|^2 certified finite}.
 
     A dense basis is factored once, by the thin SVD B = U diag(s) V^H
-    taken at construction.  The basis is independent when
-    s_min > 1e-9 max(1, s_max).  The operator keeps U, an orthonormal
-    basis of the span, and the pseudo-inverse V diag(1/s) U^H; every
-    basis operation below is a product with one of them.
+    taken at construction, or not at all when ``basis_mat`` is the
+    identity or is given as the already factored basis of another
+    operator or form, which is then shared.  The basis is independent
+    when s_min > 1e-9 max(1, s_max).  The operator keeps U, an
+    orthonormal basis of the span, and the pseudo-inverse
+    V diag(1/s) U^H; every basis operation below is a product with one
+    of them.
     """
 
     backend: str
     direction: str = TO_DUAL
-    basis_mat: np.ndarray | None = None
+    basis_mat: np.ndarray | _Basis | None = None
     action_mat: np.ndarray | None = None
     diagonal: series.Rule | None = None
     domain_rule: str = DOMAIN_SPAN
@@ -281,21 +326,21 @@ class DenseOperator:
 
     def __post_init__(self):
         if self.backend == DENSE:
-            B = np.asarray(self.basis_mat, dtype=complex)
+            shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
+            B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
             Z = np.asarray(self.action_mat, dtype=complex)
             if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
                 raise ValueError("basis and action must be matching n x d matrices")
             _require_finite("basis and action", B, Z)
             if not 0 < B.shape[1] <= B.shape[0]:
                 raise DomainError("domain basis is not linearly independent")
-            U, s, Vh = np.linalg.svd(B, full_matrices=False)
-            if s[-1] <= 1e-9 * max(1.0, float(s[0])):
+            basis = shared or _factor_basis(B)
+            if basis.s[-1] <= 1e-9 * max(1.0, float(basis.s[0])):
                 raise DomainError("domain basis is not linearly independent")
-            pinv = (Vh.conj().T / s) @ U.conj().T
-            for name, M in (("basis_mat", B), ("action_mat", Z),
-                            ("_U", U), ("_pinv", pinv)):
-                M.setflags(write=False)
-                object.__setattr__(self, name, M)
+            Z.setflags(write=False)
+            object.__setattr__(self, "basis_mat", B)
+            object.__setattr__(self, "action_mat", Z)
+            object.__setattr__(self, "_basis", basis)
         elif self.backend == SEQUENCE:
             if self.diagonal is None:
                 raise ValueError("sequence operators need a diagonal generator")
@@ -318,7 +363,7 @@ class DenseOperator:
     def coefficients_of(self, x: np.ndarray, rtol: float = TOL_SUB) -> np.ndarray:
         """Coefficients of x in the domain basis; DomainError when x, or
         any column of a matrix x, is outside the span beyond ``rtol``."""
-        c = self._pinv @ x
+        c = self._basis.pinv @ x
         res = np.linalg.norm(self.basis_mat @ c - x, axis=0)
         if np.any(res > rtol * np.maximum(np.linalg.norm(x, axis=0), 1e-300)):
             raise DomainError("vector outside the operator domain "
@@ -330,14 +375,15 @@ class DenseOperator:
 
     def canonical_matrix(self) -> np.ndarray:
         """Matrix acting on the domain span (zero on its complement)."""
-        return self.action_mat @ self._pinv
+        return self.action_mat @ self._basis.pinv
 
     def effective_projector(self) -> np.ndarray:
         """Orthogonal projector on the domain span, computed once per
         operator and returned read-only."""
         P = self.__dict__.get("_projector")
         if P is None:
-            P = self._U @ self._U.conj().T
+            U = self._basis.U
+            P = U @ U.conj().T
             P.setflags(write=False)
             object.__setattr__(self, "_projector", P)
         return P
@@ -404,7 +450,7 @@ def adjoint(A: DenseOperator) -> DenseOperator:
     if A.direction == ENDO:
         raise DomainError("adjoint of an X -> X endomorphism lives on X*; "
                           "use its conjugate-transpose matrix directly")
-    Q = A._U
+    Q = A._basis.U
     return DenseOperator(DENSE, A.direction, Q, A.effective_matrix().conj().T @ Q)
 
 
@@ -423,7 +469,7 @@ def is_extension(S: DenseOperator, T: DenseOperator,
     if S.n != T.n:
         return False
     scale_act = max(operator_norm(T.action_mat), operator_norm(S.action_mat), 1e-300)
-    C = T._pinv @ S.basis_mat
+    C = T._basis.pinv @ S.basis_mat
     sub = np.linalg.norm(T.basis_mat @ C - S.basis_mat, axis=0)
     act = np.linalg.norm(T.action_mat @ C - S.action_mat, axis=0)
     return bool(np.all(sub <= tol_sub * np.linalg.norm(S.basis_mat, axis=0)) and

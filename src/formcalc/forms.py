@@ -12,16 +12,17 @@ equivalence-scaled bound otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import series
 from .duality import (
     DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DualityPair,
-    Functional, Vector, _require_finite, operator_norm,
+    Functional, Vector, _Basis, _factor_basis, _require_finite, operator_norm,
 )
 from .errors import BackendMismatch, LowerBoundError, NotPositive, Uncertifiable
-from .linalg import assert_hermitian, min_eigenvalue, relative_residual
+from .linalg import assert_hermitian, hermitian_eigvalsh, relative_residual
 
 CLOSED_AUTOMATIC = "lower-bound-automatic"
 CLOSED_SEQUENTIAL = "sequential"
@@ -35,10 +36,16 @@ class SesquilinearForm:
     ``basis_mat``.  Sequence-backend forms are diagonal with a weight
     generator instead.  ``closedness`` names the certificate kind; in the
     dense backend with positive lower bound it is automatic.
+
+    The dense basis is factored on first use by :func:`lower_bound`,
+    with no SVD for the identity.  A form made from an operator, or a
+    form whose ``basis_mat`` is given as an already factored basis,
+    shares that factorization, and so do the operators that
+    :func:`associated_operator` builds on it.
     """
 
     backend: str
-    basis_mat: np.ndarray | None = None
+    basis_mat: np.ndarray | _Basis | None = None
     gram: np.ndarray | None = None
     diagonal: series.Rule | None = None
     symmetric: bool = True
@@ -46,21 +53,26 @@ class SesquilinearForm:
 
     def __post_init__(self):
         if self.backend == DENSE:
-            B = np.asarray(self.basis_mat, dtype=complex)
+            shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
+            B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
             G = np.asarray(self.gram, dtype=complex)
             if G.shape != (B.shape[1], B.shape[1]):
                 raise ValueError("gram must be d x d for a d-column basis")
             _require_finite("basis and gram", B, G)
             if self.symmetric:
                 assert_hermitian(G, 1e-12, "form gram")
-            lam = min_eigenvalue(0.5 * (G + G.conj().T))
+            # t(x, x) in coefficients is the quadratic form of conj(G)
+            lam = hermitian_eigvalsh(np.conj(G))
             # the norm scales the slack only, so lam >= 0 needs no SVD
-            if lam < 0 and lam < -1e-12 * max(1.0, operator_norm(G)):
-                raise NotPositive(f"form indefinite (eigenvalue {lam:.3e})")
+            if lam[0] < 0 and lam[0] < -1e-12 * max(1.0, operator_norm(G)):
+                raise NotPositive(f"form indefinite (eigenvalue {lam[0]:.3e})")
             B.setflags(write=False)
             G.setflags(write=False)
             object.__setattr__(self, "basis_mat", B)
             object.__setattr__(self, "gram", G)
+            object.__setattr__(self, "_coefficient_spectrum", lam)
+            if shared:
+                object.__setattr__(self, "_basis", shared)
         elif self.backend == SEQUENCE:
             if self.diagonal is None:
                 raise ValueError("sequence forms need a diagonal weight rule")
@@ -72,6 +84,26 @@ class SesquilinearForm:
     @property
     def d(self) -> int:
         return self.basis_mat.shape[1]
+
+    @cached_property
+    def _basis(self) -> _Basis:
+        return _factor_basis(self.basis_mat)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of t(x, x) in orthonormal coordinates on
+        the domain: with B = U diag(s) V^H and y = diag(s) V^H c, those of
+        W conj(G) W^H for W = diag(1/s) V^H, which for the identity basis
+        are the coefficient eigenvalues found at construction."""
+        basis = self._basis
+        s = basis.s
+        col_max = float(np.max(np.sum(np.abs(basis.mat) ** 2, axis=0)))
+        if s.size < self.d or s[-1] ** 2 <= 1e-12 * max(col_max, 1e-300):
+            raise NotPositive("basis gram numerically singular")
+        if basis.identity:
+            return self._coefficient_spectrum
+        W = basis.Vh / s[:, None]
+        return hermitian_eigvalsh(W @ np.conj(self.gram) @ W.conj().T)
 
 
 def form_from_gram(basis, gram, symmetric: bool = True) -> SesquilinearForm:
@@ -90,7 +122,7 @@ def form_of_operator(A: DenseOperator) -> SesquilinearForm:
     asym = np.linalg.norm(G - G.conj().T)
     # the tolerance is at least 1e-10, so below that no SVD is needed
     sym = bool(asym <= 1e-10 or asym <= 1e-10 * max(1.0, operator_norm(G)))
-    return SesquilinearForm(DENSE, A.basis_mat, G, symmetric=sym)
+    return SesquilinearForm(DENSE, A._basis, G, symmetric=sym)
 
 
 def diagonal_form(rule: series.Rule) -> SesquilinearForm:
@@ -128,24 +160,19 @@ def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
 
     p = 2: smallest eigenvalue of the form gram against the Euclidean
     gram of the domain basis, exact, reduced to a standard eigenproblem
-    through one SVD of the basis.  p != 2: the p = 2 value scaled by
-    the certified norm-equivalence factor on the ambient coordinates.
+    through the SVD of the basis.  That SVD is the one the form shares
+    with its operator, taken at most once per basis and not at all for
+    the identity, whose reduced problem is the gram itself.  p != 2: the
+    p = 2 value scaled by the certified norm-equivalence factor on the
+    ambient coordinates.
     """
     if t.backend == SEQUENCE:
         gamma2 = series.rule_lower_bound(t.diagonal)
         if dp.p == 2.0:
             return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
         raise Uncertifiable("sequence lower bounds are certified for p = 2 only")
-    # with B = U diag(s) V^H and y = diag(s) V^H c, the pencil
-    # (Gq, B^H B) becomes the standard problem for W Gq W^H
-    B = t.basis_mat
-    _, s, Vh = np.linalg.svd(B, full_matrices=False)
-    col_max = float(np.max(np.sum(np.abs(B) ** 2, axis=0)))
-    if s.size < t.d or s[-1] ** 2 <= 1e-12 * max(col_max, 1e-300):
-        raise NotPositive("basis gram numerically singular")
-    W = Vh / s[:, None]
-    H = W @ np.conj(t.gram) @ W.conj().T   # conj(gram): t(x, x) in coefficients
-    gamma2 = min_eigenvalue(0.5 * (H + H.conj().T))
+    # the pencil (conj(G), B^H B) as a standard eigenproblem
+    gamma2 = float(t._spectrum[0])
     if gamma2 < 0 and gamma2 < -1e-12 * max(1.0, operator_norm(t.gram)):
         raise NotPositive(f"form indefinite (gamma {gamma2:.3e})")
     gamma2 = max(gamma2, 0.0)
@@ -208,7 +235,10 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
 
     Returns A (positive, self-adjoint, dom A the effective closure of the
     form domain) together with the everywhere-defined bounded inverse B,
-    with the identity and norm residuals recorded.
+    with the identity and norm residuals recorded.  A and B share the
+    form's factored basis.  The norm of the Hermitian ``M_A`` comes from
+    the form's reduced spectrum, that of ``R`` from the eigenvalues of
+    its Hermitian part.
     """
     if t.backend != DENSE:
         raise BackendMismatch("the representation route is dense-backend only")
@@ -217,19 +247,26 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     cert = lower_bound(t, dp)
     if cert.gamma <= 0.0:
         raise LowerBoundError(f"lower bound gamma = {cert.gamma:.3e} is not positive")
-    B = t.basis_mat
+    basis = t._basis
+    B = basis.mat
     Gt = t.gram.T            # conj(gram) for Hermitian grams
-    Sb = B.conj().T @ B
-    # B: X* -> X, everywhere defined on the effective dual, f = R v
-    R = B @ _solve_chol(Gt, B.conj().T)
-    # A: action on the domain basis column j is  B (B^H B)^-1 G^T e_j
-    Z = B @ np.linalg.solve(Sb, Gt)
-    A = DenseOperator(DENSE, TO_DUAL, B, Z)
-    Bop = DenseOperator(DENSE, FROM_DUAL, B, R @ B)
+    # B: X* -> X, everywhere defined on the effective dual, f = R v; with
+    # G^T = L L^H it is R = B (G^T)^-1 B^H = X^H X for X = L^-1 B^H
+    X = np.linalg.solve(np.linalg.cholesky(Gt.conj().T), B.conj().T)
+    R = X.conj().T @ X
+    # A: action on the domain basis column j is  B (B^H B)^-1 G^T e_j,
+    # and B (B^H B)^-1 is pinv(B)^H
+    Z = basis.pinv.conj().T @ Gt
+    A = DenseOperator(DENSE, TO_DUAL, basis, Z)
+    Bop = DenseOperator(DENSE, FROM_DUAL, basis, R @ B)
 
     P = A.effective_projector()
     M_A = A.canonical_matrix()
-    norm_a, norm_r = operator_norm(M_A), operator_norm(R)
+    # M_A = U W conj(G) W^H U^H has the eigenvalues of the form, R has
+    # its own
+    lam_r = hermitian_eigvalsh(R)
+    norm_a = float(np.max(np.abs(t._spectrum)))
+    norm_r = float(np.max(np.abs(lam_r)))
     scale = max(norm_a, norm_r, 1.0)
     ab_res = relative_residual(operator_norm(M_A @ R - P), [scale])
     ba_res = relative_residual(operator_norm(R @ M_A @ P - P), [scale])
@@ -242,7 +279,7 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
         "selfadjoint": sa_res,
         "b_norm": bnorm,
         "b_norm_bound": bnorm - 1.0 / cert.gamma,
-        "b_positive": max(0.0, -min_eigenvalue(0.5 * (R + R.conj().T))),
+        "b_positive": max(0.0, -float(lam_r[0])),
     }
     if ab_res > 1e-10 or ba_res > 1e-10:
         raise ArithmeticError(f"inverse identities violated: {residuals}")

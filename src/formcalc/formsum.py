@@ -32,12 +32,14 @@ from .duality import (
     DENSE, DOMAIN_MAXIMAL, ENDO, SEQUENCE, DenseOperator, DualityPair, Vector,
     diagonal_operator, operator_from_matrix, operator_norm,
 )
-from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
+from .errors import (
+    BackendMismatch, DomainError, LowerBoundError, NotPositive, Uncertifiable,
+)
 from .forms import (
     CLOSED_AUTOMATIC, CLOSED_SEQUENTIAL, SesquilinearForm, associated_operator,
-    form_from_gram, form_of_operator, lower_bound,
+    form_of_operator, lower_bound,
 )
-from .linalg import gram_quadratic, relative_residual
+from .linalg import gram_quadratic, hermitian_norm, relative_residual
 from .ordering import FactorizationResult, factorize
 
 
@@ -154,13 +156,14 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
         raise DomainError("intersection domain is trivial")
     fac_a = factorize(A) if fac_a is None else fac_a
     G_sum = _aform_gram(fac_a, C) + t_b.gram
-    t_sum = form_from_gram(C, G_sum)
+    # the sum form lives on B's factored basis
+    t_sum = SesquilinearForm(DENSE, t_b._basis, G_sum)
     rep = associated_operator(t_sum, dp)
     AB = rep.A
     # extension of A + B on dom A intersect dom B = dom t_B here
     M_AB = AB.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
-    scale = max(operator_norm(M_sum), 1.0)
+    scale = max(hermitian_norm(M_sum), 1.0)
     worst = _max_column_norm(M_AB @ C - M_sum @ C) / scale
     collapse = bool(A.is_full_domain() and B.is_full_domain())
     if collapse:
@@ -187,6 +190,11 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     # (covariance rules decay), so only positivity is demanded here
     if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
         raise NotPositive("sequence form sums need nonnegative generators")
+    # inf a_n is the l^p lower bound only for p >= 2, as in the sequence
+    # Friedrichs extension
+    if dp.p < 2.0:
+        raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
+                            "certified (inf a_n overstates it)")
     rule = A.diagonal + B.diagonal
     AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
     # density of H_{A,B}: every finitely supported vector passes both
@@ -231,7 +239,7 @@ def joint_factorize(A: DenseOperator, B: DenseOperator, dp: DualityPair,
         Y = np.array([y.coords for y in samples], dtype=complex).reshape(-1, dp.n).T
     M_AB = fs.operator.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
-    scale = max(operator_norm(M_sum), 1.0)
+    scale = max(hermitian_norm(M_sum), 1.0)
     Z = B.effective_projector() @ Y    # restrict to dom t_B, the sum domain here
     Ca = fac_a.jstar_coefficients(Z)
     Cb = fac_b.jstar_coefficients(Z)
@@ -363,7 +371,7 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     fs = _form_sum_dense(A, B, dp, None, lift_a.factorization)
     M = fs.operator.canonical_matrix()
     E_mat = E.canonical_matrix()
-    scale = max(operator_norm(M), 1.0)
+    scale = max(hermitian_norm(M), 1.0)
     incl = float(operator_norm(E_mat.conj().T @ M - M @ E_mat)) / scale
     # intermediate identities on samples: E* J = J (E^_A (+) E^_B) and
     # (E^_A (+) E^_B) J* = J* E on dom A cap dom B

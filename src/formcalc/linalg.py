@@ -47,8 +47,17 @@ def assert_hermitian(G: np.ndarray, tol: float = 1e-12, what: str = "gram"):
         raise NotPositive(f"{what} is not Hermitian (residual {res:.3e})")
 
 
-def min_eigenvalue(G: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(G)[0])
+def hermitian_eigvalsh(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of M."""
+    return np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+
+
+def hermitian_norm(M: np.ndarray) -> float:
+    """Spectral norm of the Hermitian part of M, from its eigenvalues.
+
+    It is the norm of a Hermitian M and a lower bound on ``||M||``
+    otherwise, so it may scale a residual but never stand for one."""
+    return float(np.max(np.abs(hermitian_eigvalsh(M))))
 
 
 def generalized_eigvalsh(A: np.ndarray, M: np.ndarray) -> np.ndarray:

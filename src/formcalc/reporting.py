@@ -3,8 +3,8 @@
 Every verification produces a :class:`Report`: claim tags, named
 residuals with their tolerances, certificates, and a three-valued
 verdict (``pass`` / ``fail`` / ``uncertified``).  The JSON schema is
-versioned; complex scalars travel as [re, im] pairs, grams row-major,
-generators as tagged term lists.
+versioned; a complex entry travels as a number or an [re, im] pair of
+numbers, grams row-major, generators as tagged term lists.
 """
 
 from __future__ import annotations
@@ -138,19 +138,48 @@ def _verdict_counts(reports) -> dict:
 # JSON wire schemas
 
 
+class MalformedOperand(Exception):
+    """An operand that breaks the wire schema.  It is an input error,
+    not a verdict: it passes through the check runner, and the command
+    line exits 4."""
+
+
+#: what each reader expects, by the number of list levels above the entries
+_EXPECTED = ("a number or an [re, im] pair of numbers",
+             "a list of numbers or of [re, im] pairs of numbers",
+             "a matrix: equal-length rows of numbers or of [re, im] pairs "
+             "of numbers")
+
+
+def _complex_array(v, ndim: int) -> np.ndarray:
+    """``ndim`` levels of lists whose entries are all numbers or all
+    [re, im] pairs of numbers, decoded by one numpy call.  Pairs are
+    viewed as complex, which gives the bits of ``complex(re, im)``;
+    ``true`` and ``false`` read as 1 and 0, as ``complex`` reads them.
+    Anything else raises :class:`MalformedOperand`."""
+    try:
+        a = np.asarray(v)
+    except ValueError:            # ragged lists
+        a = None
+    if a is not None and a.dtype.kind in "biuf":
+        if a.ndim == ndim:
+            return a.astype(complex)
+        if a.ndim == ndim + 1 and a.shape[-1] == 2:
+            return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    raise MalformedOperand(f"expected {_EXPECTED[ndim]}")
+
+
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+    """One scalar, such as a rule coefficient."""
+    return complex(_complex_array(v, 0))
 
 
 def array_from_json(v) -> np.ndarray:
-    return np.array([complex_from_json(z) for z in v], dtype=complex)
+    return _complex_array(v, 1)
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex_from_json(z) for z in row] for row in rows],
-                    dtype=complex)
+    return _complex_array(rows, 2)
 
 
 def rule_from_json(obj) -> series.Rule:
@@ -203,8 +232,8 @@ def write_csv(path, header, rows):
 
 
 def gram_csv_rows(G: np.ndarray):
-    rows = []
-    for i, row in enumerate(np.asarray(G, dtype=complex)):
-        for j, z in enumerate(row):
-            rows.append([i, j, z.real, z.imag])
-    return rows
+    """Rows ``[i, j, re, im]`` of G, row-major."""
+    G = np.asarray(G, dtype=complex)
+    i, j = np.indices(G.shape).reshape(2, -1).tolist()
+    return list(map(list, zip(i, j, G.real.ravel().tolist(),
+                              G.imag.ravel().tolist())))

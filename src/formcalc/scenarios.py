@@ -40,9 +40,9 @@ from .formsum import (
 from .friedrichs import core_check, friedrichs
 from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert_consistency
 from .reporting import (
-    Report, _run_check, array_from_json, functional_from_json, gram_csv_rows,
-    matrix_from_json, operator_from_json, pair_from_json, rule_from_json,
-    vector_from_json,
+    MalformedOperand, Report, _run_check, array_from_json, functional_from_json,
+    gram_csv_rows, matrix_from_json, operator_from_json, pair_from_json,
+    rule_from_json, vector_from_json,
 )
 
 RESERVED = {"id", "op", "seed", "tolerances", "expect"}
@@ -83,9 +83,10 @@ def _problem_from_json(obj):
 
 def _form(ops):
     """The form of ``gram`` over ``basis`` (default: the standard basis)."""
+    G = matrix_from_json(ops["gram"])
     basis = matrix_from_json(ops["basis"]) if "basis" in ops else np.eye(
-        len(ops["gram"]), dtype=complex)
-    return form_from_gram(basis, matrix_from_json(ops["gram"]))
+        G.shape[0], dtype=complex)
+    return form_from_gram(basis, G)
 
 
 def _variable(ops):
@@ -513,3 +514,6 @@ def run_scenario(sc: dict, tol_scale: float = 1.0) -> Report:
         return _run_check(sid, claims, check, tol_scale=tol_scale)
     except KeyError as exc:
         raise MissingOperand(f"scenario {sid!r} lacks operand {exc}") from exc
+    except MalformedOperand as exc:
+        raise MalformedOperand(f"scenario {sid!r} has a malformed operand: "
+                               f"{exc}") from exc

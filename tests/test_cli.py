@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from formcalc.cli import main
+from formcalc.covariance import covariance_form
 from formcalc.errors import LowerBoundError, Uncertifiable
 from formcalc.reporting import CLAIM_TAGS
-from formcalc.scenarios import OPERATIONS, MissingOperand, run_scenario
+from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, run_scenario
 from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
 
 
@@ -152,6 +153,25 @@ class TestScenarioDispatch:
         assert rep.verdict == "fail"
         assert rep.details["error"].startswith("DomainError: coefficient a(x)")
 
+    @pytest.mark.parametrize("p, verdict", [(1.5, "uncertified"), (2.0, "pass"),
+                                            (3.0, "pass")])
+    def test_sequence_form_sum_gamma_needs_p_at_least_2(self, p, verdict):
+        # the constant generator summed with itself: inf a_n = 2, the l^p
+        # lower bound for p >= 2; at p = 1.5 the infimum is 0 (N leading
+        # ones give 2 N^(-1/3)), so the bound is not certified there
+        one = {"backend": "sequence", "direction": "to-dual",
+               "diagonal": {"terms": [{"coef": [1, 0], "alpha": 0.0,
+                                       "ratio": 1.0, "start": 1}]},
+               "domain": "finitely-supported"}
+        rep = run_scenario({
+            "id": "seq-sum", "op": "form-sum", "A": one, "B": one,
+            "space": {"backend": "sequence", "truncation": 64, "p": p}})
+        assert rep.verdict == verdict
+        if verdict == "pass":
+            assert rep.details["gamma"] == 2.0
+        else:
+            assert rep.details["error"].startswith("Uncertifiable: diagonal lower bound")
+
     def test_signed_basis_independent_sum_passes(self):
         # the signed-basis residual is error over allowed error, so it
         # passes at 1 or less; this one reads about 0.25
@@ -230,6 +250,31 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "lacks operand" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("gram", [
+        [[[2, 0], "abc"], [[0, 0], [3, 0]]],
+        [[[2, 0], None], [[0, 0], [3, 0]]],
+        [[[2, 0], [1]], [[0, 0], [3, 0]]],
+        [[[2, 0], [1, 2, 3]], [[0, 0], [3, 0]]],
+        [[[2, 0], {"re": 1}], [[0, 0], [3, 0]]],
+        [[[2, 0], [0, 0]], [[3, 0]]],
+    ], ids=["string", "null", "one-number", "three-numbers", "object", "ragged"])
+    def test_malformed_gram_exits_four(self, tmp_path, capsys, gram):
+        f = write_scenarios(tmp_path / "malformed.json", [
+            {"id": "ok", "op": "norm", "p": 2.0,
+             "x": {"coords": [[3, 0], [4, 0]]}, "expected": 5.0},
+            {"id": "bad-gram", "op": "associated-operator", "space": DENSE2,
+             "gram": gram}])
+        assert main(["run", f]) == 4
+        err = capsys.readouterr().err
+        assert "scenario 'bad-gram' has a malformed operand: expected a matrix" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gram_entry_fails(self, tmp_path, bad):
+        f = write_scenarios(tmp_path / "non-finite.json", [{
+            "id": "non-finite", "op": "associated-operator", "space": DENSE2,
+            "gram": [[[2, 0], [0, 0]], [[0, 0], [bad, 0]]]}])
+        assert main(["run", f]) == 2
+
     def test_jobs_parallel_deterministic(self, tmp_path):
         scenarios = [{
             "id": f"s{k}", "op": "associated-operator", "space": DENSE2,
@@ -242,6 +287,21 @@ class TestCliRun:
         s1 = (out1 / "summary.json").read_text()
         s2 = (out2 / "summary.json").read_text()
         assert s1 == s2
+
+    def test_covariance_gram_csv(self, tmp_path):
+        sc = {"id": "cov", "op": "covariance-form",
+              "space_pair": {"backend": "dense", "dim": 3, "p": 2.0},
+              "probability": {"kind": "finite", "weights": [0.25, 0.75]},
+              "variable": {"kind": "table", "values": [
+                  [[1, 0], [2, -1], [0, 0.5]], [[-1, 0], [0, 0], [3, 0]]]}}
+        out = tmp_path / "r"
+        assert main(["run", write_scenarios(tmp_path / "cov.json", [sc]),
+                     "--out", str(out)]) == 0
+        gram = covariance_form(_variable(sc))[0].gram
+        want = ["i,j,re,im"] + [f"{i},{j},{z.real!r},{z.imag!r}"
+                                for i, row in enumerate(gram.tolist())
+                                for j, z in enumerate(row)]
+        assert (out / "cov-covariance-gram.csv").read_text().splitlines() == want
 
     def test_weak_solve_csv(self, tmp_path):
         f = write_scenarios(tmp_path / "solve.json", [{

@@ -15,6 +15,7 @@ from formcalc.duality import (
     restricted_operator, sequence_pair, vector,
 )
 from formcalc.errors import BackendMismatch, DomainError
+from formcalc.reporting import operator_from_json
 
 
 DP2 = dense_pair(2)
@@ -289,6 +290,21 @@ class TestOneFactorization:
         assert len(of_basis) == 1
         assert all(linalg_calls[name] == [] for name in
                    ("lstsq", "solve", "orth", "cholesky"))
+
+    def test_identity_bases_take_no_svd(self, linalg_calls):
+        n = 5
+        dp = dense_pair(n)
+        M = np.arange(n * n, dtype=float).reshape(n, n)
+        eye = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+        read = operator_from_json({"backend": "dense", "domain_basis": eye,
+                                   "action": eye})
+        for A in (operator_from_matrix(M, dp), identity_operator(dp), read):
+            x = np.arange(n) + 1j
+            np.testing.assert_array_equal(A.coefficients_of(x), x)
+            np.testing.assert_array_equal(A.canonical_matrix(), A.action_mat)
+            np.testing.assert_array_equal(A.effective_projector(), np.eye(n))
+            adjoint(A)
+        assert linalg_calls["svd"] == []
 
     def test_reference_values_on_restricted_bases(self):
         rng = np.random.default_rng(92)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formcalc.duality import FROM_DUAL, dense_pair, functional, operator_from_matrix
+from formcalc.duality import (
+    FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
+)
 from formcalc.errors import LowerBoundError, NotPositive
 from formcalc.forms import (
     associated_operator, form_from_gram, form_of_operator, inverse_selfadjoint,
@@ -84,6 +86,18 @@ def singular_margin(B):
     return scipy.linalg.eigvalsh(S)[0] / (1e-12 * np.max(np.diag(S).real))
 
 
+@pytest.fixture
+def svd_solve_calls(monkeypatch):
+    """First argument of every numpy SVD and solve, by name."""
+    calls = {"svd": [], "solve": []}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name].append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestLowerBoundFromOneSVD:
     def test_one_svd_and_no_cholesky(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -97,6 +111,14 @@ class TestLowerBoundFromOneSVD:
             monkeypatch.setattr(mod, name, counted)
         lower_bound(t, dense_pair(7))
         assert calls == {"svd": 1, "cholesky": 0}
+
+    def test_form_of_an_operator_shares_its_svd(self, svd_solve_calls):
+        rng = np.random.default_rng(66)
+        B = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        A = restricted_operator(random_hpd(rng, 6), B, dense_pair(6))
+        assert len(svd_solve_calls["svd"]) == 1
+        lower_bound(form_of_operator(A), dense_pair(6))
+        assert len(svd_solve_calls["svd"]) == 1
 
     def test_generalized_eigenvalue_oracle(self):
         rng = np.random.default_rng(62)
@@ -204,6 +226,25 @@ class TestAssociatedOperator:
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             # (z, Bz) = (Bz)^H z with R Hermitian
             assert np.real(np.vdot(R @ z, z)) >= -1e-12
+
+    def test_one_svd_of_a_shared_basis(self, svd_solve_calls):
+        rng = np.random.default_rng(14)
+        B = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        t = form_from_gram(B, (B.conj().T @ random_hpd(rng, 6) @ B).T)
+        rep = associated_operator(t, dense_pair(6))
+        of_basis = [a for a in svd_solve_calls["svd"]
+                    if np.shape(a) == B.shape and np.array_equal(a, B)]
+        assert len(of_basis) == 1
+        Sb = B.conj().T @ B
+        assert not any(np.shape(a) == Sb.shape and np.allclose(a, Sb)
+                       for a in svd_solve_calls["solve"])
+        # the Hermitian norms from eigenvalues against SVD norms
+        M_A, R = rep.A.canonical_matrix(), rep.B.canonical_matrix()
+        assert abs(rep.b_norm - np.linalg.norm(R, 2)) <= 1e-12 * rep.b_norm
+        Z = rep.A.action_mat
+        np.testing.assert_allclose(Z, np.linalg.pinv(B).conj().T @ t.gram.T,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(Z))
+        assert np.linalg.norm(M_A - M_A.conj().T) <= 1e-12 * np.linalg.norm(M_A)
 
     def test_gamma_zero_rejected(self):
         t = form_from_gram(np.eye(2), np.diag([1.0, 0.0]))
