@@ -18,7 +18,7 @@ import numpy.random
 
 from .duality import (
     DenseOperator, DualityPair, Functional, Vector, adjoint, basis_functional,
-    basis_vector, dense_pair, diagonal_operator, dual_norm, functional,
+    basis_vector, dense_pair, diagonal_operator, functional,
     generated_functional, generated_vector, identity_operator, is_extension,
     norm, operator_from_matrix, pair, restricted_operator, sequence_pair,
     vector,

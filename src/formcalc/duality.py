@@ -63,15 +63,14 @@ class DualityPair:
 
     ``p`` in (1, inf) is the norm exponent of X; the dual exponent q with
     1/p + 1/q = 1 is derived, never stored.  The dense backend carries an
-    ambient dimension, the sequence backend a working truncation plus the
-    kind of tail certificate its generators must admit.
+    ambient dimension, the sequence backend a working truncation; its
+    generators admit power-geometric tail certificates.
     """
 
     backend: str
     p: float
     dim: int | None = None
     truncation: int | None = None
-    tail_certificates: str = "power-geometric"
 
     def __post_init__(self):
         if self.backend not in (DENSE, SEQUENCE):
@@ -246,10 +245,6 @@ def norm(x: Vector | Functional, p: float) -> float:
     if not np.isfinite(tb) or tb > TOL_TAIL * max(1.0, head):
         raise Uncertifiable("norm tail not certifiable at the working truncation")
     return (head + tb / 2.0) ** (1.0 / p)
-
-
-def dual_norm(v: Functional, dp: DualityPair) -> float:
-    return norm(v, dp.q)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ def problem(length: float, a_rule: str, b_rule: str, gamma: float,
 @dataclass(frozen=True, eq=False)
 class Mesh1D:
     nodes: np.ndarray
-    quad_order: int = 4
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -83,8 +82,8 @@ class Mesh1D:
         return pts, wts
 
 
-def uniform_mesh(m: int, length: float = 1.0, quad_order: int = 4) -> Mesh1D:
-    return Mesh1D(np.linspace(0.0, length, m + 1), quad_order)
+def uniform_mesh(m: int, length: float = 1.0) -> Mesh1D:
+    return Mesh1D(np.linspace(0.0, length, m + 1))
 
 
 def _finite(what: str, values) -> np.ndarray:
@@ -268,7 +267,6 @@ class WeakSolution:
     galerkin_residual: float
     energy_norm: float
     lp_norm: float
-    q_threshold_ok: bool              # q >= 2n/(n+2) with n = 1
     details: dict = field(default_factory=dict)
 
     def __call__(self, x) -> np.ndarray:
@@ -333,7 +331,7 @@ def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     energy = math.sqrt(max(float(u @ matvec(u)), 0.0))
     fq = _function_at_quad(mesh, np.concatenate([[0.0], u, [0.0]]))
     lp = float(np.sum(wts * np.abs(fq) ** prob.p)) ** (1.0 / prob.p)
-    return WeakSolution(u.astype(complex), mesh, res, energy, lp, True,
+    return WeakSolution(u.astype(complex), mesh, res, energy, lp,
                         {"q": prob.q, "threshold": "q >= 2n/(n+2) with n = 1"})
 
 

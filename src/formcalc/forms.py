@@ -22,7 +22,9 @@ from .duality import (
     Functional, Vector, _Basis, _factor_basis, _require_finite, operator_norm,
 )
 from .errors import BackendMismatch, LowerBoundError, NotPositive, Uncertifiable
-from .linalg import assert_hermitian, hermitian_eigvalsh, relative_residual
+from .linalg import (
+    assert_hermitian, hermitian_eigvalsh, hermitian_residual, relative_residual,
+)
 
 CLOSED_AUTOMATIC = "lower-bound-automatic"
 CLOSED_SEQUENTIAL = "sequential"
@@ -119,9 +121,8 @@ def form_of_operator(A: DenseOperator) -> SesquilinearForm:
     if A.backend == SEQUENCE:
         return SesquilinearForm(SEQUENCE, diagonal=A.diagonal)
     G = A.form_gram()
-    asym = np.linalg.norm(G - G.conj().T)
-    # the tolerance is at least 1e-10, so below that no SVD is needed
-    sym = bool(asym <= 1e-10 or asym <= 1e-10 * max(1.0, operator_norm(G)))
+    # the constructor's own test, so a form flagged symmetric always builds
+    sym = hermitian_residual(G) <= 1e-12
     return SesquilinearForm(DENSE, A._basis, G, symmetric=sym)
 
 
@@ -133,9 +134,10 @@ def diagonal_form(rule: series.Rule) -> SesquilinearForm:
 class LowerBoundCertificate:
     """gamma with t(x, x) >= gamma ||x||_p^2 on the form domain.
 
-    ``exact-p2`` is tight (generalized eigensolve); ``equivalence-scaled``
-    is a certified under-estimate through the l_p / l_2 norm equivalence
-    with the conceded amount recorded in ``slack``.
+    ``exact-p2`` is tight (generalized eigensolve); ``exact-inf`` is the
+    infimum of a sequence diagonal for p > 2; ``equivalence-scaled`` is a
+    certified under-estimate through the l_p / l_2 norm equivalence with
+    the conceded amount recorded in ``slack``.
     """
 
     gamma: float
@@ -165,12 +167,18 @@ def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
     the identity, whose reduced problem is the gram itself.  p != 2: the
     p = 2 value scaled by the certified norm-equivalence factor on the
     ambient coordinates.
+
+    Sequence diagonals: inf a_n for p >= 2, where ||x||_p <= ||x||_2 and
+    the basis vectors attain it; below p = 2 it overstates gamma, which
+    is then uncertified.
     """
     if t.backend == SEQUENCE:
-        gamma2 = series.rule_lower_bound(t.diagonal)
-        if dp.p == 2.0:
-            return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
-        raise Uncertifiable("sequence lower bounds are certified for p = 2 only")
+        if dp.p < 2.0:
+            raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
+                                "certified (inf a_n overstates it)")
+        return LowerBoundCertificate(series.rule_lower_bound(t.diagonal),
+                                     "exact-p2" if dp.p == 2.0 else "exact-inf",
+                                     detail={"p": dp.p})
     # the pencil (conj(G), B^H B) as a standard eigenproblem
     gamma2 = float(t._spectrum[0])
     if gamma2 < 0 and gamma2 < -1e-12 * max(1.0, operator_norm(t.gram)):

@@ -32,9 +32,7 @@ from .duality import (
     DENSE, DOMAIN_MAXIMAL, ENDO, SEQUENCE, DenseOperator, DualityPair, Vector,
     diagonal_operator, operator_from_matrix, operator_norm,
 )
-from .errors import (
-    BackendMismatch, DomainError, LowerBoundError, NotPositive, Uncertifiable,
-)
+from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
     CLOSED_AUTOMATIC, CLOSED_SEQUENTIAL, SesquilinearForm, associated_operator,
     form_of_operator, lower_bound,
@@ -190,12 +188,8 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     # (covariance rules decay), so only positivity is demanded here
     if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
         raise NotPositive("sequence form sums need nonnegative generators")
-    # inf a_n is the l^p lower bound only for p >= 2, as in the sequence
-    # Friedrichs extension
-    if dp.p < 2.0:
-        raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
-                            "certified (inf a_n overstates it)")
     rule = A.diagonal + B.diagonal
+    cert = lower_bound(SesquilinearForm(SEQUENCE, diagonal=rule), dp)
     AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
     # density of H_{A,B}: every finitely supported vector passes both
     # membership tests (finite sums are always certified)
@@ -205,8 +199,7 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     density = {"finitely_supported_pass": probes_ok}
     if not probes_ok:
         raise DomainError("density check failed on finitely supported probes")
-    gam = series.rule_lower_bound(rule)
-    return FormSumResult(AB, gam, density, 0.0, False, None, {})
+    return FormSumResult(AB, cert.gamma, density, 0.0, False, None, {})
 
 
 # ---------------------------------------------------------------------------

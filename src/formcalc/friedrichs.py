@@ -77,21 +77,18 @@ def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
         raise NotPositive("diagonal generator must be real")
     if a.domain_rule != DOMAIN_FINITE:
         raise DomainError("input operator must act on finitely supported vectors")
-    # inf a_n is the l^p lower bound only for p >= 2, where ||x||_p <=
-    # ||x||_2 and the basis vectors attain it; below 2 it overstates gamma
-    if dp.p < 2.0:
-        raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
-                            "certified (inf a_n overstates it)")
-    gamma = series.rule_lower_bound(rule)
-    if gamma <= 0:
+    # a rule not certified nonnegative has no form: its bound is
+    # uncertified, not violated
+    if not rule.is_nonnegative:
+        raise Uncertifiable("lower bound certified only for nonnegative rules")
+    t = SesquilinearForm(SEQUENCE, diagonal=rule)
+    cert = lower_bound(t, dp)
+    if cert.gamma <= 0:
         raise LowerBoundError(
-            f"generator lower bound {gamma:.3e} is not positive (certified)")
+            f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
     ext = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
     emb = _embedding_residual(rule, dp)
-    cert = LowerBoundCertificate(gamma, "exact-p2" if dp.p == 2.0 else "exact-inf",
-                                 detail={"p": dp.p})
-    return FriedrichsResult(ext, SesquilinearForm(SEQUENCE, diagonal=rule),
-                            emb, cert, {"backend": SEQUENCE})
+    return FriedrichsResult(ext, t, emb, cert, {"backend": SEQUENCE})
 
 
 def _embedding_residual(rule: series.Rule, dp: DualityPair) -> float:

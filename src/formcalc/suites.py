@@ -6,8 +6,12 @@ Each battery collects its module's invariant and property checks as
 with claim identifiers.  Every battery contains at least one deliberately
 violated instance whose verdict must be ``fail``: a check is a control
 (``control=True``) exactly when its name starts with ``control-``.
-Everything is deterministic given the seed; summaries therefore omit
-wall times.
+Where a scenario handler judges the same claim, a check is a seeded
+generator of ``(op, operands, seed)`` instances in the wire layout, judged
+by the handlers of :data:`formcalc.scenarios.OPERATIONS` and reported as
+the worst residual of each name; only residuals that no handler owns are
+computed here.  Everything is deterministic given the seed; summaries
+therefore omit wall times.
 """
 
 from __future__ import annotations
@@ -25,28 +29,23 @@ from .covariance import (
     weak_expectation,
 )
 from .duality import (
-    DOMAIN_FINITE, ENDO, FROM_DUAL, Functional, Vector, dense_pair,
+    DOMAIN_FINITE, ENDO, FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair,
     diagonal_operator, generated_vector, is_extension, operator_from_matrix,
     sequence_pair,
 )
 from .elliptic import (
-    convergence_table, dirichlet_vs_neumann, discrete_poincare, neumann_operator,
-    problem, sobolev_lower_bound, uniform_mesh, weak_solve,
+    convergence_table, discrete_poincare, neumann_operator, problem,
+    sobolev_lower_bound, uniform_mesh,
 )
 from .errors import FormcalcError, Uncertifiable
-from .formsum import (
-    commutation_formsum, commuting_pair, is_closed, joint_factorize,
-    lift_commutant, spectrum_inclusion,
-)
-from .forms import (
-    associated_operator, diagonal_form, form_from_gram, inverse_selfadjoint,
-)
+from .formsum import is_closed, joint_factorize, lift_commutant
+from .forms import associated_operator, diagonal_form, form_from_gram
 from .friedrichs import core_check, friedrichs, idempotent, in_extension_domain
 from .ordering import (
-    antisymmetry_check, compare, factorize, form_on_X, form_oracle_eigensolve,
-    hilbert_consistency,
+    antisymmetry_check, compare, form_on_X, form_oracle_eigensolve,
 )
 from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts
+from .scenarios import OPERATIONS
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +98,46 @@ def _random_psd(rng, n, force_kernel=False):
     return W @ W.conj().T
 
 
+def _sizes(rng, lo, hi, count):
+    """``count`` sizes in [lo, hi), each drawn just before its instance."""
+    for _ in range(count):
+        yield int(rng.integers(lo, hi))
+
+
+def _wire(M):
+    """A complex array in the wire's [re, im] layout: the bits of
+    ``np.stack((M.real, M.imag), axis=-1)``, viewed without a copy."""
+    return np.ascontiguousarray(M, dtype=complex)[..., None].view(float)
+
+
+def _space(n):
+    return {"backend": "dense", "dim": n}
+
+
+def _operator(M, direction=TO_DUAL):
+    """The operand of M acting on the standard basis, whose real entries
+    travel as plain numbers."""
+    return {"backend": "dense", "direction": direction,
+            "domain_basis": np.eye(M.shape[0]), "action": _wire(M)}
+
+
+def _worst(instances, details):
+    """Judge each ``(op, operands, seed)`` by its handler in
+    :data:`~formcalc.scenarios.OPERATIONS`: the largest residual of each
+    name (from 0.0) under the handlers' tolerances, with the battery's own
+    ``details``.  Two tolerances for one residual name raise ValueError."""
+    worst, tols = {}, {}
+    for op, operands, seed in instances:
+        residuals, tolerances, _, _ = OPERATIONS[op][1](operands, seed)
+        for name, value in residuals.items():
+            worst[name] = max(worst.get(name, 0.0), value)
+        for name, tol in tolerances.items():
+            if tols.setdefault(name, tol) != tol:
+                raise ValueError(f"residual {name!r} has tolerances "
+                                 f"{tols[name]} and {tol}")
+    return worst, tols, details, []
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -106,36 +145,15 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def inverses():
-        worst = {"ab_identity": 0.0, "ba_identity": 0.0, "selfadjoint": 0.0,
-                 "b_norm_excess": 0.0}
-        for _ in range(200):
-            n = int(rng.integers(1, 13))
-            rep = associated_operator(
-                form_from_gram(np.eye(n), _random_hpd(rng, n)), dense_pair(n))
-            worst["ab_identity"] = max(worst["ab_identity"],
-                                       rep.residuals["ab_identity"])
-            worst["ba_identity"] = max(worst["ba_identity"],
-                                       rep.residuals["ba_identity"])
-            worst["selfadjoint"] = max(worst["selfadjoint"],
-                                       rep.residuals["selfadjoint"])
-            worst["b_norm_excess"] = max(worst["b_norm_excess"],
-                                         rep.b_norm - 1.0 / rep.gamma)
-        tol = {"ab_identity": 1e-10, "ba_identity": 1e-10,
-               "selfadjoint": 1e-12, "b_norm_excess": 1e-8}
-        return worst, tol, {"instances": 200}, []
+        return _worst((("associated-operator",
+                        {"space": _space(n), "gram": _wire(_random_hpd(rng, n))}, 0)
+                       for n in _sizes(rng, 1, 13, 200)), {"instances": 200})
 
     def lem1():
-        worst = 0.0
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            Bm = np.linalg.inv(_random_hpd(rng, n))
-            B = operator_from_matrix(Bm, dense_pair(n), FROM_DUAL)
-            A = inverse_selfadjoint(B, dense_pair(n))
-            M = A.effective_matrix()
-            worst = max(worst, float(np.linalg.norm(M @ Bm - np.eye(n))) /
-                        max(float(np.linalg.norm(M)), 1.0))
-        return ({"composition": worst}, {"composition": 1e-10},
-                {"instances": 50}, [])
+        return _worst((("inverse-selfadjoint",
+                        {"space": _space(n), "B": _operator(
+                            np.linalg.inv(_random_hpd(rng, n)), FROM_DUAL)}, 0)
+                       for n in _sizes(rng, 1, 9, 50)), {"instances": 50})
 
     def worked():
         rep = associated_operator(
@@ -236,28 +254,17 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     sp = sequence_pair(48)
 
     def lem2():
-        worst = 0.0
-        rank_gaps = 0
-        for k in range(200):
-            n = int(rng.integers(1, 9))
-            A = operator_from_matrix(
-                _random_psd(rng, n, force_kernel=(k % 3 == 0)), dense_pair(n))
-            res = factorize(A)
-            worst = max(worst, res.extension_residual)
-            rank_gaps += res.details["rank_gap"]
-        return ({"jjstar": worst, "rank_gaps": float(rank_gaps)},
-                {"jjstar": 1e-10, "rank_gaps": 0.0}, {"instances": 200}, [])
+        return _worst((("factorize", {"A": _operator(
+                            _random_psd(rng, n, force_kernel=(k % 3 == 0)))}, 0)
+                       for k, n in enumerate(_sizes(rng, 1, 9, 200))),
+                      {"instances": 200})
 
     def remark():
-        worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            A = operator_from_matrix(_random_psd(rng, n), dense_pair(n))
-            y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
-            rep = hilbert_consistency(A, [y], dense_pair(n))
-            worst = max(worst, rep.worst_residual)
-        return ({"sqrt_identity": worst}, {"sqrt_identity": 1e-8},
-                {"samples": 100}, [])
+        return _worst((("hilbert-consistency",
+                        {"space": _space(n), "A": _operator(_random_psd(rng, n)),
+                         "samples": [{"coords": _wire(rng.normal(size=n) +
+                                                      1j * rng.normal(size=n))}]}, 0)
+                       for n in _sizes(rng, 1, 8, 100)), {"samples": 100})
 
     def lem3():
         worst = 0.0
@@ -363,61 +370,34 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"kind": wit.kind}, [])
 
     def commutants():
-        worst = {"lemma4_excess": 0.0, "lemma5_selfadjoint": 0.0,
-                 "thm5_inclusion": 0.0, "thm6_imag": 0.0, "thm6_distance": 0.0,
-                 "thm6_resolvent": 0.0}
-        for k in range(50):
-            n = int(rng.integers(2, 7))
-            dp = dense_pair(n)
-            A_mat = _random_hpd(rng, n)
-            K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            K = K + K.conj().T
-            A = operator_from_matrix(A_mat, dp)
-            E = commuting_pair(A_mat, K, dp)
-            lift = lift_commutant(A, E, dp, seed=k)
-            worst["lemma4_excess"] = max(worst["lemma4_excess"],
-                                         lift.bound_margin - 1.0)
-            worst["lemma5_selfadjoint"] = max(worst["lemma5_selfadjoint"],
-                                              lift.selfadjoint_residual)
-            B_mat = float(rng.uniform(0.5, 2.0)) * A_mat
-            rep = commutation_formsum(A, operator_from_matrix(B_mat, dp), E, dp,
-                                      seed=k)
-            worst["thm5_inclusion"] = max(worst["thm5_inclusion"],
-                                          rep.formsum_inclusion,
-                                          rep.factor_inclusions["E_star_J"],
-                                          rep.factor_inclusions["J_star_E"])
-            spect = spectrum_inclusion(A, E, dp, seed=k)
-            worst["thm6_imag"] = max(worst["thm6_imag"], spect.max_imag)
-            worst["thm6_distance"] = max(worst["thm6_distance"],
-                                         spect.max_distance)
-            worst["thm6_resolvent"] = max(worst["thm6_resolvent"],
-                                          spect.resolvent_residual)
-        tol = {"lemma4_excess": 1e-8, "lemma5_selfadjoint": 1e-10,
-               "thm5_inclusion": 1e-9, "thm6_imag": 1e-9,
-               "thm6_distance": 1e-8, "thm6_resolvent": 1e-8}
-        return worst, tol, {"triples": 50}, []
+        # E = A^-1 K with K Hermitian: each draw is lifted, summed and
+        # spectrally checked on seed k
+        def instances():
+            for k, n in enumerate(_sizes(rng, 2, 7, 50)):
+                A = _random_hpd(rng, n)
+                K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                ops = {"space": _space(n), "A": _operator(A),
+                       "K": _wire(K + K.conj().T)}
+                yield "lift-commutant", ops, k
+                yield "commutation-formsum", {
+                    **ops, "B": _operator(float(rng.uniform(0.5, 2.0)) * A)}, k
+                yield "spectrum-inclusion", ops, k
+        return _worst(instances(), {"triples": 50})
 
     def block_construction():
         # independent route: simultaneously block-diagonal A, B and E in
         # a random unitary frame (E need not come from A^-1 K here)
-        worst = 0.0
-        for _ in range(10):
-            n = 2 * int(rng.integers(1, 4))
-            dp = dense_pair(n)
-            W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            Q, _ = np.linalg.qr(W)
-            da = rng.uniform(0.5, 3.0, size=n)
-            db = rng.uniform(0.5, 3.0, size=n)
-            de = rng.uniform(-2.0, 2.0, size=n)
-            A = operator_from_matrix(Q @ np.diag(da) @ Q.conj().T, dp)
-            B = operator_from_matrix(Q @ np.diag(db) @ Q.conj().T, dp)
-            E = operator_from_matrix(Q @ np.diag(de) @ Q.conj().T, dp, ENDO)
-            rep = commutation_formsum(A, B, E, dp, seed=int(rng.integers(0, 2 ** 31)))
-            worst = max(worst, rep.formsum_inclusion,
-                        rep.factor_inclusions["E_star_J"],
-                        rep.factor_inclusions["J_star_E"])
-        return ({"thm5_inclusion": worst}, {"thm5_inclusion": 1e-9},
-                {"instances": 10, "frame": "random unitary"}, [])
+        def instances():
+            for _ in range(10):
+                n = 2 * int(rng.integers(1, 4))
+                W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                Q, _ = np.linalg.qr(W)
+                A, B, E = (Q @ np.diag(rng.uniform(lo, hi, size=n)) @ Q.conj().T
+                           for lo, hi in ((0.5, 3.0), (0.5, 3.0), (-2.0, 2.0)))
+                yield "commutation-formsum", {
+                    "space": _space(n), "A": _operator(A), "B": _operator(B),
+                    "E": _wire(E)}, int(rng.integers(0, 2 ** 31))
+        return _worst(instances(), {"instances": 10, "frame": "random unitary"})
 
     def control():
         dp = dense_pair(2)
@@ -519,17 +499,12 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
 
 
 def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
-    pb = problem(1.0, "1", "1", 1.0)
+    pb = {"a": "1", "b": "1", "gamma": 1.0}
     laplace = problem(1.0, "1", "0", 1.0)
 
     def ordering():
-        bad = 0
-        for m in (16, 32, 64):
-            rep = dirichlet_vs_neumann(pb, uniform_mesh(m), seed=seed)
-            if rep.verdict != "A>=B":
-                bad += 1
-        return ({"ordering_violations": float(bad)},
-                {"ordering_violations": 0.0}, {"meshes": [16, 32, 64]}, [])
+        return _worst((("dirichlet-vs-neumann", {"problem": pb, "m": m}, seed)
+                       for m in (16, 32, 64)), {"meshes": [16, 32, 64]})
 
     def poincare():
         lam = discrete_poincare(laplace, uniform_mesh(64))
@@ -550,15 +525,11 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     def solves():
         rules = ["1", "x", "exp(x)", "sin(3*x)", "cos(pi*x)", "x^2 - x",
                  "2 + sin(2*pi*x)", "exp(0 - x)", "x^3", "1 + cos(x)"]
-        worst = 0.0
-        for g in rules:
-            sol = weak_solve(pb, uniform_mesh(32), g)
-            worst = max(worst, sol.galerkin_residual)
-        singular = problem(1.0, "1", "1 / (0.01 + x)", 1.0)
-        sol = weak_solve(singular, uniform_mesh(64), "1")
-        worst = max(worst, sol.galerkin_residual)
-        return ({"galerkin": worst}, {"galerkin": 1e-10},
-                {"rules": len(rules) + 1}, [])
+        singular = {**pb, "b": "1 / (0.01 + x)"}
+        return _worst([("weak-solve", {"problem": pb, "m": 32, "g": g}, 0)
+                       for g in rules]
+                      + [("weak-solve", {"problem": singular, "m": 64, "g": "1"}, 0)],
+                      {"rules": len(rules) + 1})
 
     def bounds():
         c2 = sobolev_lower_bound(laplace, uniform_mesh(32), seed=seed)

@@ -2,14 +2,16 @@
 
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from formcalc import suites
 from formcalc.cli import main
 from formcalc.covariance import covariance_form
 from formcalc.errors import LowerBoundError, Uncertifiable
-from formcalc.reporting import CLAIM_TAGS
+from formcalc.reporting import CLAIM_TAGS, array_from_json, matrix_from_json
 from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, run_scenario
 from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
 
@@ -171,6 +173,28 @@ class TestScenarioDispatch:
             assert rep.details["gamma"] == 2.0
         else:
             assert rep.details["error"].startswith("Uncertifiable: diagonal lower bound")
+
+    @pytest.mark.parametrize("sc", [
+        {"op": "covariance-form",
+         "space_pair": {"backend": "dense", "dim": 3, "p": 2.0},
+         "probability": {"kind": "finite", "weights": [0.25, 0.75]},
+         "variable": {"kind": "table", "values": [
+             [[1, 0], [2, -1], [0, 0.5]], [[-1, 0], [0, 0], [3, 0]]]}},
+        {"op": "elliptic-assemble", "m": 8,
+         "problem": {"length": 1.0, "a": "1", "b": "1", "gamma": 1.0}},
+    ], ids=lambda sc: sc["op"])
+    def test_one_eigensolve_per_form_scenario(self, sc, monkeypatch):
+        # the positivity residual reads the spectrum the form computed
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rep = run_scenario({"id": "one-eig", **sc})
+        assert rep.verdict == "pass"
+        assert len(calls) == 1
 
     def test_signed_basis_independent_sum_passes(self):
         # the signed-basis residual is error over allowed error, so it
@@ -381,6 +405,74 @@ class TestSuites:
     def test_suite_reports_carry_wall_time(self):
         reports = run_suite("representation", seed=7).reports
         assert all(r.wall_time > 0.0 for r in reports)
+
+
+#: each battery check judged by scenario handlers, and its handlers' ops
+HANDLER_BACKED = {
+    "thm1-random-inverses": {"associated-operator"},
+    "lem1-bounded-inverse": {"inverse-selfadjoint"},
+    "lem2-factorization": {"factorize"},
+    "lem2-remark-sqrt": {"hilbert-consistency"},
+    "eq7-lemmas45-thm56": {"lift-commutant", "commutation-formsum",
+                           "spectrum-inclusion"},
+    "thm5-block-construction": {"commutation-formsum"},
+    "thm3-dirichlet-vs-neumann": {"dirichlet-vs-neumann"},
+    "elliptic-weak-solves": {"weak-solve"},
+}
+
+
+class TestBatteriesOnHandlers:
+    def test_checks_report_their_handlers_residuals(self, monkeypatch):
+        # every handler call of a suite round, by the check that made it
+        calls = defaultdict(list)
+        check = None
+        run_check = suites._run_check
+
+        def named_run_check(name, *args):
+            nonlocal check
+            check = name
+            return run_check(name, *args)
+        monkeypatch.setattr(suites, "_run_check", named_run_check)
+        for op, (claims, handler) in list(OPERATIONS.items()):
+            def logged(ops, seed, op=op, handler=handler):
+                out = handler(ops, seed)
+                calls[check].append((op, set(out[0]), out[1]))
+                return out
+            monkeypatch.setitem(OPERATIONS, op, (claims, logged))
+        reports = {r.scenario: r for r in run_suite("all", seed=1).reports}
+        assert set(calls) == set(HANDLER_BACKED)
+        for name, ops in HANDLER_BACKED.items():
+            names, tols = set(), {}
+            for op, residuals, tolerances in calls[name]:
+                names |= residuals
+                tols.update(tolerances)
+            assert {op for op, _, _ in calls[name]} == ops, name
+            assert set(reports[name].residuals) == names == set(tols), name
+            assert reports[name].tolerances == tols, name
+            assert reports[name].passed, name
+
+    def test_worst_refuses_two_tolerances_for_one_residual(self, monkeypatch):
+        monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops, seed: (
+            {"r": ops["r"]}, {"r": ops["tol"]}, {"ignored": True}, [])))
+        same = [("fake", {"r": -1.0, "tol": 1e-9}, 0),
+                ("fake", {"r": 1e-12, "tol": 1e-9}, 0)]
+        assert suites._worst(same, {"instances": 2}) == (
+            {"r": 1e-12}, {"r": 1e-9}, {"instances": 2}, [])
+        assert suites._worst(same[:1], {})[0] == {"r": 0.0}
+        with pytest.raises(ValueError, match="'r' has tolerances"):
+            suites._worst(same + [("fake", {"r": 0.0, "tol": 1e-10}, 0)], {})
+
+    def test_wire_layout_decodes_to_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 13))
+            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            # a transposed matrix and a column are not contiguous
+            for X in (M, M.T, M[:, 0]):
+                wire = suites._wire(X)
+                assert wire.tobytes() == np.stack((X.real, X.imag), -1).tobytes()
+                got = (matrix_from_json if X.ndim == 2 else array_from_json)(wire)
+                assert got.tobytes() == X.tobytes()
 
 
 def raising(exc):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from formcalc import series
 from formcalc.duality import (
     FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
+    sequence_pair,
 )
-from formcalc.errors import LowerBoundError, NotPositive
+from formcalc.errors import LowerBoundError, NotPositive, Uncertifiable
 from formcalc.forms import (
-    associated_operator, form_from_gram, form_of_operator, inverse_selfadjoint,
-    lower_bound, riesz_solve,
+    associated_operator, diagonal_form, form_from_gram, form_of_operator,
+    inverse_selfadjoint, lower_bound, riesz_solve,
 )
+from formcalc.linalg import hermitian_residual
 
 DP2 = dense_pair(2)
 
@@ -96,6 +99,35 @@ def svd_solve_calls(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+class TestSequenceLowerBound:
+    @pytest.mark.parametrize("p, kind", [(2.0, "exact-p2"), (3.0, "exact-inf")])
+    def test_infimum_for_p_at_least_2(self, p, kind):
+        cert = lower_bound(diagonal_form(series.polynomial(2.0)),
+                           sequence_pair(64, p=p))
+        assert (cert.gamma, cert.kind, cert.detail) == (1.0, kind, {"p": p})
+
+    def test_uncertified_below_p_2(self):
+        with pytest.raises(Uncertifiable, match="p = 1.5 < 2"):
+            lower_bound(diagonal_form(series.polynomial(2.0)),
+                        sequence_pair(64, p=1.5))
+
+
+class TestFormOfOperator:
+    @pytest.mark.parametrize("rel", [1e-14, 1e-13, 1e-11, 5e-11, 1e-9])
+    def test_symmetry_flag_is_the_constructors_test(self, rel):
+        # an HPD matrix plus an anti-Hermitian perturbation of relative
+        # size rel: the form builds, and it is symmetric iff the gram's
+        # Hermitian residual is within the constructor's 1e-12
+        rng = np.random.default_rng(68)
+        M = random_hpd(rng, 4)
+        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        K = S - S.conj().T
+        M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
+        t = form_of_operator(operator_from_matrix(M, dense_pair(4)))
+        assert hermitian_residual(t.gram) == pytest.approx(rel, rel=1e-3)
+        assert t.symmetric == (rel < 1e-12)
 
 
 class TestLowerBoundFromOneSVD:
