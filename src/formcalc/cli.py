@@ -14,7 +14,7 @@ overrides this: then main leaves the thread count alone.  Calling
 ``main()`` in-process leaves that process pinned to one thread.
 
 Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
-4 malformed input: scenario file, operation, operand or tolerance scale.
+4 malformed input: scenario file or id, operation, operand or tolerance scale.
 """
 
 from __future__ import annotations
@@ -102,17 +102,35 @@ def _write_out(out, reports, csvs: dict, summary: dict) -> None:
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def _scenario_list(payload) -> list:
+    """The scenarios of a parsed file, or ValueError: objects with a
+    string op, an integer seed, tolerances that are an object of numbers,
+    and an id (default: the op) that names the report, so a plain file
+    name of at most 200 bytes, unique in the file, other than ``summary``."""
+    scenarios = payload.get("scenarios") if isinstance(payload, dict) else None
+    if not isinstance(scenarios, list):
+        raise ValueError("the file must be an object with a list of scenarios")
+    ids = set()
+    for sc in scenarios:
+        if not (isinstance(sc, dict) and isinstance(sc.get("op"), str)):
+            raise ValueError("every scenario must be an object with a string op")
+        sid, tols = sc.get("id", sc["op"]), sc.get("tolerances", {})
+        if not (isinstance(sc.get("seed", 0), int) and isinstance(tols, dict) and
+                all(isinstance(v, (int, float)) for v in tols.values())):
+            raise ValueError(f"scenario {sid!r}: the seed must be an integer "
+                             "and the tolerances an object of numbers")
+        if (not isinstance(sid, str) or sid in ids or {"/", "\\", "\0"} & set(sid)
+                or sid in ("", ".", "..", "summary") or len(sid.encode()) > 200):
+            raise ValueError(f"scenario id {sid!r} is not a plain, unique file name")
+        ids.add(sid)
+    return scenarios
+
+
 def cmd_run(args) -> int:
     path = Path(args.file)
     try:
-        payload = json.loads(path.read_text())
-        scenarios = payload["scenarios"]
-        if not isinstance(scenarios, list):
-            raise ValueError("scenarios must be a list")
-        for sc in scenarios:
-            if "op" not in sc:
-                raise ValueError("every scenario needs an op")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        scenarios = _scenario_list(json.loads(path.read_text()))
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

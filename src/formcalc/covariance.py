@@ -18,7 +18,7 @@ non-goal and surfaces as an error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,10 +141,8 @@ def weak_expectation(xi: RandomVariable, seed: int = 0) -> Vector:
     functionals)."""
     sp = xi.space
     if xi.kind == "table":
-        out = np.zeros_like(xi.values[0])
-        for w, v in zip(sp.weights, xi.values):
-            out = out + w * v
-        exp = Vector(out, xi.codomain.backend if xi.codomain.backend == DENSE
+        exp = Vector(sp.weights @ np.stack(xi.values),
+                     xi.codomain.backend if xi.codomain.backend == DENSE
                      else SEQUENCE)
     elif xi.kind == "signed-basis":
         # the paired atoms cancel exactly
@@ -318,16 +316,12 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None,
     for f in basis:
         if not in_second_moment_domain(xi, f):
             raise DomainError("basis functional outside the second-moment domain")
-    m = len(basis)
-    G = np.empty((m, m), dtype=complex)
-    vals = [np.array([complex(np.vdot(v[:f.n], f.coords[:v.size]))
-                      for v in xi.values]) for f in basis]
-    w = xi.space.weights
-    for i in range(m):
-        for j in range(m):
-            G[i, j] = np.sum(w * vals[i] * np.conj(vals[j]))
     B = np.stack([f.coords for f in basis], axis=1)
-    t = form_from_gram(B, G)
+    X = np.stack(xi.values)
+    k = min(B.shape[0], X.shape[1])
+    # V[i, a] = f_i(xi(w_a)) over the common coordinates
+    V = B[:k].T @ X[:, :k].conj().T
+    t = form_from_gram(B, (V * xi.space.weights) @ V.conj().T)
     return t, ClosednessWitness("lower-bound-automatic")
 
 
@@ -349,9 +343,7 @@ def covariance_operator(xi: RandomVariable, basis: list[Functional] | None = Non
         raise LowerBoundError(
             "covariance form has lower bound 0; the Hilbert-space fallback "
             "(representation at gamma = 0) is out of scope")
-    rep = associated_operator(t, dual)
-    from dataclasses import replace
-    return replace(rep.A, direction=FROM_DUAL)
+    return replace(associated_operator(t, dual).A, direction=FROM_DUAL)
 
 
 def centered(xi: RandomVariable) -> RandomVariable:
@@ -411,17 +403,12 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable,
         ns = np.arange(1, W + 1)
         nu, rho = np.real(xi.space.rule(ns)), np.real(eta.space.rule(ns))
         s, r = np.real(xi.scale(ns)), np.real(eta.scale(ns))
-        brute = np.zeros(W)
-        for i in range(W):
-            acc = 0.0
-            for n in range(W):
-                for m in range(W):
-                    w = 0.25 * nu[n] * rho[m]
-                    for sg1 in (1.0, -1.0):
-                        for sg2 in (1.0, -1.0):
-                            val = sg1 * s[n] * (n == i) + sg2 * r[m] * (m == i)
-                            acc += w * val * val
-            brute[i] = acc
+        # axes (i, n, m, sg1, sg2) of sg1 s_n [n == i] + sg2 r_m [m == i]
+        sg, E = np.array([1.0, -1.0]), np.eye(W)
+        val = ((E * s)[:, :, None, None, None] * sg[:, None] +
+               (E * r)[:, None, :, None, None] * sg)
+        w = 0.25 * np.outer(nu, rho)[:, :, None, None]
+        brute = np.sum(w * val ** 2, axis=(1, 2, 3, 4))
         sum_rule = np.real(fs.operator.diagonal(ns))
         tail_w = series.tail_bound(xi.space.rule, W) + series.tail_bound(
             eta.space.rule, W)

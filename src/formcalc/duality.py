@@ -35,7 +35,7 @@ import numpy as np
 
 from . import series
 from .errors import BackendMismatch, DomainError, Uncertifiable
-from .linalg import operator_norm, relative_residual
+from .linalg import is_hermitian, operator_norm
 
 DENSE = "dense"
 SEQUENCE = "sequence"
@@ -119,10 +119,11 @@ def _as_coords(coords, n=None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Vector:
-    """Element of X.  Sequence-backend vectors carry a tail descriptor:
-    ``tail is None`` means exactly supported inside the truncation,
-    otherwise the rule generated the coordinates and rules the tail."""
+class _Coordinates:
+    """Read-only finite coordinates on a backend.  On the sequence
+    backend ``tail is None`` means exactly supported inside the
+    truncation, otherwise the rule generated the coordinates and rules
+    the tail."""
 
     coords: np.ndarray
     backend: str = DENSE
@@ -136,20 +137,12 @@ class Vector:
         return self.coords.size
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
+class Vector(_Coordinates):
+    """Element of X."""
+
+
+class Functional(_Coordinates):
     """Element of X*, i.e. a conjugate linear functional in coordinates."""
-
-    coords: np.ndarray
-    backend: str = DENSE
-    tail: series.Rule | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_coords(self.coords))
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
 
 
 def vector(coords, dp: DualityPair) -> Vector:
@@ -397,11 +390,12 @@ class DenseOperator:
         return self.backend == DENSE and self.d == self.n
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
+        """Sequence: the generator's imaginary residual is at most ``tol``.
+        Dense: the form gram passes :func:`linalg.is_hermitian`, the rule
+        that flags the symmetry of ``forms.form_of_operator``."""
         if self.backend == SEQUENCE:
             return series.imaginary_residual(self.diagonal) <= tol
-        G = self.form_gram()
-        scale = max(operator_norm(G), 1e-300)
-        return bool(np.linalg.norm(G - G.conj().T) <= tol * scale)
+        return is_hermitian(self.form_gram())
 
 
 def operator_from_matrix(M, dp: DualityPair, direction: str = TO_DUAL) -> DenseOperator:
@@ -482,10 +476,3 @@ def graph_domain_contains(A: DenseOperator, y: Vector) -> bool:
         return True
     rule = A.diagonal.abs_square() * y.tail.abs_square()
     return series.rule_convergent(rule)
-
-
-def selfadjointness_residual(A: DenseOperator) -> float:
-    if A.backend == SEQUENCE:
-        return series.imaginary_residual(A.diagonal)
-    M = A.effective_matrix()
-    return relative_residual(np.linalg.norm(M - M.conj().T), [operator_norm(M), 1.0])

@@ -7,10 +7,10 @@ J : H_A (+) H_B -> X*, J(Ax (+) By) = Ax + By, satisfies J** J* equal to
 the form sum and extends A + B; both facts are verified numerically on
 every construction.
 
-Every dense construction factorizes each operand once and reuses it: the
-form sum keeps the factorization of A, the joint factor takes it from
-there, and the resolvent lifts of the spectrum check share the one of
-their lift.  Sampled identities run on whole matrices of samples.
+The dense form sum factorizes nothing: A is everywhere defined, so
+dom J_A* = X and t_A is the form of A, read on the basis of dom t_B.
+The joint factor factorizes each operand once; the resolvent lifts of
+the spectrum check share their lift's.  Samples run as whole matrices.
 
 A bounded E on X that leaves dom A invariant and intertwines through
 E^H A contained in A E lifts to a bounded operator on H_A acting by
@@ -104,10 +104,8 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
 class FormSumResult:
     operator: DenseOperator            # A (+) B
     gamma: float
-    density_record: dict
     extension_residual: float          # against A + B on dom A and dom B
     collapse_exact: bool               # full domains: A (+) B == A + B
-    factorization: FactorizationResult | None   # of A; None on sequences
     details: dict = field(default_factory=dict)
 
 
@@ -134,26 +132,23 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
 
 
 def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
-                    closedness: ClosednessWitness | None,
-                    fac_a: FactorizationResult | None = None) -> FormSumResult:
-    """The dense form sum; A is factorized here unless ``fac_a`` already
-    holds its factorization."""
-    if lower_bound(form_of_operator(A), dp).gamma <= 0:
+                    closedness: ClosednessWitness | None) -> FormSumResult:
+    t_a, t_b = form_of_operator(A), form_of_operator(B)
+    if not (t_a.symmetric and t_b.symmetric):
+        raise NotPositive("operator form is not symmetric")
+    if lower_bound(t_a, dp).gamma <= 0:
         raise LowerBoundError("form sum needs a positive lower bound on A")
     if A.d < dp.n:
         raise DomainError("A must be effectively everywhere defined "
                           "(its closure carries the representation)")
-    t_b = form_of_operator(B)
     if closedness is None:
         closedness = is_closed(t_b, None, dp)
     # H_{A,B} = dom J_A* (everything here) intersected with dom t_B
     C = B.basis_mat
-    density = {"dim": int(C.shape[1]), "ambient": dp.n,
-               "spans_ambient": bool(C.shape[1] == dp.n)}
-    if C.shape[1] == 0:
-        raise DomainError("intersection domain is trivial")
-    fac_a = factorize(A) if fac_a is None else fac_a
-    G_sum = _aform_gram(fac_a, C) + t_b.gram
+    # t_A(u, v) = (Au, v) on all of X, read through the coefficients of
+    # B's basis in A's
+    Cc = A.coefficients_of(C)
+    G_sum = Cc.T @ t_a.gram @ np.conj(Cc) + t_b.gram
     # the sum form lives on B's factored basis
     t_sum = SesquilinearForm(DENSE, t_b._basis, G_sum)
     rep = associated_operator(t_sum, dp)
@@ -171,14 +166,8 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
                 f"everywhere-defined collapse violated (residual {exact:.3e})")
     if worst > 1e-10:
         raise ArithmeticError(f"form sum fails to extend A + B ({worst:.3e})")
-    return FormSumResult(AB, rep.gamma, density, worst, collapse, fac_a,
+    return FormSumResult(AB, rep.gamma, worst, collapse,
                          {"closedness": closedness.kind})
-
-
-def _aform_gram(fac: FactorizationResult, C: np.ndarray) -> np.ndarray:
-    """Gram of the form of A, t_A(u, v) = [J* u, J* v], over columns of C."""
-    Cc = fac.jstar_coefficients(C)
-    return Cc.T @ fac.gram @ np.conj(Cc)
 
 
 def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
@@ -194,12 +183,10 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     # density of H_{A,B}: every finitely supported vector passes both
     # membership tests (finite sums are always certified)
     ns = np.arange(1, 9)
-    probes_ok = bool(np.all(np.isfinite(np.real(A.diagonal(ns)))) and
-                     np.all(np.isfinite(np.real(B.diagonal(ns)))))
-    density = {"finitely_supported_pass": probes_ok}
-    if not probes_ok:
+    if not (np.all(np.isfinite(np.real(A.diagonal(ns)))) and
+            np.all(np.isfinite(np.real(B.diagonal(ns))))):
         raise DomainError("density check failed on finitely supported probes")
-    return FormSumResult(AB, cert.gamma, density, 0.0, False, None, {})
+    return FormSumResult(AB, cert.gamma, 0.0, False, {})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +210,7 @@ def joint_factorize(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     if A.backend != DENSE:
         raise BackendMismatch("joint factorization is dense-backend only")
     fs = form_sum(A, B, dp)
-    fac_a, fac_b = fs.factorization, factorize(B)
+    fac_a, fac_b = factorize(A), factorize(B)
     if samples is None:
         # the real then the imaginary draws of each sample
         R = np.random.default_rng(seed).normal(size=(6, 2, dp.n))
@@ -360,8 +347,7 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E."""
     lift_a = lift_commutant(A, E, dp, seed)
     lift_b = lift_commutant(B, E, dp, seed + 1)
-    # the lift of A already holds its factorization
-    fs = _form_sum_dense(A, B, dp, None, lift_a.factorization)
+    fs = form_sum(A, B, dp)
     M = fs.operator.canonical_matrix()
     E_mat = E.canonical_matrix()
     scale = max(hermitian_norm(M), 1.0)

@@ -22,8 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import NotPositive
-
 
 def gram_inner(G: np.ndarray, c: np.ndarray, d: np.ndarray) -> complex:
     """Form value sum_ij c_i conj(d_j) G[i, j]."""
@@ -41,10 +39,9 @@ def hermitian_residual(G: np.ndarray) -> float:
     return float(np.linalg.norm(G - G.conj().T)) / scale
 
 
-def assert_hermitian(G: np.ndarray, tol: float = 1e-12, what: str = "gram"):
-    res = hermitian_residual(G)
-    if res > tol:
-        raise NotPositive(f"{what} is not Hermitian (residual {res:.3e})")
+def is_hermitian(G: np.ndarray) -> bool:
+    """The one symmetry rule of dense forms and operators."""
+    return hermitian_residual(G) <= 1e-12
 
 
 def hermitian_eigvalsh(M: np.ndarray) -> np.ndarray:

@@ -28,9 +28,8 @@ from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Vector, operator_norm,
 )
 from .errors import BackendMismatch, NotPositive
-from .linalg import (
-    generalized_eigvalsh, gram_inner, hermitian_residual, pivoted_cholesky,
-)
+from .forms import form_of_operator
+from .linalg import generalized_eigvalsh, gram_inner, pivoted_cholesky
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,22 +58,19 @@ class FactorizationResult:
 def factorize(A: DenseOperator) -> FactorizationResult:
     """Auxiliary-space factorization of a positive symmetric operator.
 
-    Builds the gram [A b_i, A b_j] = (A b_i, b_j), quotients the kernel
-    by pivoted Cholesky (threshold 1e-10 times the action scale) and
-    verifies that JJ* extends A; for everywhere-defined dense operators
-    the two agree exactly.
+    Builds the gram [A b_i, A b_j] = (A b_i, b_j), which is the gram of
+    :func:`form_of_operator` and must pass its symmetry and positivity
+    tests, quotients the kernel by pivoted Cholesky (threshold 1e-10
+    times the action scale) and verifies that JJ* extends A; for
+    everywhere-defined dense operators the two agree exactly.
     """
     if A.backend != DENSE:
         raise BackendMismatch("factorization is a dense-backend construction")
-    F = A.form_gram()
-    herm = hermitian_residual(F)
-    if herm > 1e-10:
-        raise NotPositive(f"operator form not symmetric (residual {herm:.3e})")
+    t = form_of_operator(A)      # its constructor refuses an indefinite A
+    if not t.symmetric:
+        raise NotPositive("operator form is not symmetric")
+    F = t.gram
     quad = np.conj(F)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[0])
-    # the norm scales the slack only, so lam_min >= 0 needs no SVD
-    if lam_min < 0 and lam_min < -1e-12 * max(1.0, operator_norm(F)):
-        raise NotPositive(f"operator not positive (eigenvalue {lam_min:.3e})")
     # the action scale and its rank (relative tolerance 1e-10) from one SVD
     s = np.linalg.svd(A.action_mat, compute_uv=False)
     scale = max(float(s[0]), 1e-300)

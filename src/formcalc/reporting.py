@@ -182,25 +182,52 @@ def matrix_from_json(rows) -> np.ndarray:
     return _complex_array(rows, 2)
 
 
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number"}
+
+
+def json_field(obj, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]``, or ``default`` if absent, checked to be of one JSON
+    type; ``float`` takes any number and ``object`` any value.  Every
+    wire reader checks its fields here: a non-object ``obj`` or a value
+    of another type raises :class:`MalformedOperand`, an absent key
+    without default KeyError."""
+    if not isinstance(obj, dict):
+        raise MalformedOperand(f"expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    v = obj[key]
+    if not isinstance(v, (int, float) if kind is float else kind):
+        raise MalformedOperand(f"{key!r} must be {_JSON_TYPES[kind]}")
+    return float(v) if kind is float else v
+
+
 def rule_from_json(obj) -> series.Rule:
     return series.Rule(tuple(
-        series.Term(complex_from_json(t["coef"]), float(t.get("alpha", 0.0)),
-                    float(t.get("ratio", 1.0)), int(t.get("start", 1)))
-        for t in obj["terms"]))
+        series.Term(complex_from_json(json_field(t, "coef", object)),
+                    json_field(t, "alpha", float, 0.0),
+                    json_field(t, "ratio", float, 1.0),
+                    json_field(t, "start", int, 1))
+        for t in json_field(obj, "terms", list)))
 
 
 def pair_from_json(obj) -> DualityPair:
-    if obj["backend"] == DENSE:
-        return dense_pair(int(obj["dim"]), float(obj.get("p", 2.0)))
-    return sequence_pair(int(obj["truncation"]), float(obj.get("p", 2.0)))
+    p = json_field(obj, "p", float, 2.0)
+    if json_field(obj, "backend", str) == DENSE:
+        return dense_pair(json_field(obj, "dim", int), p)
+    return sequence_pair(json_field(obj, "truncation", int), p)
 
 
 def vector_from_json(obj, cls=Vector):
     tail = None
-    t = obj.get("tail")
-    if t and t.get("kind") == "rule":
+    t = json_field(obj, "tail", dict, None)
+    if t and json_field(t, "kind", str, None) == "rule":
         tail = rule_from_json(t)
-    return cls(array_from_json(obj["coords"]), obj.get("backend", DENSE), tail)
+    return cls(array_from_json(obj["coords"]),
+               json_field(obj, "backend", str, DENSE), tail)
 
 
 def functional_from_json(obj) -> Functional:
@@ -208,13 +235,15 @@ def functional_from_json(obj) -> Functional:
 
 
 def operator_from_json(obj) -> DenseOperator:
-    if obj["backend"] == SEQUENCE:
-        return DenseOperator(SEQUENCE, obj.get("direction", "to-dual"),
+    direction = json_field(obj, "direction", str, "to-dual")
+    if json_field(obj, "backend", str) == SEQUENCE:
+        return DenseOperator(SEQUENCE, direction,
                              diagonal=rule_from_json(obj["diagonal"]),
-                             domain_rule=obj.get("domain", "finitely-supported"))
+                             domain_rule=json_field(obj, "domain", str,
+                                                    "finitely-supported"))
     basis = matrix_from_json(obj["domain_basis"])
     action = matrix_from_json(obj["action"])
-    return DenseOperator(DENSE, obj.get("direction", "to-dual"), basis, action)
+    return DenseOperator(DENSE, direction, basis, action)
 
 
 def write_report(report: Report, path):

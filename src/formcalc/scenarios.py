@@ -40,9 +40,9 @@ from .formsum import (
 from .friedrichs import core_check, friedrichs
 from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert_consistency
 from .reporting import (
-    MalformedOperand, Report, _run_check, array_from_json, functional_from_json,
-    gram_csv_rows, matrix_from_json, operator_from_json, pair_from_json,
-    rule_from_json, vector_from_json,
+    MalformedOperand, Report, _run_check, array_from_json, complex_from_json,
+    functional_from_json, gram_csv_rows, json_field, matrix_from_json,
+    operator_from_json, pair_from_json, rule_from_json, vector_from_json,
 )
 
 RESERVED = {"id", "op", "seed", "tolerances", "expect"}
@@ -53,11 +53,11 @@ def _operands(sc: dict) -> dict:
 
 
 def _space_from_json(obj):
-    kind = obj.get("kind", "finite")
+    kind = json_field(obj, "kind", str, "finite")
     if kind == "finite":
-        return finite_space(obj["weights"])
+        return finite_space(json_field(obj, "weights", list))
     if kind == "exponential":
-        return exponential_space(float(obj["beta"]))
+        return exponential_space(json_field(obj, "beta", float))
     if kind == "rule":
         return rule_space(rule_from_json(obj["rule"]))
     if kind == "paired-rule":
@@ -66,9 +66,10 @@ def _space_from_json(obj):
 
 
 def _variable_from_json(obj, space, dp):
-    kind = obj.get("kind", "table")
+    kind = json_field(obj, "kind", str, "table")
     if kind == "table":
-        return table_variable(space, [array_from_json(v) for v in obj["values"]], dp)
+        return table_variable(space, [array_from_json(v) for v in
+                                      json_field(obj, "values", list)], dp)
     if kind == "exp-poly":
         return exp_poly_variable(space, dp)
     if kind == "signed-basis":
@@ -77,8 +78,9 @@ def _variable_from_json(obj, space, dp):
 
 
 def _problem_from_json(obj):
-    return problem(float(obj.get("length", 1.0)), obj["a"], obj["b"],
-                   float(obj["gamma"]), float(obj.get("p", 2.0)))
+    return problem(json_field(obj, "length", float, 1.0),
+                   json_field(obj, "a", str), json_field(obj, "b", str),
+                   json_field(obj, "gamma", float), json_field(obj, "p", float, 2.0))
 
 
 def _form(ops):
@@ -127,7 +129,7 @@ def _op_pair(ops, seed):
     details = {"value": [got.real, got.imag]}
     residuals, tols = {}, {}
     if "expected" in ops:
-        want = complex(*ops["expected"])
+        want = complex_from_json(ops["expected"])
         residuals["pairing"] = abs(got - want) / max(1.0, abs(want))
         tols["pairing"] = 1e-12
     return residuals, tols, details, []
@@ -135,11 +137,11 @@ def _op_pair(ops, seed):
 
 def _op_norm(ops, seed):
     x = vector_from_json(ops["x"])
-    got = norm(x, float(ops["p"]))
+    got = norm(x, json_field(ops, "p", float))
     residuals, tols = {}, {}
     if "expected" in ops:
-        residuals["norm"] = abs(got - float(ops["expected"])) / max(
-            1.0, float(ops["expected"]))
+        want = json_field(ops, "expected", float)
+        residuals["norm"] = abs(got - want) / max(1.0, want)
         tols["norm"] = 1e-12
     return residuals, tols, {"value": got}, []
 
@@ -168,7 +170,7 @@ def _op_lower_bound(ops, seed):
     cert = lower_bound(_form(ops), dp)
     residuals, tols = {}, {}
     if "expected_gamma" in ops:
-        residuals["gamma"] = abs(cert.gamma - float(ops["expected_gamma"]))
+        residuals["gamma"] = abs(cert.gamma - json_field(ops, "expected_gamma", float))
         tols["gamma"] = 1e-10
     return residuals, tols, \
         {"gamma": cert.gamma, "kind": cert.kind, "slack": cert.slack}, []
@@ -212,7 +214,7 @@ def _op_friedrichs(ops, seed):
     dp = pair_from_json(ops["space"])
     a = diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE)
     res = friedrichs(a, dp)
-    samples = [vector_from_json(s) for s in ops.get("samples", [])]
+    samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
     residuals = {"extension": 0.0 if is_extension(a, res.extension) else 1.0,
                  "embedding": res.embedding_residual}
     tols = {"extension": 0.0, "embedding": 1e-10}
@@ -239,7 +241,8 @@ def _op_form_on_x(ops, seed):
     fv = form_on_X(A, y)
     residuals, tols = {}, {}
     if "expected" in ops:
-        want = float(ops["expected"]) if ops["expected"] != "inf" else math.inf
+        want = (math.inf if ops["expected"] == "inf" else
+                json_field(ops, "expected", float))
         if math.isinf(want):
             residuals["finite_mismatch"] = 0.0 if math.isinf(fv.value) else 1.0
             tols["finite_mismatch"] = 0.0
@@ -255,7 +258,7 @@ def _op_form_on_x(ops, seed):
 def _op_compare(ops, seed):
     A = operator_from_json(ops["A"])
     B = operator_from_json(ops["B"])
-    samples = [vector_from_json(s) for s in ops.get("samples", [])]
+    samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
     rep = compare(A, B, samples, seed=seed)
     want = ops.get("expected")
     residuals = {"consistent": 0.0 if rep.consistent() else 1.0}
@@ -281,7 +284,7 @@ def _op_antisymmetry(ops, seed):
 def _op_hilbert_consistency(ops, seed):
     dp = pair_from_json(ops["space"])
     A = operator_from_json(ops["A"])
-    samples = [vector_from_json(s) for s in ops["samples"]]
+    samples = [vector_from_json(s) for s in json_field(ops, "samples", list)]
     rep = hilbert_consistency(A, samples, dp)
     return {"sqrt_identity": rep.worst_residual}, \
         {"sqrt_identity": 1e-8}, {"samples": rep.samples}, []
@@ -415,8 +418,8 @@ def _op_independent_sum(ops, seed):
 
 def _op_elliptic_assemble(ops, seed):
     pb = _problem_from_json(ops["problem"])
-    t = assemble(pb, uniform_mesh(int(ops["m"]), pb.length),
-                 ops.get("boundary", "dirichlet"))
+    t = assemble(pb, uniform_mesh(json_field(ops, "m", int), pb.length),
+                 json_field(ops, "boundary", str, "dirichlet"))
     residuals = {"definite": max(0.0, -float(t._coefficient_spectrum[0]))}
     tols = {"definite": 1e-12}
     if "expected_gram" in ops:
@@ -428,7 +431,7 @@ def _op_elliptic_assemble(ops, seed):
 
 def _op_sobolev_lower_bound(ops, seed):
     pb = _problem_from_json(ops["problem"])
-    cert = sobolev_lower_bound(pb, uniform_mesh(int(ops.get("m", 32)),
+    cert = sobolev_lower_bound(pb, uniform_mesh(json_field(ops, "m", int, 32),
                                                 pb.length), seed=seed)
     return {"violation": max(0.0, -cert.detail["worst_slack"])}, \
         {"violation": 1e-10}, {"constant": cert.gamma, "kind": cert.kind}, []
@@ -436,8 +439,8 @@ def _op_sobolev_lower_bound(ops, seed):
 
 def _op_weak_solve(ops, seed):
     pb = _problem_from_json(ops["problem"])
-    mesh = uniform_mesh(int(ops["m"]), pb.length)
-    sol = weak_solve(pb, mesh, ops["g"])
+    mesh = uniform_mesh(json_field(ops, "m", int), pb.length)
+    sol = weak_solve(pb, mesh, json_field(ops, "g", str))
     residuals = {"galerkin": sol.galerkin_residual}
     tols = {"galerkin": 1e-10}
     details = {"energy_norm": sol.energy_norm, "lp_norm": sol.lp_norm,
@@ -449,7 +452,7 @@ def _op_weak_solve(ops, seed):
 
 def _op_dirichlet_vs_neumann(ops, seed):
     pb = _problem_from_json(ops["problem"])
-    rep = dirichlet_vs_neumann(pb, uniform_mesh(int(ops["m"]), pb.length),
+    rep = dirichlet_vs_neumann(pb, uniform_mesh(json_field(ops, "m", int), pb.length),
                                seed=seed)
     probes = [[r.label, r.value_a, r.value_b] for r in rep.probes]
     return {"ordering": 0.0 if rep.verdict == "A>=B" else 1.0}, \

@@ -292,6 +292,29 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "scenario 'bad-gram' has a malformed operand: expected a matrix" in err
 
+    @pytest.mark.parametrize("scenario", [
+        {"op": "pair", "space": 3, "v": {"coords": [1, 2]}, "x": {"coords": [1, 1]}},
+        {"op": "friedrichs", "space": {"backend": "sequence", "truncation": 8},
+         "generator": "n^2"},
+        {"op": "norm", "p": 2.0, "x": [1]},
+        {"op": "friedrichs", "space": {"backend": "sequence", "truncation": 8},
+         "generator": {"terms": [{"coef": 1, "alpha": [2]}]}},
+        {"op": "friedrichs", "space": {"backend": "sequence", "truncation": 8},
+         "generator": {"terms": [{"coef": 1, "alpha": "x"}]}},
+        {"op": "norm", "p": [2], "x": {"coords": [3, 4]}},
+        {"op": "weak-solve", "m": [8], "g": "1",
+         "problem": {"a": "1", "b": "0", "gamma": 1.0}},
+        {"op": "weak-solve", "m": 8, "g": 1,
+         "problem": {"a": "1", "b": "0", "gamma": 1.0}},
+    ], ids=["space-number", "generator-string", "vector-list", "alpha-list",
+            "alpha-string", "p-list", "m-list", "g-number"])
+    def test_wrong_json_type_exits_four(self, tmp_path, capsys, scenario):
+        f = write_scenarios(tmp_path / "types.json", [{"id": "bad", **scenario}])
+        assert main(["run", f]) == 4
+        err = capsys.readouterr().err
+        assert "scenario 'bad' has a malformed operand" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gram_entry_fails(self, tmp_path, bad):
         f = write_scenarios(tmp_path / "non-finite.json", [{
@@ -338,6 +361,46 @@ class TestCliRun:
         csv_text = (out / "solve-solution.csv").read_text().splitlines()
         assert csv_text[0] == "x,f_h"
         assert len(csv_text) == 18
+
+
+NORM_OK = {"op": "norm", "p": 2.0, "x": {"coords": [3, 4]}, "expected": 5.0}
+
+
+class TestScenarioFileShape:
+    """A malformed file, or an id that cannot name its report, exits 4
+    before anything is written."""
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"scenarios": [1]},
+        {"scenarios": ["op"]},
+        {"scenarios": [{"id": "s", "seed": "abc", **NORM_OK}]},
+        {"scenarios": [{"id": "t", "tolerances": [], **NORM_OK}]},
+        {"scenarios": [{"id": "t", "tolerances": {"norm": "1e-3"}, **NORM_OK}]},
+        {"scenarios": [{"id": "a/b", **NORM_OK}]},
+        {"scenarios": [{"id": "../x", **NORM_OK}]},
+        {"scenarios": [{"id": "summary", **NORM_OK}]},
+        {"scenarios": [{"id": "twice", **NORM_OK}, {"id": "twice", **NORM_OK}]},
+        {"scenarios": [{"id": "x" * 201, **NORM_OK}]},
+    ], ids=["top-level-list", "entry-number", "entry-string", "seed-string",
+            "tolerances-list", "tolerance-string", "id-with-slash",
+            "id-leaving-out", "id-summary", "id-repeated", "id-too-long"])
+    def test_refused_before_anything_is_written(self, tmp_path, capsys, payload):
+        f = tmp_path / "in" / "scenarios.json"
+        f.parent.mkdir()
+        f.write_text(json.dumps(payload))
+        out = tmp_path / "in" / "out"
+        assert main(["run", str(f), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario file") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "scenarios.json"]
+
+    def test_default_ids_are_ops(self, tmp_path):
+        f = write_scenarios(tmp_path / "ops.json", [NORM_OK, {**NORM_OK, "id": "x"}])
+        assert main(["run", f, "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "norm.json").exists()
+        f = write_scenarios(tmp_path / "twice.json", [NORM_OK, NORM_OK])
+        assert main(["run", f]) == 4
 
 
 class TestSuites:

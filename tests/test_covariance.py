@@ -161,6 +161,27 @@ class TestCovarianceForm:
         np.testing.assert_allclose(t.gram, G, atol=1e-12)
         assert float(np.min(np.linalg.eigvalsh(t.gram))) >= -1e-12
 
+    def test_gram_is_the_per_entry_sum(self):
+        # t(f_i, f_j) = sum_a w_a f_i(xi(w_a)) conj(f_j(xi(w_a))), entry by
+        # entry, and the mean atom by atom, on random complex tables and
+        # functional bases
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            n, m, atoms = (int(k) for k in rng.integers(1, 7, size=3))
+            w = rng.uniform(0.1, 1.0, size=atoms)
+            values = rng.normal(size=(atoms, n)) + 1j * rng.normal(size=(atoms, n))
+            basis = [Functional(rng.normal(size=n) + 1j * rng.normal(size=n))
+                     for _ in range(m)]
+            xi = table_variable(finite_space(w / w.sum()), values, dense_pair(n))
+            G = covariance_form(xi, basis)[0].gram
+            want = np.array([[sum(p * np.vdot(v, f.coords) * np.conj(np.vdot(v, g.coords))
+                                  for p, v in zip(xi.space.weights, values))
+                              for g in basis] for f in basis])
+            assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+            mean = sum(p * v for p, v in zip(xi.space.weights, values))
+            got = weak_expectation(xi).coords
+            assert np.abs(got - mean).max() <= 1e-14 * np.abs(values).max()
+
     def test_signed_basis_diagonal_rule(self):
         nu = series.geometric(0.25, coef=3.0)        # sums to 1
         s = series.power_geometric(1.0, 0.0, math.sqrt(2.0) / 2)
@@ -236,3 +257,29 @@ class TestIndependentSum:
         assert series.rules_agree(cov_eta.diagonal, series.geometric(1.0 / 3.0))
         rep = independent_sum(xi, eta)
         assert rep.passed
+
+    def test_window_is_the_signed_atom_loop(self):
+        # the enumerated window against its loop over the signed atom
+        # pairs ((n, sg1), (m, sg2)) of the product space
+        nu, rho = series.geometric(0.25, coef=3.0), series.geometric(0.5)
+        s_xi = series.geometric(math.sqrt(2.0), coef=1 / math.sqrt(3.0))
+        s_eta = series.geometric(1.5, coef=0.5)
+        xi = signed_basis_variable(paired_rule_space(nu), s_xi, SP24)
+        eta = signed_basis_variable(paired_rule_space(rho), s_eta, SP24)
+        rep = independent_sum(xi, eta)
+        W = rep.details["window"]
+        ns = np.arange(1, W + 1)
+        a, b = np.real(nu(ns)), np.real(rho(ns))
+        s, r = np.real(s_xi(ns)), np.real(s_eta(ns))
+        brute = np.zeros(W)
+        for i in range(W):
+            for n in range(W):
+                for m in range(W):
+                    for sg1 in (1.0, -1.0):
+                        for sg2 in (1.0, -1.0):
+                            val = sg1 * s[n] * (n == i) + sg2 * r[m] * (m == i)
+                            brute[i] += 0.25 * a[n] * b[m] * val * val
+        rule = a * s ** 2 + b * r ** 2
+        allowed = rule * rep.details["weight_tail"] + 1e-10 * rule
+        assert rep.residual == pytest.approx(np.max(np.abs(brute - rule) / allowed),
+                                             rel=1e-9)

@@ -41,14 +41,21 @@ class TestLowerBound:
         t = form_from_gram(np.eye(2), np.diag([2.0, 3.0]))
         cert = lower_bound(t, dp)
         assert cert.kind == "equivalence-scaled"
-        assert cert.gamma == pytest.approx(2.0 * 2.0 ** (2 * (0.25 - 0.5)))
-        assert cert.slack > 0
+        # ||x||_4 <= ||x||_2, so the p = 2 value holds with nothing conceded
+        assert cert.gamma == 2.0
+        assert cert.slack == 0
         # grid-minimization oracle: t(x,x)/||x||_4^2 over a dense direction grid
         thetas = np.linspace(0, np.pi / 2, 4001)
         xs = np.stack([np.cos(thetas), np.sin(thetas)])
         quad = 2 * xs[0] ** 2 + 3 * xs[1] ** 2
         p4 = (xs[0] ** 4 + xs[1] ** 4) ** (2 / 4)
         assert np.min(quad / p4) >= cert.gamma - 1e-12
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_identity_gram_above_p_2_is_exact(self, p, n):
+        cert = lower_bound(form_from_gram(np.eye(n), np.eye(n)), dense_pair(n, p=p))
+        assert (cert.gamma, cert.slack) == (1.0, 0.0)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositive):
@@ -128,6 +135,19 @@ class TestFormOfOperator:
         t = form_of_operator(operator_from_matrix(M, dense_pair(4)))
         assert hermitian_residual(t.gram) == pytest.approx(rel, rel=1e-3)
         assert t.symmetric == (rel < 1e-12)
+
+    @pytest.mark.parametrize("rel", [1e-14, 1e-13, 1e-11, 5e-11, 1e-9])
+    def test_operator_symmetry_is_the_forms_flag(self, rel):
+        rng = np.random.default_rng(69)
+        M = random_hpd(rng, 5)
+        S = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        K = S - S.conj().T
+        M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
+        dp = dense_pair(5)
+        for A in (operator_from_matrix(M, dp),
+                  restricted_operator(M, rng.normal(size=(5, 3)), dp)):
+            assert A.is_symmetric() == form_of_operator(A).symmetric
+        assert operator_from_matrix(M, dp).is_symmetric() == (rel < 1e-12)
 
 
 class TestLowerBoundFromOneSVD:
@@ -343,3 +363,20 @@ class TestInverseSelfadjoint:
         B = operator_from_matrix([[1.0, 1.0], [0.0, 1.0]], DP2, FROM_DUAL)
         with pytest.raises(ValueError):
             inverse_selfadjoint(B, DP2)
+
+    @pytest.mark.parametrize("rel", [2e-13, 2e-11])
+    def test_selfadjointness_is_the_forms_rule(self, rel):
+        # the inverse of an HPD matrix plus an anti-Hermitian perturbation
+        # of relative size rel: accepted iff its form is symmetric
+        rng = np.random.default_rng(70)
+        M = np.linalg.inv(random_hpd(rng, 4))
+        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        K = S - S.conj().T
+        M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
+        B = operator_from_matrix(M, dense_pair(4), FROM_DUAL)
+        assert form_of_operator(B).symmetric == (rel < 1e-12)
+        if rel < 1e-12:
+            inverse_selfadjoint(B, dense_pair(4))
+        else:
+            with pytest.raises(ValueError, match="B not self-adjoint"):
+                inverse_selfadjoint(B, dense_pair(4))

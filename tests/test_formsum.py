@@ -11,13 +11,15 @@ from formcalc.duality import (
     generated_vector, graph_domain_contains, identity_operator, is_extension,
     operator_from_matrix, restricted_operator, sequence_pair,
 )
-from formcalc.errors import DomainError, LowerBoundError
-from formcalc.forms import diagonal_form, form_from_gram
+from formcalc.duality import DENSE, TO_DUAL, DenseOperator
+from formcalc.errors import DomainError, LowerBoundError, NotPositive
+from formcalc.forms import diagonal_form, form_from_gram, form_of_operator
+from formcalc.friedrichs import friedrichs
 from formcalc.formsum import (
     commutation_formsum, commuting_pair, form_sum, is_closed, joint_factorize,
     lift_commutant, spectrum_inclusion,
 )
-from formcalc.linalg import gram_inner
+from formcalc.linalg import gram_inner, hermitian_residual
 from formcalc.ordering import factorize
 
 DP2 = dense_pair(2)
@@ -355,15 +357,17 @@ class TestFactorOnce:
         B = operator_from_matrix(random_hpd(rng, 4), dp)
         jf = joint_factorize(A, B, dp)
         assert factorize_calls == [A, B]
-        assert jf.fac_a is jf.formsum.factorization
+        assert jf.fac_a.operator is A and jf.fac_b.operator is B
 
-    def test_form_sum_keeps_factorization_of_a(self):
+    def test_dense_form_sum_factorizes_nothing(self, factorize_calls, monkeypatch):
+        cholesky_calls = []
+        real = ordering.pivoted_cholesky
+        monkeypatch.setattr(ordering, "pivoted_cholesky",
+                            lambda *a, **k: cholesky_calls.append(a) or real(*a, **k))
         A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        fs = form_sum(A, identity_operator(DP2), DP2)
-        assert fs.factorization.operator is A
-        seq = form_sum(diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE),
-                       diagonal_operator(series.polynomial(4.0), SP, DOMAIN_FINITE), SP)
-        assert seq.factorization is None
+        form_sum(A, restricted_operator(np.diag([3.0, 4.0]), [1.0, 0.0], DP2), DP2)
+        form_sum(A, identity_operator(DP2), DP2)
+        assert factorize_calls == [] and cholesky_calls == []
 
     def test_form_sum_builds_each_form_once(self, monkeypatch):
         calls = []
@@ -385,9 +389,9 @@ class TestFactorOnce:
         B = operator_from_matrix(2.5 * A_mat, dp)    # shares the commutant of A
         rep = commutation_formsum(A, B, E, dp)
         assert rep.passed
-        # the lift of A hands its factorization to the form sum
+        # the lifts factorize A and B, the form sum neither
         assert factorize_calls == [A, B]
-        # and the report is the one of a form sum that factorizes A again
+        # and the report is the one of a form sum made on its own
         fs = form_sum(A, B, dp)
         M = fs.operator.canonical_matrix()
         E_mat = E.canonical_matrix()
@@ -534,3 +538,118 @@ class TestBatchedSamples:
         ref = max(float(np.min(np.abs(rep.e_eigenvalues - mu)))
                   for mu in rep.lift_eigenvalues)
         assert rep.max_distance == ref
+
+
+class TestOneFormOfA:
+    """The dense form sum reads t_A from the form of A, and factorize,
+    friedrichs and form_sum share the form's symmetry and positivity."""
+
+    def test_sum_gram_matches_the_jstar_route(self, monkeypatch):
+        grams = []
+        real = formsum.SesquilinearForm
+
+        def captured(backend, basis, gram, *args, **kwargs):
+            grams.append(gram)
+            return real(backend, basis, gram, *args, **kwargs)
+
+        monkeypatch.setattr(formsum, "SesquilinearForm", captured)
+        rng = np.random.default_rng(120)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, n))
+            dp = dense_pair(n)
+            # A and B diagonal in one unitary Q, so dom t_B = span Q[:, :d]
+            # is invariant and the form sum extends A + B; A on a basis
+            # with column scales 1e-2 to 1e2
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            M_a = Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T
+            M_b = Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T
+            W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            basis = W * 10.0 ** rng.uniform(-2, 2, size=n)
+            A = DenseOperator(DENSE, TO_DUAL, basis, M_a @ basis)
+            B = restricted_operator(M_b, Q[:, :d], dp)
+            grams.clear()
+            form_sum(A, B, dp)
+            fac = factorize(A)
+            Cc = fac.jstar_coefficients(B.basis_mat)
+            want = Cc.T @ fac.gram @ np.conj(Cc) + form_of_operator(B).gram
+            assert np.linalg.norm(grams[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+    @staticmethod
+    def perturbed(rel):
+        """An HPD 4 x 4 operator plus an anti-Hermitian perturbation whose
+        form gram has Hermitian residual rel."""
+        rng = np.random.default_rng(121)
+        M = random_hpd(rng, 4)
+        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        K = S - S.conj().T
+        return M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
+
+    @pytest.mark.parametrize("rel", [2e-11, 1e-10])
+    def test_one_symmetry_gate(self, rel):
+        dp = dense_pair(4)
+        A = operator_from_matrix(self.perturbed(rel), dp)
+        assert hermitian_residual(form_of_operator(A).gram) == pytest.approx(rel, rel=1e-3)
+        for construction in (lambda: factorize(A), lambda: friedrichs(A, dp),
+                             lambda: form_sum(A, identity_operator(dp), dp),
+                             lambda: form_sum(identity_operator(dp), A, dp)):
+            with pytest.raises(NotPositive, match="^operator form is not symmetric$"):
+                construction()
+
+    def test_nearly_symmetric_operand_passes_every_gate(self):
+        dp = dense_pair(4)
+        A = operator_from_matrix(self.perturbed(2e-13), dp)
+        assert factorize(A).rank == 4
+        assert friedrichs(A, dp).gamma_preserved.gamma > 0
+        assert form_sum(A, identity_operator(dp), dp).extension_residual <= 1e-10
+
+    def test_indefinite_operand_fails_in_the_form(self):
+        dp = dense_pair(2)
+        A = operator_from_matrix(np.diag([1.0, -1.0]), dp)
+        for construction in (lambda: factorize(A), lambda: friedrichs(A, dp),
+                             lambda: form_sum(A, identity_operator(dp), dp)):
+            with pytest.raises(NotPositive, match="^form indefinite"):
+                construction()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count of every numpy.linalg SVD, eigvalsh and pivoted Cholesky,
+    and the operands of every factorize call."""
+    calls = {"svd": 0, "eigvalsh": 0, "pivoted_cholesky": 0, "factorize": []}
+    for name in ("svd", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_chol, real_fac = ordering.pivoted_cholesky, ordering.factorize
+
+    def chol(*args, **kwargs):
+        calls["pivoted_cholesky"] += 1
+        return real_chol(*args, **kwargs)
+
+    def fac(A):
+        calls["factorize"].append(A)
+        return real_fac(A)
+
+    monkeypatch.setattr(ordering, "pivoted_cholesky", chol)
+    monkeypatch.setattr(ordering, "factorize", fac)
+    monkeypatch.setattr(formsum, "factorize", fac)
+    return calls
+
+
+class TestLinalgCounts:
+    def test_dense_form_sum(self, linalg_calls):
+        rng = np.random.default_rng(122)
+        dp = dense_pair(8)
+        A = operator_from_matrix(random_hpd(rng, 8), dp)
+        B = operator_from_matrix(random_hpd(rng, 8), dp)
+        form_sum(A, B, dp)
+        assert linalg_calls == {"svd": 4, "eigvalsh": 5, "pivoted_cholesky": 0,
+                                "factorize": []}
+
+    def test_factorize_solves_one_eigenproblem(self, linalg_calls):
+        rng = np.random.default_rng(123)
+        factorize(operator_from_matrix(random_hpd(rng, 8), dense_pair(8)))
+        assert linalg_calls["eigvalsh"] == 1
+        assert linalg_calls["pivoted_cholesky"] == 1
