@@ -179,8 +179,8 @@ def _expect_functional(xi: RandomVariable, f: Functional) -> complex:
     """E f(xi) as a certified sum."""
     sp = xi.space
     if xi.kind == "table":
-        return complex(sum(w * np.vdot(v[:f.n], f.coords[:v.size])
-                           for w, v in zip(sp.weights, xi.values)))
+        X = np.stack(xi.values)
+        return complex(sp.weights @ (X[:, :f.n].conj() @ f.coords[:X.shape[1]]))
     if xi.kind == "signed-basis":
         return 0.0 + 0.0j
     # exp-poly with finitely supported f: polynomial-in-n summand

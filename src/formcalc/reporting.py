@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
+from .coeffexpr import ExpressionError, compile_rule
 from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Functional, Vector,
     dense_pair, sequence_pair,
@@ -180,6 +181,21 @@ def array_from_json(v) -> np.ndarray:
 
 def matrix_from_json(rows) -> np.ndarray:
     return _complex_array(rows, 2)
+
+
+def real_array_from_json(v: list) -> np.ndarray:
+    """A list of real numbers, such as probability weights."""
+    if not all(isinstance(x, (int, float)) for x in v):
+        raise MalformedOperand("expected a list of numbers")
+    return np.array(v, dtype=float)
+
+
+def expression_from_json(obj, key: str):
+    """``obj[key]`` compiled as a coefficient expression (see coeffexpr)."""
+    try:
+        return compile_rule(json_field(obj, key, str))
+    except ExpressionError as exc:
+        raise MalformedOperand(exc.args[0]) from exc
 
 
 _REQUIRED = object()

@@ -28,8 +28,8 @@ from .duality import (
     operator_from_matrix, pair as pairing,
 )
 from .elliptic import (
-    assemble, dirichlet_vs_neumann, problem, sobolev_lower_bound, uniform_mesh,
-    weak_solve,
+    EllipticProblem, assemble, dirichlet_vs_neumann, sobolev_lower_bound,
+    uniform_mesh, weak_solve,
 )
 from .errors import BackendMismatch
 from .forms import associated_operator, form_from_gram, inverse_selfadjoint, lower_bound, riesz_solve
@@ -41,8 +41,9 @@ from .friedrichs import core_check, friedrichs
 from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert_consistency
 from .reporting import (
     MalformedOperand, Report, _run_check, array_from_json, complex_from_json,
-    functional_from_json, gram_csv_rows, json_field, matrix_from_json,
-    operator_from_json, pair_from_json, rule_from_json, vector_from_json,
+    expression_from_json, functional_from_json, gram_csv_rows, json_field,
+    matrix_from_json, operator_from_json, pair_from_json, real_array_from_json,
+    rule_from_json, vector_from_json,
 )
 
 RESERVED = {"id", "op", "seed", "tolerances", "expect"}
@@ -55,7 +56,7 @@ def _operands(sc: dict) -> dict:
 def _space_from_json(obj):
     kind = json_field(obj, "kind", str, "finite")
     if kind == "finite":
-        return finite_space(json_field(obj, "weights", list))
+        return finite_space(real_array_from_json(json_field(obj, "weights", list)))
     if kind == "exponential":
         return exponential_space(json_field(obj, "beta", float))
     if kind == "rule":
@@ -78,9 +79,9 @@ def _variable_from_json(obj, space, dp):
 
 
 def _problem_from_json(obj):
-    return problem(json_field(obj, "length", float, 1.0),
-                   json_field(obj, "a", str), json_field(obj, "b", str),
-                   json_field(obj, "gamma", float), json_field(obj, "p", float, 2.0))
+    return EllipticProblem(json_field(obj, "length", float, 1.0),
+                           expression_from_json(obj, "a"), expression_from_json(obj, "b"),
+                           json_field(obj, "gamma", float), json_field(obj, "p", float, 2.0))
 
 
 def _form(ops):
@@ -440,7 +441,7 @@ def _op_sobolev_lower_bound(ops, seed):
 def _op_weak_solve(ops, seed):
     pb = _problem_from_json(ops["problem"])
     mesh = uniform_mesh(json_field(ops, "m", int), pb.length)
-    sol = weak_solve(pb, mesh, json_field(ops, "g", str))
+    sol = weak_solve(pb, mesh, expression_from_json(ops, "g"))
     residuals = {"galerkin": sol.galerkin_residual}
     tols = {"galerkin": 1e-10}
     details = {"energy_norm": sol.energy_norm, "lp_norm": sol.lp_norm,

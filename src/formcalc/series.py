@@ -19,6 +19,9 @@ times the summed moduli (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 4).  Divergent series are reported with a partial-sum
 growth record instead of a bound.
 
+A rule is evaluated on one grid, a row per term and a column per point
+(:func:`_grid`); each value has the bits of its term evaluated alone.
+
 Values are never returned without a certificate: :func:`certified_sum`
 attaches a tail bound, :func:`decide_summable` returns either a
 :class:`TailCertificate` or a :class:`DivergenceCertificate`.  Equality
@@ -32,12 +35,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SeriesDiverges, Uncertifiable
 
 _MAX_TERMS = 2 ** 21
+_CAP = 2 ** 14          # the most values one grid evaluation holds
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,6 @@ class Term:
         if self.start < 1:
             raise ValueError("start must be >= 1")
 
-    def values(self, n: np.ndarray) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            out = self.coef * np.exp(self.alpha * np.log(n) + n * math.log(self.ratio))
-        return np.where(n >= self.start, out, 0.0)
-
     @property
     def converges(self) -> bool:
         return self.ratio < 1.0 or (self.ratio == 1.0 and self.alpha < -1.0)
@@ -78,9 +77,22 @@ class Rule:
     def __call__(self, n) -> np.ndarray:
         n = np.atleast_1d(np.asarray(n, dtype=float))
         total = np.zeros(n.shape, dtype=complex)
-        for t in self.terms:
-            total += t.values(n)
+        for _, block in _blocks(self, n):
+            for row in block:       # in term order
+                total += row
         return total
+
+    @cached_property
+    def _columns(self):
+        # (T, 1) columns of coef, alpha, log ratio and start (None if every
+        # term starts at 1), and the rows of real coefficients among complex
+        ts = self.terms
+        real = [not isinstance(t.coef, complex) for t in ts]
+        coef = np.array([t.coef for t in ts], float if all(real) else complex)[:, None]
+        alpha, logr, start = np.array([[t.alpha, math.log(t.ratio), t.start] for t in ts],
+                                      dtype=float).reshape(-1, 3).T[:, :, None]
+        return (coef, alpha, logr, start if any(t.start > 1 for t in ts) else None,
+                np.array(real) if any(real) and not all(real) else None)
 
     def at(self, n: int) -> complex:
         return complex(self(np.array([n]))[0])
@@ -128,6 +140,28 @@ class Rule:
         alpha = max(t.alpha for t in self.terms)
         ratio = max(t.ratio for t in self.terms)
         return Term(c, alpha, ratio)
+
+
+def _grid(rule: Rule, n: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The terms ``rows`` of ``rule`` at points ``n >= 1`` of a 1-D ``n``, a
+    row per term and a column per point; for ``n`` of shape (T, 1), every
+    term at its own point.  Each value is c exp(alpha log n + n log
+    ratio), 0 before the start, with the bits of its term evaluated alone:
+    a real c times an overflow is a real infinity, not a NaN imaginary
+    part."""
+    coef, alpha, logr, start, real = rule._columns
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = coef[rows] * np.exp(alpha[rows] * np.log(n) + n * logr[rows])
+    if real is not None:
+        out.imag[real[rows]] = 0.0
+    return out if start is None else np.where(n >= start[rows], out, 0.0)
+
+
+def _blocks(rule: Rule, n: np.ndarray):
+    """(rows, grid) of a 1-D ``n`` in blocks of at most ``_CAP`` values."""
+    step = max(1, _CAP // max(1, n.size))
+    for i in range(0, len(rule.terms), step):
+        yield slice(i, i + step), _grid(rule, n, slice(i, i + step))
 
 
 def geometric(ratio: float, coef: complex = 1.0) -> Rule:
@@ -193,36 +227,44 @@ class SumResult:
     certificate: TailCertificate
 
 
-def _term_tail_bound(t: Term, n_from: int) -> float:
-    """Rigorous bound for sum_{n > n_from} |coef| n**alpha ratio**n."""
-    c = abs(t.coef)
-    if c == 0.0:
-        return 0.0
-    lo = max(n_from, t.start - 1)
-    extra = 0.0
-    if t.ratio < 1.0:
-        # push the start of the geometric bound until the ratio factor
-        # (n+1)/n)**alpha_+ * ratio is safely below 1
-        target = (1.0 + t.ratio) / 2.0
-        ap = max(t.alpha, 0.0)
-        n2 = max(lo, 1)
-        while t.ratio * (1.0 + 1.0 / (n2 + 1)) ** ap > target:
-            n2 *= 2
-            if n2 > _MAX_TERMS:
-                raise Uncertifiable("ratio test start grew past the term cap")
-        if n2 > lo:
+def _term_tail_bounds(rule: Rule, n_from: int) -> list[float]:
+    """Per term, a rigorous bound for sum_{n > n_from} |coef| n**alpha
+    ratio**n; the ratio-test heads of all terms are one grid evaluation."""
+    ts = rule.terms
+    los = [max(n_from, t.start - 1) for t in ts]
+    n2s = list(los)
+    tested = [t.coef != 0 and t.ratio < 1.0 for t in ts]
+    for i, t in enumerate(ts):
+        if tested[i]:
+            # push the start of the geometric bound until the ratio factor
+            # (n+1)/n)**alpha_+ * ratio is safely below 1
+            n2s[i] = max(n2s[i], 1)
+            while (t.ratio * (1.0 + 1.0 / (n2s[i] + 1)) ** max(t.alpha, 0.0)
+                   > (1.0 + t.ratio) / 2.0):
+                n2s[i] *= 2
+                if n2s[i] > _MAX_TERMS:
+                    raise Uncertifiable("ratio test start grew past the term cap")
+    if any(tested):
+        heads = _grid(rule, np.array(n2s, dtype=float)[:, None] + 1.0)[:, 0].tolist()
+    out = []
+    for i, (t, lo, n2) in enumerate(zip(ts, los, n2s)):
+        if t.coef == 0:
+            out.append(0.0)
+        elif t.ratio < 1.0:
             ns = np.arange(lo + 1, n2 + 1, dtype=float)
-            extra = float(np.sum(np.abs(t.values(ns))))
-        head = abs(complex(t.values(np.array([n2 + 1.0]))[0]))
-        return extra + head / (1.0 - target)
-    if t.ratio == 1.0 and t.alpha < -1.0:
-        # integral test from lo; from lo = 0 the first term, 1, comes first
-        return c * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0))
-    return math.inf
+            extra = float(np.sum(np.abs(_grid(rule, ns, slice(i, i + 1))))) if n2 > lo else 0.0
+            out.append(extra + abs(heads[i]) / (1.0 - (1.0 + t.ratio) / 2.0))
+        elif t.ratio == 1.0 and t.alpha < -1.0:
+            # integral test from lo; from lo = 0 the first term, 1, comes first
+            out.append(abs(t.coef) * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0)
+                                      / (-t.alpha - 1.0)))
+        else:
+            out.append(math.inf)
+    return out
 
 
 def tail_bound(rule: Rule, n_from: int) -> float:
-    return sum(_term_tail_bound(t, n_from) for t in rule.terms)
+    return sum(_term_tail_bounds(rule, n_from))
 
 
 def rule_convergent(rule: Rule) -> bool:
@@ -288,11 +330,11 @@ def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
     + 1, whose error falls below rounding level within 64 terms."""
     correction = 0.0 + 0.0j
     err = size = 0.0
-    for t in rule.terms:
+    for t, bound in zip(rule.terms, _term_tail_bounds(rule, n_from)):
         if t.coef == 0:
             continue
         if t.ratio < 1.0:
-            err += _term_tail_bound(t, n_from)
+            err += bound
         else:
             mid, half = _euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
             correction += t.coef * mid
@@ -314,20 +356,22 @@ def _partial_sum(rule: Rule, lo: int, hi: int) -> tuple[complex, float, float]:
     4 (|alpha log n| + |n log ratio|) u with logarithms and exp good to
     one ulp, plus a few u for the exponential and the product with c; a
     value that underflows is off by less than 1e-300 |c|, far below any
-    target.  The values are added by ``math.fsum``, which rounds the
-    exact sum once, so the summation costs u of the mass whatever the
-    number of values."""
+    target.  Each term's values, a row of the grid, are added by
+    ``math.fsum``, which rounds the exact sum once, so the summation
+    costs u of the mass whatever the number of values."""
     ns = np.arange(lo, hi + 1, dtype=float)
     logn = np.log(ns)
+    _, alpha, logr, _, _ = rule._columns
     total = 0.0 + 0.0j
     mass = evaluation = 0.0
-    for t in rule.terms:
-        vals = Rule((t,))(ns)      # through Rule.__call__, like every evaluation
+    for rows, vals in _blocks(rule, ns):
         mods = np.abs(vals)
-        mass += float(np.sum(mods))
-        evaluation += float(np.sum(mods * (
-            4.0 * abs(t.alpha) * logn + 4.0 * abs(math.log(t.ratio)) * ns + 8.0)))
-        total += complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        weights = 4.0 * np.abs(alpha[rows]) * logn + 4.0 * np.abs(logr[rows]) * ns + 8.0
+        for m, e, re, im in zip(mods.sum(axis=1).tolist(), (mods * weights).sum(axis=1).tolist(),
+                                vals.real, vals.imag):
+            mass += m
+            evaluation += e
+            total += complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     # fsum rounds once, and adding the T term sums rounds T times
     return total, mass, evaluation + (len(rule.terms) + 1) * mass
 

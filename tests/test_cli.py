@@ -315,6 +315,26 @@ class TestCliRun:
         assert "scenario 'bad' has a malformed operand" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario,message", [
+        ({"op": "weak-expectation",
+          "space_pair": {"backend": "dense", "dim": 2, "p": 2.0},
+          "probability": {"kind": "finite", "weights": ["a", "b"]},
+          "variable": {"kind": "table", "values": [[1, 0], [0, 1]]}},
+         "expected a list of numbers"),
+        ({"op": "weak-solve", "m": 8, "g": "1 +",
+          "problem": {"a": "1", "b": "0", "gamma": 1.0}},
+         "cannot parse '1 +'"),
+        ({"op": "elliptic-assemble", "m": 8,
+          "problem": {"a": "1", "b": "y", "gamma": 1.0}},
+         "unknown name 'y'"),
+    ], ids=["weights-strings", "g-unparsable", "b-unknown-name"])
+    def test_malformed_content_exits_four(self, tmp_path, capsys, scenario, message):
+        f = write_scenarios(tmp_path / "content.json", [{"id": "bad", **scenario}])
+        assert main(["run", f]) == 4
+        err = capsys.readouterr().err
+        assert f"scenario 'bad' has a malformed operand: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gram_entry_fails(self, tmp_path, bad):
         f = write_scenarios(tmp_path / "non-finite.json", [{

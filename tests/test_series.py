@@ -1,6 +1,12 @@
-"""Tail certificates checked against closed forms and a condensation oracle."""
+"""Tail certificates checked against closed forms and a condensation oracle.
 
+``python tests/test_series.py`` rewrites ``tests/data/series_golden.json``
+from the ``formcalc`` on the path; see :class:`TestGoldenCertificates`.
+"""
+
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +333,321 @@ class TestCertificateOracle:
         assert series.tail_bound(series.polynomial(-2.0), 0) >= math.pi ** 2 / 6
         bound = series.tail_bound(series.power_geometric(1.0, -3.0, 1.0, start=4), 0)
         assert bound >= float(exact_sum(series.power_geometric(1.0, -3.0, 1.0, start=4)).real)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation against a term-by-term reference
+
+
+def _ref_values(t, n):
+    """One term alone: c exp(alpha log n + n log ratio), 0 before start."""
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = t.coef * np.exp(t.alpha * np.log(n) + n * math.log(t.ratio))
+    return np.where(n >= t.start, out, 0.0)
+
+
+def _ref_call(rule, n):
+    n = np.atleast_1d(np.asarray(n, dtype=float))
+    total = np.zeros(n.shape, dtype=complex)
+    for t in rule.terms:
+        total += _ref_values(t, n)
+    return total
+
+
+def _ref_partial_sum(rule, lo, hi):
+    ns = np.arange(lo, hi + 1, dtype=float)
+    logn = np.log(ns)
+    total = 0.0 + 0.0j
+    mass = evaluation = 0.0
+    for t in rule.terms:
+        vals = _ref_call(series.Rule((t,)), ns)
+        mods = np.abs(vals)
+        mass += float(np.sum(mods))
+        evaluation += float(np.sum(mods * (
+            4.0 * abs(t.alpha) * logn + 4.0 * abs(math.log(t.ratio)) * ns + 8.0)))
+        total += complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return total, mass, evaluation + (len(rule.terms) + 1) * mass
+
+
+def _ref_term_tail_bound(t, n_from):
+    c = abs(t.coef)
+    if c == 0.0:
+        return 0.0
+    lo = max(n_from, t.start - 1)
+    extra = 0.0
+    if t.ratio < 1.0:
+        target = (1.0 + t.ratio) / 2.0
+        ap = max(t.alpha, 0.0)
+        n2 = max(lo, 1)
+        while t.ratio * (1.0 + 1.0 / (n2 + 1)) ** ap > target:
+            n2 *= 2
+            if n2 > series._MAX_TERMS:
+                raise Uncertifiable("ratio test start grew past the term cap")
+        if n2 > lo:
+            extra = float(np.sum(np.abs(_ref_values(t, np.arange(lo + 1, n2 + 1, dtype=float)))))
+        head = abs(complex(_ref_values(t, np.array([n2 + 1.0]))[0]))
+        return extra + head / (1.0 - target)
+    if t.ratio == 1.0 and t.alpha < -1.0:
+        return c * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0))
+    return math.inf
+
+
+def _ref_tail_bound(rule, n_from):
+    return sum(_ref_term_tail_bound(t, n_from) for t in rule.terms)
+
+
+def _ref_tail_estimate(rule, n_from):
+    correction = 0.0 + 0.0j
+    err = size = 0.0
+    for t in rule.terms:
+        if t.coef == 0:
+            continue
+        if t.ratio < 1.0:
+            err += _ref_term_tail_bound(t, n_from)
+        else:
+            mid, half = series._euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
+            correction += t.coef * mid
+            err += abs(t.coef) * half
+            size += abs(t.coef) * mid
+    return correction, err, size
+
+
+def _outcome(fn, *args):
+    """The bits of what ``fn`` returns, or the exception it raises (an
+    overflowed sum can overflow ``math.fsum`` as well)."""
+    try:
+        out = fn(*args)
+    except (Uncertifiable, SeriesDiverges, OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, series.SumResult):
+        out = (out.value, out.n_used, out.tail, out.certificate.as_dict())
+    return _hex(out)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+GRID_COEFS = st.one_of(
+    st.floats(-3.0, 3.0), st.just(0.0), st.just(0j),
+    st.builds(complex, st.floats(-3.0, 3.0), st.just(0.0)),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+GRID_TERMS = st.builds(
+    series.Term, GRID_COEFS,
+    st.one_of(st.floats(-5.0, 5.0), st.floats(100.0, 150.0)),  # the latter overflow
+    st.one_of(st.floats(0.05, 0.99), st.just(1.0), st.floats(1.0001, 3.0)),
+    st.integers(1, 8))
+GRID_RULES = st.lists(GRID_TERMS, min_size=1, max_size=9).map(
+    lambda ts: series.Rule(tuple(ts)))
+# rules whose sums stop within a few doublings
+SUM_TERMS = st.builds(
+    series.Term, GRID_COEFS,
+    st.floats(-4.0, 3.0),
+    st.one_of(st.floats(0.05, 0.9), st.just(1.0), st.floats(1.0001, 3.0)),
+    st.integers(1, 8))
+SUM_RULES = st.lists(SUM_TERMS, min_size=1, max_size=9).map(
+    lambda ts: series.Rule(tuple(ts)))
+
+
+class TestGridIsTheTermLoop:
+    """The grid gives, bit for bit, what evaluating each term on its own
+    gives: every value, sum, mass and bound, overflowed values included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(GRID_RULES, st.integers(1, 3000))
+    def test_rule_values(self, rule, count):
+        ns = np.arange(1, count + 1)
+        assert _bits(rule(ns)) == _bits(_ref_call(rule, ns))
+        assert _bits(rule(float(count))) == _bits(_ref_call(rule, float(count)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(GRID_RULES, st.integers(1, 300), st.integers(0, 5000))
+    def test_partial_sum(self, rule, lo, width):
+        assert (_outcome(series._partial_sum, rule, lo, lo + width)
+                == _outcome(_ref_partial_sum, rule, lo, lo + width))
+
+    @settings(max_examples=60, deadline=None)
+    @given(GRID_RULES, st.integers(0, 3000))
+    def test_tail_bound(self, rule, n_from):
+        assert (_outcome(series.tail_bound, rule, n_from)
+                == _outcome(_ref_tail_bound, rule, n_from))
+        assert (_outcome(series._tail_estimate, rule, n_from)
+                == _outcome(_ref_tail_estimate, rule, n_from))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SUM_RULES)
+    def test_certified_sum(self, rule):
+        got = _outcome(series.certified_sum, rule)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series.Rule, "__call__", _ref_call)
+            mp.setattr(series, "_partial_sum", _ref_partial_sum)
+            mp.setattr(series, "_tail_estimate", _ref_tail_estimate)
+            assert got == _outcome(series.certified_sum, rule)
+
+    def test_rows_come_in_blocks_of_the_cap(self, monkeypatch):
+        rule = series.Rule(tuple(series.Term(1.0 + k * 1j, -k, 0.5, k + 1) for k in range(5)))
+        ns = np.arange(1, 3001, dtype=float)
+        want = (_bits(rule(ns)), _outcome(series._partial_sum, rule, 1, 3000))
+        monkeypatch.setattr(series, "_CAP", 2 * 3000)
+        assert [len(b) for _, b in series._blocks(rule, ns)] == [2, 2, 1]
+        assert (_bits(rule(ns)), _outcome(series._partial_sum, rule, 1, 3000)) == want
+        monkeypatch.setattr(series, "_CAP", 1)
+        assert [b.shape for _, b in series._blocks(rule, ns)] == [(1, 3000)] * 5
+
+    def test_one_grid_evaluation_per_doubling_chunk(self, monkeypatch):
+        calls = []
+        grid = series._grid
+
+        def counting(rule, n, rows=slice(None)):
+            calls.append(n.shape)
+            return grid(rule, n, rows)
+
+        monkeypatch.setattr(series, "_grid", counting)
+        rule = series.Rule(tuple(series.Term(1.0 / k, k - 3.0, 0.85, k) for k in range(1, 7)))
+        res = series.certified_sum(rule)
+        sizes = [64]
+        while sum(sizes) < res.n_used:
+            sizes.append(sum(sizes))
+        assert len(sizes) >= 3
+        # one grid of all six terms per chunk, and one of their tail heads
+        assert calls == [shape for size in sizes for shape in ((size,), (6, 1))]
+
+
+# ---------------------------------------------------------------------------
+# golden certificates
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "series_golden.json"
+
+
+def _hex(v):
+    """Floats as ``float.hex``, complex numbers as [re, im], containers
+    entry by entry; exact, so equal records mean equal bits."""
+    if isinstance(v, float):
+        return float.hex(v)
+    if isinstance(v, complex):
+        return [float.hex(v.real), float.hex(v.imag)]
+    if isinstance(v, dict):
+        return {k: _hex(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_hex(x) for x in v]
+    return v
+
+
+def _golden_record(rule):
+    """What ``certified_sum`` and ``decide_summable`` return or raise."""
+    def result(r):
+        if isinstance(r, series.SumResult):
+            return {"value": r.value, "n_used": r.n_used, "tail": r.tail,
+                    "certificate": r.certificate.as_dict()}
+        return r.as_dict()
+
+    def run(fn):
+        try:
+            out = fn(rule)
+        except SeriesDiverges as exc:
+            return {"raises": "SeriesDiverges", "message": str(exc),
+                    "certificate": exc.certificate.as_dict()}
+        except Uncertifiable as exc:
+            return {"raises": "Uncertifiable", "message": str(exc)}
+        if isinstance(out, tuple):
+            return {"summable": out[0], "result": result(out[1])}
+        return result(out)
+
+    return _hex({"certified_sum": run(series.certified_sum),
+                 "decide_summable": run(series.decide_summable)})
+
+
+def _rule_to_json(rule):
+    """Terms as [coef, alpha, ratio, start]; a real coefficient stays a
+    float, since a complex one of zero imaginary part multiplies an
+    overflowed value differently."""
+    return [[_hex(t.coef), t.alpha.hex(), t.ratio.hex(), t.start] for t in rule.terms]
+
+
+def _rule_from_golden(terms):
+    def coef(c):
+        if isinstance(c, list):
+            return complex(float.fromhex(c[0]), float.fromhex(c[1]))
+        return float.fromhex(c)
+
+    return series.Rule(tuple(
+        series.Term(coef(c), float.fromhex(a), float.fromhex(r), s)
+        for c, a, r, s in terms))
+
+
+def _golden_rules():
+    """About 30 seeded multi-term rules: ratio-test and p-series terms,
+    real and complex coefficients, late starts, squared moduli, cancelling
+    and near-one ratios, and divergent rules of one and of mixed sign."""
+    rng = np.random.default_rng(7)
+
+    def coef(kind):
+        if kind == "real":
+            return float(rng.normal(0.0, 2.0))
+        return complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
+
+    def term(kind, decay):
+        start = int(rng.integers(1, 6))
+        if decay == "ratio":
+            return series.Term(coef(kind), float(rng.uniform(-3.0, 3.0)),
+                               float(rng.uniform(0.05, 0.95)), start)
+        return series.Term(coef(kind), float(rng.uniform(-5.0, -1.2)), 1.0, start)
+
+    rules = []
+    for k in range(24):
+        kind = ("real", "complex")[k % 2]
+        count = int(rng.integers(2, 7))
+        family = k % 4
+        if family == 0:
+            terms = [term(kind, "ratio") for _ in range(count)]
+        elif family == 1:
+            terms = [term(kind, ("ratio", "p")[i % 2]) for i in range(count)]
+        elif family == 2:
+            terms = [term(kind, "p") for _ in range(count)]
+        else:
+            terms = [term("complex", "ratio") for _ in range(min(count, 3))]
+        rule = series.Rule(tuple(terms))
+        rules.append(rule.abs_square() if family == 3 else rule)
+    growing = series.Rule((series.Term(1.5, 1.0, 1.02), series.Term(0.5, -0.5, 1.0, 3),
+                           series.Term(2.0, 2.0, 0.5)))
+    rules += [
+        growing,
+        growing + series.power_geometric(-1.0, 0.0, 0.3),   # mixed sign
+        series.Rule((series.Term(1.0, 0.0, 1.5, 2), series.Term(1j, -2.0, 1.0))),
+        series.Rule((series.Term(1e6, 0.0, 0.5), series.Term(-1e6, 0.0, 0.5000001))),
+        series.Rule((series.Term(1.0, 0.0, 0.99999), series.Term(0.0, 1.0, 0.5),
+                     series.Term(-0.5, -3.0, 1.0, 2))),
+        series.Rule((series.Term(2.0, 40.0, 0.9), series.Term(0.0, 0.0, 3.0),
+                     series.Term(1.0 + 0.0j, 3.0, 0.97, 4))),
+        # values overflow to inf in the divergence record, with real and
+        # complex coefficients in one rule
+        series.Rule((series.Term(2.0 + 0.0j, 1.0, 1.5), series.Term(3.0, -2.0, 1.2, 2))),
+        series.Rule((series.Term(1.0 + 1.0j, 0.0, 2.5), series.Term(0.0, 1.0, 0.5))),
+    ]
+    return rules
+
+
+def _golden_cases():
+    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+class TestGoldenCertificates:
+    """Sums and certificates of seeded rules, bit for bit as recorded in
+    ``tests/data/series_golden.json``: a change to the series layer that
+    moves any value shows here."""
+
+    def test_golden_file_covers_the_seeded_rules(self):
+        cases = _golden_cases()
+        assert [c["rule"] for c in cases] == [_rule_to_json(r) for r in _golden_rules()]
+
+    @pytest.mark.parametrize("case", _golden_cases(), ids=lambda c: c["id"])
+    def test_certificates_are_unchanged(self, case):
+        assert _golden_record(_rule_from_golden(case["rule"])) == case["record"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(
+        [{"id": f"rule-{k:02d}", "rule": _rule_to_json(r), "record": _golden_record(r)}
+         for k, r in enumerate(_golden_rules())], indent=1) + "\n")
