@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .reporting import (
     FAIL, SCHEMA_VERSION, UNCERTIFIED, MalformedOperand, _verdict_counts,
-    write_csv, write_report,
+    decode_arrays, write_csv, write_report,
 )
 from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
@@ -129,7 +129,7 @@ def _scenario_list(payload) -> list:
 def cmd_run(args) -> int:
     path = Path(args.file)
     try:
-        scenarios = _scenario_list(json.loads(path.read_text()))
+        scenarios = _scenario_list(json.loads(path.read_text(), object_hook=decode_arrays))
     except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_USAGE

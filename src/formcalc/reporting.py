@@ -170,6 +170,22 @@ def _complex_array(v, ndim: int) -> np.ndarray:
     raise MalformedOperand(f"expected {_EXPECTED[ndim]}")
 
 
+def decode_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: a value of ``obj`` that is a non-empty
+    list of lists becomes ``np.asarray`` of it, the readers' own call, if
+    that holds booleans or numbers, so a file's lists are freed as each
+    object closes; anything else stays a list for the readers to refuse."""
+    for key, v in obj.items():
+        if isinstance(v, list) and v and isinstance(v[0], list):
+            try:
+                a = np.asarray(v)
+            except ValueError:    # ragged lists
+                continue
+            if a.dtype.kind in "biuf":
+                obj[key] = a
+    return obj
+
+
 def complex_from_json(v) -> complex:
     """One scalar, such as a rule coefficient."""
     return complex(_complex_array(v, 0))
@@ -200,23 +216,26 @@ def expression_from_json(obj, key: str):
 
 _REQUIRED = object()
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               int: "an integer", float: "a number"}
+               int: "an integer", float: "a number", bool: "a boolean"}
+_PY_TYPES = {float: (int, float), list: (list, np.ndarray)}
 
 
 def json_field(obj, key: str, kind: type, default=_REQUIRED):
     """``obj[key]``, or ``default`` if absent, checked to be of one JSON
-    type; ``float`` takes any number and ``object`` any value.  Every
-    wire reader checks its fields here: a non-object ``obj`` or a value
-    of another type raises :class:`MalformedOperand`, an absent key
-    without default KeyError."""
+    type; ``float`` takes any number, ``list`` also an array from
+    :func:`decode_arrays` and ``object`` any value.  Every wire reader
+    checks its fields here: a non-object ``obj`` or a value of another
+    type raises :class:`MalformedOperand`, an absent key without default
+    KeyError."""
     if not isinstance(obj, dict):
-        raise MalformedOperand(f"expected an object, got {type(obj).__name__}")
+        got = "list" if isinstance(obj, np.ndarray) else type(obj).__name__
+        raise MalformedOperand(f"expected an object, got {got}")
     if key not in obj:
         if default is _REQUIRED:
             raise KeyError(key)
         return default
     v = obj[key]
-    if not isinstance(v, (int, float) if kind is float else kind):
+    if not isinstance(v, _PY_TYPES.get(kind, kind)):
         raise MalformedOperand(f"{key!r} must be {_JSON_TYPES[kind]}")
     return float(v) if kind is float else v
 

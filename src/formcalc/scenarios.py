@@ -161,7 +161,7 @@ def _op_is_extension(ops, seed):
     S = operator_from_json(ops["S"])
     T = operator_from_json(ops["T"])
     got = is_extension(S, T)
-    want = bool(ops.get("expected", True))
+    want = json_field(ops, "expected", bool, True)
     return {"verdict_mismatch": 0.0 if got == want else 1.0}, \
         {"verdict_mismatch": 0.0}, {"is_extension": got}, []
 
@@ -242,7 +242,8 @@ def _op_form_on_x(ops, seed):
     fv = form_on_X(A, y)
     residuals, tols = {}, {}
     if "expected" in ops:
-        want = (math.inf if ops["expected"] == "inf" else
+        want = ops["expected"]
+        want = (math.inf if isinstance(want, str) and want == "inf" else
                 json_field(ops, "expected", float))
         if math.isinf(want):
             residuals["finite_mismatch"] = 0.0 if math.isinf(fv.value) else 1.0
@@ -261,7 +262,7 @@ def _op_compare(ops, seed):
     B = operator_from_json(ops["B"])
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
     rep = compare(A, B, samples, seed=seed)
-    want = ops.get("expected")
+    want = json_field(ops, "expected", str, None)
     residuals = {"consistent": 0.0 if rep.consistent() else 1.0}
     tols = {"consistent": 0.0}
     if want:
@@ -372,7 +373,7 @@ def _op_weak_expectation(ops, seed):
 def _op_second_moment(ops, seed):
     xi = _variable(ops)
     cert = second_moment_membership(xi, functional_from_json(ops["functional"]))
-    want = bool(ops.get("expected", True))
+    want = json_field(ops, "expected", bool, True)
     return {"membership_mismatch": 0.0 if cert.member == want else 1.0}, \
         {"membership_mismatch": 0.0}, {"member": cert.member}, [cert.certificate]
 

@@ -85,13 +85,16 @@ class Rule:
     @cached_property
     def _columns(self):
         # (T, 1) columns of coef, alpha, log ratio and start (None if every
-        # term starts at 1), and the rows of real coefficients among complex
+        # term starts at 1; inf for a zero coefficient, so its row is 0 and
+        # not 0 * an overflow), and the rows of real coefficients among complex
         ts = self.terms
         real = [not isinstance(t.coef, complex) for t in ts]
         coef = np.array([t.coef for t in ts], float if all(real) else complex)[:, None]
-        alpha, logr, start = np.array([[t.alpha, math.log(t.ratio), t.start] for t in ts],
-                                      dtype=float).reshape(-1, 3).T[:, :, None]
-        return (coef, alpha, logr, start if any(t.start > 1 for t in ts) else None,
+        alpha, logr, start = np.array(
+            [[t.alpha, math.log(t.ratio), t.start if t.coef != 0 else math.inf] for t in ts],
+            dtype=float).reshape(-1, 3).T[:, :, None]
+        return (coef, alpha, logr,
+                start if any(t.start > 1 or t.coef == 0 for t in ts) else None,
                 np.array(real) if any(real) and not all(real) else None)
 
     def at(self, n: int) -> complex:

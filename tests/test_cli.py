@@ -215,6 +215,17 @@ class TestScenarioDispatch:
         assert rep.verdict == "pass"
 
 
+SECOND_MOMENT = {
+    "op": "second-moment", "space_pair": {"backend": "sequence", "truncation": 4},
+    "probability": {"kind": "exponential", "beta": 1.5}, "variable": {"kind": "exp-poly"},
+    "functional": {"backend": "sequence", "coords": [[1, 0], [0, 0], [0, 0], [0, 0]]}}
+IS_EXTENSION = {"op": "is-extension", "S": op_json([[1, 0], [0, 2]]),
+                "T": op_json([[1, 0], [0, 2]])}
+COMPARE = {"op": "compare", "A": op_json([[1, 0], [0, 2]]), "B": op_json([[1, 0], [0, 2]])}
+FORM_ON_X = {"op": "form-on-x", "A": op_json([[1, 0], [0, 2]]),
+             "y": {"coords": [[1, 0], [0, 0]]}}
+
+
 class TestCliRun:
     def test_empty_scenario_list(self, tmp_path, capsys):
         f = write_scenarios(tmp_path / "empty.json", [])
@@ -334,6 +345,26 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert f"scenario 'bad' has a malformed operand: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario,expected,code", [
+        (SECOND_MOMENT, True, 0), (SECOND_MOMENT, False, 2),
+        (SECOND_MOMENT, "false", 4), (SECOND_MOMENT, 0, 4), (SECOND_MOMENT, None, 4),
+        (SECOND_MOMENT, [[0]], 4),
+        (IS_EXTENSION, True, 0), (IS_EXTENSION, False, 2), (IS_EXTENSION, "false", 4),
+        (IS_EXTENSION, [[1, 0], [0, 1]], 4),
+        (COMPARE, "equal", 0), (COMPARE, "A>=B", 2), (COMPARE, True, 4),
+        (COMPARE, 1, 4), (COMPARE, [["equal"]], 4), (COMPARE, [[1, 0], [0, 1]], 4),
+        (FORM_ON_X, 1.0, 0), (FORM_ON_X, "inf", 2), (FORM_ON_X, "1", 4),
+        (FORM_ON_X, [[1, 2]], 4),
+    ], ids=lambda v: v["op"] if isinstance(v, dict) else json.dumps(v))
+    def test_expected_operands_are_typed(self, tmp_path, capsys, scenario, expected, code):
+        """A verdict operand of the wrong JSON type, a decoded matrix
+        included, is malformed input: ``"false"`` must not read as true."""
+        f = write_scenarios(tmp_path / "expected.json",
+                            [{"id": "x", **scenario, "expected": expected}])
+        assert main(["run", f]) == code
+        err = capsys.readouterr().err
+        assert ("'expected' must be" in err) == (code == 4) and "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gram_entry_fails(self, tmp_path, bad):

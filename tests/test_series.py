@@ -340,11 +340,12 @@ class TestCertificateOracle:
 
 
 def _ref_values(t, n):
-    """One term alone: c exp(alpha log n + n log ratio), 0 before start."""
+    """One term alone: c exp(alpha log n + n log ratio), 0 before start
+    and 0 for c = 0, also where the power overflows."""
     n = np.asarray(n, dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out = t.coef * np.exp(t.alpha * np.log(n) + n * math.log(t.ratio))
-    return np.where(n >= t.start, out, 0.0)
+    return np.where((n >= t.start) & (t.coef != 0), out, 0.0)
 
 
 def _ref_call(rule, n):
@@ -644,6 +645,22 @@ class TestGoldenCertificates:
     @pytest.mark.parametrize("case", _golden_cases(), ids=lambda c: c["id"])
     def test_certificates_are_unchanged(self, case):
         assert _golden_record(_rule_from_golden(case["rule"])) == case["record"]
+
+    def test_zero_coefficient_case_against_polylog(self):
+        """rule-29 holds a zero-coefficient term 0 * 3**n, which overflows
+        from n = 647 on: its recorded sums enclose the sum of the other two
+        terms, 2 Li_-40(0.9) + Li_-3(0.97) - sum_{n <= 3} n^3 0.97^n."""
+        mpmath = pytest.importorskip("mpmath")
+        case = next(c for c in _golden_cases() if c["id"] == "rule-29")
+        assert _rule_from_golden(case["rule"]).terms[1].coef == 0
+        with mpmath.workdps(40):
+            r1, r3 = mpmath.mpf(0.9), mpmath.mpf(0.97)
+            exact = (2 * mpmath.polylog(-40, r1) + mpmath.polylog(-3, r3)
+                     - sum(n ** 3 * r3 ** n for n in (1, 2, 3)))
+            for rec in (case["record"]["certified_sum"],
+                        case["record"]["decide_summable"]["result"]):
+                value = complex(*map(float.fromhex, rec["value"]))
+                assert abs(mpmath.mpc(value) - exact) <= float.fromhex(rec["tail"])
 
 
 if __name__ == "__main__":
