@@ -29,8 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .reporting import (
-    FAIL, SCHEMA_VERSION, UNCERTIFIED, MalformedOperand, _verdict_counts,
-    decode_arrays, write_csv, write_report,
+    _JSON_TYPES, FAIL, SCHEMA_VERSION, UNCERTIFIED, MalformedOperand,
+    _verdict_counts, decode_arrays, write_csv, write_report,
 )
 from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
@@ -115,13 +115,15 @@ def _scenario_list(payload) -> list:
         if not (isinstance(sc, dict) and isinstance(sc.get("op"), str)):
             raise ValueError("every scenario must be an object with a string op")
         sid, tols = sc.get("id", sc["op"]), sc.get("tolerances", {})
+        # named by JSON type: a list of numbers arrives as an array
+        shown = repr(sid) if isinstance(sid, str) else f"({_JSON_TYPES[type(sid)]})"
         if not (isinstance(sc.get("seed", 0), int) and isinstance(tols, dict) and
                 all(isinstance(v, (int, float)) for v in tols.values())):
-            raise ValueError(f"scenario {sid!r}: the seed must be an integer "
+            raise ValueError(f"scenario {shown}: the seed must be an integer "
                              "and the tolerances an object of numbers")
         if (not isinstance(sid, str) or sid in ids or {"/", "\\", "\0"} & set(sid)
                 or sid in ("", ".", "..", "summary") or len(sid.encode()) > 200):
-            raise ValueError(f"scenario id {sid!r} is not a plain, unique file name")
+            raise ValueError(f"scenario id {shown} is not a plain, unique file name")
         ids.add(sid)
     return scenarios
 

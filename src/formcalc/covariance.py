@@ -24,7 +24,8 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, FROM_DUAL, SEQUENCE, DenseOperator, DualityPair, Functional, Vector,
+    DENSE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, DenseOperator, DualityPair,
+    Functional, Vector, diagonal_operator,
 )
 from .errors import BackendMismatch, DomainError, LowerBoundError, Uncertifiable
 from .forms import SesquilinearForm, associated_operator, form_from_gram, lower_bound
@@ -336,7 +337,6 @@ def covariance_operator(xi: RandomVariable, basis: list[Functional] | None = Non
     t, _ = covariance_form(xi, basis, runs)
     dual = xi.codomain.dual()
     if t.backend == SEQUENCE:
-        from .duality import diagonal_operator, DOMAIN_MAXIMAL
         return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)
     cert = lower_bound(t, dual)
     if cert.gamma <= 0:

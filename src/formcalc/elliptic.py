@@ -405,4 +405,4 @@ def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D,
     verdict = "A>=B" if ok else "incomparable"
     return OrderingReport(verdict, records,
                           {"comparison": "dirichlet-vs-neumann",
-                           "probe_design": "function-rule probes"}, rel_slack)
+                           "probe_design": "function-rule probes"})

@@ -19,7 +19,8 @@ import numpy as np
 from . import series
 from .duality import (
     DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DualityPair,
-    Functional, Vector, _Basis, _factor_basis, _require_finite, operator_norm,
+    Functional, Vector, _Basis, _factor_basis, _require_finite, adjoint,
+    operator_norm,
 )
 from .errors import BackendMismatch, LowerBoundError, NotPositive, Uncertifiable
 from .linalg import (
@@ -317,8 +318,6 @@ def inverse_selfadjoint(B: DenseOperator, dp: DualityPair) -> DenseOperator:
     The result A = B^-1 has dom A = ran B; its self-adjointness is
     verified through the adjoint construction before returning.
     """
-    from .duality import adjoint  # local to avoid cycle at import time
-
     if B.backend != DENSE:
         raise BackendMismatch("inverse construction is dense-backend only")
     if B.direction != FROM_DUAL:

@@ -10,14 +10,17 @@ every construction.
 The dense form sum factorizes nothing: A is everywhere defined, so
 dom J_A* = X and t_A is the form of A, read on the basis of dom t_B.
 The joint factor factorizes each operand once; the resolvent lifts of
-the spectrum check share their lift's.  Samples run as whole matrices.
+the spectrum check share their lift's.  Each identity checked here is
+linear or sesquilinear, so it is checked on a whole basis, which proves
+it up to rounding; nothing is sampled.
 
 A bounded E on X that leaves dom A invariant and intertwines through
 E^H A contained in A E lifts to a bounded operator on H_A acting by
 A x -> A E x.  The lift is self-adjoint in the H_A inner product, obeys
 the spectral-radius bound, and its spectrum sits inside the real part of
 the spectrum of E; all three claims are checked with residual records,
-plus the resolvent identity at sampled real points.
+plus the resolvent identity at three fixed real points outside the
+spectrum of E.
 """
 
 from __future__ import annotations
@@ -200,27 +203,23 @@ class JointFactorization:
     fac_b: FactorizationResult
     jstar_residual: float              # J* z against Az (+) Bz
     composition_residual: float        # J** J* against A (+) B and A + B
-    energy_residual: float             # [J* y, J* y] = ((A (+) B) y, y)
+    energy_residual: float             # [J* y, J* z] = ((A (+) B) y, z)
 
 
-def joint_factorize(A: DenseOperator, B: DenseOperator, dp: DualityPair,
-                    samples: list[Vector] | None = None,
-                    seed: int = 0) -> JointFactorization:
-    """Builds J on H_A (+) H_B and verifies the three factorization claims."""
+def joint_factorize(A: DenseOperator, B: DenseOperator,
+                    dp: DualityPair) -> JointFactorization:
+    """Builds J on H_A (+) H_B and verifies the three factorization claims.
+
+    The claims are linear in z, the energy identity sesquilinear, so each
+    is checked on an orthonormal basis of dom t_B, the sum domain here."""
     if A.backend != DENSE:
         raise BackendMismatch("joint factorization is dense-backend only")
     fs = form_sum(A, B, dp)
     fac_a, fac_b = factorize(A), factorize(B)
-    if samples is None:
-        # the real then the imaginary draws of each sample
-        R = np.random.default_rng(seed).normal(size=(6, 2, dp.n))
-        Y = (R[:, 0] + 1j * R[:, 1]).T
-    else:
-        Y = np.array([y.coords for y in samples], dtype=complex).reshape(-1, dp.n).T
     M_AB = fs.operator.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
     scale = max(hermitian_norm(M_sum), 1.0)
-    Z = B.effective_projector() @ Y    # restrict to dom t_B, the sum domain here
+    Z = B._basis.U        # orthonormal basis of dom t_B
     Ca = fac_a.jstar_coefficients(Z)
     Cb = fac_b.jstar_coefficients(Z)
     # J* z must be Az (+) Bz: compare in action coordinates
@@ -235,9 +234,10 @@ def joint_factorize(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     # J** J* z = Az + Bz extends A + B and equals the form sum
     MZ = M_AB @ Z
     comp_res = _max_column_norm(AZ + BZ - MZ) / scale
-    # the energy identity [J* y, J* y] = ((A (+) B) y, y)
-    lhs = gram_quadratic(fac_a.gram, Ca) + gram_quadratic(fac_b.gram, Cb)
-    rhs = np.real(np.sum(np.conj(Z) * MZ, axis=0))
+    # the energy identity [J* y, J* z] = ((A (+) B) y, z) on every pair of
+    # basis vectors, entry (y, z) of each side
+    lhs = Ca.T @ fac_a.gram @ np.conj(Ca) + Cb.T @ fac_b.gram @ np.conj(Cb)
+    rhs = (Z.conj().T @ MZ).T
     energy_res = float(np.max(np.abs(lhs - rhs) / np.maximum(
         np.maximum(np.abs(lhs), np.abs(rhs)), 1.0), initial=0.0))
     return JointFactorization(fs, fac_a, fac_b, jstar_res, comp_res, energy_res)
@@ -253,7 +253,7 @@ class CommutantLift:
     E_hat: np.ndarray                  # matrix on the H_A pivot basis
     factorization: FactorizationResult
     spectral_radius_sq: float          # r(E^2)
-    bound_margin: float                # max [E^ h]^2 / ([h]^2 r(E^2)) sampled
+    bound_margin: float                # sup [E^ h]^2 / ([h]^2 r(E^2)) over H_A
     norm_bound: float                  # whitened operator norm of the lift
     selfadjoint_residual: float
     eq7_residual: float
@@ -270,7 +270,7 @@ def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
 
 
 def lift_commutant(A: DenseOperator, E: DenseOperator,
-                   dp: DualityPair, seed: int = 0) -> CommutantLift:
+                   dp: DualityPair) -> CommutantLift:
     """Lift of a bounded commuting E to the auxiliary space H_A.
 
     Preconditions verified: E everywhere defined on X, E(dom A) inside
@@ -283,10 +283,10 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
         raise BackendMismatch("commutant lifts are dense-backend only")
     if E.direction != ENDO or not E.is_full_domain():
         raise DomainError("E must be a bounded operator defined on all of X")
-    return CommutantLift(E, *_lift(A, E.canonical_matrix(), seed))
+    return CommutantLift(E, *_lift(A, E.canonical_matrix()))
 
 
-def _lift(A: DenseOperator, E_mat: np.ndarray, seed: int,
+def _lift(A: DenseOperator, E_mat: np.ndarray,
           fac: FactorizationResult | None = None) -> tuple:
     """The lift of E_mat to H_A with its checks, returning the fields of
     :class:`CommutantLift` after E, in order.  A is factorized only once
@@ -303,17 +303,12 @@ def _lift(A: DenseOperator, E_mat: np.ndarray, seed: int,
     E_hat = fac.jstar_coefficients(EB)
     lam_E = np.linalg.eigvals(E_mat)
     r_e2 = float(np.max(np.abs(lam_E)) ** 2) if lam_E.size else 0.0
-    # spectral-radius bound sampled on 24 random H_A elements, the real
-    # then the imaginary draws of each
-    R = np.random.default_rng(seed).normal(size=(24, 2, fac.rank))
-    C = (R[:, 0] + 1j * R[:, 1]).T
-    num = gram_quadratic(fac.gram, E_hat @ C)
-    den = gram_quadratic(fac.gram, C) * max(r_e2, 1e-300)
-    margin = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
     # whitened norm: the K quadratic is c^H conj(K) c = c^H L L^H c, so the
     # K-norm of the lift is the 2-norm of L^H E^ L^-H
     LH = np.linalg.cholesky(np.conj(fac.gram)).conj().T
     norm_bound = operator_norm(LH @ E_hat @ np.linalg.inv(LH))
+    # its square is the supremum of [E^ h]^2 / [h]^2 over H_A
+    margin = norm_bound ** 2 / max(r_e2, 1e-300)
     sa_res = relative_residual(
         np.linalg.norm(E_hat.T @ fac.gram - fac.gram @ np.conj(E_hat)),
         [np.linalg.norm(fac.gram), 1.0])
@@ -338,39 +333,34 @@ class CommutationReport:
     lift_a: CommutantLift
     lift_b: CommutantLift
     formsum_inclusion: float      # E^H (A (+) B) against (A (+) B) E
-    factor_inclusions: dict       # sampled intermediate identities
+    factor_inclusions: dict       # intermediate identities on whole bases
     passed: bool
 
 
 def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
-                        dp: DualityPair, seed: int = 0) -> CommutationReport:
+                        dp: DualityPair) -> CommutationReport:
     """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E."""
-    lift_a = lift_commutant(A, E, dp, seed)
-    lift_b = lift_commutant(B, E, dp, seed + 1)
+    lift_a = lift_commutant(A, E, dp)
+    lift_b = lift_commutant(B, E, dp)
     fs = form_sum(A, B, dp)
     M = fs.operator.canonical_matrix()
     E_mat = E.canonical_matrix()
+    E_H = E_mat.conj().T
     scale = max(hermitian_norm(M), 1.0)
-    incl = float(operator_norm(E_mat.conj().T @ M - M @ E_mat)) / scale
-    # intermediate identities on samples: E* J = J (E^_A (+) E^_B) and
-    # (E^_A (+) E^_B) J* = J* E on dom A cap dom B
+    incl = float(operator_norm(E_H @ M - M @ E_mat)) / scale
+    # the intermediate identities are linear, so whole bases prove them:
+    # E* J = J (E^_A (+) E^_B) on the pivot bases of H_A and H_B, where
+    # J (c_a (+) c_b) = Pa c_a + Pb c_b ...
     fac_a, fac_b = lift_a.factorization, lift_b.factorization
-    # six samples, each drawing the real then the imaginary parts of ca,
-    # then of cb, then of z
-    R = np.random.default_rng(seed + 2).normal(
-        size=(6, 2 * (fac_a.rank + fac_b.rank + dp.n)))
-    re_a, im_a, re_b, im_b, re_z, im_z = np.split(
-        R, np.cumsum([fac_a.rank, fac_a.rank, fac_b.rank, fac_b.rank, dp.n]), axis=1)
-    Ca, Cb, Z = (re_a + 1j * im_a).T, (re_b + 1j * im_b).T, (re_z + 1j * im_z).T
     Pa = fac_a.operator.action_mat[:, fac_a.pivots]
     Pb = fac_b.operator.action_mat[:, fac_b.pivots]
-    # J applied to the pair, then E*
-    lhs = E_mat.conj().T @ (Pa @ Ca + Pb @ Cb)
-    rhs = Pa @ (lift_a.E_hat @ Ca) + Pb @ (lift_b.E_hat @ Cb)
-    res_j = _max_column_norm(lhs - rhs) / scale
-    # compare in H_A / H_B energy norms
-    Da = lift_a.E_hat @ fac_a.jstar_coefficients(Z) - fac_a.jstar_coefficients(E_mat @ Z)
-    Db = lift_b.E_hat @ fac_b.jstar_coefficients(Z) - fac_b.jstar_coefficients(E_mat @ Z)
+    res_j = _max_column_norm(np.hstack([E_H @ Pa - Pa @ lift_a.E_hat,
+                                        E_H @ Pb - Pb @ lift_b.E_hat])) / scale
+    # ... and (E^_A (+) E^_B) J* = J* E on the standard basis of X,
+    # compared in H_A / H_B energy norms
+    eye = np.eye(dp.n)
+    Da = lift_a.E_hat @ fac_a.jstar_coefficients(eye) - fac_a.jstar_coefficients(E_mat)
+    Db = lift_b.E_hat @ fac_b.jstar_coefficients(eye) - fac_b.jstar_coefficients(E_mat)
     res_jstar = float(np.max(np.sqrt(np.abs(np.concatenate(
         [gram_quadratic(fac_a.gram, Da), gram_quadratic(fac_b.gram, Db)]))))) / scale
     ok = incl <= 1e-9 and res_j <= 1e-9 and res_jstar <= 1e-9
@@ -389,11 +379,11 @@ class SpectrumReport:
     passed: bool
 
 
-def spectrum_inclusion(A: DenseOperator, E: DenseOperator, dp: DualityPair,
-                       seed: int = 0) -> SpectrumReport:
+def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
+                       dp: DualityPair) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E)."""
-    lift = lift_commutant(A, E, dp, seed)
+    lift = lift_commutant(A, E, dp)
     lam_hat = np.linalg.eigvals(lift.E_hat)
     E_mat = E.canonical_matrix()
     lam_e = np.linalg.eigvals(E_mat)
@@ -406,7 +396,7 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator, dp: DualityPair,
     res_res = 0.0
     for lam in points:
         # the resolvent lifts reuse the factorization of the lift of E
-        R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)), seed,
+        R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)),
                       lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))
         res_res = max(res_res, float(np.linalg.norm(R_hat - direct)) /

@@ -195,16 +195,6 @@ class OrderingReport:
     verdict: str                       # "A>=B" | "B>=A" | "equal" | "incomparable"
     probes: tuple[ProbeRecord, ...]
     domain_inclusion: dict
-    rel_slack: float
-
-    def consistent(self) -> bool:
-        ge = _all_ge([p.value_a for p in self.probes],
-                     [p.value_b for p in self.probes], self.rel_slack)
-        le = _all_ge([p.value_b for p in self.probes],
-                     [p.value_a for p in self.probes], self.rel_slack)
-        expected = {"A>=B": ge, "B>=A": le, "equal": ge and le,
-                    "incomparable": not ge and not le}
-        return expected[self.verdict]
 
 
 def _ge(u: float, v: float, slack: float) -> bool:
@@ -258,10 +248,11 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
     records = tuple(map(ProbeRecord, labels, values_a, values_b))
     fin_a, fin_b = np.isfinite(values_a), np.isfinite(values_b)
     # y in dom J_A* but escaping dom J_B* breaks dom J_A* inside dom J_B*,
-    # the domain inclusion that A >= B needs
+    # the domain inclusion that A >= B needs; _ge(finite, inf) is False,
+    # so the value test below already refuses such a probe
     dom_bwd, dom_fwd = not np.any(fin_a & ~fin_b), not np.any(fin_b & ~fin_a)
-    ge = dom_bwd and _all_ge(values_a, values_b, rel_slack)
-    le = dom_fwd and _all_ge(values_b, values_a, rel_slack)
+    ge = _all_ge(values_a, values_b, rel_slack)
+    le = _all_ge(values_b, values_a, rel_slack)
     if ge and le:
         verdict = "equal"
     elif ge:
@@ -271,8 +262,7 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
     else:
         verdict = "incomparable"
     return OrderingReport(verdict, records,
-                          {"domain_A_le_B": dom_bwd, "domain_B_le_A": dom_fwd},
-                          rel_slack)
+                          {"domain_A_le_B": dom_bwd, "domain_B_le_A": dom_fwd})
 
 
 @dataclass(frozen=True, eq=False)

@@ -215,8 +215,11 @@ def expression_from_json(obj, key: str):
 
 
 _REQUIRED = object()
+# the JSON type of each Python type a parsed file holds, decoded arrays
+# included
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               int: "an integer", float: "a number", bool: "a boolean"}
+               int: "an integer", float: "a number", bool: "a boolean",
+               np.ndarray: "a list", type(None): "null"}
 _PY_TYPES = {float: (int, float), list: (list, np.ndarray)}
 
 

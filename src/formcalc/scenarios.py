@@ -261,11 +261,12 @@ def _op_compare(ops, seed):
     A = operator_from_json(ops["A"])
     B = operator_from_json(ops["B"])
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
-    rep = compare(A, B, samples, seed=seed)
     want = json_field(ops, "expected", str, None)
-    residuals = {"consistent": 0.0 if rep.consistent() else 1.0}
-    tols = {"consistent": 0.0}
-    if want:
+    if want not in (None, "A>=B", "B>=A", "equal", "incomparable"):
+        raise MalformedOperand("'expected' must be A>=B, B>=A, equal or incomparable")
+    rep = compare(A, B, samples, seed=seed)
+    residuals, tols = {}, {}
+    if want is not None:
         residuals["verdict_mismatch"] = 0.0 if rep.verdict == want else 1.0
         tols["verdict_mismatch"] = 0.0
     probes = [[r.label, r.value_a if math.isfinite(r.value_a) else "inf",
@@ -310,7 +311,7 @@ def _op_form_sum(ops, seed):
 def _op_joint_factorize(ops, seed):
     dp = pair_from_json(ops["space"])
     jf = joint_factorize(operator_from_json(ops["A"]),
-                         operator_from_json(ops["B"]), dp, seed=seed)
+                         operator_from_json(ops["B"]), dp)
     return {"jstar": jf.jstar_residual,
             "composition": jf.composition_residual,
             "energy_identity": jf.energy_residual}, \
@@ -329,7 +330,7 @@ def _get_commutant(ops, dp):
 def _op_lift_commutant(ops, seed):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
-    lift = lift_commutant(A, E, dp, seed=seed)
+    lift = lift_commutant(A, E, dp)
     return {"lemma4_excess": max(0.0, lift.bound_margin - 1.0),
             "selfadjoint": lift.selfadjoint_residual,
             "eq7": lift.eq7_residual}, \
@@ -342,7 +343,7 @@ def _op_commutation_formsum(ops, seed):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     B = operator_from_json(ops["B"])
-    rep = commutation_formsum(A, B, E, dp, seed=seed)
+    rep = commutation_formsum(A, B, E, dp)
     return {"inclusion": rep.formsum_inclusion,
             "e_star_j": rep.factor_inclusions["E_star_J"],
             "j_star_e": rep.factor_inclusions["J_star_E"]}, \
@@ -352,7 +353,7 @@ def _op_commutation_formsum(ops, seed):
 def _op_spectrum_inclusion(ops, seed):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
-    rep = spectrum_inclusion(A, E, dp, seed=seed)
+    rep = spectrum_inclusion(A, E, dp)
     return {"imag": rep.max_imag, "distance": rep.max_distance,
             "resolvent": rep.resolvent_residual}, \
         {"imag": 1e-9, "distance": 1e-8, "resolvent": 1e-8}, \

@@ -180,7 +180,7 @@ def test_criterion_6_form_sum():
             dp = dense_pair(n)
             A = operator_from_matrix(random_hpd(rng, n), dp)
             B = operator_from_matrix(random_hpd(rng, n), dp)
-            jf = joint_factorize(A, B, dp, seed=int(rng.integers(0, 2 ** 31)))
+            jf = joint_factorize(A, B, dp)
             assert jf.energy_residual <= 1e-9
             M_sum = A.canonical_matrix() + B.canonical_matrix()
             S = operator_from_matrix(M_sum, dp)
@@ -206,14 +206,14 @@ def test_criterion_7_commutation():
             K = K + K.conj().T
             A = operator_from_matrix(A_mat, dp)
             E = commuting_pair(A_mat, K, dp)
-            lift = lift_commutant(A, E, dp, seed=k)
+            lift = lift_commutant(A, E, dp)
             assert lift.bound_margin <= 1.0 + 1e-8
             assert lift.selfadjoint_residual <= 1e-10
             B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat, dp)
-            rep = commutation_formsum(A, B, E, dp, seed=k)
+            rep = commutation_formsum(A, B, E, dp)
             assert rep.formsum_inclusion <= 1e-9
             assert max(rep.factor_inclusions.values()) <= 1e-9
-            spec = spectrum_inclusion(A, E, dp, seed=k)
+            spec = spectrum_inclusion(A, E, dp)
             scale = max(float(np.max(np.abs(spec.e_eigenvalues))), 1.0)
             assert spec.max_imag <= 1e-9 * scale
             assert spec.max_distance <= 1e-8 * scale

@@ -352,7 +352,8 @@ class TestCliRun:
         (SECOND_MOMENT, [[0]], 4),
         (IS_EXTENSION, True, 0), (IS_EXTENSION, False, 2), (IS_EXTENSION, "false", 4),
         (IS_EXTENSION, [[1, 0], [0, 1]], 4),
-        (COMPARE, "equal", 0), (COMPARE, "A>=B", 2), (COMPARE, True, 4),
+        (COMPARE, "equal", 0), (COMPARE, "A>=B", 2), (COMPARE, "A>B", 4),
+        (COMPARE, "", 4), (COMPARE, True, 4),
         (COMPARE, 1, 4), (COMPARE, [["equal"]], 4), (COMPARE, [[1, 0], [0, 1]], 4),
         (FORM_ON_X, 1.0, 0), (FORM_ON_X, "inf", 2), (FORM_ON_X, "1", 4),
         (FORM_ON_X, [[1, 2]], 4),
@@ -445,6 +446,20 @@ class TestScenarioFileShape:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read scenario file") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "scenarios.json"]
+
+    @pytest.mark.parametrize("sid,name", [
+        ([[1]], "(a list)"), (["a"], "(a list)"), (3, "(an integer)"), (2.5, "(a number)"),
+        (True, "(a boolean)"), (None, "(null)"), ({"a": 1}, "(an object)"),
+    ], ids=["numeric-nested-list", "list", "integer", "number", "boolean", "null",
+            "object"])
+    def test_non_string_id_named_by_json_type(self, tmp_path, capsys, sid, name):
+        """A non-string id is named by its JSON type, not by the repr of
+        the value it was decoded into."""
+        f = write_scenarios(tmp_path / "id.json", [{**NORM_OK, "id": sid}])
+        assert main(["run", f]) == 4
+        err = capsys.readouterr().err
+        assert f"scenario id {name} is not a plain, unique file name" in err
+        assert "array(" not in err
 
     def test_default_ids_are_ops(self, tmp_path):
         f = write_scenarios(tmp_path / "ops.json", [NORM_OK, {**NORM_OK, "id": "x"}])

@@ -1,13 +1,15 @@
 """Form sums, the joint factor identity, commutant lifts and spectra."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from formcalc import formsum, ordering, series
+from formcalc import formsum, ordering, series, suites
 from formcalc.duality import (
-    DOMAIN_FINITE, ENDO, Vector, dense_pair, diagonal_operator,
+    DOMAIN_FINITE, ENDO, dense_pair, diagonal_operator,
     generated_vector, graph_domain_contains, identity_operator, is_extension,
     operator_from_matrix, restricted_operator, sequence_pair,
 )
@@ -21,6 +23,7 @@ from formcalc.formsum import (
 )
 from formcalc.linalg import gram_inner, hermitian_residual
 from formcalc.ordering import factorize
+from formcalc.scenarios import OPERATIONS
 
 DP2 = dense_pair(2)
 SP = sequence_pair(48)
@@ -146,7 +149,7 @@ class TestJointFactorize:
             dp = dense_pair(n)
             A = operator_from_matrix(random_hpd(rng, n), dp)
             B = operator_from_matrix(random_hpd(rng, n), dp)
-            jf = joint_factorize(A, B, dp, seed=int(rng.integers(0, 2 ** 31)))
+            jf = joint_factorize(A, B, dp)
             assert jf.energy_residual <= 1e-9
             assert jf.composition_residual <= 1e-9
 
@@ -195,7 +198,7 @@ class TestLiftCommutant:
             K = K + K.conj().T
             A = operator_from_matrix(A_mat, dp)
             E = commuting_pair(A_mat, K, dp)
-            lift = lift_commutant(A, E, dp, seed=int(rng.integers(0, 2 ** 31)))
+            lift = lift_commutant(A, E, dp)
             assert lift.bound_margin <= 1.0 + 1e-8
             assert lift.norm_bound <= math.sqrt(lift.spectral_radius_sq) * (1 + 1e-8)
             assert lift.selfadjoint_residual <= 1e-10
@@ -437,77 +440,94 @@ def close(got, ref):
     return abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
-def loop_joint_residuals(A, B, dp, samples):
-    """The three joint-factorization residuals, one sample at a time."""
+def loop_joint_residuals(A, B, M_AB, Z):
+    """The three joint-factorization residuals against the form sum M_AB,
+    one column of the basis Z (one pair of columns for the energy
+    identity) at a time."""
     fac_a, fac_b = factorize(A), factorize(B)
-    M_AB = form_sum(A, B, dp).operator.canonical_matrix()
     scale = max(np.linalg.norm(A.canonical_matrix() + B.canonical_matrix(), 2), 1.0)
-    P_B = B.effective_projector()
     jstar = comp = energy = 0.0
-    for y in samples:
-        z = P_B @ y
+    cols = []
+    for z in Z.T:
         ca, cb = fac_a.jstar_coefficients(z), fac_b.jstar_coefficients(z)
         az = A.action_mat[:, fac_a.pivots] @ ca
         bz = B.action_mat[:, fac_b.pivots] @ cb
         jstar = max(jstar, np.linalg.norm(az - A.apply(z)) / scale,
                     np.linalg.norm(bz - B.apply(z)) / scale)
         comp = max(comp, np.linalg.norm(az + bz - M_AB @ z) / scale)
-        lhs = np.real(gram_inner(fac_a.gram, ca, ca) + gram_inner(fac_b.gram, cb, cb))
-        rhs = np.real(np.vdot(z, M_AB @ z))
-        energy = max(energy, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+        cols.append((z, ca, cb))
+    for y, ca, cb in cols:
+        for z, da, db in cols:
+            lhs = gram_inner(fac_a.gram, ca, da) + gram_inner(fac_b.gram, cb, db)
+            rhs = np.vdot(z, M_AB @ y)
+            energy = max(energy, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return jstar, comp, energy
-
-
-def seeded_samples(seed, n, count):
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(count)]
 
 
 class TestBatchedSamples:
     @pytest.mark.parametrize("n", [1, 3, 8, 20])
-    def test_joint_factorize_matches_per_sample(self, n):
+    def test_joint_factorize_matches_per_sample(self, n, monkeypatch):
         rng = np.random.default_rng(90 + n)
         dp = dense_pair(n)
-        # B on a proper subspace invariant under A and B, so the samples are
-        # projected on dom t_B and the form sum still extends A + B
+        # B on a proper subspace invariant under A and B, so the checks run
+        # on a basis of dom t_B and the form sum still extends A + B
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         A = operator_from_matrix(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T, dp)
         B = restricted_operator(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T,
                                 Q[:, :max(1, n - n // 3)], dp)
-        jf = joint_factorize(A, B, dp, seed=n)
-        ref = loop_joint_residuals(A, B, dp, seeded_samples(n, n, 6))
+        Z = B._basis.U
+        jf = joint_factorize(A, B, dp)
+        ref = loop_joint_residuals(A, B, form_sum(A, B, dp).operator.canonical_matrix(), Z)
         got = (jf.jstar_residual, jf.composition_residual, jf.energy_residual)
         assert all(map(close, got, ref)), (got, ref)
-        given = seeded_samples(n + 1, n, 3)
-        jf = joint_factorize(A, B, dp, samples=[Vector(y) for y in given])
+        # a form sum off between the first and last basis directions only:
+        # a check that skipped a basis vector or a pair would miss it
+        fs = form_sum(A, B, dp)
+        D = np.outer(Z[:, -1], Z[:, 0].conj())
+        M_bad = fs.operator.canonical_matrix() + 0.1 * (D + D.conj().T)
+        monkeypatch.setattr(formsum, "form_sum", lambda *args: dataclasses.replace(
+            fs, operator=operator_from_matrix(M_bad, dp)))
+        jf = joint_factorize(A, B, dp)
+        ref = loop_joint_residuals(A, B, M_bad, Z)
         got = (jf.jstar_residual, jf.composition_residual, jf.energy_residual)
-        assert all(map(close, got, loop_joint_residuals(A, B, dp, given)))
-        jf = joint_factorize(A, B, dp, samples=[])
-        assert (jf.jstar_residual, jf.composition_residual, jf.energy_residual) == (0, 0, 0)
+        assert min(got[1:]) > 1e-3 and all(map(close, got, ref)), (got, ref)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
-    def test_commutation_factor_inclusions_match_per_sample(self, n):
+    def test_commutation_factor_inclusions_match_per_sample(self, n, monkeypatch):
         rng = np.random.default_rng(100 + n)
         A_mat, A, E, dp = commuting_instance(rng, n)
         B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat, dp)
-        seed = 7
-        rep = commutation_formsum(A, B, E, dp, seed=seed)
+        self.check_factor_inclusions(A, B, E, dp, commutation_formsum(A, B, E, dp))
+        # lifts off in their last pivot column only: a check that skipped
+        # a basis vector would miss it
+        real = formsum.lift_commutant
+
+        def off(A, E, dp):
+            lift = real(A, E, dp)
+            E_hat = lift.E_hat.copy()
+            E_hat[-1, -1] += 0.1
+            return dataclasses.replace(lift, E_hat=E_hat)
+
+        monkeypatch.setattr(formsum, "lift_commutant", off)
+        rep = commutation_formsum(A, B, E, dp)
+        assert min(rep.factor_inclusions.values()) > 1e-3
+        self.check_factor_inclusions(A, B, E, dp, rep)
+
+    @staticmethod
+    def check_factor_inclusions(A, B, E, dp, rep):
         M = form_sum(A, B, dp).operator.canonical_matrix()
         scale = max(np.linalg.norm(M, 2), 1.0)
         E_mat = E.canonical_matrix()
-        la, lb = rep.lift_a, rep.lift_b
-        fa, fb = la.factorization, lb.factorization
-        Pa, Pb = A.action_mat[:, fa.pivots], B.action_mat[:, fb.pivots]
-        sample = np.random.default_rng(seed + 2)
         res_j = res_jstar = 0.0
-        for _ in range(6):
-            ca = sample.normal(size=fa.rank) + 1j * sample.normal(size=fa.rank)
-            cb = sample.normal(size=fb.rank) + 1j * sample.normal(size=fb.rank)
-            lhs = E_mat.conj().T @ (Pa @ ca + Pb @ cb)
-            rhs = Pa @ (la.E_hat @ ca) + Pb @ (lb.E_hat @ cb)
-            res_j = max(res_j, np.linalg.norm(lhs - rhs) / scale)
-            z = sample.normal(size=n) + 1j * sample.normal(size=n)
-            for lift, fac in ((la, fa), (lb, fb)):
+        for lift, op in ((rep.lift_a, A), (rep.lift_b, B)):
+            fac = lift.factorization
+            P = op.action_mat[:, fac.pivots]
+            # E* J against J (E^_A (+) E^_B) on each pivot basis vector
+            for c in np.eye(fac.rank):
+                res_j = max(res_j, np.linalg.norm(
+                    E_mat.conj().T @ (P @ c) - P @ (lift.E_hat @ c)) / scale)
+            # (E^_A (+) E^_B) J* against J* E on each standard basis vector
+            for z in np.eye(dp.n):
                 d = lift.E_hat @ fac.jstar_coefficients(z) - \
                     fac.jstar_coefficients(E_mat @ z)
                 res_jstar = max(res_jstar, math.sqrt(abs(np.real(
@@ -517,20 +537,16 @@ class TestBatchedSamples:
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_lift_bound_margin_matches_per_sample(self, n):
-        _, A, E, dp = commuting_instance(np.random.default_rng(110 + n), n)
-        lift = lift_commutant(A, E, dp, seed=n)
-        K, r = lift.factorization.gram, lift.factorization.rank
-        sample = np.random.default_rng(n)
-        margin = 0.0
-        for _ in range(24):
-            c = sample.normal(size=r) + 1j * sample.normal(size=r)
-            Ec = lift.E_hat @ c
-            num = np.real(gram_inner(K, Ec, Ec))
-            den = np.real(gram_inner(K, c, c)) * max(lift.spectral_radius_sq, 1e-300)
-            if den > 0:
-                margin = max(margin, num / den)
-        assert margin > 0
-        assert abs(lift.bound_margin - margin) <= 1e-12 * margin
+        """bound_margin r(E^2) is the largest eigenvalue of the pencil
+        (E^H conj(K) E^, conj(K)), the supremum of [E^ h]^2 / [h]^2."""
+        rng = np.random.default_rng(110 + n)
+        for _ in range(20):
+            _, A, E, dp = commuting_instance(rng, n)
+            lift = lift_commutant(A, E, dp)
+            Kc, Eh = np.conj(lift.factorization.gram), lift.E_hat
+            top = scipy.linalg.eigh(Eh.conj().T @ Kc @ Eh, Kc, eigvals_only=True)[-1]
+            got = lift.bound_margin * lift.spectral_radius_sq
+            assert abs(got - top) <= 1e-10 * abs(top), (got, top)
 
     def test_spectrum_distance_matches_per_eigenvalue(self):
         _, A, E, dp = commuting_instance(np.random.default_rng(120), 6)
@@ -538,6 +554,33 @@ class TestBatchedSamples:
         ref = max(float(np.min(np.abs(rep.e_eigenvalues - mu)))
                   for mu in rep.lift_eigenvalues)
         assert rep.max_distance == ref
+
+
+def test_checks_draw_no_random_numbers(monkeypatch):
+    """The form-sum checks and their scenario handlers run on whole bases
+    and need no random generator."""
+    rng = np.random.default_rng(130)
+    A_mat = random_hpd(rng, 4)
+    K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    K = K + K.conj().T
+    dp = dense_pair(4)
+    A, B = operator_from_matrix(A_mat, dp), operator_from_matrix(2.0 * A_mat, dp)
+    E = commuting_pair(A_mat, K, dp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form-sum check drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert joint_factorize(A, B, dp).energy_residual <= 1e-9
+    assert lift_commutant(A, E, dp).bound_margin <= 1.0 + 1e-8
+    assert commutation_formsum(A, B, E, dp).passed
+    assert spectrum_inclusion(A, E, dp).passed
+    ops = {"space": {"backend": "dense", "dim": 4}, "A": suites._operator(A_mat),
+           "B": suites._operator(2.0 * A_mat), "K": suites._wire(K)}
+    for op in ("joint-factorize", "lift-commutant", "commutation-formsum",
+               "spectrum-inclusion"):
+        residuals, tols, _, _ = OPERATIONS[op][1](ops, 0)
+        assert all(residuals[k] <= tols[k] for k in residuals), op
 
 
 class TestOneFormOfA:
