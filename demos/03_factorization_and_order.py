@@ -38,7 +38,7 @@ for alpha in (-2.0, -1.0):
                tail=series.polynomial(alpha))
     print(f"y_n = n^{alpha}: finite form? {in_dom_Jstar(As, y)}")
 
-print("\n== ordering verdicts are probe-certified ==")
+print("\n== ordering verdicts are decided, with witnesses ==")
 twoI = operator_from_matrix(2 * np.eye(2), dp)
 I = operator_from_matrix(np.eye(2), dp)
 print("2I vs I:", compare(twoI, I, []).verdict)

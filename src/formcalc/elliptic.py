@@ -31,7 +31,7 @@ from .duality import DENSE, TO_DUAL, DenseOperator, Vector
 from .errors import DomainError, NotPositive
 from .forms import LowerBoundCertificate, SesquilinearForm, form_from_gram
 from .linalg import generalized_eigvalsh
-from .ordering import OrderingReport, ProbeRecord, _all_ge, _form_columns
+from .ordering import OrderingReport, ProbeRecord, _form_columns
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
 
@@ -401,7 +401,8 @@ def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D,
     values_d = _form_columns(A_d, Y)[0].tolist()
     values_n = _form_columns(A_n, Y)[0].tolist()
     records = tuple(map(ProbeRecord, labels, values_d, values_n))
-    ok = _all_ge(values_d, values_n, rel_slack)
+    ok = all(math.isinf(u) or not math.isinf(v) and u >= v - rel_slack * max(abs(u), abs(v), 1.0)
+             for u, v in zip(values_d, values_n))
     verdict = "A>=B" if ok else "incomparable"
     return OrderingReport(verdict, records,
                           {"comparison": "dirichlet-vs-neumann",

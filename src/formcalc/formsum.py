@@ -279,19 +279,24 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
     spectral-radius bound, H_A self-adjointness and boundedness come back
     as residual records.
     """
+    return CommutantLift(E, *_lift(A, _bounded_matrix(A, E)))
+
+
+def _bounded_matrix(A: DenseOperator, E: DenseOperator) -> np.ndarray:
     if A.backend != DENSE:
         raise BackendMismatch("commutant lifts are dense-backend only")
     if E.direction != ENDO or not E.is_full_domain():
         raise DomainError("E must be a bounded operator defined on all of X")
-    return CommutantLift(E, *_lift(A, E.canonical_matrix()))
+    return E.canonical_matrix()
 
 
 def _lift(A: DenseOperator, E_mat: np.ndarray,
-          fac: FactorizationResult | None = None) -> tuple:
+          fac: FactorizationResult | None = None,
+          lam_E: np.ndarray | None = None) -> tuple:
     """The lift of E_mat to H_A with its checks, returning the fields of
     :class:`CommutantLift` after E, in order.  A is factorized only once
     E_mat passes the commutation identity, unless ``fac`` already holds
-    its factorization."""
+    its factorization; ``lam_E`` is the spectrum of E_mat if known."""
     eq7 = _eq7_residual(A, E_mat)
     if not math.isfinite(eq7) or eq7 > 1e-9:
         raise DomainError(
@@ -301,7 +306,7 @@ def _lift(A: DenseOperator, E_mat: np.ndarray,
     EB = E_mat @ A.basis_mat[:, fac.pivots]
     A.coefficients_of(EB)    # invariance of dom A per column, raises otherwise
     E_hat = fac.jstar_coefficients(EB)
-    lam_E = np.linalg.eigvals(E_mat)
+    lam_E = np.linalg.eigvals(E_mat) if lam_E is None else lam_E
     r_e2 = float(np.max(np.abs(lam_E)) ** 2) if lam_E.size else 0.0
     # whitened norm: the K quadratic is c^H conj(K) c = c^H L L^H c, so the
     # K-norm of the lift is the 2-norm of L^H E^ L^-H
@@ -383,10 +388,10 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
                        dp: DualityPair) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E)."""
-    lift = lift_commutant(A, E, dp)
-    lam_hat = np.linalg.eigvals(lift.E_hat)
-    E_mat = E.canonical_matrix()
+    E_mat = _bounded_matrix(A, E)
     lam_e = np.linalg.eigvals(E_mat)
+    lift = CommutantLift(E, *_lift(A, E_mat, lam_E=lam_e))
+    lam_hat = np.linalg.eigvals(lift.E_hat)
     scale = max(float(np.max(np.abs(lam_e))), 1.0) if lam_e.size else 1.0
     max_imag = float(np.max(np.abs(lam_hat.imag))) if lam_hat.size else 0.0
     max_dist = float(np.max(np.min(np.abs(lam_e - lam_hat[:, None]), axis=1),

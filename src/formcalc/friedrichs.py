@@ -7,9 +7,7 @@ a_n >= gamma > 0 on finitely supported vectors; these are essentially
 self-adjoint and the extension is the same generator on the maximal
 graph domain {y : sum a_n^2 |y_n|^2 certified finite}.  Its lower bound
 inf a_n is exact for p >= 2; below 2 it is not a bound, and the sequence
-extension is uncertified.  The embedding of
-the energy space into X is injective by its defining identity
-[t, y] = (a t, I_a y), which holds exactly on both backends.
+extension is uncertified.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .forms import (
 class FriedrichsResult:
     extension: DenseOperator
     energy_space: SesquilinearForm
-    embedding_residual: float
     gamma_preserved: LowerBoundCertificate
     details: dict
 
@@ -59,9 +56,7 @@ def _friedrichs_dense(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
     rep = associated_operator(t, dp)
     if not is_extension(a, rep.A):
         raise ArithmeticError("constructed extension does not extend the input")
-    # the dense energy space is dom a under the form of a itself, so the
-    # embedding identity [t, y] = (a t, y) holds exactly
-    return FriedrichsResult(rep.A, t, 0.0, cert,
+    return FriedrichsResult(rep.A, t, cert,
                             {"backend": DENSE, "representation": rep.residuals})
 
 
@@ -83,9 +78,7 @@ def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
         raise LowerBoundError(
             f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
     ext = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
-    # [e_k, y] = (a e_k, y) holds by the definition of the pairing: e_k is
-    # finitely supported, so both sides are the one term a_k conj(y_k)
-    return FriedrichsResult(ext, t, 0.0, cert, {"backend": SEQUENCE})
+    return FriedrichsResult(ext, t, cert, {"backend": SEQUENCE})
 
 
 def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:

@@ -12,8 +12,10 @@ by every probe evaluated against it (the constrained maximization is
 kept as a cross-check oracle).  On the sequence backend the value is a
 certified series with tail or divergence certificate.
 
-Orderings are probe-based: a verdict certifies the relation over the
-probe set and says so in the report.
+The order by forms is decided, not sampled: on the dense backend from
+the sign of one Hermitian compression of the difference of the forms on
+X, on the sequence backend from the sign of a - b over a finite head and
+a dominant-term tail (:func:`compare`).
 """
 
 from __future__ import annotations
@@ -197,72 +199,109 @@ class OrderingReport:
     domain_inclusion: dict
 
 
-def _ge(u: float, v: float, slack: float) -> bool:
-    if math.isinf(u):
-        return True
-    if math.isinf(v):
-        return False
-    return u >= v - slack * max(abs(u), abs(v), 1.0)
+def _form_matrix(lam, live, T):
+    """(Q, N) from the eigensolve of a form gram and T = V^H Z^H: the form
+    on X is y^H Q y, Q = T_live^H diag(1/lam_live) T_live, on dom J* =
+    ker T_dead, of which N is an orthonormal basis.  A singular value of
+    T_dead at most 1e-8 max(1, ||T||) is rounding, not a constraint."""
+    _, s, Vh = np.linalg.svd(T[~live])
+    rank = int(np.sum(s > 1e-8 * max(1.0, float(np.linalg.norm(T)))))
+    return T[live].conj().T @ (T[live] / lam[live, None]), Vh[rank:].conj().T
 
 
-def _all_ge(us, vs, slack):
-    return all(_ge(u, v, slack) for u, v in zip(us, vs))
+def _nearest(W):
+    """The unit vector of span W (orthonormal columns) nearest the standard
+    basis vector nearest span W: a witness that does not depend on the
+    basis a solver picks for a repeated eigen- or singular value."""
+    w = W @ W[np.argmax(np.linalg.norm(W, axis=1))].conj()
+    return w / np.linalg.norm(w)
 
 
-def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
-            rel_slack: float = 1e-9, seed: int = 0) -> OrderingReport:
-    """Probe-based verdict for the order by form domination.
+def _dense_decision(Qx, Nx, Qy, Ny, scale):
+    """X >= Y iff span Nx lies within 1e-8 of span Ny and Nx^H (Qx - Qy) Nx
+    >= -1e-9 scale: (certificate, the values of X and Y at a witness, or
+    None when X >= Y)."""
+    _, s, Vh = np.linalg.svd(Nx - Ny @ (Ny.conj().T @ Nx), full_matrices=False)
+    cert = {"escape": float(s[0]) if s.size else 0.0}
+    if cert["escape"] > 1e-8:
+        w = _nearest(Nx @ Vh[s >= s[0] - 1e-10].conj().T)
+        return cert, (float(np.real(np.vdot(w, Qx @ w))), math.inf)
+    mu, U = np.linalg.eigh(Nx.conj().T @ (Qx - Qy) @ Nx)
+    cert["lambda_min"] = float(mu[0]) if mu.size else 0.0
+    if cert["lambda_min"] >= -1e-9 * scale:
+        return cert, None
+    w = _nearest(Nx @ U[:, mu <= mu[0] + 1e-10 * scale])
+    return cert, tuple(float(np.real(np.vdot(w, Q @ w))) for Q in (Qx, Qy))
 
-    Probes are the supplied samples plus structured ones: both domain
-    bases, seeded random unit vectors and the eigenvectors of the
-    difference of the effective matrices (adversarial directions).  The
-    verdict is certified over this probe set only.  On the dense backend
-    the probes are stacked into one matrix and evaluated from a single
-    eigensolve of each operand's form gram.
-    """
+
+def _sequence_decision(vx, vy, slack, sign):
+    """X >= Y from diagonal values at n = 1..N, x - y having the sign
+    ``sign`` from N on; the witness is e_k, k the first n < N with x_n <
+    y_n beyond the slack, else N when the sign is negative."""
+    bad = np.flatnonzero(vx[:-1] - vy[:-1] < -slack[:-1])
+    k = int(bad[0]) if bad.size else len(vx) - 1 if sign < 0 else None
+    cert = {"from": len(vx), "sign": sign}
+    if k is None:
+        return cert, None
+    return {**cert, "witness": k + 1}, (float(vx[k]), float(vy[k]))
+
+
+def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector]) -> OrderingReport:
+    """The order by form domination, decided: A >= B when dom J_A* lies in
+    dom J_B* and t_A >= t_B there.  Dense backend: from the form matrices
+    and domain bases of :func:`_form_matrix`, on the eigensolves that give
+    the probe values.  Sequence backend: a_n >= b_n for every n, from the
+    head of a - b and the sign of its dominant term
+    (:func:`series.eventual_sign`).  The probes are the samples, the
+    domain bases (dense) or e_1..e_4 (sequence: a_1..a_4, b_1..b_4), and
+    a witness per failed direction; ``domain_inclusion`` holds each
+    direction's certificate and which inclusions the probes refute."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     if A.backend == DENSE and A.n != B.n:
         raise BackendMismatch("operands on different ambient dimensions")
+    for s in samples:
+        if s.backend != A.backend or (A.backend == DENSE and s.n != A.n):
+            raise BackendMismatch(f"{s.backend} sample of size {s.n} off the operands' space")
     labels = [f"sample:{i}" for i in range(len(samples))]
     if A.backend == DENSE:
-        rng = np.random.default_rng(seed)
-        # the real then the imaginary draws of each random probe
-        R = rng.normal(size=(max(4, A.n), 2, A.n))
-        Zr = (R[:, 0] + 1j * R[:, 1]).T
-        D = A.effective_matrix() - B.effective_matrix()
-        _, V = np.linalg.eigh(0.5 * (D + D.conj().T))
-        blocks = {"basisA": A.basis_mat, "basisB": B.basis_mat,
-                  "random": Zr / np.linalg.norm(Zr, axis=0), "adversarial": V}
-        labels += [f"{name}:{k}" for name, M in blocks.items()
-                   for k in range(M.shape[1])]
-        Y = np.column_stack([s.coords for s in samples] + list(blocks.values()))
-        values_a = _form_columns(A, Y)[0].tolist()
-        values_b = _form_columns(B, Y)[0].tolist()
+        labels += [f"basis{X}:{k}" for X, M in (("A", A), ("B", B)) for k in range(M.d)]
+        Y = np.column_stack([s.coords for s in samples] + [A.basis_mat, B.basis_mat,
+                                                          np.eye(A.n)])
+        cols = [_form_columns(M, Y) for M in (A, B)]
+        values_a, values_b = (c[0][:-A.n].tolist() for c in cols)
+        (Qa, Na), (Qb, Nb) = (_form_matrix(c[2], c[4], c[5][:, -A.n:]) for c in cols)
+        scale = max(float(np.linalg.norm(Qa)), float(np.linalg.norm(Qb)), 1.0)
+        decisions = [_dense_decision(Qa, Na, Qb, Nb, scale),
+                     _dense_decision(Qb, Nb, Qa, Na, scale)]
     else:
-        probes = list(samples) + [Vector(np.eye(8, dtype=complex)[k], SEQUENCE)
-                                  for k in range(4)]
+        if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
+            raise NotPositive("sequence form values need nonnegative generators")
+        N, sign = series.eventual_sign(A.diagonal + B.diagonal.scale(-1.0))
+        # a_1..a_max(N, 4): the forms at e_1..e_4, then the head of the decision
+        va, vb = (np.real(M.diagonal(np.arange(1, max(N, 4) + 1))) for M in (A, B))
         labels += [f"basis:{k}" for k in range(4)]
-        values_a = [form_on_X(A, y).value for y in probes]
-        values_b = [form_on_X(B, y).value for y in probes]
-    records = tuple(map(ProbeRecord, labels, values_a, values_b))
-    fin_a, fin_b = np.isfinite(values_a), np.isfinite(values_b)
-    # y in dom J_A* but escaping dom J_B* breaks dom J_A* inside dom J_B*,
-    # the domain inclusion that A >= B needs; _ge(finite, inf) is False,
-    # so the value test below already refuses such a probe
-    dom_bwd, dom_fwd = not np.any(fin_a & ~fin_b), not np.any(fin_b & ~fin_a)
-    ge = _all_ge(values_a, values_b, rel_slack)
-    le = _all_ge(values_b, values_a, rel_slack)
-    if ge and le:
-        verdict = "equal"
-    elif ge:
-        verdict = "A>=B"
-    elif le:
-        verdict = "B>=A"
-    else:
-        verdict = "incomparable"
-    return OrderingReport(verdict, records,
-                          {"domain_A_le_B": dom_bwd, "domain_B_le_A": dom_fwd})
+        values_a = [form_on_X(A, y).value for y in samples] + va[:4].tolist()
+        values_b = [form_on_X(B, y).value for y in samples] + vb[:4].tolist()
+        va, vb = va[:N], vb[:N]
+        slack = 1e-9 * np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1.0)
+        decisions = [_sequence_decision(va, vb, slack, sign),
+                     _sequence_decision(vb, va, slack, -sign)]
+    records = list(map(ProbeRecord, labels, values_a, values_b))
+    certificates = []
+    for direction, (cert, witness) in zip(("A>=B", "B>=A"), decisions):
+        certificates.append({"direction": direction, "holds": witness is None, **cert})
+        if witness is not None:
+            records.append(ProbeRecord(f"witness:{direction}",
+                                       *(witness if direction == "A>=B" else witness[::-1])))
+    fin_a = np.isfinite([r.value_a for r in records])
+    fin_b = np.isfinite([r.value_b for r in records])
+    verdict = {(True, True): "equal", (True, False): "A>=B", (False, True): "B>=A",
+               (False, False): "incomparable"}[tuple(c["holds"] for c in certificates)]
+    return OrderingReport(verdict, tuple(records),
+                          {"domain_A_le_B": not np.any(fin_a & ~fin_b),
+                           "domain_B_le_A": not np.any(fin_b & ~fin_a),
+                           "certificates": certificates})
 
 
 @dataclass(frozen=True, eq=False)

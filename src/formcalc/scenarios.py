@@ -216,9 +216,8 @@ def _op_friedrichs(ops, seed):
     a = diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE)
     res = friedrichs(a, dp)
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
-    residuals = {"extension": 0.0 if is_extension(a, res.extension) else 1.0,
-                 "embedding": res.embedding_residual}
-    tols = {"extension": 0.0, "embedding": 1e-10}
+    residuals = {"extension": 0.0 if is_extension(a, res.extension) else 1.0}
+    tols = {"extension": 0.0}
     certs = []
     if samples:
         rep = core_check(a, res, samples)
@@ -264,7 +263,7 @@ def _op_compare(ops, seed):
     want = json_field(ops, "expected", str, None)
     if want not in (None, "A>=B", "B>=A", "equal", "incomparable"):
         raise MalformedOperand("'expected' must be A>=B, B>=A, equal or incomparable")
-    rep = compare(A, B, samples, seed=seed)
+    rep = compare(A, B, samples)
     residuals, tols = {}, {}
     if want is not None:
         residuals["verdict_mismatch"] = 0.0 if rep.verdict == want else 1.0
@@ -272,13 +271,14 @@ def _op_compare(ops, seed):
     probes = [[r.label, r.value_a if math.isfinite(r.value_a) else "inf",
                r.value_b if math.isfinite(r.value_b) else "inf"]
               for r in rep.probes]
-    return residuals, tols, {"verdict": rep.verdict, "probes": probes}, []
+    return residuals, tols, {"verdict": rep.verdict, "probes": probes}, \
+        rep.domain_inclusion["certificates"]
 
 
 def _op_antisymmetry(ops, seed):
     A = operator_from_json(ops["A"])
     B = operator_from_json(ops["B"])
-    rep = compare(A, B, [], seed=seed)
+    rep = compare(A, B, [])
     chk = antisymmetry_check(A, B, rep)
     return {"matrix": chk.matrix_residual, "span": chk.span_residual}, \
         {"matrix": 1e-10, "span": 1e-10}, {}, []

@@ -523,6 +523,30 @@ def _merged(rule: Rule) -> tuple[int, list[list]]:
     return start, groups
 
 
+def eventual_sign(rule: Rule) -> tuple[int, int]:
+    """(N, s) for a real rule: from n = N on, a_n is 0 (s = 0) or has the
+    sign s of its dominant merged group, the largest ratio and then the
+    largest alpha; groups with |C_g| <= 1e-10 m_g are rounding.  N
+    doubles until the other groups sum to at most half the dominant
+    one, from where on they only decrease.  Raises
+    :class:`Uncertifiable` past the term cap."""
+    start, groups = _merged(rule)
+    groups = [g for g in groups if abs(g[2]) > 1e-10 * g[3]]
+    if not groups:
+        return start, 0
+    top = max(groups, key=lambda g: (g[1], g[0]))
+    rest = [g for g in groups if g is not top]
+    n = max([start] + [math.ceil((g[0] - top[0]) / max(math.log(top[1] / g[1]), 1e-300))
+                       for g in rest if g[0] > top[0]])
+    while n <= _MAX_TERMS:
+        if sum(abs(g[2]) * math.exp(min((g[0] - top[0]) * math.log(n)
+                                        + n * math.log(g[1] / top[1]), 700.0))
+               for g in rest) <= abs(top[2]) / 2:
+            return n, 1 if top[2].real > 0 else -1
+        n *= 2
+    raise Uncertifiable("dominant term not certified within the term cap")
+
+
 def rules_agree(a: Rule, b: Rule, rtol: float = 1e-10) -> bool:
     """Exact equality of two rules as sequences, up to rounding at ``rtol``:
     pointwise before the last start of a term (relative to the largest

@@ -214,11 +214,9 @@ def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
             return ({"extension": 0.0 if ext_ok else 1.0,
                      "gamma_gap": gamma_gap,
                      "membership_mistakes": float(mistakes),
-                     "embedding": res.embedding_residual,
                      "core_tail": wit.witnesses[0].tail,
                      "idempotent": 0.0 if idempotent(res, sp) else 1.0},
-                    {"extension": 0.0, "gamma_gap": 1e-10,
-                     "membership_mistakes": 0.0, "embedding": 1e-10,
+                    {"extension": 0.0, "gamma_gap": 1e-10, "membership_mistakes": 0.0,
                      "core_tail": 1e-6, "idempotent": 0.0},
                     {"generator": name, "max_diag_64": float(a_vals[-1])}, [])
         checks.append((f"thm2-{name}", ["Thm2"], one))

@@ -367,6 +367,19 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert ("'expected' must be" in err) == (code == 4) and "Traceback" not in err
 
+    def test_compare_samples_off_the_operands_space_fail(self, tmp_path):
+        f = write_scenarios(tmp_path / "samples.json", [
+            {"id": "sequence-sample", **COMPARE,
+             "samples": [{"coords": [[1, 0], [0, 0]], "backend": "sequence"}]},
+            {"id": "long-sample", **COMPARE,
+             "samples": [{"coords": [[1, 0], [0, 0], [1, 0]]}]}])
+        out = tmp_path / "r"
+        assert main(["run", f, "--out", str(out)]) == 2
+        for sid in ("sequence-sample", "long-sample"):
+            report = json.loads((out / f"{sid}.json").read_text())
+            assert report["verdict"] == "fail"
+            assert report["details"]["error"].startswith("BackendMismatch: ")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gram_entry_fails(self, tmp_path, bad):
         f = write_scenarios(tmp_path / "non-finite.json", [{

@@ -353,6 +353,16 @@ class TestFactorOnce:
         # E and each of the three resolvents still pass the eq7 check
         assert len(eq7_calls) == 4
 
+    def test_spectrum_inclusion_takes_the_spectrum_of_e_once(self, monkeypatch):
+        _, A, E, dp = commuting_instance(np.random.default_rng(83), 5)
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: shapes.append(M.shape) or eigvals(M))
+        assert spectrum_inclusion(A, E, dp).passed
+        # E, its lift, and the three resolvents
+        assert len(shapes) == 5
+
     def test_joint_factorize_factorizes_each_operand_once(self, factorize_calls):
         rng = np.random.default_rng(82)
         dp = dense_pair(4)

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from formcalc import series
 from formcalc.duality import (
     DENSE, DOMAIN_FINITE, DenseOperator, Vector, dense_pair, diagonal_operator,
     operator_from_matrix, restricted_operator, sequence_pair, vector,
 )
-from formcalc.errors import NotPositive
+from formcalc.errors import BackendMismatch, NotPositive
 from formcalc.ordering import (
     antisymmetry_check, compare, factorize, form_on_X, form_oracle_eigensolve,
     hilbert_consistency, in_dom_Jstar,
 )
+from formcalc.scenarios import OPERATIONS
 
 DP2 = dense_pair(2)
 SP = sequence_pair(48)
@@ -209,20 +211,267 @@ class TestCompare:
         assert rep.domain_inclusion["domain_A_le_B"]
 
 
-def loop_probes(A, B, samples, seed=0):
+def seq_op(*terms):
+    return diagonal_operator(series.Rule(tuple(series.Term(*t) for t in terms)),
+                             SP, DOMAIN_FINITE)
+
+
+def witnesses(rep):
+    return {r.label: (r.value_a, r.value_b) for r in rep.probes
+            if r.label.startswith("witness:")}
+
+
+class TestDecidedOrder:
+    def test_sequence_pairs(self):
+        # 100 + n against n^2, and n^2 against 20 n: each fails both ways
+        rep = compare(seq_op((100.0,), (1.0, 1.0)), seq_op((1.0, 2.0)), [])
+        assert rep.verdict == "incomparable"
+        certs = rep.domain_inclusion["certificates"]
+        assert [c["witness"] for c in certs] == [11, 1]
+        assert witnesses(rep) == {"witness:A>=B": (111.0, pytest.approx(121.0, rel=1e-14)),
+                                  "witness:B>=A": (101.0, 1.0)}
+        rep = compare(seq_op((1.0, 2.0)), seq_op((20.0, 1.0)), [])
+        assert rep.verdict == "incomparable"
+        assert [c["witness"] for c in rep.domain_inclusion["certificates"]] == [1, 21]
+        assert witnesses(rep) == {"witness:A>=B": (1.0, 20.0),
+                                  "witness:B>=A": (pytest.approx(441.0, rel=1e-14), 420.0)}
+        rep = compare(seq_op((1.0, 2.0)), seq_op((1.0,)), [])
+        assert rep.verdict == "A>=B"
+        assert [c["holds"] for c in rep.domain_inclusion["certificates"]] == [True, False]
+        assert [r.label for r in rep.probes] == [f"basis:{k}" for k in range(4)] + [
+            "witness:B>=A"]
+
+    def test_sequence_tail_decides(self):
+        # 1 + 0.5^n against 1 + 0.6^n (start 3): equal on the head, then b wins
+        a = seq_op((1.0,), (1.0, 0.0, 0.5, 3))
+        b = seq_op((1.0,), (1.0, 0.0, 0.6, 3))
+        rep = compare(a, b, [])
+        assert rep.verdict == "B>=A"
+        (fwd, bwd) = rep.domain_inclusion["certificates"]
+        assert fwd["witness"] == 3 and bwd["holds"]
+
+    def test_seeded_restricted_pairs(self):
+        """Restricted domains on a shared basis, the pairs whose order the
+        eigenvectors of A_eff - B_eff got wrong: every verdict matches the
+        oracle, and pairs 140, 202, 237 and 379 are incomparable."""
+        rng = np.random.default_rng(0)
+        verdicts = []
+        for i in range(400):
+            n = int(rng.integers(3, 9))
+            d = int(rng.integers(1, n + 1))
+            basis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            ops = []
+            for _ in range(2):
+                W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                ops.append(DenseOperator(DENSE, "to-dual", basis,
+                                         (W @ W.conj().T / n + 0.1 * np.eye(n)) @ basis))
+            rep = compare(*ops, [])
+            assert rep.verdict == oracle_verdict(*ops), i
+            verdicts.append(rep.verdict)
+            if i == 140:
+                wit = witnesses(rep)
+                assert wit["witness:A>=B"] == pytest.approx((0.140, 0.591), abs=5e-4)
+                assert wit["witness:B>=A"] == pytest.approx((3.072, 0.730), abs=5e-4)
+        assert all(verdicts[i] == "incomparable" for i in (140, 202, 237, 379))
+
+    def test_witnesses_do_not_depend_on_the_eigensolver(self, monkeypatch):
+        # one eigenbasis, differences -1 and 1/4 of multiplicity 4 each:
+        # any basis of either eigenspace is a valid eigensolver output
+        rng = np.random.default_rng(5)
+        U, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        d = rng.uniform(0.5, 3.0, 8)
+        A, B = (operator_from_matrix(0.5 * (M + M.conj().T), dense_pair(8))
+                for M in (U @ np.diag(d) @ U.conj().T,
+                          U @ np.diag(d + np.repeat([1.0, -0.25], 4)) @ U.conj().T))
+        first = witnesses(compare(A, B, []))
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: scipy.linalg.eigh(M, driver="evr"))
+        second = witnesses(compare(A, B, []))
+        assert first.keys() == second.keys() == {"witness:A>=B", "witness:B>=A"}
+        for label in first:
+            assert first[label] == pytest.approx(second[label], rel=1e-12)
+
+    def test_four_eigensolves_per_dense_compare(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        A = operator_from_matrix(np.diag([1.0, 4.0, 2.0]), dense_pair(3))
+        B = operator_from_matrix(np.diag([4.0, 1.0, 2.0]), dense_pair(3))
+        assert compare(A, B, []).verdict == "incomparable"
+        assert len(calls) == 4
+
+    def test_samples_off_the_operands_space(self):
+        A = operator_from_matrix(np.eye(2), DP2)
+        for y in (Vector(np.ones(2, dtype=complex), "sequence"),
+                  Vector(np.ones(3, dtype=complex))):
+            with pytest.raises(BackendMismatch):
+                compare(A, A, [y])
+        with pytest.raises(BackendMismatch):
+            compare(seq_op((1.0,)), seq_op((1.0,)), [Vector(np.ones(2, dtype=complex))])
+
+    def test_no_randomness(self, monkeypatch):
+        """The order and its handlers draw nothing at random."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.random.default_rng called")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        A = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
+        rep = compare(A, A, [vector([1, 1j], DP2)])
+        assert antisymmetry_check(A, A, rep).passed
+        assert compare(seq_op((1.0, 2.0)), seq_op((1.0,)), []).verdict == "A>=B"
+        dense = {"backend": "dense", "direction": "to-dual",
+                 "domain_basis": [[1, 0], [0, 1]], "action": [[2, 0], [0, 3]]}
+        for op in ("compare", "antisymmetry"):
+            OPERATIONS[op][1]({"A": dense, "B": dense}, 7)
+
+
+def dense_kind(kind, rng, n, basis=None):
+    """A restricted domain (on ``basis`` if given), a form kernel or an
+    escaping action."""
+    W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "restricted":
+        if basis is None:
+            d = int(rng.integers(1, n + 1))
+            basis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        return DenseOperator(DENSE, "to-dual", basis,
+                             (W @ W.conj().T / n + 0.1 * np.eye(n)) @ basis)
+    if kind == "kernel":
+        return operator_from_matrix(random_psd(rng, n, True), dense_pair(n))
+    return escaping_operator(rng, n)
+
+
+# (coef, alpha, ratio, start) from small sets, so that a - b merges exactly
+# and its dominant group wins well before n = 3000
+SEQ_TERM = st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                     st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                     st.sampled_from([0.5, 0.8, 1.0, 1.1]), st.integers(1, 3))
+
+
+class TestOrderBatteries:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind_a=st.sampled_from(["restricted", "kernel", "escaping"]),
+           kind_b=st.sampled_from(["restricted", "kernel", "escaping", "scaled",
+                                   "same-basis"]),
+           c=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_dense_verdicts_match_the_oracle(self, seed, kind_a, kind_b, c):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        A = dense_kind(kind_a, rng, n)
+        if kind_b == "scaled":
+            B = DenseOperator(DENSE, "to-dual", A.basis_mat, c * A.action_mat)
+        elif kind_b == "same-basis":
+            B = dense_kind("restricted", rng, n, A.basis_mat)
+        else:
+            B = dense_kind(kind_b, rng, n)
+        rep = compare(A, B, [])
+        assert rep.verdict == oracle_verdict(A, B)
+        if kind_b == "scaled":
+            assert rep.verdict == {0.5: "A>=B", 1.0: "equal", 2.0: "B>=A"}[c]
+        for label, (va, vb) in witnesses(rep).items():
+            x, y = (va, vb) if label == "witness:A>=B" else (vb, va)
+            assert math.isinf(y) or x < y
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.lists(SEQ_TERM, min_size=1, max_size=3),
+           b=st.lists(SEQ_TERM, min_size=0, max_size=3), shared=st.booleans())
+    def test_sequence_verdicts_match_the_head_and_dominance(self, a, b, shared):
+        """Against d = a - b evaluated at n = 1..3000, beyond which the
+        dominant merged term of d decides its sign: each other group is
+        decreasing there and at most 1/16 of it."""
+        b = a + b if shared else b
+        assume(b)
+        rep = compare(seq_op(*a), seq_op(*b), [])
+        groups = {}
+        for sign, terms in ((1.0, a), (-1.0, b)):
+            for c, alpha, ratio, _ in terms:
+                groups[alpha, ratio] = groups.get((alpha, ratio), 0.0) + sign * c
+        live = {k: c for k, c in groups.items() if c != 0.0}
+        ns = np.arange(1, 3001)
+        va = np.real(seq_op(*a).diagonal(ns))
+        vb = np.real(seq_op(*b).diagonal(ns))
+        slack = 1e-9 * np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1.0)
+        tail = 0
+        if live:
+            top = max(live, key=lambda k: (k[1], k[0]))
+            for (alpha, ratio), c in live.items():
+                if (alpha, ratio) == top:
+                    continue
+                # decreasing from 3000 on, and small there
+                assert alpha <= top[0] or (alpha - top[0]) / math.log(top[1] / ratio) <= 3000
+                assert abs(c) * 3000.0 ** (alpha - top[0]) * (ratio / top[1]) ** 3000 \
+                    <= abs(live[top]) / 16
+            tail = 1 if live[top] > 0 else -1
+        ge = bool(np.all(va - vb >= -slack)) and tail >= 0
+        le = bool(np.all(vb - va >= -slack)) and tail <= 0
+        assert rep.verdict == {(True, True): "equal", (True, False): "A>=B",
+                               (False, True): "B>=A",
+                               (False, False): "incomparable"}[ge, le]
+        for cert, x, y in zip(rep.domain_inclusion["certificates"], (va, vb), (vb, va)):
+            if not cert["holds"]:
+                k = cert["witness"]
+                assert x[k - 1] < y[k - 1] and np.all(x[:k - 1] - y[:k - 1] >= -slack[:k - 1])
+
+
+def nearest_unit(W):
+    """The unit vector of span W nearest the standard basis vector nearest
+    span W: the witness rule of compare, which fixes a witness from a
+    repeated eigen- or singular value."""
+    w = W @ W[np.argmax(np.linalg.norm(W, axis=1))].conj()
+    return w / np.linalg.norm(w)
+
+
+def form_matrix_oracle(op):
+    """(Q, N) from scipy: the form on X is y^H Q y with Q = Z pinvh(quad) Z^H
+    (cutoff 1e-12), on dom J* = the null space of the dead rows
+    V_dead^H Z^H, of which N is an orthonormal basis.  The null space needs
+    an absolute floor: without one a dead row at rounding level would
+    count as a constraint."""
+    F = op.form_gram()
+    quad = 0.5 * (np.conj(F) + F.T)
+    lam, V = scipy.linalg.eigh(quad)
+    live = lam > 1e-12 * max(float(lam[-1]), 1e-300)
+    Z = op.action_mat
+    Q = Z @ scipy.linalg.pinvh(quad, atol=0.0, rtol=1e-12) @ Z.conj().T
+    T = V.conj().T @ Z.conj().T
+    floor = 1e-8 * max(1.0, float(np.linalg.norm(T)))
+    s = scipy.linalg.svdvals(T[~live]) if np.any(~live) else np.zeros(0)
+    if s.size and s[0] > floor:
+        return Q, scipy.linalg.null_space(T[~live], rcond=floor / s[0])
+    return Q, np.eye(op.n, dtype=complex)
+
+
+def order_oracle(A, B):
+    """Per direction (A >= B, then B >= A): None when it holds, else its
+    witness, from :func:`form_matrix_oracle` and scipy factorizations."""
+    (Qa, Na), (Qb, Nb) = form_matrix_oracle(A), form_matrix_oracle(B)
+    scale = max(np.linalg.norm(Qa), np.linalg.norm(Qb), 1.0)
+
+    def witness(Qx, Nx, Qy, Ny):
+        R = Nx - Ny @ (Ny.conj().T @ Nx)
+        if R.size:
+            _, s, Vh = scipy.linalg.svd(R, full_matrices=False)
+            if s[0] > 1e-8:
+                return nearest_unit(Nx @ Vh[s >= s[0] - 1e-10].conj().T)
+        mu, U = scipy.linalg.eigh(Nx.conj().T @ (Qx - Qy) @ Nx)
+        if mu.size and mu[0] < -1e-9 * scale:
+            return nearest_unit(Nx @ U[:, mu <= mu[0] + 1e-10 * scale])
+        return None
+
+    return witness(Qa, Na, Qb, Nb), witness(Qb, Nb, Qa, Na)
+
+
+def oracle_verdict(A, B):
+    ge, le = (w is None for w in order_oracle(A, B))
+    return {(True, True): "equal", (True, False): "A>=B",
+            (False, True): "B>=A", (False, False): "incomparable"}[ge, le]
+
+
+def loop_probes(A, B, samples):
     """The dense probe set of compare, built one probe at a time: the
     reference for its batched evaluation."""
-    n = A.n
-    rng = np.random.default_rng(seed)
     probes = [s.coords for s in samples]
     probes += [A.basis_mat[:, j] for j in range(A.d)]
     probes += [B.basis_mat[:, j] for j in range(B.d)]
-    for _ in range(max(4, n)):
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        probes.append(z / np.linalg.norm(z))
-    D = A.effective_matrix() - B.effective_matrix()
-    _, V = scipy.linalg.eigh(0.5 * (D + D.conj().T))
-    return probes + [V[:, k] for k in range(n)]
+    return probes + [w for w in order_oracle(A, B) if w is not None]
 
 
 def escaping_operator(rng, n):
@@ -259,13 +508,16 @@ class TestBatchedProbes:
     def test_compare_probes_match_single_probe_and_oracle(self, n):
         rng = np.random.default_rng(100 + n)
         kinds_a, kinds_b = operator_kinds(rng, n), operator_kinds(rng, n)
-        escaped = 0
-        for kind in kinds_a:
-            A, B = kinds_a[kind], kinds_b[kind]
+        pairs = [(kinds_a[k], kinds_b[k], k) for k in kinds_a]
+        # a full domain against an escaping one: an escape witness
+        pairs.append((kinds_a["hpd"], kinds_b["escaping"], "hpd-escaping"))
+        escaped = witnesses = 0
+        for A, B, kind in pairs:
             samples = [Vector(rng.normal(size=n) + 1j * rng.normal(size=n))]
-            rep = compare(A, B, samples, seed=n)
-            probes = loop_probes(A, B, samples, seed=n)
-            assert len(rep.probes) == len(probes)
+            rep = compare(A, B, samples)
+            probes = loop_probes(A, B, samples)
+            assert len(rep.probes) == len(probes), kind
+            witnesses += sum(r.label.startswith("witness:") for r in rep.probes)
             for rec, y in zip(rep.probes, probes):
                 for op, got in ((A, rec.value_a), (B, rec.value_b)):
                     single = form_on_X(op, Vector(y)).value
@@ -276,7 +528,7 @@ class TestBatchedProbes:
                     assert rel_gap(got, single, op, y) <= 1e-12, (kind, rec.label)
                     oracle = form_oracle_eigensolve(op, Vector(y))
                     assert rel_gap(got, oracle, op, y) <= 1e-12, (kind, rec.label)
-        assert escaped > 0
+        assert escaped > 0 and witnesses > 0
 
     def test_jstar_coefficients_matrix_matches_columns(self):
         rng = np.random.default_rng(47)

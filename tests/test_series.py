@@ -255,6 +255,28 @@ TERMS = st.builds(
 RULES = st.lists(TERMS, min_size=1, max_size=4).map(lambda ts: series.Rule(tuple(ts)))
 
 
+class TestEventualSign:
+    def test_dominant_group_decides_from_n(self):
+        T = series.Term
+        # n^2 - 20 n: the n^-1 tail of -20 n / n^2 is at most 1/2 from 64 on
+        assert series.eventual_sign(series.Rule((T(1.0, 2.0), T(-20.0, 1.0)))) == (64, 1)
+        # 1 - n^3 0.5^n: n^3 0.5^n decreases from ceil(3 / ln 2) = 5 on
+        N, sign = series.eventual_sign(series.Rule((T(1.0), T(-1.0, 3.0, 0.5))))
+        assert sign == 1 and N >= 5
+        ns = np.arange(N, N + 5000)
+        assert np.all(series.Rule((T(1.0), T(-1.0, 3.0, 0.5)))(ns).real > 0)
+
+    def test_cancelled_and_empty_rules_are_zero(self):
+        a = series.Rule((series.Term(2.0, 1.0, 0.9, 4), series.Term(1.0)))
+        assert series.eventual_sign(a + a.scale(-1.0)) == (4, 0)
+        assert series.eventual_sign(series.Rule(())) == (1, 0)
+
+    def test_crossover_past_the_cap_is_uncertifiable(self):
+        T = series.Term
+        with pytest.raises(Uncertifiable):
+            series.eventual_sign(series.Rule((T(1.0), T(-1.0, 100.0, 1.0 - 1e-7))))
+
+
 class TestCertificateOracle:
     """Sums and their bounds against 40-digit sums, so that a certificate
     is checked for the whole series and under rounding."""
