@@ -11,7 +11,9 @@ to one thread before it parses its arguments, because the small dense
 eigensolves and SVDs of formcalc run faster on one thread at every size
 measured.  Setting ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
 overrides this: then main leaves the thread count alone.  Calling
-``main()`` in-process leaves that process pinned to one thread.
+``main()`` in-process leaves that process pinned to one thread.  The pin
+happens before ``suite all`` forks the workers that run its batteries,
+so they inherit it.
 
 Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
 4 malformed input: scenario file or id, operation, operand or tolerance scale.
@@ -20,12 +22,12 @@ Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .reporting import (
@@ -137,6 +139,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         if args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(
                     lambda sc: run_scenario(sc, args.tol_scale), scenarios))
@@ -164,12 +167,34 @@ def cmd_run(args) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _battery_map(name: str):
+    """The map that runs the batteries of ``suite name``.  For ``all``,
+    with more than one usable CPU and ``fork`` available, it is the map
+    of a pool of forked workers, one per usable CPU and at most one per
+    battery; otherwise the builtin map, in this process.  Forked workers
+    inherit the one-thread BLAS pin and the battery table as they are;
+    the pool and its modules are loaded only here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if name == "all" and cpus > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(min(cpus, len(SUITE_NAMES)),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                yield pool.map
+            return
+    yield map
+
+
 def cmd_suite(args) -> int:
     if args.name != "all" and args.name not in SUITE_NAMES:
         print(f"error: unknown suite {args.name!r} (choose from "
               f"{', '.join(SUITE_NAMES + ('all',))})", file=sys.stderr)
         return EXIT_USAGE
-    res = run_suite(args.name, seed=args.seed, tol_scale=args.tol_scale)
+    with _battery_map(args.name) as battery_map:
+        res = run_suite(args.name, seed=args.seed, tol_scale=args.tol_scale,
+                        map=battery_map)
     for rep in res.reports:
         mark = "control" if rep.control else "claim"
         print(f"{rep.verdict:11s} [{mark}] {rep.scenario}")

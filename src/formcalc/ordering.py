@@ -246,7 +246,23 @@ def _sequence_decision(vx, vy, slack, sign):
     return {**cert, "witness": k + 1}, (float(vx[k]), float(vy[k]))
 
 
-def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector]) -> OrderingReport:
+def _sequence_domain_le(growth_a: tuple, growth_b: tuple, p: float) -> bool:
+    """dom J_A* in dom J_B* on l^p for the diagonals a and b, given as
+    their :func:`series.growth`: every y in l^p with sum a_n |y_n|^2
+    finite has sum b_n |y_n|^2 finite.  That holds iff b = O(a) or b
+    lies in l^r, the dual of l^(p/2): r = inf for p <= 2, where l^p lies
+    in l^2, and r = p/(p - 2) above.  Both are read off the dominant
+    groups."""
+    ratio, alpha = growth_b
+    if growth_b <= growth_a or ratio < 1.0:
+        return True
+    if ratio > 1.0:
+        return False
+    return alpha <= 0.0 if p <= 2.0 else alpha < 2.0 / p - 1.0
+
+
+def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
+            p: float = 2.0) -> OrderingReport:
     """The order by form domination, decided: A >= B when dom J_A* lies in
     dom J_B* and t_A >= t_B there.  Dense backend: from the form matrices
     and domain bases of :func:`_form_matrix`, on the eigensolves that give
@@ -255,7 +271,10 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector]) -> Orderi
     (:func:`series.eventual_sign`).  The probes are the samples, the
     domain bases (dense) or e_1..e_4 (sequence: a_1..a_4, b_1..b_4), and
     a witness per failed direction; ``domain_inclusion`` holds each
-    direction's certificate and which inclusions the probes refute."""
+    direction's certificate and the inclusions of the domains of J*:
+    on the sequence backend decided for X = l^p, ``p`` its norm exponent
+    (:func:`_sequence_domain_le`), on the dense backend those no probe
+    refutes."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     if A.backend == DENSE and A.n != B.n:
@@ -278,6 +297,9 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector]) -> Orderi
         if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
             raise NotPositive("sequence form values need nonnegative generators")
         N, sign = series.eventual_sign(A.diagonal + B.diagonal.scale(-1.0))
+        ga, gb = series.growth(A.diagonal), series.growth(B.diagonal)
+        inclusion = {"domain_A_le_B": _sequence_domain_le(ga, gb, p),
+                     "domain_B_le_A": _sequence_domain_le(gb, ga, p)}
         # a_1..a_max(N, 4): the forms at e_1..e_4, then the head of the decision
         va, vb = (np.real(M.diagonal(np.arange(1, max(N, 4) + 1))) for M in (A, B))
         labels += [f"basis:{k}" for k in range(4)]
@@ -294,14 +316,15 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector]) -> Orderi
         if witness is not None:
             records.append(ProbeRecord(f"witness:{direction}",
                                        *(witness if direction == "A>=B" else witness[::-1])))
-    fin_a = np.isfinite([r.value_a for r in records])
-    fin_b = np.isfinite([r.value_b for r in records])
+    if A.backend == DENSE:
+        fin_a = np.isfinite([r.value_a for r in records])
+        fin_b = np.isfinite([r.value_b for r in records])
+        inclusion = {"domain_A_le_B": not np.any(fin_a & ~fin_b),
+                     "domain_B_le_A": not np.any(fin_b & ~fin_a)}
     verdict = {(True, True): "equal", (True, False): "A>=B", (False, True): "B>=A",
                (False, False): "incomparable"}[tuple(c["holds"] for c in certificates)]
     return OrderingReport(verdict, tuple(records),
-                          {"domain_A_le_B": not np.any(fin_a & ~fin_b),
-                           "domain_B_le_A": not np.any(fin_b & ~fin_a),
-                           "certificates": certificates})
+                          {**inclusion, "certificates": certificates})
 
 
 @dataclass(frozen=True, eq=False)

@@ -523,18 +523,33 @@ def _merged(rule: Rule) -> tuple[int, list[list]]:
     return start, groups
 
 
-def eventual_sign(rule: Rule) -> tuple[int, int]:
-    """(N, s) for a real rule: from n = N on, a_n is 0 (s = 0) or has the
-    sign s of its dominant merged group, the largest ratio and then the
-    largest alpha; groups with |C_g| <= 1e-10 m_g are rounding.  N
-    doubles until the other groups sum to at most half the dominant
-    one, from where on they only decrease.  Raises
-    :class:`Uncertifiable` past the term cap."""
+def _dominant(rule: Rule) -> tuple[int, list[list], list | None]:
+    """(start, groups, top): the merged groups of :func:`_merged` that are
+    not rounding, |C_g| > 1e-10 m_g, and the dominant one among them, the
+    largest ratio and then the largest alpha (None when there is none)."""
     start, groups = _merged(rule)
     groups = [g for g in groups if abs(g[2]) > 1e-10 * g[3]]
-    if not groups:
+    return start, groups, max(groups, key=lambda g: (g[1], g[0]), default=None)
+
+
+def growth(rule: Rule) -> tuple[float, float]:
+    """(ratio, alpha) of the dominant merged group, or (0, -inf) for a
+    rule that is 0 from its start on: for nonnegative rules a and b,
+    b = O(a) iff growth(b) <= growth(a).  Raises :class:`Uncertifiable`
+    when a term starts past the term cap."""
+    top = _dominant(rule)[2]
+    return (0.0, -math.inf) if top is None else (top[1], top[0])
+
+
+def eventual_sign(rule: Rule) -> tuple[int, int]:
+    """(N, s) for a real rule: from n = N on, a_n is 0 (s = 0) or has the
+    sign s of its dominant merged group (:func:`_dominant`).  N doubles
+    until the other groups sum to at most half the dominant one, from
+    where on they only decrease.  Raises :class:`Uncertifiable` past the
+    term cap."""
+    start, groups, top = _dominant(rule)
+    if top is None:
         return start, 0
-    top = max(groups, key=lambda g: (g[1], g[0]))
     rest = [g for g in groups if g is not top]
     n = max([start] + [math.ceil((g[0] - top[0]) / max(math.log(top[1] / g[1]), 1e-300))
                        for g in rest if g[0] > top[0]])

@@ -565,11 +565,25 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0) -> SuiteResult:
+def _battery(name: str, seed: int, tol_scale: float) -> list[Report]:
+    """The reports of one battery, looked up by name where it runs: a
+    forked worker receives the name, not the function."""
+    return _SUITES[name](seed, tol_scale)
+
+
+def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0,
+              map=map) -> SuiteResult:
+    """Run one battery, or every battery for ``all``, and collect the
+    reports in battery order.  ``map`` applies :func:`_battery` to the
+    battery names; the default runs them in order in this process, and a
+    process pool's ``map`` runs them on its workers.  Each battery draws
+    from its own ``default_rng(seed)``, so the reports do not depend on
+    where a battery runs."""
     if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_NAMES if name == "all" else (name,)
-    reports = tuple(r for sub in names for r in _SUITES[sub](seed, tol_scale))
+    batteries = map(_battery, names, [seed] * len(names), [tol_scale] * len(names))
+    reports = tuple(r for battery in batteries for r in battery)
     return SuiteResult(name, seed, reports, _artifacts_from(reports))
 
 

@@ -1,5 +1,6 @@
 """The command line runs OpenBLAS on one thread unless the environment
-chooses a count, and formcalc runs on numpy alone.
+chooses a count, also in the workers of ``suite all``, and formcalc runs
+on numpy alone.
 
 Each case runs ``formcalc.cli.main`` in a fresh interpreter and asks
 every OpenBLAS mapped into it for its thread count, before and after the
@@ -132,3 +133,44 @@ def test_scipy_stays_out_and_blas_stays_on_one_thread(tmp_path):
     assert set(result["after"].values()) <= {1}, result
     reports = json.loads((tmp_path / "out" / "run" / "summary.json").read_text())
     assert [s["verdict"] for s in reports["scenarios"]] == ["pass"] * 5
+
+
+WORKERS = COUNTS + r"""
+import contextlib, io
+from formcalc import suites
+from formcalc.reporting import make_report
+
+
+def probe_battery(seed, tol_scale):
+    return [make_report("blas-probe", [], {}, {},
+                        details={"pid": os.getpid(), "threads": counts()})]
+
+
+suites._SUITES["friedrichs"] = probe_battery
+with contextlib.redirect_stdout(io.StringIO()):
+    formcalc.cli.main(["suite", "all", "--out", sys.argv[1]])
+with open(sys.argv[1] + "/blas-probe.json") as fh:
+    print(json.dumps({"parent": os.getpid(), **json.load(fh)["details"]}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="suite all fans out only over two or more usable CPUs")
+def test_suite_workers_inherit_the_pin(tmp_path):
+    result = run_script(WORKERS, str(tmp_path))
+    assert result["pid"] != result["parent"], result
+    if not result["threads"]:
+        pytest.skip("no OpenBLAS with a thread-count getter is mapped")
+    assert set(result["threads"].values()) == {1}, result
+
+
+IMPORTS = r"""
+import json, sys
+import formcalc.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in
+                        ("concurrent", "multiprocessing", "scipy"))))
+"""
+
+
+def test_cli_import_loads_no_pool_and_no_scipy():
+    assert run_script(IMPORTS) == []

@@ -2,6 +2,9 @@
 
 import json
 import math
+import multiprocessing
+import os
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -547,6 +550,37 @@ class TestSuites:
     def test_suite_reports_carry_wall_time(self):
         reports = run_suite("representation", seed=7).reports
         assert all(r.wall_time > 0.0 for r in reports)
+
+
+class TestSuiteFanOut:
+    """``suite all`` runs its batteries on forked workers when more than
+    one CPU is usable, and in process on one."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_same_files_as_serial(self, seed, tmp_path, monkeypatch):
+        codes = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            codes.append(main(["suite", "all", "--seed", str(seed),
+                               "--out", str(tmp_path / str(len(cpus)))]))
+            assert multiprocessing.active_children() == []
+        assert codes[0] == codes[1]
+        for name in ("summary.json", "convergence.csv"):
+            assert (tmp_path / "2" / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name, cpus, forked", [
+        ("all", {0, 1}, True), ("all", {0}, False), ("ordering", {0, 1}, False)])
+    def test_battery_errors_propagate(self, name, cpus, forked, monkeypatch):
+        def broken(seed, tol_scale):
+            raise RuntimeError(f"battery fault in process {os.getpid()}")
+        monkeypatch.setitem(suites._SUITES, "ordering", broken)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(RuntimeError, match="battery fault") as info:
+            main(["suite", name])
+        pid = int(re.search(r"process (\d+)", str(info.value)).group(1))
+        assert (pid != os.getpid()) == forked
+        assert multiprocessing.active_children() == []
 
 
 #: each battery check judged by scenario handlers, and its handlers' ops

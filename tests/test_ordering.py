@@ -241,6 +241,32 @@ class TestDecidedOrder:
         assert [r.label for r in rep.probes] == [f"basis:{k}" for k in range(4)] + [
             "witness:B>=A"]
 
+    @pytest.mark.parametrize("a, b, p, inclusion", [
+        (((100.0,), (1.0, 1.0)), ((1.0, 2.0),), 2.0, (False, True)),
+        (((1.0, 2.0),), ((20.0, 1.0),), 2.0, (True, False)),
+        (((3.0, 1.0),), ((1.0, 1.0), (5.0,)), 2.0, (True, True)),
+        (((1.0, 40.0),), ((1e-3, 0.0, 1.5),), 2.0, (False, True)),
+        (((0.0, 1.0),), ((1.0, -2.0),), 2.0, (True, True)),
+        (((1.0,),), ((1.0, -2.0),), 2.0, (True, True)),
+        (((1.0, 0.0, 0.5),), ((1.0, 0.0, 0.3),), 2.0, (True, True)),
+        (((1.0, 0.0, 0.5),), ((1.0, 0.0, 0.3),), 1.5, (True, True)),
+        (((1.0,),), ((1.0, 1.0),), 1.5, (False, True)),
+        (((1.0,),), ((1.0, -2.0),), 3.0, (True, False)),
+        (((1.0, -0.2),), ((1.0, -0.5),), 3.0, (True, False)),
+        (((1.0, -0.2),), ((1.0, -0.5),), 2.0, (True, True)),
+        (((1.0, -0.5),), ((1.0, -0.6),), 6.0, (True, False)),
+        (((1.0, -0.5),), ((1.0, -0.6),), 3.0, (True, True)),
+        (((1.0, 0.0, 0.5),), ((1.0, 0.0, 0.3),), 3.0, (True, True)),
+        (((0.0, 1.0),), ((1.0, -0.2),), 3.0, (False, True)),
+    ])
+    def test_sequence_domain_inclusion_is_decided(self, a, b, p, inclusion):
+        # on l^p, dom J_A* lies in dom J_B* iff b = O(a) or b is in l^r,
+        # r = inf for p <= 2 and p/(p - 2) above: every bounded rule keeps
+        # all of l^2 and its subspaces l^p, p <= 2, in its domain
+        rep = compare(seq_op(*a), seq_op(*b), [], p=p)
+        assert (rep.domain_inclusion["domain_A_le_B"],
+                rep.domain_inclusion["domain_B_le_A"]) == inclusion
+
     def test_sequence_tail_decides(self):
         # 1 + 0.5^n against 1 + 0.6^n (start 3): equal on the head, then b wins
         a = seq_op((1.0,), (1.0, 0.0, 0.5, 3))
