@@ -3,8 +3,11 @@
 ``formcalc run <file> [--jobs N] [--out DIR]`` executes a scenario file
 and writes one JSON report per scenario plus a summary.  ``formcalc
 suite <name> [--seed S] [--out DIR]`` runs a named verification battery
-(or ``all``).  The environment variable ``FORMCALC_TOL_SCALE`` scales
-every tolerance (default 1.0); it must be a positive finite number.
+(or ``all``).  Each report is encoded once, for its file and its
+summary entry together, and ``summary.json`` is streamed as the reports
+are written and appears last, after every report and CSV file.  The
+environment variable ``FORMCALC_TOL_SCALE`` scales every tolerance
+(default 1.0); it must be a positive finite number.
 
 BLAS threads: :func:`main` sets every OpenBLAS mapped into the process
 to one thread before it parses its arguments, because the small dense
@@ -32,7 +35,7 @@ from pathlib import Path
 
 from .reporting import (
     _JSON_TYPES, FAIL, SCHEMA_VERSION, UNCERTIFIED, MalformedOperand,
-    _verdict_counts, decode_arrays, write_csv, write_report,
+    _verdict_counts, decode_arrays, write_outputs,
 )
 from .scenarios import MissingOperand, UnknownOperation, run_scenario
 from .suites import SUITE_NAMES, run_suite
@@ -91,19 +94,6 @@ def _exit_code(verdicts) -> int:
     return EXIT_PASS
 
 
-def _write_out(out, reports, csvs: dict, summary: dict) -> None:
-    """One JSON file per report, the CSVs (name -> (header, rows)) and
-    ``summary.json``, all under ``out``."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    for rep in reports:
-        write_report(rep, out / f"{rep.scenario}.json")
-    for name, (header, rows) in csvs.items():
-        write_csv(out / name, header, rows)
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
 def _scenario_list(payload) -> list:
     """The scenarios of a parsed file, or ValueError: objects with a
     string op, an integer seed, tolerances that are an object of numbers,
@@ -137,14 +127,19 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+    def run_one(i):
+        # the scenario's operands are freed once its report exists
+        sc, scenarios[i] = scenarios[i], None
+        return run_scenario(sc, args.tol_scale)
+
     try:
         if args.jobs > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(
-                    lambda sc: run_scenario(sc, args.tol_scale), scenarios))
+                reports = list(pool.map(run_one, range(len(scenarios))))
         else:
-            reports = [run_scenario(sc, args.tol_scale) for sc in scenarios]
+            reports = [run_one(i) for i in range(len(scenarios))]
     except (UnknownOperation, MissingOperand, MalformedOperand) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,18 +147,14 @@ def cmd_run(args) -> int:
     for rep in reports:
         print(f"{rep.verdict:11s} {rep.scenario}")
     code = _exit_code([r.verdict for r in reports])
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "scenarios": [r.as_dict(with_time=False) for r in reports],
-        "counts": _verdict_counts(reports),
-        "exit_code": code,
-    }
+    counts = _verdict_counts(reports)
     if args.out:
-        _write_out(args.out, reports,
-                   {f"{rep.scenario}-{name}": table for rep in reports
-                    for name, table in rep.details.get("csv", {}).items()},
-                   summary)
-    print(f"{summary['counts']['passed']}/{summary['counts']['total']} passed")
+        write_outputs(args.out, reports,
+                      {f"{rep.scenario}-{name}": table for rep in reports
+                       for name, table in rep.details.get("csv", {}).items()},
+                      {"schema": SCHEMA_VERSION, "counts": counts,
+                       "exit_code": code}, "scenarios")
+    print(f"{counts['passed']}/{counts['total']} passed")
     return code
 
 
@@ -198,12 +189,12 @@ def cmd_suite(args) -> int:
     for rep in res.reports:
         mark = "control" if rep.control else "claim"
         print(f"{rep.verdict:11s} [{mark}] {rep.scenario}")
-    summary = res.summary_dict()
+    summary = res.summary_dict(reports=False)
     missing = [k for k, v in res.coverage().items() if v == 0]
     if args.name == "all":
         summary["coverage_complete"] = not missing
     if args.out:
-        _write_out(args.out, res.reports, res.artifacts, summary)
+        write_outputs(args.out, res.reports, res.artifacts, summary, "reports")
     counts = summary["counts"]
     print(f"{counts['passed']}/{counts['total']} passed, "
           f"{counts['controls']} controls")

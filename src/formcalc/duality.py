@@ -365,16 +365,32 @@ class DenseOperator:
         """Matrix acting on the domain span (zero on its complement)."""
         return self.action_mat @ self._basis.pinv
 
+    def _once(self, key: str, compute) -> np.ndarray:
+        """``compute()`` on the first call for ``key``, kept read-only."""
+        v = self.__dict__.get(key)
+        if v is None:
+            v = compute()
+            v.setflags(write=False)
+            object.__setattr__(self, key, v)
+        return v
+
     def effective_projector(self) -> np.ndarray:
         """Orthogonal projector on the domain span, computed once per
         operator and returned read-only."""
-        P = self.__dict__.get("_projector")
-        if P is None:
-            U = self._basis.U
-            P = U @ U.conj().T
-            P.setflags(write=False)
-            object.__setattr__(self, "_projector", P)
-        return P
+        U = self._basis.U
+        return self._once("_projector", lambda: U @ U.conj().T)
+
+    def action_singular_values(self) -> np.ndarray:
+        """Singular values of ``action_mat``, descending, computed once
+        per operator and returned read-only."""
+        return self._once("_action_sv", lambda: np.linalg.svd(
+            self.action_mat, compute_uv=False))
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the canonical matrix, computed once per
+        operator and returned read-only."""
+        return self._once("_spectrum",
+                          lambda: np.linalg.eigvals(self.canonical_matrix()))
 
     def effective_matrix(self) -> np.ndarray:
         """Canonical matrix with the action restricted to the effective

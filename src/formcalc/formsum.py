@@ -266,7 +266,7 @@ def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
         rhs = A.apply(E_mat @ A.basis_mat)
     except DomainError:
         return math.inf
-    return _max_column_norm(lhs - rhs) / max(operator_norm(A.action_mat), 1.0)
+    return _max_column_norm(lhs - rhs) / max(float(A.action_singular_values()[0]), 1.0)
 
 
 def lift_commutant(A: DenseOperator, E: DenseOperator,
@@ -279,7 +279,7 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
     spectral-radius bound, H_A self-adjointness and boundedness come back
     as residual records.
     """
-    return CommutantLift(E, *_lift(A, _bounded_matrix(A, E)))
+    return CommutantLift(E, *_lift(A, _bounded_matrix(A, E), lam_E=E.spectrum()))
 
 
 def _bounded_matrix(A: DenseOperator, E: DenseOperator) -> np.ndarray:
@@ -310,8 +310,8 @@ def _lift(A: DenseOperator, E_mat: np.ndarray,
     r_e2 = float(np.max(np.abs(lam_E)) ** 2) if lam_E.size else 0.0
     # whitened norm: the K quadratic is c^H conj(K) c = c^H L L^H c, so the
     # K-norm of the lift is the 2-norm of L^H E^ L^-H
-    LH = np.linalg.cholesky(np.conj(fac.gram)).conj().T
-    norm_bound = operator_norm(LH @ E_hat @ np.linalg.inv(LH))
+    LH, LH_inv = fac.whitening()
+    norm_bound = operator_norm(LH @ E_hat @ LH_inv)
     # its square is the supremum of [E^ h]^2 / [h]^2 over H_A
     margin = norm_bound ** 2 / max(r_e2, 1e-300)
     sa_res = relative_residual(
@@ -389,7 +389,7 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E)."""
     E_mat = _bounded_matrix(A, E)
-    lam_e = np.linalg.eigvals(E_mat)
+    lam_e = E.spectrum()
     lift = CommutantLift(E, *_lift(A, E_mat, lam_E=lam_e))
     lam_hat = np.linalg.eigvals(lift.E_hat)
     scale = max(float(np.max(np.abs(lam_e))), 1.0) if lam_e.size else 1.0
@@ -400,7 +400,8 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
     points = tuple(base + k for k in (1.0, 2.0, 3.0))
     res_res = 0.0
     for lam in points:
-        # the resolvent lifts reuse the factorization of the lift of E
+        # the resolvent lifts reuse the factorization of the lift of E and
+        # its whitening
         R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)),
                       lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))

@@ -114,8 +114,10 @@ def pivoted_cholesky(G: np.ndarray, tol: float | None = None):
 
 def operator_norm(M: np.ndarray) -> float:
     """Spectral norm of a matrix: its largest singular value, the value
-    ``np.linalg.norm(M, 2)`` returns, without that call's overhead."""
-    if M.size == 0:
+    ``np.linalg.norm(M, 2)`` returns, without that call's overhead.  An
+    exactly zero matrix, such as a residual that cancels, gets the 0.0
+    the SVD would give without one; NaN is not zero and goes to the SVD."""
+    if not M.any():
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[0])
 

@@ -56,6 +56,16 @@ class FactorizationResult:
     def h_inner(self, c: np.ndarray, d: np.ndarray) -> complex:
         return gram_inner(self.gram, c, d)
 
+    def whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(L^H, L^-H)`` for the Cholesky factor L L^H of conj(gram),
+        the H_A quadratic, computed once per factorization."""
+        W = self.__dict__.get("_whitening")
+        if W is None:
+            LH = np.linalg.cholesky(np.conj(self.gram)).conj().T
+            W = (LH, np.linalg.inv(LH))
+            object.__setattr__(self, "_whitening", W)
+        return W
+
 
 def factorize(A: DenseOperator) -> FactorizationResult:
     """Auxiliary-space factorization of a positive symmetric operator.
@@ -73,8 +83,9 @@ def factorize(A: DenseOperator) -> FactorizationResult:
         raise NotPositive("operator form is not symmetric")
     F = t.gram
     quad = np.conj(F)
-    # the action scale and its rank (relative tolerance 1e-10) from one SVD
-    s = np.linalg.svd(A.action_mat, compute_uv=False)
+    # the action scale and its rank (relative tolerance 1e-10) from one
+    # SVD, which the operator keeps
+    s = A.action_singular_values()
     scale = max(float(s[0]), 1e-300)
     L, piv, rank = pivoted_cholesky(quad, tol=1e-10 * scale)
     pivots = piv[:rank]

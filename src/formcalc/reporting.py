@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -284,10 +286,46 @@ def operator_from_json(obj) -> DenseOperator:
     return DenseOperator(DENSE, direction, basis, action)
 
 
-def write_report(report: Report, path):
+def write_report(report: Report, path) -> str:
+    """Write ``report`` to ``path`` and return its summary entry, both
+    from one encoding without the wall time.  Under ``sort_keys`` the
+    ``wall_time`` member comes last, so the file is that text with it
+    appended; JSON text holds no raw newline, so four more spaces after
+    each newline are an exact re-indent into a summary's report list."""
+    text = json.dumps(report.as_dict(with_time=False), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text[:-2])       # up to the closing "\n}"
+        fh.write(f',\n  "wall_time": {json.dumps(report.wall_time)}\n}}\n')
+    return text.replace("\n", "\n    ")
+
+
+# stands for the report list in the summary template of write_outputs
+_SLOT = "\0reports"
+
+
+def write_outputs(out, reports, csvs: dict, summary: dict, key: str) -> None:
+    """One JSON file per report, the CSVs (name -> (header, rows)) and
+    ``summary.json``, all under ``out``.  The summary holds the members
+    of ``summary`` and, under ``key``, every report without its wall
+    time; its bytes are those of ``json.dumps(..., indent=2,
+    sort_keys=True)`` of that dict, streamed around the entries from
+    :func:`write_report`, so each report is encoded once and no text of
+    the whole summary is built.  It is written under a temporary name
+    and renamed last, so it appears only after every other file."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    head, tail = json.dumps({**summary, key: _SLOT}, indent=2,
+                            sort_keys=True).split(json.dumps(_SLOT))
+    partial = out / "summary.json.part"
+    with open(partial, "w") as fh:
+        fh.write(head)
+        for i, rep in enumerate(reports):
+            fh.write(",\n    " if i else "[\n    ")
+            fh.write(write_report(rep, out / f"{rep.scenario}.json"))
+        fh.write(f"\n  ]{tail}\n" if reports else f"[]{tail}\n")
+    for name, (header, rows) in csvs.items():
+        write_csv(out / name, header, rows)
+    os.replace(partial, out / "summary.json")
 
 
 def write_csv(path, header, rows):

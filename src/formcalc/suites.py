@@ -68,17 +68,16 @@ class SuiteResult:
                         cov[tag] += 1
         return cov
 
-    def summary_dict(self) -> dict:
-        """Deterministic summary: no wall times."""
-        return {
-            "suite": self.name,
-            "seed": self.seed,
-            "reports": [r.as_dict(with_time=False) for r in self.reports],
-            "coverage": self.coverage(),
-            "counts": {**_verdict_counts(self.reports),
-                       "controls": sum(r.control for r in self.reports)},
-            "ok": self.ok,
-        }
+    def summary_dict(self, reports: bool = True) -> dict:
+        """Deterministic summary: no wall times.  ``reports=False`` leaves
+        out the report list, for a writer that streams it."""
+        out = {"suite": self.name, "seed": self.seed}
+        if reports:
+            out["reports"] = [r.as_dict(with_time=False) for r in self.reports]
+        return {**out, "coverage": self.coverage(),
+                "counts": {**_verdict_counts(self.reports),
+                           "controls": sum(r.control for r in self.reports)},
+                "ok": self.ok}
 
 
 def _run_checks(checks, tol_scale: float) -> list[Report]:

@@ -22,7 +22,7 @@ from formcalc.formsum import (
     lift_commutant, spectrum_inclusion,
 )
 from formcalc.linalg import gram_inner, hermitian_residual
-from formcalc.ordering import factorize
+from formcalc.ordering import FactorizationResult, factorize
 from formcalc.scenarios import OPERATIONS
 
 DP2 = dense_pair(2)
@@ -698,7 +698,9 @@ class TestLinalgCounts:
         A = operator_from_matrix(random_hpd(rng, 8), dp)
         B = operator_from_matrix(random_hpd(rng, 8), dp)
         form_sum(A, B, dp)
-        assert linalg_calls == {"svd": 4, "eigvalsh": 5, "pivoted_cholesky": 0,
+        # the self-adjointness residual of the representation and the
+        # collapse residual are exact zeros here, which take no SVD
+        assert linalg_calls == {"svd": 2, "eigvalsh": 5, "pivoted_cholesky": 0,
                                 "factorize": []}
 
     def test_factorize_solves_one_eigenproblem(self, linalg_calls):
@@ -706,3 +708,74 @@ class TestLinalgCounts:
         factorize(operator_from_matrix(random_hpd(rng, 8), dense_pair(8)))
         assert linalg_calls["eigvalsh"] == 1
         assert linalg_calls["pivoted_cholesky"] == 1
+
+
+KERNELS = ("svd", "cholesky", "inv", "eigvals")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count of every numpy.linalg call named in KERNELS."""
+    calls = dict.fromkeys(KERNELS, 0)
+    for name in KERNELS:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def each_kernel_anew(monkeypatch):
+    """Take back the sharing: an operator's action SVD and spectrum and a
+    factorization's whitening are computed again at every use."""
+    monkeypatch.setattr(DenseOperator, "_once", lambda self, key, compute: compute())
+
+    def whitening(fac):
+        LH = np.linalg.cholesky(np.conj(fac.gram)).conj().T
+        return LH, np.linalg.inv(LH)
+
+    monkeypatch.setattr(FactorizationResult, "whitening", whitening)
+
+
+def counted_runs(construction, kernel_calls, monkeypatch):
+    """(counts, result) of ``construction()`` on a fresh seeded instance,
+    with the kernels shared and then with each computed anew."""
+    runs = []
+    for shared in (True, False):
+        if not shared:
+            each_kernel_anew(monkeypatch)
+        instance = commuting_instance(np.random.default_rng(83), 5)
+        kernel_calls.update(dict.fromkeys(KERNELS, 0))
+        result = construction(*instance)
+        runs.append((dict(kernel_calls), result))
+    return runs
+
+
+def bits(*values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestSharedKernels:
+    def test_spectrum_inclusion(self, kernel_calls, monkeypatch):
+        (shared, rep), (anew, ref) = counted_runs(
+            lambda A_mat, A, E, dp: spectrum_inclusion(A, E, dp), kernel_calls, monkeypatch)
+        # one action SVD for factorize and the four eq7 checks, one norm
+        # per lift; the lift's whitening serves the three resolvent lifts
+        assert shared == {"svd": 5, "cholesky": 1, "inv": 7, "eigvals": 5}
+        assert anew == {"svd": 9, "cholesky": 4, "inv": 10, "eigvals": 5}
+        assert rep.passed and bits(*dataclasses.astuple(rep)) == bits(*dataclasses.astuple(ref))
+
+    def test_commutation_formsum(self, kernel_calls, monkeypatch):
+        def construction(A_mat, A, E, dp):
+            return commutation_formsum(A, operator_from_matrix(2.0 * A_mat, dp), E, dp)
+
+        (shared, rep), (anew, ref) = counted_runs(construction, kernel_calls, monkeypatch)
+        assert shared["eigvals"] == 1 and anew["eigvals"] == 2
+
+        def fields(r):
+            return bits(r.formsum_inclusion, *r.factor_inclusions.values(), *[
+                getattr(lift, f) for lift in (r.lift_a, r.lift_b)
+                for f in ("E_hat", "spectral_radius_sq", "bound_margin", "norm_bound",
+                          "selfadjoint_residual", "eq7_residual")])
+
+        assert rep.passed and fields(rep) == fields(ref)

@@ -3,6 +3,7 @@ column-wise gram quadratic, the spectral norm and the SVD rank of a
 factorized action."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from formcalc.duality import dense_pair, operator_from_matrix
@@ -150,6 +151,24 @@ def test_operator_norm_is_numpy_spectral_norm_bit_for_bit():
             if complex_entries:
                 M = M + 1j * rng.normal(size=shape)
             assert operator_norm(M) == float(np.linalg.norm(M, 2))
+
+
+def test_operator_norm_of_an_exact_zero_takes_no_svd(monkeypatch):
+    zeros = [np.zeros((4, 3)), np.zeros((2, 2), dtype=complex), -np.zeros((3, 3)),
+             np.zeros((0, 5))]
+    tiny = [np.array([[0.0, 5e-324]]), np.array([[1e-300j]])]
+    want = [float(np.linalg.norm(M, 2)) for M in zeros + tiny]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **k: calls.append(M) or svd(M, **k))
+    assert [operator_norm(M) for M in zeros] == want[:4] == [0.0] * 4
+    assert calls == []
+    # a subnormal or a tiny imaginary entry is not zero, and neither is
+    # NaN: each goes to the SVD, which refuses NaN as it did before
+    assert [operator_norm(M) for M in tiny] == want[4:] and min(want[4:]) > 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(np.array([[0.0, np.nan]]))
+    assert len(calls) == 3
 
 
 def svd_rank(M, rel_tol=1e-10):
