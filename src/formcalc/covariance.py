@@ -29,7 +29,7 @@ from .duality import (
 )
 from .errors import BackendMismatch, DomainError, LowerBoundError, Uncertifiable
 from .forms import SesquilinearForm, associated_operator, form_from_gram, lower_bound
-from .formsum import ClosednessWitness, form_sum, is_closed
+from .formsum import CLOSED_AUTOMATIC, ClosednessWitness, form_sum
 
 WEIGHT_TOL = 1e-12
 
@@ -42,7 +42,7 @@ class DiscreteProbabilitySpace:
     kind: str                         # "finite" | "rule" | "paired-rule"
     weights: np.ndarray | None = None
     rule: series.Rule | None = None
-    normalization: dict = field(default_factory=dict)
+    normalization: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.kind == "finite":
@@ -136,69 +136,28 @@ def signed_basis_variable(space, scale: series.Rule, dp: DualityPair) -> RandomV
 # weak (Pettis) expectation
 
 
-def weak_expectation(xi: RandomVariable, seed: int = 0) -> Vector:
-    """Coordinatewise certified weighted sum, spot-checked against the
-    functional criterion (f(E xi) = E f(xi) on random finitely supported
-    functionals)."""
+def weak_expectation(xi: RandomVariable) -> Vector:
+    """Coordinatewise weighted sum: finite for a table variable, zero for
+    a signed-basis one, and for the exp-poly family a certified series
+    sum per coordinate, which raises :class:`Uncertifiable` when it
+    cannot be certified.  The functional criterion f(E xi) = E f(xi) is
+    linear in f, and on each e_k both sides are that same sum."""
     sp = xi.space
     if xi.kind == "table":
-        exp = Vector(sp.weights @ np.stack(xi.values),
-                     xi.codomain.backend if xi.codomain.backend == DENSE
-                     else SEQUENCE)
-    elif xi.kind == "signed-basis":
-        # the paired atoms cancel exactly
-        exp = Vector(np.zeros(xi.codomain.n, dtype=complex), SEQUENCE)
-    else:
-        k_ret = xi.codomain.n
-        coords = np.empty(k_ret, dtype=complex)
-        kfact = np.cumsum(np.log(np.arange(1, k_ret + 1, dtype=float)))
-        for k in range(1, k_ret + 1):
-            rule_k = sp.rule * series.polynomial(float(k),
-                                                 coef=math.exp(-kfact[k - 1]))
-            coords[k - 1] = series.certified_sum(rule_k, tol=1e-12).value
-        exp = Vector(coords, SEQUENCE)
-    _spot_check_functional_criterion(xi, exp, seed)
-    return exp
-
-
-def _spot_check_functional_criterion(xi: RandomVariable, exp: Vector, seed: int,
-                                     count: int = 10, tol: float = 1e-10):
-    rng = np.random.default_rng(seed)
-    nf = min(exp.n, 8)
-    for _ in range(count):
-        fc = np.zeros(exp.n, dtype=complex)
-        fc[:nf] = rng.normal(size=nf)
-        f = Functional(fc, exp.backend)
-        lhs = complex(np.vdot(exp.coords, fc))          # f(E xi)
-        rhs = _expect_functional(xi, f)
-        if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-            raise ArithmeticError(
-                f"functional criterion violated ({abs(lhs - rhs):.3e})")
-
-
-def _expect_functional(xi: RandomVariable, f: Functional) -> complex:
-    """E f(xi) as a certified sum."""
-    sp = xi.space
-    if xi.kind == "table":
-        X = np.stack(xi.values)
-        return complex(sp.weights @ (X[:, :f.n].conj() @ f.coords[:X.shape[1]]))
+        return Vector(sp.weights @ np.stack(xi.values),
+                      xi.codomain.backend if xi.codomain.backend == DENSE
+                      else SEQUENCE)
     if xi.kind == "signed-basis":
-        return 0.0 + 0.0j
-    # exp-poly with finitely supported f: polynomial-in-n summand
-    if f.tail is not None:
-        raise Uncertifiable("expectation spot checks use finitely supported f")
-    nz = np.nonzero(np.abs(f.coords) > 0)[0]
-    rule = None
-    kfact = np.cumsum(np.log(np.arange(1, f.n + 1, dtype=float)))
-    for k in nz:
-        term = sp.rule * series.polynomial(float(k + 1),
-                                           coef=f.coords[k] * math.exp(-kfact[k]))
-        rule = term if rule is None else rule + term
-    if rule is None:
-        return 0.0 + 0.0j
-    # a tenth of the spot check's tolerance: the signs of f cancel, and the
-    # rounding bound of a cancelling sum can exceed 1e-12 of its value
-    return series.certified_sum(rule, tol=1e-11).value
+        # the paired atoms cancel exactly
+        return Vector(np.zeros(xi.codomain.n, dtype=complex), SEQUENCE)
+    k_ret = xi.codomain.n
+    coords = np.empty(k_ret, dtype=complex)
+    kfact = np.cumsum(np.log(np.arange(1, k_ret + 1, dtype=float)))
+    for k in range(1, k_ret + 1):
+        rule_k = sp.rule * series.polynomial(float(k),
+                                             coef=math.exp(-kfact[k - 1]))
+        coords[k - 1] = series.certified_sum(rule_k, tol=1e-12).value
+    return Vector(coords, SEQUENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +234,13 @@ class SecondMomentDomain:
 
     xi: RandomVariable
 
-    def density_witness(self, count: int = 12) -> dict:
-        """Every coordinate functional (finitely supported) is a member;
-        density of their span is the recorded surrogate, inferred."""
+    def density_witness(self) -> dict:
+        """Every coordinate functional (finitely supported) is a member,
+        checked on the first 12; density of their span is the recorded
+        surrogate, inferred."""
         n = self.xi.codomain.n
         members = []
-        for k in range(min(count, n)):
+        for k in range(min(12, n)):
             fc = np.zeros(n, dtype=complex)
             fc[k] = 1.0
             members.append(in_second_moment_domain(
@@ -294,21 +254,19 @@ class SecondMomentDomain:
 # covariance form and operator
 
 
-def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None,
-                    runs: list[Vector] | None = None):
+def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     """The second-moment form t(f, g) = E f(xi) conj(g(xi)).
 
     The caller centers xi first (subtract the weak expectation); the
     uncentered formula is computed as given.  Returns a form over the
     dual pair: dense gram on the supplied functional basis for finite
     spaces, a diagonal weight rule for signed-basis variables.  Basis
-    functionals outside the second-moment domain raise.
+    functionals outside the second-moment domain raise.  The witness is
+    the automatic closedness of a dense form, None for a diagonal one.
     """
     if xi.kind == "signed-basis":
         rule = xi.space.rule * xi.scale.abs_square()
-        t = SesquilinearForm(SEQUENCE, diagonal=rule)
-        witness = is_closed(t, runs, xi.codomain.dual()) if runs else None
-        return t, witness
+        return SesquilinearForm(SEQUENCE, diagonal=rule), None
     if xi.kind == "exp-poly":
         raise Uncertifiable("covariance operators for the uncentered exp-poly "
                             "family are outside scope; center a table variable")
@@ -323,18 +281,17 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None,
     # V[i, a] = f_i(xi(w_a)) over the common coordinates
     V = B[:k].T @ X[:, :k].conj().T
     t = form_from_gram(B, (V * xi.space.weights) @ V.conj().T)
-    return t, ClosednessWitness("lower-bound-automatic")
+    return t, ClosednessWitness(CLOSED_AUTOMATIC)
 
 
-def covariance_operator(xi: RandomVariable, basis: list[Functional] | None = None,
-                        runs: list[Vector] | None = None) -> DenseOperator:
+def covariance_operator(xi: RandomVariable) -> DenseOperator:
     """Representing operator of the covariance form, mapping X* to X.
 
-    Requires a certified positive lower bound on the chosen basis span;
+    Requires a certified positive lower bound on the coordinate basis;
     at gamma = 0 the construction is refused (the Hilbert-space fallback
     at lower bound zero is out of scope here).
     """
-    t, _ = covariance_form(xi, basis, runs)
+    t, _ = covariance_form(xi)
     dual = xi.codomain.dual()
     if t.backend == SEQUENCE:
         return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)
@@ -362,8 +319,7 @@ class IndependentSumReport:
     details: dict
 
 
-def independent_sum(xi: RandomVariable, eta: RandomVariable,
-                    basis: list[Functional] | None = None) -> IndependentSumReport:
+def independent_sum(xi: RandomVariable, eta: RandomVariable) -> IndependentSumReport:
     """Covariance of the independent sum equals the form sum A (+) B.
 
     Independence is structural: the sum variable lives on the product of
@@ -375,9 +331,9 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable,
         w = np.outer(sp1.weights, sp2.weights).reshape(-1)
         vals = tuple(v1 + v2 for v1 in xi.values for v2 in eta.values)
         joint = table_variable(finite_space(w / np.sum(w)), vals, xi.codomain)
-        cov_sum = covariance_operator(joint, basis)
-        A = covariance_operator(xi, basis)
-        B = covariance_operator(eta, basis)
+        cov_sum = covariance_operator(joint)
+        A = covariance_operator(xi)
+        B = covariance_operator(eta)
         dual = xi.codomain.dual()
         fs = form_sum(
             DenseOperator(DENSE, "to-dual", A._basis, A.action_mat),

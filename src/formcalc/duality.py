@@ -28,7 +28,7 @@ identity basis needs no SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -310,7 +310,6 @@ class DenseOperator:
     action_mat: np.ndarray | None = None
     diagonal: series.Rule | None = None
     domain_rule: str = DOMAIN_SPAN
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.backend == DENSE:
@@ -348,12 +347,12 @@ class DenseOperator:
     def d(self) -> int:
         return self.basis_mat.shape[1]
 
-    def coefficients_of(self, x: np.ndarray, rtol: float = TOL_SUB) -> np.ndarray:
+    def coefficients_of(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of x in the domain basis; DomainError when x, or
-        any column of a matrix x, is outside the span beyond ``rtol``."""
+        any column of a matrix x, is outside the span beyond ``TOL_SUB``."""
         c = self._basis.pinv @ x
         res = np.linalg.norm(self.basis_mat @ c - x, axis=0)
-        if np.any(res > rtol * np.maximum(np.linalg.norm(x, axis=0), 1e-300)):
+        if np.any(res > TOL_SUB * np.maximum(np.linalg.norm(x, axis=0), 1e-300)):
             raise DomainError("vector outside the operator domain "
                               f"(residual {np.max(res):.3e})")
         return c
@@ -419,13 +418,13 @@ def operator_from_matrix(M, dp: DualityPair, direction: str = TO_DUAL) -> DenseO
     return DenseOperator(DENSE, direction, np.eye(M.shape[0], dtype=complex), M)
 
 
-def restricted_operator(M, basis, dp: DualityPair, direction: str = TO_DUAL) -> DenseOperator:
-    """Operator with the given domain basis acting through matrix M."""
+def restricted_operator(M, basis, dp: DualityPair) -> DenseOperator:
+    """X -> X* operator with the given domain basis acting through matrix M."""
     M = np.asarray(M, dtype=complex)
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
-    return DenseOperator(DENSE, direction, B, M @ B)
+    return DenseOperator(DENSE, TO_DUAL, B, M @ B)
 
 
 def diagonal_operator(rule: series.Rule, dp: DualityPair,
@@ -436,10 +435,11 @@ def diagonal_operator(rule: series.Rule, dp: DualityPair,
     return DenseOperator(SEQUENCE, direction, diagonal=rule, domain_rule=domain_rule)
 
 
-def identity_operator(dp: DualityPair, direction: str = TO_DUAL) -> DenseOperator:
+def identity_operator(dp: DualityPair) -> DenseOperator:
+    """The identity as an X -> X* operator on all of X."""
     if dp.backend == DENSE:
-        return operator_from_matrix(np.eye(dp.dim), dp, direction)
-    return diagonal_operator(series.constant(1.0), dp, DOMAIN_MAXIMAL, direction)
+        return operator_from_matrix(np.eye(dp.dim), dp)
+    return diagonal_operator(series.constant(1.0), dp, DOMAIN_MAXIMAL)
 
 
 def adjoint(A: DenseOperator) -> DenseOperator:
@@ -459,11 +459,10 @@ def adjoint(A: DenseOperator) -> DenseOperator:
     return DenseOperator(DENSE, A.direction, Q, A.effective_matrix().conj().T @ Q)
 
 
-def is_extension(S: DenseOperator, T: DenseOperator,
-                 tol_sub: float = TOL_SUB, tol_act: float = TOL_ACT) -> bool:
-    """True iff T extends S: dom S inside dom T (residual <= tol_sub,
-    relative) and the actions agree there (residual <= tol_act, scaled by
-    the operator norms).  Never raises; any failure is False."""
+def is_extension(S: DenseOperator, T: DenseOperator) -> bool:
+    """True iff T extends S: dom S inside dom T (residual <= ``TOL_SUB``,
+    relative) and the actions agree there (residual <= ``TOL_ACT``, scaled
+    by the operator norms).  Never raises; any failure is False."""
     if S.backend != T.backend or S.direction != T.direction:
         return False
     if S.backend == SEQUENCE:
@@ -477,8 +476,8 @@ def is_extension(S: DenseOperator, T: DenseOperator,
     C = T._basis.pinv @ S.basis_mat
     sub = np.linalg.norm(T.basis_mat @ C - S.basis_mat, axis=0)
     act = np.linalg.norm(T.action_mat @ C - S.action_mat, axis=0)
-    return bool(np.all(sub <= tol_sub * np.linalg.norm(S.basis_mat, axis=0)) and
-                np.all(act <= tol_act * scale_act *
+    return bool(np.all(sub <= TOL_SUB * np.linalg.norm(S.basis_mat, axis=0)) and
+                np.all(act <= TOL_ACT * scale_act *
                        np.maximum(1.0, np.linalg.norm(C, axis=0))))
 
 

@@ -10,7 +10,9 @@ functional, so surjectivity shows up as a Galerkin residual at solver
 precision.  The ordering comparison between the two discrete extensions
 evaluates the form of each operator through the sup characterization on
 shared probes; it is the finite shadow of the maximality statement and
-is certified over the probe set only.
+is certified over the probe set only.  The Sobolev lower bound of the
+Dirichlet form is a theorem once the coefficients pass their check, so
+it is stated, not sampled.
 
 Functional coordinates here index the full hat basis: the action of the
 Dirichlet operator on a hat carries the boundary flux corrections
@@ -214,39 +216,22 @@ def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
     return DenseOperator(DENSE, TO_DUAL, np.eye(n, dtype=complex), S)
 
 
-def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D,
-                        samples: int = 100, seed: int = 0) -> LowerBoundCertificate:
-    """(Af, f) >= c ||f||_p^2 for the Dirichlet space.
+def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertificate:
+    """(Af, f) >= c ||f||_p^2 for the Dirichlet space, a theorem once the
+    coefficients pass their check: a >= gamma and b >= 0 at the
+    quadrature nodes give (Af, f) >= gamma ||f'||^2 exactly.
 
-    p = 2: c = gamma pi^2 / L^2 (the Poincare route).  p > 2: c comes
-    from |f(x)| <= sqrt(L) ||f'||_2, giving c = gamma / L^(1 + 2/p);
-    verified on random discrete functions, never violated beyond 1e-10.
+    p = 2: c = gamma pi^2 / L^2 by Poincare's inequality; 4-point Gauss
+    integrates |f|^2 exactly.  Otherwise |f(x)| <= sqrt(L) ||f'||_2 and
+    ||f||_p^2 <= L^(2/p) max |f|^2 give c = gamma / L^(1 + 2/p).
     """
+    _check_coefficients(prob, mesh.quad_points()[0])
     L = prob.length
     if prob.p == 2.0:
-        c = prob.gamma * math.pi ** 2 / L ** 2
-        kind = "exact-p2"
+        c, kind = prob.gamma * math.pi ** 2 / L ** 2, "exact-p2"
     else:
-        c = prob.gamma / L ** (1.0 + 2.0 / prob.p)
-        kind = "equivalence-scaled"
-    S = _full_stiffness(prob, mesh)
-    n = mesh.nodes.size
-    idx = np.arange(1, n - 1)
-    Sd = S[np.ix_(idx, idx)]
-    _, wts, _ = _element_data(mesh)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        u = rng.normal(size=idx.size)
-        quad = float(u @ Sd @ u)
-        fq = _function_at_quad(mesh, np.concatenate([[0.0], u, [0.0]]))
-        lp = float(np.sum(wts * np.abs(fq) ** prob.p)) ** (1.0 / prob.p)
-        slackness = quad - c * lp ** 2
-        worst = min(worst, slackness / max(abs(quad), 1.0))
-    if worst < -1e-10:
-        raise ArithmeticError(f"lower bound violated on samples ({worst:.3e})")
-    return LowerBoundCertificate(c, kind, detail={"p": prob.p,
-                                                  "worst_slack": worst})
+        c, kind = prob.gamma / L ** (1.0 + 2.0 / prob.p), "equivalence-scaled"
+    return LowerBoundCertificate(c, kind, detail={"p": prob.p})
 
 
 def discrete_poincare(prob: EllipticProblem, mesh: Mesh1D) -> float:
@@ -357,9 +342,9 @@ def convergence_table(prob: EllipticProblem, g, exact,
     return rows
 
 
-def smooth_probe_set(mesh: Mesh1D, seed: int = 0, count: int = 4) -> list[tuple[str, Vector]]:
+def smooth_probe_set(mesh: Mesh1D, seed: int = 0) -> list[tuple[str, Vector]]:
     """Mesh-independent probes: nodal interpolants of fixed smooth rules
-    plus seeded low-order cosine combinations.  Pure boundary-hat
+    plus four seeded low-order cosine combinations.  Pure boundary-hat
     coefficient probes are excluded on purpose: they are h-dependent
     objects that no fixed function discretizes, and the comparison is the
     shadow of a statement about functions."""
@@ -373,7 +358,7 @@ def smooth_probe_set(mesh: Mesh1D, seed: int = 0, count: int = 4) -> list[tuple[
         ("interior-sin", np.sin(math.pi * x / L)),
     ]
     rng = np.random.default_rng(seed)
-    for k in range(count):
+    for k in range(4):
         c = rng.normal(size=3)
         y = c[0] + c[1] * np.cos(math.pi * x / L) + c[2] * np.cos(
             2 * math.pi * x / L)
@@ -382,26 +367,23 @@ def smooth_probe_set(mesh: Mesh1D, seed: int = 0, count: int = 4) -> list[tuple[
 
 
 def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D,
-                         probes: list[tuple[str, Vector]] | None = None,
-                         rel_slack: float = 1e-9,
                          seed: int = 0) -> OrderingReport:
     """Form of the Dirichlet extension against the Neumann-style one.
 
-    Evaluates both sup-forms on shared probes, stacked into one matrix
-    and evaluated from one eigensolve per operator, and requires the
-    Dirichlet value to dominate on every probe within the relative
-    slack.  The verdict certifies the probe set only (see the module
-    docstring)."""
+    Evaluates both sup-forms on the probes of :func:`smooth_probe_set`,
+    stacked into one matrix and evaluated from one eigensolve per
+    operator, and requires the Dirichlet value to dominate on every probe
+    within a relative slack of 1e-9.  The verdict certifies the probe set
+    only (see the module docstring)."""
     A_d = dirichlet_operator(prob, mesh)
     A_n = neumann_operator(prob, mesh)
-    if probes is None:
-        probes = smooth_probe_set(mesh, seed)
+    probes = smooth_probe_set(mesh, seed)
     labels = [label for label, _ in probes]
     Y = np.column_stack([y.coords for _, y in probes])
     values_d = _form_columns(A_d, Y)[0].tolist()
     values_n = _form_columns(A_n, Y)[0].tolist()
     records = tuple(map(ProbeRecord, labels, values_d, values_n))
-    ok = all(math.isinf(u) or not math.isinf(v) and u >= v - rel_slack * max(abs(u), abs(v), 1.0)
+    ok = all(math.isinf(u) or not math.isinf(v) and u >= v - 1e-9 * max(abs(u), abs(v), 1.0)
              for u, v in zip(values_d, values_n))
     verdict = "A>=B" if ok else "incomparable"
     return OrderingReport(verdict, records,

@@ -27,18 +27,13 @@ from .linalg import (
     hermitian_eigvalsh, hermitian_residual, is_hermitian, relative_residual,
 )
 
-CLOSED_AUTOMATIC = "lower-bound-automatic"
-CLOSED_SEQUENTIAL = "sequential"
-
-
 @dataclass(frozen=True, eq=False)
 class SesquilinearForm:
     """Hermitian form on a domain subspace, stored through its gram.
 
     ``gram[i, j] = t(b_i, b_j)`` with the domain basis as columns of
     ``basis_mat``.  Sequence-backend forms are diagonal with a weight
-    generator instead.  ``closedness`` names the certificate kind; in the
-    dense backend with positive lower bound it is automatic.
+    generator instead.
 
     The dense basis is factored on first use by :func:`lower_bound`,
     with no SVD for the identity.  A form made from an operator, or a
@@ -52,7 +47,6 @@ class SesquilinearForm:
     gram: np.ndarray | None = None
     diagonal: series.Rule | None = None
     symmetric: bool = True
-    closedness: str = CLOSED_AUTOMATIC
 
     def __post_init__(self):
         if self.backend == DENSE:
@@ -110,12 +104,11 @@ class SesquilinearForm:
         return hermitian_eigvalsh(W @ np.conj(self.gram) @ W.conj().T)
 
 
-def form_from_gram(basis, gram, symmetric: bool = True) -> SesquilinearForm:
+def form_from_gram(basis, gram) -> SesquilinearForm:
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
-    return SesquilinearForm(DENSE, B, np.asarray(gram, dtype=complex),
-                            symmetric=symmetric)
+    return SesquilinearForm(DENSE, B, np.asarray(gram, dtype=complex))
 
 
 def form_of_operator(A: DenseOperator) -> SesquilinearForm:

@@ -37,8 +37,7 @@ from .duality import (
 )
 from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
-    CLOSED_AUTOMATIC, CLOSED_SEQUENTIAL, SesquilinearForm, associated_operator,
-    form_of_operator, lower_bound,
+    SesquilinearForm, associated_operator, form_of_operator, lower_bound,
 )
 from .linalg import gram_quadratic, hermitian_norm, relative_residual
 from .ordering import FactorizationResult, factorize
@@ -46,6 +45,9 @@ from .ordering import FactorizationResult, factorize
 
 # ---------------------------------------------------------------------------
 # closedness in the general sense
+
+CLOSED_AUTOMATIC = "lower-bound-automatic"
+CLOSED_SEQUENTIAL = "sequential"
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,7 @@ def _max_column_norm(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
 
 
-def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
-             closedness: ClosednessWitness | None = None) -> FormSumResult:
+def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> FormSumResult:
     """The operator representing t_A + t_B.
 
     Dense backend: requires gamma_A > 0 with A effectively everywhere
@@ -131,11 +132,10 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair,
         raise BackendMismatch("operands on different backends")
     if A.backend == SEQUENCE:
         return _form_sum_sequence(A, B, dp)
-    return _form_sum_dense(A, B, dp, closedness)
+    return _form_sum_dense(A, B, dp)
 
 
-def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
-                    closedness: ClosednessWitness | None) -> FormSumResult:
+def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> FormSumResult:
     t_a, t_b = form_of_operator(A), form_of_operator(B)
     if not (t_a.symmetric and t_b.symmetric):
         raise NotPositive("operator form is not symmetric")
@@ -144,8 +144,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair,
     if A.d < dp.n:
         raise DomainError("A must be effectively everywhere defined "
                           "(its closure carries the representation)")
-    if closedness is None:
-        closedness = is_closed(t_b, None, dp)
+    closedness = is_closed(t_b, None, dp)
     # H_{A,B} = dom J_A* (everything here) intersected with dom t_B
     C = B.basis_mat
     # t_A(u, v) = (Au, v) on all of X, read through the coefficients of

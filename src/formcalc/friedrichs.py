@@ -122,21 +122,20 @@ class CoreWitness:
 class CoreCheckReport:
     witnesses: tuple[CoreWitness, ...]
     passed: bool
-    tol: float
 
 
-def core_check(a: DenseOperator, res: FriedrichsResult, samples: list[Vector],
-               tol: float = 1e-8) -> CoreCheckReport:
+def core_check(a: DenseOperator, res: FriedrichsResult,
+               samples: list[Vector]) -> CoreCheckReport:
     """Finitely supported truncations converge in the energy norm.
 
     For each sample y in dom J*, finds K with the certified energy tail
-    sum_{n > K} a_n |y_n|^2 below ``tol`` times the total energy, and
+    sum_{n > K} a_n |y_n|^2 below 1e-8 times the total energy, and
     records the contraction trace of the tails.  A sample outside dom J*
     raises :class:`DomainError`.
     """
     if res.extension.backend == DENSE:
         witnesses = tuple(CoreWitness(s.n, 0.0, (0.0,), ()) for s in samples)
-        return CoreCheckReport(witnesses, True, tol)
+        return CoreCheckReport(witnesses, True)
     rule = res.extension.diagonal
     witnesses = []
     for y in samples:
@@ -151,7 +150,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult, samples: list[Vector],
         except SeriesDiverges as exc:
             raise DomainError("sample outside the energy domain") from exc
         scale = max(abs(total.value), 1e-300)
-        target = tol * scale
+        target = 1e-8 * scale
         trace, ks = [], []
         k = 1
         while True:
@@ -168,7 +167,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult, samples: list[Vector],
         if any(r >= 1.0 for r in ratios):
             raise ArithmeticError("energy tails failed to contract")
         witnesses.append(CoreWitness(ks[-1], trace[-1], tuple(trace), ratios))
-    return CoreCheckReport(tuple(witnesses), True, tol)
+    return CoreCheckReport(tuple(witnesses), True)
 
 
 def idempotent(res: FriedrichsResult, dp: DualityPair) -> bool:

@@ -282,10 +282,10 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
     (:func:`series.eventual_sign`).  The probes are the samples, the
     domain bases (dense) or e_1..e_4 (sequence: a_1..a_4, b_1..b_4), and
     a witness per failed direction; ``domain_inclusion`` holds each
-    direction's certificate and the inclusions of the domains of J*:
-    on the sequence backend decided for X = l^p, ``p`` its norm exponent
-    (:func:`_sequence_domain_le`), on the dense backend those no probe
-    refutes."""
+    direction's certificate and the inclusions of the domains of J*,
+    decided: on the sequence backend for X = l^p, ``p`` its norm exponent
+    (:func:`_sequence_domain_le`), on the dense backend by the escape of
+    each direction's certificate."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     if A.backend == DENSE and A.n != B.n:
@@ -304,6 +304,8 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
         scale = max(float(np.linalg.norm(Qa)), float(np.linalg.norm(Qb)), 1.0)
         decisions = [_dense_decision(Qa, Na, Qb, Nb, scale),
                      _dense_decision(Qb, Nb, Qa, Na, scale)]
+        inclusion = {"domain_A_le_B": decisions[0][0]["escape"] <= 1e-8,
+                     "domain_B_le_A": decisions[1][0]["escape"] <= 1e-8}
     else:
         if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
             raise NotPositive("sequence form values need nonnegative generators")
@@ -327,11 +329,6 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
         if witness is not None:
             records.append(ProbeRecord(f"witness:{direction}",
                                        *(witness if direction == "A>=B" else witness[::-1])))
-    if A.backend == DENSE:
-        fin_a = np.isfinite([r.value_a for r in records])
-        fin_b = np.isfinite([r.value_b for r in records])
-        inclusion = {"domain_A_le_B": not np.any(fin_a & ~fin_b),
-                     "domain_B_le_A": not np.any(fin_b & ~fin_a)}
     verdict = {(True, True): "equal", (True, False): "A>=B", (False, True): "B>=A",
                (False, False): "incomparable"}[tuple(c["holds"] for c in certificates)]
     return OrderingReport(verdict, tuple(records),
@@ -372,13 +369,13 @@ class HilbertConsistencyReport:
 
 
 def hilbert_consistency(A: DenseOperator, samples: list[Vector],
-                        dp: DualityPair, tol: float = 1e-8) -> HilbertConsistencyReport:
+                        dp: DualityPair) -> HilbertConsistencyReport:
     """For p = 2 the form of A at y equals ||A^(1/2) y||^2.
 
     The square root comes from the eigendecomposition of the effective
     matrix; y is projected on the effective span on both sides.  All
     samples share one eigensolve of the form gram, and a sample outside
-    the form domain has residual inf.
+    the form domain has residual inf.  It passes at a residual of 1e-8.
     """
     if dp.p != 2.0:
         raise ValueError("the square-root identity is a p = 2 statement")
@@ -398,4 +395,4 @@ def hilbert_consistency(A: DenseOperator, samples: list[Vector],
     # a finite scale for lhs = inf, so that the residual is inf, not NaN
     scale = np.maximum(np.where(np.isinf(lhs), 1.0, lhs), np.maximum(rhs, 1.0))
     worst = float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
-    return HilbertConsistencyReport(worst, len(samples), worst <= tol)
+    return HilbertConsistencyReport(worst, len(samples), worst <= 1e-8)

@@ -36,6 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -209,7 +210,7 @@ class DivergenceCertificate:
     checkpoints: tuple[int, ...]
     partial_sums: tuple[float, ...]
     growth_ratios: tuple[float, ...]
-    kind: str = "partial-sum-growth"
+    kind: ClassVar[str] = "partial-sum-growth"
 
     def as_dict(self) -> dict:
         return {
@@ -284,7 +285,9 @@ def rule_convergent(rule: Rule) -> bool:
     raise Uncertifiable("mixed-sign rule with a divergent term")
 
 
-def divergence_record(rule: Rule, points: int = 12) -> DivergenceCertificate:
+def divergence_record(rule: Rule) -> DivergenceCertificate:
+    """Partial sums at n = 2, 4, ..., 4096, stopping at the first that
+    overflows."""
     witness = max((t for t in rule.terms if not t.converges and t.coef != 0),
                   key=lambda t: (t.ratio, t.alpha), default=None)
     if witness is None:
@@ -292,7 +295,7 @@ def divergence_record(rule: Rule, points: int = 12) -> DivergenceCertificate:
     checkpoints, sums = [], []
     total = 0.0
     prev = 1
-    for k in range(1, points + 1):
+    for k in range(1, 13):
         n2 = 2 ** k
         ns = np.arange(prev, n2 + 1, dtype=float)
         with np.errstate(over="ignore"):
@@ -328,21 +331,23 @@ def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
     ``n_from`` is ``correction`` up to the truncation ``error``; ``size``
     is the sum of the moduli of the terms' corrections, which scales their
     rounding.  Ratio-test terms are bounded crudely (they decay
-    geometrically anyway); terms with ratio 1 get the Euler-Maclaurin
-    enclosure of :func:`_euler_maclaurin` from a = max(n_from, start - 1)
-    + 1, whose error falls below rounding level within 64 terms."""
+    geometrically anyway); convergent terms with ratio 1 get the
+    Euler-Maclaurin enclosure of :func:`_euler_maclaurin` from a =
+    max(n_from, start - 1) + 1, whose error falls below rounding level
+    within 64 terms.  A divergent term adds its infinite bound to the
+    error."""
     correction = 0.0 + 0.0j
     err = size = 0.0
     for t, bound in zip(rule.terms, _term_tail_bounds(rule, n_from)):
         if t.coef == 0:
             continue
-        if t.ratio < 1.0:
-            err += bound
-        else:
+        if t.ratio == 1.0 and t.alpha < -1.0:
             mid, half = _euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
             correction += t.coef * mid
             err += abs(t.coef) * half
             size += abs(t.coef) * mid
+        else:
+            err += bound
     return correction, err, size
 
 
@@ -449,27 +454,28 @@ def certified_sum(rule: Rule, tol: float = 1e-12, scale: float | None = None) ->
     return res
 
 
-def decide_summable(rule: Rule, tol: float = 1e-12):
+def decide_summable(rule: Rule):
     """Return (True, SumResult) or (False, DivergenceCertificate).
 
     Convergence is decided exactly within the rule class.  Polynomial
     tails certify through Euler-Maclaurin.  A rule that still misses
-    ``tol`` comes back at its best certified bound, truncation plus
+    1e-12 comes back at its best certified bound, truncation plus
     rounding, instead of failing: where rounding stopped the sum, the
     sum as it stopped; where the term cap did (ratio terms close to 1),
     :func:`best_effort_sum`."""
     if not rule_convergent(rule):
         return False, divergence_record(rule)
-    res, failure = _doubling_sum(rule, tol, 1.0)
+    res, failure = _doubling_sum(rule, 1e-12, 1.0)
     if failure and res.n_used >= _MAX_TERMS:
         return True, best_effort_sum(rule)
     return True, res
 
 
-def best_effort_sum(rule: Rule, n_used: int = 2 ** 16) -> SumResult:
-    """Partial sum plus tail midpoint with the certified (possibly loose)
-    error bound, truncation plus rounding; for convergent rules only."""
-    return _with_tail(rule, n_used, *_partial_sum(rule, 1, n_used))
+def best_effort_sum(rule: Rule) -> SumResult:
+    """Partial sum of 2^16 terms plus tail midpoint with the certified
+    (possibly loose) error bound, truncation plus rounding; for convergent
+    rules only."""
+    return _with_tail(rule, 2 ** 16, *_partial_sum(rule, 1, 2 ** 16))
 
 
 def rule_lower_bound(rule: Rule) -> float:
@@ -562,8 +568,8 @@ def eventual_sign(rule: Rule) -> tuple[int, int]:
     raise Uncertifiable("dominant term not certified within the term cap")
 
 
-def rules_agree(a: Rule, b: Rule, rtol: float = 1e-10) -> bool:
-    """Exact equality of two rules as sequences, up to rounding at ``rtol``:
+def rules_agree(a: Rule, b: Rule) -> bool:
+    """Exact equality of two rules as sequences, up to rounding at 1e-10:
     pointwise before the last start of a term (relative to the largest
     value there), then coefficient by coefficient of a - b."""
     start, groups = _merged(a + b.scale(-1.0))
@@ -571,8 +577,8 @@ def rules_agree(a: Rule, b: Rule, rtol: float = 1e-10) -> bool:
     va, vb = a(ns), b(ns)
     scale = max(float(np.max(np.abs(va), initial=0.0)),
                 float(np.max(np.abs(vb), initial=0.0)), 1e-300)
-    return bool(np.max(np.abs(va - vb), initial=0.0) <= rtol * scale
-                and all(abs(c) <= rtol * m for _, _, c, m in groups))
+    return bool(np.max(np.abs(va - vb), initial=0.0) <= 1e-10 * scale
+                and all(abs(c) <= 1e-10 * m for _, _, c, m in groups))
 
 
 def imaginary_residual(rule: Rule) -> float:

@@ -390,6 +390,8 @@ class TestOrderBatteries:
             B = dense_kind(kind_b, rng, n)
         rep = compare(A, B, [])
         assert rep.verdict == oracle_verdict(A, B)
+        assert (rep.domain_inclusion["domain_A_le_B"],
+                rep.domain_inclusion["domain_B_le_A"]) == inclusion_oracle(A, B)
         if kind_b == "scaled":
             assert rep.verdict == {0.5: "A>=B", 1.0: "equal", 2.0: "B>=A"}[c]
         for label, (va, vb) in witnesses(rep).items():
@@ -483,6 +485,19 @@ def order_oracle(A, B):
         return None
 
     return witness(Qa, Na, Qb, Nb), witness(Qb, Nb, Qa, Na)
+
+
+def inclusion_oracle(A, B):
+    """(dom J_A* in dom J_B*, dom J_B* in dom J_A*) from
+    :func:`form_matrix_oracle`: the part of one domain basis outside the
+    other has no singular value above 1e-8."""
+    Na, Nb = form_matrix_oracle(A)[1], form_matrix_oracle(B)[1]
+
+    def inside(Nx, Ny):
+        R = Nx - Ny @ (Ny.conj().T @ Nx)
+        return not R.size or scipy.linalg.svdvals(R)[0] <= 1e-8
+
+    return inside(Na, Nb), inside(Nb, Na)
 
 
 def oracle_verdict(A, B):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formcalc import series
 from formcalc.errors import SeriesDiverges, Uncertifiable
@@ -277,6 +277,14 @@ class TestEventualSign:
             series.eventual_sign(series.Rule((T(1.0), T(-1.0, 100.0, 1.0 - 1e-7))))
 
 
+# nonnegative convergent terms: geometric ones and p-series
+POSITIVE_TERMS = st.one_of(
+    st.builds(series.Term, st.floats(0.1, 3.0), st.floats(-3.0, 3.0),
+              st.floats(0.05, 0.9), st.integers(1, 8)),
+    st.builds(series.Term, st.floats(0.1, 3.0), st.floats(-4.0, -1.5),
+              st.just(1.0), st.integers(1, 8)))
+
+
 class TestCertificateOracle:
     """Sums and their bounds against 40-digit sums, so that a certificate
     is checked for the whole series and under rounding."""
@@ -296,6 +304,25 @@ class TestCertificateOracle:
         assert within(res, exact)
         detail = res.certificate.detail
         assert res.tail == detail["truncation"] + detail["rounding"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        st.lists(POSITIVE_TERMS, min_size=1, max_size=3).map(
+            lambda ts: series.Rule(tuple(ts)))), min_size=1, max_size=4))
+    def test_sum_of_a_combination_is_the_combination_of_sums(self, pairs):
+        """certified_sum is linear within its certificates: the sum of
+        sum_i c_i r_i is sum_i c_i S(r_i) up to the bound of the
+        combination plus |c_i| times each bound, and the rounding of
+        combining the sums.  This is the functional criterion
+        f(E xi) = E f(xi) of a weak expectation, for f = sum_i c_i e_i."""
+        parts = [series.certified_sum(r) for _, r in pairs]
+        combo = series.Rule(tuple(t for c, r in pairs for t in r.scale(c).terms))
+        size = sum(abs(c) * abs(res.value) for (c, _), res in zip(pairs, parts))
+        whole = series.certified_sum(combo, scale=max(1.0, size))
+        want = sum(c * res.value for (c, _), res in zip(pairs, parts))
+        allowed = whole.tail + sum(abs(c) * res.tail for (c, _), res in zip(pairs, parts))
+        assert abs(whole.value - want) <= allowed + 8 * 2.0 ** -53 * size
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-6.0, -1.01), st.integers(1, 10 ** 6))
@@ -426,13 +453,13 @@ def _ref_tail_estimate(rule, n_from):
     for t in rule.terms:
         if t.coef == 0:
             continue
-        if t.ratio < 1.0:
-            err += _ref_term_tail_bound(t, n_from)
-        else:
+        if t.ratio == 1.0 and t.alpha < -1.0:
             mid, half = series._euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
             correction += t.coef * mid
             err += abs(t.coef) * half
             size += abs(t.coef) * mid
+        else:
+            err += _ref_term_tail_bound(t, n_from)
     return correction, err, size
 
 
@@ -492,6 +519,9 @@ class TestGridIsTheTermLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(GRID_RULES, st.integers(0, 3000))
+    # a divergent ratio-1 term: its tail is unbounded, not an
+    # Euler-Maclaurin enclosure (which divides by -alpha - 1)
+    @example(series.Rule((series.Term(1.0, -1.0, 1.0, 1),)), 0)
     def test_tail_bound(self, rule, n_from):
         assert (_outcome(series.tail_bound, rule, n_from)
                 == _outcome(_ref_tail_bound, rule, n_from))
