@@ -11,12 +11,6 @@ algebra on C^n, and certified truncations of sequence spaces driven by
 power-geometric tail certificates.
 """
 
-# numpy loads numpy.random on its first use.  The suites' operand
-# generators and the elliptic probe set draw from it, so it loads with the
-# package instead of inside the first check that draws, whose time would
-# count it.  Scenarios of every other operation draw nothing
-import numpy.random
-
 from .duality import (
     DenseOperator, DualityPair, Functional, Vector, adjoint, basis_functional,
     basis_vector, dense_pair, diagonal_operator, functional,

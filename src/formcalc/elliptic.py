@@ -35,7 +35,17 @@ from .forms import LowerBoundCertificate, SesquilinearForm, form_from_gram
 from .linalg import generalized_eigvalsh
 from .ordering import OrderingReport, ProbeRecord, _form_columns
 
-_GAUSS4 = np.polynomial.legendre.leggauss(4)
+# 4-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+# numpy.polynomial.legendre.leggauss(4), which is not loaded for them.  In
+# closed form the nodes are +-sqrt(3/7 -+ (2/7) sqrt(6/5)) and the weights
+# (18 +- sqrt(30)) / 36, but evaluated in floating point that form lands
+# up to a few ulps away on three of the four values, so the bits are
+# written out.
+_GAUSS4 = tuple(np.array([float.fromhex(h) for h in row]) for row in (
+    ("-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2",
+     "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1"),
+    ("0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1",
+     "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +238,7 @@ def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertif
     _check_coefficients(prob, mesh.quad_points()[0])
     L = prob.length
     if prob.p == 2.0:
-        c, kind = prob.gamma * math.pi ** 2 / L ** 2, "exact-p2"
+        c, kind = prob.gamma * math.pi ** 2 / L ** 2, "poincare-p2"
     else:
         c, kind = prob.gamma / L ** (1.0 + 2.0 / prob.p), "equivalence-scaled"
     return LowerBoundCertificate(c, kind, detail={"p": prob.p})

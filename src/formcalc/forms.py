@@ -131,7 +131,9 @@ class LowerBoundCertificate:
     ``exact-p2`` is tight (generalized eigensolve); ``exact-inf`` is the
     infimum of a sequence diagonal for p > 2; ``equivalence-scaled`` is a
     certified under-estimate through the l_p / l_2 norm equivalence with
-    the conceded amount recorded in ``slack``.
+    the conceded amount recorded in ``slack``; ``poincare-p2`` is the
+    continuous Poincare constant gamma pi^2 / L^2 of a 1D Dirichlet form,
+    a lower bound that lies below the discrete infimum.
     """
 
     gamma: float
@@ -142,8 +144,9 @@ class LowerBoundCertificate:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.kind == "exact-p2" and self.detail.get("p", 2.0) != 2.0:
-            raise ValueError("exact-p2 certificates require p = 2")
+        if (self.kind in ("exact-p2", "poincare-p2")
+                and self.detail.get("p", 2.0) != 2.0):
+            raise ValueError(f"{self.kind} certificates require p = 2")
 
 
 def equivalence_factor(n: int, p: float) -> float:

@@ -48,6 +48,7 @@ from .ordering import FactorizationResult, factorize
 
 CLOSED_AUTOMATIC = "lower-bound-automatic"
 CLOSED_SEQUENTIAL = "sequential"
+CLOSED_DIAGONAL = "diagonal-fatou"
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class RunRecord:
 
 @dataclass(frozen=True, eq=False)
 class ClosednessWitness:
-    kind: str                         # lower-bound-automatic | sequential
+    kind: str                         # one of the CLOSED_* kinds
     runs: tuple[RunRecord, ...] = ()
 
 
@@ -73,6 +74,9 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
     is a generator-ruled limit vector; its truncations must be Cauchy in
     the form with certified contracting tails and the limit must satisfy
     the domain rule.  A run whose tails fail to contract is rejected.
+    With no runs the witness is the form itself: a diagonal form, whose
+    weights are nonnegative once it exists, is closed on its maximal
+    domain by Fatou's lemma.
     """
     if t.backend == DENSE:
         cert = lower_bound(t, dp)
@@ -80,7 +84,7 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
             raise LowerBoundError("automatic closedness needs gamma > 0")
         return ClosednessWitness(CLOSED_AUTOMATIC)
     if not runs:
-        return ClosednessWitness(CLOSED_SEQUENTIAL, ())
+        return ClosednessWitness(CLOSED_DIAGONAL)
     records = []
     for x in runs:
         if x.tail is None:

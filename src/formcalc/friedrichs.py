@@ -121,7 +121,6 @@ class CoreWitness:
 @dataclass(frozen=True, eq=False)
 class CoreCheckReport:
     witnesses: tuple[CoreWitness, ...]
-    passed: bool
 
 
 def core_check(a: DenseOperator, res: FriedrichsResult,
@@ -130,12 +129,14 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
 
     For each sample y in dom J*, finds K with the certified energy tail
     sum_{n > K} a_n |y_n|^2 below 1e-8 times the total energy, and
-    records the contraction trace of the tails.  A sample outside dom J*
-    raises :class:`DomainError`.
+    records the contraction trace of the tails.  Every failure raises: a
+    sample outside dom J* :class:`DomainError`, tails that do not contract
+    ArithmeticError, a target not reached within the term cap
+    :class:`Uncertifiable`.
     """
     if res.extension.backend == DENSE:
         witnesses = tuple(CoreWitness(s.n, 0.0, (0.0,), ()) for s in samples)
-        return CoreCheckReport(witnesses, True)
+        return CoreCheckReport(witnesses)
     rule = res.extension.diagonal
     witnesses = []
     for y in samples:
@@ -167,7 +168,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
         if any(r >= 1.0 for r in ratios):
             raise ArithmeticError("energy tails failed to contract")
         witnesses.append(CoreWitness(ks[-1], trace[-1], tuple(trace), ratios))
-    return CoreCheckReport(tuple(witnesses), True)
+    return CoreCheckReport(tuple(witnesses))
 
 
 def idempotent(res: FriedrichsResult, dp: DualityPair) -> bool:

@@ -1,10 +1,12 @@
 """The command line runs OpenBLAS on one thread unless the environment
 chooses a count, also in the workers of ``suite all``, and formcalc runs
-on numpy alone.
+on numpy alone, loading numpy.random only on a path that draws and
+numpy.polynomial never.
 
-Each case runs ``formcalc.cli.main`` in a fresh interpreter and asks
-every OpenBLAS mapped into it for its thread count, before and after the
-call, through the library's own getter.
+Each case runs in a fresh interpreter.  The thread cases call
+``formcalc.cli.main`` and ask every OpenBLAS mapped into it for its thread
+count, before and after the call, through the library's own getter; the
+import cases read ``sys.modules``.
 """
 
 import json
@@ -174,3 +176,115 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in
 
 def test_cli_import_loads_no_pool_and_no_scipy():
     assert run_script(IMPORTS) == []
+
+
+# numpy.random and numpy.polynomial load only on a path that uses them
+LOADED = r"""
+import contextlib, io, json, sys
+import formcalc.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = formcalc.cli.main(argv)
+print(json.dumps({"code": code, "random": "numpy.random" in sys.modules,
+                  "polynomial": "numpy.polynomial" in sys.modules}))
+"""
+
+
+def loaded(*argv):
+    return run_script(LOADED, json.dumps(list(argv)))
+
+
+def rule(coef, alpha, ratio):
+    return {"terms": [{"coef": [coef, 0.0], "alpha": alpha, "ratio": ratio,
+                       "start": 1}]}
+
+
+def seq_op(coef, alpha, ratio):
+    return {"backend": "sequence", "direction": "to-dual",
+            "diagonal": rule(coef, alpha, ratio), "domain": "finitely-supported"}
+
+
+def seq_vec(ratio, n):
+    return {"backend": "sequence",
+            "coords": [[ratio ** k, 0.0] for k in range(1, n + 1)],
+            "tail": {"kind": "rule", **rule(1.0, 0.0, ratio)}}
+
+
+SEQ = {"backend": "sequence", "truncation": 16, "p": 2.0}
+SEQUENCE_SCENARIOS = [
+    {"id": "form-on-x", "op": "form-on-x", "A": seq_op(1.0, 2.0, 1.0),
+     "y": seq_vec(0.5, 16)},
+    {"id": "friedrichs", "op": "friedrichs", "space": SEQ,
+     "generator": rule(1.0, 2.0, 1.0), "samples": [seq_vec(0.5, 16)]},
+    {"id": "form-sum", "op": "form-sum", "space": SEQ,
+     "A": seq_op(1.0, 2.0, 1.0), "B": seq_op(1.0, 0.0, 0.5)},
+    {"id": "compare", "op": "compare", "A": seq_op(2.0, 2.0, 1.0),
+     "B": seq_op(1.0, 2.0, 1.0), "expected": "A>=B"},
+    {"id": "weak-expectation", "op": "weak-expectation", "space_pair": SEQ,
+     "probability": {"kind": "rule", "rule": rule(1.0, 0.0, 0.5)},
+     "variable": {"kind": "exp-poly"}},
+    {"id": "second-moment", "op": "second-moment", "space_pair": SEQ,
+     "probability": {"kind": "exponential", "beta": 2.5},
+     "variable": {"kind": "exp-poly"},
+     "functional": {"backend": "sequence", "coords": [[1.0, 0.0]] + [[0.0, 0.0]] * 15},
+     "expected": True},
+    {"id": "covariance-form", "op": "covariance-form",
+     "space_pair": {"backend": "sequence", "truncation": 24, "p": 2.0},
+     "probability": {"kind": "paired-rule", "rule": rule(1.0, 0.0, 0.5)},
+     "variable": {"kind": "signed-basis", "scale": rule(1.0, 0.0, 1.1)}},
+]
+
+
+def test_cli_import_loads_no_random_and_no_polynomial():
+    assert loaded() == {"code": None, "random": False, "polynomial": False}
+
+
+def test_sequence_run_leaves_numpy_random_unloaded(tmp_path):
+    scenarios = tmp_path / "sequence.json"
+    scenarios.write_text(json.dumps({"scenarios": SEQUENCE_SCENARIOS}))
+    result = loaded("run", str(scenarios), "--out", str(tmp_path / "out"))
+    assert result == {"code": 0, "random": False, "polynomial": False}
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [s["verdict"] for s in summary["scenarios"]] == ["pass"] * 7
+
+
+def test_dirichlet_vs_neumann_loads_numpy_random(tmp_path):
+    # its probe set draws four seeded cosine mixes
+    scenarios = tmp_path / "elliptic.json"
+    scenarios.write_text(json.dumps({"scenarios": [
+        {"id": "dvn", "op": "dirichlet-vs-neumann", "m": 8,
+         "problem": {"length": 1.0, "a": "1", "b": "1", "gamma": 1.0}}]}))
+    result = loaded("run", str(scenarios))
+    assert result == {"code": 0, "random": True, "polynomial": False}
+
+
+FIRST_BATTERY = r"""
+import contextlib, io, json, os, sys
+import formcalc.cli
+from formcalc import suites
+from formcalc.reporting import make_report
+
+
+def probe_battery(seed, tol_scale):
+    return [make_report("random-probe", [], {}, {},
+                        details={"pid": os.getpid(),
+                                 "random": "numpy.random" in sys.modules})]
+
+
+# the first battery is the first task any worker takes, so no battery ran
+# in that worker before it
+suites._SUITES[suites.SUITE_NAMES[0]] = probe_battery
+with contextlib.redirect_stdout(io.StringIO()):
+    formcalc.cli.main(["suite", "all", "--out", sys.argv[1]])
+with open(sys.argv[1] + "/random-probe.json") as fh:
+    print(json.dumps({"parent": os.getpid(), **json.load(fh)["details"]}))
+"""
+
+
+def test_suite_loads_numpy_random_before_the_batteries(tmp_path):
+    result = run_script(FIRST_BATTERY, str(tmp_path))
+    assert result["random"], result
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert result["pid"] != result["parent"], result

@@ -9,7 +9,7 @@ import scipy.linalg
 from formcalc.coeffexpr import ExpressionError, compile_rule
 from formcalc.duality import Vector
 from formcalc.elliptic import (
-    _full_stiffness, _mass_matrix, _tridiag_solve, _tridiag_stiffness,
+    _GAUSS4, _full_stiffness, _mass_matrix, _tridiag_solve, _tridiag_stiffness,
     assemble, convergence_table, dirichlet_operator, dirichlet_vs_neumann,
     discrete_poincare, l2_error, neumann_operator, problem,
     smooth_probe_set, sobolev_lower_bound, uniform_mesh, weak_solve,
@@ -38,6 +38,11 @@ class TestExpressionGrammar:
 
 
 class TestAssembly:
+    def test_gauss4_is_leggauss_bit_for_bit(self):
+        for ours, numpy_s in zip(_GAUSS4, np.polynomial.legendre.leggauss(4)):
+            assert ours.dtype == numpy_s.dtype == np.float64
+            assert ours.tobytes() == numpy_s.tobytes()
+
     def test_laplace_tridiagonal_pattern(self):
         # hand assembly: phi' = +-1/h, overlap integrals give (2, -1)/h
         t = assemble(LAPLACE, uniform_mesh(4), "dirichlet")
@@ -90,9 +95,11 @@ class TestAssembly:
 class TestSobolevLowerBound:
     def test_p2_poincare_constant(self):
         cert = sobolev_lower_bound(LAPLACE, uniform_mesh(32))
-        assert cert.kind == "exact-p2"
+        assert cert.kind == "poincare-p2"
         assert cert.gamma == pytest.approx(math.pi ** 2)
         assert cert.detail == {"p": 2.0}
+        # a lower bound, not the tight discrete infimum: 9.8696 < 9.8775
+        assert cert.gamma < discrete_poincare(LAPLACE, uniform_mesh(32))
 
     def test_p2_scaling_in_gamma(self):
         pb = problem(1.0, "3 + 0*x", "0", 3.0)

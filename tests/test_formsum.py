@@ -54,6 +54,12 @@ class TestIsClosed:
         with pytest.raises(DomainError):
             is_closed(t, [run], SP)
 
+    @pytest.mark.parametrize("runs", [None, []])
+    def test_sequence_without_runs_is_closed_by_fatou(self, runs):
+        wit = is_closed(diagonal_form(series.polynomial(2.0)), runs, SP)
+        assert wit.kind == "diagonal-fatou"
+        assert wit.runs == ()
+
 
 class TestFormSum:
     def test_scalars(self):
