@@ -1,6 +1,6 @@
 """Command line front end.
 
-``formcalc run <file> [--jobs N] [--out DIR]`` executes a scenario file
+``formcalc run <file> [--out DIR]`` executes a scenario file
 and writes one JSON report per scenario plus a summary.  ``formcalc
 suite <name> [--seed S] [--out DIR]`` runs a named verification battery
 (or ``all``).  Each report is encoded once, for its file and its
@@ -133,19 +133,12 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    def run_one(i):
-        # the scenario's operands are freed once its report exists
-        sc, scenarios[i] = scenarios[i], None
-        return run_scenario(sc, args.tol_scale)
-
+    reports = []
     try:
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(run_one, range(len(scenarios))))
-        else:
-            reports = [run_one(i) for i in range(len(scenarios))]
+        for i in range(len(scenarios)):
+            # the scenario's operands are freed once its report exists
+            sc, scenarios[i] = scenarios[i], None
+            reports.append(run_scenario(sc, args.tol_scale))
     except (UnknownOperation, MissingOperand, MalformedOperand) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
     p_suite = sub.add_parser("suite", help="run a verification battery")

@@ -404,12 +404,12 @@ class DenseOperator:
     def is_full_domain(self) -> bool:
         return self.backend == DENSE and self.d == self.n
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """Sequence: the generator's imaginary residual is at most ``tol``.
+    def is_symmetric(self) -> bool:
+        """Sequence: the generator's imaginary residual is at most 1e-12.
         Dense: the form gram passes :func:`linalg.is_hermitian`, the rule
         that flags the symmetry of ``forms.form_of_operator``."""
         if self.backend == SEQUENCE:
-            return series.imaginary_residual(self.diagonal) <= tol
+            return series.imaginary_residual(self.diagonal) <= 1e-12
         return is_hermitian(self.form_gram())
 
 

@@ -240,7 +240,7 @@ def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertif
     if prob.p == 2.0:
         c, kind = prob.gamma * math.pi ** 2 / L ** 2, "poincare-p2"
     else:
-        c, kind = prob.gamma / L ** (1.0 + 2.0 / prob.p), "equivalence-scaled"
+        c, kind = prob.gamma / L ** (1.0 + 2.0 / prob.p), "sobolev-sup"
     return LowerBoundCertificate(c, kind, detail={"p": prob.p})
 
 

@@ -131,9 +131,11 @@ class LowerBoundCertificate:
     ``exact-p2`` is tight (generalized eigensolve); ``exact-inf`` is the
     infimum of a sequence diagonal for p > 2; ``equivalence-scaled`` is a
     certified under-estimate through the l_p / l_2 norm equivalence with
-    the conceded amount recorded in ``slack``; ``poincare-p2`` is the
-    continuous Poincare constant gamma pi^2 / L^2 of a 1D Dirichlet form,
-    a lower bound that lies below the discrete infimum.
+    the conceded amount recorded in ``slack``.  Two kinds are stated
+    constants of a 1D Dirichlet form, lower bounds on its discrete
+    infimum: ``poincare-p2``, the continuous Poincare constant
+    gamma pi^2 / L^2, and ``sobolev-sup`` for p != 2, gamma / L^(1 + 2/p)
+    from |f(x)| <= sqrt(L) ||f'||_2, which uses no norm equivalence.
     """
 
     gamma: float

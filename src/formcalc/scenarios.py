@@ -5,10 +5,12 @@ A scenario file is JSON: ``{"scenarios": [{"id": ..., "op": ...,
 inline per the wire schemas in :mod:`formcalc.reporting`.
 :data:`OPERATIONS` maps each op to ``(claims, handler)``: the claim tags
 its report carries, and a handler that returns ``(residuals, tolerances,
-details, certificates)``.  The one runner of :mod:`formcalc.reporting`
-turns that into a :class:`Report`; mathematical violations come back as
-``fail`` verdicts, uncertifiable questions as ``uncertified``, and a
-raised report keeps its op's claims.
+details, certificates)``.  :func:`judge` runs an entry's handler and
+lets the entry's ``tolerances`` override the handler's, for scenario
+files and the batteries of :mod:`formcalc.suites` alike.  The one runner
+of :mod:`formcalc.reporting` turns the judgement into a :class:`Report`;
+mathematical violations come back as ``fail`` verdicts, uncertifiable
+questions as ``uncertified``, and a raised report keeps its op's claims.
 """
 
 from __future__ import annotations
@@ -293,29 +295,33 @@ def _op_hilbert_consistency(ops, seed):
         {"sqrt_identity": 1e-8}, {"samples": rep.samples}, []
 
 
-def _op_form_sum(ops, seed):
-    dp = pair_from_json(ops["space"])
-    A = operator_from_json(ops["A"])
-    B = operator_from_json(ops["B"])
-    fs = form_sum(A, B, dp)
+def _form_sum_checks(fs, ops):
+    """The residuals, tolerances and details of the form sum ``fs``:
+    its extension of A + B and, given ``expected_matrix``, its matrix."""
     residuals = {"extension": fs.extension_residual}
     tols = {"extension": 1e-10}
-    details = {"gamma": fs.gamma, "collapse_exact": fs.collapse_exact}
     if "expected_matrix" in ops:
         residuals["matrix"] = _relative_error(
             fs.operator.canonical_matrix(), matrix_from_json(ops["expected_matrix"]))
         tols["matrix"] = 1e-10
-    return residuals, tols, details, []
+    return residuals, tols, {"gamma": fs.gamma, "collapse_exact": fs.collapse_exact}
+
+
+def _op_form_sum(ops, seed):
+    dp = pair_from_json(ops["space"])
+    fs = form_sum(operator_from_json(ops["A"]), operator_from_json(ops["B"]), dp)
+    return *_form_sum_checks(fs, ops), []
 
 
 def _op_joint_factorize(ops, seed):
     dp = pair_from_json(ops["space"])
     jf = joint_factorize(operator_from_json(ops["A"]),
                          operator_from_json(ops["B"]), dp)
-    return {"jstar": jf.jstar_residual,
-            "composition": jf.composition_residual,
-            "energy_identity": jf.energy_residual}, \
-        {"jstar": 1e-10, "composition": 1e-9, "energy_identity": 1e-9}, {}, []
+    residuals, tols, details = _form_sum_checks(jf.formsum, ops)
+    residuals.update(jstar=jf.jstar_residual, composition=jf.composition_residual,
+                     energy_identity=jf.energy_residual)
+    tols.update(jstar=1e-10, composition=1e-9, energy_identity=1e-9)
+    return residuals, tols, details, []
 
 
 def _get_commutant(ops, dp):
@@ -411,12 +417,11 @@ def _op_independent_sum(ops, seed):
     eta = _variable_from_json(ops["eta"], sp2, dp)
     rep = independent_sum(xi, eta)
     if rep.details["kind"] == "diagonal-rules":
-        # the residual is the worst ratio of error to allowed error
-        residual, tol = rep.residual, 1.0
-    else:
-        residual, tol = rep.residual if rep.passed else max(rep.residual, 1.0), 1e-10
-    return {"covariance_vs_formsum": residual}, \
-        {"covariance_vs_formsum": tol}, rep.details, []
+        # the worst ratio of error to allowed error
+        return {"window_error_ratio": rep.residual}, \
+            {"window_error_ratio": 1.0}, rep.details, []
+    return {"covariance_vs_formsum": rep.residual}, \
+        {"covariance_vs_formsum": 1e-10}, rep.details, []
 
 
 def _op_elliptic_assemble(ops, seed):
@@ -500,21 +505,24 @@ class MissingOperand(KeyError):
     pass
 
 
+def judge(sc: dict):
+    """``(residuals, tolerances, details, certificates)`` of the scenario
+    object ``sc``: its op's handler on its operands and seed, with
+    ``sc["tolerances"]`` overriding the handler's tolerances."""
+    residuals, tols, details, certs = OPERATIONS[sc["op"]][1](
+        _operands(sc), int(sc.get("seed", 0)))
+    tols.update(sc.get("tolerances", {}))
+    return residuals, tols, details, certs
+
+
 def run_scenario(sc: dict, tol_scale: float = 1.0) -> Report:
     op = sc.get("op")
     if op not in OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")
-    claims, handler = OPERATIONS[op]
-    seed = int(sc.get("seed", 0))
     sid = str(sc.get("id", op))
-
-    def check():
-        residuals, tols, details, certs = handler(_operands(sc), seed)
-        tols.update({k: float(v) for k, v in sc.get("tolerances", {}).items()})
-        return residuals, tols, details, certs
-
     try:
-        return _run_check(sid, claims, check, tol_scale=tol_scale)
+        return _run_check(sid, OPERATIONS[op][0], lambda: judge(sc),
+                          tol_scale=tol_scale)
     except KeyError as exc:
         raise MissingOperand(f"scenario {sid!r} lacks operand {exc}") from exc
     except MalformedOperand as exc:

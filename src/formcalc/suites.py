@@ -7,11 +7,12 @@ with claim identifiers.  Every battery contains at least one deliberately
 violated instance whose verdict must be ``fail``: a check is a control
 (``control=True``) exactly when its name starts with ``control-``.
 Where a scenario handler judges the same claim, a check is a seeded
-generator of ``(op, operands, seed)`` instances in the wire layout, judged
-by the handlers of :data:`formcalc.scenarios.OPERATIONS` and reported as
-the worst residual of each name; only residuals that no handler owns are
-computed here.  Everything is deterministic given the seed; summaries
-therefore omit wall times.
+generator of scenario objects, the shape of a scenario-file entry with
+its operands in the wire layout, each judged by
+:func:`formcalc.scenarios.judge` and reported as the worst residual of
+each name; only residuals that no handler owns are computed here.
+Everything is deterministic given the seed; summaries therefore omit
+wall times.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import numpy as np
 
 from . import series
 from .covariance import (
-    centered, covariance_form, exp_poly_variable, exponential_space,
-    finite_space, independent_sum, paired_rule_space, rule_space,
-    second_moment_membership, signed_basis_variable, table_variable,
+    covariance_form, exp_poly_variable, exponential_space, paired_rule_space,
+    rule_space, second_moment_membership, signed_basis_variable,
     weak_expectation,
 )
 from .duality import (
@@ -38,14 +38,14 @@ from .elliptic import (
     sobolev_lower_bound, uniform_mesh,
 )
 from .errors import FormcalcError, Uncertifiable
-from .formsum import is_closed, joint_factorize, lift_commutant
+from .formsum import is_closed, lift_commutant
 from .forms import associated_operator, diagonal_form, form_from_gram
 from .friedrichs import core_check, friedrichs, idempotent, in_extension_domain
 from .ordering import (
     antisymmetry_check, compare, form_on_X, form_oracle_eigensolve,
 )
 from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts
-from .scenarios import OPERATIONS
+from .scenarios import judge
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +120,19 @@ def _operator(M, direction=TO_DUAL):
             "domain_basis": np.eye(M.shape[0]), "action": _wire(M)}
 
 
-def _worst(instances, details):
-    """Judge each ``(op, operands, seed)`` by its handler in
-    :data:`~formcalc.scenarios.OPERATIONS`: the largest residual of each
-    name (from 0.0) under the handlers' tolerances, with the battery's own
-    ``details``.  Two tolerances for one residual name raise ValueError."""
+def _geometric(ratio, coef):
+    """The wire rule of ``coef * ratio**n``."""
+    return {"terms": [{"coef": coef, "ratio": ratio}]}
+
+
+def _worst(scenarios, details):
+    """Judge each scenario object by :func:`~formcalc.scenarios.judge`:
+    the largest residual of each name (from 0.0) under the judged
+    tolerances, with the battery's own ``details``.  Two tolerances for
+    one residual name raise ValueError."""
     worst, tols = {}, {}
-    for op, operands, seed in instances:
-        residuals, tolerances, _, _ = OPERATIONS[op][1](operands, seed)
+    for sc in scenarios:
+        residuals, tolerances, _, _ = judge(sc)
         for name, value in residuals.items():
             worst[name] = max(worst.get(name, 0.0), value)
         for name, tol in tolerances.items():
@@ -144,14 +149,13 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def inverses():
-        return _worst((("associated-operator",
-                        {"space": _space(n), "gram": _wire(_random_hpd(rng, n))}, 0)
+        return _worst(({"op": "associated-operator", "space": _space(n),
+                        "gram": _wire(_random_hpd(rng, n))}
                        for n in _sizes(rng, 1, 13, 200)), {"instances": 200})
 
     def lem1():
-        return _worst((("inverse-selfadjoint",
-                        {"space": _space(n), "B": _operator(
-                            np.linalg.inv(_random_hpd(rng, n)), FROM_DUAL)}, 0)
+        return _worst(({"op": "inverse-selfadjoint", "space": _space(n),
+                        "B": _operator(np.linalg.inv(_random_hpd(rng, n)), FROM_DUAL)}
                        for n in _sizes(rng, 1, 9, 50)), {"instances": 50})
 
     def worked():
@@ -251,16 +255,16 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     sp = sequence_pair(48)
 
     def lem2():
-        return _worst((("factorize", {"A": _operator(
-                            _random_psd(rng, n, force_kernel=(k % 3 == 0)))}, 0)
+        return _worst(({"op": "factorize", "A": _operator(
+                            _random_psd(rng, n, force_kernel=(k % 3 == 0)))}
                        for k, n in enumerate(_sizes(rng, 1, 9, 200))),
                       {"instances": 200})
 
     def remark():
-        return _worst((("hilbert-consistency",
-                        {"space": _space(n), "A": _operator(_random_psd(rng, n)),
-                         "samples": [{"coords": _wire(rng.normal(size=n) +
-                                                      1j * rng.normal(size=n))}]}, 0)
+        return _worst(({"op": "hilbert-consistency", "space": _space(n),
+                        "A": _operator(_random_psd(rng, n)),
+                        "samples": [{"coords": _wire(rng.normal(size=n) +
+                                                     1j * rng.normal(size=n))}]}
                        for n in _sizes(rng, 1, 8, 100)), {"samples": 100})
 
     def lem3():
@@ -287,29 +291,21 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"dense_instances": 100, "sequence_pairs": 10}, [])
 
     def order():
-        checks = {}
-        A = operator_from_matrix(2 * np.eye(2), dense_pair(2))
-        B = operator_from_matrix(np.eye(2), dense_pair(2))
-        checks["scalar"] = compare(A, B, []).verdict == "A>=B"
-        C = operator_from_matrix(np.diag([1.0, 4.0]), dense_pair(2))
-        D = operator_from_matrix(np.diag([4.0, 1.0]), dense_pair(2))
-        checks["incomparable"] = compare(C, D, []).verdict == "incomparable"
-        E1 = operator_from_matrix(np.diag([2.0, 3.0]), dense_pair(2))
-        E2 = operator_from_matrix(np.diag([2.0, 3.0]), dense_pair(2))
-        repE = compare(E1, E2, [])
-        checks["equal"] = repE.verdict == "equal"
-        checks["antisymmetry"] = antisymmetry_check(E1, E2, repE).passed
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            M = _random_psd(rng, n) + 0.1 * np.eye(n)
-            c = float(rng.uniform(1.0, 3.0))
-            v = compare(operator_from_matrix(c * M, dense_pair(n)),
-                        operator_from_matrix(M, dense_pair(n)), []).verdict
-            checks.setdefault("scaling", True)
-            checks["scaling"] = checks["scaling"] and v in ("A>=B", "equal")
-        bad = sum(0 if ok else 1 for ok in checks.values())
-        return ({"verdict_mistakes": float(bad)}, {"verdict_mistakes": 0.0},
-                {k: bool(v) for k, v in checks.items()}, [])
+        # 2I >= I, two crossed diagonals, an equal pair, then c M >= M
+        def scenarios():
+            yield {"op": "compare", "A": _operator(2 * np.eye(2)),
+                   "B": _operator(np.eye(2)), "expected": "A>=B"}
+            yield {"op": "compare", "A": _operator(np.diag([1.0, 4.0])),
+                   "B": _operator(np.diag([4.0, 1.0])), "expected": "incomparable"}
+            # raises unless the pair compares equal
+            yield {"op": "antisymmetry", "A": _operator(np.diag([2.0, 3.0])),
+                   "B": _operator(np.diag([2.0, 3.0]))}
+            for n in _sizes(rng, 1, 6, 20):
+                M = _random_psd(rng, n) + 0.1 * np.eye(n)
+                c = float(rng.uniform(1.0, 3.0))
+                yield {"op": "compare", "A": _operator(c * M), "B": _operator(M),
+                       "expected": "A>=B"}
+        return _worst(scenarios(), {"pairs": 23})
 
     def control():
         A = operator_from_matrix(np.diag([2.0, 3.0]), dense_pair(2))
@@ -331,25 +327,14 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def thm4():
-        worst_energy = worst_ext = worst_collapse = 0.0
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            dp = dense_pair(n)
-            A = operator_from_matrix(_random_hpd(rng, n), dp)
-            B = operator_from_matrix(_random_hpd(rng, n), dp)
-            jf = joint_factorize(A, B, dp)
-            worst_energy = max(worst_energy, jf.energy_residual)
-            worst_ext = max(worst_ext, jf.formsum.extension_residual,
-                            jf.composition_residual)
-            M = jf.formsum.operator.canonical_matrix()
-            Msum = A.canonical_matrix() + B.canonical_matrix()
-            worst_collapse = max(worst_collapse,
-                                 float(np.linalg.norm(M - Msum)) /
-                                 max(float(np.linalg.norm(Msum)), 1.0))
-        return ({"energy_identity": worst_energy, "extension": worst_ext,
-                 "collapse": worst_collapse},
-                {"energy_identity": 1e-9, "extension": 1e-9,
-                 "collapse": 1e-12}, {"pairs": 100}, [])
+        # full domains: the form sum collapses to A + B
+        def scenarios():
+            for n in _sizes(rng, 1, 7, 100):
+                A, B = _random_hpd(rng, n), _random_hpd(rng, n)
+                yield {"op": "joint-factorize", "tolerances": {"matrix": 1e-12},
+                       "space": _space(n), "A": _operator(A), "B": _operator(B),
+                       "expected_matrix": _wire(A + B)}
+        return _worst(scenarios(), {"pairs": 100})
 
     def closedness():
         sp = sequence_pair(48)
@@ -375,10 +360,10 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 ops = {"space": _space(n), "A": _operator(A),
                        "K": _wire(K + K.conj().T)}
-                yield "lift-commutant", ops, 0
-                yield "commutation-formsum", {
-                    **ops, "B": _operator(float(rng.uniform(0.5, 2.0)) * A)}, 0
-                yield "spectrum-inclusion", ops, 0
+                yield {"op": "lift-commutant", **ops}
+                yield {"op": "commutation-formsum", **ops,
+                       "B": _operator(float(rng.uniform(0.5, 2.0)) * A)}
+                yield {"op": "spectrum-inclusion", **ops}
         return _worst(instances(), {"triples": 50})
 
     def block_construction():
@@ -391,9 +376,8 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 Q, _ = np.linalg.qr(W)
                 A, B, E = (Q @ np.diag(rng.uniform(lo, hi, size=n)) @ Q.conj().T
                            for lo, hi in ((0.5, 3.0), (0.5, 3.0), (-2.0, 2.0)))
-                yield "commutation-formsum", {
-                    "space": _space(n), "A": _operator(A), "B": _operator(B),
-                    "E": _wire(E)}, 0
+                yield {"op": "commutation-formsum", "space": _space(n),
+                       "A": _operator(A), "B": _operator(B), "E": _wire(E)}
         return _worst(instances(), {"instances": 10, "frame": "random unitary"})
 
     def control():
@@ -454,34 +438,27 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                 {"closed_runs": 0.0, "psd": 0.0}, {"runs": len(wit.runs)}, [])
 
     def thm8():
-        worst = 0.0
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            dp = dense_pair(n)
-            m1 = int(rng.integers(n + 1, n + 4))
-            m2 = int(rng.integers(n + 1, n + 4))
-            w1 = rng.uniform(0.2, 1.0, size=m1)
-            w2 = rng.uniform(0.2, 1.0, size=m2)
-            xi = centered(table_variable(finite_space(w1 / w1.sum()),
-                                         list(rng.normal(size=(m1, n))), dp))
-            eta = centered(table_variable(finite_space(w2 / w2.sum()),
-                                          list(rng.normal(size=(m2, n))), dp))
-            rep = independent_sum(xi, eta)
-            worst = max(worst, rep.residual if rep.passed else 1.0)
-        nu = series.geometric(0.25, coef=3.0)
-        xi = signed_basis_variable(paired_rule_space(nu),
-                                   series.geometric(math.sqrt(2.0),
-                                                    coef=1 / math.sqrt(3.0)),
-                                   sequence_pair(24))
-        eta = signed_basis_variable(paired_rule_space(nu),
-                                    series.geometric(math.sqrt(4.0 / 3.0),
-                                                     coef=1 / math.sqrt(3.0)),
-                                    sequence_pair(24))
-        drep = independent_sum(xi, eta)
-        return ({"finite_product": worst,
-                 "diagonal_rules": 0.0 if drep.passed else 1.0},
-                {"finite_product": 1e-10, "diagonal_rules": 0.0},
-                {"instances": 50}, [])
+        # centred tables on finite spaces, then one signed-basis pair
+        def scenarios():
+            for n in _sizes(rng, 1, 4, 50):
+                m1 = int(rng.integers(n + 1, n + 4))
+                m2 = int(rng.integers(n + 1, n + 4))
+                w1 = rng.uniform(0.2, 1.0, size=m1)
+                w2 = rng.uniform(0.2, 1.0, size=m2)
+                sc = {"op": "independent-sum", "space_pair": _space(n)}
+                for side, w in (("xi", w1 / w1.sum()), ("eta", w2 / w2.sum())):
+                    X = rng.normal(size=(w.size, n))
+                    sc[f"probability_{side}"] = {"weights": w}
+                    sc[side] = {"values": X - w @ X}
+                yield sc
+            nu = {"kind": "paired-rule", "rule": _geometric(0.25, 3.0)}
+            xi, eta = ({"kind": "signed-basis",
+                        "scale": _geometric(math.sqrt(r), 1 / math.sqrt(3.0))}
+                       for r in (2.0, 4.0 / 3.0))
+            yield {"op": "independent-sum",
+                   "space_pair": {"backend": "sequence", "truncation": 24},
+                   "probability_xi": nu, "probability_eta": nu, "xi": xi, "eta": eta}
+        return _worst(scenarios(), {"instances": 51})
 
     def control():
         rule_space(series.geometric(0.5, coef=3.0))   # sums to 3, not 1
@@ -500,8 +477,8 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
     laplace = problem(1.0, "1", "0", 1.0)
 
     def ordering():
-        return _worst((("dirichlet-vs-neumann", {"problem": pb, "m": m}, seed)
-                       for m in (16, 32, 64)), {"meshes": [16, 32, 64]})
+        return _worst(({"op": "dirichlet-vs-neumann", "seed": seed, "problem": pb,
+                        "m": m} for m in (16, 32, 64)), {"meshes": [16, 32, 64]})
 
     def poincare():
         lam = discrete_poincare(laplace, uniform_mesh(64))
@@ -523,9 +500,9 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         rules = ["1", "x", "exp(x)", "sin(3*x)", "cos(pi*x)", "x^2 - x",
                  "2 + sin(2*pi*x)", "exp(0 - x)", "x^3", "1 + cos(x)"]
         singular = {**pb, "b": "1 / (0.01 + x)"}
-        return _worst([("weak-solve", {"problem": pb, "m": 32, "g": g}, 0)
+        return _worst([{"op": "weak-solve", "problem": pb, "m": 32, "g": g}
                        for g in rules]
-                      + [("weak-solve", {"problem": singular, "m": 64, "g": "1"}, 0)],
+                      + [{"op": "weak-solve", "problem": singular, "m": 64, "g": "1"}],
                       {"rules": len(rules) + 1})
 
     def bounds():

@@ -15,7 +15,7 @@ from formcalc.cli import main
 from formcalc.covariance import covariance_form
 from formcalc.errors import LowerBoundError, Uncertifiable
 from formcalc.reporting import CLAIM_TAGS, array_from_json, matrix_from_json
-from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, run_scenario
+from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, judge, run_scenario
 from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
 
 
@@ -214,7 +214,7 @@ class TestScenarioDispatch:
             "xi": variable, "eta": variable,
         })
         assert rep.details["kind"] == "diagonal-rules"
-        assert 0.2 < rep.residuals["covariance_vs_formsum"] < 0.3
+        assert 0.2 < rep.residuals["window_error_ratio"] < 0.3
         assert rep.verdict == "pass"
 
 
@@ -389,19 +389,6 @@ class TestCliRun:
             "id": "non-finite", "op": "associated-operator", "space": DENSE2,
             "gram": [[[2, 0], [0, 0]], [[0, 0], [bad, 0]]]}])
         assert main(["run", f]) == 2
-
-    def test_jobs_parallel_deterministic(self, tmp_path):
-        scenarios = [{
-            "id": f"s{k}", "op": "associated-operator", "space": DENSE2,
-            "gram": [[[2 + k, 0], [0, 0]], [[0, 0], [3 + k, 0]]],
-        } for k in range(6)]
-        f = write_scenarios(tmp_path / "par.json", scenarios)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["run", f, "--jobs", "4", "--out", str(out1)]) == 0
-        assert main(["run", f, "--out", str(out2)]) == 0
-        s1 = (out1 / "summary.json").read_text()
-        s2 = (out2 / "summary.json").read_text()
-        assert s1 == s2
 
     def test_covariance_gram_csv(self, tmp_path):
         sc = {"id": "cov", "op": "covariance-form",
@@ -594,13 +581,18 @@ HANDLER_BACKED = {
     "thm5-block-construction": {"commutation-formsum"},
     "thm3-dirichlet-vs-neumann": {"dirichlet-vs-neumann"},
     "elliptic-weak-solves": {"weak-solve"},
+    "order-definition": {"compare", "antisymmetry"},
+    "thm4-joint-factorization": {"joint-factorize"},
+    "thm8-independent-sums": {"independent-sum"},
 }
 
 
 class TestBatteriesOnHandlers:
     def test_checks_report_their_handlers_residuals(self, monkeypatch):
-        # every handler call of a suite round, by the check that made it
-        calls = defaultdict(list)
+        # every handler call and every judged scenario of a suite round,
+        # by the check that made it; judgements are logged after their
+        # tolerance overrides
+        handled, calls = defaultdict(int), defaultdict(list)
         check = None
         run_check = suites._run_check
 
@@ -608,15 +600,23 @@ class TestBatteriesOnHandlers:
             nonlocal check
             check = name
             return run_check(name, *args)
+
+        def logged_judge(sc):
+            out = judge(sc)
+            calls[check].append((sc["op"], set(out[0]), out[1]))
+            return out
         monkeypatch.setattr(suites, "_run_check", named_run_check)
+        monkeypatch.setattr(suites, "judge", logged_judge)
         for op, (claims, handler) in list(OPERATIONS.items()):
-            def logged(ops, seed, op=op, handler=handler):
-                out = handler(ops, seed)
-                calls[check].append((op, set(out[0]), out[1]))
-                return out
-            monkeypatch.setitem(OPERATIONS, op, (claims, logged))
+            def counted(ops, seed, handler=handler):
+                handled[check] += 1
+                return handler(ops, seed)
+            monkeypatch.setitem(OPERATIONS, op, (claims, counted))
         reports = {r.scenario: r for r in run_suite("all", seed=1).reports}
         assert set(calls) == set(HANDLER_BACKED)
+        # no check calls a handler but through the judge
+        assert handled == {name: len(c) for name, c in calls.items()}
+        assert reports["thm4-joint-factorization"].tolerances["matrix"] == 1e-12
         for name, ops in HANDLER_BACKED.items():
             names, tols = set(), {}
             for op, residuals, tolerances in calls[name]:
@@ -630,13 +630,29 @@ class TestBatteriesOnHandlers:
     def test_worst_refuses_two_tolerances_for_one_residual(self, monkeypatch):
         monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops, seed: (
             {"r": ops["r"]}, {"r": ops["tol"]}, {"ignored": True}, [])))
-        same = [("fake", {"r": -1.0, "tol": 1e-9}, 0),
-                ("fake", {"r": 1e-12, "tol": 1e-9}, 0)]
+        same = [{"op": "fake", "r": -1.0, "tol": 1e-9},
+                {"op": "fake", "r": 1e-12, "tol": 1e-9}]
         assert suites._worst(same, {"instances": 2}) == (
             {"r": 1e-12}, {"r": 1e-9}, {"instances": 2}, [])
         assert suites._worst(same[:1], {})[0] == {"r": 0.0}
         with pytest.raises(ValueError, match="'r' has tolerances"):
-            suites._worst(same + [("fake", {"r": 0.0, "tol": 1e-10}, 0)], {})
+            suites._worst(same + [{"op": "fake", "r": 0.0, "tol": 1e-10}], {})
+        # a scenario's own tolerance overrides its handler's
+        assert suites._worst(same + [{"op": "fake", "r": 0.0, "tol": 1e-10,
+                                      "tolerances": {"r": 1e-9}}], {})[1] == {"r": 1e-9}
+
+    def test_scenarios_and_batteries_judge_alike(self):
+        A = np.diag([2.0, 3.0])
+        B = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+        sc = {"op": "joint-factorize", "tolerances": {"matrix": 1e-12},
+              "space": suites._space(2), "A": suites._operator(A),
+              "B": suites._operator(B), "expected_matrix": suites._wire(A + B)}
+        rep = run_scenario(sc)
+        residuals, tolerances, _, _ = suites._worst([sc], {})
+        assert rep.verdict == "pass"
+        assert rep.residuals == residuals
+        assert rep.tolerances == tolerances
+        assert tolerances["matrix"] == 1e-12 and tolerances["jstar"] == 1e-10
 
     def test_wire_layout_decodes_to_the_same_bits(self):
         rng = np.random.default_rng(12)

@@ -124,7 +124,7 @@ class TestSobolevLowerBound:
     def test_p4_constant(self):
         pb = problem(1.0, "1", "0", 1.0, p=4.0)
         cert = sobolev_lower_bound(pb, uniform_mesh(24))
-        assert cert.kind == "equivalence-scaled"
+        assert cert.kind == "sobolev-sup"
         assert cert.gamma == 1.0   # gamma / L^(1 + 2/4), L = 1
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
