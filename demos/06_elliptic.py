@@ -36,7 +36,7 @@ print(f"Galerkin residual {sol.galerkin_residual:.2e}, "
 print("\n== Dirichlet vs Neumann: the maximality shadow ==")
 pb = problem(1.0, "1", "1", 1.0)
 for m in (16, 32, 64):
-    rep = dirichlet_vs_neumann(pb, uniform_mesh(m), seed=0)
+    rep = dirichlet_vs_neumann(pb, uniform_mesh(m))
     one = next(r for r in rep.probes if r.label == "constant-1")
     interior = next(r for r in rep.probes if r.label == "interior-sin")
     print(f"h = 1/{m:3d}: verdict {rep.verdict};  constant-1 probe "

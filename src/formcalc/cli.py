@@ -3,11 +3,12 @@
 ``formcalc run <file> [--out DIR]`` executes a scenario file
 and writes one JSON report per scenario plus a summary.  ``formcalc
 suite <name> [--seed S] [--out DIR]`` runs a named verification battery
-(or ``all``).  Each report is encoded once, for its file and its
-summary entry together, and ``summary.json`` is streamed as the reports
-are written and appears last, after every report and CSV file.  The
-environment variable ``FORMCALC_TOL_SCALE`` scales every tolerance
-(default 1.0); it must be a positive finite number.
+(or ``all``) on the non-negative seed S (default 0).  Each report is
+encoded once, for its file and its summary entry together, and
+``summary.json`` is streamed as the reports are written and appears
+last, after every report and CSV file.  The environment variable
+``FORMCALC_TOL_SCALE`` scales every tolerance (default 1.0); it must be
+a positive finite number.
 
 BLAS threads: :func:`main` sets every OpenBLAS mapped into the process
 to one thread before it parses its arguments, because the small dense
@@ -19,13 +20,13 @@ happens before ``suite all`` forks the workers that run its batteries,
 so they inherit it.
 
 numpy.random is not loaded with formcalc.  ``suite`` loads it before its
-batteries run, which all draw from it; for ``all`` that is in the parent
-before the workers fork, so they share its pages.  ``run`` loads it at
-the first scenario that draws, today only ``dirichlet-vs-neumann`` with
-its seeded probe set.
+batteries run, which all but ``elliptic`` draw from it; for ``all`` that
+is in the parent before the workers fork, so they share its pages.
+``run`` never loads it: no scenario operation draws.
 
 Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
-4 malformed input: scenario file or id, operation, operand or tolerance scale.
+4 malformed input: scenario file or id, operation, operand, tolerance scale
+or suite name or seed.
 """
 
 from __future__ import annotations
@@ -182,7 +183,11 @@ def cmd_suite(args) -> int:
         print(f"error: unknown suite {args.name!r} (choose from "
               f"{', '.join(SUITE_NAMES + ('all',))})", file=sys.stderr)
         return EXIT_USAGE
-    # every battery draws from numpy.random: loaded here, before the pool
+    if args.seed < 0:
+        print(f"error: the seed must be non-negative, got {args.seed}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    # the batteries draw from numpy.random: loaded here, before the pool
     # forks, its pages are shared by the workers instead of copied into each
     import numpy.random
     with _battery_map(args.name) as battery_map:

@@ -2,15 +2,17 @@
 
 A scenario file is JSON: ``{"scenarios": [{"id": ..., "op": ...,
 "seed": ..., "tolerances": {...}, ...operands...}]}``.  Operands are
-inline per the wire schemas in :mod:`formcalc.reporting`.
+inline per the wire schemas in :mod:`formcalc.reporting`; no operation
+draws, so the optional integer ``seed`` is checked and otherwise unread.
 :data:`OPERATIONS` maps each op to ``(claims, handler)``: the claim tags
-its report carries, and a handler that returns ``(residuals, tolerances,
-details, certificates)``.  :func:`judge` runs an entry's handler and
-lets the entry's ``tolerances`` override the handler's, for scenario
-files and the batteries of :mod:`formcalc.suites` alike.  The one runner
-of :mod:`formcalc.reporting` turns the judgement into a :class:`Report`;
-mathematical violations come back as ``fail`` verdicts, uncertifiable
-questions as ``uncertified``, and a raised report keeps its op's claims.
+its report carries, and a handler that takes the operands and returns
+``(residuals, tolerances, details, certificates)``.  :func:`judge` runs
+an entry's handler and lets the entry's ``tolerances`` override the
+handler's, for scenario files and the batteries of :mod:`formcalc.suites`
+alike.  The one runner of :mod:`formcalc.reporting` turns the judgement
+into a :class:`Report`; mathematical violations come back as ``fail``
+verdicts, uncertifiable questions as ``uncertified``, and a raised report
+keeps its op's claims.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _relative_error(got, want) -> float:
 # each returns (residuals, tolerances, details, certificates)
 
 
-def _op_pair(ops, seed):
+def _op_pair(ops):
     dp = pair_from_json(ops["space"])
     v = functional_from_json(ops["v"])
     x = vector_from_json(ops["x"])
@@ -138,7 +140,7 @@ def _op_pair(ops, seed):
     return residuals, tols, details, []
 
 
-def _op_norm(ops, seed):
+def _op_norm(ops):
     x = vector_from_json(ops["x"])
     got = norm(x, json_field(ops, "p", float))
     residuals, tols = {}, {}
@@ -149,7 +151,7 @@ def _op_norm(ops, seed):
     return residuals, tols, {"value": got}, []
 
 
-def _op_adjoint_involution(ops, seed):
+def _op_adjoint_involution(ops):
     dp = pair_from_json(ops["space"])
     A = operator_from_json(ops["operator"])
     _in_space(dp, A)
@@ -159,7 +161,7 @@ def _op_adjoint_involution(ops, seed):
     return {"involution": res / scale}, {"involution": 1e-12}, {}, []
 
 
-def _op_is_extension(ops, seed):
+def _op_is_extension(ops):
     S = operator_from_json(ops["S"])
     T = operator_from_json(ops["T"])
     got = is_extension(S, T)
@@ -168,7 +170,7 @@ def _op_is_extension(ops, seed):
         {"verdict_mismatch": 0.0}, {"is_extension": got}, []
 
 
-def _op_lower_bound(ops, seed):
+def _op_lower_bound(ops):
     dp = pair_from_json(ops["space"])
     cert = lower_bound(_form(ops), dp)
     residuals, tols = {}, {}
@@ -179,7 +181,7 @@ def _op_lower_bound(ops, seed):
         {"gamma": cert.gamma, "kind": cert.kind, "slack": cert.slack}, []
 
 
-def _op_associated_operator(ops, seed):
+def _op_associated_operator(ops):
     dp = pair_from_json(ops["space"])
     rep = associated_operator(_form(ops), dp)
     residuals = {"ab_identity": rep.residuals["ab_identity"],
@@ -191,7 +193,7 @@ def _op_associated_operator(ops, seed):
     return residuals, tols, {"gamma": rep.gamma, "b_norm": rep.b_norm}, []
 
 
-def _op_riesz_solve(ops, seed):
+def _op_riesz_solve(ops):
     dp = pair_from_json(ops["space"])
     f = riesz_solve(_form(ops), functional_from_json(ops["v"]), dp)
     residuals, tols = {}, {}
@@ -202,7 +204,7 @@ def _op_riesz_solve(ops, seed):
     return residuals, tols, {}, []
 
 
-def _op_inverse_selfadjoint(ops, seed):
+def _op_inverse_selfadjoint(ops):
     dp = pair_from_json(ops["space"])
     B = operator_from_json(ops["B"])
     A = inverse_selfadjoint(B, dp)
@@ -213,7 +215,7 @@ def _op_inverse_selfadjoint(ops, seed):
         {"composition": 1e-10}, {}, []
 
 
-def _op_friedrichs(ops, seed):
+def _op_friedrichs(ops):
     dp = pair_from_json(ops["space"])
     a = diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE)
     res = friedrichs(a, dp)
@@ -229,7 +231,7 @@ def _op_friedrichs(ops, seed):
     return residuals, tols, {"gamma": res.gamma_preserved.gamma}, certs
 
 
-def _op_factorize(ops, seed):
+def _op_factorize(ops):
     A = operator_from_json(ops["A"])
     res = factorize(A)
     return {"jjstar": res.extension_residual,
@@ -237,7 +239,7 @@ def _op_factorize(ops, seed):
         {"jjstar": 1e-10, "rank_gap": 0.0}, {"rank": res.rank}, []
 
 
-def _op_form_on_x(ops, seed):
+def _op_form_on_x(ops):
     A = operator_from_json(ops["A"])
     y = vector_from_json(ops["y"])
     fv = form_on_X(A, y)
@@ -258,7 +260,7 @@ def _op_form_on_x(ops, seed):
          "kind": fv.kind}, cert
 
 
-def _op_compare(ops, seed):
+def _op_compare(ops):
     A = operator_from_json(ops["A"])
     B = operator_from_json(ops["B"])
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
@@ -277,7 +279,7 @@ def _op_compare(ops, seed):
         rep.domain_inclusion["certificates"]
 
 
-def _op_antisymmetry(ops, seed):
+def _op_antisymmetry(ops):
     A = operator_from_json(ops["A"])
     B = operator_from_json(ops["B"])
     rep = compare(A, B, [])
@@ -286,7 +288,7 @@ def _op_antisymmetry(ops, seed):
         {"matrix": 1e-10, "span": 1e-10}, {}, []
 
 
-def _op_hilbert_consistency(ops, seed):
+def _op_hilbert_consistency(ops):
     dp = pair_from_json(ops["space"])
     A = operator_from_json(ops["A"])
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list)]
@@ -307,13 +309,13 @@ def _form_sum_checks(fs, ops):
     return residuals, tols, {"gamma": fs.gamma, "collapse_exact": fs.collapse_exact}
 
 
-def _op_form_sum(ops, seed):
+def _op_form_sum(ops):
     dp = pair_from_json(ops["space"])
     fs = form_sum(operator_from_json(ops["A"]), operator_from_json(ops["B"]), dp)
     return *_form_sum_checks(fs, ops), []
 
 
-def _op_joint_factorize(ops, seed):
+def _op_joint_factorize(ops):
     dp = pair_from_json(ops["space"])
     jf = joint_factorize(operator_from_json(ops["A"]),
                          operator_from_json(ops["B"]), dp)
@@ -333,7 +335,7 @@ def _get_commutant(ops, dp):
     return A, E
 
 
-def _op_lift_commutant(ops, seed):
+def _op_lift_commutant(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     lift = lift_commutant(A, E, dp)
@@ -345,7 +347,7 @@ def _op_lift_commutant(ops, seed):
          "norm_bound": lift.norm_bound}, []
 
 
-def _op_commutation_formsum(ops, seed):
+def _op_commutation_formsum(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     B = operator_from_json(ops["B"])
@@ -356,7 +358,7 @@ def _op_commutation_formsum(ops, seed):
         {"inclusion": 1e-9, "e_star_j": 1e-9, "j_star_e": 1e-9}, {}, []
 
 
-def _op_spectrum_inclusion(ops, seed):
+def _op_spectrum_inclusion(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     rep = spectrum_inclusion(A, E, dp)
@@ -366,7 +368,7 @@ def _op_spectrum_inclusion(ops, seed):
         {"lift_eigenvalues": sorted(rep.lift_eigenvalues.real.tolist())}, []
 
 
-def _op_weak_expectation(ops, seed):
+def _op_weak_expectation(ops):
     e = weak_expectation(_variable(ops))
     residuals, tols = {}, {}
     if "expected" in ops:
@@ -377,7 +379,7 @@ def _op_weak_expectation(ops, seed):
         {"coords_head": [[z.real, z.imag] for z in e.coords[:4]]}, []
 
 
-def _op_second_moment(ops, seed):
+def _op_second_moment(ops):
     xi = _variable(ops)
     cert = second_moment_membership(xi, functional_from_json(ops["functional"]))
     want = json_field(ops, "expected", bool, True)
@@ -385,7 +387,7 @@ def _op_second_moment(ops, seed):
         {"membership_mismatch": 0.0}, {"member": cert.member}, [cert.certificate]
 
 
-def _op_covariance_form(ops, seed):
+def _op_covariance_form(ops):
     t, _ = covariance_form(_variable(ops))
     if t.backend == "dense":
         # the spectrum the form's positivity check computed
@@ -399,7 +401,7 @@ def _op_covariance_form(ops, seed):
     return residuals, {"psd": 1e-12}, details, []
 
 
-def _op_covariance_operator(ops, seed):
+def _op_covariance_operator(ops):
     A = covariance_operator(_variable(ops))
     residuals, tols = {}, {}
     if "expected_matrix" in ops:
@@ -409,7 +411,7 @@ def _op_covariance_operator(ops, seed):
     return residuals, tols, {"direction": A.direction}, []
 
 
-def _op_independent_sum(ops, seed):
+def _op_independent_sum(ops):
     dp = pair_from_json(ops["space_pair"])
     sp1 = _space_from_json(ops["probability_xi"])
     sp2 = _space_from_json(ops["probability_eta"])
@@ -424,7 +426,7 @@ def _op_independent_sum(ops, seed):
         {"covariance_vs_formsum": 1e-10}, rep.details, []
 
 
-def _op_elliptic_assemble(ops, seed):
+def _op_elliptic_assemble(ops):
     pb = _problem_from_json(ops["problem"])
     t = assemble(pb, uniform_mesh(json_field(ops, "m", int), pb.length),
                  json_field(ops, "boundary", str, "dirichlet"))
@@ -437,13 +439,13 @@ def _op_elliptic_assemble(ops, seed):
     return residuals, tols, {"dim": t.d}, []
 
 
-def _op_sobolev_lower_bound(ops, seed):
+def _op_sobolev_lower_bound(ops):
     pb = _problem_from_json(ops["problem"])
     cert = sobolev_lower_bound(pb, uniform_mesh(json_field(ops, "m", int, 32), pb.length))
     return {}, {}, {"constant": cert.gamma, "kind": cert.kind}, []
 
 
-def _op_weak_solve(ops, seed):
+def _op_weak_solve(ops):
     pb = _problem_from_json(ops["problem"])
     mesh = uniform_mesh(json_field(ops, "m", int), pb.length)
     sol = weak_solve(pb, mesh, expression_from_json(ops, "g"))
@@ -456,10 +458,9 @@ def _op_weak_solve(ops, seed):
     return residuals, tols, details, []
 
 
-def _op_dirichlet_vs_neumann(ops, seed):
+def _op_dirichlet_vs_neumann(ops):
     pb = _problem_from_json(ops["problem"])
-    rep = dirichlet_vs_neumann(pb, uniform_mesh(json_field(ops, "m", int), pb.length),
-                               seed=seed)
+    rep = dirichlet_vs_neumann(pb, uniform_mesh(json_field(ops, "m", int), pb.length))
     probes = [[r.label, r.value_a, r.value_b] for r in rep.probes]
     return {"ordering": 0.0 if rep.verdict == "A>=B" else 1.0}, \
         {"ordering": 0.0}, {"verdict": rep.verdict, "probes": probes}, []
@@ -507,10 +508,9 @@ class MissingOperand(KeyError):
 
 def judge(sc: dict):
     """``(residuals, tolerances, details, certificates)`` of the scenario
-    object ``sc``: its op's handler on its operands and seed, with
+    object ``sc``: its op's handler on its operands, with
     ``sc["tolerances"]`` overriding the handler's tolerances."""
-    residuals, tols, details, certs = OPERATIONS[sc["op"]][1](
-        _operands(sc), int(sc.get("seed", 0)))
+    residuals, tols, details, certs = OPERATIONS[sc["op"]][1](_operands(sc))
     tols.update(sc.get("tolerances", {}))
     return residuals, tols, details, certs
 

@@ -1,7 +1,7 @@
 """The command line runs OpenBLAS on one thread unless the environment
 chooses a count, also in the workers of ``suite all``, and formcalc runs
-on numpy alone, loading numpy.random only on a path that draws and
-numpy.polynomial never.
+on numpy alone, loading numpy.random only in ``suite``, whose batteries
+draw, and numpy.polynomial never.
 
 Each case runs in a fresh interpreter.  The thread cases call
 ``formcalc.cli.main`` and ask every OpenBLAS mapped into it for its thread
@@ -250,14 +250,38 @@ def test_sequence_run_leaves_numpy_random_unloaded(tmp_path):
     assert [s["verdict"] for s in summary["scenarios"]] == ["pass"] * 7
 
 
-def test_dirichlet_vs_neumann_loads_numpy_random(tmp_path):
-    # its probe set draws four seeded cosine mixes
-    scenarios = tmp_path / "elliptic.json"
-    scenarios.write_text(json.dumps({"scenarios": [
-        {"id": "dvn", "op": "dirichlet-vs-neumann", "m": 8,
-         "problem": {"length": 1.0, "a": "1", "b": "1", "gamma": 1.0}}]}))
-    result = loaded("run", str(scenarios))
-    assert result == {"code": 0, "random": True, "polynomial": False}
+def dense_op(*diagonal):
+    n = len(diagonal)
+    return {"backend": "dense", "direction": "to-dual",
+            "domain_basis": [[[float(i == j), 0.0] for j in range(n)] for i in range(n)],
+            "action": [[[float(d) if i == j else 0.0, 0.0] for j, d in enumerate(diagonal)]
+                       for i in range(n)]}
+
+
+DENSE = {"backend": "dense", "dim": 2, "p": 2.0}
+PROBLEM = {"length": 1.0, "a": "1", "b": "1", "gamma": 1.0}
+DENSE_SCENARIOS = [
+    {"id": "factorize", "op": "factorize", "A": dense_op(1.0, 2.0)},
+    {"id": "form-sum", "op": "form-sum", "space": DENSE,
+     "A": dense_op(1.0, 2.0), "B": dense_op(3.0, 4.0)},
+    {"id": "compare", "op": "compare", "A": dense_op(2.0, 3.0),
+     "B": dense_op(1.0, 2.0), "expected": "A>=B"},
+    {"id": "dirichlet-vs-neumann", "op": "dirichlet-vs-neumann", "seed": 7,
+     "m": 8, "problem": PROBLEM},
+    {"id": "weak-solve", "op": "weak-solve", "m": 8, "g": "1", "problem": PROBLEM},
+    {"id": "elliptic-assemble", "op": "elliptic-assemble", "m": 8,
+     "problem": PROBLEM},
+]
+
+
+def test_dense_run_leaves_numpy_random_unloaded(tmp_path):
+    # the Dirichlet-vs-Neumann probes are fixed functions, not draws
+    scenarios = tmp_path / "dense.json"
+    scenarios.write_text(json.dumps({"scenarios": DENSE_SCENARIOS}))
+    result = loaded("run", str(scenarios), "--out", str(tmp_path / "out"))
+    assert result == {"code": 0, "random": False, "polynomial": False}
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [s["verdict"] for s in summary["scenarios"]] == ["pass"] * 6
 
 
 FIRST_BATTERY = r"""

@@ -10,7 +10,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from formcalc import suites
+from formcalc import cli, suites
 from formcalc.cli import main
 from formcalc.covariance import covariance_form
 from formcalc.errors import LowerBoundError, Uncertifiable
@@ -268,6 +268,17 @@ class TestCliRun:
         assert errors == ["ValueError: basis and action must be finite",
                           "DomainError: potential b(x) is not finite at an evaluation node"]
 
+    def test_negative_seed_passes_the_comparison(self, tmp_path):
+        # no operation draws, so a scenario's seed is checked and unread
+        f = write_scenarios(tmp_path / "dvn.json", [{
+            "id": "dvn", "op": "dirichlet-vs-neumann", "seed": -1, "m": 16,
+            "problem": {"length": 1.0, "a": "1", "b": "1", "gamma": 1.0}}])
+        out = tmp_path / "r"
+        assert main(["run", f, "--out", str(out)]) == 0
+        report = json.loads((out / "dvn.json").read_text())
+        assert report["verdict"] == "pass"
+        assert report["details"]["verdict"] == "A>=B"
+
     def test_parse_error_exits_four(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{not json")
@@ -505,6 +516,16 @@ class TestSuites:
     def test_suite_unknown_name(self):
         assert main(["suite", "nonsense"]) == 4
 
+    @pytest.mark.parametrize("name", ["all", "elliptic"])
+    def test_suite_refuses_a_negative_seed(self, name, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", raising(AssertionError("a battery ran")))
+        out = tmp_path / "neg"
+        assert main(["suite", name, "--seed", "-1", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == \
+            "error: the seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_elliptic_artifact_csv(self, tmp_path):
         out = tmp_path / "ell"
         assert main(["suite", "elliptic", "--out", str(out)]) == 0
@@ -608,9 +629,9 @@ class TestBatteriesOnHandlers:
         monkeypatch.setattr(suites, "_run_check", named_run_check)
         monkeypatch.setattr(suites, "judge", logged_judge)
         for op, (claims, handler) in list(OPERATIONS.items()):
-            def counted(ops, seed, handler=handler):
+            def counted(ops, handler=handler):
                 handled[check] += 1
-                return handler(ops, seed)
+                return handler(ops)
             monkeypatch.setitem(OPERATIONS, op, (claims, counted))
         reports = {r.scenario: r for r in run_suite("all", seed=1).reports}
         assert set(calls) == set(HANDLER_BACKED)
@@ -628,7 +649,7 @@ class TestBatteriesOnHandlers:
             assert reports[name].passed, name
 
     def test_worst_refuses_two_tolerances_for_one_residual(self, monkeypatch):
-        monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops, seed: (
+        monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops: (
             {"r": ops["r"]}, {"r": ops["tol"]}, {"ignored": True}, [])))
         same = [{"op": "fake", "r": -1.0, "tol": 1e-9},
                 {"op": "fake", "r": 1e-12, "tol": 1e-9}]

@@ -1,9 +1,8 @@
 """Random draws stay out of the verdicts, and numpy.random out of import.
 
-Outside the suites' seeded operand generators and the elliptic probe set
-(:func:`formcalc.elliptic.smooth_probe_set`), no code in ``src/formcalc``
-names ``default_rng``: every other verdict rests on a residual or a
-certificate, never on a sample.  No statement that runs when a module of
+Outside the suites' seeded operand generators, no code in
+``src/formcalc`` names ``default_rng``: every other verdict rests on a
+residual or a certificate, never on a sample.  No statement that runs when a module of
 ``src/formcalc`` is imported imports or touches ``numpy.random`` or
 ``numpy.polynomial``, so each loads only on a path that uses it.
 """
@@ -28,12 +27,10 @@ def draws():
                     yield path.stem, getattr(top, "name", None)
 
 
-def test_default_rng_only_in_operand_generators_and_probe_set():
+def test_default_rng_only_in_operand_generators():
     found = set(draws())
-    assert ("elliptic", "smooth_probe_set") in found
     assert any(module == "suites" for module, _ in found)
-    stray = {d for d in found
-             if d[0] != "suites" and d != ("elliptic", "smooth_probe_set")}
+    stray = {d for d in found if d[0] != "suites"}
     assert not stray, f"default_rng outside the generators: {sorted(stray)}"
 
 

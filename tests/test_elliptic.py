@@ -12,7 +12,7 @@ from formcalc.elliptic import (
     _GAUSS4, _full_stiffness, _mass_matrix, _tridiag_solve, _tridiag_stiffness,
     assemble, convergence_table, dirichlet_operator, dirichlet_vs_neumann,
     discrete_poincare, l2_error, neumann_operator, problem,
-    smooth_probe_set, sobolev_lower_bound, uniform_mesh, weak_solve,
+    sobolev_lower_bound, uniform_mesh, weak_solve,
 )
 from formcalc.errors import DomainError, NotPositive
 from formcalc.ordering import form_on_X
@@ -298,21 +298,36 @@ class TestDirichletVsNeumann:
 
     def test_ordering_across_meshes(self):
         for m in (16, 32, 64):
-            rep = dirichlet_vs_neumann(WITH_MASS, uniform_mesh(m), seed=2)
+            rep = dirichlet_vs_neumann(WITH_MASS, uniform_mesh(m))
             assert rep.verdict == "A>=B"
             for r in rep.probes:
                 assert r.value_a >= r.value_b * (1 - 1e-9)
 
     def test_batched_values_match_per_probe_forms(self):
-        for pb, m, seed in ((WITH_MASS, 16, 0), (WITH_MASS, 48, 3),
-                            (problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), 32, 5),
-                            (problem(2.0, "0.5", "2", 0.5), 24, 7)):
+        """Each reported value is the form of the function that
+        smooth_probe_set's docstring names, in t = x / L."""
+        documented = [
+            ("constant-1", lambda t: np.ones_like(t)),
+            ("cos-pi", lambda t: np.cos(math.pi * t)),
+            ("affine", lambda t: 1.0 + t),
+            ("exp", np.exp),
+            ("interior-sin", lambda t: np.sin(math.pi * t)),
+            ("cosine-mix:0", lambda t: 1.0 - np.cos(2 * math.pi * t)),
+            ("cosine-mix:1", lambda t: 1.0 - np.cos(math.pi * t)),
+            ("cosine-mix:2", lambda t: 0.5 + np.cos(math.pi * t)
+             + 0.5 * np.cos(2 * math.pi * t)),
+            ("cosine-mix:3", lambda t: 0.5 + 1.5 * np.cos(math.pi * t)
+             - np.cos(2 * math.pi * t)),
+        ]
+        for pb, m in ((WITH_MASS, 16), (WITH_MASS, 48),
+                      (problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), 32),
+                      (problem(2.0, "0.5", "2", 0.5), 24)):
             mesh = uniform_mesh(m)
             A_d, A_n = dirichlet_operator(pb, mesh), neumann_operator(pb, mesh)
-            probes = smooth_probe_set(mesh, seed)
-            rep = dirichlet_vs_neumann(pb, mesh, seed=seed)
-            assert [r.label for r in rep.probes] == [label for label, _ in probes]
-            for r, (_, y) in zip(rep.probes, probes):
+            rep = dirichlet_vs_neumann(pb, mesh)
+            assert [r.label for r in rep.probes] == [label for label, _ in documented]
+            for r, (_, f) in zip(rep.probes, documented):
+                y = Vector(f(mesh.nodes / mesh.nodes[-1]).astype(complex))
                 for got, A in ((r.value_a, A_d), (r.value_b, A_n)):
                     want = form_on_X(A, y).value
                     assert math.isinf(got) == math.isinf(want)
@@ -325,5 +340,5 @@ class TestDirichletVsNeumann:
 
     def test_variable_coefficients(self):
         pb = problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0)
-        rep = dirichlet_vs_neumann(pb, uniform_mesh(32), seed=5)
+        rep = dirichlet_vs_neumann(pb, uniform_mesh(32))
         assert rep.verdict == "A>=B"

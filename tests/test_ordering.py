@@ -346,7 +346,7 @@ class TestDecidedOrder:
         dense = {"backend": "dense", "direction": "to-dual",
                  "domain_basis": [[1, 0], [0, 1]], "action": [[2, 0], [0, 3]]}
         for op in ("compare", "antisymmetry"):
-            OPERATIONS[op][1]({"A": dense, "B": dense}, 7)
+            OPERATIONS[op][1]({"A": dense, "B": dense})
 
 
 def dense_kind(kind, rng, n, basis=None):
