@@ -18,7 +18,7 @@ laplace = problem(1.0, "1", "0", 1.0)
 print("== certified coercivity ==")
 cert = sobolev_lower_bound(laplace, uniform_mesh(32))
 print(f"(Af, f) >= {cert.gamma:.6f} ||f||_2^2   (gamma pi^2 / L^2)")
-lam = discrete_poincare(laplace, uniform_mesh(64))
+lam = discrete_poincare(uniform_mesh(64))
 print(f"discrete Poincare constant at h = 1/64: {lam:.6f} "
       f"(pi^2 = {math.pi ** 2:.6f})")
 

@@ -6,9 +6,7 @@ suite <name> [--seed S] [--out DIR]`` runs a named verification battery
 (or ``all``) on the non-negative seed S (default 0).  Each report is
 encoded once, for its file and its summary entry together, and
 ``summary.json`` is streamed as the reports are written and appears
-last, after every report and CSV file.  The environment variable
-``FORMCALC_TOL_SCALE`` scales every tolerance (default 1.0); it must be
-a positive finite number.
+last, after every report and CSV file.
 
 BLAS threads: :func:`main` sets every OpenBLAS mapped into the process
 to one thread before it parses its arguments, because the small dense
@@ -24,9 +22,11 @@ batteries run, which all but ``elliptic`` draw from it; for ``all`` that
 is in the parent before the workers fork, so they share its pages.
 ``run`` never loads it: no scenario operation draws.
 
-Exit codes: 0 all pass, 2 a claim failed, 3 something was uncertifiable,
-4 malformed input: scenario file or id, operation, operand, tolerance scale
-or suite name or seed.
+Exit codes, one rule for both commands: 2 if a claim failed (for
+``suite``, also a control that passed, or ``all`` with a claim tag left
+uncovered), else 3 if something was uncertifiable, else 0; 4 is
+malformed input: scenario file or id, operation, operand, or suite name
+or seed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import argparse
 import contextlib
 import ctypes
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -79,18 +78,6 @@ def _pin_blas_threads() -> None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 break
-
-
-def _tol_scale() -> float:
-    raw = os.environ.get("FORMCALC_TOL_SCALE", "1.0")
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError("FORMCALC_TOL_SCALE must be a positive finite "
-                         f"number, got {raw!r}")
-    return scale
 
 
 def _exit_code(verdicts) -> int:
@@ -139,7 +126,7 @@ def cmd_run(args) -> int:
         for i in range(len(scenarios)):
             # the scenario's operands are freed once its report exists
             sc, scenarios[i] = scenarios[i], None
-            reports.append(run_scenario(sc, args.tol_scale))
+            reports.append(run_scenario(sc))
     except (UnknownOperation, MissingOperand, MalformedOperand) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -191,8 +178,7 @@ def cmd_suite(args) -> int:
     # forks, its pages are shared by the workers instead of copied into each
     import numpy.random
     with _battery_map(args.name) as battery_map:
-        res = run_suite(args.name, seed=args.seed, tol_scale=args.tol_scale,
-                        map=battery_map)
+        res = run_suite(args.name, seed=args.seed, map=battery_map)
     for rep in res.reports:
         mark = "control" if rep.control else "claim"
         print(f"{rep.verdict:11s} [{mark}] {rep.scenario}")
@@ -208,12 +194,9 @@ def cmd_suite(args) -> int:
     if args.name == "all" and missing:
         print(f"coverage incomplete: {missing}", file=sys.stderr)
         return EXIT_FAIL
-    if not res.ok:
-        unexpected = [r for r in res.reports if not r.as_expected]
-        if any(r.verdict == UNCERTIFIED for r in unexpected):
-            return EXIT_UNCERTIFIED
-        return EXIT_FAIL
-    return EXIT_PASS
+    # among the unexpected verdicts a pass is a control's: a failed check
+    return _exit_code([FAIL if r.passed else r.verdict
+                       for r in res.reports if not r.as_expected])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _pin_blas_threads()
     args = build_parser().parse_args(argv)
-    try:
-        args.tol_scale = _tol_scale()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     return args.fn(args)
 
 

@@ -3,7 +3,10 @@
 Problem definitions carry coefficients as expression strings.  The
 grammar is deliberately tiny: +, -, *, /, ^ (also **), exp, sin, cos,
 numeric literals, pi and the variable x.  Parsing goes through the ast
-module with a whitelist; anything else is rejected.
+module with a whitelist; anything else is rejected.  Every numeric
+literal is read as a float, so no rule computes with Python integers,
+whose powers grow without bound: ``9^9^9`` overflows at once instead of
+building a number of a billion bits.
 """
 
 from __future__ import annotations
@@ -44,21 +47,30 @@ def _check(node: ast.AST):
         if node.id not in _ALLOWED_NAMES:
             raise ExpressionError(f"unknown name {node.id!r}")
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):     # bool is refused too
             raise ExpressionError("only numeric literals allowed")
+        node.value = float(node.value)
     else:
         raise ExpressionError(f"syntax outside the grammar: {type(node).__name__}")
 
 
 def compile_rule(text: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression string to a vectorized function of x."""
-    src = text.replace("^", "**")
+    """Compile an expression string to a vectorized function of x.  Text
+    outside the grammar, an integer literal beyond the float range and
+    nesting deeper than the parser, the checker or the compiler recurse
+    raise :class:`ExpressionError`."""
+    shown = repr(text if len(text) <= 60 else text[:57] + "...")
     try:
-        tree = ast.parse(src, mode="eval")
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        _check(tree)
+        code = compile(tree, "<coefficient-rule>", "eval")
     except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {text!r}") from exc
-    _check(tree)
-    code = compile(tree, "<coefficient-rule>", "eval")
+        raise ExpressionError(f"cannot parse {shown}") from exc
+    except (MemoryError, RecursionError) as exc:
+        raise ExpressionError(f"{shown} is nested too deeply") from exc
+    except OverflowError as exc:
+        raise ExpressionError(f"a numeric literal of {shown} is out of "
+                              "range") from exc
     env = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "pi": math.pi,
            "__builtins__": {}}
 

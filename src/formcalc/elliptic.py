@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,18 +81,18 @@ class Mesh1D:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def m(self) -> int:
-        return self.nodes.size - 1
-
-    def quad_points(self):
-        """Per-element Gauss points and weights, flattened."""
+    @cached_property
+    def gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only Gauss points, weights and barycentric t of the points
+        in their element, each m x 4 with a row per element."""
         x, w = _GAUSS4
-        lo, hi = self.nodes[:-1], self.nodes[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
-        return pts, wts
+        lo, hi = self.nodes[:-1, None], self.nodes[1:, None]
+        half = 0.5 * (hi - lo)
+        pts = 0.5 * (lo + hi) + half * x
+        table = (pts, half * w, (pts - lo) / (hi - lo))
+        for values in table:
+            values.setflags(write=False)
+        return table
 
 
 def uniform_mesh(m: int, length: float = 1.0) -> Mesh1D:
@@ -105,7 +106,9 @@ def _finite(what: str, values) -> np.ndarray:
     return values
 
 
-def _check_coefficients(prob: EllipticProblem, pts: np.ndarray):
+def _check_coefficients(prob: EllipticProblem, mesh: Mesh1D):
+    """a and b at the Gauss points of ``mesh``, checked."""
+    pts = mesh.gauss[0]
     a = _finite("coefficient a(x)", prob.a(pts))
     b = _finite("potential b(x)", prob.b(pts))
     if np.any(a < prob.gamma - 1e-12):
@@ -116,65 +119,40 @@ def _check_coefficients(prob: EllipticProblem, pts: np.ndarray):
     return a, b
 
 
-def _element_data(mesh: Mesh1D):
-    """Gauss points per element (m x 4) with weights and barycentric t."""
-    x, w = _GAUSS4
-    lo, hi = mesh.nodes[:-1], mesh.nodes[1:]
-    half = 0.5 * (hi - lo)
-    pts = 0.5 * (lo + hi)[:, None] + half[:, None] * x[None, :]
-    wts = half[:, None] * w[None, :]
-    t = (pts - lo[:, None]) / (hi - lo)[:, None]
-    return pts, wts, t
+def _to_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-node sums of per-element parts on each element's left and
+    right node."""
+    return np.pad(left, (0, 1)) + np.pad(right, (1, 0))
+
+
+def _hat_gram(mesh: Mesh1D, a, b):
+    """(diag, off) of the tridiagonal hat gram of int a u' v' + b u v,
+    with a and b given at the Gauss points of ``mesh`` (or as scalars)."""
+    _, wts, t = mesh.gauss
+    kaa = np.sum(wts * a, axis=1) / np.diff(mesh.nodes) ** 2
+    wb = wts * b
+    return (_to_nodes(kaa + np.sum(wb * (1.0 - t) ** 2, axis=1),
+                      kaa + np.sum(wb * t ** 2, axis=1)),
+            -kaa + np.sum(wb * t * (1.0 - t), axis=1))
+
+
+def _hat_integrals(mesh: Mesh1D, g: np.ndarray) -> np.ndarray:
+    """int g phi_i over every hat, with g given at the Gauss points."""
+    _, wts, t = mesh.gauss
+    wg = wts * g
+    return _to_nodes(np.sum(wg * (1.0 - t), axis=1), np.sum(wg * t, axis=1))
 
 
 def _tridiag_stiffness(prob: EllipticProblem, mesh: Mesh1D):
-    """Exact per-element accumulation of the stiffness into (diag, off)."""
-    pts, wts, t = _element_data(mesh)
-    a, b = _check_coefficients(prob, pts.ravel())
-    a = a.reshape(pts.shape)
-    b = b.reshape(pts.shape)
-    h = np.diff(mesh.nodes)
-    kaa = np.sum(wts * a, axis=1) / h ** 2
-    m_ll = np.sum(wts * b * (1.0 - t) ** 2, axis=1)
-    m_rr = np.sum(wts * b * t ** 2, axis=1)
-    m_lr = np.sum(wts * b * t * (1.0 - t), axis=1)
-    n = mesh.nodes.size
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    np.add.at(diag, np.arange(n - 1), kaa + m_ll)
-    np.add.at(diag, np.arange(1, n), kaa + m_rr)
-    off[:] = -kaa + m_lr
-    return diag, off
-
-
-def _tridiag_mass(mesh: Mesh1D):
-    pts, wts, t = _element_data(mesh)
-    n = mesh.nodes.size
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    np.add.at(diag, np.arange(n - 1), np.sum(wts * (1.0 - t) ** 2, axis=1))
-    np.add.at(diag, np.arange(1, n), np.sum(wts * t ** 2, axis=1))
-    off[:] = np.sum(wts * t * (1.0 - t), axis=1)
-    return diag, off
+    return _hat_gram(mesh, *_check_coefficients(prob, mesh))
 
 
 def _dense_from_tridiag(diag, off) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _function_at_quad(mesh: Mesh1D, nodal: np.ndarray) -> np.ndarray:
-    """Values of the P1 function with the given nodal vector at the
-    element Gauss points (m x 4)."""
-    _, _, t = _element_data(mesh)
-    return nodal[:-1, None] * (1.0 - t) + nodal[1:, None] * t
-
-
 def _full_stiffness(prob: EllipticProblem, mesh: Mesh1D) -> np.ndarray:
     return _dense_from_tridiag(*_tridiag_stiffness(prob, mesh))
-
-
-def _mass_matrix(mesh: Mesh1D) -> np.ndarray:
-    return _dense_from_tridiag(*_tridiag_mass(mesh))
 
 
 def assemble(prob: EllipticProblem, mesh: Mesh1D,
@@ -204,26 +182,23 @@ def dirichlet_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
     n = mesh.nodes.size
     idx = np.arange(1, n - 1)
     Z = S[:, idx].astype(complex)
-    h_first = mesh.nodes[1] - mesh.nodes[0]
-    h_last = mesh.nodes[-1] - mesh.nodes[-2]
+    h = np.diff(mesh.nodes)
     a0, aL = _finite("coefficient a(x)", prob.a(mesh.nodes[[0, -1]]))
     # phi_1'(0+) = 1/h1 and phi_{n-2}'(L-) = -1/h_m are the only nonzero
     # boundary derivatives among interior hats
-    Z[0, 0] += a0 * (1.0 / h_first)
-    Z[n - 1, len(idx) - 1] -= aL * (-1.0 / h_last)
+    Z[0, 0] += a0 * (1.0 / h[0])
+    Z[n - 1, len(idx) - 1] -= aL * (-1.0 / h[-1])
     basis = np.eye(n, dtype=complex)[:, idx]
     return DenseOperator(DENSE, TO_DUAL, basis, Z)
 
 
 def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
-    pts, _ = mesh.quad_points()
-    b = prob.b(pts)
+    b = prob.b(mesh.gauss[0])
     if float(np.min(b)) <= 0.0:
         raise DomainError("the Neumann-style comparison needs b > 0 "
                           "(b = 0 leaves constants in the kernel)")
     S = _full_stiffness(prob, mesh).astype(complex)
-    n = mesh.nodes.size
-    return DenseOperator(DENSE, TO_DUAL, np.eye(n, dtype=complex), S)
+    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S)
 
 
 def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertificate:
@@ -235,7 +210,7 @@ def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertif
     integrates |f|^2 exactly.  Otherwise |f(x)| <= sqrt(L) ||f'||_2 and
     ||f||_p^2 <= L^(2/p) max |f|^2 give c = gamma / L^(1 + 2/p).
     """
-    _check_coefficients(prob, mesh.quad_points()[0])
+    _check_coefficients(prob, mesh)
     L = prob.length
     if prob.p == 2.0:
         c, kind = prob.gamma * math.pi ** 2 / L ** 2, "poincare-p2"
@@ -244,15 +219,12 @@ def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertif
     return LowerBoundCertificate(c, kind, detail={"p": prob.p})
 
 
-def discrete_poincare(prob: EllipticProblem, mesh: Mesh1D) -> float:
+def discrete_poincare(mesh: Mesh1D) -> float:
     """Smallest eigenvalue of the Dirichlet a=1, b=0 pencil against the
     mass matrix: converges to (pi/L)^2 from above at O(h^2)."""
-    laplace = EllipticProblem(prob.length, compile_rule("1"), compile_rule("0"), 1.0)
-    S = _full_stiffness(laplace, mesh)
-    M = _mass_matrix(mesh)
-    n = mesh.nodes.size
-    idx = np.arange(1, n - 1)
-    return float(generalized_eigvalsh(S[np.ix_(idx, idx)], M[np.ix_(idx, idx)])[0])
+    S, M = (_dense_from_tridiag(d[1:-1], e[1:-1])
+            for d, e in (_hat_gram(mesh, 1.0, 0.0), _hat_gram(mesh, 0.0, 1.0)))
+    return float(generalized_eigvalsh(S, M)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +237,8 @@ class WeakSolution:
     details: dict = field(default_factory=dict)
 
     def __call__(self, x) -> np.ndarray:
-        full = np.concatenate([[0.0], self.coefficients.real, [0.0]])
-        return np.interp(np.asarray(x, dtype=float), self.mesh.nodes, full)
+        return np.interp(np.asarray(x, dtype=float), self.mesh.nodes,
+                         self.nodal_values())
 
     def nodal_values(self) -> np.ndarray:
         return np.concatenate([[0.0], self.coefficients.real, [0.0]])
@@ -302,13 +274,9 @@ def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     """
     gfun = compile_rule(g) if isinstance(g, str) else g
     diag, off = _tridiag_stiffness(prob, mesh)
-    n = mesh.nodes.size
-    pts, wts, t = _element_data(mesh)
-    gv = _finite("load g(x)", gfun(pts.ravel())).reshape(pts.shape)
-    load_full = np.zeros(n)
-    np.add.at(load_full, np.arange(n - 1), np.sum(wts * gv * (1.0 - t), axis=1))
-    np.add.at(load_full, np.arange(1, n), np.sum(wts * gv * t, axis=1))
-    d_i, o_i, load = diag[1:-1], off[1:-1], load_full[1:-1]
+    pts, wts, t = mesh.gauss
+    load = _hat_integrals(mesh, _finite("load g(x)", gfun(pts)))[1:-1]
+    d_i, o_i = diag[1:-1], off[1:-1]
     def matvec(v):
         out = d_i * v
         out[1:] += o_i * v[:-1]
@@ -324,14 +292,15 @@ def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     if res > 1e-10:
         raise ArithmeticError(f"Galerkin residual {res:.3e} above tolerance")
     energy = math.sqrt(max(float(u @ matvec(u)), 0.0))
-    fq = _function_at_quad(mesh, np.concatenate([[0.0], u, [0.0]]))
+    full = np.concatenate([[0.0], u, [0.0]])
+    fq = full[:-1, None] * (1.0 - t) + full[1:, None] * t
     lp = float(np.sum(wts * np.abs(fq) ** prob.p)) ** (1.0 / prob.p)
     return WeakSolution(u.astype(complex), mesh, res, energy, lp,
                         {"q": prob.q, "threshold": "q >= 2n/(n+2) with n = 1"})
 
 
 def l2_error(sol: WeakSolution, exact: Callable[[np.ndarray], np.ndarray]) -> float:
-    pts, wts = sol.mesh.quad_points()
+    pts, wts, _ = sol.mesh.gauss
     diff = sol(pts) - exact(pts)
     return math.sqrt(float(np.sum(wts * diff ** 2)))
 

@@ -391,9 +391,8 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
                        dp: DualityPair) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E)."""
-    E_mat = _bounded_matrix(A, E)
-    lam_e = E.spectrum()
-    lift = CommutantLift(E, *_lift(A, E_mat, lam_E=lam_e))
+    lift = lift_commutant(A, E, dp)
+    E_mat, lam_e = E.canonical_matrix(), E.spectrum()
     lam_hat = np.linalg.eigvals(lift.E_hat)
     scale = max(float(np.max(np.abs(lam_e))), 1.0) if lam_e.size else 1.0
     max_imag = float(np.max(np.abs(lam_hat.imag))) if lam_hat.size else 0.0

@@ -92,11 +92,10 @@ def _jsonable(obj):
 
 def make_report(scenario: str, claims, residuals: dict, tolerances: dict,
                 certificates=None, details=None, wall_time: float = 0.0,
-                uncertified: bool = False, control: bool = False,
-                tol_scale: float = 1.0) -> Report:
-    """Verdict rule: pass iff every residual is within its (scaled)
-    tolerance and nothing is uncertified."""
-    tolerances = {k: float(v) * tol_scale for k, v in tolerances.items()}
+                uncertified: bool = False, control: bool = False) -> Report:
+    """Verdict rule: pass iff every residual is within its tolerance and
+    nothing is uncertified."""
+    tolerances = {k: float(v) for k, v in tolerances.items()}
     if uncertified:
         verdict = UNCERTIFIED
     else:
@@ -108,8 +107,7 @@ def make_report(scenario: str, claims, residuals: dict, tolerances: dict,
                   dict(details or {}), control)
 
 
-def _run_check(scenario: str, claims, fn, control: bool = False,
-               tol_scale: float = 1.0) -> Report:
+def _run_check(scenario: str, claims, fn, control: bool = False) -> Report:
     """Run ``fn() -> (residuals, tolerances, details, certificates)`` and
     judge it, timing the call.  This is the one place where an exception
     becomes a verdict: :class:`Uncertifiable` gives ``uncertified``, any
@@ -126,8 +124,7 @@ def _run_check(scenario: str, claims, fn, control: bool = False,
     return make_report(scenario, claims, residuals, tolerances,
                        certificates=certs, details=details,
                        wall_time=time.perf_counter() - t0,
-                       uncertified=uncertified, control=control,
-                       tol_scale=tol_scale)
+                       uncertified=uncertified, control=control)
 
 
 def _verdict_counts(reports) -> dict:

@@ -515,14 +515,13 @@ def judge(sc: dict):
     return residuals, tols, details, certs
 
 
-def run_scenario(sc: dict, tol_scale: float = 1.0) -> Report:
+def run_scenario(sc: dict) -> Report:
     op = sc.get("op")
     if op not in OPERATIONS:
         raise UnknownOperation(f"unknown operation {op!r}")
     sid = str(sc.get("id", op))
     try:
-        return _run_check(sid, OPERATIONS[op][0], lambda: judge(sc),
-                          tol_scale=tol_scale)
+        return _run_check(sid, OPERATIONS[op][0], lambda: judge(sc))
     except KeyError as exc:
         raise MissingOperand(f"scenario {sid!r} lacks operand {exc}") from exc
     except MalformedOperand as exc:

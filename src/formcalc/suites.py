@@ -80,9 +80,9 @@ class SuiteResult:
                 "ok": self.ok}
 
 
-def _run_checks(checks, tol_scale: float) -> list[Report]:
+def _run_checks(checks) -> list[Report]:
     """Run ``(name, claims, fn)`` checks in order through the one runner."""
-    return [_run_check(name, claims, fn, name.startswith("control-"), tol_scale)
+    return [_run_check(name, claims, fn, name.startswith("control-"))
             for name, claims, fn in checks]
 
 
@@ -145,7 +145,7 @@ def _worst(scenarios, details):
 # ---------------------------------------------------------------------------
 
 
-def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def representation_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def inverses():
@@ -178,10 +178,10 @@ def representation_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("lem1-bounded-inverse", ["Lem1"], lem1),
         ("thm1-offdiagonal-example", ["Thm1"], worked),
         ("control-indefinite-form", ["Thm1"], control),
-    ], tol_scale)
+    ])
 
 
-def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def friedrichs_suite(seed: int) -> list[Report]:
     sp = sequence_pair(64)
     checks = []
     generators = [("square", series.polynomial(2.0), 1.0, 2.0),
@@ -247,10 +247,10 @@ def friedrichs_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("thm2-dense-fixed-point", ["Thm2"], dense_case),
         ("control-decaying-generator", ["Thm2"], control),
     ]
-    return _run_checks(checks, tol_scale)
+    return _run_checks(checks)
 
 
-def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def ordering_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
     sp = sequence_pair(48)
 
@@ -320,10 +320,10 @@ def ordering_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("lem3-form-characterization", ["Lem3"], lem3),
         ("order-definition", ["Def-Order"], order),
         ("control-antisymmetry-refusal", ["Def-Order"], control),
-    ], tol_scale)
+    ])
 
 
-def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def formsum_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def thm4():
@@ -393,10 +393,10 @@ def formsum_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("eq7-lemmas45-thm56", ["Eq7", "Lem4", "Lem5", "Thm5", "Thm6"], commutants),
         ("thm5-block-construction", ["Thm5"], block_construction),
         ("control-broken-commutation", ["Eq7"], control),
-    ], tol_scale)
+    ])
 
 
-def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def covariance_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def worked_example():
@@ -469,10 +469,10 @@ def covariance_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("thm7-closedness", ["Thm7"], closed_form),
         ("thm8-independent-sums", ["Thm8"], thm8),
         ("control-unnormalized-weights", ["Thm7"], control),
-    ], tol_scale)
+    ])
 
 
-def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
+def elliptic_suite(seed: int) -> list[Report]:
     pb = {"a": "1", "b": "1", "gamma": 1.0}
     laplace = problem(1.0, "1", "0", 1.0)
 
@@ -481,7 +481,7 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
                        for m in (16, 32, 64)), {"meshes": [16, 32, 64]})
 
     def poincare():
-        lam = discrete_poincare(laplace, uniform_mesh(64))
+        lam = discrete_poincare(uniform_mesh(64))
         rel = abs(lam - math.pi ** 2) / math.pi ** 2
         return ({"poincare_rel_error": rel}, {"poincare_rel_error": 0.02},
                 {"lambda_h": lam, "pi_sq": math.pi ** 2}, [])
@@ -521,7 +521,7 @@ def elliptic_suite(seed: int, tol_scale: float = 1.0) -> list[Report]:
         ("elliptic-weak-solves", ["Elliptic"], solves),
         ("elliptic-lower-bounds", ["Elliptic"], bounds),
         ("control-neumann-kernel", ["Elliptic"], control),
-    ], tol_scale)
+    ])
 
 
 _SUITES = {
@@ -537,14 +537,13 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _battery(name: str, seed: int, tol_scale: float) -> list[Report]:
+def _battery(name: str, seed: int) -> list[Report]:
     """The reports of one battery, looked up by name where it runs: a
     forked worker receives the name, not the function."""
-    return _SUITES[name](seed, tol_scale)
+    return _SUITES[name](seed)
 
 
-def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0,
-              map=map) -> SuiteResult:
+def run_suite(name: str, seed: int = 0, map=map) -> SuiteResult:
     """Run one battery, or every battery for ``all``, and collect the
     reports in battery order.  ``map`` applies :func:`_battery` to the
     battery names; the default runs them in order in this process, and a
@@ -554,7 +553,7 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0,
     if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_NAMES if name == "all" else (name,)
-    batteries = map(_battery, names, [seed] * len(names), [tol_scale] * len(names))
+    batteries = map(_battery, names, [seed] * len(names))
     reports = tuple(r for battery in batteries for r in battery)
     return SuiteResult(name, seed, reports, _artifacts_from(reports))
 

@@ -165,7 +165,7 @@ def test_criterion_5_maximality_shadow():
             assert rep.verdict == "A>=B"
             for r in rep.probes:
                 assert r.value_a >= r.value_b * (1 - 1e-9)
-        lam = discrete_poincare(problem(1.0, "1", "0", 1.0), uniform_mesh(64))
+        lam = discrete_poincare(uniform_mesh(64))
         assert abs(lam - math.pi ** 2) / math.pi ** 2 < 0.02
 
     criterion(5, "Dirichlet form dominates Neumann on every probe at "

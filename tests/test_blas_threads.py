@@ -143,7 +143,7 @@ from formcalc import suites
 from formcalc.reporting import make_report
 
 
-def probe_battery(seed, tol_scale):
+def probe_battery(seed):
     return [make_report("blas-probe", [], {}, {},
                         details={"pid": os.getpid(), "threads": counts()})]
 
@@ -291,7 +291,7 @@ from formcalc import suites
 from formcalc.reporting import make_report
 
 
-def probe_battery(seed, tol_scale):
+def probe_battery(seed):
     return [make_report("random-probe", [], {}, {},
                         details={"pid": os.getpid(),
                                  "random": "numpy.random" in sys.modules})]

@@ -1,12 +1,14 @@
-"""Every public function and method of formcalc has a caller.
+"""Every function and method of formcalc has a caller.
 
 A public module-level function or method of ``src/formcalc`` must be
 named somewhere in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
 outside its own definition: as an identifier in code, or inside a
 string.  Comments do not count; names re-exported by ``__init__`` do.
-A method counts as named only as an attribute, right after a ``.``, so
-that a JSON key, a local variable or a test name that happens to share
-its name does not keep it alive.
+A private one (a leading underscore, dunder methods aside) must be named
+so in ``src/`` itself: one that only tests call is dead code.  A method
+counts as named only as an attribute, right after a ``.``, so that a
+JSON key, a local variable or a test name that happens to share its
+name does not keep it alive.
 """
 
 import ast
@@ -22,9 +24,9 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 IDENT = re.compile(r"(\.?)([A-Za-z_]\w*)")
 
 
-def public_definitions():
-    """(name, file, first line, last line, is method) of each public
-    module-level function and each public method of a module-level
+def definitions(private=False):
+    """(name, file, first line, last line, is method) of each public (or
+    each private) module-level function and method of a module-level
     class."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -34,17 +36,19 @@ def public_definitions():
                 nodes = node.body
             for fn in nodes:
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not fn.name.startswith("_")):
+                        and fn.name.startswith("_") == private
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))):
                     start = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
                     yield fn.name, path, start, fn.end_lineno, fn is not node
 
 
-def name_occurrences():
+def name_occurrences(searched=SEARCHED):
     """(all, dotted): name -> [(file, line)] for identifiers in code and
-    in strings, and for those among them that follow a ``.``; the name
-    after ``def`` is a definition, not an occurrence."""
+    in strings under the ``searched`` directories, and for those among
+    them that follow a ``.``; the name after ``def`` is a definition, not
+    an occurrence."""
     found, dotted = defaultdict(list), defaultdict(list)
-    for top in SEARCHED:
+    for top in searched:
         for path in sorted((ROOT / top).rglob("*.py")):
             tokens = list(tokenize.generate_tokens(
                 io.StringIO(path.read_text()).readline))
@@ -63,13 +67,25 @@ def name_occurrences():
     return found, dotted
 
 
-def test_every_public_definition_is_named_elsewhere():
-    found, dotted = name_occurrences()
+def unnamed(defs, occurrences):
+    """``file:line name`` of each definition named nowhere outside itself."""
+    found, dotted = occurrences
     unused = []
-    for name, path, first, last, method in public_definitions():
-        occurrences = dotted if method else found
-        outside = [(f, line) for f, line in occurrences.get(name, [])
+    for name, path, first, last, method in defs:
+        outside = [(f, line) for f, line in (dotted if method else found).get(name, [])
                    if not (f == path and first <= line <= last)]
         if not outside:
             unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
+    return unused
+
+
+def test_every_public_definition_is_named_elsewhere():
+    unused = unnamed(definitions(), name_occurrences())
     assert not unused, "public definitions nothing names:\n" + "\n".join(unused)
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    defs = list(definitions(private=True))
+    assert defs
+    unused = unnamed(defs, name_occurrences(("src",)))
+    assert not unused, "private definitions src/ never names:\n" + "\n".join(unused)

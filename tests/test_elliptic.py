@@ -1,6 +1,8 @@
 """Assembly, lower bounds, weak solves and the extension ordering in 1D."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ import scipy.linalg
 from formcalc.coeffexpr import ExpressionError, compile_rule
 from formcalc.duality import Vector
 from formcalc.elliptic import (
-    _GAUSS4, _full_stiffness, _mass_matrix, _tridiag_solve, _tridiag_stiffness,
-    assemble, convergence_table, dirichlet_operator, dirichlet_vs_neumann,
-    discrete_poincare, l2_error, neumann_operator, problem,
-    sobolev_lower_bound, uniform_mesh, weak_solve,
+    _GAUSS4, _dense_from_tridiag, _full_stiffness, _hat_gram, _tridiag_solve,
+    _tridiag_stiffness, assemble, convergence_table, dirichlet_operator,
+    dirichlet_vs_neumann, discrete_poincare, l2_error, neumann_operator,
+    problem, sobolev_lower_bound, uniform_mesh, weak_solve,
 )
 from formcalc.errors import DomainError, NotPositive
 from formcalc.ordering import form_on_X
@@ -31,10 +33,15 @@ class TestExpressionGrammar:
         assert f(np.array([0.5]))[0] == pytest.approx(math.pi ** 2)
 
     @pytest.mark.parametrize("bad", ["__import__('os')", "x.real", "lambda: 1",
-                                     "min(x, 1)", "x[0]", "'s'"])
+                                     "min(x, 1)", "x[0]", "'s'", "True",
+                                     "x + False", "1" + "0" * 400])
     def test_rejects_outside_grammar(self, bad):
         with pytest.raises(ExpressionError):
             compile_rule(bad)
+
+    def test_literals_are_floats(self):
+        # in Python integers 2^64 + 1 - 2^64 is exactly 1
+        assert compile_rule("2^64 + 1 - 2^64")(np.zeros(1))[0] == 0.0
 
 
 class TestAssembly:
@@ -81,14 +88,12 @@ class TestAssembly:
             sobolev_lower_bound(bad, uniform_mesh(8))
 
     def test_stiffness_definite(self):
-        import scipy.linalg
-        from formcalc.elliptic import _mass_matrix
         mesh = uniform_mesh(16)
         t = assemble(WITH_MASS, mesh, "dirichlet")
-        M = _mass_matrix(mesh)[1:-1, 1:-1]
+        M = _dense_from_tridiag(*_hat_gram(mesh, 0.0, 1.0))[1:-1, 1:-1]
         lam = scipy.linalg.eigh(t.gram.real, M, eigvals_only=True)
         # floor: gamma times the discrete Poincare constant
-        floor = 1.0 * discrete_poincare(LAPLACE, mesh)
+        floor = 1.0 * discrete_poincare(mesh)
         assert lam[0] >= floor - 1e-10
 
 
@@ -99,7 +104,7 @@ class TestSobolevLowerBound:
         assert cert.gamma == pytest.approx(math.pi ** 2)
         assert cert.detail == {"p": 2.0}
         # a lower bound, not the tight discrete infimum: 9.8696 < 9.8775
-        assert cert.gamma < discrete_poincare(LAPLACE, uniform_mesh(32))
+        assert cert.gamma < discrete_poincare(uniform_mesh(32))
 
     def test_p2_scaling_in_gamma(self):
         pb = problem(1.0, "3 + 0*x", "0", 3.0)
@@ -108,7 +113,7 @@ class TestSobolevLowerBound:
 
     def test_p2_sharp_on_sine(self):
         # the tridiagonal eigenvalue converges to pi^2 from above at O(h^2)
-        lam64 = discrete_poincare(LAPLACE, uniform_mesh(64))
+        lam64 = discrete_poincare(uniform_mesh(64))
         assert lam64 >= math.pi ** 2 - 1e-12
         assert abs(lam64 - math.pi ** 2) / math.pi ** 2 < 0.02
 
@@ -117,9 +122,9 @@ class TestSobolevLowerBound:
         mesh = uniform_mesh(m)
         idx = np.arange(1, m)
         S = _full_stiffness(LAPLACE, mesh)[np.ix_(idx, idx)]
-        M = _mass_matrix(mesh)[np.ix_(idx, idx)]
+        M = _dense_from_tridiag(*_hat_gram(mesh, 0.0, 1.0))[np.ix_(idx, idx)]
         want = scipy.linalg.eigh(S, M, eigvals_only=True)[0]
-        assert abs(discrete_poincare(LAPLACE, mesh) - want) <= 1e-12 * want
+        assert abs(discrete_poincare(mesh) - want) <= 1e-12 * want
 
     def test_p4_constant(self):
         pb = problem(1.0, "1", "0", 1.0, p=4.0)
@@ -342,3 +347,68 @@ class TestDirichletVsNeumann:
         pb = problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0)
         rep = dirichlet_vs_neumann(pb, uniform_mesh(32))
         assert rep.verdict == "A>=B"
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "elliptic_golden.json"
+
+
+def _hex(v):
+    """Floats as ``float.hex``, containers entry by entry; exact, so equal
+    records mean equal bits."""
+    if isinstance(v, float):
+        return float.hex(v)
+    if isinstance(v, dict):
+        return {k: _hex(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_hex(x) for x in v]
+    return v
+
+
+def _bands(G):
+    """Diagonal and superdiagonal of a gram that is exactly the symmetric
+    tridiagonal matrix they make."""
+    d, e = np.diag(G).real, np.diag(G, 1).real
+    assert np.array_equal(G, np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return [d.tolist(), e.tolist()]
+
+
+def _golden_record(spec, m):
+    """Grams, mass matrix, Poincare constant, weak solve and probe values
+    of one problem on the uniform mesh of m elements."""
+    pb = problem(spec["length"], spec["a"], spec["b"], spec["gamma"], spec["p"])
+    mesh = uniform_mesh(m, spec["length"])
+    sol = weak_solve(pb, mesh, spec["g"])
+    rep = dirichlet_vs_neumann(pb, mesh)
+    return _hex({
+        "dirichlet": _bands(assemble(pb, mesh, "dirichlet").gram),
+        "neumann": _bands(assemble(pb, mesh, "neumann").gram),
+        "mass": [v.tolist() for v in _hat_gram(mesh, 0.0, 1.0)],
+        "poincare": discrete_poincare(mesh),
+        "nodal": sol.nodal_values().tolist(),
+        "galerkin": sol.galerkin_residual, "energy": sol.energy_norm,
+        "lp": sol.lp_norm,
+        "l2_error": l2_error(sol, compile_rule(spec["exact"])),
+        "probes": [[r.label, r.value_a, r.value_b] for r in rep.probes],
+        "verdict": rep.verdict,
+    })
+
+
+def _golden_cases():
+    return json.loads(GOLDEN.read_text())
+
+
+class TestGoldenValues:
+    """Three problems at m = 2, 7 and 32, bit for bit as recorded in
+    ``tests/data/elliptic_golden.json`` before the assembly shared one
+    Gauss table: grams, mass matrix, discrete Poincare constant, weak
+    solve and the Dirichlet-vs-Neumann probe values."""
+
+    def test_golden_file_covers_three_problems_on_three_meshes(self):
+        cases = _golden_cases()
+        assert len({json.dumps(c["problem"]) for c in cases}) == 3
+        assert sorted({c["m"] for c in cases}) == [2, 7, 32]
+        assert len(cases) == 9
+
+    @pytest.mark.parametrize("case", _golden_cases(), ids=lambda c: c["id"])
+    def test_values_are_unchanged(self, case):
+        assert _golden_record(case["problem"], case["m"]) == case["record"]

@@ -766,9 +766,10 @@ class TestSharedKernels:
         (shared, rep), (anew, ref) = counted_runs(
             lambda A_mat, A, E, dp: spectrum_inclusion(A, E, dp), kernel_calls, monkeypatch)
         # one action SVD for factorize and the four eq7 checks, one norm
-        # per lift; the lift's whitening serves the three resolvent lifts
+        # per lift; the lift's whitening serves the three resolvent lifts,
+        # and the spectrum of E taken in lift_commutant serves the inclusion
         assert shared == {"svd": 5, "cholesky": 1, "inv": 7, "eigvals": 5}
-        assert anew == {"svd": 9, "cholesky": 4, "inv": 10, "eigvals": 5}
+        assert anew == {"svd": 9, "cholesky": 4, "inv": 10, "eigvals": 6}
         assert rep.passed and bits(*dataclasses.astuple(rep)) == bits(*dataclasses.astuple(ref))
 
     def test_commutation_formsum(self, kernel_calls, monkeypatch):

@@ -90,11 +90,11 @@ def run_reports(monkeypatch):
     for scenarios with their op."""
     made = []
 
-    def recorded(sc, tol_scale=1.0):
+    def recorded(sc):
         if sc["op"] in CRAFTED:
-            made.append(_run_check(sc["id"], *CRAFTED[sc["op"]], tol_scale=tol_scale))
+            made.append(_run_check(sc["id"], *CRAFTED[sc["op"]]))
         else:
-            made.append(run_scenario(sc, tol_scale))
+            made.append(run_scenario(sc))
         return made[-1]
 
     monkeypatch.setattr(cli, "run_scenario", recorded)
