@@ -19,8 +19,8 @@ from .duality import (
     vector,
 )
 from .errors import (
-    BackendMismatch, DomainError, FormcalcError, LowerBoundError, NotPositive,
-    SeriesDiverges, Uncertifiable,
+    BackendMismatch, DomainError, FormcalcError, LowerBoundError, NotEqual,
+    NotNormalized, NotPositive, SeriesDiverges, Uncertifiable,
 )
 from .forms import (
     LowerBoundCertificate, RepresentationResult, SesquilinearForm,

@@ -50,13 +50,15 @@ def _check(node: ast.AST):
         if type(node.value) not in (int, float):     # bool is refused too
             raise ExpressionError("only numeric literals allowed")
         node.value = float(node.value)
+        if not math.isfinite(node.value):     # "1e400" parses as inf
+            raise OverflowError
     else:
         raise ExpressionError(f"syntax outside the grammar: {type(node).__name__}")
 
 
 def compile_rule(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression string to a vectorized function of x.  Text
-    outside the grammar, an integer literal beyond the float range and
+    outside the grammar, a numeric literal beyond the float range and
     nesting deeper than the parser, the checker or the compiler recurse
     raise :class:`ExpressionError`."""
     shown = repr(text if len(text) <= 60 else text[:57] + "...")

@@ -27,7 +27,9 @@ from .duality import (
     DENSE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, DenseOperator, DualityPair,
     Functional, Vector, diagonal_operator,
 )
-from .errors import BackendMismatch, DomainError, LowerBoundError, Uncertifiable
+from .errors import (
+    BackendMismatch, DomainError, LowerBoundError, NotNormalized, Uncertifiable,
+)
 from .forms import SesquilinearForm, associated_operator, form_from_gram, lower_bound
 from .formsum import CLOSED_AUTOMATIC, ClosednessWitness, form_sum
 
@@ -50,7 +52,7 @@ class DiscreteProbabilitySpace:
             if np.any(w <= 0):
                 raise ValueError("weights must be positive")
             if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-                raise ValueError("weights must sum to one")
+                raise NotNormalized("weights must sum to one")
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
         elif self.kind in ("rule", "paired-rule"):
@@ -58,7 +60,7 @@ class DiscreteProbabilitySpace:
                 raise ValueError("weight rule must be nonnegative")
             total = series.certified_sum(self.rule, tol=WEIGHT_TOL)
             if abs(total.value.real - 1.0) > 1e-10:
-                raise ValueError(
+                raise NotNormalized(
                     f"weight rule sums to {total.value.real!r}, not 1")
             object.__setattr__(self, "normalization",
                                {"sum": total.value.real, "tail": total.tail,

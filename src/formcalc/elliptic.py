@@ -178,7 +178,11 @@ def dirichlet_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
     Functional coordinates live on the full hat basis; the boundary
     coordinates pick up the flux terms a(0) x'(0) and -a(L) x'(L).
     """
-    S = _full_stiffness(prob, mesh)
+    return _dirichlet_from(_full_stiffness(prob, mesh), prob, mesh)
+
+
+def _dirichlet_from(S, prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
+    """:func:`dirichlet_operator` from the full stiffness S."""
     n = mesh.nodes.size
     idx = np.arange(1, n - 1)
     Z = S[:, idx].astype(complex)
@@ -193,12 +197,16 @@ def dirichlet_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
 
 
 def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
-    b = prob.b(mesh.gauss[0])
+    _positive_potential(prob.b(mesh.gauss[0]))
+    S = _full_stiffness(prob, mesh).astype(complex)
+    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S)
+
+
+def _positive_potential(b: np.ndarray) -> None:
+    """The Neumann-style gate on b at the Gauss points."""
     if float(np.min(b)) <= 0.0:
         raise DomainError("the Neumann-style comparison needs b > 0 "
                           "(b = 0 leaves constants in the kernel)")
-    S = _full_stiffness(prob, mesh).astype(complex)
-    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S)
 
 
 def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertificate:
@@ -362,9 +370,14 @@ def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D) -> OrderingReport:
     operator, and requires the Dirichlet value to dominate on every probe
     within a relative slack of 1e-9.  The probes are fixed, so the
     report depends on the problem and the mesh alone.  The verdict
-    certifies the probe set only (see the module docstring)."""
-    A_d = dirichlet_operator(prob, mesh)
-    A_n = neumann_operator(prob, mesh)
+    certifies the probe set only (see the module docstring).  Both
+    operators share one check of a and b and one stiffness."""
+    a, b = _check_coefficients(prob, mesh)
+    S = _dense_from_tridiag(*_hat_gram(mesh, a, b))
+    A_d = _dirichlet_from(S, prob, mesh)
+    _positive_potential(b)
+    A_n = DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex),
+                        S.astype(complex))
     probes = smooth_probe_set(mesh)
     labels = [label for label, _ in probes]
     Y = np.column_stack([y.coords for _, y in probes])

@@ -34,3 +34,11 @@ class LowerBoundError(FormcalcError):
 
 class DomainError(FormcalcError):
     """Domain membership or density precondition violated."""
+
+
+class NotEqual(FormcalcError, ValueError):
+    """Two operators required to compare equal do not."""
+
+
+class NotNormalized(FormcalcError, ValueError):
+    """Probability weights do not sum to one."""

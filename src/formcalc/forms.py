@@ -115,9 +115,10 @@ def form_of_operator(A: DenseOperator) -> SesquilinearForm:
     """The form t_A(x, y) = (Ax, y) on dom A."""
     if A.backend == SEQUENCE:
         return SesquilinearForm(SEQUENCE, diagonal=A.diagonal)
-    G = A.form_gram()
-    # the constructor's own test, so a form flagged symmetric always builds
-    return SesquilinearForm(DENSE, A._basis, G, symmetric=is_hermitian(G))
+    # built without the constructor's symmetry test, then flagged by it
+    t = SesquilinearForm(DENSE, A._basis, A.form_gram(), symmetric=False)
+    object.__setattr__(t, "symmetric", is_hermitian(t.gram))
+    return t
 
 
 def diagonal_form(rule: series.Rule) -> SesquilinearForm:

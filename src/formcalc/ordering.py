@@ -29,7 +29,7 @@ from . import series
 from .duality import (
     DENSE, SEQUENCE, DenseOperator, DualityPair, Vector, operator_norm,
 )
-from .errors import BackendMismatch, NotPositive
+from .errors import BackendMismatch, NotEqual, NotPositive
 from .forms import form_of_operator
 from .linalg import generalized_eigvalsh, gram_inner, pivoted_cholesky
 
@@ -350,7 +350,7 @@ def antisymmetry_check(A: DenseOperator, B: DenseOperator,
     and effective spans agree to 1e-10, mirroring the polarization
     argument (Ax, y) = [J*x, J*y] = (x, By)."""
     if report.verdict != "equal":
-        raise ValueError("antisymmetry check needs an 'equal' verdict")
+        raise NotEqual("antisymmetry check needs an 'equal' verdict")
     if A.backend != DENSE:
         raise BackendMismatch("antisymmetry verification is dense-backend only")
     Ma, Mb = A.canonical_matrix(), B.canonical_matrix()

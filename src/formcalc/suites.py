@@ -10,9 +10,10 @@ Where a scenario handler judges the same claim, a check is a seeded
 generator of scenario objects, the shape of a scenario-file entry with
 its operands in the wire layout, each judged by
 :func:`formcalc.scenarios.judge` and reported as the worst residual of
-each name; only residuals that no handler owns are computed here.
-Everything is deterministic given the seed; summaries therefore omit
-wall times.
+each name; only residuals that no handler owns are computed here.  A
+control is one scenario object that must raise the error it names
+(:func:`_refusal`).  Everything is deterministic given the seed;
+summaries therefore omit wall times.
 """
 
 from __future__ import annotations
@@ -25,25 +26,22 @@ import numpy as np
 from . import series
 from .covariance import (
     covariance_form, exp_poly_variable, exponential_space, paired_rule_space,
-    rule_space, second_moment_membership, signed_basis_variable,
-    weak_expectation,
+    second_moment_membership, signed_basis_variable, weak_expectation,
 )
 from .duality import (
-    DOMAIN_FINITE, ENDO, FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair,
+    DOMAIN_FINITE, FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair,
     diagonal_operator, generated_vector, is_extension, operator_from_matrix,
     sequence_pair,
 )
 from .elliptic import (
-    convergence_table, discrete_poincare, neumann_operator, problem,
-    sobolev_lower_bound, uniform_mesh,
+    convergence_table, discrete_poincare, problem, sobolev_lower_bound, uniform_mesh,
 )
-from .errors import FormcalcError, Uncertifiable
-from .formsum import is_closed, lift_commutant
+from .errors import (DomainError, FormcalcError, LowerBoundError, NotEqual,
+                     NotNormalized, NotPositive, Uncertifiable)
+from .formsum import is_closed
 from .forms import associated_operator, diagonal_form, form_from_gram
 from .friedrichs import core_check, friedrichs, idempotent, in_extension_domain
-from .ordering import (
-    antisymmetry_check, compare, form_on_X, form_oracle_eigensolve,
-)
+from .ordering import form_on_X, form_oracle_eigensolve
 from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts
 from .scenarios import judge
 
@@ -142,6 +140,22 @@ def _worst(scenarios, details):
     return worst, tols, details, []
 
 
+def _refusal(sc, error):
+    """A control: judging the scenario object ``sc`` must raise ``error``,
+    which the runner reports as ``fail``.  Any other library error, or
+    none, is named in the details of a report that passes."""
+    def check():
+        try:
+            judge(sc)
+            got = "nothing"
+        except error:
+            raise
+        except (FormcalcError, ArithmeticError, ValueError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        return {}, {}, {"expected": error.__name__, "raised": got}, []
+    return check
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -168,16 +182,13 @@ def representation_suite(seed: int) -> list[Report]:
                 {"eigenvalues": 1e-10, "b_norm_minus_one": 1e-10},
                 {"gamma": rep.gamma}, [])
 
-    def control():
-        associated_operator(form_from_gram(np.eye(2), np.diag([1.0, -1.0])),
-                            dense_pair(2))
-        return {}, {}, {}, []
-
     return _run_checks([
         ("thm1-random-inverses", ["Thm1"], inverses),
         ("lem1-bounded-inverse", ["Lem1"], lem1),
         ("thm1-offdiagonal-example", ["Thm1"], worked),
-        ("control-indefinite-form", ["Thm1"], control),
+        ("control-indefinite-form", ["Thm1"], _refusal(
+            {"op": "associated-operator", "space": _space(2),
+             "gram": _wire(np.diag([1.0, -1.0]))}, NotPositive)),
     ])
 
 
@@ -239,13 +250,11 @@ def friedrichs_suite(seed: int) -> list[Report]:
         return ({"selfadjoint_fixed_point": worst},
                 {"selfadjoint_fixed_point": 1e-10}, {"instances": 20}, [])
 
-    def control():
-        friedrichs(diagonal_operator(series.geometric(0.5), sp, DOMAIN_FINITE), sp)
-        return {}, {}, {}, []
-
     checks += [
         ("thm2-dense-fixed-point", ["Thm2"], dense_case),
-        ("control-decaying-generator", ["Thm2"], control),
+        ("control-decaying-generator", ["Thm2"], _refusal(
+            {"op": "friedrichs", "space": {"backend": "sequence", "truncation": 64},
+             "generator": _geometric(0.5, 1.0)}, LowerBoundError)),
     ]
     return _run_checks(checks)
 
@@ -307,19 +316,14 @@ def ordering_suite(seed: int) -> list[Report]:
                        "expected": "A>=B"}
         return _worst(scenarios(), {"pairs": 23})
 
-    def control():
-        A = operator_from_matrix(np.diag([2.0, 3.0]), dense_pair(2))
-        B = operator_from_matrix(np.diag([2.0, 3.0 + 1e-6]), dense_pair(2))
-        rep = compare(A, B, [])
-        antisymmetry_check(A, B, rep)   # refuses: verdict is not "equal"
-        return {}, {}, {}, []
-
     return _run_checks([
         ("lem2-factorization", ["Lem2"], lem2),
         ("lem2-remark-sqrt", ["Lem2"], remark),
         ("lem3-form-characterization", ["Lem3"], lem3),
         ("order-definition", ["Def-Order"], order),
-        ("control-antisymmetry-refusal", ["Def-Order"], control),
+        ("control-antisymmetry-refusal", ["Def-Order"], _refusal(
+            {"op": "antisymmetry", "A": _operator(np.diag([2.0, 3.0])),
+             "B": _operator(np.diag([2.0, 3.0 + 1e-6]))}, NotEqual)),
     ])
 
 
@@ -380,19 +384,15 @@ def formsum_suite(seed: int) -> list[Report]:
                        "A": _operator(A), "B": _operator(B), "E": _wire(E)}
         return _worst(instances(), {"instances": 10, "frame": "random unitary"})
 
-    def control():
-        dp = dense_pair(2)
-        A = operator_from_matrix(np.diag([1.0, 2.0]), dp)
-        E = operator_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), dp, ENDO)
-        lift_commutant(A, E, dp)    # Eq. (7) violated: must raise
-        return {}, {}, {}, []
-
     return _run_checks([
         ("thm4-joint-factorization", ["Thm4"], thm4),
         ("closedness-sequential", ["Thm4"], closedness),
         ("eq7-lemmas45-thm56", ["Eq7", "Lem4", "Lem5", "Thm5", "Thm6"], commutants),
         ("thm5-block-construction", ["Thm5"], block_construction),
-        ("control-broken-commutation", ["Eq7"], control),
+        ("control-broken-commutation", ["Eq7"], _refusal(
+            {"op": "lift-commutant", "space": _space(2),
+             "A": _operator(np.diag([1.0, 2.0])),
+             "E": _wire(np.array([[0.0, 1.0], [0.0, 0.0]]))}, DomainError)),
     ])
 
 
@@ -460,15 +460,15 @@ def covariance_suite(seed: int) -> list[Report]:
                    "probability_xi": nu, "probability_eta": nu, "xi": xi, "eta": eta}
         return _worst(scenarios(), {"instances": 51})
 
-    def control():
-        rule_space(series.geometric(0.5, coef=3.0))   # sums to 3, not 1
-        return {}, {}, {}, []
-
     return _run_checks([
         ("thm7-second-moment-example", ["Thm7"], worked_example),
         ("thm7-closedness", ["Thm7"], closed_form),
         ("thm8-independent-sums", ["Thm8"], thm8),
-        ("control-unnormalized-weights", ["Thm7"], control),
+        ("control-unnormalized-weights", ["Thm7"], _refusal(
+            {"op": "weak-expectation",
+             "space_pair": {"backend": "sequence", "truncation": 24},
+             "probability": {"kind": "rule", "rule": _geometric(0.5, 3.0)},
+             "variable": {"kind": "exp-poly"}}, NotNormalized)),
     ])
 
 
@@ -510,17 +510,15 @@ def elliptic_suite(seed: int) -> list[Report]:
         c4 = sobolev_lower_bound(problem(1.0, "1", "0", 1.0, p=4.0), uniform_mesh(24))
         return {}, {}, {"c_p2": c2.gamma, "c_p4": c4.gamma}, []
 
-    def control():
-        neumann_operator(laplace, uniform_mesh(8))   # b = 0: degenerate
-        return {}, {}, {}, []
-
     return _run_checks([
         ("thm3-dirichlet-vs-neumann", ["Thm3", "Elliptic"], ordering),
         ("elliptic-poincare", ["Elliptic"], poincare),
         ("elliptic-convergence", ["Elliptic"], convergence),
         ("elliptic-weak-solves", ["Elliptic"], solves),
         ("elliptic-lower-bounds", ["Elliptic"], bounds),
-        ("control-neumann-kernel", ["Elliptic"], control),
+        ("control-neumann-kernel", ["Elliptic"], _refusal(
+            {"op": "dirichlet-vs-neumann", "problem": {**pb, "b": "0"}, "m": 8},
+            DomainError)),
     ])
 
 

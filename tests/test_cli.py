@@ -16,7 +16,9 @@ import pytest
 from formcalc import cli, suites
 from formcalc.cli import main
 from formcalc.covariance import covariance_form
-from formcalc.errors import LowerBoundError, Uncertifiable
+from formcalc.errors import (
+    DomainError, LowerBoundError, NotEqual, NotNormalized, NotPositive, Uncertifiable,
+)
 from formcalc.reporting import CLAIM_TAGS, array_from_json, make_report, matrix_from_json
 from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, judge, run_scenario
 from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
@@ -472,6 +474,19 @@ class TestCoefficientStrings:
         assert "scenario 'coef' has a malformed operand" in err
         assert "Traceback" not in err and len(err) < 300
 
+    def test_out_of_range_literal_exits_four(self, tmp_path, capsys):
+        """1e400 parses as inf: malformed input, as a 401-digit integer
+        is, not a failed claim."""
+        f = write_scenarios(tmp_path / "big.json", [{
+            "id": "coef", "op": "weak-solve", "m": 8, "g": "1",
+            "problem": {"a": "1e400", "b": "0", "gamma": 1.0}}])
+        out = tmp_path / "out"
+        assert main(["run", f, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "scenario 'coef' has a malformed operand" in err
+        assert "'1e400' is out of range" in err
+        assert not out.exists()
+
 
 class TestScenarioFileShape:
     """A malformed file, or an id that cannot name its report, exits 4
@@ -644,13 +659,23 @@ HANDLER_BACKED = {
     "thm8-independent-sums": {"independent-sum"},
 }
 
+# each control's one scenario object: its op and the error it must raise
+CONTROLS = {
+    "control-indefinite-form": ("associated-operator", NotPositive),
+    "control-decaying-generator": ("friedrichs", LowerBoundError),
+    "control-antisymmetry-refusal": ("antisymmetry", NotEqual),
+    "control-broken-commutation": ("lift-commutant", DomainError),
+    "control-unnormalized-weights": ("weak-expectation", NotNormalized),
+    "control-neumann-kernel": ("dirichlet-vs-neumann", DomainError),
+}
+
 
 class TestBatteriesOnHandlers:
     def test_checks_report_their_handlers_residuals(self, monkeypatch):
         # every handler call and every judged scenario of a suite round,
         # by the check that made it; judgements are logged after their
-        # tolerance overrides
-        handled, calls = defaultdict(int), defaultdict(list)
+        # tolerance overrides, refusals with the error they raised
+        handled, calls, raised = defaultdict(int), defaultdict(list), defaultdict(list)
         check = None
         run_check = suites._run_check
 
@@ -660,7 +685,11 @@ class TestBatteriesOnHandlers:
             return run_check(name, *args)
 
         def logged_judge(sc):
-            out = judge(sc)
+            try:
+                out = judge(sc)
+            except Exception as exc:
+                raised[check].append((sc["op"], type(exc)))
+                raise
             calls[check].append((sc["op"], set(out[0]), out[1]))
             return out
         monkeypatch.setattr(suites, "_run_check", named_run_check)
@@ -672,8 +701,9 @@ class TestBatteriesOnHandlers:
             monkeypatch.setitem(OPERATIONS, op, (claims, counted))
         reports = {r.scenario: r for r in run_suite("all", seed=1).reports}
         assert set(calls) == set(HANDLER_BACKED)
+        assert raised == {name: [entry] for name, entry in CONTROLS.items()}
         # no check calls a handler but through the judge
-        assert handled == {name: len(c) for name, c in calls.items()}
+        assert handled == {name: len(c) for name, c in (calls | raised).items()}
         assert reports["thm4-joint-factorization"].tolerances["matrix"] == 1e-12
         for name, ops in HANDLER_BACKED.items():
             names, tols = set(), {}
@@ -684,6 +714,69 @@ class TestBatteriesOnHandlers:
             assert set(reports[name].residuals) == names == set(tols), name
             assert reports[name].tolerances == tols, name
             assert reports[name].passed, name
+        for name, (_, error) in CONTROLS.items():
+            assert reports[name].verdict == "fail", name
+            assert reports[name].details["error"].startswith(f"{error.__name__}: "), name
+
+    @staticmethod
+    def indefinite_gram_handler(outcome):
+        """The associated-operator handler, except that on an indefinite
+        gram, the control's, it raises ``outcome`` or, for None, returns
+        nothing to judge."""
+        claims, handler = OPERATIONS["associated-operator"]
+
+        def patched(ops):
+            if np.linalg.eigvalsh(matrix_from_json(ops["gram"]))[0] >= 0:
+                return handler(ops)
+            if outcome is None:
+                return {}, {}, {}, []
+            raise outcome
+        return claims, patched
+
+    @pytest.mark.parametrize("outcome,named", [
+        (ValueError("bad operand"), "ValueError: bad operand"),
+        (Uncertifiable("no rule"), "Uncertifiable: no rule"),
+        (None, "nothing"),
+    ], ids=["other-error", "uncertifiable", "no-error"])
+    def test_control_refused_for_another_reason_does_not_hold(
+            self, monkeypatch, capsys, outcome, named):
+        monkeypatch.setitem(OPERATIONS, "associated-operator",
+                            self.indefinite_gram_handler(outcome))
+        reports = run_suite("representation", seed=1).reports
+        control = reports[-1]
+        assert control.scenario == "control-indefinite-form"
+        assert control.verdict == "pass" and not control.as_expected
+        assert control.details == {"expected": "NotPositive", "raised": named}
+        assert all(r.as_expected for r in reports[:-1])
+        assert main(["suite", "representation", "--seed", "1"]) == 2
+        assert "pass        [control] control-indefinite-form" in capsys.readouterr().out
+
+    def test_each_control_runs_alone(self, monkeypatch, tmp_path):
+        """The scenario object of each control, written to its own file,
+        fails through ``formcalc run`` with the error it names."""
+        entries = {}
+        refusal = suites._refusal
+
+        def recorded(sc, error):
+            name = next(n for n, entry in CONTROLS.items() if entry == (sc["op"], error))
+            entries[name] = sc
+            return refusal(sc, error)
+        monkeypatch.setattr(suites, "_refusal", recorded)
+        run_suite("all", seed=0)
+        assert set(entries) == set(CONTROLS)
+
+        def plain(obj):
+            if isinstance(obj, dict):
+                return {k: plain(v) for k, v in obj.items()}
+            return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+        for name, sc in entries.items():
+            f = write_scenarios(tmp_path / f"{name}.json", [{"id": name, **plain(sc)}])
+            out = tmp_path / name
+            assert main(["run", f, "--out", str(out)]) == 2, name
+            rep = json.loads((out / f"{name}.json").read_text())
+            assert rep["verdict"] == "fail", name
+            assert rep["details"]["error"].startswith(f"{CONTROLS[name][1].__name__}: "), name
 
     def test_worst_refuses_two_tolerances_for_one_residual(self, monkeypatch):
         monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops: (
@@ -790,8 +883,8 @@ class TestRunnerCallers:
     def test_controls_fail_for_their_reason(self):
         # each battery's one control, in SUITE_NAMES order, and the
         # exception it was written to provoke
-        expected = ["NotPositive", "LowerBoundError", "ValueError",
-                    "DomainError", "ValueError", "DomainError"]
+        expected = ["NotPositive", "LowerBoundError", "NotEqual",
+                    "DomainError", "NotNormalized", "DomainError"]
         res = run_suite("all", seed=3)
         controls = [r for r in res.reports if r.control]
         assert all(r.control == r.scenario.startswith("control-")

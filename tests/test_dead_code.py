@@ -8,7 +8,8 @@ A private one (a leading underscore, dunder methods aside) must be named
 so in ``src/`` itself: one that only tests call is dead code.  A method
 counts as named only as an attribute, right after a ``.``, so that a
 JSON key, a local variable or a test name that happens to share its
-name does not keep it alive.
+name does not keep it alive.  Every name a module imports must be read
+in that module; ``__init__`` imports to re-export.
 """
 
 import ast
@@ -89,3 +90,32 @@ def test_every_private_definition_has_a_caller_in_src():
     assert defs
     unused = unnamed(defs, name_occurrences(("src",)))
     assert not unused, "private definitions src/ never names:\n" + "\n".join(unused)
+
+
+def unread_imports(path):
+    """``file:line name`` of each name an import of ``path`` binds and the
+    module never reads.  ``from __future__`` binds nothing, and a dotted
+    ``import a.b`` without ``as`` is there to load the submodule, not to
+    bind ``a``."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.asname is None and "." in alias.name:
+                    continue
+                name = alias.asname or alias.name
+                if name not in read:
+                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_import_is_read_in_its_module():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    unread = [entry for path in modules for entry in unread_imports(path)]
+    assert not unread, "imported names their module never reads:\n" + "\n".join(unread)

@@ -9,9 +9,10 @@ import pytest
 import scipy.linalg
 
 from formcalc.coeffexpr import ExpressionError, compile_rule
+from formcalc import elliptic
 from formcalc.duality import Vector
 from formcalc.elliptic import (
-    _GAUSS4, _dense_from_tridiag, _full_stiffness, _hat_gram, _tridiag_solve,
+    _GAUSS4, EllipticProblem, _dense_from_tridiag, _full_stiffness, _hat_gram, _tridiag_solve,
     _tridiag_stiffness, assemble, convergence_table, dirichlet_operator,
     dirichlet_vs_neumann, discrete_poincare, l2_error, neumann_operator,
     problem, sobolev_lower_bound, uniform_mesh, weak_solve,
@@ -34,7 +35,8 @@ class TestExpressionGrammar:
 
     @pytest.mark.parametrize("bad", ["__import__('os')", "x.real", "lambda: 1",
                                      "min(x, 1)", "x[0]", "'s'", "True",
-                                     "x + False", "1" + "0" * 400])
+                                     "x + False", "1" + "0" * 400, "1e400",
+                                     "-1e400"])
     def test_rejects_outside_grammar(self, bad):
         with pytest.raises(ExpressionError):
             compile_rule(bad)
@@ -342,6 +344,34 @@ class TestDirichletVsNeumann:
     def test_degenerate_neumann_rejected(self):
         with pytest.raises(DomainError):
             neumann_operator(LAPLACE, uniform_mesh(8))
+
+    def test_one_assembly_per_comparison(self, monkeypatch):
+        """Both operators come from one stiffness and one evaluation of a
+        and of b at the Gauss points; the golden values pin their bits."""
+        mesh = uniform_mesh(32)
+        grams, at_gauss = [], {"a": 0, "b": 0}
+
+        def counted(name, rule):
+            f = compile_rule(rule)
+
+            def coefficient(x):
+                if np.shape(x) == mesh.gauss[0].shape:
+                    at_gauss[name] += 1
+                return f(x)
+            return coefficient
+
+        def hat_gram(*args):
+            grams.append(args)
+            return _hat_gram(*args)
+
+        pb = EllipticProblem(1.0, counted("a", "1 + x^2"), counted("b", "1 + sin(x)^2"), 1.0)
+        monkeypatch.setattr(elliptic, "_hat_gram", hat_gram)
+        rep = dirichlet_vs_neumann(pb, mesh)
+        assert len(grams) == 1 and at_gauss == {"a": 1, "b": 1}
+        monkeypatch.undo()
+        ref = dirichlet_vs_neumann(problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), mesh)
+        assert rep.verdict == ref.verdict == "A>=B"
+        assert rep.probes == ref.probes
 
     def test_variable_coefficients(self):
         pb = problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0)

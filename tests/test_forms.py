@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formcalc import series
+from formcalc import linalg, series
 from formcalc.duality import (
-    FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
+    DENSE, FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
     sequence_pair,
 )
 from formcalc.errors import LowerBoundError, NotPositive, Uncertifiable
 from formcalc.forms import (
-    associated_operator, diagonal_form, form_from_gram, form_of_operator,
+    SesquilinearForm, associated_operator, diagonal_form, form_from_gram, form_of_operator,
     inverse_selfadjoint, lower_bound, riesz_solve,
 )
-from formcalc.linalg import hermitian_residual
+from formcalc.linalg import hermitian_residual, is_hermitian
 
 DP2 = dense_pair(2)
 
@@ -148,6 +148,31 @@ class TestFormOfOperator:
                   restricted_operator(M, rng.normal(size=(5, 3)), dp)):
             assert A.is_symmetric() == form_of_operator(A).symmetric
         assert operator_from_matrix(M, dp).is_symmetric() == (rel < 1e-12)
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-9])
+    def test_one_hermitian_test_per_form(self, monkeypatch, rel):
+        # one Hermitian test, of two norms, where the constructor repeated
+        # it; the form has the bits of the doubly tested construction
+        rng = np.random.default_rng(70)
+        M = random_hpd(rng, 5)
+        S = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        K = S - S.conj().T
+        A = restricted_operator(M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K))),
+                                rng.normal(size=(5, 3)), dense_pair(5))
+        ref = SesquilinearForm(DENSE, A._basis, A.form_gram(),
+                               symmetric=is_hermitian(A.form_gram()))
+        calls = {"hermitian_residual": 0, "norm": 0}
+        for mod, name in ((linalg, "hermitian_residual"), (np.linalg, "norm")):
+            def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+        t = form_of_operator(A)
+        assert calls == {"hermitian_residual": 1, "norm": 2}
+        assert t.symmetric == ref.symmetric == (rel == 0.0)
+        for got, want in ((t.gram, ref.gram), (t.basis_mat, ref.basis_mat),
+                          (t._coefficient_spectrum, ref._coefficient_spectrum)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLowerBoundFromOneSVD:
