@@ -106,11 +106,11 @@ def _finite(what: str, values) -> np.ndarray:
     return values
 
 
-def _check_coefficients(prob: EllipticProblem, mesh: Mesh1D):
-    """a and b at the Gauss points of ``mesh``, checked."""
-    pts = mesh.gauss[0]
-    a = _finite("coefficient a(x)", prob.a(pts))
-    b = _finite("potential b(x)", prob.b(pts))
+def _check_coefficients(prob: EllipticProblem, mesh: Mesh1D, b: np.ndarray):
+    """a and b at the Gauss points of ``mesh``, checked; b comes
+    evaluated there, so that each caller evaluates it once."""
+    a = _finite("coefficient a(x)", prob.a(mesh.gauss[0]))
+    b = _finite("potential b(x)", b)
     if np.any(a < prob.gamma - 1e-12):
         raise NotPositive("coefficient a(x) drops below gamma at a "
                           "quadrature node")
@@ -144,7 +144,7 @@ def _hat_integrals(mesh: Mesh1D, g: np.ndarray) -> np.ndarray:
 
 
 def _tridiag_stiffness(prob: EllipticProblem, mesh: Mesh1D):
-    return _hat_gram(mesh, *_check_coefficients(prob, mesh))
+    return _hat_gram(mesh, *_check_coefficients(prob, mesh, prob.b(mesh.gauss[0])))
 
 
 def _dense_from_tridiag(diag, off) -> np.ndarray:
@@ -197,9 +197,16 @@ def _dirichlet_from(S, prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
 
 
 def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
-    _positive_potential(prob.b(mesh.gauss[0]))
-    S = _full_stiffness(prob, mesh).astype(complex)
-    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S)
+    """The operator on all hats; the gate on b comes before the checks."""
+    b = prob.b(mesh.gauss[0])
+    _positive_potential(b)
+    S = _hat_gram(mesh, *_check_coefficients(prob, mesh, b))
+    return _neumann_from(_dense_from_tridiag(*S))
+
+
+def _neumann_from(S) -> DenseOperator:
+    """:func:`neumann_operator` from the full stiffness S."""
+    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S.astype(complex))
 
 
 def _positive_potential(b: np.ndarray) -> None:
@@ -218,7 +225,7 @@ def sobolev_lower_bound(prob: EllipticProblem, mesh: Mesh1D) -> LowerBoundCertif
     integrates |f|^2 exactly.  Otherwise |f(x)| <= sqrt(L) ||f'||_2 and
     ||f||_p^2 <= L^(2/p) max |f|^2 give c = gamma / L^(1 + 2/p).
     """
-    _check_coefficients(prob, mesh)
+    _check_coefficients(prob, mesh, prob.b(mesh.gauss[0]))
     L = prob.length
     if prob.p == 2.0:
         c, kind = prob.gamma * math.pi ** 2 / L ** 2, "poincare-p2"
@@ -372,12 +379,11 @@ def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D) -> OrderingReport:
     report depends on the problem and the mesh alone.  The verdict
     certifies the probe set only (see the module docstring).  Both
     operators share one check of a and b and one stiffness."""
-    a, b = _check_coefficients(prob, mesh)
+    a, b = _check_coefficients(prob, mesh, prob.b(mesh.gauss[0]))
     S = _dense_from_tridiag(*_hat_gram(mesh, a, b))
     A_d = _dirichlet_from(S, prob, mesh)
     _positive_potential(b)
-    A_n = DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex),
-                        S.astype(complex))
+    A_n = _neumann_from(S)
     probes = smooth_probe_set(mesh)
     labels = [label for label, _ in probes]
     Y = np.column_stack([y.coords for _, y in probes])

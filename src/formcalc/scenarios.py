@@ -6,13 +6,14 @@ inline per the wire schemas in :mod:`formcalc.reporting`; no operation
 draws, so the optional integer ``seed`` is checked and otherwise unread.
 :data:`OPERATIONS` maps each op to ``(claims, handler)``: the claim tags
 its report carries, and a handler that takes the operands and returns
-``(residuals, tolerances, details, certificates)``.  :func:`judge` runs
-an entry's handler and lets the entry's ``tolerances`` override the
-handler's, for scenario files and the batteries of :mod:`formcalc.suites`
-alike.  The one runner of :mod:`formcalc.reporting` turns the judgement
-into a :class:`Report`; mathematical violations come back as ``fail``
-verdicts, uncertifiable questions as ``uncertified``, and a raised report
-keeps its op's claims.
+``(checks, details, certificates)``, each check a residual with its
+tolerance.  :func:`judge` runs an entry's handler, splits its checks
+into residuals and tolerances and lets the entry's ``tolerances``
+override the handler's, for scenario files and the batteries of
+:mod:`formcalc.suites` alike.  The one runner of
+:mod:`formcalc.reporting` turns the judgement into a :class:`Report`;
+mathematical violations come back as ``fail`` verdicts, uncertifiable
+questions as ``uncertified``, and a raised report keeps its op's claims.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from .elliptic import (
     EllipticProblem, assemble, dirichlet_vs_neumann, sobolev_lower_bound,
     uniform_mesh, weak_solve,
 )
-from .errors import BackendMismatch
+from .errors import BackendMismatch, Uncertifiable
 from .forms import associated_operator, form_from_gram, inverse_selfadjoint, lower_bound, riesz_solve
 from .formsum import (
     commutation_formsum, commuting_pair, form_sum, joint_factorize,
     lift_commutant, spectrum_inclusion,
 )
-from .friedrichs import core_check, friedrichs
+from .friedrichs import core_check, friedrichs, idempotent, in_extension_domain
 from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert_consistency
 from .reporting import (
     MalformedOperand, Report, _run_check, array_from_json, complex_from_json,
@@ -122,7 +123,8 @@ def _relative_error(got, want) -> float:
 
 
 # --- handlers --------------------------------------------------------------
-# each returns (residuals, tolerances, details, certificates)
+# each returns (checks, details, certificates), a check being
+# {name: (residual, tolerance)}
 
 
 def _op_pair(ops):
@@ -131,24 +133,21 @@ def _op_pair(ops):
     x = vector_from_json(ops["x"])
     _in_space(dp, v, x)
     got = pairing(v, x)
-    details = {"value": [got.real, got.imag]}
-    residuals, tols = {}, {}
+    checks = {}
     if "expected" in ops:
         want = complex_from_json(ops["expected"])
-        residuals["pairing"] = abs(got - want) / max(1.0, abs(want))
-        tols["pairing"] = 1e-12
-    return residuals, tols, details, []
+        checks["pairing"] = (abs(got - want) / max(1.0, abs(want)), 1e-12)
+    return checks, {"value": [got.real, got.imag]}, []
 
 
 def _op_norm(ops):
     x = vector_from_json(ops["x"])
     got = norm(x, json_field(ops, "p", float))
-    residuals, tols = {}, {}
+    checks = {}
     if "expected" in ops:
         want = json_field(ops, "expected", float)
-        residuals["norm"] = abs(got - want) / max(1.0, want)
-        tols["norm"] = 1e-12
-    return residuals, tols, {"value": got}, []
+        checks["norm"] = (abs(got - want) / max(1.0, want), 1e-12)
+    return checks, {"value": got}, []
 
 
 def _op_adjoint_involution(ops):
@@ -158,7 +157,7 @@ def _op_adjoint_involution(ops):
     back = adjoint(adjoint(A))
     res = float(np.linalg.norm(back.effective_matrix() - A.effective_matrix()))
     scale = max(float(np.linalg.norm(A.effective_matrix())), 1.0)
-    return {"involution": res / scale}, {"involution": 1e-12}, {}, []
+    return {"involution": (res / scale, 1e-12)}, {}, []
 
 
 def _op_is_extension(ops):
@@ -166,42 +165,37 @@ def _op_is_extension(ops):
     T = operator_from_json(ops["T"])
     got = is_extension(S, T)
     want = json_field(ops, "expected", bool, True)
-    return {"verdict_mismatch": 0.0 if got == want else 1.0}, \
-        {"verdict_mismatch": 0.0}, {"is_extension": got}, []
+    return {"verdict_mismatch": (0.0 if got == want else 1.0, 0.0)}, \
+        {"is_extension": got}, []
 
 
 def _op_lower_bound(ops):
     dp = pair_from_json(ops["space"])
     cert = lower_bound(_form(ops), dp)
-    residuals, tols = {}, {}
+    checks = {}
     if "expected_gamma" in ops:
-        residuals["gamma"] = abs(cert.gamma - json_field(ops, "expected_gamma", float))
-        tols["gamma"] = 1e-10
-    return residuals, tols, \
-        {"gamma": cert.gamma, "kind": cert.kind, "slack": cert.slack}, []
+        checks["gamma"] = (abs(cert.gamma - json_field(ops, "expected_gamma", float)), 1e-10)
+    return checks, {"gamma": cert.gamma, "kind": cert.kind, "slack": cert.slack}, []
 
 
 def _op_associated_operator(ops):
     dp = pair_from_json(ops["space"])
     rep = associated_operator(_form(ops), dp)
-    residuals = {"ab_identity": rep.residuals["ab_identity"],
-                 "ba_identity": rep.residuals["ba_identity"],
-                 "selfadjoint": rep.residuals["selfadjoint"],
-                 "b_norm_excess": max(0.0, rep.b_norm - 1.0 / rep.gamma)}
-    tols = {"ab_identity": 1e-10, "ba_identity": 1e-10, "selfadjoint": 1e-12,
-            "b_norm_excess": 1e-8}
-    return residuals, tols, {"gamma": rep.gamma, "b_norm": rep.b_norm}, []
+    return {"ab_identity": (rep.residuals["ab_identity"], 1e-10),
+            "ba_identity": (rep.residuals["ba_identity"], 1e-10),
+            "selfadjoint": (rep.residuals["selfadjoint"], 1e-12),
+            "b_norm_excess": (max(0.0, rep.b_norm - 1.0 / rep.gamma), 1e-8)}, \
+        {"gamma": rep.gamma, "b_norm": rep.b_norm}, []
 
 
 def _op_riesz_solve(ops):
     dp = pair_from_json(ops["space"])
     f = riesz_solve(_form(ops), functional_from_json(ops["v"]), dp)
-    residuals, tols = {}, {}
+    checks = {}
     if "expected" in ops:
-        residuals["solution"] = _relative_error(
-            f.coords, array_from_json(ops["expected"]))
-        tols["solution"] = 1e-10
-    return residuals, tols, {}, []
+        checks["solution"] = (_relative_error(
+            f.coords, array_from_json(ops["expected"])), 1e-10)
+    return checks, {}, []
 
 
 def _op_inverse_selfadjoint(ops):
@@ -211,53 +205,73 @@ def _op_inverse_selfadjoint(ops):
     M = A.effective_matrix()
     res = float(np.linalg.norm(M @ B.canonical_matrix()
                                - A.effective_projector()))
-    return {"composition": res / max(float(np.linalg.norm(M)), 1.0)}, \
-        {"composition": 1e-10}, {}, []
+    return {"composition": (res / max(float(np.linalg.norm(M)), 1.0), 1e-10)}, {}, []
 
 
 def _op_friedrichs(ops):
     dp = pair_from_json(ops["space"])
-    a = diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE)
-    res = friedrichs(a, dp)
+    if ("A" in ops) == ("generator" in ops):
+        raise MalformedOperand("give one of 'A' and 'generator'")
+    a = (operator_from_json(ops["A"]) if "A" in ops else
+         diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE))
+    want_matrix = None
+    if "expected_matrix" in ops:
+        if a.backend != DENSE:
+            raise MalformedOperand("'expected_matrix' needs a dense 'A'")
+        want_matrix = matrix_from_json(ops["expected_matrix"])
+    want_gamma = json_field(ops, "expected_gamma", float, None)
+    probes = [(json_field(p, "member", bool), vector_from_json(p["y"]))
+              for p in json_field(ops, "domain_probes", list, [])]
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list, [])]
-    residuals = {"extension": 0.0 if is_extension(a, res.extension) else 1.0}
-    tols = {"extension": 0.0}
+    _in_space(dp, a, *samples, *(y for _, y in probes))
+    res = friedrichs(a, dp)
+    checks = {"extension": (0.0 if is_extension(a, res.extension) else 1.0, 0.0),
+              "idempotent": (0.0 if idempotent(res, dp) else 1.0, 0.0)}
+    if want_matrix is not None:
+        checks["matrix"] = (_relative_error(res.extension.canonical_matrix(), want_matrix),
+                            1e-10)
+    if want_gamma is not None:
+        checks["gamma"] = (abs(res.gamma_preserved.gamma - want_gamma), 1e-10)
+    if probes:
+        mistakes = 0
+        for member, y in probes:
+            try:
+                mistakes += in_extension_domain(res, y) != member
+            except Uncertifiable:
+                mistakes += 1
+        checks["membership_mistakes"] = (float(mistakes), 0.0)
     certs = []
     if samples:
         rep = core_check(a, res, samples)
-        residuals["core_tail"] = max(w.tail for w in rep.witnesses)
-        tols["core_tail"] = 1e-6
+        checks["core_tail"] = (max(w.tail for w in rep.witnesses), 1e-6)
         certs = [{"witness_truncations": [w.truncation for w in rep.witnesses]}]
-    return residuals, tols, {"gamma": res.gamma_preserved.gamma}, certs
+    return checks, {"gamma": res.gamma_preserved.gamma}, certs
 
 
 def _op_factorize(ops):
     A = operator_from_json(ops["A"])
     res = factorize(A)
-    return {"jjstar": res.extension_residual,
-            "rank_gap": float(res.details["rank_gap"])}, \
-        {"jjstar": 1e-10, "rank_gap": 0.0}, {"rank": res.rank}, []
+    return {"jjstar": (res.extension_residual, 1e-10),
+            "rank_gap": (float(res.details["rank_gap"]), 0.0)}, {"rank": res.rank}, []
 
 
 def _op_form_on_x(ops):
     A = operator_from_json(ops["A"])
     y = vector_from_json(ops["y"])
     fv = form_on_X(A, y)
-    residuals, tols = {}, {}
+    checks = {}
     if "expected" in ops:
         want = ops["expected"]
-        want = (math.inf if isinstance(want, str) and want == "inf" else
-                json_field(ops, "expected", float))
-        if math.isinf(want):
-            residuals["finite_mismatch"] = 0.0 if math.isinf(fv.value) else 1.0
-            tols["finite_mismatch"] = 0.0
+        if not (isinstance(want, str) and want in ("finite", "inf")):
+            want = json_field(ops, "expected", float)
+        if want == "finite" or want == "inf" or math.isinf(want):
+            holds = math.isfinite if want == "finite" else math.isinf
+            checks["finite_mismatch"] = (0.0 if holds(fv.value) else 1.0, 0.0)
         else:
-            residuals["value"] = abs(fv.value - want) / max(1.0, abs(want))
-            tols["value"] = 1e-6
+            checks["value"] = (abs(fv.value - want) / max(1.0, abs(want)), 1e-6)
     cert = [fv.certificate] if fv.certificate else []
-    return residuals, tols, \
-        {"value": fv.value if math.isfinite(fv.value) else "inf",
-         "kind": fv.kind}, cert
+    return checks, {"value": fv.value if math.isfinite(fv.value) else "inf",
+                    "kind": fv.kind}, cert
 
 
 def _op_compare(ops):
@@ -268,14 +282,13 @@ def _op_compare(ops):
     if want not in (None, "A>=B", "B>=A", "equal", "incomparable"):
         raise MalformedOperand("'expected' must be A>=B, B>=A, equal or incomparable")
     rep = compare(A, B, samples)
-    residuals, tols = {}, {}
+    checks = {}
     if want is not None:
-        residuals["verdict_mismatch"] = 0.0 if rep.verdict == want else 1.0
-        tols["verdict_mismatch"] = 0.0
+        checks["verdict_mismatch"] = (0.0 if rep.verdict == want else 1.0, 0.0)
     probes = [[r.label, r.value_a if math.isfinite(r.value_a) else "inf",
                r.value_b if math.isfinite(r.value_b) else "inf"]
               for r in rep.probes]
-    return residuals, tols, {"verdict": rep.verdict, "probes": probes}, \
+    return checks, {"verdict": rep.verdict, "probes": probes}, \
         rep.domain_inclusion["certificates"]
 
 
@@ -284,8 +297,8 @@ def _op_antisymmetry(ops):
     B = operator_from_json(ops["B"])
     rep = compare(A, B, [])
     chk = antisymmetry_check(A, B, rep)
-    return {"matrix": chk.matrix_residual, "span": chk.span_residual}, \
-        {"matrix": 1e-10, "span": 1e-10}, {}, []
+    return {"matrix": (chk.matrix_residual, 1e-10),
+            "span": (chk.span_residual, 1e-10)}, {}, []
 
 
 def _op_hilbert_consistency(ops):
@@ -293,20 +306,17 @@ def _op_hilbert_consistency(ops):
     A = operator_from_json(ops["A"])
     samples = [vector_from_json(s) for s in json_field(ops, "samples", list)]
     rep = hilbert_consistency(A, samples, dp)
-    return {"sqrt_identity": rep.worst_residual}, \
-        {"sqrt_identity": 1e-8}, {"samples": rep.samples}, []
+    return {"sqrt_identity": (rep.worst_residual, 1e-8)}, {"samples": rep.samples}, []
 
 
 def _form_sum_checks(fs, ops):
-    """The residuals, tolerances and details of the form sum ``fs``:
-    its extension of A + B and, given ``expected_matrix``, its matrix."""
-    residuals = {"extension": fs.extension_residual}
-    tols = {"extension": 1e-10}
+    """The checks and details of the form sum ``fs``: its extension of
+    A + B and, given ``expected_matrix``, its matrix."""
+    checks = {"extension": (fs.extension_residual, 1e-10)}
     if "expected_matrix" in ops:
-        residuals["matrix"] = _relative_error(
-            fs.operator.canonical_matrix(), matrix_from_json(ops["expected_matrix"]))
-        tols["matrix"] = 1e-10
-    return residuals, tols, {"gamma": fs.gamma, "collapse_exact": fs.collapse_exact}
+        checks["matrix"] = (_relative_error(fs.operator.canonical_matrix(),
+                                            matrix_from_json(ops["expected_matrix"])), 1e-10)
+    return checks, {"gamma": fs.gamma, "collapse_exact": fs.collapse_exact}
 
 
 def _op_form_sum(ops):
@@ -319,11 +329,11 @@ def _op_joint_factorize(ops):
     dp = pair_from_json(ops["space"])
     jf = joint_factorize(operator_from_json(ops["A"]),
                          operator_from_json(ops["B"]), dp)
-    residuals, tols, details = _form_sum_checks(jf.formsum, ops)
-    residuals.update(jstar=jf.jstar_residual, composition=jf.composition_residual,
-                     energy_identity=jf.energy_residual)
-    tols.update(jstar=1e-10, composition=1e-9, energy_identity=1e-9)
-    return residuals, tols, details, []
+    checks, details = _form_sum_checks(jf.formsum, ops)
+    checks.update(jstar=(jf.jstar_residual, 1e-10),
+                  composition=(jf.composition_residual, 1e-9),
+                  energy_identity=(jf.energy_residual, 1e-9))
+    return checks, details, []
 
 
 def _get_commutant(ops, dp):
@@ -339,10 +349,9 @@ def _op_lift_commutant(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     lift = lift_commutant(A, E, dp)
-    return {"lemma4_excess": max(0.0, lift.bound_margin - 1.0),
-            "selfadjoint": lift.selfadjoint_residual,
-            "eq7": lift.eq7_residual}, \
-        {"lemma4_excess": 1e-8, "selfadjoint": 1e-10, "eq7": 1e-9}, \
+    return {"lemma4_excess": (max(0.0, lift.bound_margin - 1.0), 1e-8),
+            "selfadjoint": (lift.selfadjoint_residual, 1e-10),
+            "eq7": (lift.eq7_residual, 1e-9)}, \
         {"spectral_radius_sq": lift.spectral_radius_sq,
          "norm_bound": lift.norm_bound}, []
 
@@ -352,63 +361,58 @@ def _op_commutation_formsum(ops):
     A, E = _get_commutant(ops, dp)
     B = operator_from_json(ops["B"])
     rep = commutation_formsum(A, B, E, dp)
-    return {"inclusion": rep.formsum_inclusion,
-            "e_star_j": rep.factor_inclusions["E_star_J"],
-            "j_star_e": rep.factor_inclusions["J_star_E"]}, \
-        {"inclusion": 1e-9, "e_star_j": 1e-9, "j_star_e": 1e-9}, {}, []
+    return {"inclusion": (rep.formsum_inclusion, 1e-9),
+            "e_star_j": (rep.factor_inclusions["E_star_J"], 1e-9),
+            "j_star_e": (rep.factor_inclusions["J_star_E"], 1e-9)}, {}, []
 
 
 def _op_spectrum_inclusion(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     rep = spectrum_inclusion(A, E, dp)
-    return {"imag": rep.max_imag, "distance": rep.max_distance,
-            "resolvent": rep.resolvent_residual}, \
-        {"imag": 1e-9, "distance": 1e-8, "resolvent": 1e-8}, \
+    return {"imag": (rep.max_imag, 1e-9), "distance": (rep.max_distance, 1e-8),
+            "resolvent": (rep.resolvent_residual, 1e-8)}, \
         {"lift_eigenvalues": sorted(rep.lift_eigenvalues.real.tolist())}, []
 
 
 def _op_weak_expectation(ops):
     e = weak_expectation(_variable(ops))
-    residuals, tols = {}, {}
+    checks = {}
     if "expected" in ops:
-        residuals["expectation"] = _relative_error(
-            e.coords, array_from_json(ops["expected"]))
-        tols["expectation"] = 1e-10
-    return residuals, tols, \
-        {"coords_head": [[z.real, z.imag] for z in e.coords[:4]]}, []
+        checks["expectation"] = (_relative_error(
+            e.coords, array_from_json(ops["expected"])), 1e-10)
+    return checks, {"coords_head": [[z.real, z.imag] for z in e.coords[:4]]}, []
 
 
 def _op_second_moment(ops):
     xi = _variable(ops)
     cert = second_moment_membership(xi, functional_from_json(ops["functional"]))
     want = json_field(ops, "expected", bool, True)
-    return {"membership_mismatch": 0.0 if cert.member == want else 1.0}, \
-        {"membership_mismatch": 0.0}, {"member": cert.member}, [cert.certificate]
+    return {"membership_mismatch": (0.0 if cert.member == want else 1.0, 0.0)}, \
+        {"member": cert.member}, [cert.certificate]
 
 
 def _op_covariance_form(ops):
     t, _ = covariance_form(_variable(ops))
     if t.backend == "dense":
         # the spectrum the form's positivity check computed
-        residuals = {"psd": max(0.0, -float(t._coefficient_spectrum[0]))}
+        psd = max(0.0, -float(t._coefficient_spectrum[0]))
         details = {"gram_dim": t.d,
                    "csv": {"covariance-gram.csv": (["i", "j", "re", "im"],
                                                    gram_csv_rows(t.gram))}}
     else:
-        residuals = {"psd": 0.0 if t.diagonal.is_nonnegative else 1.0}
+        psd = 0.0 if t.diagonal.is_nonnegative else 1.0
         details = {"diagonal_head": np.real(t.diagonal(np.arange(1, 5))).tolist()}
-    return residuals, {"psd": 1e-12}, details, []
+    return {"psd": (psd, 1e-12)}, details, []
 
 
 def _op_covariance_operator(ops):
     A = covariance_operator(_variable(ops))
-    residuals, tols = {}, {}
+    checks = {}
     if "expected_matrix" in ops:
-        residuals["matrix"] = _relative_error(
-            A.canonical_matrix(), matrix_from_json(ops["expected_matrix"]))
-        tols["matrix"] = 1e-10
-    return residuals, tols, {"direction": A.direction}, []
+        checks["matrix"] = (_relative_error(
+            A.canonical_matrix(), matrix_from_json(ops["expected_matrix"])), 1e-10)
+    return checks, {"direction": A.direction}, []
 
 
 def _op_independent_sum(ops):
@@ -420,50 +424,44 @@ def _op_independent_sum(ops):
     rep = independent_sum(xi, eta)
     if rep.details["kind"] == "diagonal-rules":
         # the worst ratio of error to allowed error
-        return {"window_error_ratio": rep.residual}, \
-            {"window_error_ratio": 1.0}, rep.details, []
-    return {"covariance_vs_formsum": rep.residual}, \
-        {"covariance_vs_formsum": 1e-10}, rep.details, []
+        return {"window_error_ratio": (rep.residual, 1.0)}, rep.details, []
+    return {"covariance_vs_formsum": (rep.residual, 1e-10)}, rep.details, []
 
 
 def _op_elliptic_assemble(ops):
     pb = _problem_from_json(ops["problem"])
     t = assemble(pb, uniform_mesh(json_field(ops, "m", int), pb.length),
                  json_field(ops, "boundary", str, "dirichlet"))
-    residuals = {"definite": max(0.0, -float(t._coefficient_spectrum[0]))}
-    tols = {"definite": 1e-12}
+    checks = {"definite": (max(0.0, -float(t._coefficient_spectrum[0])), 1e-12)}
     if "expected_gram" in ops:
-        residuals["gram"] = _relative_error(
-            t.gram, matrix_from_json(ops["expected_gram"]))
-        tols["gram"] = 1e-10
-    return residuals, tols, {"dim": t.d}, []
+        checks["gram"] = (_relative_error(
+            t.gram, matrix_from_json(ops["expected_gram"])), 1e-10)
+    return checks, {"dim": t.d}, []
 
 
 def _op_sobolev_lower_bound(ops):
     pb = _problem_from_json(ops["problem"])
     cert = sobolev_lower_bound(pb, uniform_mesh(json_field(ops, "m", int, 32), pb.length))
-    return {}, {}, {"constant": cert.gamma, "kind": cert.kind}, []
+    return {}, {"constant": cert.gamma, "kind": cert.kind}, []
 
 
 def _op_weak_solve(ops):
     pb = _problem_from_json(ops["problem"])
     mesh = uniform_mesh(json_field(ops, "m", int), pb.length)
     sol = weak_solve(pb, mesh, expression_from_json(ops, "g"))
-    residuals = {"galerkin": sol.galerkin_residual}
-    tols = {"galerkin": 1e-10}
     details = {"energy_norm": sol.energy_norm, "lp_norm": sol.lp_norm,
                "csv": {"solution.csv": (["x", "f_h"],
                                         [[float(x), float(v)] for x, v in
                                          zip(mesh.nodes, sol.nodal_values())])}}
-    return residuals, tols, details, []
+    return {"galerkin": (sol.galerkin_residual, 1e-10)}, details, []
 
 
 def _op_dirichlet_vs_neumann(ops):
     pb = _problem_from_json(ops["problem"])
     rep = dirichlet_vs_neumann(pb, uniform_mesh(json_field(ops, "m", int), pb.length))
     probes = [[r.label, r.value_a, r.value_b] for r in rep.probes]
-    return {"ordering": 0.0 if rep.verdict == "A>=B" else 1.0}, \
-        {"ordering": 0.0}, {"verdict": rep.verdict, "probes": probes}, []
+    return {"ordering": (0.0 if rep.verdict == "A>=B" else 1.0, 0.0)}, \
+        {"verdict": rep.verdict, "probes": probes}, []
 
 
 OPERATIONS = {
@@ -510,7 +508,9 @@ def judge(sc: dict):
     """``(residuals, tolerances, details, certificates)`` of the scenario
     object ``sc``: its op's handler on its operands, with
     ``sc["tolerances"]`` overriding the handler's tolerances."""
-    residuals, tols, details, certs = OPERATIONS[sc["op"]][1](_operands(sc))
+    checks, details, certs = OPERATIONS[sc["op"]][1](_operands(sc))
+    residuals = {name: value for name, (value, _) in checks.items()}
+    tols = {name: tol for name, (_, tol) in checks.items()}
     tols.update(sc.get("tolerances", {}))
     return residuals, tols, details, certs
 

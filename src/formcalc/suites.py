@@ -3,17 +3,25 @@
 Each battery collects its module's invariant and property checks as
 ``(name, claims, fn)`` and runs them in order through the one runner of
 :mod:`formcalc.reporting`, which returns :class:`Report` objects tagged
-with claim identifiers.  Every battery contains at least one deliberately
-violated instance whose verdict must be ``fail``: a check is a control
-(``control=True``) exactly when its name starts with ``control-``.
-Where a scenario handler judges the same claim, a check is a seeded
-generator of scenario objects, the shape of a scenario-file entry with
-its operands in the wire layout, each judged by
+with claim identifiers.  A check is a control (``control=True``) exactly
+when its name starts with ``control-``: one scenario object per battery
+that must raise the error it names (:func:`_refusal`).  Every other
+check is a seeded generator of scenario objects, the shape of a
+scenario-file entry with its operands in the wire layout, each judged by
 :func:`formcalc.scenarios.judge` and reported as the worst residual of
-each name; only residuals that no handler owns are computed here.  A
-control is one scenario object that must raise the error it names
-(:func:`_refusal`).  Everything is deterministic given the seed;
-summaries therefore omit wall times.
+each name (:func:`_worst`), but for seven hand-written checks, each for
+what no handler gives:
+
+- ``thm1-offdiagonal-example``: its gamma and eigenvalues {1, 3};
+- ``closedness-sequential``: it expects a refusal inside a claim check;
+- ``thm7-second-moment-example``: the harmonic functional's certificate;
+- ``thm7-closedness``: no op exists for ``is_closed``;
+- ``elliptic-poincare``, ``elliptic-convergence`` and
+  ``elliptic-lower-bounds``: ``lambda_h``, the convergence rows and
+  ``c_p2`` and ``c_p4``.
+
+Everything is deterministic given the seed; summaries therefore omit
+wall times.
 """
 
 from __future__ import annotations
@@ -29,20 +37,18 @@ from .covariance import (
     second_moment_membership, signed_basis_variable, weak_expectation,
 )
 from .duality import (
-    DOMAIN_FINITE, FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair,
-    diagonal_operator, generated_vector, is_extension, operator_from_matrix,
-    sequence_pair,
+    FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair, generated_vector,
+    operator_from_matrix, sequence_pair,
 )
 from .elliptic import (
     convergence_table, discrete_poincare, problem, sobolev_lower_bound, uniform_mesh,
 )
 from .errors import (DomainError, FormcalcError, LowerBoundError, NotEqual,
-                     NotNormalized, NotPositive, Uncertifiable)
+                     NotNormalized, NotPositive)
 from .formsum import is_closed
 from .forms import associated_operator, diagonal_form, form_from_gram
-from .friedrichs import core_check, friedrichs, idempotent, in_extension_domain
-from .ordering import form_on_X, form_oracle_eigensolve
-from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts
+from .ordering import form_oracle_eigensolve
+from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts, rule_from_json
 from .scenarios import judge
 
 
@@ -118,9 +124,26 @@ def _operator(M, direction=TO_DUAL):
             "domain_basis": np.eye(M.shape[0]), "action": _wire(M)}
 
 
+def _sequence(n):
+    return {"backend": "sequence", "truncation": n}
+
+
 def _geometric(ratio, coef):
     """The wire rule of ``coef * ratio**n``."""
     return {"terms": [{"coef": coef, "ratio": ratio}]}
+
+
+def _power(alpha):
+    """The wire rule of ``n**alpha``."""
+    return {"terms": [{"coef": 1.0, "alpha": alpha}]}
+
+
+def _generated(rule, n):
+    """The wire vector that the wire rule ``rule`` generates on the
+    sequence truncation ``n``: its first n values, and the rule as its
+    tail."""
+    return {"backend": "sequence", "tail": {"kind": "rule", **rule},
+            "coords": _wire(rule_from_json(rule)(np.arange(1, n + 1)))}
 
 
 def _worst(scenarios, details):
@@ -193,75 +216,48 @@ def representation_suite(seed: int) -> list[Report]:
 
 
 def friedrichs_suite(seed: int) -> list[Report]:
-    sp = sequence_pair(64)
-    checks = []
-    generators = [("square", series.polynomial(2.0), 1.0, 2.0),
-                  ("exponential", series.geometric(math.e), math.e, 1.0),
-                  ("geometric-2", series.geometric(2.0), 2.0, 0.5)]
-    for name, rule, gamma, in_decay in generators:
-        def one(name=name, rule=rule, gamma=gamma, in_decay=in_decay):
-            a = diagonal_operator(rule, sp, DOMAIN_FINITE)
-            res = friedrichs(a, sp)
-            ext_ok = is_extension(a, res.extension)
-            gamma_gap = max(0.0, gamma - res.gamma_preserved.gamma)
-            # 20 probes: in-domain iff the graph series converges; the
-            # expected answers follow the p-series / ratio oracles
-            mistakes = 0
-            a_vals = rule(np.arange(1, 65)).real
-            for k in range(20):
-                if name == "square":
-                    s = 2.05 + 0.1 * k
-                    probe = generated_vector(series.polynomial(-s), sp)
-                    expected = (4.0 - 2.0 * s) < -1.0
-                else:
-                    r = in_decay * (0.5 + 0.04 * k)
-                    probe = generated_vector(series.geometric(r), sp)
-                    ratio = (rule.terms[0].ratio * r) ** 2
-                    expected = ratio < 1.0
-                try:
-                    got = in_extension_domain(res, probe)
-                except Uncertifiable:
-                    mistakes += 1
-                    continue
-                mistakes += int(got != expected)
-            wit = core_check(a, res, [generated_vector(series.geometric(0.5), sp)])
-            return ({"extension": 0.0 if ext_ok else 1.0,
-                     "gamma_gap": gamma_gap,
-                     "membership_mistakes": float(mistakes),
-                     "core_tail": wit.witnesses[0].tail,
-                     "idempotent": 0.0 if idempotent(res, sp) else 1.0},
-                    {"extension": 0.0, "gamma_gap": 1e-10, "membership_mistakes": 0.0,
-                     "core_tail": 1e-6, "idempotent": 0.0},
-                    {"generator": name, "max_diag_64": float(a_vals[-1])}, [])
-        checks.append((f"thm2-{name}", ["Thm2"], one))
+    rng = np.random.default_rng(seed)
+    # 20 probes per generator, in the domain iff the graph series
+    # converges: the p-series oracle for n^2, the ratio test otherwise
+    square = [(_power(-s), (4.0 - 2.0 * s) < -1.0)
+              for s in (2.05 + 0.1 * k for k in range(20))]
+
+    def geometric(ratio, in_decay):
+        return [(_geometric(r, 1.0), (ratio * r) ** 2 < 1.0)
+                for r in (in_decay * (0.5 + 0.04 * k) for k in range(20))]
+
+    def thm2(name, rule, gamma, probes):
+        sc = {"op": "friedrichs", "space": _sequence(64), "generator": rule,
+              "expected_gamma": gamma,
+              "domain_probes": [{"y": _generated(p, 64), "member": member}
+                                for p, member in probes],
+              "samples": [_generated(_geometric(0.5, 1.0), 64)]}
+        top = float(rule_from_json(rule)(np.arange(1, 65)).real[-1])
+        return (f"thm2-{name}", ["Thm2"],
+                lambda: _worst([sc], {"generator": name, "max_diag_64": top}))
 
     def dense_case():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            dp = dense_pair(n)
-            a = operator_from_matrix(_random_hpd(rng, n), dp)
-            res = friedrichs(a, dp)
-            d = np.linalg.norm(res.extension.effective_matrix()
-                               - a.canonical_matrix())
-            worst = max(worst, float(d) / max(
-                float(np.linalg.norm(a.canonical_matrix())), 1.0))
-        return ({"selfadjoint_fixed_point": worst},
-                {"selfadjoint_fixed_point": 1e-10}, {"instances": 20}, [])
+        # a self-adjoint operator is its own Friedrichs extension
+        def scenarios():
+            for n in _sizes(rng, 1, 8, 20):
+                M = _random_hpd(rng, n)
+                yield {"op": "friedrichs", "space": _space(n), "A": _operator(M),
+                       "expected_matrix": _wire(M)}
+        return _worst(scenarios(), {"instances": 20})
 
-    checks += [
+    return _run_checks([
+        thm2("square", _power(2.0), 1.0, square),
+        thm2("exponential", _geometric(math.e, 1.0), math.e, geometric(math.e, 1.0)),
+        thm2("geometric-2", _geometric(2.0, 1.0), 2.0, geometric(2.0, 0.5)),
         ("thm2-dense-fixed-point", ["Thm2"], dense_case),
         ("control-decaying-generator", ["Thm2"], _refusal(
-            {"op": "friedrichs", "space": {"backend": "sequence", "truncation": 64},
+            {"op": "friedrichs", "space": _sequence(64),
              "generator": _geometric(0.5, 1.0)}, LowerBoundError)),
-    ]
-    return _run_checks(checks)
+    ])
 
 
 def ordering_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
-    sp = sequence_pair(48)
 
     def lem2():
         return _worst(({"op": "factorize", "A": _operator(
@@ -277,27 +273,24 @@ def ordering_suite(seed: int) -> list[Report]:
                        for n in _sizes(rng, 1, 8, 100)), {"samples": 100})
 
     def lem3():
-        worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            A = operator_from_matrix(_random_psd(rng, n), dense_pair(n))
-            y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
-            v1 = form_on_X(A, y).value
-            v2 = form_oracle_eigensolve(A, y)
-            worst = max(worst, abs(v1 - v2) / max(v1, v2, 1.0))
-        mistakes = 0
-        for s, expected in [(-2.0, True), (-1.0, False), (-0.8, False),
-                            (-3.0, True), (-1.6, True), (-1.1, False),
-                            (-2.5, True), (-0.5, False), (-4.0, True),
-                            (-1.4, False)]:
-            # a = diag(n^2): form sum n^2 n^(2s) finite iff 2 + 2s < -1
-            A = diagonal_operator(series.polynomial(2.0), sp, DOMAIN_FINITE)
-            y = generated_vector(series.polynomial(s), sp)
-            fv = form_on_X(A, y)
-            mistakes += int(fv.finite != expected)
-        return ({"sup_vs_eigensolve": worst, "membership_mistakes": float(mistakes)},
-                {"sup_vs_eigensolve": 1e-6, "membership_mistakes": 0.0},
-                {"dense_instances": 100, "sequence_pairs": 10}, [])
+        # the sup form against the eigensolve oracle, then a = n^2 on n^s,
+        # whose form sum n^2 n^(2s) is finite iff 2 + 2s < -1
+        def scenarios():
+            for n in _sizes(rng, 1, 8, 100):
+                M = _random_psd(rng, n)
+                y = rng.normal(size=n) + 1j * rng.normal(size=n)
+                yield {"op": "form-on-x", "A": _operator(M), "y": {"coords": _wire(y)},
+                       "expected": form_oracle_eigensolve(
+                           operator_from_matrix(M, dense_pair(n)), Vector(y))}
+            for s, finite in [(-2.0, True), (-1.0, False), (-0.8, False),
+                              (-3.0, True), (-1.6, True), (-1.1, False),
+                              (-2.5, True), (-0.5, False), (-4.0, True),
+                              (-1.4, False)]:
+                yield {"op": "form-on-x",
+                       "A": {"backend": "sequence", "diagonal": _power(2.0)},
+                       "y": _generated(_power(s), 48),
+                       "expected": "finite" if finite else "inf"}
+        return _worst(scenarios(), {"dense_instances": 100, "sequence_pairs": 10})
 
     def order():
         # 2I >= I, two crossed diagonals, an equal pair, then c M >= M
@@ -456,7 +449,7 @@ def covariance_suite(seed: int) -> list[Report]:
                         "scale": _geometric(math.sqrt(r), 1 / math.sqrt(3.0))}
                        for r in (2.0, 4.0 / 3.0))
             yield {"op": "independent-sum",
-                   "space_pair": {"backend": "sequence", "truncation": 24},
+                   "space_pair": _sequence(24),
                    "probability_xi": nu, "probability_eta": nu, "xi": xi, "eta": eta}
         return _worst(scenarios(), {"instances": 51})
 
@@ -466,7 +459,7 @@ def covariance_suite(seed: int) -> list[Report]:
         ("thm8-independent-sums", ["Thm8"], thm8),
         ("control-unnormalized-weights", ["Thm7"], _refusal(
             {"op": "weak-expectation",
-             "space_pair": {"backend": "sequence", "truncation": 24},
+             "space_pair": _sequence(24),
              "probability": {"kind": "rule", "rule": _geometric(0.5, 3.0)},
              "variable": {"kind": "exp-poly"}}, NotNormalized)),
     ])

@@ -437,6 +437,97 @@ class TestCliRun:
 NORM_OK = {"op": "norm", "p": 2.0, "x": {"coords": [3, 4]}, "expected": 5.0}
 
 
+SEQ64 = {"backend": "sequence", "truncation": 64}
+
+
+def power(alpha):
+    """The wire rule n**alpha."""
+    return {"terms": [{"coef": 1.0, "alpha": alpha}]}
+
+
+def generated(alpha, n=64):
+    """The wire vector n**alpha on the sequence truncation n."""
+    return {"backend": "sequence", "tail": {"kind": "rule", **power(alpha)},
+            "coords": [k ** alpha for k in range(1, n + 1)]}
+
+
+class TestFriedrichsOperands:
+    """The operands by which ``friedrichs`` checks all of Thm2, and the
+    finiteness ``expected`` of ``form-on-x``, through ``formcalc run``."""
+
+    @staticmethod
+    def run(tmp_path, **scenarios):
+        """Exit code and reports of ``formcalc run`` on the scenarios, by id."""
+        f = write_scenarios(tmp_path / "s.json",
+                            [{"id": sid, **sc} for sid, sc in scenarios.items()])
+        code = main(["run", f, "--out", str(tmp_path / "r")])
+        return code, {sid: json.loads((tmp_path / "r" / f"{sid}.json").read_text())
+                      for sid in scenarios}
+
+    def test_dense_expected_matrix(self, tmp_path):
+        A = [[2, 1], [1, 3]]
+        fr = {"op": "friedrichs", "space": DENSE2, "A": op_json(A)}
+        code, reps = self.run(
+            tmp_path, same={**fr, "expected_matrix": op_json(A)["action"]},
+            perturbed={**fr, "expected_matrix": op_json([[2, 1], [1, 3.001]])["action"]})
+        assert code == 2
+        assert reps["same"]["verdict"] == "pass"
+        assert set(reps["same"]["residuals"]) == {"extension", "idempotent", "matrix"}
+        assert reps["perturbed"]["verdict"] == "fail"
+        assert reps["perturbed"]["residuals"]["matrix"] > 1e-4
+
+    def test_expected_gamma(self, tmp_path):
+        fr = {"op": "friedrichs", "space": SEQ64, "generator": power(2.0)}
+        code, reps = self.run(tmp_path, exact={**fr, "expected_gamma": 1.0},
+                              off={**fr, "expected_gamma": 1.0 + 1e-6})
+        assert code == 2
+        assert reps["exact"]["verdict"] == "pass"
+        assert reps["off"]["verdict"] == "fail"
+        assert reps["off"]["residuals"]["gamma"] == pytest.approx(1e-6)
+
+    def test_domain_probes(self, tmp_path):
+        # a = n^2: n^-3 is in the domain (sum n^-2 < inf), n^-2 is not
+        fr = {"op": "friedrichs", "space": SEQ64, "generator": power(2.0)}
+        code, reps = self.run(
+            tmp_path,
+            right={**fr, "domain_probes": [{"y": generated(-3.0), "member": True},
+                                           {"y": generated(-2.0), "member": False}]},
+            wrong={**fr, "domain_probes": [{"y": generated(-3.0), "member": True},
+                                           {"y": generated(-2.0), "member": True}]})
+        assert code == 2
+        assert reps["right"]["verdict"] == "pass"
+        assert reps["right"]["residuals"]["membership_mistakes"] == 0.0
+        assert reps["wrong"]["verdict"] == "fail"
+        assert reps["wrong"]["residuals"]["membership_mistakes"] == 1.0
+
+    def test_form_on_x_finite(self, tmp_path):
+        # a = n^2: the form sum n^2 n^-4 converges, n^2 n^-2 does not
+        fx = {"op": "form-on-x", "expected": "finite",
+              "A": {"backend": "sequence", "diagonal": power(2.0)}}
+        code, reps = self.run(tmp_path, convergent={**fx, "y": generated(-2.0)},
+                              divergent={**fx, "y": generated(-1.0)})
+        assert code == 2
+        assert reps["convergent"]["verdict"] == "pass"
+        assert reps["divergent"]["verdict"] == "fail"
+        assert reps["divergent"]["residuals"]["finite_mismatch"] == 1.0
+
+    @pytest.mark.parametrize("operands", [
+        {"A": op_json([[2, 0], [0, 3]]), "generator": power(2.0)},
+        {},
+        {"generator": power(2.0),
+         "domain_probes": [{"y": generated(-3.0), "member": 1}]},
+        {"generator": power(2.0), "expected_matrix": [[1, 0], [0, 1]]},
+        # read before the indefinite A is refused
+        {"space": DENSE2, "A": op_json([[1, 0], [0, -1]]), "expected_matrix": "abc"},
+    ], ids=["A-and-generator", "neither", "member-not-boolean", "matrix-of-a-rule",
+            "matrix-not-a-matrix"])
+    def test_malformed_operands_exit_four(self, tmp_path, capsys, operands):
+        f = write_scenarios(tmp_path / "bad.json", [
+            {"id": "bad", "op": "friedrichs", "space": SEQ64, **operands}])
+        assert main(["run", f]) == 4
+        assert "scenario 'bad' has a malformed operand" in capsys.readouterr().err
+
+
 class TestCoefficientStrings:
     """Coefficient strings are read with float literals and bounded
     nesting: neither hangs nor crashes ``formcalc run``."""
@@ -657,6 +748,11 @@ HANDLER_BACKED = {
     "order-definition": {"compare", "antisymmetry"},
     "thm4-joint-factorization": {"joint-factorize"},
     "thm8-independent-sums": {"independent-sum"},
+    "thm2-square": {"friedrichs"},
+    "thm2-exponential": {"friedrichs"},
+    "thm2-geometric-2": {"friedrichs"},
+    "thm2-dense-fixed-point": {"friedrichs"},
+    "lem3-form-characterization": {"form-on-x"},
 }
 
 # each control's one scenario object: its op and the error it must raise
@@ -729,7 +825,7 @@ class TestBatteriesOnHandlers:
             if np.linalg.eigvalsh(matrix_from_json(ops["gram"]))[0] >= 0:
                 return handler(ops)
             if outcome is None:
-                return {}, {}, {}, []
+                return {}, {}, []
             raise outcome
         return claims, patched
 
@@ -780,7 +876,7 @@ class TestBatteriesOnHandlers:
 
     def test_worst_refuses_two_tolerances_for_one_residual(self, monkeypatch):
         monkeypatch.setitem(OPERATIONS, "fake", ((), lambda ops: (
-            {"r": ops["r"]}, {"r": ops["tol"]}, {"ignored": True}, [])))
+            {"r": (ops["r"], ops["tol"])}, {"ignored": True}, [])))
         same = [{"op": "fake", "r": -1.0, "tol": 1e-9},
                 {"op": "fake", "r": 1e-12, "tol": 1e-9}]
         assert suites._worst(same, {"instances": 2}) == (

@@ -345,12 +345,10 @@ class TestDirichletVsNeumann:
         with pytest.raises(DomainError):
             neumann_operator(LAPLACE, uniform_mesh(8))
 
-    def test_one_assembly_per_comparison(self, monkeypatch):
-        """Both operators come from one stiffness and one evaluation of a
-        and of b at the Gauss points; the golden values pin their bits."""
-        mesh = uniform_mesh(32)
-        grams, at_gauss = [], {"a": 0, "b": 0}
-
+    @staticmethod
+    def counted_problem(mesh, a, b, at_gauss):
+        """The problem with coefficients a and b that count, in
+        ``at_gauss``, their evaluations at the Gauss points of ``mesh``."""
         def counted(name, rule):
             f = compile_rule(rule)
 
@@ -359,12 +357,19 @@ class TestDirichletVsNeumann:
                     at_gauss[name] += 1
                 return f(x)
             return coefficient
+        return EllipticProblem(1.0, counted("a", a), counted("b", b), 1.0)
+
+    def test_one_assembly_per_comparison(self, monkeypatch):
+        """Both operators come from one stiffness and one evaluation of a
+        and of b at the Gauss points; the golden values pin their bits."""
+        mesh = uniform_mesh(32)
+        grams, at_gauss = [], {"a": 0, "b": 0}
 
         def hat_gram(*args):
             grams.append(args)
             return _hat_gram(*args)
 
-        pb = EllipticProblem(1.0, counted("a", "1 + x^2"), counted("b", "1 + sin(x)^2"), 1.0)
+        pb = self.counted_problem(mesh, "1 + x^2", "1 + sin(x)^2", at_gauss)
         monkeypatch.setattr(elliptic, "_hat_gram", hat_gram)
         rep = dirichlet_vs_neumann(pb, mesh)
         assert len(grams) == 1 and at_gauss == {"a": 1, "b": 1}
@@ -372,6 +377,23 @@ class TestDirichletVsNeumann:
         ref = dirichlet_vs_neumann(problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), mesh)
         assert rep.verdict == ref.verdict == "A>=B"
         assert rep.probes == ref.probes
+
+    def test_neumann_operator_evaluates_each_coefficient_once(self):
+        mesh = uniform_mesh(32)
+        at_gauss = {"a": 0, "b": 0}
+        A_n = neumann_operator(self.counted_problem(mesh, "1 + x^2", "1 + sin(x)^2",
+                                                    at_gauss), mesh)
+        assert at_gauss == {"a": 1, "b": 1}
+        ref = neumann_operator(problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0), mesh)
+        assert np.array_equal(A_n.action_mat, ref.action_mat)
+
+    @pytest.mark.parametrize("a, b", [("1", "0 - 1"), ("0.5", "x - 1")],
+                             ids=["b-negative", "a-below-gamma-too"])
+    def test_neumann_gate_comes_first(self, a, b):
+        # a negative b, or an a below gamma, would fail the coefficient
+        # check with NotPositive; the gate on b > 0 speaks first
+        with pytest.raises(DomainError, match="needs b > 0"):
+            neumann_operator(problem(1.0, a, b, 1.0), uniform_mesh(32))
 
     def test_variable_coefficients(self):
         pb = problem(1.0, "1 + x^2", "1 + sin(x)^2", 1.0)

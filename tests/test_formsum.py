@@ -595,8 +595,8 @@ def test_checks_draw_no_random_numbers(monkeypatch):
            "B": suites._operator(2.0 * A_mat), "K": suites._wire(K)}
     for op in ("joint-factorize", "lift-commutant", "commutation-formsum",
                "spectrum-inclusion"):
-        residuals, tols, _, _ = OPERATIONS[op][1](ops)
-        assert all(residuals[k] <= tols[k] for k in residuals), op
+        checks, _, _ = OPERATIONS[op][1](ops)
+        assert all(value <= tol for value, tol in checks.values()), op
 
 
 class TestOneFormOfA:
