@@ -32,6 +32,7 @@ from .errors import (
 )
 from .forms import SesquilinearForm, associated_operator, form_from_gram, lower_bound
 from .formsum import CLOSED_AUTOMATIC, ClosednessWitness, form_sum
+from .linalg import relative_error
 
 WEIGHT_TOL = 1e-12
 
@@ -341,9 +342,7 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable) -> IndependentSumRe
         fs = form_sum(
             DenseOperator(DENSE, "to-dual", A._basis, A.action_mat),
             DenseOperator(DENSE, "to-dual", B._basis, B.action_mat), dual)
-        M1 = cov_sum.canonical_matrix()
-        M2 = fs.operator.canonical_matrix()
-        res = float(np.linalg.norm(M1 - M2)) / max(1.0, float(np.linalg.norm(M2)))
+        res = relative_error(cov_sum.canonical_matrix(), fs.operator.canonical_matrix())
         return IndependentSumReport(res, {"kind": "finite-product"})
     if xi.kind == "signed-basis" and eta.kind == "signed-basis":
         cov_a = covariance_operator(xi)

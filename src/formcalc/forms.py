@@ -80,6 +80,10 @@ class SesquilinearForm:
             raise ValueError(f"unknown backend {self.backend!r}")
 
     @property
+    def n(self) -> int:
+        return self.basis_mat.shape[0]
+
+    @property
     def d(self) -> int:
         return self.basis_mat.shape[1]
 

@@ -99,17 +99,6 @@ def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:
     return graph_domain_contains(A, y)
 
 
-def in_energy_domain(res: FriedrichsResult, y: Vector) -> bool:
-    """Membership in the energy space dom J*: sum a_n |y_n|^2 finite."""
-    A = res.extension
-    if A.backend == DENSE:
-        return True
-    if y.tail is None:
-        return True
-    ok, _ = series.decide_summable(A.diagonal * y.tail.abs_square())
-    return ok
-
-
 @dataclass(frozen=True)
 class CoreWitness:
     truncation: int

@@ -122,6 +122,12 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def relative_error(got, want) -> float:
+    """Relative Frobenius error ||got - want|| / max(1, ||want||) of a
+    computed array, or scalar, against the one expected."""
+    return float(np.linalg.norm(got - want)) / max(1.0, float(np.linalg.norm(want)))
+
+
 def relative_residual(delta, scale_terms) -> float:
     scale = max(*[float(s) for s in scale_terms], 1e-300)
     return float(delta) / scale

@@ -21,8 +21,8 @@ import numpy as np
 from . import series
 from .coeffexpr import ExpressionError, compile_rule
 from .duality import (
-    DENSE, SEQUENCE, DenseOperator, DualityPair, Functional, Vector,
-    dense_pair, sequence_pair,
+    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, ENDO, FROM_DUAL, SEQUENCE, TO_DUAL,
+    DenseOperator, DualityPair, Functional, Vector, dense_pair, sequence_pair,
 )
 from .errors import FormcalcError, Uncertifiable
 
@@ -242,6 +242,15 @@ def json_field(obj, key: str, kind: type, default=_REQUIRED):
     return float(v) if kind is float else v
 
 
+def json_choice(obj, key: str, values: tuple, default=_REQUIRED):
+    """``json_field(obj, key, str, default)``, a string that must be one
+    of ``values``: any other raises :class:`MalformedOperand`."""
+    v = json_field(obj, key, str, default)
+    if v is not default and v not in values:
+        raise MalformedOperand(f"{key!r} must be one of {', '.join(values)}")
+    return v
+
+
 def rule_from_json(obj) -> series.Rule:
     return series.Rule(tuple(
         series.Term(complex_from_json(json_field(t, "coef", object)),
@@ -253,18 +262,20 @@ def rule_from_json(obj) -> series.Rule:
 
 def pair_from_json(obj) -> DualityPair:
     p = json_field(obj, "p", float, 2.0)
-    if json_field(obj, "backend", str) == DENSE:
+    if json_choice(obj, "backend", (DENSE, SEQUENCE)) == DENSE:
         return dense_pair(json_field(obj, "dim", int), p)
     return sequence_pair(json_field(obj, "truncation", int), p)
 
 
 def vector_from_json(obj, cls=Vector):
-    tail = None
-    t = json_field(obj, "tail", dict, None)
-    if t and json_field(t, "kind", str, None) == "rule":
-        tail = rule_from_json(t)
+    """A vector (or ``cls``) whose optional ``tail`` is the rule that
+    generated its coordinates, of ``"kind": "rule"``."""
+    tail = json_field(obj, "tail", dict, None)
+    if tail is not None:
+        json_choice(tail, "kind", ("rule",))
+        tail = rule_from_json(tail)
     return cls(array_from_json(obj["coords"]),
-               json_field(obj, "backend", str, DENSE), tail)
+               json_choice(obj, "backend", (DENSE, SEQUENCE), DENSE), tail)
 
 
 def functional_from_json(obj) -> Functional:
@@ -272,12 +283,11 @@ def functional_from_json(obj) -> Functional:
 
 
 def operator_from_json(obj) -> DenseOperator:
-    direction = json_field(obj, "direction", str, "to-dual")
-    if json_field(obj, "backend", str) == SEQUENCE:
-        return DenseOperator(SEQUENCE, direction,
-                             diagonal=rule_from_json(obj["diagonal"]),
-                             domain_rule=json_field(obj, "domain", str,
-                                                    "finitely-supported"))
+    direction = json_choice(obj, "direction", (TO_DUAL, FROM_DUAL, ENDO), TO_DUAL)
+    if json_choice(obj, "backend", (DENSE, SEQUENCE)) == SEQUENCE:
+        domain = json_choice(obj, "domain", (DOMAIN_FINITE, DOMAIN_MAXIMAL), DOMAIN_FINITE)
+        return DenseOperator(SEQUENCE, direction, diagonal=rule_from_json(obj["diagonal"]),
+                             domain_rule=domain)
     basis = matrix_from_json(obj["domain_basis"])
     action = matrix_from_json(obj["action"])
     return DenseOperator(DENSE, direction, basis, action)

@@ -9,17 +9,19 @@ that must raise the error it names (:func:`_refusal`).  Every other
 check is a seeded generator of scenario objects, the shape of a
 scenario-file entry with its operands in the wire layout, each judged by
 :func:`formcalc.scenarios.judge` and reported as the worst residual of
-each name (:func:`_worst`), but for seven hand-written checks, each for
-what no handler gives:
+each name (:func:`_worst`); ``thm1-offdiagonal-example`` is one entry,
+judged alone so that its handler's details stay.  Six checks are
+hand-written, each for what no handler gives:
 
-- ``thm1-offdiagonal-example``: its gamma and eigenvalues {1, 3};
 - ``closedness-sequential``: it expects a refusal inside a claim check;
 - ``thm7-second-moment-example``: the harmonic functional's certificate;
 - ``thm7-closedness``: no op exists for ``is_closed``;
 - ``elliptic-poincare``, ``elliptic-convergence`` and
-  ``elliptic-lower-bounds``: ``lambda_h``, the convergence rows and
+  ``elliptic-lower-bounds``: ``lambda_h``, the convergence table and
   ``c_p2`` and ``c_p4``.
 
+A check's CSV tables travel in its details under ``csv``, by file name,
+as a handler's do; :func:`run_suite` collects them (``convergence.csv``).
 Everything is deterministic given the seed; summaries therefore omit
 wall times.
 """
@@ -33,11 +35,12 @@ import numpy as np
 
 from . import series
 from .covariance import (
-    covariance_form, exp_poly_variable, exponential_space, paired_rule_space,
-    second_moment_membership, signed_basis_variable, weak_expectation,
+    SecondMomentDomain, covariance_form, exp_poly_variable, exponential_space,
+    paired_rule_space, second_moment_membership, signed_basis_variable,
+    weak_expectation,
 )
 from .duality import (
-    FROM_DUAL, TO_DUAL, Functional, Vector, dense_pair, generated_vector,
+    FROM_DUAL, TO_DUAL, Vector, dense_pair, generated_functional, generated_vector,
     operator_from_matrix, sequence_pair,
 )
 from .elliptic import (
@@ -46,7 +49,7 @@ from .elliptic import (
 from .errors import (DomainError, FormcalcError, LowerBoundError, NotEqual,
                      NotNormalized, NotPositive)
 from .formsum import is_closed
-from .forms import associated_operator, diagonal_form, form_from_gram
+from .forms import diagonal_form
 from .ordering import form_oracle_eigensolve
 from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts, rule_from_json
 from .scenarios import judge
@@ -195,20 +198,16 @@ def representation_suite(seed: int) -> list[Report]:
                         "B": _operator(np.linalg.inv(_random_hpd(rng, n)), FROM_DUAL)}
                        for n in _sizes(rng, 1, 9, 50)), {"instances": 50})
 
-    def worked():
-        rep = associated_operator(
-            form_from_gram(np.eye(2), np.array([[2.0, 1j], [-1j, 2.0]])),
-            dense_pair(2))
-        evals = np.linalg.eigvalsh(rep.A.canonical_matrix())
-        return ({"eigenvalues": float(np.linalg.norm(evals - [1.0, 3.0])),
-                 "b_norm_minus_one": abs(rep.b_norm - 1.0)},
-                {"eigenvalues": 1e-10, "b_norm_minus_one": 1e-10},
-                {"gamma": rep.gamma}, [])
+    # the gram [[2, i], [-i, 2]] represents [[2, -i], [i, 2]], of
+    # eigenvalues 1 and 3: gamma 1 and ||B|| 1
+    worked = {"op": "associated-operator", "space": _space(2),
+              "gram": _wire(np.array([[2.0, 1j], [-1j, 2.0]])),
+              "expected_matrix": _wire(np.array([[2.0, -1j], [1j, 2.0]]))}
 
     return _run_checks([
         ("thm1-random-inverses", ["Thm1"], inverses),
         ("lem1-bounded-inverse", ["Lem1"], lem1),
-        ("thm1-offdiagonal-example", ["Thm1"], worked),
+        ("thm1-offdiagonal-example", ["Thm1"], lambda: judge(worked)),
         ("control-indefinite-form", ["Thm1"], _refusal(
             {"op": "associated-operator", "space": _space(2),
              "gram": _wire(np.diag([1.0, -1.0]))}, NotPositive)),
@@ -393,28 +392,22 @@ def covariance_suite(seed: int) -> list[Report]:
     rng = np.random.default_rng(seed)
 
     def worked_example():
-        sp = exponential_space(1.5)
-        xi = exp_poly_variable(sp, sequence_pair(24))
+        xi = exp_poly_variable(exponential_space(1.5), sequence_pair(24))
         e = weak_expectation(xi)
         c = math.exp(1.5) - 1.0
         oracle1 = sum(c * math.exp(-1.5 * n) * n for n in range(1, 400))
-        members = []
-        for k in range(12):
-            fc = np.zeros(24, dtype=complex)
-            fc[k] = 1.0
-            members.append(second_moment_membership(
-                xi, Functional(fc, "sequence")).member)
-        harmonic = series.polynomial(-1.0)
-        f_out = Functional(harmonic(np.arange(1, 25)), "sequence", tail=harmonic)
-        cert = second_moment_membership(xi, f_out)
+        witness = SecondMomentDomain(xi).density_witness()
+        cert = second_moment_membership(xi, generated_functional(
+            series.polynomial(-1.0), sequence_pair(24)))
         diverges = (not cert.member and
                     cert.certificate["kind"] == "partial-sum-growth")
         return ({"expectation_coord1": abs(e.coords[0].real - oracle1),
-                 "finitely_supported_in": 0.0 if all(members) else 1.0,
+                 "finitely_supported_in":
+                     0.0 if witness["finitely_supported_members"] else 1.0,
                  "harmonic_out": 0.0 if diverges else 1.0},
                 {"expectation_coord1": 1e-10, "finitely_supported_in": 0.0,
                  "harmonic_out": 0.0},
-                {"weights": "c e^(-1.5 n)", "checked_functionals": 12},
+                {"weights": "c e^(-1.5 n)", "checked_functionals": witness["checked"]},
                 [cert.certificate])
 
     def closed_form():
@@ -487,7 +480,7 @@ def elliptic_suite(seed: int) -> list[Report]:
         table = [[r["m"], r["h"], r["l2_error"],
                   "" if r["ratio"] is None else r["ratio"]] for r in rows]
         return ({"ratio_offset": off}, {"ratio_offset": 0.4},
-                {"rows": table}, [])
+                {"csv": {"convergence.csv": (["m", "h", "l2_error", "ratio"], table)}}, [])
 
     def solves():
         rules = ["1", "x", "exp(x)", "sin(3*x)", "cos(pi*x)", "x^2 - x",
@@ -536,7 +529,8 @@ def _battery(name: str, seed: int) -> list[Report]:
 
 def run_suite(name: str, seed: int = 0, map=map) -> SuiteResult:
     """Run one battery, or every battery for ``all``, and collect the
-    reports in battery order.  ``map`` applies :func:`_battery` to the
+    reports in battery order, with the CSV tables their details hold
+    under ``csv``, by file name.  ``map`` applies :func:`_battery` to the
     battery names; the default runs them in order in this process, and a
     process pool's ``map`` runs them on its workers.  Each battery draws
     from its own ``default_rng(seed)``, so the reports do not depend on
@@ -546,13 +540,5 @@ def run_suite(name: str, seed: int = 0, map=map) -> SuiteResult:
     names = SUITE_NAMES if name == "all" else (name,)
     batteries = map(_battery, names, [seed] * len(names))
     reports = tuple(r for battery in batteries for r in battery)
-    return SuiteResult(name, seed, reports, _artifacts_from(reports))
-
-
-def _artifacts_from(reports) -> dict:
-    artifacts = {}
-    for r in reports:
-        if r.scenario == "elliptic-convergence" and "rows" in r.details:
-            artifacts["convergence.csv"] = (
-                ["m", "h", "l2_error", "ratio"], r.details["rows"])
-    return artifacts
+    return SuiteResult(name, seed, reports, {
+        file: table for r in reports for file, table in r.details.get("csv", {}).items()})

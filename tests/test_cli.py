@@ -528,6 +528,134 @@ class TestFriedrichsOperands:
         assert "scenario 'bad' has a malformed operand" in capsys.readouterr().err
 
 
+INDEFINITE = [[1, 0], [0, -1]]
+NEGATIVE_RULE = {"backend": "sequence", "diagonal": {"terms": [{"coef": -1.0}]}}
+UNNORMALIZED = {"kind": "rule", "rule": {"terms": [{"coef": 3.0, "ratio": 0.5}]}}
+SEQ24 = {"backend": "sequence", "truncation": 24}
+
+#: each op that takes an expected operand: operands whose construction is
+#: refused, and a malformed expected operand
+EXPECTED_OPERANDS = [
+    ("pair", {"space": {"backend": "dense", "dim": 3}, "v": {"coords": [1, 2]},
+              "x": {"coords": [1, 1]}}, {"expected": "abc"}),
+    ("norm", {"p": 0.5, "x": {"coords": [3, 4]}}, {"expected": "abc"}),
+    ("is-extension", {"S": {"backend": "sequence",
+                            "diagonal": {"terms": [{"coef": 1.0, "alpha": math.nan}]}},
+                      "T": NEGATIVE_RULE}, {"expected": "false"}),
+    ("lower-bound", {"space": DENSE2, "gram": INDEFINITE}, {"expected_gamma": "abc"}),
+    ("associated-operator", {"space": DENSE2, "gram": INDEFINITE},
+     {"expected_matrix": "abc"}),
+    ("riesz-solve", {"space": DENSE2, "gram": INDEFINITE, "v": {"coords": [1, 0]}},
+     {"expected": "abc"}),
+    ("friedrichs", {"space": SEQ64, "generator": {"terms": [{"coef": 1.0, "ratio": 0.5}]}},
+     {"expected_gamma": "abc"}),
+    ("form-on-x", {"A": NEGATIVE_RULE, "y": {"backend": "sequence", "coords": [1]}},
+     {"expected": "abc"}),
+    ("compare", {"A": NEGATIVE_RULE, "B": NEGATIVE_RULE}, {"expected": "A>B"}),
+    ("form-sum", {"space": DENSE2, "A": op_json(INDEFINITE), "B": op_json([[1, 0], [0, 1]])},
+     {"expected_matrix": "abc"}),
+    ("joint-factorize", {"space": DENSE2, "A": op_json(INDEFINITE),
+                         "B": op_json([[1, 0], [0, 1]])}, {"expected_matrix": "abc"}),
+    ("weak-expectation", {"space_pair": SEQ24, "probability": UNNORMALIZED,
+                          "variable": {"kind": "exp-poly"}}, {"expected": "abc"}),
+    ("second-moment", {"space_pair": SEQ24, "probability": UNNORMALIZED,
+                       "variable": {"kind": "exp-poly"},
+                       "functional": {"backend": "sequence", "coords": [1]}},
+     {"expected": "false"}),
+    # one atom: the covariance has lower bound 0
+    ("covariance-operator", {"space_pair": DENSE2, "probability": {"weights": [1.0]},
+                             "variable": {"values": [[1, 0]]}},
+     {"expected_matrix": "abc"}),
+    ("elliptic-assemble", {"m": 8, "problem": {"a": "0 - 1", "b": "0", "gamma": 1.0}},
+     {"expected_gram": "abc"}),
+]
+
+
+class TestInputChecks:
+    """Malformed input exits 4 before anything is constructed, and an
+    operand outside its space is a :class:`BackendMismatch`."""
+
+    @staticmethod
+    def run(tmp_path, op, operands, out="out"):
+        """Exit code of ``formcalc run`` on the one entry ``x``, and its
+        report, or None if none was written."""
+        f = write_scenarios(tmp_path / "in.json", [{"id": "x", "op": op, **operands}])
+        code = main(["run", f, "--out", str(tmp_path / out)])
+        report = tmp_path / out / "x.json"
+        return code, json.loads(report.read_text()) if report.exists() else None
+
+    # each op with an expected operand: an entry whose construction is
+    # refused, and a malformed expected operand
+    @pytest.mark.parametrize("op, operands, expected", EXPECTED_OPERANDS,
+                             ids=[op for op, _, _ in EXPECTED_OPERANDS])
+    def test_malformed_expected_operand_exits_four(self, tmp_path, capsys, op, operands,
+                                                   expected):
+        code, report = self.run(tmp_path, op, operands, "refused")
+        assert code == 2 and report["residuals"] == {"raised": 1.0}
+        assert self.run(tmp_path, op, {**operands, **expected}) == (4, None)
+        assert "scenario 'x' has a malformed operand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, op, operands", [
+        ("backend", "factorize",
+         {"A": {**op_json([[1, 0], [0, 1]]), "backend": "banach"}}),
+        ("backend", "pair", {"space": {"backend": "banach", "dim": 2},
+                             "v": {"coords": [1, 2]}, "x": {"coords": [1, 1]}}),
+        ("backend", "norm", {"p": 2.0, "x": {"coords": [3, 4], "backend": "banach"}}),
+        ("direction", "factorize",
+         {"A": {**op_json([[1, 0], [0, 1]]), "direction": "sideways"}}),
+        ("domain", "form-on-x", {"A": {"backend": "sequence", "diagonal": power(2.0),
+                                       "domain": "everywhere"},
+                                 "y": generated(-2.0, 48)}),
+        ("kind", "form-on-x", {"A": {"backend": "sequence", "diagonal": power(2.0)},
+                               "y": {**generated(-1.0, 48),
+                                     "tail": {"kind": "rules", **power(-1.0)}},
+                               "expected": "inf"}),
+        ("kind", "weak-expectation", {"space_pair": SEQ24, "probability": {"kind": "bogus"},
+                                      "variable": {"kind": "exp-poly"}}),
+        ("kind", "independent-sum", {
+            "space_pair": DENSE2, "probability_xi": {"kind": "bogus"},
+            "probability_eta": {"weights": [1.0]}, "xi": {"values": [[0, 0]]},
+            "eta": {"values": [[0, 0]]}}),
+        ("kind", "independent-sum", {
+            "space_pair": DENSE2, "probability_xi": {"weights": [1.0]},
+            "probability_eta": {"kind": "bogus"}, "xi": {"values": [[0, 0]]},
+            "eta": {"values": [[0, 0]]}}),
+        ("kind", "covariance-form", {"space_pair": DENSE2, "probability": {"weights": [1.0]},
+                                     "variable": {"kind": "bogus"}}),
+        ("kind", "independent-sum", {
+            "space_pair": DENSE2, "probability_xi": {"weights": [1.0]},
+            "probability_eta": {"weights": [1.0]}, "xi": {"kind": "bogus"},
+            "eta": {"values": [[0, 0]]}}),
+        ("kind", "independent-sum", {
+            "space_pair": DENSE2, "probability_xi": {"weights": [1.0]},
+            "probability_eta": {"weights": [1.0]}, "xi": {"values": [[0, 0]]},
+            "eta": {"kind": "bogus"}}),
+        ("boundary", "elliptic-assemble",
+         {"m": 8, "boundary": "robin", "problem": {"a": "1", "b": "1", "gamma": 1.0}}),
+    ], ids=["operator-backend", "space-backend", "vector-backend", "direction",
+            "sequence-domain", "tail-kind", "probability-kind", "probability-xi-kind",
+            "probability-eta-kind", "variable-kind", "xi-kind", "eta-kind", "boundary"])
+    def test_unknown_enumerated_string_exits_four(self, tmp_path, capsys, key, op, operands):
+        assert self.run(tmp_path, op, operands) == (4, None)
+        err = capsys.readouterr().err
+        assert f"scenario 'x' has a malformed operand: '{key}' must be one of " in err
+
+    @pytest.mark.parametrize("op, operands", [
+        ("lower-bound", {"space": SEQ64, "gram": [[2, 0], [0, 3]]}),
+        ("associated-operator", {"space": {"backend": "dense", "dim": 5},
+                                 "gram": [[2, 0], [0, 3]]}),
+        ("form-sum", {"space": {"backend": "dense", "dim": 5},
+                      "A": op_json([[1, 0], [0, 2]]), "B": op_json([[3, 0], [0, 4]])}),
+        ("covariance-form", {"space_pair": DENSE2, "probability": {"weights": [0.5, 0.5]},
+                             "variable": {"values": [[1, 0, 0], [0, 1, 0]]}}),
+    ], ids=["sequence-space-dense-gram", "gram-of-another-dimension",
+            "summands-of-another-dimension", "table-values-of-another-dimension"])
+    def test_operand_outside_its_space_fails(self, tmp_path, op, operands):
+        code, report = self.run(tmp_path, op, operands)
+        assert code == 2
+        assert report["details"]["error"].startswith("BackendMismatch: ")
+
+
 class TestCoefficientStrings:
     """Coefficient strings are read with float literals and bounded
     nesting: neither hangs nor crashes ``formcalc run``."""
@@ -737,6 +865,7 @@ class TestSuiteFanOut:
 #: each battery check judged by scenario handlers, and its handlers' ops
 HANDLER_BACKED = {
     "thm1-random-inverses": {"associated-operator"},
+    "thm1-offdiagonal-example": {"associated-operator"},
     "lem1-bounded-inverse": {"inverse-selfadjoint"},
     "lem2-factorization": {"factorize"},
     "lem2-remark-sqrt": {"hilbert-consistency"},

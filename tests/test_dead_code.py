@@ -8,8 +8,10 @@ A private one (a leading underscore, dunder methods aside) must be named
 so in ``src/`` itself: one that only tests call is dead code.  A method
 counts as named only as an attribute, right after a ``.``, so that a
 JSON key, a local variable or a test name that happens to share its
-name does not keep it alive.  Every name a module imports must be read
-in that module; ``__init__`` imports to re-export.
+name does not keep it alive.  A public one that nothing in ``src/``
+outside ``__init__`` names is listed in :data:`NO_SRC_CALLER` with the
+reason it stays.  Every name a module imports must be read in that
+module; ``__init__`` imports to re-export.
 """
 
 import ast
@@ -90,6 +92,33 @@ def test_every_private_definition_has_a_caller_in_src():
     assert defs
     unused = unnamed(defs, name_occurrences(("src",)))
     assert not unused, "private definitions src/ never names:\n" + "\n".join(unused)
+
+
+#: public definitions that nothing in src/ outside __init__ names, each
+#: with the reason it stays in the public API
+NO_SRC_CALLER = {
+    "basis_vector": "the coordinate vector e_i of a space, for callers building probes",
+    "basis_functional": "the coordinate functional e_i of a space, the dual of basis_vector",
+    "identity_operator": "the identity X -> X* on either backend, the simplest positive operator",
+    "restricted_operator": "an operator on a proper domain subspace, the input Thm2 extends",
+    "centered": "the centring that covariance_form leaves to its caller",
+    "in_dom_Jstar": "membership in the energy space dom J* of A = JJ*, the domain of Lem3",
+    "h_inner": "FactorizationResult.h_inner, the inner product of the auxiliary space H",
+    "at": "Rule.at, one value of a rule, for oracles that step through n",
+}
+
+
+def test_public_definitions_without_a_caller_in_src_are_listed():
+    init = PACKAGE / "__init__.py"
+    occurrences = tuple({name: [w for w in where if w[0] != init]
+                         for name, where in table.items()}
+                        for table in name_occurrences(("src",)))
+    uncalled = {entry.split()[-1] for entry in unnamed(definitions(), occurrences)}
+    assert not uncalled - set(NO_SRC_CALLER), \
+        "public definitions that lost their last caller in src/, to list with a reason " \
+        f"or delete: {sorted(uncalled - set(NO_SRC_CALLER))}"
+    assert not set(NO_SRC_CALLER) - uncalled, \
+        f"listed definitions that src/ now names: {sorted(set(NO_SRC_CALLER) - uncalled)}"
 
 
 def unread_imports(path):

@@ -11,9 +11,8 @@ from formcalc.duality import (
     generated_vector, is_extension, operator_from_matrix, sequence_pair,
 )
 from formcalc.errors import DomainError, LowerBoundError, Uncertifiable
-from formcalc.friedrichs import (
-    core_check, friedrichs, idempotent, in_energy_domain, in_extension_domain,
-)
+from formcalc.friedrichs import core_check, friedrichs, idempotent, in_extension_domain
+from formcalc.ordering import in_dom_Jstar
 from formcalc.scenarios import run_scenario
 
 SP = sequence_pair(64)
@@ -186,6 +185,6 @@ class TestCoreCheck:
         a = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
         res = friedrichs(a, SP)
         bad = generated_vector(series.polynomial(-1.0), SP)   # sum n^2 n^-2 diverges
-        assert not in_energy_domain(res, bad)
+        assert not in_dom_Jstar(res.extension, bad)
         with pytest.raises(DomainError):
             core_check(a, res, [bad])
