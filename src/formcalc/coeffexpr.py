@@ -73,8 +73,7 @@ def compile_rule(text: str) -> Callable[[np.ndarray], np.ndarray]:
     except OverflowError as exc:
         raise ExpressionError(f"a numeric literal of {shown} is out of "
                               "range") from exc
-    env = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "pi": math.pi,
-           "__builtins__": {}}
+    env = {**_ALLOWED_CALLS, **_ALLOWED_NAMES, "__builtins__": {}}
 
     def fn(x):
         x = np.asarray(x, dtype=float)

@@ -24,13 +24,11 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, DenseOperator, DualityPair,
-    Functional, Vector, diagonal_operator,
+    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, TO_DUAL,
+    DenseOperator, DualityPair, Functional, Vector, diagonal_operator,
 )
-from .errors import (
-    BackendMismatch, DomainError, LowerBoundError, NotNormalized, Uncertifiable,
-)
-from .forms import SesquilinearForm, associated_operator, form_from_gram, lower_bound
+from .errors import BackendMismatch, NotNormalized, Uncertifiable
+from .forms import SesquilinearForm, associated_operator, form_from_gram
 from .formsum import CLOSED_AUTOMATIC, ClosednessWitness, form_sum
 from .linalg import relative_error
 
@@ -263,9 +261,9 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     The caller centers xi first (subtract the weak expectation); the
     uncentered formula is computed as given.  Returns a form over the
     dual pair: dense gram on the supplied functional basis for finite
-    spaces, a diagonal weight rule for signed-basis variables.  Basis
-    functionals outside the second-moment domain raise.  The witness is
-    the automatic closedness of a dense form, None for a diagonal one.
+    spaces, where every functional has a finite second moment, and a
+    diagonal weight rule for signed-basis variables.  The witness is the
+    automatic closedness of a dense form, None for a diagonal one.
     """
     if xi.kind == "signed-basis":
         rule = xi.space.rule * xi.scale.abs_square()
@@ -275,9 +273,6 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
                             "family are outside scope; center a table variable")
     if basis is None:
         basis = [Functional(np.eye(xi.codomain.n)[k]) for k in range(xi.codomain.n)]
-    for f in basis:
-        if not in_second_moment_domain(xi, f):
-            raise DomainError("basis functional outside the second-moment domain")
     B = np.stack([f.coords for f in basis], axis=1)
     X = np.stack(xi.values)
     k = min(B.shape[0], X.shape[1])
@@ -290,19 +285,14 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
 def covariance_operator(xi: RandomVariable) -> DenseOperator:
     """Representing operator of the covariance form, mapping X* to X.
 
-    Requires a certified positive lower bound on the coordinate basis;
-    at gamma = 0 the construction is refused (the Hilbert-space fallback
-    at lower bound zero is out of scope here).
+    Requires a certified positive lower bound on the coordinate basis; at
+    gamma = 0 :func:`associated_operator` refuses it (the Hilbert-space
+    fallback at lower bound zero is out of scope here).
     """
     t, _ = covariance_form(xi)
     dual = xi.codomain.dual()
     if t.backend == SEQUENCE:
         return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)
-    cert = lower_bound(t, dual)
-    if cert.gamma <= 0:
-        raise LowerBoundError(
-            "covariance form has lower bound 0; the Hilbert-space fallback "
-            "(representation at gamma = 0) is out of scope")
     return replace(associated_operator(t, dual).A, direction=FROM_DUAL)
 
 
@@ -340,8 +330,8 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable) -> IndependentSumRe
         B = covariance_operator(eta)
         dual = xi.codomain.dual()
         fs = form_sum(
-            DenseOperator(DENSE, "to-dual", A._basis, A.action_mat),
-            DenseOperator(DENSE, "to-dual", B._basis, B.action_mat), dual)
+            DenseOperator(DENSE, TO_DUAL, A._basis, A.action_mat),
+            DenseOperator(DENSE, TO_DUAL, B._basis, B.action_mat), dual)
         res = relative_error(cov_sum.canonical_matrix(), fs.operator.canonical_matrix())
         return IndependentSumReport(res, {"kind": "finite-product"})
     if xi.kind == "signed-basis" and eta.kind == "signed-basis":
@@ -349,10 +339,10 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable) -> IndependentSumRe
         cov_b = covariance_operator(eta)
         dual = xi.codomain.dual()
         fs = form_sum(
-            DenseOperator(SEQUENCE, "to-dual", diagonal=cov_a.diagonal,
-                          domain_rule="finitely-supported"),
-            DenseOperator(SEQUENCE, "to-dual", diagonal=cov_b.diagonal,
-                          domain_rule="finitely-supported"), dual)
+            DenseOperator(SEQUENCE, TO_DUAL, diagonal=cov_a.diagonal,
+                          domain_rule=DOMAIN_FINITE),
+            DenseOperator(SEQUENCE, TO_DUAL, diagonal=cov_b.diagonal,
+                          domain_rule=DOMAIN_FINITE), dual)
         # brute-force window over the product space: enumerate the signed
         # atom pairs ((n, sg1), (m, sg2)) and accumulate the second moment
         # of each retained coordinate, then compare with the summed rule

@@ -43,6 +43,7 @@ SEQUENCE = "sequence"
 TO_DUAL = "to-dual"      # X -> X*
 FROM_DUAL = "from-dual"  # X* -> X
 ENDO = "endo"            # X -> X
+DIRECTIONS = (TO_DUAL, FROM_DUAL, ENDO)
 
 DOMAIN_SPAN = "span"
 DOMAIN_FINITE = "finitely-supported"
@@ -312,6 +313,8 @@ class DenseOperator:
     domain_rule: str = DOMAIN_SPAN
 
     def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}")
         if self.backend == DENSE:
             shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
             B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)

@@ -291,7 +291,6 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
         "ba_identity": ba_res,
         "selfadjoint": sa_res,
         "b_norm": bnorm,
-        "b_norm_bound": bnorm - 1.0 / cert.gamma,
         "b_positive": max(0.0, -float(lam_r[0])),
     }
     if ab_res > 1e-10 or ba_res > 1e-10:

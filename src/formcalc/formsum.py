@@ -19,14 +19,16 @@ E^H A contained in A E lifts to a bounded operator on H_A acting by
 A x -> A E x.  The lift is self-adjoint in the H_A inner product, obeys
 the spectral-radius bound, and its spectrum sits inside the real part of
 the spectrum of E; all three claims are checked with residual records,
-plus the resolvent identity at three fixed real points outside the
-spectrum of E.
+plus the resolvent identity at three real points outside the spectrum of
+E.  The lift residuals are relative to the norm of E and the resolvent
+points sit at multiples of max(1, max|sigma(E)|), so the scale of E does
+not decide a verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
     SesquilinearForm, associated_operator, form_of_operator, lower_bound,
 )
-from .linalg import gram_quadratic, hermitian_norm, relative_residual
+from .linalg import gram_quadratic, hermitian_norm, relative_error, relative_residual
 from .ordering import FactorizationResult, factorize
 
 
@@ -53,9 +55,7 @@ CLOSED_DIAGONAL = "diagonal-fatou"
 
 @dataclass(frozen=True)
 class RunRecord:
-    schedule: tuple[int, ...]
-    tails: tuple[float, ...]          # t(x - x_k, x - x_k), certified
-    contraction: tuple[float, ...]
+    contraction: tuple[float, ...]    # ratios of certified tails t(x - x_k, x - x_k)
     limit_in_domain: bool
 
 
@@ -88,20 +88,19 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
     records = []
     for x in runs:
         if x.tail is None:
-            records.append(RunRecord((x.n,), (0.0,), (), True))
+            records.append(RunRecord((), True))
             continue
         weight = t.diagonal * x.tail.abs_square()
-        ok, cert = series.decide_summable(weight)
+        ok, _ = series.decide_summable(weight)
         if not ok:
             raise DomainError(
                 "run is not form-Cauchy: its truncation tails diverge")
-        schedule = tuple(2 ** k for k in range(2, 13))
-        tails = tuple(series.tail_bound(weight, k) for k in schedule)
+        tails = [series.tail_bound(weight, 2 ** k) for k in range(2, 13)]
         contraction = tuple(tails[i + 1] / tails[i]
                             for i in range(len(tails) - 1) if tails[i] > 0)
         if any(r >= 1.0 for r in contraction[-10:]):
             raise DomainError("form-Cauchy tails do not contract")
-        records.append(RunRecord(schedule, tails, contraction, True))
+        records.append(RunRecord(contraction, True))
     return ClosednessWitness(CLOSED_SEQUENTIAL, tuple(records))
 
 
@@ -115,7 +114,6 @@ class FormSumResult:
     gamma: float
     extension_residual: float          # against A + B on dom A and dom B
     collapse_exact: bool               # full domains: A (+) B == A + B
-    details: dict = field(default_factory=dict)
 
 
 def _max_column_norm(M: np.ndarray) -> float:
@@ -148,7 +146,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> Form
     if A.d < dp.n:
         raise DomainError("A must be effectively everywhere defined "
                           "(its closure carries the representation)")
-    closedness = is_closed(t_b, None, dp)
+    is_closed(t_b, None, dp)
     # H_{A,B} = dom J_A* (everything here) intersected with dom t_B
     C = B.basis_mat
     # t_A(u, v) = (Au, v) on all of X, read through the coefficients of
@@ -159,11 +157,12 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> Form
     t_sum = SesquilinearForm(DENSE, t_b._basis, G_sum)
     rep = associated_operator(t_sum, dp)
     AB = rep.A
-    # extension of A + B on dom A intersect dom B = dom t_B here
+    # extension of A + B on dom A intersect dom B = dom t_B here, the
+    # functionals compared by their restriction to dom t_B
     M_AB = AB.canonical_matrix()
     M_sum = A.canonical_matrix() + B.canonical_matrix()
     scale = max(hermitian_norm(M_sum), 1.0)
-    worst = _max_column_norm(M_AB @ C - M_sum @ C) / scale
+    worst = _max_column_norm(B.effective_projector() @ (M_AB @ C - M_sum @ C)) / scale
     collapse = bool(A.is_full_domain() and B.is_full_domain())
     if collapse:
         exact = float(operator_norm(M_AB - M_sum)) / scale
@@ -172,8 +171,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> Form
                 f"everywhere-defined collapse violated (residual {exact:.3e})")
     if worst > 1e-10:
         raise ArithmeticError(f"form sum fails to extend A + B ({worst:.3e})")
-    return FormSumResult(AB, rep.gamma, worst, collapse,
-                         {"closedness": closedness.kind})
+    return FormSumResult(AB, rep.gamma, worst, collapse)
 
 
 def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
@@ -192,7 +190,7 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     if not (np.all(np.isfinite(np.real(A.diagonal(ns)))) and
             np.all(np.isfinite(np.real(B.diagonal(ns))))):
         raise DomainError("density check failed on finitely supported probes")
-    return FormSumResult(AB, cert.gamma, 0.0, False, {})
+    return FormSumResult(AB, cert.gamma, 0.0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +226,13 @@ def joint_factorize(A: DenseOperator, B: DenseOperator,
     # J* z must be Az (+) Bz: compare in action coordinates
     AZ = fac_a.operator.action_mat[:, fac_a.pivots] @ Ca
     BZ = fac_b.operator.action_mat[:, fac_b.pivots] @ Cb
-    jstar_res = 0.0
-    try:
-        jstar_res = max(_max_column_norm(AZ - A.apply(Z)),
-                        _max_column_norm(BZ - B.apply(Z))) / scale
-    except DomainError:
-        pass                # z outside dom A cap dom B: J* still defined
-    # J** J* z = Az + Bz extends A + B and equals the form sum
+    # Z spans dom t_B and form_sum required dom A = X, so A and B apply
+    jstar_res = max(_max_column_norm(AZ - A.apply(Z)),
+                    _max_column_norm(BZ - B.apply(Z))) / scale
+    # J** J* z = Az + Bz extends A + B and equals the form sum, as
+    # functionals restricted to dom t_B
     MZ = M_AB @ Z
-    comp_res = _max_column_norm(AZ + BZ - MZ) / scale
+    comp_res = _max_column_norm(B.effective_projector() @ (AZ + BZ - MZ)) / scale
     # the energy identity [J* y, J* z] = ((A (+) B) y, z) on every pair of
     # basis vectors, entry (y, z) of each side
     lhs = Ca.T @ fac_a.gram @ np.conj(Ca) + Cb.T @ fac_b.gram @ np.conj(Cb)
@@ -252,7 +248,6 @@ def joint_factorize(A: DenseOperator, B: DenseOperator,
 
 @dataclass(frozen=True, eq=False)
 class CommutantLift:
-    E: DenseOperator
     E_hat: np.ndarray                  # matrix on the H_A pivot basis
     factorization: FactorizationResult
     spectral_radius_sq: float          # r(E^2)
@@ -263,13 +258,15 @@ class CommutantLift:
 
 
 def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
-    """Residual of E^H A against A E on dom A (including invariance)."""
+    """Residual of E^H A against A E on dom A (including invariance),
+    relative to the Frobenius norm of E, so that it is free of E's scale."""
     try:
         lhs = E_mat.conj().T @ A.apply(A.basis_mat)
         rhs = A.apply(E_mat @ A.basis_mat)
     except DomainError:
         return math.inf
-    return _max_column_norm(lhs - rhs) / max(float(A.action_singular_values()[0]), 1.0)
+    return relative_residual(_max_column_norm(lhs - rhs), [
+        max(float(A.action_singular_values()[0]), 1.0) * np.linalg.norm(E_mat)])
 
 
 def lift_commutant(A: DenseOperator, E: DenseOperator,
@@ -282,7 +279,7 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
     spectral-radius bound, H_A self-adjointness and boundedness come back
     as residual records.
     """
-    return CommutantLift(E, *_lift(A, _bounded_matrix(A, E), lam_E=E.spectrum()))
+    return CommutantLift(*_lift(A, _bounded_matrix(A, E), lam_E=E.spectrum()))
 
 
 def _bounded_matrix(A: DenseOperator, E: DenseOperator) -> np.ndarray:
@@ -297,7 +294,7 @@ def _lift(A: DenseOperator, E_mat: np.ndarray,
           fac: FactorizationResult | None = None,
           lam_E: np.ndarray | None = None) -> tuple:
     """The lift of E_mat to H_A with its checks, returning the fields of
-    :class:`CommutantLift` after E, in order.  A is factorized only once
+    :class:`CommutantLift` in order.  A is factorized only once
     E_mat passes the commutation identity, unless ``fac`` already holds
     its factorization; ``lam_E`` is the spectrum of E_mat if known."""
     eq7 = _eq7_residual(A, E_mat)
@@ -317,9 +314,11 @@ def _lift(A: DenseOperator, E_mat: np.ndarray,
     norm_bound = operator_norm(LH @ E_hat @ LH_inv)
     # its square is the supremum of [E^ h]^2 / [h]^2 over H_A
     margin = norm_bound ** 2 / max(r_e2, 1e-300)
+    # relative to the Frobenius norm of E^ as well, free of E's scale
+    n_hat = np.linalg.norm(E_hat)
     sa_res = relative_residual(
         np.linalg.norm(E_hat.T @ fac.gram - fac.gram @ np.conj(E_hat)),
-        [np.linalg.norm(fac.gram), 1.0])
+        [np.linalg.norm(fac.gram) * n_hat, n_hat])
     if sa_res > 1e-10:
         raise ArithmeticError(f"lift not self-adjoint in H_A ({sa_res:.3e})")
     if margin > 1.0 + 1e-8:
@@ -382,6 +381,7 @@ class SpectrumReport:
     e_eigenvalues: np.ndarray
     max_imag: float
     max_distance: float
+    scale: float                       # max(1, max |sigma(E)|) of imag and distance
     resolvent_points: tuple[float, ...]
     resolvent_residual: float
     passed: bool
@@ -390,16 +390,17 @@ class SpectrumReport:
 def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
                        dp: DualityPair) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
-    resolvent identity checked at three real points outside sigma(E)."""
+    resolvent identity checked at three real points outside sigma(E), at
+    1, 2 and 3 times ``scale`` = max(1, max|sigma(E)|) beyond its radius."""
     lift = lift_commutant(A, E, dp)
     E_mat, lam_e = E.canonical_matrix(), E.spectrum()
     lam_hat = np.linalg.eigvals(lift.E_hat)
-    scale = max(float(np.max(np.abs(lam_e))), 1.0) if lam_e.size else 1.0
+    base = float(np.max(np.abs(lam_e), initial=0.0))
+    scale = max(base, 1.0)
     max_imag = float(np.max(np.abs(lam_hat.imag))) if lam_hat.size else 0.0
     max_dist = float(np.max(np.min(np.abs(lam_e - lam_hat[:, None]), axis=1),
                             initial=0.0))
-    base = float(np.max(np.abs(lam_e))) if lam_e.size else 0.0
-    points = tuple(base + k for k in (1.0, 2.0, 3.0))
+    points = tuple(base + k * scale for k in (1.0, 2.0, 3.0))
     res_res = 0.0
     for lam in points:
         # the resolvent lifts reuse the factorization of the lift of E and
@@ -407,8 +408,8 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
         R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)),
                       lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))
-        res_res = max(res_res, float(np.linalg.norm(R_hat - direct)) /
-                      max(float(np.linalg.norm(direct)), 1.0))
+        res_res = max(res_res, relative_error(R_hat, direct))
     ok = (max_imag <= 1e-9 * scale and max_dist <= 1e-8 * scale and
           res_res <= 1e-8)
-    return SpectrumReport(lam_hat, lam_e, max_imag, max_dist, points, res_res, ok)
+    return SpectrumReport(lam_hat, lam_e, max_imag, max_dist, scale, points,
+                          res_res, ok)

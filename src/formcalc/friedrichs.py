@@ -29,6 +29,7 @@ from .forms import (
     LowerBoundCertificate, SesquilinearForm, associated_operator,
     form_of_operator, lower_bound,
 )
+from .linalg import relative_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +37,6 @@ class FriedrichsResult:
     extension: DenseOperator
     energy_space: SesquilinearForm
     gamma_preserved: LowerBoundCertificate
-    details: dict
 
 
 def friedrichs(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
@@ -50,14 +50,11 @@ def _friedrichs_dense(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
     t = form_of_operator(a)
     if not t.symmetric:
         raise NotPositive("operator form is not symmetric")
-    cert = lower_bound(t, dp)
-    if cert.gamma <= 0:
-        raise LowerBoundError(f"gamma = {cert.gamma:.3e} is not positive")
+    # associated_operator certifies gamma > 0 and keeps the certificate
     rep = associated_operator(t, dp)
     if not is_extension(a, rep.A):
         raise ArithmeticError("constructed extension does not extend the input")
-    return FriedrichsResult(rep.A, t, cert,
-                            {"backend": DENSE, "representation": rep.residuals})
+    return FriedrichsResult(rep.A, t, rep.lower_certificate)
 
 
 def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
@@ -78,7 +75,7 @@ def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
         raise LowerBoundError(
             f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
     ext = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
-    return FriedrichsResult(ext, t, cert, {"backend": SEQUENCE})
+    return FriedrichsResult(ext, t, cert)
 
 
 def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:
@@ -103,7 +100,6 @@ def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:
 class CoreWitness:
     truncation: int
     tail: float
-    tail_trace: tuple[float, ...]
     ratios: tuple[float, ...]
 
 
@@ -124,7 +120,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
     :class:`Uncertifiable`.
     """
     if res.extension.backend == DENSE:
-        witnesses = tuple(CoreWitness(s.n, 0.0, (0.0,), ()) for s in samples)
+        witnesses = tuple(CoreWitness(s.n, 0.0, ()) for s in samples)
         return CoreCheckReport(witnesses)
     rule = res.extension.diagonal
     witnesses = []
@@ -132,7 +128,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
         if y.tail is None:
             witnesses.append(CoreWitness(int(np.max(np.nonzero(
                 np.abs(y.coords) > 0)[0]) + 1) if np.any(y.coords) else 0,
-                0.0, (0.0,), ()))
+                0.0, ()))
             continue
         energy_rule = rule * y.tail.abs_square()
         try:
@@ -141,12 +137,11 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
             raise DomainError("sample outside the energy domain") from exc
         scale = max(abs(total.value), 1e-300)
         target = 1e-8 * scale
-        trace, ks = [], []
+        trace = []
         k = 1
         while True:
             tb = series.tail_bound(energy_rule, k)
             trace.append(tb)
-            ks.append(k)
             if tb < target:
                 break
             if k > series._MAX_TERMS:
@@ -156,7 +151,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
                        if trace[i] > 0)
         if any(r >= 1.0 for r in ratios):
             raise ArithmeticError("energy tails failed to contract")
-        witnesses.append(CoreWitness(ks[-1], trace[-1], tuple(trace), ratios))
+        witnesses.append(CoreWitness(k, trace[-1], ratios))
     return CoreCheckReport(tuple(witnesses))
 
 
@@ -165,8 +160,7 @@ def idempotent(res: FriedrichsResult, dp: DualityPair) -> bool:
     A = res.extension
     if A.backend == DENSE:
         again = friedrichs(A, dp).extension
-        d = np.linalg.norm(again.effective_matrix() - A.effective_matrix())
-        return bool(d <= 1e-10 * max(1.0, np.linalg.norm(A.effective_matrix())))
+        return relative_error(again.effective_matrix(), A.effective_matrix()) <= 1e-10
     finite = diagonal_operator(A.diagonal, dp, DOMAIN_FINITE)
     again = friedrichs(finite, dp).extension
     return series.rules_agree(A.diagonal, again.diagonal) and (

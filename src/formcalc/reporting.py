@@ -21,7 +21,7 @@ import numpy as np
 from . import series
 from .coeffexpr import ExpressionError, compile_rule
 from .duality import (
-    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, ENDO, FROM_DUAL, SEQUENCE, TO_DUAL,
+    DENSE, DIRECTIONS, DOMAIN_FINITE, DOMAIN_MAXIMAL, SEQUENCE, TO_DUAL,
     DenseOperator, DualityPair, Functional, Vector, dense_pair, sequence_pair,
 )
 from .errors import FormcalcError, Uncertifiable
@@ -283,7 +283,7 @@ def functional_from_json(obj) -> Functional:
 
 
 def operator_from_json(obj) -> DenseOperator:
-    direction = json_choice(obj, "direction", (TO_DUAL, FROM_DUAL, ENDO), TO_DUAL)
+    direction = json_choice(obj, "direction", DIRECTIONS, TO_DUAL)
     if json_choice(obj, "backend", (DENSE, SEQUENCE)) == SEQUENCE:
         domain = json_choice(obj, "domain", (DOMAIN_FINITE, DOMAIN_MAXIMAL), DOMAIN_FINITE)
         return DenseOperator(SEQUENCE, direction, diagonal=rule_from_json(obj["diagonal"]),

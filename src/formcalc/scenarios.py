@@ -373,7 +373,8 @@ def _op_spectrum_inclusion(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
     rep = spectrum_inclusion(A, E, dp)
-    return {"imag": (rep.max_imag, 1e-9), "distance": (rep.max_distance, 1e-8),
+    return {"imag": (rep.max_imag / rep.scale, 1e-9),
+            "distance": (rep.max_distance / rep.scale, 1e-8),
             "resolvent": (rep.resolvent_residual, 1e-8)}, \
         {"lift_eigenvalues": sorted(rep.lift_eigenvalues.real.tolist())}, []
 

@@ -352,6 +352,7 @@ def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1074        # the spacing of subnormal floats
 
 
 def _partial_sum(rule: Rule, lo: int, hi: int) -> tuple[complex, float, float]:
@@ -362,11 +363,11 @@ def _partial_sum(rule: Rule, lo: int, hi: int) -> tuple[complex, float, float]:
     A term is evaluated as c * exp(alpha log n + n log ratio).  Its
     relative error is the absolute error of the exponent, at most
     4 (|alpha log n| + |n log ratio|) u with logarithms and exp good to
-    one ulp, plus a few u for the exponential and the product with c; a
-    value that underflows is off by less than 1e-300 |c|, far below any
-    target.  Each term's values, a row of the grid, are added by
-    ``math.fsum``, which rounds the exact sum once, so the summation
-    costs u of the mass whatever the number of values."""
+    one ulp, plus a few u for the exponential and the product with c;
+    :func:`_with_tail` bounds what underflows.  Each term's values, a row
+    of the grid, are added by ``math.fsum``, which rounds the exact sum
+    once, so the summation costs u of the mass whatever the number of
+    values."""
     ns = np.arange(lo, hi + 1, dtype=float)
     logn = np.log(ns)
     _, alpha, logr, _, _ = rule._columns
@@ -396,9 +397,13 @@ def _with_tail(rule: Rule, n_used: int, partial: complex, mass: float,
     estimate; the bound is truncation plus rounding.  32 u more of the
     mass and of the correction's size covers adding up the at most 16
     doubling rounds, the correction, and the few operations of each
-    term's correction."""
+    term's correction.  An underflow is off by up to half the subnormal
+    spacing, |c| times over in c exp(...): (|c| + 1) spacings per value
+    and 32 per term cover them, and a zero rule keeps an exact 0."""
     correction, trunc, size = _tail_estimate(rule, n_used)
-    rounding = _UNIT_ROUNDOFF * (rounding_u + 32.0 * (mass + size))
+    rounding = (_UNIT_ROUNDOFF * (rounding_u + 32.0 * (mass + size))
+                + sum(_SUBNORMAL * (abs(t.coef) + 1.0) * n_used + 32.0 * _SUBNORMAL
+                      for t in rule.terms if t.coef != 0))
     err = trunc + rounding
     return SumResult(partial + correction, n_used, err, TailCertificate(
         _tail_kind(rule), n_used, err, {"truncation": trunc, "rounding": rounding}))

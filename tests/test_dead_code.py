@@ -11,7 +11,8 @@ JSON key, a local variable or a test name that happens to share its
 name does not keep it alive.  A public one that nothing in ``src/``
 outside ``__init__`` names is listed in :data:`NO_SRC_CALLER` with the
 reason it stays.  Every name a module imports must be read in that
-module; ``__init__`` imports to re-export.
+module; ``__init__`` imports to re-export.  Every field of a dataclass
+must be read as an attribute.
 """
 
 import ast
@@ -119,6 +120,41 @@ def test_public_definitions_without_a_caller_in_src_are_listed():
         f"or delete: {sorted(uncalled - set(NO_SRC_CALLER))}"
     assert not set(NO_SRC_CALLER) - uncalled, \
         f"listed definitions that src/ now names: {sorted(set(NO_SRC_CALLER) - uncalled)}"
+
+
+def dataclass_fields():
+    """(name, file, class, lines of the class's own statements) of each
+    field of a dataclass defined in ``src/formcalc``; the lines are those
+    of the class body outside its methods."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                continue
+            own = {line for st in node.body
+                   if not isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for line in range(st.lineno, st.end_lineno + 1)}
+            for st in node.body:
+                if (isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(st.annotation)):
+                    yield st.target.id, path, node.name, own
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a formcalc dataclass is read as ``.field`` in
+    ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, outside the
+    statements of its class body; a method of the class, such as the
+    ``as_dict`` of a certificate, counts.  The rule goes by name, so a
+    field that shares its name with a field read elsewhere passes
+    unread: ``FriedrichsResult.details`` and ``FormSumResult.details``,
+    hidden behind the ``details`` of reports, were deleted by reading
+    the code."""
+    fields = list(dataclass_fields())
+    assert fields
+    _, dotted = name_occurrences()
+    unread = [f"{path.relative_to(ROOT)} {cls}.{name}" for name, path, cls, own in fields
+              if not any(not (f == path and line in own) for f, line in dotted.get(name, []))]
+    assert not unread, "dataclass fields nothing reads:\n" + "\n".join(unread)
 
 
 def unread_imports(path):

@@ -205,6 +205,12 @@ class TestOperatorBasics:
         with pytest.raises(DomainError):
             S.apply(np.array([0.0, 1.0]))
 
+    def test_unknown_direction_is_refused(self):
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            DenseOperator(duality.DENSE, "sideways", np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            DenseOperator(duality.SEQUENCE, "sideways", diagonal=series.constant(1.0))
+
     def test_identity_operator(self):
         I = identity_operator(DP3)
         np.testing.assert_allclose(I.canonical_matrix(), np.eye(3))

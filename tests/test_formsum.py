@@ -99,6 +99,29 @@ class TestFormSum:
         z = fs.operator.apply(np.array([1.0, 0.0]))
         np.testing.assert_allclose(z, [4.0, 0.0], atol=1e-12)
 
+    def test_proper_b_domain_is_the_compression(self):
+        # B on a proper domain V of dimension d < n, invariant under B or
+        # not: the sum is the compression P (A + B) P to V, and A + B is
+        # extended as functionals on V, which is how X* identifies them
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, n))
+            dp = dense_pair(n)
+            M_a, M_b = random_hpd(rng, n), random_hpd(rng, n)
+            V = (np.linalg.eigh(M_b)[1][:, :d] if trial % 2 else
+                 rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
+            A, B = operator_from_matrix(M_a, dp), restricted_operator(M_b, V, dp)
+            fs = form_sum(A, B, dp)
+            P = B.effective_projector()
+            want = P @ (M_a + M_b) @ P
+            got = fs.operator.effective_matrix()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert fs.extension_residual <= 1e-10 and not fs.collapse_exact
+            jf = joint_factorize(A, B, dp)
+            assert jf.jstar_residual <= 1e-10
+            assert jf.composition_residual <= 1e-9 and jf.energy_residual <= 1e-9
+
     def test_restricted_a_domain_rejected(self):
         A = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]), DP2)
         with pytest.raises(DomainError, match="everywhere defined"):
@@ -208,6 +231,26 @@ class TestLiftCommutant:
             assert lift.bound_margin <= 1.0 + 1e-8
             assert lift.norm_bound <= math.sqrt(lift.spectral_radius_sq) * (1 + 1e-8)
             assert lift.selfadjoint_residual <= 1e-10
+
+    def test_scale_of_e_decides_nothing(self):
+        # the lift identities are linear in E and scaling by 2^k is exact:
+        # the lift and spectrum checks give E = A^-1 K and 2^k E the same
+        # verdicts and the same scale-free residuals
+        rng = np.random.default_rng(141)
+        for _ in range(10):
+            A_mat = random_hpd(rng, 6)
+            K = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            K = K + K.conj().T
+            runs = []
+            for k in (0, 10, 20):
+                ops = {"space": {"backend": "dense", "dim": 6},
+                       "A": suites._operator(A_mat), "K": suites._wire(2.0 ** k * K)}
+                lift, _, _ = OPERATIONS["lift-commutant"][1](ops)
+                spec, _, _ = OPERATIONS["spectrum-inclusion"][1](ops)
+                runs.append((lift, spec["imag"], spec["distance"],
+                             all(value <= tol for value, tol in spec.values())))
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0][-1]
 
 
 class TestCommutationFormsum:

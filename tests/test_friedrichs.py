@@ -1,11 +1,12 @@
 """Friedrichs extension on both backends, with series oracles."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from formcalc import series
+from formcalc import forms, series
 from formcalc.duality import (
     DOMAIN_FINITE, DOMAIN_MAXIMAL, Vector, dense_pair, diagonal_operator,
     generated_vector, is_extension, operator_from_matrix, sequence_pair,
@@ -135,6 +136,28 @@ class TestDenseBackend:
             res = friedrichs(a, dp)
             assert is_extension(a, res.extension)
             assert res.gamma_preserved.gamma >= -1e-10
+
+    def test_gamma_is_certified_once(self, monkeypatch):
+        # associated_operator certifies gamma > 0 and friedrichs keeps
+        # its certificate rather than computing another
+        calls = []
+        real = forms.lower_bound
+
+        def counted(t, dp):
+            calls.append(t)
+            return real(t, dp)
+
+        monkeypatch.setattr(forms, "lower_bound", counted)
+        # the package exports the function friedrichs under the module's name
+        monkeypatch.setattr(importlib.import_module("formcalc.friedrichs"),
+                            "lower_bound", counted)
+        dp = dense_pair(3)
+        res = friedrichs(operator_from_matrix(np.diag([1.0, 2.0, 3.0]), dp), dp)
+        assert len(calls) == 1
+        assert res.gamma_preserved.gamma == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(LowerBoundError):
+            friedrichs(operator_from_matrix(np.diag([1.0, 0.0]), dense_pair(2)),
+                       dense_pair(2))
 
     def test_idempotent(self):
         dp = dense_pair(3)

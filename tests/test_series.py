@@ -6,6 +6,7 @@ from the ``formcalc`` on the path; see :class:`TestGoldenCertificates`.
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,22 @@ class TestCertificateOracle:
         assert res.n_used < 2 ** 16
         assert res.certificate.detail["truncation"] <= res.certificate.detail["rounding"]
         assert within(res, exact_sum(rule))
+
+    def test_subnormal_sum_within_its_bound(self):
+        # c 0.5^n sums to c exactly, but its terms are subnormal and round
+        # absolutely: the computed sum is 2^-1074 off, which a relative
+        # rounding bound of 0.0 would not cover
+        c = 2.2250738585e-313
+        res = series.certified_sum(series.geometric(0.5, coef=c), scale=1.0)
+        assert res.value.real != c
+        assert abs(Fraction(res.value.real) - Fraction(c)) <= Fraction(res.tail)
+        assert res.value.imag == 0.0
+        # the combination check that met this rule: c times the sum of
+        # 0.5^n against the sum of c 0.5^n
+        part = series.certified_sum(series.geometric(0.5))
+        assert abs(res.value - c * part.value) <= res.tail + c * part.tail
+        zero = series.certified_sum(series.geometric(0.5, coef=0.0))
+        assert (zero.value, zero.tail) == (0.0, 0.0)
 
     def test_tail_bound_from_zero_counts_the_first_term(self):
         # sum_{n >= 1} n^-2 = zeta(2) > the integral from 1, which is 1
