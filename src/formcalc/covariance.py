@@ -29,7 +29,7 @@ from .duality import (
 )
 from .errors import BackendMismatch, NotNormalized, Uncertifiable
 from .forms import SesquilinearForm, associated_operator, form_from_gram
-from .formsum import CLOSED_AUTOMATIC, ClosednessWitness, form_sum
+from .formsum import form_sum
 from .linalg import relative_error
 
 WEIGHT_TOL = 1e-12
@@ -262,12 +262,11 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     uncentered formula is computed as given.  Returns a form over the
     dual pair: dense gram on the supplied functional basis for finite
     spaces, where every functional has a finite second moment, and a
-    diagonal weight rule for signed-basis variables.  The witness is the
-    automatic closedness of a dense form, None for a diagonal one.
+    diagonal weight rule for signed-basis variables.
     """
     if xi.kind == "signed-basis":
         rule = xi.space.rule * xi.scale.abs_square()
-        return SesquilinearForm(SEQUENCE, diagonal=rule), None
+        return SesquilinearForm(SEQUENCE, diagonal=rule)
     if xi.kind == "exp-poly":
         raise Uncertifiable("covariance operators for the uncentered exp-poly "
                             "family are outside scope; center a table variable")
@@ -278,8 +277,7 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     k = min(B.shape[0], X.shape[1])
     # V[i, a] = f_i(xi(w_a)) over the common coordinates
     V = B[:k].T @ X[:, :k].conj().T
-    t = form_from_gram(B, (V * xi.space.weights) @ V.conj().T)
-    return t, ClosednessWitness(CLOSED_AUTOMATIC)
+    return form_from_gram(B, (V * xi.space.weights) @ V.conj().T)
 
 
 def covariance_operator(xi: RandomVariable) -> DenseOperator:
@@ -289,7 +287,7 @@ def covariance_operator(xi: RandomVariable) -> DenseOperator:
     gamma = 0 :func:`associated_operator` refuses it (the Hilbert-space
     fallback at lower bound zero is out of scope here).
     """
-    t, _ = covariance_form(xi)
+    t = covariance_form(xi)
     dual = xi.codomain.dual()
     if t.backend == SEQUENCE:
         return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)

@@ -52,8 +52,6 @@ DOMAIN_MAXIMAL = "graph-summable"
 #: relative tolerances for subspace / action residuals in is_extension
 TOL_SUB = 1e-9
 TOL_ACT = 1e-9
-#: relative tolerance for exact-identity checks
-TOL_EXACT = 1e-10
 #: certified tail target for sequence pairings and norms
 TOL_TAIL = 1e-12
 

@@ -23,7 +23,7 @@ lets probes with boundary mass see the domain difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -58,10 +58,6 @@ class EllipticProblem:
     b: Callable[[np.ndarray], np.ndarray]
     gamma: float
     p: float = 2.0
-
-    @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
 
 
 def problem(length: float, a_rule: str, b_rule: str, gamma: float,
@@ -249,7 +245,6 @@ class WeakSolution:
     galerkin_residual: float
     energy_norm: float
     lp_norm: float
-    details: dict = field(default_factory=dict)
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.mesh.nodes,
@@ -310,8 +305,7 @@ def weak_solve(prob: EllipticProblem, mesh: Mesh1D, g) -> WeakSolution:
     full = np.concatenate([[0.0], u, [0.0]])
     fq = full[:-1, None] * (1.0 - t) + full[1:, None] * t
     lp = float(np.sum(wts * np.abs(fq) ** prob.p)) ** (1.0 / prob.p)
-    return WeakSolution(u.astype(complex), mesh, res, energy, lp,
-                        {"q": prob.q, "threshold": "q >= 2n/(n+2) with n = 1"})
+    return WeakSolution(u.astype(complex), mesh, res, energy, lp)
 
 
 def l2_error(sol: WeakSolution, exact: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -35,6 +35,11 @@ class SesquilinearForm:
     ``basis_mat``.  Sequence-backend forms are diagonal with a weight
     generator instead.
 
+    The constructor is the one positivity gate: a dense form keeps the
+    margin ``negativity`` = max(0, -lambda_min(conj G)) / max(1, ||G||_2)
+    it refuses above 1e-12, a sequence form (:func:`_require_nonnegative`)
+    0.  By Sylvester's law of inertia no change of basis needs a retest.
+
     The dense basis is factored on first use by :func:`lower_bound`,
     with no SVD for the identity.  A form made from an operator, or a
     form whose ``basis_mat`` is given as an already factored basis,
@@ -47,6 +52,7 @@ class SesquilinearForm:
     gram: np.ndarray | None = None
     diagonal: series.Rule | None = None
     symmetric: bool = True
+    negativity: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.backend == DENSE:
@@ -61,9 +67,11 @@ class SesquilinearForm:
                                   f"{hermitian_residual(G):.3e})")
             # t(x, x) in coefficients is the quadratic form of conj(G)
             lam = hermitian_eigvalsh(np.conj(G))
-            # the norm scales the slack only, so lam >= 0 needs no SVD
-            if lam[0] < 0 and lam[0] < -1e-12 * max(1.0, operator_norm(G)):
+            # the norm scales the margin only, so lam >= 0 needs no SVD
+            neg = -float(lam[0]) / max(1.0, operator_norm(G)) if lam[0] < 0 else 0.0
+            if neg > 1e-12:
                 raise NotPositive(f"form indefinite (eigenvalue {lam[0]:.3e})")
+            object.__setattr__(self, "negativity", neg)
             B.setflags(write=False)
             G.setflags(write=False)
             object.__setattr__(self, "basis_mat", B)
@@ -74,8 +82,7 @@ class SesquilinearForm:
         elif self.backend == SEQUENCE:
             if self.diagonal is None:
                 raise ValueError("sequence forms need a diagonal weight rule")
-            if not self.diagonal.is_nonnegative:
-                raise NotPositive("sequence form weights must be nonnegative")
+            _require_nonnegative(self.diagonal)
         else:
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -106,6 +113,23 @@ class SesquilinearForm:
             return self._coefficient_spectrum
         W = basis.Vh / s[:, None]
         return hermitian_eigvalsh(W @ np.conj(self.gram) @ W.conj().T)
+
+
+def _require_nonnegative(rule: series.Rule) -> None:
+    """Decide a_n >= 0 for all n: at once for nonnegative coefficients,
+    else for a real rule by a_1..a_N, slack 1e-9 max(|a_n|, 1), and the
+    sign from N on (:func:`series.eventual_sign`, whose
+    :class:`Uncertifiable` passes through).  Names the first negative a_n."""
+    if rule.is_nonnegative:
+        return
+    if series.imaginary_residual(rule) > 1e-12:
+        raise NotPositive("sequence form weights are not real")
+    N, sign = series.eventual_sign(rule)
+    a = np.real(rule(np.arange(1, N + 1)))
+    bad = np.flatnonzero(a[:-1] < -1e-9 * np.maximum(np.abs(a[:-1]), 1.0))
+    if bad.size or sign < 0:
+        k = int(bad[0]) if bad.size else N - 1
+        raise NotPositive(f"sequence form weight a_{k + 1} = {a[k]:.3e} is negative")
 
 
 def form_from_gram(basis, gram) -> SesquilinearForm:
@@ -184,11 +208,10 @@ def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
         return LowerBoundCertificate(series.rule_lower_bound(t.diagonal),
                                      "exact-p2" if dp.p == 2.0 else "exact-inf",
                                      detail={"p": dp.p})
-    # the pencil (conj(G), B^H B) as a standard eigenproblem
-    gamma2 = float(t._spectrum[0])
-    if gamma2 < 0 and gamma2 < -1e-12 * max(1.0, operator_norm(t.gram)):
-        raise NotPositive(f"form indefinite (gamma {gamma2:.3e})")
-    gamma2 = max(gamma2, 0.0)
+    # the pencil (conj(G), B^H B) as a standard eigenproblem; it has the
+    # inertia of conj(G), which the constructor decided, so a negative
+    # value is rounding
+    gamma2 = max(float(t._spectrum[0]), 0.0)
     if dp.p == 2.0:
         return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
     kappa = equivalence_factor(dp.n, dp.p)
@@ -291,14 +314,14 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
         "ba_identity": ba_res,
         "selfadjoint": sa_res,
         "b_norm": bnorm,
+        "b_norm_excess": max(0.0, bnorm * cert.gamma - 1.0),
         "b_positive": max(0.0, -float(lam_r[0])),
     }
     if ab_res > 1e-10 or ba_res > 1e-10:
         raise ArithmeticError(f"inverse identities violated: {residuals}")
-    bound = 1.0 / cert.gamma
-    if bnorm > bound * (1.0 + 1e-8) + 1e-8:
+    if residuals["b_norm_excess"] > 1e-8:
         raise ArithmeticError(
-            f"||B|| = {bnorm:.12g} exceeds 1/gamma = {bound:.12g}")
+            f"||B|| = {bnorm:.12g} exceeds 1/gamma = {1.0 / cert.gamma:.12g}")
     return RepresentationResult(A, Bop, cert.gamma, cert, residuals)
 
 

@@ -20,9 +20,10 @@ A x -> A E x.  The lift is self-adjoint in the H_A inner product, obeys
 the spectral-radius bound, and its spectrum sits inside the real part of
 the spectrum of E; all three claims are checked with residual records,
 plus the resolvent identity at three real points outside the spectrum of
-E.  The lift residuals are relative to the norm of E and the resolvent
-points sit at multiples of max(1, max|sigma(E)|), so the scale of E does
-not decide a verdict.
+E.  The lift residuals are relative to the norm of E, the resolvent
+residual to the norm of the resolvent, and the resolvent points sit at
+multiples of max(1, max|sigma(E)|), so the scale of E does not decide a
+verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
     SesquilinearForm, associated_operator, form_of_operator, lower_bound,
 )
-from .linalg import gram_quadratic, hermitian_norm, relative_error, relative_residual
+from .linalg import gram_quadratic, hermitian_norm, relative_residual
 from .ordering import FactorizationResult, factorize
 
 
@@ -56,7 +57,6 @@ CLOSED_DIAGONAL = "diagonal-fatou"
 @dataclass(frozen=True)
 class RunRecord:
     contraction: tuple[float, ...]    # ratios of certified tails t(x - x_k, x - x_k)
-    limit_in_domain: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,7 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
     records = []
     for x in runs:
         if x.tail is None:
-            records.append(RunRecord((), True))
+            records.append(RunRecord(()))
             continue
         weight = t.diagonal * x.tail.abs_square()
         ok, _ = series.decide_summable(weight)
@@ -100,7 +100,7 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
                             for i in range(len(tails) - 1) if tails[i] > 0)
         if any(r >= 1.0 for r in contraction[-10:]):
             raise DomainError("form-Cauchy tails do not contract")
-        records.append(RunRecord(contraction, True))
+        records.append(RunRecord(contraction))
     return ClosednessWitness(CLOSED_SEQUENTIAL, tuple(records))
 
 
@@ -179,8 +179,7 @@ def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
     # diagonal generators: the summed form is closed coefficientwise and
     # the construction stays valid when the lower bound degenerates to 0
     # (covariance rules decay), so only positivity is demanded here
-    if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
-        raise NotPositive("sequence form sums need nonnegative generators")
+    form_of_operator(A), form_of_operator(B)
     rule = A.diagonal + B.diagonal
     cert = lower_bound(SesquilinearForm(SEQUENCE, diagonal=rule), dp)
     AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
@@ -346,7 +345,8 @@ class CommutationReport:
 
 def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
                         dp: DualityPair) -> CommutationReport:
-    """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E."""
+    """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E
+    on dom t_B, where the sum form lives."""
     lift_a = lift_commutant(A, E, dp)
     lift_b = lift_commutant(B, E, dp)
     fs = form_sum(A, B, dp)
@@ -354,7 +354,10 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     E_mat = E.canonical_matrix()
     E_H = E_mat.conj().T
     scale = max(hermitian_norm(M), 1.0)
-    incl = float(operator_norm(E_H @ M - M @ E_mat)) / scale
+    D = E_H @ M - M @ E_mat
+    if not B.is_full_domain():      # compressed to dom t_B
+        D = B.effective_projector() @ D @ B.effective_projector()
+    incl = float(operator_norm(D)) / scale
     # the intermediate identities are linear, so whole bases prove them:
     # E* J = J (E^_A (+) E^_B) on the pivot bases of H_A and H_B, where
     # J (c_a (+) c_b) = Pa c_a + Pb c_b ...
@@ -391,7 +394,8 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
                        dp: DualityPair) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E), at
-    1, 2 and 3 times ``scale`` = max(1, max|sigma(E)|) beyond its radius."""
+    1, 2 and 3 times ``scale`` = max(1, max|sigma(E)|) beyond its radius,
+    relative to the Frobenius norm of the lift's resolvent."""
     lift = lift_commutant(A, E, dp)
     E_mat, lam_e = E.canonical_matrix(), E.spectrum()
     lam_hat = np.linalg.eigvals(lift.E_hat)
@@ -408,7 +412,8 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
         R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)),
                       lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))
-        res_res = max(res_res, relative_error(R_hat, direct))
+        res_res = max(res_res, relative_residual(np.linalg.norm(R_hat - direct),
+                                                 [np.linalg.norm(direct)]))
     ok = (max_imag <= 1e-9 * scale and max_dist <= 1e-8 * scale and
           res_res <= 1e-8)
     return SpectrumReport(lam_hat, lam_e, max_imag, max_dist, scale, points,

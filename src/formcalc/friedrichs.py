@@ -18,12 +18,11 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, SEQUENCE, DenseOperator, DualityPair,
-    Vector, diagonal_operator, graph_domain_contains, is_extension,
+    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, DenseOperator, DualityPair, Vector,
+    diagonal_operator, graph_domain_contains, is_extension,
 )
 from .errors import (
-    BackendMismatch, DomainError, LowerBoundError, NotPositive, SeriesDiverges,
-    Uncertifiable,
+    DomainError, LowerBoundError, NotPositive, SeriesDiverges, Uncertifiable,
 )
 from .forms import (
     LowerBoundCertificate, SesquilinearForm, associated_operator,
@@ -58,23 +57,14 @@ def _friedrichs_dense(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
 
 
 def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
-    rule = a.diagonal
-    if rule is None:
-        raise BackendMismatch("sequence extension needs a diagonal generator")
-    if not a.is_symmetric():
-        raise NotPositive("diagonal generator must be real")
+    t = form_of_operator(a)      # its constructor refuses a non-real or negative a_n
     if a.domain_rule != DOMAIN_FINITE:
         raise DomainError("input operator must act on finitely supported vectors")
-    # a rule not certified nonnegative has no form: its bound is
-    # uncertified, not violated
-    if not rule.is_nonnegative:
-        raise Uncertifiable("lower bound certified only for nonnegative rules")
-    t = SesquilinearForm(SEQUENCE, diagonal=rule)
     cert = lower_bound(t, dp)
     if cert.gamma <= 0:
         raise LowerBoundError(
             f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
-    ext = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
+    ext = diagonal_operator(a.diagonal, dp, DOMAIN_MAXIMAL)
     return FriedrichsResult(ext, t, cert)
 
 

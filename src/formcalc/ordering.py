@@ -161,8 +161,7 @@ def form_on_X(A: DenseOperator, y: Vector) -> FormValue:
 
 
 def _form_sequence(A: DenseOperator, y: Vector) -> FormValue:
-    if not A.diagonal.is_nonnegative:
-        raise NotPositive("sequence form values need nonnegative generators")
+    form_of_operator(A)      # its constructor refuses a negative a_n
     if y.tail is None:
         ns = np.arange(1, y.n + 1)
         vals = np.real(A.diagonal(ns))
@@ -307,8 +306,7 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
         inclusion = {"domain_A_le_B": decisions[0][0]["escape"] <= 1e-8,
                      "domain_B_le_A": decisions[1][0]["escape"] <= 1e-8}
     else:
-        if not (A.diagonal.is_nonnegative and B.diagonal.is_nonnegative):
-            raise NotPositive("sequence form values need nonnegative generators")
+        form_of_operator(A), form_of_operator(B)    # refuse a negative a_n or b_n
         N, sign = series.eventual_sign(A.diagonal + B.diagonal.scale(-1.0))
         ga, gb = series.growth(A.diagonal), series.growth(B.diagonal)
         inclusion = {"domain_A_le_B": _sequence_domain_le(ga, gb, p),

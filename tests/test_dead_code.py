@@ -12,7 +12,7 @@ name does not keep it alive.  A public one that nothing in ``src/``
 outside ``__init__`` names is listed in :data:`NO_SRC_CALLER` with the
 reason it stays.  Every name a module imports must be read in that
 module; ``__init__`` imports to re-export.  Every field of a dataclass
-must be read as an attribute.
+must be read as an attribute, and every module-level constant somewhere.
 """
 
 import ast
@@ -184,3 +184,32 @@ def test_every_import_is_read_in_its_module():
     assert modules
     unread = [entry for path in modules for entry in unread_imports(path)]
     assert not unread, "imported names their module never reads:\n" + "\n".join(unread)
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def module_constants():
+    """(name, file, first line, last line) of each module-level constant
+    of ``src/formcalc``: an upper-case name bound by an assignment."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                        yield name.id, path, node.lineno, node.end_lineno
+
+
+def test_every_module_constant_is_read():
+    """A module-level constant of ``src/formcalc`` is named somewhere in
+    ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` outside its own
+    assignment, in code or inside a string."""
+    constants = list(module_constants())
+    assert constants
+    found, _ = name_occurrences()
+    unread = [f"{path.relative_to(ROOT)}:{first} {name}" for name, path, first, last in constants
+              if not any(not (f == path and first <= line <= last)
+                         for f, line in found.get(name, []))]
+    assert not unread, "module constants nothing reads:\n" + "\n".join(unread)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formcalc import linalg, series
+from formcalc import linalg, series, suites
 from formcalc.duality import (
     DENSE, FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
     sequence_pair,
@@ -15,6 +15,7 @@ from formcalc.forms import (
     inverse_selfadjoint, lower_bound, riesz_solve,
 )
 from formcalc.linalg import hermitian_residual, is_hermitian
+from formcalc.scenarios import run_scenario
 
 DP2 = dense_pair(2)
 
@@ -323,6 +324,21 @@ class TestAssociatedOperator:
                                    rtol=0, atol=1e-12 * np.linalg.norm(Z))
         assert np.linalg.norm(M_A - M_A.conj().T) <= 1e-12 * np.linalg.norm(M_A)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_norm_equivalence_away_from_p_2(self, p):
+        # gamma is the p = 2 value times n^(-2e), e = max(0, 1/p - 1/2), and
+        # ||B|| the spectral norm times n^(2e): 1/2 - 1/q = 1/p - 1/2
+        rng = np.random.default_rng(152)
+        e = max(0.0, 1.0 / p - 0.5)
+        for n in (1, 3, 6):
+            G = random_hpd(rng, n)
+            lam = np.linalg.eigvalsh(G)[0]
+            rep = associated_operator(form_from_gram(np.eye(n), G), dense_pair(n, p=p))
+            assert rep.lower_certificate.kind == "equivalence-scaled"
+            assert rep.gamma == pytest.approx(lam * n ** (-2 * e), rel=1e-12)
+            assert rep.b_norm == pytest.approx(n ** (2 * e) / lam, rel=1e-12)
+            assert rep.residuals["b_norm_excess"] <= 1e-8
+
     def test_gamma_zero_rejected(self):
         t = form_from_gram(np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(LowerBoundError):
@@ -405,3 +421,76 @@ class TestInverseSelfadjoint:
         else:
             with pytest.raises(ValueError, match="B not self-adjoint"):
                 inverse_selfadjoint(B, dense_pair(4))
+
+
+def wire(M):
+    return suites._wire(M).tolist()
+
+
+class TestOnePositivityGate:
+    """The constructor decides a form's positivity once, and every later
+    step reads the margin it measured."""
+
+    def test_reduced_pencil_keeps_the_constructors_verdict(self):
+        # conj(G) has eigenvalue -5e-13 along the coefficient direction the
+        # basis shrinks by s_min = 1e-5: the constructor accepts the form,
+        # and the reduced pencil's -5e-3, that eigenvalue times 1/s_min^2,
+        # is read as gamma = 0, not refused a second time
+        rng = np.random.default_rng(150)
+        n = 4
+        for _ in range(20):
+            U, V = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                    for _ in range(2))
+            B = (U * [1.0, 1.0, 1.0, 1e-5]) @ V.conj().T
+            W = np.linalg.qr(np.column_stack([V[:, -1], rng.normal(size=(n, n - 1))]))[0]
+            t = form_from_gram(B, np.conj((W * [-5e-13, 1.0, 2.0, 3.0]) @ W.conj().T))
+            cert = lower_bound(t, dense_pair(n))
+            assert (cert.gamma, cert.kind) == (0.0, "exact-p2")
+            assert t.negativity == pytest.approx(5e-13 / 3.0, rel=1e-2)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-6])
+    def test_b_norm_excess_is_relative(self, gamma):
+        # ||B|| = 1/gamma up to rounding of size 1e-16 / gamma^2: the
+        # absolute excess ||B|| - 1/gamma failed 12 and 16 of these 40 draws
+        rng = np.random.default_rng(151)
+        for _ in range(40):
+            Q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            G = (Q * [gamma, 1.0, 2.0, 3.0]) @ Q.conj().T
+            rep = run_scenario({"op": "associated-operator",
+                                "space": {"backend": "dense", "dim": 4}, "gram": wire(G)})
+            assert rep.verdict == "pass"
+            assert rep.residuals["b_norm_excess"] == max(
+                0.0, rep.details["b_norm"] * rep.details["gamma"] - 1.0)
+
+    def test_sequence_weights_are_decided(self):
+        # a_n = 2 - 1/n >= 1 has a negative coefficient: the sufficient test
+        # on coefficients refused it, the decision accepts it
+        rule = {"terms": [{"coef": 2.0}, {"coef": -1.0, "alpha": -1.0}]}
+        A = {"backend": "sequence", "diagonal": rule}
+        space = {"backend": "sequence", "truncation": 24}
+        y = {"backend": "sequence", "coords": [1.0, 0.5]}
+        assert diagonal_form(series.polynomial(-1.0).scale(-1.0)
+                             + series.constant(2.0)).negativity == 0.0
+        rep = run_scenario({"op": "form-on-x", "A": A, "y": y, "expected": 1.375})
+        assert rep.verdict == "pass"
+        rep = run_scenario({"op": "compare", "A": A, "expected": "A>=B",
+                            "B": {"backend": "sequence", "diagonal": {"terms": [{"coef": 1.0}]}}})
+        assert rep.verdict == "pass"
+        # inf a_n is certified for nonnegative coefficients only
+        for op, operands in (("form-sum", {"A": A, "B": A}), ("friedrichs", {"generator": rule})):
+            rep = run_scenario({"op": op, "space": space, **operands})
+            assert rep.verdict == "uncertified"
+        rep = run_scenario({"op": "form-on-x", "y": y, "A": {
+            "backend": "sequence", "diagonal": {"terms": [{"coef": -1.0}]}}})
+        assert rep.verdict == "fail"
+        assert rep.details["error"] == ("NotPositive: sequence form weight "
+                                        "a_1 = -1.000e+00 is negative")
+
+    def test_sequence_gate_names_the_first_negative_weight(self):
+        with pytest.raises(NotPositive, match=r"^sequence form weight a_11 = -1\.000e-01 "):
+            diagonal_form(series.constant(1.0) + series.polynomial(1.0, coef=-0.1))
+        with pytest.raises(NotPositive, match="^sequence form weights are not real$"):
+            diagonal_form(series.Rule((series.Term(1.0), series.Term(1j, 0.0, 1.0, 100))))
+        # 1 - [n >= 2^22] is 1 up to the term cap and 0 after: undecided
+        with pytest.raises(Uncertifiable):
+            diagonal_form(series.Rule((series.Term(1.0), series.Term(-1.0, start=2 ** 22))))

@@ -45,7 +45,6 @@ class TestIsClosed:
         wit = is_closed(t, [run], SP)
         assert wit.kind == "sequential"
         rec = wit.runs[0]
-        assert rec.limit_in_domain
         assert all(r < 1.0 for r in rec.contraction)
 
     def test_sequence_divergent_run_rejected(self):
@@ -247,13 +246,28 @@ class TestLiftCommutant:
                        "A": suites._operator(A_mat), "K": suites._wire(2.0 ** k * K)}
                 lift, _, _ = OPERATIONS["lift-commutant"][1](ops)
                 spec, _, _ = OPERATIONS["spectrum-inclusion"][1](ops)
-                runs.append((lift, spec["imag"], spec["distance"],
+                runs.append((lift, spec["imag"], spec["distance"], spec["resolvent"],
                              all(value <= tol for value, tol in spec.values())))
             assert runs[0] == runs[1] == runs[2]
             assert runs[0][-1]
 
 
 class TestCommutationFormsum:
+    def test_proper_b_domain_compares_on_dom_t_b(self):
+        # B = 2A on three eigenvectors of E = A^-1 K, an E-invariant
+        # domain: both lifts exist, and E^H (A (+) B) = (A (+) B) E holds on
+        # dom t_B, where the sum form lives, not on all of X
+        rng = np.random.default_rng(154)
+        dp = dense_pair(5)
+        for _ in range(20):
+            A_mat = random_hpd(rng, 5)
+            K = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            E = commuting_pair(A_mat, K + K.conj().T, dp)
+            V = np.linalg.eig(E.canonical_matrix())[1][:, :3]
+            rep = commutation_formsum(operator_from_matrix(A_mat, dp),
+                                      restricted_operator(2.0 * A_mat, V, dp), E, dp)
+            assert rep.passed and rep.formsum_inclusion <= 1e-9
+
     def test_identity_commutant(self):
         A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
         B = operator_from_matrix(np.diag([2.0, 1.0]), DP2)
