@@ -6,14 +6,16 @@ construction for positive forms with positive lower bound, the
 Friedrichs extension, the auxiliary-space factorization A = JJ* with the
 induced operator order, form sums with their joint factorization and
 commutant lifts, covariance operators of vector-valued random variables,
-and a 1D divergence-form application.  Two backends: exact dense matrix
-algebra on C^n, and certified truncations of sequence spaces driven by
-power-geometric tail certificates.
+and a 1D divergence-form application.  Two backends, each with its own
+operator and form classes: exact dense matrix algebra on C^n
+(:class:`DenseOperator`, :class:`SesquilinearForm`), and certified
+truncations of sequence spaces driven by power-geometric tail
+certificates (:class:`DiagonalOperator`, :class:`DiagonalForm`).
 """
 
 from .duality import (
-    DenseOperator, DualityPair, Functional, Vector, adjoint, basis_functional,
-    basis_vector, dense_pair, diagonal_operator, functional,
+    DenseOperator, DiagonalOperator, DualityPair, Functional, Vector, adjoint,
+    basis_functional, basis_vector, dense_pair, diagonal_operator, functional,
     generated_functional, generated_vector, identity_operator, is_extension,
     norm, operator_from_matrix, pair, restricted_operator, sequence_pair,
     vector,
@@ -23,8 +25,8 @@ from .errors import (
     NotNormalized, NotPositive, SeriesDiverges, Uncertifiable,
 )
 from .forms import (
-    LowerBoundCertificate, RepresentationResult, SesquilinearForm,
-    associated_operator, diagonal_form, form_from_gram, form_of_operator,
+    DiagonalForm, LowerBoundCertificate, RepresentationResult, SesquilinearForm,
+    associated_operator, form_from_gram, form_of_operator,
     inverse_selfadjoint, lower_bound, riesz_solve,
 )
 from .friedrichs import FriedrichsResult, core_check, friedrichs, in_extension_domain

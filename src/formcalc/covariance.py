@@ -24,11 +24,11 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, TO_DUAL,
-    DenseOperator, DualityPair, Functional, Vector, diagonal_operator,
+    DOMAIN_MAXIMAL, FROM_DUAL, TO_DUAL, DualityPair, Functional, Operator,
+    Vector, diagonal_operator,
 )
 from .errors import BackendMismatch, NotNormalized, Uncertifiable
-from .forms import SesquilinearForm, associated_operator, form_from_gram
+from .forms import DiagonalForm, associated_operator, form_from_gram
 from .formsum import form_sum
 from .linalg import relative_error
 
@@ -145,12 +145,10 @@ def weak_expectation(xi: RandomVariable) -> Vector:
     linear in f, and on each e_k both sides are that same sum."""
     sp = xi.space
     if xi.kind == "table":
-        return Vector(sp.weights @ np.stack(xi.values),
-                      xi.codomain.backend if xi.codomain.backend == DENSE
-                      else SEQUENCE)
+        return Vector(sp.weights @ np.stack(xi.values), xi.codomain.backend)
     if xi.kind == "signed-basis":
         # the paired atoms cancel exactly
-        return Vector(np.zeros(xi.codomain.n, dtype=complex), SEQUENCE)
+        return Vector(np.zeros(xi.codomain.n, dtype=complex), xi.codomain.backend)
     k_ret = xi.codomain.n
     coords = np.empty(k_ret, dtype=complex)
     kfact = np.cumsum(np.log(np.arange(1, k_ret + 1, dtype=float)))
@@ -158,7 +156,7 @@ def weak_expectation(xi: RandomVariable) -> Vector:
         rule_k = sp.rule * series.polynomial(float(k),
                                              coef=math.exp(-kfact[k - 1]))
         coords[k - 1] = series.certified_sum(rule_k, tol=1e-12).value
-    return Vector(coords, SEQUENCE)
+    return Vector(coords, xi.codomain.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def second_moment_membership(xi: RandomVariable, f: Functional) -> MembershipCer
     if xi.kind == "table":
         return MembershipCertificate(True, {"kind": "finite"})
     if xi.kind == "signed-basis":
-        fr = f.tail if f.tail is not None else None
+        fr = f.tail
         if fr is None:
             # finitely supported: finite sum
             return MembershipCertificate(True, {"kind": "finite"})
@@ -245,8 +243,7 @@ class SecondMomentDomain:
             fc = np.zeros(n, dtype=complex)
             fc[k] = 1.0
             members.append(in_second_moment_domain(
-                self.xi, Functional(fc, SEQUENCE if
-                                    self.xi.codomain.backend == SEQUENCE else DENSE)))
+                self.xi, Functional(fc, self.xi.codomain.backend)))
         return {"finitely_supported_members": all(members),
                 "checked": len(members), "density": "inferred"}
 
@@ -266,7 +263,7 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     """
     if xi.kind == "signed-basis":
         rule = xi.space.rule * xi.scale.abs_square()
-        return SesquilinearForm(SEQUENCE, diagonal=rule)
+        return DiagonalForm(rule)
     if xi.kind == "exp-poly":
         raise Uncertifiable("covariance operators for the uncentered exp-poly "
                             "family are outside scope; center a table variable")
@@ -280,7 +277,7 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
     return form_from_gram(B, (V * xi.space.weights) @ V.conj().T)
 
 
-def covariance_operator(xi: RandomVariable) -> DenseOperator:
+def covariance_operator(xi: RandomVariable) -> Operator:
     """Representing operator of the covariance form, mapping X* to X.
 
     Requires a certified positive lower bound on the coordinate basis; at
@@ -289,7 +286,7 @@ def covariance_operator(xi: RandomVariable) -> DenseOperator:
     """
     t = covariance_form(xi)
     dual = xi.codomain.dual()
-    if t.backend == SEQUENCE:
+    if isinstance(t, DiagonalForm):
         return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)
     return replace(associated_operator(t, dual).A, direction=FROM_DUAL)
 
@@ -324,23 +321,13 @@ def independent_sum(xi: RandomVariable, eta: RandomVariable) -> IndependentSumRe
         vals = tuple(v1 + v2 for v1 in xi.values for v2 in eta.values)
         joint = table_variable(finite_space(w / np.sum(w)), vals, xi.codomain)
         cov_sum = covariance_operator(joint)
-        A = covariance_operator(xi)
-        B = covariance_operator(eta)
-        dual = xi.codomain.dual()
-        fs = form_sum(
-            DenseOperator(DENSE, TO_DUAL, A._basis, A.action_mat),
-            DenseOperator(DENSE, TO_DUAL, B._basis, B.action_mat), dual)
+        fs = form_sum(*(replace(covariance_operator(v), direction=TO_DUAL)
+                        for v in (xi, eta)), xi.codomain.dual())
         res = relative_error(cov_sum.canonical_matrix(), fs.operator.canonical_matrix())
         return IndependentSumReport(res, {"kind": "finite-product"})
     if xi.kind == "signed-basis" and eta.kind == "signed-basis":
-        cov_a = covariance_operator(xi)
-        cov_b = covariance_operator(eta)
-        dual = xi.codomain.dual()
-        fs = form_sum(
-            DenseOperator(SEQUENCE, TO_DUAL, diagonal=cov_a.diagonal,
-                          domain_rule=DOMAIN_FINITE),
-            DenseOperator(SEQUENCE, TO_DUAL, diagonal=cov_b.diagonal,
-                          domain_rule=DOMAIN_FINITE), dual)
+        fs = form_sum(*(replace(covariance_operator(v), direction=TO_DUAL)
+                        for v in (xi, eta)), xi.codomain.dual())
         # brute-force window over the product space: enumerate the signed
         # atom pairs ((n, sg1), (m, sg2)) and accumulate the second moment
         # of each retained coordinate, then compare with the summed rule

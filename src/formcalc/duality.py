@@ -8,13 +8,14 @@ The pairing convention is fixed once and for all as
 self-adjointness of a full-domain operator the same as Hermitian-ness of
 its coordinate matrix.
 
-Two backends exist.  The dense backend is exact finite-dimensional
-algebra on C^n; a proper subspace of C^n is never dense, so operators
-treat the closure of their domain as the effective ambient space.
-Genuinely proper dense domains live on the sequence backend, which is
-restricted to diagonal operators with power-geometric coefficient
-generators so that every tail admits a certificate (see
-:mod:`formcalc.series`).
+Two backends exist, each with its operator class, whose constant
+``backend`` names it.  The dense backend (:class:`DenseOperator`) is
+exact finite-dimensional algebra on C^n; a proper subspace of C^n is
+never dense, so operators treat the closure of their domain as the
+effective ambient space.  Genuinely proper dense domains live on the
+sequence backend (:class:`DiagonalOperator`), restricted to diagonal
+operators with power-geometric coefficient generators so that every
+tail admits a certificate (see :mod:`formcalc.series`).
 
 A dense domain basis B is factored once, by a thin SVD
 B = U diag(s) V^H held in one private :class:`_Basis` that operators
@@ -45,7 +46,6 @@ FROM_DUAL = "from-dual"  # X* -> X
 ENDO = "endo"            # X -> X
 DIRECTIONS = (TO_DUAL, FROM_DUAL, ENDO)
 
-DOMAIN_SPAN = "span"
 DOMAIN_FINITE = "finitely-supported"
 DOMAIN_MAXIMAL = "graph-summable"
 
@@ -119,8 +119,8 @@ def _as_coords(coords, n=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Coordinates:
-    """Read-only finite coordinates on a backend.  On the sequence
-    backend ``tail is None`` means exactly supported inside the
+    """Read-only finite coordinates on a backend.  Only a sequence
+    vector has a ``tail``: ``None`` means exactly supported inside the
     truncation, otherwise the rule generated the coordinates and rules
     the tail."""
 
@@ -130,6 +130,8 @@ class _Coordinates:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_coords(self.coords))
+        if self.tail is not None and self.backend != SEQUENCE:
+            raise BackendMismatch("a tail rule needs the sequence backend")
 
     @property
     def n(self) -> int:
@@ -183,10 +185,6 @@ def _check_same_backend(a, b):
         raise BackendMismatch(f"{a.backend} vs {b.backend}")
 
 
-def _tail_rule(obj) -> series.Rule | None:
-    return obj.tail if obj.backend == SEQUENCE else None
-
-
 def pair(v: Functional, x: Vector) -> complex:
     """The pairing (v, x) = sum_i v_i conj(x_i).
 
@@ -201,7 +199,7 @@ def pair(v: Functional, x: Vector) -> complex:
             raise BackendMismatch("length mismatch")
         return complex(np.vdot(x.coords, v.coords))
     n = max(v.n, x.n)
-    rv, rx = _tail_rule(v), _tail_rule(x)
+    rv, rx = v.tail, x.tail
     ns = np.arange(1, n + 1)
     vv = v.coords if v.n == n else (rv(ns) if rv is not None else _pad(v.coords, n))
     xx = x.coords if x.n == n else (rx(ns) if rx is not None else _pad(x.coords, n))
@@ -227,8 +225,8 @@ def norm(x: Vector | Functional, p: float) -> float:
     if not (1.0 < p < np.inf):
         raise ValueError("norm exponent must lie in (1, inf)")
     head = float(np.sum(np.abs(x.coords) ** p))
-    rule = _tail_rule(x)
-    if x.backend == DENSE or rule is None:
+    rule = x.tail
+    if rule is None:
         return head ** (1.0 / p)
     maj = rule.majorant()
     powered = series.Rule((series.Term(abs(maj.coef) ** p, maj.alpha * p,
@@ -284,14 +282,11 @@ def _factor_basis(B: np.ndarray) -> _Basis:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Operator given by a domain basis and its action on that basis.
+    """Operator on C^n given by a domain basis and its action on that basis.
 
     ``basis_mat`` holds the domain basis as columns, ``action_mat`` the
     action on each basis column (functional coordinates for X -> X*
-    operators, vector coordinates otherwise).  Sequence-backend operators
-    are diagonal with a coefficient generator and one of two domain
-    rules: all finitely supported vectors, or the maximal graph domain
-    {y : sum |a_n y_n|^2 certified finite}.
+    operators, vector coordinates otherwise).
 
     A dense basis is factored once, by the thin SVD B = U diag(s) V^H
     taken at construction, or not at all when ``basis_mat`` is the
@@ -303,42 +298,30 @@ class DenseOperator:
     of them.
     """
 
-    backend: str
-    direction: str = TO_DUAL
-    basis_mat: np.ndarray | _Basis | None = None
-    action_mat: np.ndarray | None = None
-    diagonal: series.Rule | None = None
-    domain_rule: str = DOMAIN_SPAN
+    backend = DENSE
+
+    direction: str
+    basis_mat: np.ndarray | _Basis
+    action_mat: np.ndarray
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.backend == DENSE:
-            shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
-            B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
-            Z = np.asarray(self.action_mat, dtype=complex)
-            if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
-                raise ValueError("basis and action must be matching n x d matrices")
-            _require_finite("basis and action", B, Z)
-            if not 0 < B.shape[1] <= B.shape[0]:
-                raise DomainError("domain basis is not linearly independent")
-            basis = shared or _factor_basis(B)
-            if basis.s[-1] <= 1e-9 * max(1.0, float(basis.s[0])):
-                raise DomainError("domain basis is not linearly independent")
-            Z.setflags(write=False)
-            object.__setattr__(self, "basis_mat", B)
-            object.__setattr__(self, "action_mat", Z)
-            object.__setattr__(self, "_basis", basis)
-        elif self.backend == SEQUENCE:
-            if self.diagonal is None:
-                raise ValueError("sequence operators need a diagonal generator")
-            if self.domain_rule not in (DOMAIN_FINITE, DOMAIN_MAXIMAL):
-                raise ValueError("sequence domain must be finitely-supported "
-                                 "or graph-summable")
-        else:
-            raise ValueError(f"unknown backend {self.backend!r}")
-
-    # -- dense backend views ------------------------------------------------
+        shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
+        B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
+        Z = np.asarray(self.action_mat, dtype=complex)
+        if B.ndim != 2 or Z.shape != B.shape[:1] + B.shape[1:]:
+            raise ValueError("basis and action must be matching n x d matrices")
+        _require_finite("basis and action", B, Z)
+        if not 0 < B.shape[1] <= B.shape[0]:
+            raise DomainError("domain basis is not linearly independent")
+        basis = shared or _factor_basis(B)
+        if basis.s[-1] <= 1e-9 * max(1.0, float(basis.s[0])):
+            raise DomainError("domain basis is not linearly independent")
+        Z.setflags(write=False)
+        object.__setattr__(self, "basis_mat", B)
+        object.__setattr__(self, "action_mat", Z)
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def n(self) -> int:
@@ -403,20 +386,61 @@ class DenseOperator:
         return (self.basis_mat.conj().T @ self.action_mat).T
 
     def is_full_domain(self) -> bool:
-        return self.backend == DENSE and self.d == self.n
+        return self.d == self.n
 
     def is_symmetric(self) -> bool:
-        """Sequence: the generator's imaginary residual is at most 1e-12.
-        Dense: the form gram passes :func:`linalg.is_hermitian`, the rule
-        that flags the symmetry of ``forms.form_of_operator``."""
-        if self.backend == SEQUENCE:
-            return series.imaginary_residual(self.diagonal) <= 1e-12
+        """The form gram passes :func:`linalg.is_hermitian`, the rule that
+        flags the symmetry of ``forms.form_of_operator``."""
         return is_hermitian(self.form_gram())
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalOperator:
+    """Diagonal operator on the sequence backend: the coefficient
+    generator ``diagonal`` on one of two domains, all finitely supported
+    vectors or the maximal graph domain {y : sum |a_n y_n|^2 certified
+    finite}."""
+
+    backend = SEQUENCE
+
+    diagonal: series.Rule
+    domain_rule: str = DOMAIN_FINITE
+    direction: str = TO_DUAL
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.domain_rule not in (DOMAIN_FINITE, DOMAIN_MAXIMAL):
+            raise ValueError("sequence domain must be finitely-supported "
+                             "or graph-summable")
+
+    def is_symmetric(self) -> bool:
+        """The generator's imaginary residual is at most 1e-12."""
+        return series.imaginary_residual(self.diagonal) <= 1e-12
+
+    def graph_contains(self, y: Vector) -> bool:
+        """Membership in the maximal graph domain: sum |a_n y_n|^2
+        certified finite.  Exactly supported vectors always belong;
+        raises :class:`Uncertifiable` outside the rule class."""
+        if y.tail is None:
+            return True
+        return series.rule_convergent(self.diagonal.abs_square() * y.tail.abs_square())
+
+
+#: an operator on either backend
+Operator = DenseOperator | DiagonalOperator
+
+
+def _require_dense(what: str, *operands) -> None:
+    """The guard of every dense-only construction: BackendMismatch when
+    an operand lives on the sequence backend."""
+    if any(obj.backend != DENSE for obj in operands):
+        raise BackendMismatch(f"{what} is dense-backend only")
 
 
 def operator_from_matrix(M, dp: DualityPair, direction: str = TO_DUAL) -> DenseOperator:
     M = np.asarray(M, dtype=complex)
-    return DenseOperator(DENSE, direction, np.eye(M.shape[0], dtype=complex), M)
+    return DenseOperator(direction, np.eye(M.shape[0], dtype=complex), M)
 
 
 def restricted_operator(M, basis, dp: DualityPair) -> DenseOperator:
@@ -425,25 +449,25 @@ def restricted_operator(M, basis, dp: DualityPair) -> DenseOperator:
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
-    return DenseOperator(DENSE, TO_DUAL, B, M @ B)
+    return DenseOperator(TO_DUAL, B, M @ B)
 
 
 def diagonal_operator(rule: series.Rule, dp: DualityPair,
                       domain_rule: str = DOMAIN_FINITE,
-                      direction: str = TO_DUAL) -> DenseOperator:
+                      direction: str = TO_DUAL) -> DiagonalOperator:
     if dp.backend != SEQUENCE:
         raise BackendMismatch("diagonal generators need the sequence backend")
-    return DenseOperator(SEQUENCE, direction, diagonal=rule, domain_rule=domain_rule)
+    return DiagonalOperator(rule, domain_rule, direction)
 
 
-def identity_operator(dp: DualityPair) -> DenseOperator:
+def identity_operator(dp: DualityPair) -> Operator:
     """The identity as an X -> X* operator on all of X."""
     if dp.backend == DENSE:
         return operator_from_matrix(np.eye(dp.dim), dp)
     return diagonal_operator(series.constant(1.0), dp, DOMAIN_MAXIMAL)
 
 
-def adjoint(A: DenseOperator) -> DenseOperator:
+def adjoint(A: Operator) -> Operator:
     """Adjoint with respect to the pairing: (Ax, y) = (x, A* y).
 
     Dense backend: the effective matrix of A* is the conjugate transpose
@@ -451,22 +475,22 @@ def adjoint(A: DenseOperator) -> DenseOperator:
     the effective-ambient convention).  Sequence backend: conjugated
     generator on the same domain rule.
     """
-    if A.backend == SEQUENCE:
+    if isinstance(A, DiagonalOperator):
         return replace(A, diagonal=A.diagonal.conjugate())
     if A.direction == ENDO:
         raise DomainError("adjoint of an X -> X endomorphism lives on X*; "
                           "use its conjugate-transpose matrix directly")
     Q = A._basis.U
-    return DenseOperator(DENSE, A.direction, Q, A.effective_matrix().conj().T @ Q)
+    return DenseOperator(A.direction, Q, A.effective_matrix().conj().T @ Q)
 
 
-def is_extension(S: DenseOperator, T: DenseOperator) -> bool:
+def is_extension(S: Operator, T: Operator) -> bool:
     """True iff T extends S: dom S inside dom T (residual <= ``TOL_SUB``,
     relative) and the actions agree there (residual <= ``TOL_ACT``, scaled
     by the operator norms).  Never raises; any failure is False."""
     if S.backend != T.backend or S.direction != T.direction:
         return False
-    if S.backend == SEQUENCE:
+    if isinstance(S, DiagonalOperator):
         if not series.rules_agree(S.diagonal, T.diagonal):
             return False
         order = {DOMAIN_FINITE: 0, DOMAIN_MAXIMAL: 1}
@@ -480,15 +504,3 @@ def is_extension(S: DenseOperator, T: DenseOperator) -> bool:
     return bool(np.all(sub <= TOL_SUB * np.linalg.norm(S.basis_mat, axis=0)) and
                 np.all(act <= TOL_ACT * scale_act *
                        np.maximum(1.0, np.linalg.norm(C, axis=0))))
-
-
-def graph_domain_contains(A: DenseOperator, y: Vector) -> bool:
-    """Membership in the maximal graph domain of a diagonal operator:
-    sum |a_n y_n|^2 certified finite.  Exactly supported vectors always
-    belong; raises :class:`Uncertifiable` outside the rule class."""
-    if A.backend != SEQUENCE:
-        raise BackendMismatch("graph domains are a sequence-backend notion")
-    if y.tail is None:
-        return True
-    rule = A.diagonal.abs_square() * y.tail.abs_square()
-    return series.rule_convergent(rule)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffexpr import compile_rule
-from .duality import DENSE, TO_DUAL, DenseOperator, Vector
+from .duality import TO_DUAL, DenseOperator, Vector
 from .errors import DomainError, NotPositive
 from .forms import LowerBoundCertificate, SesquilinearForm, form_from_gram
 from .linalg import generalized_eigvalsh
@@ -189,7 +189,7 @@ def _dirichlet_from(S, prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
     Z[0, 0] += a0 * (1.0 / h[0])
     Z[n - 1, len(idx) - 1] -= aL * (-1.0 / h[-1])
     basis = np.eye(n, dtype=complex)[:, idx]
-    return DenseOperator(DENSE, TO_DUAL, basis, Z)
+    return DenseOperator(TO_DUAL, basis, Z)
 
 
 def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
@@ -202,7 +202,7 @@ def neumann_operator(prob: EllipticProblem, mesh: Mesh1D) -> DenseOperator:
 
 def _neumann_from(S) -> DenseOperator:
     """:func:`neumann_operator` from the full stiffness S."""
-    return DenseOperator(DENSE, TO_DUAL, np.eye(len(S), dtype=complex), S.astype(complex))
+    return DenseOperator(TO_DUAL, np.eye(len(S), dtype=complex), S.astype(complex))
 
 
 def _positive_potential(b: np.ndarray) -> None:

@@ -7,6 +7,10 @@ Riesz solve f with (v, x) = [f, x]), then inverts it, so the bounded
 inverse path is exercised rather than bypassed.  ||B|| <= 1/gamma comes
 out as a checked residual, exactly for p = 2 and against the
 equivalence-scaled bound otherwise.
+
+Each backend has its own form class: :class:`SesquilinearForm`, a gram
+on a dense domain basis, and :class:`DiagonalForm`, a weight generator
+on the sequence backend.  The representation route is dense-only.
 """
 
 from __future__ import annotations
@@ -18,27 +22,26 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DualityPair,
-    Functional, Vector, _Basis, _factor_basis, _require_finite, adjoint,
-    operator_norm,
+    DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DiagonalOperator,
+    DualityPair, Functional, Operator, Vector, _Basis, _factor_basis,
+    _require_dense, _require_finite, adjoint, operator_norm,
 )
-from .errors import BackendMismatch, LowerBoundError, NotPositive, Uncertifiable
+from .errors import LowerBoundError, NotPositive, Uncertifiable
 from .linalg import (
     hermitian_eigvalsh, hermitian_residual, is_hermitian, relative_residual,
 )
 
 @dataclass(frozen=True, eq=False)
 class SesquilinearForm:
-    """Hermitian form on a domain subspace, stored through its gram.
+    """Hermitian form on a dense domain subspace, stored through its gram.
 
     ``gram[i, j] = t(b_i, b_j)`` with the domain basis as columns of
-    ``basis_mat``.  Sequence-backend forms are diagonal with a weight
-    generator instead.
+    ``basis_mat``.
 
-    The constructor is the one positivity gate: a dense form keeps the
+    The constructor is the one positivity gate: the form keeps the
     margin ``negativity`` = max(0, -lambda_min(conj G)) / max(1, ||G||_2)
-    it refuses above 1e-12, a sequence form (:func:`_require_nonnegative`)
-    0.  By Sylvester's law of inertia no change of basis needs a retest.
+    it refuses above 1e-12.  By Sylvester's law of inertia no change of
+    basis needs a retest.
 
     The dense basis is factored on first use by :func:`lower_bound`,
     with no SVD for the identity.  A form made from an operator, or a
@@ -47,44 +50,37 @@ class SesquilinearForm:
     :func:`associated_operator` builds on it.
     """
 
-    backend: str
-    basis_mat: np.ndarray | _Basis | None = None
-    gram: np.ndarray | None = None
-    diagonal: series.Rule | None = None
+    backend = DENSE
+
+    basis_mat: np.ndarray | _Basis
+    gram: np.ndarray
     symmetric: bool = True
     negativity: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.backend == DENSE:
-            shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
-            B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
-            G = np.asarray(self.gram, dtype=complex)
-            if G.shape != (B.shape[1], B.shape[1]):
-                raise ValueError("gram must be d x d for a d-column basis")
-            _require_finite("basis and gram", B, G)
-            if self.symmetric and not is_hermitian(G):
-                raise NotPositive("form gram is not Hermitian (residual "
-                                  f"{hermitian_residual(G):.3e})")
-            # t(x, x) in coefficients is the quadratic form of conj(G)
-            lam = hermitian_eigvalsh(np.conj(G))
-            # the norm scales the margin only, so lam >= 0 needs no SVD
-            neg = -float(lam[0]) / max(1.0, operator_norm(G)) if lam[0] < 0 else 0.0
-            if neg > 1e-12:
-                raise NotPositive(f"form indefinite (eigenvalue {lam[0]:.3e})")
-            object.__setattr__(self, "negativity", neg)
-            B.setflags(write=False)
-            G.setflags(write=False)
-            object.__setattr__(self, "basis_mat", B)
-            object.__setattr__(self, "gram", G)
-            object.__setattr__(self, "_coefficient_spectrum", lam)
-            if shared:
-                object.__setattr__(self, "_basis", shared)
-        elif self.backend == SEQUENCE:
-            if self.diagonal is None:
-                raise ValueError("sequence forms need a diagonal weight rule")
-            _require_nonnegative(self.diagonal)
-        else:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        shared = self.basis_mat if isinstance(self.basis_mat, _Basis) else None
+        B = shared.mat if shared else np.asarray(self.basis_mat, dtype=complex)
+        G = np.asarray(self.gram, dtype=complex)
+        if G.shape != (B.shape[1], B.shape[1]):
+            raise ValueError("gram must be d x d for a d-column basis")
+        _require_finite("basis and gram", B, G)
+        if self.symmetric and not is_hermitian(G):
+            raise NotPositive("form gram is not Hermitian (residual "
+                              f"{hermitian_residual(G):.3e})")
+        # t(x, x) in coefficients is the quadratic form of conj(G)
+        lam = hermitian_eigvalsh(np.conj(G))
+        # the norm scales the margin only, so lam >= 0 needs no SVD
+        neg = -float(lam[0]) / max(1.0, operator_norm(G)) if lam[0] < 0 else 0.0
+        if neg > 1e-12:
+            raise NotPositive(f"form indefinite (eigenvalue {lam[0]:.3e})")
+        object.__setattr__(self, "negativity", neg)
+        B.setflags(write=False)
+        G.setflags(write=False)
+        object.__setattr__(self, "basis_mat", B)
+        object.__setattr__(self, "gram", G)
+        object.__setattr__(self, "_coefficient_spectrum", lam)
+        if shared:
+            object.__setattr__(self, "_basis", shared)
 
     @property
     def n(self) -> int:
@@ -115,42 +111,57 @@ class SesquilinearForm:
         return hermitian_eigvalsh(W @ np.conj(self.gram) @ W.conj().T)
 
 
-def _require_nonnegative(rule: series.Rule) -> None:
-    """Decide a_n >= 0 for all n: at once for nonnegative coefficients,
-    else for a real rule by a_1..a_N, slack 1e-9 max(|a_n|, 1), and the
-    sign from N on (:func:`series.eventual_sign`, whose
-    :class:`Uncertifiable` passes through).  Names the first negative a_n."""
-    if rule.is_nonnegative:
-        return
-    if series.imaginary_residual(rule) > 1e-12:
-        raise NotPositive("sequence form weights are not real")
-    N, sign = series.eventual_sign(rule)
-    a = np.real(rule(np.arange(1, N + 1)))
-    bad = np.flatnonzero(a[:-1] < -1e-9 * np.maximum(np.abs(a[:-1]), 1.0))
-    if bad.size or sign < 0:
-        k = int(bad[0]) if bad.size else N - 1
-        raise NotPositive(f"sequence form weight a_{k + 1} = {a[k]:.3e} is negative")
+@dataclass(frozen=True, eq=False)
+class DiagonalForm:
+    """Diagonal form sum a_n |x_n|^2 on the sequence backend, given by
+    its weight generator ``diagonal``.
+
+    The constructor is the positivity gate: it decides a_n >= 0 for all
+    n, at once for nonnegative coefficients, else for a real rule by
+    a_1..a_N, slack 1e-9 max(|a_n|, 1), and the sign from N on
+    (:func:`series.eventual_sign`, whose :class:`Uncertifiable` passes
+    through), and names the first negative a_n.  A form it lets through
+    has the margin ``negativity`` 0.
+    """
+
+    backend = SEQUENCE
+    negativity = 0.0
+
+    diagonal: series.Rule
+
+    def __post_init__(self):
+        rule = self.diagonal
+        if rule.is_nonnegative:
+            return
+        if series.imaginary_residual(rule) > 1e-12:
+            raise NotPositive("sequence form weights are not real")
+        N, sign = series.eventual_sign(rule)
+        a = np.real(rule(np.arange(1, N + 1)))
+        bad = np.flatnonzero(a[:-1] < -1e-9 * np.maximum(np.abs(a[:-1]), 1.0))
+        if bad.size or sign < 0:
+            k = int(bad[0]) if bad.size else N - 1
+            raise NotPositive(f"sequence form weight a_{k + 1} = {a[k]:.3e} is negative")
+
+
+#: a form on either backend
+Form = SesquilinearForm | DiagonalForm
 
 
 def form_from_gram(basis, gram) -> SesquilinearForm:
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
-    return SesquilinearForm(DENSE, B, np.asarray(gram, dtype=complex))
+    return SesquilinearForm(B, np.asarray(gram, dtype=complex))
 
 
-def form_of_operator(A: DenseOperator) -> SesquilinearForm:
+def form_of_operator(A: Operator) -> Form:
     """The form t_A(x, y) = (Ax, y) on dom A."""
-    if A.backend == SEQUENCE:
-        return SesquilinearForm(SEQUENCE, diagonal=A.diagonal)
+    if isinstance(A, DiagonalOperator):
+        return DiagonalForm(A.diagonal)
     # built without the constructor's symmetry test, then flagged by it
-    t = SesquilinearForm(DENSE, A._basis, A.form_gram(), symmetric=False)
+    t = SesquilinearForm(A._basis, A.form_gram(), symmetric=False)
     object.__setattr__(t, "symmetric", is_hermitian(t.gram))
     return t
-
-
-def diagonal_form(rule: series.Rule) -> SesquilinearForm:
-    return SesquilinearForm(SEQUENCE, diagonal=rule)
 
 
 @dataclass(frozen=True)
@@ -186,7 +197,7 @@ def equivalence_factor(n: int, p: float) -> float:
     return float(n) ** (-2.0 * max(0.0, 1.0 / p - 0.5))
 
 
-def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
+def lower_bound(t: Form, dp: DualityPair) -> LowerBoundCertificate:
     """Certified gamma with t(x,x) >= gamma ||x||_p^2.
 
     p = 2: smallest eigenvalue of the form gram against the Euclidean
@@ -201,7 +212,7 @@ def lower_bound(t: SesquilinearForm, dp: DualityPair) -> LowerBoundCertificate:
     the basis vectors attain it; below p = 2 it overstates gamma, which
     is then uncertified.
     """
-    if t.backend == SEQUENCE:
+    if isinstance(t, DiagonalForm):
         if dp.p < 2.0:
             raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
                                 "certified (inf a_n overstates it)")
@@ -253,6 +264,7 @@ def riesz_coefficients(t: SesquilinearForm, v_coords: np.ndarray) -> np.ndarray:
 
 def riesz_solve(t: SesquilinearForm, v: Functional, dp: DualityPair) -> Vector:
     """The Riesz representer f of (v, .) inside the form domain."""
+    _require_dense("the riesz solve", t)
     cert = lower_bound(t, dp)
     if cert.gamma <= 0:
         raise LowerBoundError("riesz solve needs a positive lower bound")
@@ -276,8 +288,7 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     the form's reduced spectrum, that of ``R`` from the eigenvalues of
     its Hermitian part.
     """
-    if t.backend != DENSE:
-        raise BackendMismatch("the representation route is dense-backend only")
+    _require_dense("the representation route", t)
     if not t.symmetric:
         raise NotPositive("form must be symmetric")
     cert = lower_bound(t, dp)
@@ -293,8 +304,8 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     # A: action on the domain basis column j is  B (B^H B)^-1 G^T e_j,
     # and B (B^H B)^-1 is pinv(B)^H
     Z = basis.pinv.conj().T @ Gt
-    A = DenseOperator(DENSE, TO_DUAL, basis, Z)
-    Bop = DenseOperator(DENSE, FROM_DUAL, basis, R @ B)
+    A = DenseOperator(TO_DUAL, basis, Z)
+    Bop = DenseOperator(FROM_DUAL, basis, R @ B)
 
     P = A.effective_projector()
     M_A = A.canonical_matrix()
@@ -343,8 +354,7 @@ def inverse_selfadjoint(B: DenseOperator, dp: DualityPair) -> DenseOperator:
     The result A = B^-1 has dom A = ran B; its self-adjointness is
     verified through the adjoint construction before returning.
     """
-    if B.backend != DENSE:
-        raise BackendMismatch("inverse construction is dense-backend only")
+    _require_dense("the inverse construction", B)
     if B.direction != FROM_DUAL:
         raise ValueError("B must map X* to X")
     if not B.is_full_domain():
@@ -357,7 +367,7 @@ def inverse_selfadjoint(B: DenseOperator, dp: DualityPair) -> DenseOperator:
     if not B.is_symmetric():
         raise ValueError("B not self-adjoint")
     # dom A = ran B: swap basis and action
-    A = DenseOperator(DENSE, TO_DUAL, B.action_mat, B.basis_mat)
+    A = DenseOperator(TO_DUAL, B.action_mat, B.basis_mat)
     M_A = A.effective_matrix()
     norm_a = operator_norm(M_A)
     adj_res = relative_residual(

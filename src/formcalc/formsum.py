@@ -35,12 +35,13 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, DOMAIN_MAXIMAL, ENDO, SEQUENCE, DenseOperator, DualityPair, Vector,
-    diagonal_operator, operator_from_matrix, operator_norm,
+    DOMAIN_MAXIMAL, ENDO, DenseOperator, DiagonalOperator, DualityPair, Operator,
+    Vector, _require_dense, diagonal_operator, operator_from_matrix, operator_norm,
 )
 from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
-    SesquilinearForm, associated_operator, form_of_operator, lower_bound,
+    DiagonalForm, Form, SesquilinearForm, associated_operator, form_of_operator,
+    lower_bound,
 )
 from .linalg import gram_quadratic, hermitian_norm, relative_residual
 from .ordering import FactorizationResult, factorize
@@ -65,7 +66,7 @@ class ClosednessWitness:
     runs: tuple[RunRecord, ...] = ()
 
 
-def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
+def is_closed(t: Form, runs: list[Vector] | None,
               dp: DualityPair) -> ClosednessWitness:
     """Closedness certificate for a positive form.
 
@@ -78,7 +79,7 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
     weights are nonnegative once it exists, is closed on its maximal
     domain by Fatou's lemma.
     """
-    if t.backend == DENSE:
+    if not isinstance(t, DiagonalForm):
         cert = lower_bound(t, dp)
         if cert.gamma <= 0:
             raise LowerBoundError("automatic closedness needs gamma > 0")
@@ -110,7 +111,7 @@ def is_closed(t: SesquilinearForm, runs: list[Vector] | None,
 
 @dataclass(frozen=True, eq=False)
 class FormSumResult:
-    operator: DenseOperator            # A (+) B
+    operator: Operator                 # A (+) B
     gamma: float
     extension_residual: float          # against A + B on dom A and dom B
     collapse_exact: bool               # full domains: A (+) B == A + B
@@ -120,7 +121,7 @@ def _max_column_norm(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
 
 
-def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> FormSumResult:
+def form_sum(A: Operator, B: Operator, dp: DualityPair) -> FormSumResult:
     """The operator representing t_A + t_B.
 
     Dense backend: requires gamma_A > 0 with A effectively everywhere
@@ -132,13 +133,21 @@ def form_sum(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> FormSumResu
     """
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
-    if A.backend == SEQUENCE:
-        return _form_sum_sequence(A, B, dp)
-    return _form_sum_dense(A, B, dp)
-
-
-def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> FormSumResult:
     t_a, t_b = form_of_operator(A), form_of_operator(B)
+    if isinstance(A, DiagonalOperator):
+        # diagonal generators: the summed form is closed coefficientwise and
+        # the construction stays valid when the lower bound degenerates to 0
+        # (covariance rules decay), so only positivity is demanded here
+        rule = A.diagonal + B.diagonal
+        cert = lower_bound(DiagonalForm(rule), dp)
+        AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
+        # density of H_{A,B}: every finitely supported vector passes both
+        # membership tests (finite sums are always certified)
+        ns = np.arange(1, 9)
+        if not (np.all(np.isfinite(np.real(A.diagonal(ns)))) and
+                np.all(np.isfinite(np.real(B.diagonal(ns))))):
+            raise DomainError("density check failed on finitely supported probes")
+        return FormSumResult(AB, cert.gamma, 0.0, False)
     if not (t_a.symmetric and t_b.symmetric):
         raise NotPositive("operator form is not symmetric")
     if lower_bound(t_a, dp).gamma <= 0:
@@ -154,7 +163,7 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> Form
     Cc = A.coefficients_of(C)
     G_sum = Cc.T @ t_a.gram @ np.conj(Cc) + t_b.gram
     # the sum form lives on B's factored basis
-    t_sum = SesquilinearForm(DENSE, t_b._basis, G_sum)
+    t_sum = SesquilinearForm(t_b._basis, G_sum)
     rep = associated_operator(t_sum, dp)
     AB = rep.A
     # extension of A + B on dom A intersect dom B = dom t_B here, the
@@ -172,24 +181,6 @@ def _form_sum_dense(A: DenseOperator, B: DenseOperator, dp: DualityPair) -> Form
     if worst > 1e-10:
         raise ArithmeticError(f"form sum fails to extend A + B ({worst:.3e})")
     return FormSumResult(AB, rep.gamma, worst, collapse)
-
-
-def _form_sum_sequence(A: DenseOperator, B: DenseOperator,
-                       dp: DualityPair) -> FormSumResult:
-    # diagonal generators: the summed form is closed coefficientwise and
-    # the construction stays valid when the lower bound degenerates to 0
-    # (covariance rules decay), so only positivity is demanded here
-    form_of_operator(A), form_of_operator(B)
-    rule = A.diagonal + B.diagonal
-    cert = lower_bound(SesquilinearForm(SEQUENCE, diagonal=rule), dp)
-    AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
-    # density of H_{A,B}: every finitely supported vector passes both
-    # membership tests (finite sums are always certified)
-    ns = np.arange(1, 9)
-    if not (np.all(np.isfinite(np.real(A.diagonal(ns)))) and
-            np.all(np.isfinite(np.real(B.diagonal(ns))))):
-        raise DomainError("density check failed on finitely supported probes")
-    return FormSumResult(AB, cert.gamma, 0.0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +203,7 @@ def joint_factorize(A: DenseOperator, B: DenseOperator,
 
     The claims are linear in z, the energy identity sesquilinear, so each
     is checked on an orthonormal basis of dom t_B, the sum domain here."""
-    if A.backend != DENSE:
-        raise BackendMismatch("joint factorization is dense-backend only")
+    _require_dense("joint factorization", A, B)
     fs = form_sum(A, B, dp)
     fac_a, fac_b = factorize(A), factorize(B)
     M_AB = fs.operator.canonical_matrix()
@@ -282,8 +272,7 @@ def lift_commutant(A: DenseOperator, E: DenseOperator,
 
 
 def _bounded_matrix(A: DenseOperator, E: DenseOperator) -> np.ndarray:
-    if A.backend != DENSE:
-        raise BackendMismatch("commutant lifts are dense-backend only")
+    _require_dense("a commutant lift", A, E)
     if E.direction != ENDO or not E.is_full_domain():
         raise DomainError("E must be a bounded operator defined on all of X")
     return E.canonical_matrix()

@@ -18,35 +18,37 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, DOMAIN_FINITE, DOMAIN_MAXIMAL, DenseOperator, DualityPair, Vector,
-    diagonal_operator, graph_domain_contains, is_extension,
+    DOMAIN_FINITE, DOMAIN_MAXIMAL, DiagonalOperator, DualityPair, Operator,
+    Vector, diagonal_operator, is_extension,
 )
 from .errors import (
     DomainError, LowerBoundError, NotPositive, SeriesDiverges, Uncertifiable,
 )
 from .forms import (
-    LowerBoundCertificate, SesquilinearForm, associated_operator,
-    form_of_operator, lower_bound,
+    Form, LowerBoundCertificate, associated_operator, form_of_operator,
+    lower_bound,
 )
 from .linalg import relative_error
 
 
 @dataclass(frozen=True, eq=False)
 class FriedrichsResult:
-    extension: DenseOperator
-    energy_space: SesquilinearForm
+    extension: Operator
+    energy_space: Form
     gamma_preserved: LowerBoundCertificate
 
 
-def friedrichs(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
+def friedrichs(a: Operator, dp: DualityPair) -> FriedrichsResult:
     """Positive self-adjoint extension of ``a`` with the same lower bound."""
-    if a.backend == DENSE:
-        return _friedrichs_dense(a, dp)
-    return _friedrichs_sequence(a, dp)
-
-
-def _friedrichs_dense(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
-    t = form_of_operator(a)
+    t = form_of_operator(a)      # its constructor refuses a non-real or negative a_n
+    if isinstance(a, DiagonalOperator):
+        if a.domain_rule != DOMAIN_FINITE:
+            raise DomainError("input operator must act on finitely supported vectors")
+        cert = lower_bound(t, dp)
+        if cert.gamma <= 0:
+            raise LowerBoundError(
+                f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
+        return FriedrichsResult(diagonal_operator(a.diagonal, dp, DOMAIN_MAXIMAL), t, cert)
     if not t.symmetric:
         raise NotPositive("operator form is not symmetric")
     # associated_operator certifies gamma > 0 and keeps the certificate
@@ -54,18 +56,6 @@ def _friedrichs_dense(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
     if not is_extension(a, rep.A):
         raise ArithmeticError("constructed extension does not extend the input")
     return FriedrichsResult(rep.A, t, rep.lower_certificate)
-
-
-def _friedrichs_sequence(a: DenseOperator, dp: DualityPair) -> FriedrichsResult:
-    t = form_of_operator(a)      # its constructor refuses a non-real or negative a_n
-    if a.domain_rule != DOMAIN_FINITE:
-        raise DomainError("input operator must act on finitely supported vectors")
-    cert = lower_bound(t, dp)
-    if cert.gamma <= 0:
-        raise LowerBoundError(
-            f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
-    ext = diagonal_operator(a.diagonal, dp, DOMAIN_MAXIMAL)
-    return FriedrichsResult(ext, t, cert)
 
 
 def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:
@@ -77,13 +67,13 @@ def in_extension_domain(res: FriedrichsResult, y: Vector) -> bool:
     class.
     """
     A = res.extension
-    if A.backend == DENSE:
-        try:
-            A.coefficients_of(y.coords)
-            return True
-        except DomainError:
-            return False
-    return graph_domain_contains(A, y)
+    if isinstance(A, DiagonalOperator):
+        return A.graph_contains(y)
+    try:
+        A.coefficients_of(y.coords)
+        return True
+    except DomainError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class CoreCheckReport:
     witnesses: tuple[CoreWitness, ...]
 
 
-def core_check(a: DenseOperator, res: FriedrichsResult,
+def core_check(a: Operator, res: FriedrichsResult,
                samples: list[Vector]) -> CoreCheckReport:
     """Finitely supported truncations converge in the energy norm.
 
@@ -109,7 +99,7 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
     ArithmeticError, a target not reached within the term cap
     :class:`Uncertifiable`.
     """
-    if res.extension.backend == DENSE:
+    if not isinstance(res.extension, DiagonalOperator):
         witnesses = tuple(CoreWitness(s.n, 0.0, ()) for s in samples)
         return CoreCheckReport(witnesses)
     rule = res.extension.diagonal
@@ -148,10 +138,10 @@ def core_check(a: DenseOperator, res: FriedrichsResult,
 def idempotent(res: FriedrichsResult, dp: DualityPair) -> bool:
     """friedrichs(A_F) returns A_F again (same matrix or same rule+domain)."""
     A = res.extension
-    if A.backend == DENSE:
-        again = friedrichs(A, dp).extension
-        return relative_error(again.effective_matrix(), A.effective_matrix()) <= 1e-10
-    finite = diagonal_operator(A.diagonal, dp, DOMAIN_FINITE)
-    again = friedrichs(finite, dp).extension
-    return series.rules_agree(A.diagonal, again.diagonal) and (
-        again.domain_rule == A.domain_rule)
+    if isinstance(A, DiagonalOperator):
+        finite = diagonal_operator(A.diagonal, dp, DOMAIN_FINITE)
+        again = friedrichs(finite, dp).extension
+        return series.rules_agree(A.diagonal, again.diagonal) and (
+            again.domain_rule == A.domain_rule)
+    again = friedrichs(A, dp).extension
+    return relative_error(again.effective_matrix(), A.effective_matrix()) <= 1e-10

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, SEQUENCE, DenseOperator, DualityPair, Vector, operator_norm,
+    DenseOperator, DiagonalOperator, DualityPair, Operator, Vector,
+    _require_dense, operator_norm,
 )
 from .errors import BackendMismatch, NotEqual, NotPositive
 from .forms import form_of_operator
@@ -76,8 +77,7 @@ def factorize(A: DenseOperator) -> FactorizationResult:
     times the action scale) and verifies that JJ* extends A; for
     everywhere-defined dense operators the two agree exactly.
     """
-    if A.backend != DENSE:
-        raise BackendMismatch("factorization is a dense-backend construction")
+    _require_dense("factorization", A)
     t = form_of_operator(A)      # its constructor refuses an indefinite A
     if not t.symmetric:
         raise NotPositive("operator form is not symmetric")
@@ -138,7 +138,7 @@ def _form_columns(A: DenseOperator, Y: np.ndarray):
     return values, dead_mass, lam, V, live, T
 
 
-def form_on_X(A: DenseOperator, y: Vector) -> FormValue:
+def form_on_X(A: Operator, y: Vector) -> FormValue:
     """sup |(Ax, y)|^2 over (Ax, x) <= 1, certified.
 
     Dense backend: exact reduction through the eigensolve of the form
@@ -148,8 +148,17 @@ def form_on_X(A: DenseOperator, y: Vector) -> FormValue:
     Sequence backend, diagonal generator a_n: the certified series sum
     a_n |y_n|^2, or +inf with a divergence record.
     """
-    if A.backend == SEQUENCE:
-        return _form_sequence(A, y)
+    if isinstance(A, DiagonalOperator):
+        form_of_operator(A)      # its constructor refuses a negative a_n
+        if y.tail is None:
+            vals = np.real(A.diagonal(np.arange(1, y.n + 1)))
+            return FormValue(float(vals @ np.abs(y.coords) ** 2), y.coords, "tail-sum",
+                             {"tail": 0.0})
+        ok, cert = series.decide_summable(A.diagonal * y.tail.abs_square())
+        if not ok:
+            return FormValue(math.inf, None, "tail-divergence", cert.as_dict())
+        return FormValue(float(np.real(cert.value)), None, "tail-sum",
+                         cert.certificate.as_dict())
     values, dead_mass, lam, V, live, T = _form_columns(A, y.coords[:, None])
     if not math.isfinite(values[0]):
         return FormValue(math.inf, None, "tail-divergence",
@@ -160,22 +169,7 @@ def form_on_X(A: DenseOperator, y: Vector) -> FormValue:
                      {"spectrum_floor": float(lam[0])})
 
 
-def _form_sequence(A: DenseOperator, y: Vector) -> FormValue:
-    form_of_operator(A)      # its constructor refuses a negative a_n
-    if y.tail is None:
-        ns = np.arange(1, y.n + 1)
-        vals = np.real(A.diagonal(ns))
-        value = float(vals @ np.abs(y.coords) ** 2)
-        return FormValue(value, y.coords, "tail-sum", {"tail": 0.0})
-    rule = A.diagonal * y.tail.abs_square()
-    ok, cert = series.decide_summable(rule)
-    if not ok:
-        return FormValue(math.inf, None, "tail-divergence", cert.as_dict())
-    return FormValue(float(np.real(cert.value)), None, "tail-sum",
-                     cert.certificate.as_dict())
-
-
-def in_dom_Jstar(A: DenseOperator, y: Vector) -> bool:
+def in_dom_Jstar(A: Operator, y: Vector) -> bool:
     """Membership in dom J_A*: the form of A at y is finite."""
     return form_on_X(A, y).finite
 
@@ -271,7 +265,7 @@ def _sequence_domain_le(growth_a: tuple, growth_b: tuple, p: float) -> bool:
     return alpha <= 0.0 if p <= 2.0 else alpha < 2.0 / p - 1.0
 
 
-def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
+def compare(A: Operator, B: Operator, samples: list[Vector],
             p: float = 2.0) -> OrderingReport:
     """The order by form domination, decided: A >= B when dom J_A* lies in
     dom J_B* and t_A >= t_B there.  Dense backend: from the form matrices
@@ -287,13 +281,14 @@ def compare(A: DenseOperator, B: DenseOperator, samples: list[Vector],
     each direction's certificate."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
-    if A.backend == DENSE and A.n != B.n:
+    dense = not isinstance(A, DiagonalOperator)
+    if dense and A.n != B.n:
         raise BackendMismatch("operands on different ambient dimensions")
     for s in samples:
-        if s.backend != A.backend or (A.backend == DENSE and s.n != A.n):
+        if s.backend != A.backend or (dense and s.n != A.n):
             raise BackendMismatch(f"{s.backend} sample of size {s.n} off the operands' space")
     labels = [f"sample:{i}" for i in range(len(samples))]
-    if A.backend == DENSE:
+    if dense:
         labels += [f"basis{X}:{k}" for X, M in (("A", A), ("B", B)) for k in range(M.d)]
         Y = np.column_stack([s.coords for s in samples] + [A.basis_mat, B.basis_mat,
                                                           np.eye(A.n)])
@@ -349,8 +344,7 @@ def antisymmetry_check(A: DenseOperator, B: DenseOperator,
     argument (Ax, y) = [J*x, J*y] = (x, By)."""
     if report.verdict != "equal":
         raise NotEqual("antisymmetry check needs an 'equal' verdict")
-    if A.backend != DENSE:
-        raise BackendMismatch("antisymmetry verification is dense-backend only")
+    _require_dense("antisymmetry verification", A, B)
     Ma, Mb = A.canonical_matrix(), B.canonical_matrix()
     scale = max(operator_norm(Ma), operator_norm(Mb), 1.0)
     m_res = float(operator_norm(Ma - Mb)) / scale
@@ -377,8 +371,7 @@ def hilbert_consistency(A: DenseOperator, samples: list[Vector],
     """
     if dp.p != 2.0:
         raise ValueError("the square-root identity is a p = 2 statement")
-    if A.backend != DENSE:
-        raise BackendMismatch("dense backend only")
+    _require_dense("the square-root identity", A)
     M = A.effective_matrix()
     M = 0.5 * (M + M.conj().T)
     lam, V = np.linalg.eigh(M)

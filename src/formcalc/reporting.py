@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from . import series
 from .coeffexpr import ExpressionError, compile_rule
 from .duality import (
     DENSE, DIRECTIONS, DOMAIN_FINITE, DOMAIN_MAXIMAL, SEQUENCE, TO_DUAL,
-    DenseOperator, DualityPair, Functional, Vector, dense_pair, sequence_pair,
+    DenseOperator, DiagonalOperator, DualityPair, Functional, Operator, Vector,
+    dense_pair, sequence_pair,
 )
 from .errors import FormcalcError, Uncertifiable
 
@@ -242,6 +244,17 @@ def json_field(obj, key: str, kind: type, default=_REQUIRED):
     return float(v) if kind is float else v
 
 
+def json_size(obj, key: str, low: int = 1, high: float = math.inf,
+              default=_REQUIRED) -> int:
+    """``json_field(obj, key, int, default)``, an integer from ``low`` to
+    ``high``: any other raises :class:`MalformedOperand`."""
+    n = json_field(obj, key, int, default)
+    if not low <= n <= high:
+        bound = f"at least {low}" if high == math.inf else f"from {low} to {high}"
+        raise MalformedOperand(f"{key!r} must be {bound}, got {n}")
+    return n
+
+
 def json_choice(obj, key: str, values: tuple, default=_REQUIRED):
     """``json_field(obj, key, str, default)``, a string that must be one
     of ``values``: any other raises :class:`MalformedOperand`."""
@@ -261,36 +274,43 @@ def rule_from_json(obj) -> series.Rule:
 
 
 def pair_from_json(obj) -> DualityPair:
+    """A duality pair whose sizes are checked here: ``p`` in (1, inf), a
+    ``dim`` of at least 1, and a ``truncation`` from 1 to the term cap of
+    :mod:`formcalc.series`, past which no certificate looks."""
     p = json_field(obj, "p", float, 2.0)
+    if not 1.0 < p < math.inf:
+        raise MalformedOperand(f"'p' must lie in (1, inf), got {p!r}")
     if json_choice(obj, "backend", (DENSE, SEQUENCE)) == DENSE:
-        return dense_pair(json_field(obj, "dim", int), p)
-    return sequence_pair(json_field(obj, "truncation", int), p)
+        return dense_pair(json_size(obj, "dim"), p)
+    return sequence_pair(json_size(obj, "truncation", 1, series._MAX_TERMS), p)
 
 
 def vector_from_json(obj, cls=Vector):
-    """A vector (or ``cls``) whose optional ``tail`` is the rule that
-    generated its coordinates, of ``"kind": "rule"``."""
+    """A vector (or ``cls``) whose optional ``tail``, on the sequence
+    backend only, is the rule that generated its coordinates, of
+    ``"kind": "rule"``."""
     tail = json_field(obj, "tail", dict, None)
     if tail is not None:
         json_choice(tail, "kind", ("rule",))
         tail = rule_from_json(tail)
-    return cls(array_from_json(obj["coords"]),
-               json_choice(obj, "backend", (DENSE, SEQUENCE), DENSE), tail)
+    backend = json_choice(obj, "backend", (DENSE, SEQUENCE), DENSE)
+    if tail is not None and backend != SEQUENCE:
+        raise MalformedOperand("'tail' needs the sequence backend")
+    return cls(array_from_json(obj["coords"]), backend, tail)
 
 
 def functional_from_json(obj) -> Functional:
     return vector_from_json(obj, cls=Functional)
 
 
-def operator_from_json(obj) -> DenseOperator:
+def operator_from_json(obj) -> Operator:
     direction = json_choice(obj, "direction", DIRECTIONS, TO_DUAL)
     if json_choice(obj, "backend", (DENSE, SEQUENCE)) == SEQUENCE:
         domain = json_choice(obj, "domain", (DOMAIN_FINITE, DOMAIN_MAXIMAL), DOMAIN_FINITE)
-        return DenseOperator(SEQUENCE, direction, diagonal=rule_from_json(obj["diagonal"]),
-                             domain_rule=domain)
+        return DiagonalOperator(rule_from_json(obj["diagonal"]), domain, direction)
     basis = matrix_from_json(obj["domain_basis"])
     action = matrix_from_json(obj["action"])
-    return DenseOperator(DENSE, direction, basis, action)
+    return DenseOperator(direction, basis, action)
 
 
 def write_report(report: Report, path) -> str:

@@ -48,7 +48,7 @@ from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert
 from .reporting import (
     MalformedOperand, Report, _run_check, array_from_json, complex_from_json,
     expression_from_json, functional_from_json, gram_csv_rows, json_choice,
-    json_field, matrix_from_json, operator_from_json, pair_from_json,
+    json_field, json_size, matrix_from_json, operator_from_json, pair_from_json,
     real_array_from_json, rule_from_json, vector_from_json,
 )
 
@@ -83,9 +83,23 @@ def _variable_from_json(obj, space, dp):
 
 
 def _problem_from_json(obj):
-    return EllipticProblem(json_field(obj, "length", float, 1.0),
+    length = json_field(obj, "length", float, 1.0)
+    if not 0.0 < length < math.inf:
+        raise MalformedOperand(f"'length' must be finite and positive, got {length!r}")
+    return EllipticProblem(length,
                            expression_from_json(obj, "a"), expression_from_json(obj, "b"),
                            json_field(obj, "gamma", float), json_field(obj, "p", float, 2.0))
+
+
+#: the most elements a mesh may have: the dense m x m operators of the
+#: elliptic constructions take 256 MiB at 2^12 elements
+MAX_ELEMENTS = 2 ** 12
+
+
+def _mesh(ops, pb, *default):
+    """The uniform mesh of ``ops["m"]`` elements (or ``default``) on
+    [0, L]: from 2, the fewest a mesh has, to :data:`MAX_ELEMENTS`."""
+    return uniform_mesh(json_size(ops, "m", 2, MAX_ELEMENTS, *default), pb.length)
 
 
 def _form(ops, dp):
@@ -431,7 +445,7 @@ def _op_elliptic_assemble(ops):
     want = _expected(ops, "expected_gram")
     boundary = json_choice(ops, "boundary", ("dirichlet", "neumann"), "dirichlet")
     pb = _problem_from_json(ops["problem"])
-    t = assemble(pb, uniform_mesh(json_field(ops, "m", int), pb.length), boundary)
+    t = assemble(pb, _mesh(ops, pb), boundary)
     checks = {"definite": (t.negativity, 1e-12)}
     if want is not None:
         checks["gram"] = (relative_error(t.gram, want), 1e-10)
@@ -440,13 +454,13 @@ def _op_elliptic_assemble(ops):
 
 def _op_sobolev_lower_bound(ops):
     pb = _problem_from_json(ops["problem"])
-    cert = sobolev_lower_bound(pb, uniform_mesh(json_field(ops, "m", int, 32), pb.length))
+    cert = sobolev_lower_bound(pb, _mesh(ops, pb, 32))
     return {}, {"constant": cert.gamma, "kind": cert.kind}, []
 
 
 def _op_weak_solve(ops):
     pb = _problem_from_json(ops["problem"])
-    mesh = uniform_mesh(json_field(ops, "m", int), pb.length)
+    mesh = _mesh(ops, pb)
     sol = weak_solve(pb, mesh, expression_from_json(ops, "g"))
     details = {"energy_norm": sol.energy_norm, "lp_norm": sol.lp_norm,
                "csv": {"solution.csv": (["x", "f_h"],
@@ -457,7 +471,7 @@ def _op_weak_solve(ops):
 
 def _op_dirichlet_vs_neumann(ops):
     pb = _problem_from_json(ops["problem"])
-    rep = dirichlet_vs_neumann(pb, uniform_mesh(json_field(ops, "m", int), pb.length))
+    rep = dirichlet_vs_neumann(pb, _mesh(ops, pb))
     probes = [[r.label, r.value_a, r.value_b] for r in rep.probes]
     return {"ordering": (0.0 if rep.verdict == "A>=B" else 1.0, 0.0)}, \
         {"verdict": rep.verdict, "probes": probes}, []

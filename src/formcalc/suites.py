@@ -49,7 +49,7 @@ from .elliptic import (
 from .errors import (DomainError, FormcalcError, LowerBoundError, NotEqual,
                      NotNormalized, NotPositive)
 from .formsum import is_closed
-from .forms import diagonal_form
+from .forms import DiagonalForm
 from .ordering import form_oracle_eigensolve
 from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts, rule_from_json
 from .scenarios import judge
@@ -334,7 +334,7 @@ def formsum_suite(seed: int) -> list[Report]:
 
     def closedness():
         sp = sequence_pair(48)
-        t = diagonal_form(series.polynomial(2.0))
+        t = DiagonalForm(series.polynomial(2.0))
         # is_closed raises unless the run's tails contract
         wit = is_closed(t, [generated_vector(series.polynomial(-2.0), sp)], sp)
         rejected = False

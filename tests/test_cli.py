@@ -655,6 +655,33 @@ class TestInputChecks:
         assert code == 2
         assert report["details"]["error"].startswith("BackendMismatch: ")
 
+    @pytest.mark.parametrize("key, op, operands", [
+        ("p", "friedrichs", {"space": {**SEQ64, "p": 0.0}, "generator": power(2.0)}),
+        ("dim", "pair", {"space": {"backend": "dense", "dim": 0},
+                         "v": {"coords": [1, 2]}, "x": {"coords": [1, 1]}}),
+        ("truncation", "friedrichs", {"space": {**SEQ64, "truncation": 0},
+                                      "generator": power(2.0)}),
+        ("truncation", "friedrichs", {"space": {**SEQ64, "truncation": 2 ** 21 + 1},
+                                      "generator": power(2.0)}),
+        ("m", "dirichlet-vs-neumann", {"m": 0, "problem": {"a": "1", "b": "1",
+                                                           "gamma": 1.0}}),
+        ("m", "weak-solve", {"m": 10 ** 12, "g": "1",
+                             "problem": {"a": "1", "b": "0", "gamma": 1.0}}),
+        ("length", "weak-solve", {"m": 8, "g": "1", "problem": {
+            "length": 0.0, "a": "1", "b": "0", "gamma": 1.0}}),
+        ("length", "sobolev-lower-bound", {"problem": {
+            "length": math.inf, "a": "1", "b": "0", "gamma": 1.0}}),
+        ("tail", "norm", {"p": 2.0, "x": {"coords": [1, 2],
+                                          "tail": {"kind": "rule", **power(-1.0)}}}),
+    ], ids=["p-zero", "dim-zero", "truncation-zero", "truncation-past-term-cap",
+            "m-zero", "m-past-cap", "length-zero", "length-infinite", "dense-tail"])
+    def test_size_out_of_range_exits_four(self, tmp_path, capsys, key, op, operands):
+        """A size is checked where the wire reader reads it: out of range
+        it is malformed input, not a failed claim or a traceback."""
+        assert self.run(tmp_path, op, operands) == (4, None)
+        err = capsys.readouterr().err
+        assert f"scenario 'x' has a malformed operand: '{key}' " in err
+
 
 class TestCoefficientStrings:
     """Coefficient strings are read with float literals and bounded

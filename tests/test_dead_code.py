@@ -13,6 +13,8 @@ outside ``__init__`` names is listed in :data:`NO_SRC_CALLER` with the
 reason it stays.  Every name a module imports must be read in that
 module; ``__init__`` imports to re-export.  Every field of a dataclass
 must be read as an attribute, and every module-level constant somewhere.
+The backend constants ``DENSE`` and ``SEQUENCE`` are imported only where
+a backend is named, and no construction compares ``.backend`` with one.
 """
 
 import ast
@@ -213,3 +215,43 @@ def test_every_module_constant_is_read():
               if not any(not (f == path and first <= line <= last)
                          for f, line in found.get(name, []))]
     assert not unread, "module constants nothing reads:\n" + "\n".join(unread)
+
+
+#: the modules that may name a backend by its constant: the form classes,
+#: the wire readers and the scenario handlers; ``duality`` defines them
+BACKEND_CONSTANT_IMPORTERS = {"forms", "reporting", "scenarios"}
+#: the constructions, which pick a backend's half by the operand's class
+CONSTRUCTIONS = ("forms", "friedrichs", "formsum", "ordering", "covariance")
+
+
+def test_backend_constants_are_imported_only_where_a_backend_is_named():
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom)
+                 and {"DENSE", "SEQUENCE"} & {alias.name for alias in node.names}}
+    assert importers <= BACKEND_CONSTANT_IMPORTERS, \
+        f"modules importing DENSE or SEQUENCE: {sorted(importers - BACKEND_CONSTANT_IMPORTERS)}"
+
+
+def is_constant(node):
+    """A literal, an upper-case name, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(map(is_constant, node.elts))
+    return (isinstance(node, ast.Constant)
+            or isinstance(node, ast.Name) and CONSTANT.fullmatch(node.id) is not None)
+
+
+def test_no_construction_compares_a_backend_with_a_constant():
+    """A construction with both backends picks its half by the class of
+    its operand, not by comparing ``.backend`` with ``DENSE``,
+    ``SEQUENCE`` or a string."""
+    found = []
+    for name in CONSTRUCTIONS:
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(isinstance(s, ast.Attribute) and s.attr == "backend" for s in sides)
+                        and any(map(is_constant, sides))):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "backend compared with a constant:\n" + "\n".join(found)

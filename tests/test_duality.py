@@ -1,5 +1,6 @@
 """Pairing, norms, adjoints and the extension relation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from formcalc import duality, series
 from formcalc.duality import (
-    DenseOperator, adjoint, basis_functional, basis_vector, dense_pair,
+    DenseOperator, DiagonalOperator, adjoint, basis_functional, basis_vector, dense_pair,
     diagonal_operator, functional, generated_functional, generated_vector,
     identity_operator, is_extension, norm, operator_from_matrix, pair,
     restricted_operator, sequence_pair, vector,
 )
 from formcalc.errors import BackendMismatch, DomainError
+from formcalc.forms import (
+    DiagonalForm, SesquilinearForm, associated_operator, inverse_selfadjoint, riesz_solve,
+)
+from formcalc.formsum import (
+    commutation_formsum, joint_factorize, lift_commutant, spectrum_inclusion,
+)
+from formcalc.ordering import antisymmetry_check, compare, factorize, hilbert_consistency
 from formcalc.reporting import operator_from_json
 
 
@@ -161,7 +169,7 @@ class TestExtension:
         assert not is_extension(T, S)
 
     def test_action_disagreement(self):
-        S = DenseOperator(duality.DENSE, duality.TO_DUAL,
+        S = DenseOperator(duality.TO_DUAL,
                           np.array([[1.0], [0.0]]), np.array([[2.0], [0.0]]))
         T = operator_from_matrix(np.diag([1.0, 3.0]), DP2)
         # S e1 = 2 e1* but T e1 = e1*: actions differ on the shared domain
@@ -207,9 +215,9 @@ class TestOperatorBasics:
 
     def test_unknown_direction_is_refused(self):
         with pytest.raises(ValueError, match="unknown direction 'sideways'"):
-            DenseOperator(duality.DENSE, "sideways", np.eye(2), np.eye(2))
+            DenseOperator("sideways", np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="unknown direction 'sideways'"):
-            DenseOperator(duality.SEQUENCE, "sideways", diagonal=series.constant(1.0))
+            DiagonalOperator(series.constant(1.0), direction="sideways")
 
     def test_identity_operator(self):
         I = identity_operator(DP3)
@@ -233,7 +241,7 @@ class TestOperatorBasics:
             want = np.linalg.matrix_rank(
                 B, tol=1e-9 * max(1.0, float(np.linalg.norm(B, 2)))) == d
             try:
-                DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+                DenseOperator(duality.TO_DUAL, B, B)
                 got = True
             except DomainError:
                 got = False
@@ -343,14 +351,14 @@ class TestOneFactorization:
                 s[-1] = factor * 1e-9 * max(1.0, top)
                 B = (U * s) @ V.conj().T
                 if accepted:
-                    DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+                    DenseOperator(duality.TO_DUAL, B, B)
                 else:
                     with pytest.raises(DomainError):
-                        DenseOperator(duality.DENSE, duality.TO_DUAL, B, B)
+                        DenseOperator(duality.TO_DUAL, B, B)
         with pytest.raises(DomainError):
-            DenseOperator(duality.DENSE, duality.TO_DUAL, np.ones((2, 3)), np.ones((2, 3)))
+            DenseOperator(duality.TO_DUAL, np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(DomainError):
-            DenseOperator(duality.DENSE, duality.TO_DUAL, np.ones((2, 0)), np.ones((2, 0)))
+            DenseOperator(duality.TO_DUAL, np.ones((2, 0)), np.ones((2, 0)))
 
 
 class TestSequenceSymmetry:
@@ -395,3 +403,47 @@ class TestSequenceSymmetry:
         A = diagonal_operator(rule, sequence_pair(8))
         assert not A.is_symmetric()
         assert series.imaginary_residual(rule) == 1.0
+
+
+def _dense_only_calls():
+    """Each dense-only construction, called with diagonal operands."""
+    sp = sequence_pair(16)
+    rule = series.polynomial(2.0)
+    A, t = diagonal_operator(rule, sp), DiagonalForm(rule)
+    E = operator_from_matrix(np.eye(2), DP2, duality.ENDO)
+    return {
+        "associated_operator": lambda: associated_operator(t, sp),
+        "riesz_solve": lambda: riesz_solve(t, functional(np.ones(16), sp), sp),
+        "inverse_selfadjoint": lambda: inverse_selfadjoint(diagonal_operator(
+            rule, sp, duality.DOMAIN_MAXIMAL, duality.FROM_DUAL), sp),
+        "factorize": lambda: factorize(A),
+        "joint_factorize": lambda: joint_factorize(A, A, sp),
+        "lift_commutant": lambda: lift_commutant(A, E, sp),
+        "commutation_formsum": lambda: commutation_formsum(A, A, E, sp),
+        "spectrum_inclusion": lambda: spectrum_inclusion(A, E, sp),
+        "antisymmetry_check": lambda: antisymmetry_check(A, A, compare(A, A, [])),
+        "hilbert_consistency": lambda: hilbert_consistency(A, [], sp),
+    }
+
+
+class TestOneClassPerBackend:
+    """Dense and diagonal operators and forms are separate classes: the
+    class names its backend, and each instance holds its own data only."""
+
+    def test_no_constructor_takes_a_backend(self):
+        for cls, backend in ((DenseOperator, duality.DENSE), (SesquilinearForm, duality.DENSE),
+                             (DiagonalOperator, duality.SEQUENCE),
+                             (DiagonalForm, duality.SEQUENCE)):
+            assert cls.backend == backend
+            assert "backend" not in {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize("name", list(_dense_only_calls()))
+    def test_dense_only_construction_refuses_a_diagonal_operand(self, name):
+        with pytest.raises(BackendMismatch, match="is dense-backend only"):
+            _dense_only_calls()[name]()
+
+    def test_tail_needs_the_sequence_backend(self):
+        with pytest.raises(BackendMismatch, match="tail rule needs the sequence backend"):
+            duality.Vector(np.ones(2), duality.DENSE, series.polynomial(-1.0))
+        y = duality.Vector(np.ones(2), duality.SEQUENCE, series.polynomial(-1.0))
+        assert y.tail is not None

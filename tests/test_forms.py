@@ -6,12 +6,12 @@ import scipy.linalg
 
 from formcalc import linalg, series, suites
 from formcalc.duality import (
-    DENSE, FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
+    FROM_DUAL, dense_pair, functional, operator_from_matrix, restricted_operator,
     sequence_pair,
 )
 from formcalc.errors import LowerBoundError, NotPositive, Uncertifiable
 from formcalc.forms import (
-    SesquilinearForm, associated_operator, diagonal_form, form_from_gram, form_of_operator,
+    DiagonalForm, SesquilinearForm, associated_operator, form_from_gram, form_of_operator,
     inverse_selfadjoint, lower_bound, riesz_solve,
 )
 from formcalc.linalg import hermitian_residual, is_hermitian
@@ -112,13 +112,13 @@ def svd_solve_calls(monkeypatch):
 class TestSequenceLowerBound:
     @pytest.mark.parametrize("p, kind", [(2.0, "exact-p2"), (3.0, "exact-inf")])
     def test_infimum_for_p_at_least_2(self, p, kind):
-        cert = lower_bound(diagonal_form(series.polynomial(2.0)),
+        cert = lower_bound(DiagonalForm(series.polynomial(2.0)),
                            sequence_pair(64, p=p))
         assert (cert.gamma, cert.kind, cert.detail) == (1.0, kind, {"p": p})
 
     def test_uncertified_below_p_2(self):
         with pytest.raises(Uncertifiable, match="p = 1.5 < 2"):
-            lower_bound(diagonal_form(series.polynomial(2.0)),
+            lower_bound(DiagonalForm(series.polynomial(2.0)),
                         sequence_pair(64, p=1.5))
 
 
@@ -160,7 +160,7 @@ class TestFormOfOperator:
         K = S - S.conj().T
         A = restricted_operator(M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K))),
                                 rng.normal(size=(5, 3)), dense_pair(5))
-        ref = SesquilinearForm(DENSE, A._basis, A.form_gram(),
+        ref = SesquilinearForm(A._basis, A.form_gram(),
                                symmetric=is_hermitian(A.form_gram()))
         calls = {"hermitian_residual": 0, "norm": 0}
         for mod, name in ((linalg, "hermitian_residual"), (np.linalg, "norm")):
@@ -469,7 +469,7 @@ class TestOnePositivityGate:
         A = {"backend": "sequence", "diagonal": rule}
         space = {"backend": "sequence", "truncation": 24}
         y = {"backend": "sequence", "coords": [1.0, 0.5]}
-        assert diagonal_form(series.polynomial(-1.0).scale(-1.0)
+        assert DiagonalForm(series.polynomial(-1.0).scale(-1.0)
                              + series.constant(2.0)).negativity == 0.0
         rep = run_scenario({"op": "form-on-x", "A": A, "y": y, "expected": 1.375})
         assert rep.verdict == "pass"
@@ -488,9 +488,9 @@ class TestOnePositivityGate:
 
     def test_sequence_gate_names_the_first_negative_weight(self):
         with pytest.raises(NotPositive, match=r"^sequence form weight a_11 = -1\.000e-01 "):
-            diagonal_form(series.constant(1.0) + series.polynomial(1.0, coef=-0.1))
+            DiagonalForm(series.constant(1.0) + series.polynomial(1.0, coef=-0.1))
         with pytest.raises(NotPositive, match="^sequence form weights are not real$"):
-            diagonal_form(series.Rule((series.Term(1.0), series.Term(1j, 0.0, 1.0, 100))))
+            DiagonalForm(series.Rule((series.Term(1.0), series.Term(1j, 0.0, 1.0, 100))))
         # 1 - [n >= 2^22] is 1 up to the term cap and 0 after: undecided
         with pytest.raises(Uncertifiable):
-            diagonal_form(series.Rule((series.Term(1.0), series.Term(-1.0, start=2 ** 22))))
+            DiagonalForm(series.Rule((series.Term(1.0), series.Term(-1.0, start=2 ** 22))))

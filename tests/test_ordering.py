@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from formcalc import series
 from formcalc.duality import (
-    DENSE, DOMAIN_FINITE, DenseOperator, Vector, dense_pair, diagonal_operator,
+    DOMAIN_FINITE, DenseOperator, Vector, dense_pair, diagonal_operator,
     operator_from_matrix, restricted_operator, sequence_pair, vector,
 )
 from formcalc.errors import BackendMismatch, NotPositive
@@ -289,7 +289,7 @@ class TestDecidedOrder:
             ops = []
             for _ in range(2):
                 W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                ops.append(DenseOperator(DENSE, "to-dual", basis,
+                ops.append(DenseOperator("to-dual", basis,
                                          (W @ W.conj().T / n + 0.1 * np.eye(n)) @ basis))
             rep = compare(*ops, [])
             assert rep.verdict == oracle_verdict(*ops), i
@@ -357,7 +357,7 @@ def dense_kind(kind, rng, n, basis=None):
         if basis is None:
             d = int(rng.integers(1, n + 1))
             basis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        return DenseOperator(DENSE, "to-dual", basis,
+        return DenseOperator("to-dual", basis,
                              (W @ W.conj().T / n + 0.1 * np.eye(n)) @ basis)
     if kind == "kernel":
         return operator_from_matrix(random_psd(rng, n, True), dense_pair(n))
@@ -383,7 +383,7 @@ class TestOrderBatteries:
         n = int(rng.integers(3, 8))
         A = dense_kind(kind_a, rng, n)
         if kind_b == "scaled":
-            B = DenseOperator(DENSE, "to-dual", A.basis_mat, c * A.action_mat)
+            B = DenseOperator("to-dual", A.basis_mat, c * A.action_mat)
         elif kind_b == "same-basis":
             B = dense_kind("restricted", rng, n, A.basis_mat)
         else:
@@ -523,7 +523,7 @@ def escaping_operator(rng, n):
     basis = np.eye(n)[:, :n - 1]
     action = W @ W.conj().T @ basis
     action[n - 1, 0] += 1.0
-    return DenseOperator(DENSE, "to-dual", basis, action)
+    return DenseOperator("to-dual", basis, action)
 
 
 def operator_kinds(rng, n):
