@@ -8,13 +8,13 @@ the energy norm (the core property), with certified tails.
 """
 
 from formcalc import series
-from formcalc.duality import DOMAIN_FINITE, diagonal_operator, generated_vector, sequence_pair
+from formcalc.duality import DOMAIN_FINITE, DiagonalOperator, generated_vector, sequence_pair
 from formcalc.friedrichs import core_check, friedrichs, in_extension_domain
 
 sp = sequence_pair(64)
 
 print("== a_n = n^2 on finitely supported vectors ==")
-a = diagonal_operator(series.polynomial(2.0), sp, DOMAIN_FINITE)
+a = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
 res = friedrichs(a, sp)
 print("lower bound preserved:", res.gamma_preserved.gamma)
 print("domain rule:", res.extension.domain_rule)
@@ -28,7 +28,7 @@ for alpha, label in [(-3.0, "y_n = n^-3"), (-2.0, "y_n = n^-2")]:
 print("\n== energy-norm truncation witnesses ==")
 for rule, label in [(series.geometric(0.5), "y_n = 2^-n"),
                     (series.polynomial(-3.0), "y_n = n^-3")]:
-    rep = core_check(a, res, [generated_vector(rule, sp)])
+    rep = core_check(res, [generated_vector(rule, sp)])
     w = rep.witnesses[0]
     print(f"{label}: truncate at K = {w.truncation}, certified tail "
           f"{w.tail:.3e}, contraction ratios all < 1: "
@@ -36,6 +36,6 @@ for rule, label in [(series.geometric(0.5), "y_n = 2^-n"),
 
 print("\n== generators without positive lower bound are refused ==")
 try:
-    friedrichs(diagonal_operator(series.geometric(0.5), sp, DOMAIN_FINITE), sp)
+    friedrichs(DiagonalOperator(series.geometric(0.5), DOMAIN_FINITE), sp)
 except Exception as exc:
     print(f"{type(exc).__name__}: {exc}")

@@ -15,10 +15,9 @@ certificates (:class:`DiagonalOperator`, :class:`DiagonalForm`).
 
 from .duality import (
     DenseOperator, DiagonalOperator, DualityPair, Functional, Vector, adjoint,
-    basis_functional, basis_vector, dense_pair, diagonal_operator, functional,
-    generated_functional, generated_vector, identity_operator, is_extension,
-    norm, operator_from_matrix, pair, restricted_operator, sequence_pair,
-    vector,
+    basis_functional, basis_vector, dense_pair, functional, generated_functional,
+    generated_vector, identity_operator, is_extension, norm, operator_from_matrix,
+    pair, restricted_operator, sequence_pair, vector,
 )
 from .errors import (
     BackendMismatch, DomainError, FormcalcError, LowerBoundError, NotEqual,

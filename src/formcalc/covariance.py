@@ -24,8 +24,8 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DOMAIN_MAXIMAL, FROM_DUAL, TO_DUAL, DualityPair, Functional, Operator,
-    Vector, diagonal_operator,
+    DOMAIN_MAXIMAL, FROM_DUAL, TO_DUAL, DiagonalOperator, DualityPair, Functional,
+    Operator, Vector,
 )
 from .errors import BackendMismatch, NotNormalized, Uncertifiable
 from .forms import DiagonalForm, associated_operator, form_from_gram
@@ -285,10 +285,9 @@ def covariance_operator(xi: RandomVariable) -> Operator:
     fallback at lower bound zero is out of scope here).
     """
     t = covariance_form(xi)
-    dual = xi.codomain.dual()
     if isinstance(t, DiagonalForm):
-        return diagonal_operator(t.diagonal, dual, DOMAIN_MAXIMAL, FROM_DUAL)
-    return replace(associated_operator(t, dual).A, direction=FROM_DUAL)
+        return DiagonalOperator(t.diagonal, DOMAIN_MAXIMAL, FROM_DUAL)
+    return replace(associated_operator(t, xi.codomain.dual()).A, direction=FROM_DUAL)
 
 
 def centered(xi: RandomVariable) -> RandomVariable:

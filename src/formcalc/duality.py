@@ -8,6 +8,10 @@ The pairing convention is fixed once and for all as
 self-adjointness of a full-domain operator the same as Hermitian-ness of
 its coordinate matrix.
 
+The space X is a :class:`DualityPair`.  It gives a construction its
+norm exponent ``p`` and nothing else: a dense operand knows its own size
+n, and every construction reads the size from its operand.
+
 Two backends exist, each with its operator class, whose constant
 ``backend`` names it.  The dense backend (:class:`DenseOperator`) is
 exact finite-dimensional algebra on C^n; a proper subspace of C^n is
@@ -61,25 +65,22 @@ class DualityPair:
     """A reflexive coordinate space X with its conjugate dual X*.
 
     ``p`` in (1, inf) is the norm exponent of X; the dual exponent q with
-    1/p + 1/q = 1 is derived, never stored.  The dense backend carries an
-    ambient dimension, the sequence backend a working truncation; its
-    generators admit power-geometric tail certificates.
+    1/p + 1/q = 1 is derived, never stored.  ``n`` is the ambient
+    dimension of a dense space and the working truncation of a sequence
+    space, whose generators admit power-geometric tail certificates.
     """
 
     backend: str
     p: float
-    dim: int | None = None
-    truncation: int | None = None
+    n: int
 
     def __post_init__(self):
         if self.backend not in (DENSE, SEQUENCE):
             raise ValueError(f"unknown backend {self.backend!r}")
         if not (1.0 < self.p < np.inf):
             raise ValueError("norm exponent must lie in (1, inf)")
-        if self.backend == DENSE and (self.dim is None or self.dim < 1):
-            raise ValueError("dense backend needs ambient dimension >= 1")
-        if self.backend == SEQUENCE and (self.truncation is None or self.truncation < 1):
-            raise ValueError("sequence backend needs truncation >= 1")
+        if self.n < 1:
+            raise ValueError("a space needs a size n >= 1")
 
     @property
     def q(self) -> float:
@@ -88,17 +89,13 @@ class DualityPair:
     def dual(self) -> "DualityPair":
         return replace(self, p=self.q)
 
-    @property
-    def n(self) -> int:
-        return self.dim if self.backend == DENSE else self.truncation
-
 
 def dense_pair(dim: int, p: float = 2.0) -> DualityPair:
-    return DualityPair(DENSE, p, dim=dim)
+    return DualityPair(DENSE, p, dim)
 
 
 def sequence_pair(truncation: int, p: float = 2.0) -> DualityPair:
-    return DualityPair(SEQUENCE, p, truncation=truncation)
+    return DualityPair(SEQUENCE, p, truncation)
 
 
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
@@ -157,14 +154,14 @@ def functional(coords, dp: DualityPair) -> Functional:
 def generated_vector(rule: series.Rule, dp: DualityPair) -> Vector:
     if dp.backend != SEQUENCE:
         raise BackendMismatch("generated vectors need the sequence backend")
-    ns = np.arange(1, dp.truncation + 1)
+    ns = np.arange(1, dp.n + 1)
     return Vector(rule(ns), SEQUENCE, tail=rule)
 
 
 def generated_functional(rule: series.Rule, dp: DualityPair) -> Functional:
     if dp.backend != SEQUENCE:
         raise BackendMismatch("generated functionals need the sequence backend")
-    ns = np.arange(1, dp.truncation + 1)
+    ns = np.arange(1, dp.n + 1)
     return Functional(rule(ns), SEQUENCE, tail=rule)
 
 
@@ -438,12 +435,12 @@ def _require_dense(what: str, *operands) -> None:
         raise BackendMismatch(f"{what} is dense-backend only")
 
 
-def operator_from_matrix(M, dp: DualityPair, direction: str = TO_DUAL) -> DenseOperator:
+def operator_from_matrix(M, direction: str = TO_DUAL) -> DenseOperator:
     M = np.asarray(M, dtype=complex)
     return DenseOperator(direction, np.eye(M.shape[0], dtype=complex), M)
 
 
-def restricted_operator(M, basis, dp: DualityPair) -> DenseOperator:
+def restricted_operator(M, basis) -> DenseOperator:
     """X -> X* operator with the given domain basis acting through matrix M."""
     M = np.asarray(M, dtype=complex)
     B = np.asarray(basis, dtype=complex)
@@ -452,19 +449,11 @@ def restricted_operator(M, basis, dp: DualityPair) -> DenseOperator:
     return DenseOperator(TO_DUAL, B, M @ B)
 
 
-def diagonal_operator(rule: series.Rule, dp: DualityPair,
-                      domain_rule: str = DOMAIN_FINITE,
-                      direction: str = TO_DUAL) -> DiagonalOperator:
-    if dp.backend != SEQUENCE:
-        raise BackendMismatch("diagonal generators need the sequence backend")
-    return DiagonalOperator(rule, domain_rule, direction)
-
-
 def identity_operator(dp: DualityPair) -> Operator:
     """The identity as an X -> X* operator on all of X."""
     if dp.backend == DENSE:
-        return operator_from_matrix(np.eye(dp.dim), dp)
-    return diagonal_operator(series.constant(1.0), dp, DOMAIN_MAXIMAL)
+        return operator_from_matrix(np.eye(dp.n))
+    return DiagonalOperator(series.constant(1.0), DOMAIN_MAXIMAL)
 
 
 def adjoint(A: Operator) -> Operator:

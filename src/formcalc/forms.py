@@ -11,6 +11,9 @@ equivalence-scaled bound otherwise.
 Each backend has its own form class: :class:`SesquilinearForm`, a gram
 on a dense domain basis, and :class:`DiagonalForm`, a weight generator
 on the sequence backend.  The representation route is dense-only.
+
+The space gives a construction its exponent ``p``, the form its size n:
+norm equivalences are taken on the form's own n coordinates.
 """
 
 from __future__ import annotations
@@ -117,11 +120,11 @@ class DiagonalForm:
     its weight generator ``diagonal``.
 
     The constructor is the positivity gate: it decides a_n >= 0 for all
-    n, at once for nonnegative coefficients, else for a real rule by
-    a_1..a_N, slack 1e-9 max(|a_n|, 1), and the sign from N on
-    (:func:`series.eventual_sign`, whose :class:`Uncertifiable` passes
-    through), and names the first negative a_n.  A form it lets through
-    has the margin ``negativity`` 0.
+    n, at once for nonnegative coefficients, else for a real rule by the
+    sign decision of :func:`series.first_below` against b = 0 (whose
+    :func:`series.eventual_sign` may raise :class:`Uncertifiable`), and
+    names the first negative a_n.  A form it lets through has the margin
+    ``negativity`` 0.
     """
 
     backend = SEQUENCE
@@ -137,9 +140,8 @@ class DiagonalForm:
             raise NotPositive("sequence form weights are not real")
         N, sign = series.eventual_sign(rule)
         a = np.real(rule(np.arange(1, N + 1)))
-        bad = np.flatnonzero(a[:-1] < -1e-9 * np.maximum(np.abs(a[:-1]), 1.0))
-        if bad.size or sign < 0:
-            k = int(bad[0]) if bad.size else N - 1
+        k = series.first_below(a, np.zeros(N), sign)
+        if k is not None:
             raise NotPositive(f"sequence form weight a_{k + 1} = {a[k]:.3e} is negative")
 
 
@@ -206,7 +208,7 @@ def lower_bound(t: Form, dp: DualityPair) -> LowerBoundCertificate:
     with its operator, taken at most once per basis and not at all for
     the identity, whose reduced problem is the gram itself.  p != 2: the
     p = 2 value scaled by the certified norm-equivalence factor on the
-    ambient coordinates, which is 1 above p = 2.
+    form's n ambient coordinates, which is 1 above p = 2.
 
     Sequence diagonals: inf a_n for p >= 2, where ||x||_p <= ||x||_2 and
     the basis vectors attain it; below p = 2 it overstates gamma, which
@@ -225,7 +227,7 @@ def lower_bound(t: Form, dp: DualityPair) -> LowerBoundCertificate:
     gamma2 = max(float(t._spectrum[0]), 0.0)
     if dp.p == 2.0:
         return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
-    kappa = equivalence_factor(dp.n, dp.p)
+    kappa = equivalence_factor(t.n, dp.p)
     gamma_p = gamma2 * kappa
     return LowerBoundCertificate(gamma_p, "equivalence-scaled",
                                  slack=gamma2 - gamma_p,
@@ -319,7 +321,7 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     ba_res = relative_residual(operator_norm(R @ M_A @ P - P), [scale])
     sa_res = relative_residual(operator_norm(P @ M_A - (P @ M_A).conj().T),
                                [norm_a, 1.0])
-    bnorm = _b_operator_norm(norm_r, dp)
+    bnorm = _b_operator_norm(norm_r, t.n, dp)
     residuals = {
         "ab_identity": ab_res,
         "ba_identity": ba_res,
@@ -336,19 +338,18 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     return RepresentationResult(A, Bop, cert.gamma, cert, residuals)
 
 
-def _b_operator_norm(s: float, dp: DualityPair) -> float:
-    """Norm of B as a map (X*, q) -> (X, p) from its spectral norm s:
-    s itself for p = 2, a certified over-estimate through norm
-    equivalence otherwise."""
+def _b_operator_norm(s: float, n: int, dp: DualityPair) -> float:
+    """Norm of B as a map (X*, q) -> (X, p) on n coordinates from its
+    spectral norm s: s itself for p = 2, a certified over-estimate
+    through norm equivalence otherwise."""
     if dp.p == 2.0:
         return s
-    n = dp.n
     kappa_out = n ** max(0.0, 1.0 / dp.p - 0.5)   # ||.||_p <= k ||.||_2
     kappa_in = n ** max(0.0, 0.5 - 1.0 / dp.q)    # ||.||_2 <= k ||.||_q
     return s * kappa_out * kappa_in
 
 
-def inverse_selfadjoint(B: DenseOperator, dp: DualityPair) -> DenseOperator:
+def inverse_selfadjoint(B: DenseOperator) -> DenseOperator:
     """Inverse of a bounded injective self-adjoint B: X* -> X.
 
     The result A = B^-1 has dom A = ran B; its self-adjointness is

@@ -36,7 +36,7 @@ import numpy as np
 from . import series
 from .duality import (
     DOMAIN_MAXIMAL, ENDO, DenseOperator, DiagonalOperator, DualityPair, Operator,
-    Vector, _require_dense, diagonal_operator, operator_from_matrix, operator_norm,
+    Vector, _require_dense, operator_from_matrix, operator_norm,
 )
 from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
 from .forms import (
@@ -140,7 +140,7 @@ def form_sum(A: Operator, B: Operator, dp: DualityPair) -> FormSumResult:
         # (covariance rules decay), so only positivity is demanded here
         rule = A.diagonal + B.diagonal
         cert = lower_bound(DiagonalForm(rule), dp)
-        AB = diagonal_operator(rule, dp, DOMAIN_MAXIMAL)
+        AB = DiagonalOperator(rule, DOMAIN_MAXIMAL)
         # density of H_{A,B}: every finitely supported vector passes both
         # membership tests (finite sums are always certified)
         ns = np.arange(1, 9)
@@ -152,7 +152,7 @@ def form_sum(A: Operator, B: Operator, dp: DualityPair) -> FormSumResult:
         raise NotPositive("operator form is not symmetric")
     if lower_bound(t_a, dp).gamma <= 0:
         raise LowerBoundError("form sum needs a positive lower bound on A")
-    if A.d < dp.n:
+    if not A.is_full_domain():
         raise DomainError("A must be effectively everywhere defined "
                           "(its closure carries the representation)")
     is_closed(t_b, None, dp)
@@ -258,8 +258,7 @@ def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
         max(float(A.action_singular_values()[0]), 1.0) * np.linalg.norm(E_mat)])
 
 
-def lift_commutant(A: DenseOperator, E: DenseOperator,
-                   dp: DualityPair) -> CommutantLift:
+def lift_commutant(A: DenseOperator, E: DenseOperator) -> CommutantLift:
     """Lift of a bounded commuting E to the auxiliary space H_A.
 
     Preconditions verified: E everywhere defined on X, E(dom A) inside
@@ -314,13 +313,12 @@ def _lift(A: DenseOperator, E_mat: np.ndarray,
     return E_hat, fac, r_e2, margin, norm_bound, sa_res, eq7
 
 
-def commuting_pair(A_mat: np.ndarray, K_mat: np.ndarray,
-                   dp: DualityPair) -> DenseOperator:
+def commuting_pair(A_mat: np.ndarray, K_mat: np.ndarray) -> DenseOperator:
     """E = A^-1 K: for Hermitian K and positive definite A these are
     exactly the solutions of the commutation identity, the generator used
     by the verification suites."""
     E_mat = np.linalg.solve(A_mat, K_mat)
-    return operator_from_matrix(E_mat, dp, ENDO)
+    return operator_from_matrix(E_mat, ENDO)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +334,8 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
                         dp: DualityPair) -> CommutationReport:
     """Commutation survives the form sum: E^H (A+B-sum) inside (A+B-sum) E
     on dom t_B, where the sum form lives."""
-    lift_a = lift_commutant(A, E, dp)
-    lift_b = lift_commutant(B, E, dp)
+    lift_a = lift_commutant(A, E)
+    lift_b = lift_commutant(B, E)
     fs = form_sum(A, B, dp)
     M = fs.operator.canonical_matrix()
     E_mat = E.canonical_matrix()
@@ -357,7 +355,7 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
                                         E_H @ Pb - Pb @ lift_b.E_hat])) / scale
     # ... and (E^_A (+) E^_B) J* = J* E on the standard basis of X,
     # compared in H_A / H_B energy norms
-    eye = np.eye(dp.n)
+    eye = np.eye(A.n)
     Da = lift_a.E_hat @ fac_a.jstar_coefficients(eye) - fac_a.jstar_coefficients(E_mat)
     Db = lift_b.E_hat @ fac_b.jstar_coefficients(eye) - fac_b.jstar_coefficients(E_mat)
     res_jstar = float(np.max(np.sqrt(np.abs(np.concatenate(
@@ -379,13 +377,12 @@ class SpectrumReport:
     passed: bool
 
 
-def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
-                       dp: DualityPair) -> SpectrumReport:
+def spectrum_inclusion(A: DenseOperator, E: DenseOperator) -> SpectrumReport:
     """Spectrum of the lift: real, inside the spectrum of E, with the
     resolvent identity checked at three real points outside sigma(E), at
     1, 2 and 3 times ``scale`` = max(1, max|sigma(E)|) beyond its radius,
     relative to the Frobenius norm of the lift's resolvent."""
-    lift = lift_commutant(A, E, dp)
+    lift = lift_commutant(A, E)
     E_mat, lam_e = E.canonical_matrix(), E.spectrum()
     lam_hat = np.linalg.eigvals(lift.E_hat)
     base = float(np.max(np.abs(lam_e), initial=0.0))
@@ -398,7 +395,7 @@ def spectrum_inclusion(A: DenseOperator, E: DenseOperator,
     for lam in points:
         # the resolvent lifts reuse the factorization of the lift of E and
         # its whitening
-        R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(dp.n)),
+        R_hat = _lift(A, np.linalg.inv(E_mat - lam * np.eye(A.n)),
                       lift.factorization)[0]
         direct = np.linalg.inv(lift.E_hat - lam * np.eye(lift.E_hat.shape[0]))
         res_res = max(res_res, relative_residual(np.linalg.norm(R_hat - direct),

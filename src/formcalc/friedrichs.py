@@ -19,7 +19,7 @@ import numpy as np
 from . import series
 from .duality import (
     DOMAIN_FINITE, DOMAIN_MAXIMAL, DiagonalOperator, DualityPair, Operator,
-    Vector, diagonal_operator, is_extension,
+    Vector, is_extension,
 )
 from .errors import (
     DomainError, LowerBoundError, NotPositive, SeriesDiverges, Uncertifiable,
@@ -48,7 +48,7 @@ def friedrichs(a: Operator, dp: DualityPair) -> FriedrichsResult:
         if cert.gamma <= 0:
             raise LowerBoundError(
                 f"generator lower bound {cert.gamma:.3e} is not positive (certified)")
-        return FriedrichsResult(diagonal_operator(a.diagonal, dp, DOMAIN_MAXIMAL), t, cert)
+        return FriedrichsResult(DiagonalOperator(a.diagonal, DOMAIN_MAXIMAL), t, cert)
     if not t.symmetric:
         raise NotPositive("operator form is not symmetric")
     # associated_operator certifies gamma > 0 and keeps the certificate
@@ -88,8 +88,7 @@ class CoreCheckReport:
     witnesses: tuple[CoreWitness, ...]
 
 
-def core_check(a: Operator, res: FriedrichsResult,
-               samples: list[Vector]) -> CoreCheckReport:
+def core_check(res: FriedrichsResult, samples: list[Vector]) -> CoreCheckReport:
     """Finitely supported truncations converge in the energy norm.
 
     For each sample y in dom J*, finds K with the certified energy tail
@@ -139,7 +138,7 @@ def idempotent(res: FriedrichsResult, dp: DualityPair) -> bool:
     """friedrichs(A_F) returns A_F again (same matrix or same rule+domain)."""
     A = res.extension
     if isinstance(A, DiagonalOperator):
-        finite = diagonal_operator(A.diagonal, dp, DOMAIN_FINITE)
+        finite = DiagonalOperator(A.diagonal, DOMAIN_FINITE)
         again = friedrichs(finite, dp).extension
         return series.rules_agree(A.diagonal, again.diagonal) and (
             again.domain_rule == A.domain_rule)

@@ -146,10 +146,11 @@ def form_on_X(A: Operator, y: Vector) -> FormValue:
     lives in the verification suites).  This is the one-probe case of the
     batch evaluation that :func:`compare` runs over all its probes.
     Sequence backend, diagonal generator a_n: the certified series sum
-    a_n |y_n|^2, or +inf with a divergence record.
+    a_n |y_n|^2, or +inf with a divergence record.  On both backends the
+    form of A must pass the gate of :func:`form_of_operator` first.
     """
+    form_of_operator(A)      # its constructor refuses an indefinite A
     if isinstance(A, DiagonalOperator):
-        form_of_operator(A)      # its constructor refuses a negative a_n
         if y.tail is None:
             vals = np.real(A.diagonal(np.arange(1, y.n + 1)))
             return FormValue(float(vals @ np.abs(y.coords) ** 2), y.coords, "tail-sum",
@@ -238,12 +239,11 @@ def _dense_decision(Qx, Nx, Qy, Ny, scale):
     return cert, tuple(float(np.real(np.vdot(w, Q @ w))) for Q in (Qx, Qy))
 
 
-def _sequence_decision(vx, vy, slack, sign):
+def _sequence_decision(vx, vy, sign):
     """X >= Y from diagonal values at n = 1..N, x - y having the sign
-    ``sign`` from N on; the witness is e_k, k the first n < N with x_n <
-    y_n beyond the slack, else N when the sign is negative."""
-    bad = np.flatnonzero(vx[:-1] - vy[:-1] < -slack[:-1])
-    k = int(bad[0]) if bad.size else len(vx) - 1 if sign < 0 else None
+    ``sign`` from N on; the witness is e_k for the k of
+    :func:`series.first_below`."""
+    k = series.first_below(vx, vy, sign)
     cert = {"from": len(vx), "sign": sign}
     if k is None:
         return cert, None
@@ -278,7 +278,8 @@ def compare(A: Operator, B: Operator, samples: list[Vector],
     direction's certificate and the inclusions of the domains of J*,
     decided: on the sequence backend for X = l^p, ``p`` its norm exponent
     (:func:`_sequence_domain_le`), on the dense backend by the escape of
-    each direction's certificate."""
+    each direction's certificate.  Both forms must pass the gate of
+    :func:`form_of_operator` first."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     dense = not isinstance(A, DiagonalOperator)
@@ -287,6 +288,7 @@ def compare(A: Operator, B: Operator, samples: list[Vector],
     for s in samples:
         if s.backend != A.backend or (dense and s.n != A.n):
             raise BackendMismatch(f"{s.backend} sample of size {s.n} off the operands' space")
+    form_of_operator(A), form_of_operator(B)    # refuse an indefinite A or B
     labels = [f"sample:{i}" for i in range(len(samples))]
     if dense:
         labels += [f"basis{X}:{k}" for X, M in (("A", A), ("B", B)) for k in range(M.d)]
@@ -301,7 +303,6 @@ def compare(A: Operator, B: Operator, samples: list[Vector],
         inclusion = {"domain_A_le_B": decisions[0][0]["escape"] <= 1e-8,
                      "domain_B_le_A": decisions[1][0]["escape"] <= 1e-8}
     else:
-        form_of_operator(A), form_of_operator(B)    # refuse a negative a_n or b_n
         N, sign = series.eventual_sign(A.diagonal + B.diagonal.scale(-1.0))
         ga, gb = series.growth(A.diagonal), series.growth(B.diagonal)
         inclusion = {"domain_A_le_B": _sequence_domain_le(ga, gb, p),
@@ -312,9 +313,7 @@ def compare(A: Operator, B: Operator, samples: list[Vector],
         values_a = [form_on_X(A, y).value for y in samples] + va[:4].tolist()
         values_b = [form_on_X(B, y).value for y in samples] + vb[:4].tolist()
         va, vb = va[:N], vb[:N]
-        slack = 1e-9 * np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1.0)
-        decisions = [_sequence_decision(va, vb, slack, sign),
-                     _sequence_decision(vb, va, slack, -sign)]
+        decisions = [_sequence_decision(va, vb, sign), _sequence_decision(vb, va, -sign)]
     records = list(map(ProbeRecord, labels, values_a, values_b))
     certificates = []
     for direction, (cert, witness) in zip(("A>=B", "B>=A"), decisions):
@@ -380,7 +379,7 @@ def hilbert_consistency(A: DenseOperator, samples: list[Vector],
     lam = np.where(lam > 1e-14 * max(float(lam[-1]), 1e-300), lam, 0.0)
     root = V @ np.diag(np.sqrt(lam)) @ V.conj().T
     Yp = A.effective_projector() @ np.array(
-        [y.coords for y in samples], dtype=complex).reshape(-1, dp.n).T
+        [y.coords for y in samples], dtype=complex).reshape(-1, A.n).T
     lhs = _form_columns(A, Yp)[0]
     rhs = np.linalg.norm(root @ Yp, axis=0) ** 2
     # a finite scale for lhs = inf, so that the residual is inf, not NaN

@@ -202,7 +202,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 def real_array_from_json(v: list) -> np.ndarray:
     """A list of real numbers, such as probability weights."""
-    if not all(isinstance(x, (int, float)) for x in v):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise MalformedOperand("expected a list of numbers")
     return np.array(v, dtype=float)
 
@@ -226,11 +226,11 @@ _PY_TYPES = {float: (int, float), list: (list, np.ndarray)}
 
 def json_field(obj, key: str, kind: type, default=_REQUIRED):
     """``obj[key]``, or ``default`` if absent, checked to be of one JSON
-    type; ``float`` takes any number, ``list`` also an array from
-    :func:`decode_arrays` and ``object`` any value.  Every wire reader
-    checks its fields here: a non-object ``obj`` or a value of another
-    type raises :class:`MalformedOperand`, an absent key without default
-    KeyError."""
+    type; ``int`` and ``float`` refuse ``true`` and ``false``, ``float``
+    takes any number, ``list`` also an array from :func:`decode_arrays`
+    and ``object`` any value.  Every wire reader checks its fields here:
+    a non-object ``obj`` or a value of another type raises
+    :class:`MalformedOperand`, an absent key without default KeyError."""
     if not isinstance(obj, dict):
         got = "list" if isinstance(obj, np.ndarray) else type(obj).__name__
         raise MalformedOperand(f"expected an object, got {got}")
@@ -239,7 +239,8 @@ def json_field(obj, key: str, kind: type, default=_REQUIRED):
             raise KeyError(key)
         return default
     v = obj[key]
-    if not isinstance(v, _PY_TYPES.get(kind, kind)):
+    if (not isinstance(v, _PY_TYPES.get(kind, kind))
+            or isinstance(v, bool) and kind in (int, float)):
         raise MalformedOperand(f"{key!r} must be {_JSON_TYPES[kind]}")
     return float(v) if kind is float else v
 

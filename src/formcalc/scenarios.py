@@ -29,7 +29,7 @@ from .covariance import (
     weak_expectation,
 )
 from .duality import (
-    DENSE, DOMAIN_FINITE, ENDO, Vector, adjoint, diagonal_operator, is_extension,
+    DENSE, DOMAIN_FINITE, ENDO, DiagonalOperator, Vector, adjoint, is_extension,
     norm, operator_from_matrix, pair as pairing,
 )
 from .elliptic import (
@@ -215,7 +215,7 @@ def _op_inverse_selfadjoint(ops):
     dp = pair_from_json(ops["space"])
     B = operator_from_json(ops["B"])
     _in_space(dp, B)
-    A = inverse_selfadjoint(B, dp)
+    A = inverse_selfadjoint(B)
     M = A.effective_matrix()
     res = float(np.linalg.norm(M @ B.canonical_matrix()
                                - A.effective_projector()))
@@ -228,7 +228,7 @@ def _op_friedrichs(ops):
     if ("A" in ops) == ("generator" in ops):
         raise MalformedOperand("give one of 'A' and 'generator'")
     a = (operator_from_json(ops["A"]) if "A" in ops else
-         diagonal_operator(rule_from_json(ops["generator"]), dp, DOMAIN_FINITE))
+         DiagonalOperator(rule_from_json(ops["generator"]), DOMAIN_FINITE))
     if want_matrix is not None and a.backend != DENSE:
         raise MalformedOperand("'expected_matrix' needs a dense 'A'")
     probes = [(json_field(p, "member", bool), vector_from_json(p["y"]))
@@ -253,7 +253,7 @@ def _op_friedrichs(ops):
         checks["membership_mistakes"] = (float(mistakes), 0.0)
     certs = []
     if samples:
-        rep = core_check(a, res, samples)
+        rep = core_check(res, samples)
         checks["core_tail"] = (max(w.tail for w in rep.witnesses), 1e-6)
         certs = [{"witness_truncations": [w.truncation for w in rep.witnesses]}]
     return checks, {"gamma": res.gamma_preserved.gamma}, certs
@@ -354,9 +354,9 @@ def _get_commutant(ops, dp):
     A = operator_from_json(ops["A"])
     _in_space(dp, A)
     if "K" in ops:
-        E = commuting_pair(A.canonical_matrix(), matrix_from_json(ops["K"]), dp)
+        E = commuting_pair(A.canonical_matrix(), matrix_from_json(ops["K"]))
     else:
-        E = operator_from_matrix(matrix_from_json(ops["E"]), dp, ENDO)
+        E = operator_from_matrix(matrix_from_json(ops["E"]), ENDO)
     _in_space(dp, E)
     return A, E
 
@@ -364,7 +364,7 @@ def _get_commutant(ops, dp):
 def _op_lift_commutant(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
-    lift = lift_commutant(A, E, dp)
+    lift = lift_commutant(A, E)
     return {"lemma4_excess": (max(0.0, lift.bound_margin - 1.0), 1e-8),
             "selfadjoint": (lift.selfadjoint_residual, 1e-10),
             "eq7": (lift.eq7_residual, 1e-9)}, \
@@ -386,7 +386,7 @@ def _op_commutation_formsum(ops):
 def _op_spectrum_inclusion(ops):
     dp = pair_from_json(ops["space"])
     A, E = _get_commutant(ops, dp)
-    rep = spectrum_inclusion(A, E, dp)
+    rep = spectrum_inclusion(A, E)
     return {"imag": (rep.max_imag / rep.scale, 1e-9),
             "distance": (rep.max_distance / rep.scale, 1e-8),
             "resolvent": (rep.resolvent_residual, 1e-8)}, \

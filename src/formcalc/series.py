@@ -573,6 +573,16 @@ def eventual_sign(rule: Rule) -> tuple[int, int]:
     raise Uncertifiable("dominant term not certified within the term cap")
 
 
+def first_below(x: np.ndarray, y: np.ndarray, sign: int) -> int | None:
+    """The index of the first n < N = len(x) with x_n < y_n beyond the
+    slack 1e-9 max(|x_n|, |y_n|, 1), else that of N when x - y has the
+    negative ``sign`` from N on (:func:`eventual_sign`), else None, when
+    x_n >= y_n for every n."""
+    slack = 1e-9 * np.maximum(np.maximum(np.abs(x[:-1]), np.abs(y[:-1])), 1.0)
+    bad = np.flatnonzero(x[:-1] - y[:-1] < -slack)
+    return int(bad[0]) if bad.size else len(x) - 1 if sign < 0 else None
+
+
 def rules_agree(a: Rule, b: Rule) -> bool:
     """Exact equality of two rules as sequences, up to rounding at 1e-10:
     pointwise before the last start of a term (relative to the largest

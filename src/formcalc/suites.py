@@ -40,7 +40,7 @@ from .covariance import (
     weak_expectation,
 )
 from .duality import (
-    FROM_DUAL, TO_DUAL, Vector, dense_pair, generated_functional, generated_vector,
+    FROM_DUAL, TO_DUAL, Vector, generated_functional, generated_vector,
     operator_from_matrix, sequence_pair,
 )
 from .elliptic import (
@@ -280,7 +280,7 @@ def ordering_suite(seed: int) -> list[Report]:
                 y = rng.normal(size=n) + 1j * rng.normal(size=n)
                 yield {"op": "form-on-x", "A": _operator(M), "y": {"coords": _wire(y)},
                        "expected": form_oracle_eigensolve(
-                           operator_from_matrix(M, dense_pair(n)), Vector(y))}
+                           operator_from_matrix(M), Vector(y))}
             for s, finite in [(-2.0, True), (-1.0, False), (-0.8, False),
                               (-3.0, True), (-1.6, True), (-1.1, False),
                               (-2.5, True), (-0.5, False), (-4.0, True),

@@ -19,7 +19,7 @@ from formcalc.covariance import (
     signed_basis_variable, table_variable,
 )
 from formcalc.duality import (
-    DOMAIN_FINITE, Functional, Vector, dense_pair, diagonal_operator,
+    DOMAIN_FINITE, DiagonalOperator, Functional, Vector, dense_pair,
     generated_vector, is_extension, operator_from_matrix, sequence_pair,
 )
 from formcalc.elliptic import (
@@ -98,7 +98,7 @@ def test_criterion_2_friedrichs():
              lambda k: series.geometric(0.3 + 0.02 * k)),
         ]
         for name, rule, gamma, probe_rule in cases:
-            a = diagonal_operator(rule, sp, DOMAIN_FINITE)
+            a = DiagonalOperator(rule, DOMAIN_FINITE)
             res = friedrichs(a, sp)
             assert is_extension(a, res.extension)
             assert res.gamma_preserved.gamma >= gamma - 1e-10
@@ -120,11 +120,11 @@ def test_criterion_3_factorization():
         for k in range(200):
             n = int(rng.integers(1, 9))
             A = operator_from_matrix(
-                random_psd(rng, n, force_kernel=(k % 3 == 0)), dense_pair(n))
+                random_psd(rng, n, force_kernel=(k % 3 == 0)))
             assert factorize(A).extension_residual <= 1e-10
         for _ in range(100):
             n = int(rng.integers(1, 8))
-            A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             assert hilbert_consistency(A, [y], dense_pair(n)).worst_residual <= 1e-8
 
@@ -137,13 +137,13 @@ def test_criterion_4_form_characterization():
         rng = np.random.default_rng(104)
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             v1 = form_on_X(A, y).value
             v2 = form_oracle_eigensolve(A, y)
             assert abs(v1 - v2) <= 1e-6 * max(v1, v2, 1.0)
         sp = sequence_pair(48)
-        A = diagonal_operator(series.polynomial(2.0), sp, DOMAIN_FINITE)
+        A = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
         for s in (-2.0, -1.0, -0.8, -3.0, -1.8, -1.1, -2.5, -0.5, -4.0, -1.2):
             probe = series.polynomial(s)
             energy = series.polynomial(2.0) * probe.abs_square()
@@ -178,12 +178,12 @@ def test_criterion_6_form_sum():
         for _ in range(100):
             n = int(rng.integers(1, 7))
             dp = dense_pair(n)
-            A = operator_from_matrix(random_hpd(rng, n), dp)
-            B = operator_from_matrix(random_hpd(rng, n), dp)
+            A = operator_from_matrix(random_hpd(rng, n))
+            B = operator_from_matrix(random_hpd(rng, n))
             jf = joint_factorize(A, B, dp)
             assert jf.energy_residual <= 1e-9
             M_sum = A.canonical_matrix() + B.canonical_matrix()
-            S = operator_from_matrix(M_sum, dp)
+            S = operator_from_matrix(M_sum)
             assert is_extension(S, jf.formsum.operator)
             collapse = float(np.linalg.norm(
                 jf.formsum.operator.canonical_matrix() - M_sum)) / max(
@@ -204,16 +204,16 @@ def test_criterion_7_commutation():
             A_mat = random_hpd(rng, n)
             K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             K = K + K.conj().T
-            A = operator_from_matrix(A_mat, dp)
-            E = commuting_pair(A_mat, K, dp)
-            lift = lift_commutant(A, E, dp)
+            A = operator_from_matrix(A_mat)
+            E = commuting_pair(A_mat, K)
+            lift = lift_commutant(A, E)
             assert lift.bound_margin <= 1.0 + 1e-8
             assert lift.selfadjoint_residual <= 1e-10
-            B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat, dp)
+            B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat)
             rep = commutation_formsum(A, B, E, dp)
             assert rep.formsum_inclusion <= 1e-9
             assert max(rep.factor_inclusions.values()) <= 1e-9
-            spec = spectrum_inclusion(A, E, dp)
+            spec = spectrum_inclusion(A, E)
             scale = max(float(np.max(np.abs(spec.e_eigenvalues))), 1.0)
             assert spec.max_imag <= 1e-9 * scale
             assert spec.max_distance <= 1e-8 * scale

@@ -673,8 +673,25 @@ class TestInputChecks:
             "length": math.inf, "a": "1", "b": "0", "gamma": 1.0}}),
         ("tail", "norm", {"p": 2.0, "x": {"coords": [1, 2],
                                           "tail": {"kind": "rule", **power(-1.0)}}}),
+        # a JSON boolean is no number, although Python's bool is an int
+        ("dim", "pair", {"space": {"backend": "dense", "dim": True},
+                         "v": {"coords": [1]}, "x": {"coords": [1]}}),
+        ("truncation", "friedrichs", {"space": {**SEQ64, "truncation": True},
+                                      "generator": power(2.0)}),
+        ("start", "friedrichs", {"space": SEQ64, "generator": {
+            "terms": [{"coef": 1.0, "alpha": 2.0, "start": True}]}}),
+        ("length", "weak-solve", {"m": 8, "g": "1", "problem": {
+            "length": True, "a": "1", "b": "0", "gamma": 1.0}}),
+        ("gamma", "weak-solve", {"m": 8, "g": "1", "problem": {
+            "a": "1", "b": "0", "gamma": True}}),
+        ("beta", "weak-expectation", {
+            "space_pair": {"backend": "sequence", "truncation": 8},
+            "probability": {"kind": "exponential", "beta": True},
+            "variable": {"kind": "exp-poly"}}),
     ], ids=["p-zero", "dim-zero", "truncation-zero", "truncation-past-term-cap",
-            "m-zero", "m-past-cap", "length-zero", "length-infinite", "dense-tail"])
+            "m-zero", "m-past-cap", "length-zero", "length-infinite", "dense-tail",
+            "dim-true", "truncation-true", "start-true", "length-true", "gamma-true",
+            "beta-true"])
     def test_size_out_of_range_exits_four(self, tmp_path, capsys, key, op, operands):
         """A size is checked where the wire reader reads it: out of range
         it is malformed input, not a failed claim or a traceback."""

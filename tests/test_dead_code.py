@@ -13,6 +13,8 @@ outside ``__init__`` names is listed in :data:`NO_SRC_CALLER` with the
 reason it stays.  Every name a module imports must be read in that
 module; ``__init__`` imports to re-export.  Every field of a dataclass
 must be read as an attribute, and every module-level constant somewhere.
+Every parameter of a function, method or lambda must be read in its body,
+unless :data:`UNREAD_PARAMETERS` lists it with the reason it stays.
 The backend constants ``DENSE`` and ``SEQUENCE`` are imported only where
 a backend is named, and no construction compares ``.backend`` with one.
 """
@@ -186,6 +188,44 @@ def test_every_import_is_read_in_its_module():
     assert modules
     unread = [entry for path in modules for entry in unread_imports(path)]
     assert not unread, "imported names their module never reads:\n" + "\n".join(unread)
+
+
+#: parameters their function never reads, each with the reason it stays
+UNREAD_PARAMETERS = {
+    "elliptic_suite(seed)": "every battery is called as _SUITES[name](seed), and the "
+                            "elliptic battery draws nothing",
+}
+
+
+def unread_parameters(path):
+    """(``name(parameter)``, ``file:line``) of each parameter of a
+    function, method or lambda of ``path`` that its body never reads; a
+    read in a nested function counts."""
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg] if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for st in body for node in ast.walk(st)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name in params:
+            if name not in read:
+                yield (f"{getattr(fn, 'name', 'lambda')}({name})",
+                       f"{path.relative_to(ROOT)}:{fn.lineno}")
+
+
+def test_every_parameter_is_read():
+    """A parameter nothing reads makes every caller build an argument for
+    nothing."""
+    unread = dict(entry for path in sorted(PACKAGE.glob("*.py"))
+                  for entry in unread_parameters(path))
+    assert not unread.keys() - UNREAD_PARAMETERS.keys(), "parameters nothing reads:\n" + \
+        "\n".join(f"{where} {name}" for name, where in unread.items()
+                  if name not in UNREAD_PARAMETERS)
+    assert not UNREAD_PARAMETERS.keys() - unread.keys(), \
+        f"listed parameters that are now read: {sorted(UNREAD_PARAMETERS.keys() - unread.keys())}"
 
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from formcalc import duality, series
 from formcalc.duality import (
     DenseOperator, DiagonalOperator, adjoint, basis_functional, basis_vector, dense_pair,
-    diagonal_operator, functional, generated_functional, generated_vector,
+    functional, generated_functional, generated_vector,
     identity_operator, is_extension, norm, operator_from_matrix, pair,
     restricted_operator, sequence_pair, vector,
 )
@@ -116,19 +116,19 @@ class TestNorms:
 
 class TestAdjoint:
     def test_hermitian_fixed_point(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
         np.testing.assert_allclose(adjoint(A).canonical_matrix(),
                                    A.canonical_matrix(), atol=1e-14)
 
     def test_shift_block(self):
-        A = operator_from_matrix([[0, 1], [0, 0]], DP2)
+        A = operator_from_matrix([[0, 1], [0, 0]])
         np.testing.assert_allclose(adjoint(A).canonical_matrix(),
                                    [[0, 0], [1, 0]], atol=1e-14)
 
     def test_scalar_i_defining_identity(self):
         # A = [[i]]: check (Ax, y) = (x, A*y) on a 2-point grid
         dp = dense_pair(1)
-        A = operator_from_matrix([[1j]], dp)
+        A = operator_from_matrix([[1j]])
         As = adjoint(A)
         np.testing.assert_allclose(As.canonical_matrix(), [[-1j]], atol=1e-14)
         for xc in (1.0, 1 + 2j):
@@ -145,33 +145,32 @@ class TestAdjoint:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        A = operator_from_matrix(M, dense_pair(n))
+        A = operator_from_matrix(M)
         back = adjoint(adjoint(A)).canonical_matrix()
         assert np.linalg.norm(back - M) <= 1e-12 * max(1.0, np.linalg.norm(M))
 
     def test_sequence_diagonal_selfadjoint(self):
-        dp = sequence_pair(16)
-        A = diagonal_operator(series.polynomial(2.0), dp)
+        A = DiagonalOperator(series.polynomial(2.0))
         B = adjoint(A)
         assert series.rules_agree(A.diagonal, B.diagonal)
 
 
 class TestExtension:
     def test_reflexive(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
         assert is_extension(A, A)
 
     def test_restriction_is_extended(self):
         M = np.diag([1.0, 2.0])
-        S = restricted_operator(M, np.array([1.0, 0.0]), DP2)
-        T = operator_from_matrix(M, DP2)
+        S = restricted_operator(M, np.array([1.0, 0.0]))
+        T = operator_from_matrix(M)
         assert is_extension(S, T)
         assert not is_extension(T, S)
 
     def test_action_disagreement(self):
         S = DenseOperator(duality.TO_DUAL,
                           np.array([[1.0], [0.0]]), np.array([[2.0], [0.0]]))
-        T = operator_from_matrix(np.diag([1.0, 3.0]), DP2)
+        T = operator_from_matrix(np.diag([1.0, 3.0]))
         # S e1 = 2 e1* but T e1 = e1*: actions differ on the shared domain
         assert not is_extension(S, T)
 
@@ -179,24 +178,22 @@ class TestExtension:
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            dp = dense_pair(n)
             M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             d1 = int(rng.integers(1, n))
             d2 = int(rng.integers(d1, n + 1))
             B2 = rng.normal(size=(n, d2)) + 1j * rng.normal(size=(n, d2))
             B1 = B2[:, :d1] @ (rng.normal(size=(d1, d1)) + np.eye(d1) * 2)
-            S1 = restricted_operator(M, B1, dp)
-            S2 = restricted_operator(M, B2, dp)
-            T = operator_from_matrix(M, dp)
+            S1 = restricted_operator(M, B1)
+            S2 = restricted_operator(M, B2)
+            T = operator_from_matrix(M)
             assert is_extension(S1, S2)
             assert is_extension(S2, T)
             assert is_extension(S1, T)
 
     def test_sequence_domains_ordered(self):
-        dp = sequence_pair(16)
         r = series.polynomial(2.0)
-        a = diagonal_operator(r, dp, duality.DOMAIN_FINITE)
-        af = diagonal_operator(r, dp, duality.DOMAIN_MAXIMAL)
+        a = DiagonalOperator(r, duality.DOMAIN_FINITE)
+        af = DiagonalOperator(r, duality.DOMAIN_MAXIMAL)
         assert is_extension(a, af)
         assert not is_extension(af, a)
 
@@ -205,11 +202,11 @@ class TestOperatorBasics:
     def test_form_gram_convention(self):
         # G[i,j] = (A e_i, e_j) = M[j, i]
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        A = operator_from_matrix(M, DP2)
+        A = operator_from_matrix(M)
         np.testing.assert_allclose(A.form_gram(), M.T)
 
     def test_apply_outside_domain_raises(self):
-        S = restricted_operator(np.eye(2), np.array([1.0, 0.0]), DP2)
+        S = restricted_operator(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             S.apply(np.array([0.0, 1.0]))
 
@@ -250,7 +247,7 @@ class TestOperatorBasics:
         assert outcomes == {True, False}
 
     def test_effective_projector_is_computed_once_read_only(self):
-        S = restricted_operator(np.eye(3), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]), DP3)
+        S = restricted_operator(np.eye(3), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
         P = S.effective_projector()
         assert S.effective_projector() is P
         assert not P.flags.writeable
@@ -287,9 +284,8 @@ class TestOneFactorization:
         rng = np.random.default_rng(91)
         n, d = 6, 4
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        dp = dense_pair(n)
-        S = restricted_operator(M, random_basis(rng, n, d), dp)
-        T = operator_from_matrix(M, dp)
+        S = restricted_operator(M, random_basis(rng, n, d))
+        T = operator_from_matrix(M)
         x = S.basis_mat @ rng.normal(size=d)
         S.canonical_matrix()
         S.effective_matrix()
@@ -312,7 +308,7 @@ class TestOneFactorization:
         eye = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
         read = operator_from_json({"backend": "dense", "domain_basis": eye,
                                    "action": eye})
-        for A in (operator_from_matrix(M, dp), identity_operator(dp), read):
+        for A in (operator_from_matrix(M), identity_operator(dp), read):
             x = np.arange(n) + 1j
             np.testing.assert_array_equal(A.coefficients_of(x), x)
             np.testing.assert_array_equal(A.canonical_matrix(), A.action_mat)
@@ -327,7 +323,7 @@ class TestOneFactorization:
             d = int(rng.integers(1, max(1, n - 1) + 1))
             B = random_basis(rng, n, d)
             M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            S = restricted_operator(M, B, dense_pair(n))
+            S = restricted_operator(M, B)
             # backward-stable solvers agree to rounding times cond(B)
             tol = 1e-13 * np.linalg.cond(B)
             want = S.action_mat @ np.linalg.pinv(B)
@@ -367,14 +363,13 @@ class TestSequenceSymmetry:
     LATE = series.Rule((series.Term(1, 1, 1, 1), series.Term(1j, 0, 1, 100)))
 
     def test_late_imaginary_term_is_not_symmetric(self):
-        A = diagonal_operator(self.LATE, sequence_pair(48))
+        A = DiagonalOperator(self.LATE)
         assert not A.is_symmetric()
         assert series.imaginary_residual(self.LATE) == 1.0
 
     def test_late_imaginary_term_is_not_its_real_part(self):
-        dp = sequence_pair(48)
-        real = diagonal_operator(series.polynomial(1.0), dp)
-        late = diagonal_operator(self.LATE, dp)
+        real = DiagonalOperator(series.polynomial(1.0))
+        late = DiagonalOperator(self.LATE)
         assert not is_extension(real, late)
         assert not is_extension(late, real)
 
@@ -382,17 +377,16 @@ class TestSequenceSymmetry:
         from formcalc.errors import NotPositive
         from formcalc.friedrichs import friedrichs
         dp = sequence_pair(48)
-        A = diagonal_operator(self.LATE, dp, duality.DOMAIN_FINITE)
+        A = DiagonalOperator(self.LATE, duality.DOMAIN_FINITE)
         with pytest.raises(NotPositive):
             friedrichs(A, dp)
 
     def test_real_generators_stay_symmetric(self):
-        dp = sequence_pair(16)
         y = series.power_geometric(1 - 2j, -1.0, 0.5) + series.polynomial(-2.0, coef=1j)
         for rule in (series.polynomial(2.0) + series.geometric(1.2, coef=0.5),
                      y.abs_square(),
                      series.power_geometric(1.0, 0.0, 1.0, start=7)):
-            A = diagonal_operator(rule, dp)
+            A = DiagonalOperator(rule)
             assert A.is_symmetric()
             assert series.imaginary_residual(rule) == 0.0
 
@@ -400,7 +394,7 @@ class TestSequenceSymmetry:
         # imaginary only at n = 2, then a real term takes over from n = 3
         rule = series.Rule((series.Term(1j, 0, 1, 2), series.Term(-1j, 0, 1, 3),
                             series.Term(1.0, 0, 1, 3)))
-        A = diagonal_operator(rule, sequence_pair(8))
+        A = DiagonalOperator(rule)
         assert not A.is_symmetric()
         assert series.imaginary_residual(rule) == 1.0
 
@@ -409,18 +403,18 @@ def _dense_only_calls():
     """Each dense-only construction, called with diagonal operands."""
     sp = sequence_pair(16)
     rule = series.polynomial(2.0)
-    A, t = diagonal_operator(rule, sp), DiagonalForm(rule)
-    E = operator_from_matrix(np.eye(2), DP2, duality.ENDO)
+    A, t = DiagonalOperator(rule), DiagonalForm(rule)
+    E = operator_from_matrix(np.eye(2), duality.ENDO)
     return {
         "associated_operator": lambda: associated_operator(t, sp),
         "riesz_solve": lambda: riesz_solve(t, functional(np.ones(16), sp), sp),
-        "inverse_selfadjoint": lambda: inverse_selfadjoint(diagonal_operator(
-            rule, sp, duality.DOMAIN_MAXIMAL, duality.FROM_DUAL), sp),
+        "inverse_selfadjoint": lambda: inverse_selfadjoint(DiagonalOperator(
+            rule, duality.DOMAIN_MAXIMAL, duality.FROM_DUAL)),
         "factorize": lambda: factorize(A),
         "joint_factorize": lambda: joint_factorize(A, A, sp),
-        "lift_commutant": lambda: lift_commutant(A, E, sp),
+        "lift_commutant": lambda: lift_commutant(A, E),
         "commutation_formsum": lambda: commutation_formsum(A, A, E, sp),
-        "spectrum_inclusion": lambda: spectrum_inclusion(A, E, sp),
+        "spectrum_inclusion": lambda: spectrum_inclusion(A, E),
         "antisymmetry_check": lambda: antisymmetry_check(A, A, compare(A, A, [])),
         "hilbert_consistency": lambda: hilbert_consistency(A, [], sp),
     }
@@ -447,3 +441,11 @@ class TestOneClassPerBackend:
             duality.Vector(np.ones(2), duality.DENSE, series.polynomial(-1.0))
         y = duality.Vector(np.ones(2), duality.SEQUENCE, series.polynomial(-1.0))
         assert y.tail is not None
+
+    def test_a_space_has_one_size(self):
+        """A space is its backend, its exponent p and one size n: the
+        dimension of C^n or the truncation of a sequence space."""
+        assert [f.name for f in dataclasses.fields(duality.DualityPair)] == ["backend", "p", "n"]
+        assert dense_pair(3).n == sequence_pair(3).n == 3
+        with pytest.raises(ValueError, match="size n >= 1"):
+            duality.DualityPair(duality.DENSE, 2.0, 0)

@@ -133,7 +133,7 @@ class TestFormOfOperator:
         S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         K = S - S.conj().T
         M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
-        t = form_of_operator(operator_from_matrix(M, dense_pair(4)))
+        t = form_of_operator(operator_from_matrix(M))
         assert hermitian_residual(t.gram) == pytest.approx(rel, rel=1e-3)
         assert t.symmetric == (rel < 1e-12)
 
@@ -144,11 +144,10 @@ class TestFormOfOperator:
         S = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         K = S - S.conj().T
         M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
-        dp = dense_pair(5)
-        for A in (operator_from_matrix(M, dp),
-                  restricted_operator(M, rng.normal(size=(5, 3)), dp)):
+        for A in (operator_from_matrix(M),
+                  restricted_operator(M, rng.normal(size=(5, 3)))):
             assert A.is_symmetric() == form_of_operator(A).symmetric
-        assert operator_from_matrix(M, dp).is_symmetric() == (rel < 1e-12)
+        assert operator_from_matrix(M).is_symmetric() == (rel < 1e-12)
 
     @pytest.mark.parametrize("rel", [0.0, 1e-9])
     def test_one_hermitian_test_per_form(self, monkeypatch, rel):
@@ -159,7 +158,7 @@ class TestFormOfOperator:
         S = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         K = S - S.conj().T
         A = restricted_operator(M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K))),
-                                rng.normal(size=(5, 3)), dense_pair(5))
+                                rng.normal(size=(5, 3)))
         ref = SesquilinearForm(A._basis, A.form_gram(),
                                symmetric=is_hermitian(A.form_gram()))
         calls = {"hermitian_residual": 0, "norm": 0}
@@ -193,7 +192,7 @@ class TestLowerBoundFromOneSVD:
     def test_form_of_an_operator_shares_its_svd(self, svd_solve_calls):
         rng = np.random.default_rng(66)
         B = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        A = restricted_operator(random_hpd(rng, 6), B, dense_pair(6))
+        A = restricted_operator(random_hpd(rng, 6), B)
         assert len(svd_solve_calls["svd"]) == 1
         lower_bound(form_of_operator(A), dense_pair(6))
         assert len(svd_solve_calls["svd"]) == 1
@@ -345,6 +344,22 @@ class TestAssociatedOperator:
             associated_operator(t, DP2)
 
 
+class TestSizeFromTheForm:
+    @pytest.mark.parametrize("dim", [1, 64])
+    def test_identity_form_on_c64_whatever_size_the_space_states(self, dim):
+        """The space gives p, the form its size n: on C^64 at p = 1.5 the
+        identity form has gamma 64^(-1/3) = 1/4, which x = (1, ..., 1)
+        attains, and ||B|| = 4."""
+        dp = dense_pair(dim, p=1.5)
+        t = form_from_gram(np.eye(64), np.eye(64))
+        x = np.ones(64)
+        assert x @ x / np.sum(x ** 1.5) ** (2 / 1.5) == pytest.approx(0.25, rel=1e-12)
+        cert, rep = lower_bound(t, dp), associated_operator(t, dp)
+        assert cert.kind == rep.lower_certificate.kind == "equivalence-scaled"
+        assert cert.gamma == rep.gamma == pytest.approx(0.25, rel=1e-12)
+        assert rep.b_norm == pytest.approx(4.0, rel=1e-12)
+
+
 class TestRieszSolve:
     def test_zero(self):
         t = form_from_gram(np.eye(2), np.diag([2.0, 5.0]))
@@ -378,32 +393,32 @@ class TestRieszSolve:
 
 class TestInverseSelfadjoint:
     def test_identity(self):
-        B = operator_from_matrix(np.eye(2), DP2, FROM_DUAL)
-        A = inverse_selfadjoint(B, DP2)
+        B = operator_from_matrix(np.eye(2), FROM_DUAL)
+        A = inverse_selfadjoint(B)
         np.testing.assert_allclose(A.effective_matrix(), np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        B = operator_from_matrix(np.diag([0.5, 1 / 3]), DP2, FROM_DUAL)
-        A = inverse_selfadjoint(B, DP2)
+        B = operator_from_matrix(np.diag([0.5, 1 / 3]), FROM_DUAL)
+        A = inverse_selfadjoint(B)
         np.testing.assert_allclose(A.effective_matrix(), np.diag([2.0, 3.0]),
                                    atol=1e-12)
 
     def test_two_by_two_oracle(self):
-        B = operator_from_matrix([[2.0, 1.0], [1.0, 1.0]], DP2, FROM_DUAL)
-        A = inverse_selfadjoint(B, DP2)
+        B = operator_from_matrix([[2.0, 1.0], [1.0, 1.0]], FROM_DUAL)
+        A = inverse_selfadjoint(B)
         # 2x2 inversion oracle: inv([[2,1],[1,1]]) = [[1,-1],[-1,2]]
         np.testing.assert_allclose(A.effective_matrix(),
                                    [[1.0, -1.0], [-1.0, 2.0]], atol=1e-12)
 
     def test_non_injective_rejected(self):
-        B = operator_from_matrix(np.diag([1.0, 0.0]), DP2, FROM_DUAL)
+        B = operator_from_matrix(np.diag([1.0, 0.0]), FROM_DUAL)
         with pytest.raises(ValueError):
-            inverse_selfadjoint(B, DP2)
+            inverse_selfadjoint(B)
 
     def test_non_selfadjoint_rejected(self):
-        B = operator_from_matrix([[1.0, 1.0], [0.0, 1.0]], DP2, FROM_DUAL)
+        B = operator_from_matrix([[1.0, 1.0], [0.0, 1.0]], FROM_DUAL)
         with pytest.raises(ValueError):
-            inverse_selfadjoint(B, DP2)
+            inverse_selfadjoint(B)
 
     @pytest.mark.parametrize("rel", [2e-13, 2e-11])
     def test_selfadjointness_is_the_forms_rule(self, rel):
@@ -414,13 +429,13 @@ class TestInverseSelfadjoint:
         S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         K = S - S.conj().T
         M = M + K * (rel * np.linalg.norm(M) / (2 * np.linalg.norm(K)))
-        B = operator_from_matrix(M, dense_pair(4), FROM_DUAL)
+        B = operator_from_matrix(M, FROM_DUAL)
         assert form_of_operator(B).symmetric == (rel < 1e-12)
         if rel < 1e-12:
-            inverse_selfadjoint(B, dense_pair(4))
+            inverse_selfadjoint(B)
         else:
             with pytest.raises(ValueError, match="B not self-adjoint"):
-                inverse_selfadjoint(B, dense_pair(4))
+                inverse_selfadjoint(B)
 
 
 def wire(M):

@@ -9,9 +9,9 @@ import scipy.linalg
 
 from formcalc import formsum, ordering, series, suites
 from formcalc.duality import (
-    DOMAIN_FINITE, ENDO, dense_pair, diagonal_operator,
-    generated_vector, identity_operator, is_extension,
-    operator_from_matrix, restricted_operator, sequence_pair,
+    DOMAIN_FINITE, ENDO, DiagonalOperator, dense_pair, generated_vector,
+    identity_operator, is_extension, operator_from_matrix, restricted_operator,
+    sequence_pair,
 )
 from formcalc.duality import TO_DUAL, DenseOperator
 from formcalc.errors import DomainError, LowerBoundError, NotPositive
@@ -63,15 +63,15 @@ class TestIsClosed:
 class TestFormSum:
     def test_scalars(self):
         dp = dense_pair(1)
-        A = operator_from_matrix([[2.0]], dp)
-        B = operator_from_matrix([[3.0]], dp)
+        A = operator_from_matrix([[2.0]])
+        B = operator_from_matrix([[3.0]])
         fs = form_sum(A, B, dp)
         np.testing.assert_allclose(fs.operator.canonical_matrix(), [[5.0]],
                                    atol=1e-13)
 
     def test_everywhere_defined_collapse(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        B = operator_from_matrix(np.diag([3.0, 4.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        B = operator_from_matrix(np.diag([3.0, 4.0]))
         fs = form_sum(A, B, DP2)
         assert fs.collapse_exact
         np.testing.assert_allclose(fs.operator.canonical_matrix(),
@@ -82,18 +82,18 @@ class TestFormSum:
         for _ in range(100):
             n = int(rng.integers(1, 8))
             dp = dense_pair(n)
-            A = operator_from_matrix(random_hpd(rng, n), dp)
-            B = operator_from_matrix(random_hpd(rng, n), dp)
+            A = operator_from_matrix(random_hpd(rng, n))
+            B = operator_from_matrix(random_hpd(rng, n))
             fs = form_sum(A, B, dp)
             assert fs.extension_residual <= 1e-10
             M_sum = A.canonical_matrix() + B.canonical_matrix()
-            S = operator_from_matrix(M_sum, dp)
+            S = operator_from_matrix(M_sum)
             assert is_extension(S, fs.operator)
 
     def test_restricted_b_domain(self):
         # B on a 1-dim domain: the sum lives there and extends A + B
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        B = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        B = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]))
         fs = form_sum(A, B, DP2)
         z = fs.operator.apply(np.array([1.0, 0.0]))
         np.testing.assert_allclose(z, [4.0, 0.0], atol=1e-12)
@@ -110,7 +110,7 @@ class TestFormSum:
             M_a, M_b = random_hpd(rng, n), random_hpd(rng, n)
             V = (np.linalg.eigh(M_b)[1][:, :d] if trial % 2 else
                  rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
-            A, B = operator_from_matrix(M_a, dp), restricted_operator(M_b, V, dp)
+            A, B = operator_from_matrix(M_a), restricted_operator(M_b, V)
             fs = form_sum(A, B, dp)
             P = B.effective_projector()
             want = P @ (M_a + M_b) @ P
@@ -122,19 +122,19 @@ class TestFormSum:
             assert jf.composition_residual <= 1e-9 and jf.energy_residual <= 1e-9
 
     def test_restricted_a_domain_rejected(self):
-        A = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]), DP2)
+        A = restricted_operator(np.diag([3.0, 4.0]), np.array([1.0, 0.0]))
         with pytest.raises(DomainError, match="everywhere defined"):
-            form_sum(A, operator_from_matrix(np.eye(2), DP2), DP2)
+            form_sum(A, operator_from_matrix(np.eye(2)), DP2)
 
     def test_gamma_gate(self):
-        A = operator_from_matrix(np.diag([1.0, 0.0]), DP2)
-        B = operator_from_matrix(np.eye(2), DP2)
+        A = operator_from_matrix(np.diag([1.0, 0.0]))
+        B = operator_from_matrix(np.eye(2))
         with pytest.raises(LowerBoundError):
             form_sum(A, B, DP2)
 
     def test_sequence_generator_sum(self):
-        A = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
-        B = diagonal_operator(series.polynomial(4.0), SP, DOMAIN_FINITE)
+        A = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
+        B = DiagonalOperator(series.polynomial(4.0), DOMAIN_FINITE)
         fs = form_sum(A, B, SP)
         expect = series.polynomial(2.0) + series.polynomial(4.0)
         assert series.rules_agree(fs.operator.diagonal, expect)
@@ -155,14 +155,14 @@ class TestJointFactorize:
         assert jf.composition_residual <= 1e-10
 
     def test_diagonal_pair_joint_gram(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        B = operator_from_matrix(np.diag([3.0, 4.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        B = operator_from_matrix(np.diag([3.0, 4.0]))
         jf = joint_factorize(A, B, DP2)
         np.testing.assert_allclose(jf.formsum.operator.canonical_matrix(),
                                    np.diag([4.0, 6.0]), atol=1e-12)
 
     def test_offdiagonal_matrix_sum_oracle(self):
-        A = operator_from_matrix([[2.0, 1.0], [1.0, 2.0]], DP2)
+        A = operator_from_matrix([[2.0, 1.0], [1.0, 2.0]])
         B = identity_operator(DP2)
         jf = joint_factorize(A, B, DP2)
         np.testing.assert_allclose(jf.formsum.operator.canonical_matrix(),
@@ -173,8 +173,8 @@ class TestJointFactorize:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             dp = dense_pair(n)
-            A = operator_from_matrix(random_hpd(rng, n), dp)
-            B = operator_from_matrix(random_hpd(rng, n), dp)
+            A = operator_from_matrix(random_hpd(rng, n))
+            B = operator_from_matrix(random_hpd(rng, n))
             jf = joint_factorize(A, B, dp)
             assert jf.energy_residual <= 1e-9
             assert jf.composition_residual <= 1e-9
@@ -184,47 +184,46 @@ class TestLiftCommutant:
     def test_identity_a_hermitian_e(self):
         A = identity_operator(DP2)
         H = np.array([[1.0, 2.0], [2.0, -1.0]])
-        E = operator_from_matrix(H, DP2, ENDO)
-        lift = lift_commutant(A, E, DP2)
+        E = operator_from_matrix(H, ENDO)
+        lift = lift_commutant(A, E)
         np.testing.assert_allclose(lift.E_hat, H, atol=1e-12)
 
     def test_worked_example(self):
         # A = diag(1, 2), K = ones: E = A^-1 K has sigma(E) = {0, 1.5}
         A_mat = np.diag([1.0, 2.0])
         K = np.ones((2, 2))
-        A = operator_from_matrix(A_mat, DP2)
-        E = commuting_pair(A_mat, K, DP2)
+        A = operator_from_matrix(A_mat)
+        E = commuting_pair(A_mat, K)
         np.testing.assert_allclose(E.canonical_matrix(),
                                    [[1.0, 1.0], [0.5, 0.5]], atol=1e-14)
-        lift = lift_commutant(A, E, DP2)
+        lift = lift_commutant(A, E)
         assert lift.spectral_radius_sq == pytest.approx(2.25, abs=1e-12)
         assert lift.bound_margin <= 1.0 + 1e-8
         assert lift.norm_bound <= math.sqrt(2.25) * (1 + 1e-10)
         assert lift.selfadjoint_residual <= 1e-10
 
     def test_zero_commutant(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        E = operator_from_matrix(np.zeros((2, 2)), DP2, ENDO)
-        lift = lift_commutant(A, E, DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        E = operator_from_matrix(np.zeros((2, 2)), ENDO)
+        lift = lift_commutant(A, E)
         np.testing.assert_allclose(lift.E_hat, 0.0, atol=1e-14)
 
     def test_noncommuting_rejected(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], DP2, ENDO)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], ENDO)
         with pytest.raises(DomainError):
-            lift_commutant(A, E, DP2)
+            lift_commutant(A, E)
 
     def test_bound_on_random_commuting_pairs(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 7))
-            dp = dense_pair(n)
             A_mat = random_hpd(rng, n)
             K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             K = K + K.conj().T
-            A = operator_from_matrix(A_mat, dp)
-            E = commuting_pair(A_mat, K, dp)
-            lift = lift_commutant(A, E, dp)
+            A = operator_from_matrix(A_mat)
+            E = commuting_pair(A_mat, K)
+            lift = lift_commutant(A, E)
             assert lift.bound_margin <= 1.0 + 1e-8
             assert lift.norm_bound <= math.sqrt(lift.spectral_radius_sq) * (1 + 1e-8)
             assert lift.selfadjoint_residual <= 1e-10
@@ -260,16 +259,16 @@ class TestCommutationFormsum:
         for _ in range(20):
             A_mat = random_hpd(rng, 5)
             K = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            E = commuting_pair(A_mat, K + K.conj().T, dp)
+            E = commuting_pair(A_mat, K + K.conj().T)
             V = np.linalg.eig(E.canonical_matrix())[1][:, :3]
-            rep = commutation_formsum(operator_from_matrix(A_mat, dp),
-                                      restricted_operator(2.0 * A_mat, V, dp), E, dp)
+            rep = commutation_formsum(operator_from_matrix(A_mat),
+                                      restricted_operator(2.0 * A_mat, V), E, dp)
             assert rep.passed and rep.formsum_inclusion <= 1e-9
 
     def test_identity_commutant(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        B = operator_from_matrix(np.diag([2.0, 1.0]), DP2)
-        E = operator_from_matrix(np.eye(2), DP2, ENDO)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        B = operator_from_matrix(np.diag([2.0, 1.0]))
+        E = operator_from_matrix(np.eye(2), ENDO)
         rep = commutation_formsum(A, B, E, DP2)
         assert rep.passed
 
@@ -277,9 +276,9 @@ class TestCommutationFormsum:
         # B = 3A shares every commutant of A through the same K
         A_mat = np.diag([1.0, 2.0])
         K = np.ones((2, 2))
-        A = operator_from_matrix(A_mat, DP2)
-        B = operator_from_matrix(3.0 * A_mat, DP2)
-        E = commuting_pair(A_mat, K, DP2)
+        A = operator_from_matrix(A_mat)
+        B = operator_from_matrix(3.0 * A_mat)
+        E = commuting_pair(A_mat, K)
         rep = commutation_formsum(A, B, E, DP2)
         assert rep.passed
         assert rep.formsum_inclusion <= 1e-10
@@ -294,9 +293,9 @@ class TestCommutationFormsum:
             B_mat = float(rng.uniform(0.5, 3.0)) * A_mat
             K = rng.normal(size=(n, n))
             K = K + K.T
-            E = commuting_pair(A_mat, K, dp)
-            rep = commutation_formsum(operator_from_matrix(A_mat, dp),
-                                      operator_from_matrix(B_mat, dp), E, dp)
+            E = commuting_pair(A_mat, K)
+            rep = commutation_formsum(operator_from_matrix(A_mat),
+                                      operator_from_matrix(B_mat), E, dp)
             assert rep.passed
 
     def test_polynomial_b_commuting_k(self):
@@ -311,9 +310,9 @@ class TestCommutationFormsum:
             B_mat = c2 * A_mat @ A_mat + c1 * A_mat + c0 * np.eye(n)
             u1, u0 = rng.normal(size=2)
             K = u1 * A_mat + u0 * np.eye(n)
-            E = commuting_pair(A_mat, K, dp)
-            rep = commutation_formsum(operator_from_matrix(A_mat, dp),
-                                      operator_from_matrix(B_mat, dp), E, dp)
+            E = commuting_pair(A_mat, K)
+            rep = commutation_formsum(operator_from_matrix(A_mat),
+                                      operator_from_matrix(B_mat), E, dp)
             assert rep.passed
 
     def test_block_construction(self):
@@ -322,17 +321,17 @@ class TestCommutationFormsum:
         B_mat = np.diag([2.0, 2.0, 5.0, 5.0])
         E_mat = np.diag([1.0, -1.0, 0.5, 2.0])
         dp = dense_pair(4)
-        rep = commutation_formsum(operator_from_matrix(A_mat, dp),
-                                  operator_from_matrix(B_mat, dp),
-                                  operator_from_matrix(E_mat, dp, ENDO), dp)
+        rep = commutation_formsum(operator_from_matrix(A_mat),
+                                  operator_from_matrix(B_mat),
+                                  operator_from_matrix(E_mat, ENDO), dp)
         assert rep.passed
 
 
 class TestSpectrumInclusion:
     def test_hermitian_diag(self):
         A = identity_operator(DP2)
-        E = operator_from_matrix(np.diag([1.0, -1.0]), DP2, ENDO)
-        rep = spectrum_inclusion(A, E, DP2)
+        E = operator_from_matrix(np.diag([1.0, -1.0]), ENDO)
+        rep = spectrum_inclusion(A, E)
         assert rep.passed
         np.testing.assert_allclose(sorted(rep.lift_eigenvalues.real), [-1.0, 1.0],
                                    atol=1e-12)
@@ -340,17 +339,17 @@ class TestSpectrumInclusion:
     def test_worked_example_similar_spectrum(self):
         A_mat = np.diag([1.0, 2.0])
         K = np.ones((2, 2))
-        A = operator_from_matrix(A_mat, DP2)
-        E = commuting_pair(A_mat, K, DP2)
-        rep = spectrum_inclusion(A, E, DP2)
+        A = operator_from_matrix(A_mat)
+        E = commuting_pair(A_mat, K)
+        rep = spectrum_inclusion(A, E)
         assert rep.passed
         np.testing.assert_allclose(sorted(rep.lift_eigenvalues.real), [0.0, 1.5],
                                    atol=1e-10)
 
     def test_kernel_quotient_spectrum(self):
-        A = operator_from_matrix(np.diag([1.0, 0.0]), DP2)
-        E = operator_from_matrix(np.eye(2), DP2, ENDO)
-        rep = spectrum_inclusion(A, E, DP2)
+        A = operator_from_matrix(np.diag([1.0, 0.0]))
+        E = operator_from_matrix(np.eye(2), ENDO)
+        rep = spectrum_inclusion(A, E)
         assert rep.passed
         assert rep.lift_eigenvalues.shape == (1,)
         assert rep.lift_eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
@@ -359,13 +358,12 @@ class TestSpectrumInclusion:
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            dp = dense_pair(n)
             A_mat = random_hpd(rng, n)
             K = rng.normal(size=(n, n))
             K = K + K.T
-            A = operator_from_matrix(A_mat, dp)
-            E = commuting_pair(A_mat, K, dp)
-            rep = spectrum_inclusion(A, E, dp)
+            A = operator_from_matrix(A_mat)
+            E = commuting_pair(A_mat, K)
+            rep = spectrum_inclusion(A, E)
             assert rep.passed
             assert rep.resolvent_residual <= 1e-8
 
@@ -402,14 +400,14 @@ def commuting_instance(rng, n):
     A_mat = random_hpd(rng, n)
     K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dp = dense_pair(n)
-    return A_mat, operator_from_matrix(A_mat, dp), \
-        commuting_pair(A_mat, K + K.conj().T, dp), dp
+    return A_mat, operator_from_matrix(A_mat), \
+        commuting_pair(A_mat, K + K.conj().T), dp
 
 
 class TestFactorOnce:
     def test_spectrum_inclusion_factorizes_once(self, factorize_calls, eq7_calls):
         _, A, E, dp = commuting_instance(np.random.default_rng(81), 4)
-        assert spectrum_inclusion(A, E, dp).passed
+        assert spectrum_inclusion(A, E).passed
         assert factorize_calls == [A]
         # E and each of the three resolvents still pass the eq7 check
         assert len(eq7_calls) == 4
@@ -420,15 +418,15 @@ class TestFactorOnce:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda M: shapes.append(M.shape) or eigvals(M))
-        assert spectrum_inclusion(A, E, dp).passed
+        assert spectrum_inclusion(A, E).passed
         # E, its lift, and the three resolvents
         assert len(shapes) == 5
 
     def test_joint_factorize_factorizes_each_operand_once(self, factorize_calls):
         rng = np.random.default_rng(82)
         dp = dense_pair(4)
-        A = operator_from_matrix(random_hpd(rng, 4), dp)
-        B = operator_from_matrix(random_hpd(rng, 4), dp)
+        A = operator_from_matrix(random_hpd(rng, 4))
+        B = operator_from_matrix(random_hpd(rng, 4))
         jf = joint_factorize(A, B, dp)
         assert factorize_calls == [A, B]
         assert jf.fac_a.operator is A and jf.fac_b.operator is B
@@ -438,8 +436,8 @@ class TestFactorOnce:
         real = ordering.pivoted_cholesky
         monkeypatch.setattr(ordering, "pivoted_cholesky",
                             lambda *a, **k: cholesky_calls.append(a) or real(*a, **k))
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        form_sum(A, restricted_operator(np.diag([3.0, 4.0]), [1.0, 0.0], DP2), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        form_sum(A, restricted_operator(np.diag([3.0, 4.0]), [1.0, 0.0]), DP2)
         form_sum(A, identity_operator(DP2), DP2)
         assert factorize_calls == [] and cholesky_calls == []
 
@@ -452,15 +450,15 @@ class TestFactorOnce:
             return real(op)
 
         monkeypatch.setattr(formsum, "form_of_operator", counted)
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        B = operator_from_matrix(np.diag([3.0, 1.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        B = operator_from_matrix(np.diag([3.0, 1.0]))
         form_sum(A, B, DP2)
         assert calls == [A, B]
 
     def test_commutation_formsum_factorizes_each_operand_once(self, factorize_calls):
         rng = np.random.default_rng(83)
         A_mat, A, E, dp = commuting_instance(rng, 4)
-        B = operator_from_matrix(2.5 * A_mat, dp)    # shares the commutant of A
+        B = operator_from_matrix(2.5 * A_mat)    # shares the commutant of A
         rep = commutation_formsum(A, B, E, dp)
         assert rep.passed
         # the lifts factorize A and B, the form sum neither
@@ -483,25 +481,25 @@ class TestFactorOnce:
 
         monkeypatch.setattr(formsum, "lower_bound", counted)
         A_mat, A, E, dp = commuting_instance(np.random.default_rng(84), 4)
-        assert commutation_formsum(A, operator_from_matrix(1.5 * A_mat, dp),
+        assert commutation_formsum(A, operator_from_matrix(1.5 * A_mat),
                                    E, dp).passed
         # the form sum bounds A, and the closedness of t_B bounds B
         assert len(calls) == 2
 
     def test_commutation_formsum_rejects_singular_summand(self):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        E = operator_from_matrix(np.diag([1.0, -1.0]), DP2, ENDO)
-        singular = operator_from_matrix(np.diag([1.0, 0.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        E = operator_from_matrix(np.diag([1.0, -1.0]), ENDO)
+        singular = operator_from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(LowerBoundError):
             commutation_formsum(A, singular, E, DP2)
         with pytest.raises(LowerBoundError):
             commutation_formsum(singular, A, E, DP2)
 
     def test_broken_commutation_factorizes_nothing(self, factorize_calls):
-        A = operator_from_matrix(np.diag([1.0, 2.0]), DP2)
-        E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], DP2, ENDO)
+        A = operator_from_matrix(np.diag([1.0, 2.0]))
+        E = operator_from_matrix([[0.0, 1.0], [0.0, 0.0]], ENDO)
         with pytest.raises(DomainError):
-            lift_commutant(A, E, DP2)
+            lift_commutant(A, E)
         assert factorize_calls == []
 
 
@@ -543,9 +541,9 @@ class TestBatchedSamples:
         # B on a proper subspace invariant under A and B, so the checks run
         # on a basis of dom t_B and the form sum still extends A + B
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        A = operator_from_matrix(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T, dp)
+        A = operator_from_matrix(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T)
         B = restricted_operator(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.conj().T,
-                                Q[:, :max(1, n - n // 3)], dp)
+                                Q[:, :max(1, n - n // 3)])
         Z = B._basis.U
         jf = joint_factorize(A, B, dp)
         ref = loop_joint_residuals(A, B, form_sum(A, B, dp).operator.canonical_matrix(), Z)
@@ -557,7 +555,7 @@ class TestBatchedSamples:
         D = np.outer(Z[:, -1], Z[:, 0].conj())
         M_bad = fs.operator.canonical_matrix() + 0.1 * (D + D.conj().T)
         monkeypatch.setattr(formsum, "form_sum", lambda *args: dataclasses.replace(
-            fs, operator=operator_from_matrix(M_bad, dp)))
+            fs, operator=operator_from_matrix(M_bad)))
         jf = joint_factorize(A, B, dp)
         ref = loop_joint_residuals(A, B, M_bad, Z)
         got = (jf.jstar_residual, jf.composition_residual, jf.energy_residual)
@@ -567,14 +565,14 @@ class TestBatchedSamples:
     def test_commutation_factor_inclusions_match_per_sample(self, n, monkeypatch):
         rng = np.random.default_rng(100 + n)
         A_mat, A, E, dp = commuting_instance(rng, n)
-        B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat, dp)
+        B = operator_from_matrix(float(rng.uniform(0.5, 2.0)) * A_mat)
         self.check_factor_inclusions(A, B, E, dp, commutation_formsum(A, B, E, dp))
         # lifts off in their last pivot column only: a check that skipped
         # a basis vector would miss it
         real = formsum.lift_commutant
 
-        def off(A, E, dp):
-            lift = real(A, E, dp)
+        def off(A, E):
+            lift = real(A, E)
             E_hat = lift.E_hat.copy()
             E_hat[-1, -1] += 0.1
             return dataclasses.replace(lift, E_hat=E_hat)
@@ -613,7 +611,7 @@ class TestBatchedSamples:
         rng = np.random.default_rng(110 + n)
         for _ in range(20):
             _, A, E, dp = commuting_instance(rng, n)
-            lift = lift_commutant(A, E, dp)
+            lift = lift_commutant(A, E)
             Kc, Eh = np.conj(lift.factorization.gram), lift.E_hat
             top = scipy.linalg.eigh(Eh.conj().T @ Kc @ Eh, Kc, eigvals_only=True)[-1]
             got = lift.bound_margin * lift.spectral_radius_sq
@@ -621,7 +619,7 @@ class TestBatchedSamples:
 
     def test_spectrum_distance_matches_per_eigenvalue(self):
         _, A, E, dp = commuting_instance(np.random.default_rng(120), 6)
-        rep = spectrum_inclusion(A, E, dp)
+        rep = spectrum_inclusion(A, E)
         ref = max(float(np.min(np.abs(rep.e_eigenvalues - mu)))
                   for mu in rep.lift_eigenvalues)
         assert rep.max_distance == ref
@@ -635,17 +633,17 @@ def test_checks_draw_no_random_numbers(monkeypatch):
     K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     K = K + K.conj().T
     dp = dense_pair(4)
-    A, B = operator_from_matrix(A_mat, dp), operator_from_matrix(2.0 * A_mat, dp)
-    E = commuting_pair(A_mat, K, dp)
+    A, B = operator_from_matrix(A_mat), operator_from_matrix(2.0 * A_mat)
+    E = commuting_pair(A_mat, K)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a form-sum check drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert joint_factorize(A, B, dp).energy_residual <= 1e-9
-    assert lift_commutant(A, E, dp).bound_margin <= 1.0 + 1e-8
+    assert lift_commutant(A, E).bound_margin <= 1.0 + 1e-8
     assert commutation_formsum(A, B, E, dp).passed
-    assert spectrum_inclusion(A, E, dp).passed
+    assert spectrum_inclusion(A, E).passed
     ops = {"space": {"backend": "dense", "dim": 4}, "A": suites._operator(A_mat),
            "B": suites._operator(2.0 * A_mat), "K": suites._wire(K)}
     for op in ("joint-factorize", "lift-commutant", "commutation-formsum",
@@ -681,7 +679,7 @@ class TestOneFormOfA:
             W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             basis = W * 10.0 ** rng.uniform(-2, 2, size=n)
             A = DenseOperator(TO_DUAL, basis, M_a @ basis)
-            B = restricted_operator(M_b, Q[:, :d], dp)
+            B = restricted_operator(M_b, Q[:, :d])
             grams.clear()
             form_sum(A, B, dp)
             fac = factorize(A)
@@ -702,7 +700,7 @@ class TestOneFormOfA:
     @pytest.mark.parametrize("rel", [2e-11, 1e-10])
     def test_one_symmetry_gate(self, rel):
         dp = dense_pair(4)
-        A = operator_from_matrix(self.perturbed(rel), dp)
+        A = operator_from_matrix(self.perturbed(rel))
         assert hermitian_residual(form_of_operator(A).gram) == pytest.approx(rel, rel=1e-3)
         for construction in (lambda: factorize(A), lambda: friedrichs(A, dp),
                              lambda: form_sum(A, identity_operator(dp), dp),
@@ -712,14 +710,14 @@ class TestOneFormOfA:
 
     def test_nearly_symmetric_operand_passes_every_gate(self):
         dp = dense_pair(4)
-        A = operator_from_matrix(self.perturbed(2e-13), dp)
+        A = operator_from_matrix(self.perturbed(2e-13))
         assert factorize(A).rank == 4
         assert friedrichs(A, dp).gamma_preserved.gamma > 0
         assert form_sum(A, identity_operator(dp), dp).extension_residual <= 1e-10
 
     def test_indefinite_operand_fails_in_the_form(self):
         dp = dense_pair(2)
-        A = operator_from_matrix(np.diag([1.0, -1.0]), dp)
+        A = operator_from_matrix(np.diag([1.0, -1.0]))
         for construction in (lambda: factorize(A), lambda: friedrichs(A, dp),
                              lambda: form_sum(A, identity_operator(dp), dp)):
             with pytest.raises(NotPositive, match="^form indefinite"):
@@ -756,8 +754,8 @@ class TestLinalgCounts:
     def test_dense_form_sum(self, linalg_calls):
         rng = np.random.default_rng(122)
         dp = dense_pair(8)
-        A = operator_from_matrix(random_hpd(rng, 8), dp)
-        B = operator_from_matrix(random_hpd(rng, 8), dp)
+        A = operator_from_matrix(random_hpd(rng, 8))
+        B = operator_from_matrix(random_hpd(rng, 8))
         form_sum(A, B, dp)
         # the self-adjointness residual of the representation and the
         # collapse residual are exact zeros here, which take no SVD
@@ -766,7 +764,7 @@ class TestLinalgCounts:
 
     def test_factorize_solves_one_eigenproblem(self, linalg_calls):
         rng = np.random.default_rng(123)
-        factorize(operator_from_matrix(random_hpd(rng, 8), dense_pair(8)))
+        factorize(operator_from_matrix(random_hpd(rng, 8)))
         assert linalg_calls["eigvalsh"] == 1
         assert linalg_calls["pivoted_cholesky"] == 1
 
@@ -819,7 +817,7 @@ def bits(*values):
 class TestSharedKernels:
     def test_spectrum_inclusion(self, kernel_calls, monkeypatch):
         (shared, rep), (anew, ref) = counted_runs(
-            lambda A_mat, A, E, dp: spectrum_inclusion(A, E, dp), kernel_calls, monkeypatch)
+            lambda A_mat, A, E, dp: spectrum_inclusion(A, E), kernel_calls, monkeypatch)
         # one action SVD for factorize and the four eq7 checks, one norm
         # per lift; the lift's whitening serves the three resolvent lifts,
         # and the spectrum of E taken in lift_commutant serves the inclusion
@@ -829,7 +827,7 @@ class TestSharedKernels:
 
     def test_commutation_formsum(self, kernel_calls, monkeypatch):
         def construction(A_mat, A, E, dp):
-            return commutation_formsum(A, operator_from_matrix(2.0 * A_mat, dp), E, dp)
+            return commutation_formsum(A, operator_from_matrix(2.0 * A_mat), E, dp)
 
         (shared, rep), (anew, ref) = counted_runs(construction, kernel_calls, monkeypatch)
         assert shared["eigvals"] == 1 and anew["eigvals"] == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formcalc.duality import dense_pair, operator_from_matrix
+from formcalc.duality import operator_from_matrix
 from formcalc.linalg import (
     generalized_eigvalsh, gram_inner, gram_quadratic, operator_norm, pivoted_cholesky,
 )
@@ -196,7 +196,7 @@ def test_factorize_action_rank_follows_the_svd_rule_at_its_threshold():
         if n > 2 and k % 2:
             lam[1] = 0.0
         H = (W * lam) @ W.conj().T
-        A = operator_from_matrix(0.5 * (H + H.conj().T), dense_pair(n))
+        A = operator_from_matrix(0.5 * (H + H.conj().T))
         try:
             fac = factorize(A)
         except ArithmeticError:

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from formcalc import series
 from formcalc.duality import (
-    DOMAIN_FINITE, DenseOperator, Vector, dense_pair, diagonal_operator,
-    operator_from_matrix, restricted_operator, sequence_pair, vector,
+    DOMAIN_FINITE, DenseOperator, DiagonalOperator, Vector, dense_pair,
+    operator_from_matrix, restricted_operator, vector,
 )
 from formcalc.errors import BackendMismatch, NotPositive
 from formcalc.ordering import (
@@ -20,7 +20,6 @@ from formcalc.ordering import (
 from formcalc.scenarios import OPERATIONS
 
 DP2 = dense_pair(2)
-SP = sequence_pair(48)
 
 
 def random_psd(rng, n, force_kernel=False):
@@ -31,12 +30,12 @@ def random_psd(rng, n, force_kernel=False):
 
 class TestFactorize:
     def test_identity(self):
-        res = factorize(operator_from_matrix(np.eye(2), DP2))
+        res = factorize(operator_from_matrix(np.eye(2)))
         assert res.rank == 2
         np.testing.assert_allclose(res.gram, np.eye(2), atol=1e-14)
 
     def test_diag_gram_assembly(self):
-        res = factorize(operator_from_matrix(np.diag([1.0, 4.0]), DP2))
+        res = factorize(operator_from_matrix(np.diag([1.0, 4.0])))
         # gram over {A e1, A e2} is diag(1, 4) by direct assembly
         K = np.zeros((2, 2), dtype=complex)
         K[np.ix_(np.argsort(res.pivots), np.argsort(res.pivots))] = res.gram
@@ -44,7 +43,7 @@ class TestFactorize:
         assert res.extension_residual <= 1e-10
 
     def test_kernel_quotient(self):
-        res = factorize(operator_from_matrix(np.diag([1.0, 0.0]), DP2))
+        res = factorize(operator_from_matrix(np.diag([1.0, 0.0])))
         assert res.rank == 1
         assert res.details["rank_gap"] == 0
         # well-definedness despite collisions: JJ* reproduces A on e2 too
@@ -53,7 +52,7 @@ class TestFactorize:
     def test_collision_pairs_brute_force(self):
         # A with A x1 = A x2: the quotient must identify them
         M = np.array([[1.0, 1.0], [1.0, 1.0]])
-        res = factorize(operator_from_matrix(M, DP2))
+        res = factorize(operator_from_matrix(M))
         assert res.rank == 1
         c1 = res.jstar_coefficients(np.array([1.0, 0.0]))
         c2 = res.jstar_coefficients(np.array([0.0, 1.0]))
@@ -64,23 +63,23 @@ class TestFactorize:
         for k in range(200):
             n = int(rng.integers(1, 9))
             A = operator_from_matrix(
-                random_psd(rng, n, force_kernel=(k % 3 == 0)), dense_pair(n))
+                random_psd(rng, n, force_kernel=(k % 3 == 0)))
             res = factorize(A)
             assert res.extension_residual <= 1e-10
             assert res.details["rank_gap"] == 0
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NotPositive):
-            factorize(operator_from_matrix(np.diag([1.0, -1.0]), DP2))
+            factorize(operator_from_matrix(np.diag([1.0, -1.0])))
 
 
 class TestFormOnX:
     def test_zero(self):
-        A = operator_from_matrix(np.diag([1.0, 4.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 4.0]))
         assert form_on_X(A, vector([0, 0], DP2)).value == 0.0
 
     def test_full_domain_is_quadratic(self):
-        A = operator_from_matrix(np.diag([1.0, 4.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 4.0]))
         fv = form_on_X(A, vector([1, 1], DP2))
         assert fv.value == pytest.approx(5.0, abs=1e-10)
         # witness saturates Cauchy-Schwarz at y itself (up to scale)
@@ -91,7 +90,7 @@ class TestFormOnX:
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             v1 = form_on_X(A, y).value
             v2 = form_oracle_eigensolve(A, y)
@@ -104,7 +103,7 @@ class TestFormOnX:
         for k in range(100):
             n = int(rng.integers(1, 13))
             A = restricted_operator(random_psd(rng, n, force_kernel=k % 2 == 1),
-                                    rng.normal(size=(n, max(1, n - k % 3))), dense_pair(n))
+                                    rng.normal(size=(n, max(1, n - k % 3))))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             F = A.form_gram()
             quad = 0.5 * (np.conj(F) + F.T)
@@ -121,7 +120,7 @@ class TestFormOnX:
         for _ in range(50):
             n = int(rng.integers(1, 8))
             M = random_psd(rng, n) + 0.1 * np.eye(n)
-            A = operator_from_matrix(M, dense_pair(n))
+            A = operator_from_matrix(M)
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
             quad = float(np.real(np.vdot(y, M @ y)))
             assert form_on_X(A, Vector(y)).value == pytest.approx(quad, rel=1e-9)
@@ -130,7 +129,7 @@ class TestFormOnX:
         rng = np.random.default_rng(31)
         for _ in range(50):
             n = int(rng.integers(2, 8))
-            A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n))
             fac = factorize(A)
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
             c = fac.jstar_coefficients(y)
@@ -139,7 +138,7 @@ class TestFormOnX:
             assert abs(via_h - direct) <= 1e-8 * max(via_h, direct, 1.0)
 
     def test_sequence_divergent(self):
-        A = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
+        A = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
         y = Vector(series.polynomial(-1.0)(np.arange(1, 49)), "sequence",
                    tail=series.polynomial(-1.0))
         fv = form_on_X(A, y)
@@ -148,7 +147,7 @@ class TestFormOnX:
         assert fv.certificate["growth_ratios"]
 
     def test_sequence_membership_pairs(self):
-        A = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
+        A = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
         y_in = Vector(series.polynomial(-2.0)(np.arange(1, 49)), "sequence",
                       tail=series.polynomial(-2.0))
         assert in_dom_Jstar(A, y_in)
@@ -159,19 +158,19 @@ class TestFormOnX:
 
 class TestCompare:
     def test_scalar_ordering(self):
-        A = operator_from_matrix(2 * np.eye(2), DP2)
-        B = operator_from_matrix(np.eye(2), DP2)
+        A = operator_from_matrix(2 * np.eye(2))
+        B = operator_from_matrix(np.eye(2))
         assert compare(A, B, []).verdict == "A>=B"
 
     def test_incomparable(self):
-        A = operator_from_matrix(np.diag([1.0, 4.0]), DP2)
-        B = operator_from_matrix(np.diag([4.0, 1.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 4.0]))
+        B = operator_from_matrix(np.diag([4.0, 1.0]))
         rep = compare(A, B, [])
         assert rep.verdict == "incomparable"
 
     def test_equal(self):
-        A = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
-        B = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
+        A = operator_from_matrix(np.diag([2.0, 3.0]))
+        B = operator_from_matrix(np.diag([2.0, 3.0]))
         assert compare(A, B, []).verdict == "equal"
 
     def test_scaling_monotonicity(self):
@@ -180,8 +179,8 @@ class TestCompare:
             n = int(rng.integers(1, 7))
             M = random_psd(rng, n) + 0.05 * np.eye(n)
             c = float(rng.uniform(1.0, 4.0))
-            A = operator_from_matrix(c * M, dense_pair(n))
-            B = operator_from_matrix(M, dense_pair(n))
+            A = operator_from_matrix(c * M)
+            B = operator_from_matrix(M)
             verdict = compare(A, B, []).verdict
             assert verdict in ("A>=B", "equal")
 
@@ -190,9 +189,9 @@ class TestCompare:
         for _ in range(15):
             n = int(rng.integers(2, 6))
             M = random_psd(rng, n) + 0.1 * np.eye(n)
-            A = operator_from_matrix(3.0 * M, dense_pair(n))
-            B = operator_from_matrix(2.0 * M, dense_pair(n))
-            C = operator_from_matrix(M, dense_pair(n))
+            A = operator_from_matrix(3.0 * M)
+            B = operator_from_matrix(2.0 * M)
+            C = operator_from_matrix(M)
             assert compare(A, B, []).verdict == "A>=B"
             assert compare(B, C, []).verdict == "B>=A" or compare(
                 B, C, []).verdict == "A>=B"
@@ -202,18 +201,35 @@ class TestCompare:
     def test_sequence_domain_inclusion_breaks_order(self):
         # dom J for diag(n^2) is smaller than for diag(1): the big operator
         # dominates pointwise yet y_n = 1/n certifies the domain gap
-        A = diagonal_operator(series.polynomial(2.0), SP, DOMAIN_FINITE)
-        B = diagonal_operator(series.constant(1.0), SP, DOMAIN_FINITE)
+        A = DiagonalOperator(series.polynomial(2.0), DOMAIN_FINITE)
+        B = DiagonalOperator(series.constant(1.0), DOMAIN_FINITE)
         y = Vector(series.polynomial(-1.0)(np.arange(1, 49)), "sequence",
                    tail=series.polynomial(-1.0))
         rep = compare(A, B, [y])
         assert rep.verdict == "A>=B"
         assert rep.domain_inclusion["domain_A_le_B"]
 
+    @pytest.mark.parametrize("backend", ["dense", "sequence"])
+    def test_indefinite_operand_is_refused(self, backend):
+        """compare and form_on_X pass every operand through the gate of
+        form_of_operator on both backends: diag(-1, 1, 2) is no positive
+        operator, nor is the diagonal n - 2."""
+        if backend == "dense":
+            A, I = (operator_from_matrix(M) for M in (np.diag([-1.0, 1.0, 2.0]), np.eye(3)))
+            e1 = Vector([1.0, 0.0, 0.0])
+        else:
+            A = DiagonalOperator(series.polynomial(1.0) + series.constant(-2.0))
+            I = DiagonalOperator(series.constant(1.0))
+            e1 = Vector([1.0, 0.0, 0.0], "sequence")
+        for construction in (lambda: compare(A, I, []), lambda: compare(I, A, []),
+                             lambda: form_on_X(A, e1)):
+            with pytest.raises(NotPositive):
+                construction()
+
 
 def seq_op(*terms):
-    return diagonal_operator(series.Rule(tuple(series.Term(*t) for t in terms)),
-                             SP, DOMAIN_FINITE)
+    return DiagonalOperator(series.Rule(tuple(series.Term(*t) for t in terms)),
+                             DOMAIN_FINITE)
 
 
 def witnesses(rep):
@@ -306,7 +322,7 @@ class TestDecidedOrder:
         rng = np.random.default_rng(5)
         U, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         d = rng.uniform(0.5, 3.0, 8)
-        A, B = (operator_from_matrix(0.5 * (M + M.conj().T), dense_pair(8))
+        A, B = (operator_from_matrix(0.5 * (M + M.conj().T))
                 for M in (U @ np.diag(d) @ U.conj().T,
                           U @ np.diag(d + np.repeat([1.0, -0.25], 4)) @ U.conj().T))
         first = witnesses(compare(A, B, []))
@@ -320,13 +336,13 @@ class TestDecidedOrder:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
-        A = operator_from_matrix(np.diag([1.0, 4.0, 2.0]), dense_pair(3))
-        B = operator_from_matrix(np.diag([4.0, 1.0, 2.0]), dense_pair(3))
+        A = operator_from_matrix(np.diag([1.0, 4.0, 2.0]))
+        B = operator_from_matrix(np.diag([4.0, 1.0, 2.0]))
         assert compare(A, B, []).verdict == "incomparable"
         assert len(calls) == 4
 
     def test_samples_off_the_operands_space(self):
-        A = operator_from_matrix(np.eye(2), DP2)
+        A = operator_from_matrix(np.eye(2))
         for y in (Vector(np.ones(2, dtype=complex), "sequence"),
                   Vector(np.ones(3, dtype=complex))):
             with pytest.raises(BackendMismatch):
@@ -339,7 +355,7 @@ class TestDecidedOrder:
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.random.default_rng called")
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        A = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
+        A = operator_from_matrix(np.diag([2.0, 3.0]))
         rep = compare(A, A, [vector([1, 1j], DP2)])
         assert antisymmetry_check(A, A, rep).passed
         assert compare(seq_op((1.0, 2.0)), seq_op((1.0,)), []).verdict == "A>=B"
@@ -360,7 +376,7 @@ def dense_kind(kind, rng, n, basis=None):
         return DenseOperator("to-dual", basis,
                              (W @ W.conj().T / n + 0.1 * np.eye(n)) @ basis)
     if kind == "kernel":
-        return operator_from_matrix(random_psd(rng, n, True), dense_pair(n))
+        return operator_from_matrix(random_psd(rng, n, True))
     return escaping_operator(rng, n)
 
 
@@ -530,10 +546,9 @@ def operator_kinds(rng, n):
     W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     hpd = W @ W.conj().T / n + 0.5 * np.eye(n)
     basis = rng.normal(size=(n, n - n // 3)) + 1j * rng.normal(size=(n, n - n // 3))
-    return {"hpd": operator_from_matrix(hpd, dense_pair(n)),
-            "psd-kernel": operator_from_matrix(random_psd(rng, n, True),
-                                               dense_pair(n)),
-            "restricted": restricted_operator(hpd, basis, dense_pair(n)),
+    return {"hpd": operator_from_matrix(hpd),
+            "psd-kernel": operator_from_matrix(random_psd(rng, n, True)),
+            "restricted": restricted_operator(hpd, basis),
             "escaping": escaping_operator(rng, n)}
 
 
@@ -574,7 +589,7 @@ class TestBatchedProbes:
     def test_jstar_coefficients_matrix_matches_columns(self):
         rng = np.random.default_rng(47)
         for n in (1, 5, 12):
-            A = operator_from_matrix(random_psd(rng, n, True), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n, True))
             fac = factorize(A)
             Y = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
             C = fac.jstar_coefficients(Y)
@@ -585,23 +600,23 @@ class TestBatchedProbes:
 
 class TestAntisymmetry:
     def test_equal_passes(self):
-        A = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
+        A = operator_from_matrix(np.diag([2.0, 3.0]))
         rep = compare(A, A, [])
         assert antisymmetry_check(A, A, rep).passed
 
     def test_change_of_basis(self):
         M = np.diag([2.0, 3.0])
-        A = operator_from_matrix(M, DP2)
+        A = operator_from_matrix(M)
         basis = np.array([[1.0, 1.0], [1.0, -1.0]])
-        B = restricted_operator(M, basis, DP2)
+        B = restricted_operator(M, basis)
         rep = compare(A, B, [])
         assert rep.verdict == "equal"
         chk = antisymmetry_check(A, B, rep)
         assert chk.passed
 
     def test_refuses_on_nonequal(self):
-        A = operator_from_matrix(np.diag([2.0, 3.0]), DP2)
-        B = operator_from_matrix(np.diag([2.0, 3.0 + 1e-6]), DP2)
+        A = operator_from_matrix(np.diag([2.0, 3.0]))
+        B = operator_from_matrix(np.diag([2.0, 3.0 + 1e-6]))
         rep = compare(A, B, [])
         assert rep.verdict != "equal"
         with pytest.raises(ValueError):
@@ -610,18 +625,18 @@ class TestAntisymmetry:
 
 class TestHilbertConsistency:
     def test_identity(self):
-        A = operator_from_matrix(np.eye(2), DP2)
+        A = operator_from_matrix(np.eye(2))
         ys = [vector([1, 0], DP2), vector([1, 1j], DP2)]
         rep = hilbert_consistency(A, ys, DP2)
         assert rep.passed
 
     def test_diag_explicit_root(self):
-        A = operator_from_matrix(np.diag([1.0, 4.0]), DP2)
+        A = operator_from_matrix(np.diag([1.0, 4.0]))
         rep = hilbert_consistency(A, [vector([1, 1], DP2)], DP2)
         assert rep.passed and rep.worst_residual <= 1e-10
 
     def test_offdiagonal_eigendecomposition(self):
-        A = operator_from_matrix([[2.0, 1.0], [1.0, 2.0]], DP2)
+        A = operator_from_matrix([[2.0, 1.0], [1.0, 2.0]])
         y = vector([1, 0], DP2)
         # (Ay, y) = 2 on e1
         assert form_on_X(A, y).value == pytest.approx(2.0, abs=1e-12)
@@ -631,7 +646,7 @@ class TestHilbertConsistency:
         rng = np.random.default_rng(43)
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            A = operator_from_matrix(random_psd(rng, n), dense_pair(n))
+            A = operator_from_matrix(random_psd(rng, n))
             y = Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             assert hilbert_consistency(A, [y], dense_pair(n)).passed
 
@@ -641,8 +656,8 @@ class TestHilbertConsistency:
             dp = dense_pair(n)
             basis = rng.normal(size=(n, max(1, n - 2))) + 1j * rng.normal(
                 size=(n, max(1, n - 2)))
-            for A in (operator_from_matrix(random_psd(rng, n, True), dp),
-                      restricted_operator(random_psd(rng, n), basis, dp)):
+            for A in (operator_from_matrix(random_psd(rng, n, True)),
+                      restricted_operator(random_psd(rng, n), basis)):
                 ys = [Vector(rng.normal(size=n) + 1j * rng.normal(size=n))
                       for _ in range(5)]
                 got = hilbert_consistency(A, ys, dp).worst_residual
@@ -653,7 +668,7 @@ class TestHilbertConsistency:
         # the Hermitian part diag(1, 0, 0) passes the positivity gate, but
         # the skew block makes the form infinite off the first axis
         dp = dense_pair(3)
-        A = operator_from_matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dp)
+        A = operator_from_matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
         inside, escaping = vector([2, 0, 0], dp), vector([1, 1, 0], dp)
         assert form_on_X(A, escaping).value == math.inf
         assert hilbert_consistency(A, [inside], dp).passed
