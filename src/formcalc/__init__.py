@@ -24,9 +24,9 @@ from .errors import (
     NotNormalized, NotPositive, SeriesDiverges, Uncertifiable,
 )
 from .forms import (
-    DiagonalForm, LowerBoundCertificate, RepresentationResult, SesquilinearForm,
-    associated_operator, form_from_gram, form_of_operator,
-    inverse_selfadjoint, lower_bound, riesz_solve,
+    ClosednessWitness, DiagonalForm, LowerBoundCertificate, RepresentationResult,
+    SesquilinearForm, associated_operator, form_from_gram, form_of_operator,
+    inverse_selfadjoint, is_closed, lower_bound, riesz_solve,
 )
 from .friedrichs import FriedrichsResult, core_check, friedrichs, in_extension_domain
 from .ordering import (
@@ -34,9 +34,8 @@ from .ordering import (
     compare, factorize, form_on_X, hilbert_consistency, in_dom_Jstar,
 )
 from .formsum import (
-    ClosednessWitness, CommutantLift, FormSumResult, commutation_formsum,
-    commuting_pair, form_sum, is_closed, joint_factorize, lift_commutant,
-    spectrum_inclusion,
+    CommutantLift, FormSumResult, commutation_formsum, commuting_pair, form_sum,
+    joint_factorize, lift_commutant, spectrum_inclusion,
 )
 from .covariance import (
     DiscreteProbabilitySpace, RandomVariable, SecondMomentDomain,

@@ -23,12 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import series
-from .duality import (
-    DOMAIN_MAXIMAL, FROM_DUAL, TO_DUAL, DiagonalOperator, DualityPair, Functional,
-    Operator, Vector,
-)
+from .duality import FROM_DUAL, TO_DUAL, DualityPair, Functional, Operator, Vector
 from .errors import BackendMismatch, NotNormalized, Uncertifiable
-from .forms import DiagonalForm, associated_operator, form_from_gram
+from .forms import DiagonalForm, form_from_gram
 from .formsum import form_sum
 from .linalg import relative_error
 
@@ -280,14 +277,12 @@ def covariance_form(xi: RandomVariable, basis: list[Functional] | None = None):
 def covariance_operator(xi: RandomVariable) -> Operator:
     """Representing operator of the covariance form, mapping X* to X.
 
-    Requires a certified positive lower bound on the coordinate basis; at
-    gamma = 0 :func:`associated_operator` refuses it (the Hilbert-space
-    fallback at lower bound zero is out of scope here).
+    A dense form needs a certified positive lower bound on the coordinate
+    basis; at gamma = 0 :func:`associated_operator` refuses it (the
+    Hilbert-space fallback at lower bound zero is out of scope here).
     """
-    t = covariance_form(xi)
-    if isinstance(t, DiagonalForm):
-        return DiagonalOperator(t.diagonal, DOMAIN_MAXIMAL, FROM_DUAL)
-    return replace(associated_operator(t, xi.codomain.dual()).A, direction=FROM_DUAL)
+    A, _ = covariance_form(xi)._represent(xi.codomain.dual())
+    return replace(A, direction=FROM_DUAL)
 
 
 def centered(xi: RandomVariable) -> RandomVariable:

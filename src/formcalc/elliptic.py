@@ -34,7 +34,7 @@ from .duality import TO_DUAL, DenseOperator, Vector
 from .errors import DomainError, NotPositive
 from .forms import LowerBoundCertificate, SesquilinearForm, form_from_gram
 from .linalg import generalized_eigvalsh
-from .ordering import OrderingReport, ProbeRecord, _form_columns
+from .ordering import OrderingReport, ProbeRecord
 
 # 4-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
 # numpy.polynomial.legendre.leggauss(4), which is not loaded for them.  In
@@ -381,8 +381,8 @@ def dirichlet_vs_neumann(prob: EllipticProblem, mesh: Mesh1D) -> OrderingReport:
     probes = smooth_probe_set(mesh)
     labels = [label for label, _ in probes]
     Y = np.column_stack([y.coords for _, y in probes])
-    values_d = _form_columns(A_d, Y)[0].tolist()
-    values_n = _form_columns(A_n, Y)[0].tolist()
+    values_d = A_d._form_columns(Y)[0].tolist()
+    values_n = A_n._form_columns(Y)[0].tolist()
     records = tuple(map(ProbeRecord, labels, values_d, values_n))
     ok = all(math.isinf(u) or not math.isinf(v) and u >= v - 1e-9 * max(abs(u), abs(v), 1.0)
              for u, v in zip(values_d, values_n))

@@ -10,7 +10,10 @@ equivalence-scaled bound otherwise.
 
 Each backend has its own form class: :class:`SesquilinearForm`, a gram
 on a dense domain basis, and :class:`DiagonalForm`, a weight generator
-on the sequence backend.  The representation route is dense-only.
+on the sequence backend.  Each implements the form primitives: a
+certified lower bound, closedness, the sum with a second form, and the
+operator the form represents.  The Friedrichs extension, the form sum
+and the covariance operator are each that one representation step.
 
 The space gives a construction its exponent ``p``, the form its size n:
 norm equivalences are taken on the form's own n coordinates.
@@ -25,11 +28,11 @@ import numpy as np
 
 from . import series
 from .duality import (
-    DENSE, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator, DiagonalOperator,
-    DualityPair, Functional, Operator, Vector, _Basis, _factor_basis,
-    _require_dense, _require_finite, adjoint, operator_norm,
+    DENSE, DOMAIN_MAXIMAL, FROM_DUAL, SEQUENCE, TO_DUAL, DenseOperator,
+    DiagonalOperator, DualityPair, Functional, Operator, Vector, _Basis,
+    _factor_basis, _require_dense, _require_finite, adjoint, operator_norm,
 )
-from .errors import LowerBoundError, NotPositive, Uncertifiable
+from .errors import DomainError, LowerBoundError, NotPositive, Uncertifiable
 from .linalg import (
     hermitian_eigvalsh, hermitian_residual, is_hermitian, relative_residual,
 )
@@ -113,6 +116,50 @@ class SesquilinearForm:
         W = basis.Vh / s[:, None]
         return hermitian_eigvalsh(W @ np.conj(self.gram) @ W.conj().T)
 
+    def _lower_bound(self, dp: DualityPair) -> LowerBoundCertificate:
+        """The smallest eigenvalue of the form gram against the Euclidean
+        gram of the domain basis, through the SVD shared with its operator;
+        for p != 2 scaled by the norm equivalence on n coordinates."""
+        # the pencil (conj(G), B^H B) as a standard eigenproblem; it has the
+        # inertia of conj(G), which the constructor decided, so a negative
+        # value is rounding
+        gamma2 = max(float(self._spectrum[0]), 0.0)
+        if dp.p == 2.0:
+            return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
+        # ||x||_2^2 >= kappa ||x||_p^2 on n coordinates: 1 for p >= 2, where
+        # ||x||_p <= ||x||_2, and n^(1 - 2/p) below
+        kappa = float(self.n) ** (-2.0 * max(0.0, 1.0 / dp.p - 0.5))
+        gamma_p = gamma2 * kappa
+        return LowerBoundCertificate(gamma_p, "equivalence-scaled",
+                                     slack=gamma2 - gamma_p,
+                                     detail={"p": dp.p, "kappa": kappa,
+                                             "gamma_p2": gamma2})
+
+    def _is_closed(self, runs: list[Vector] | None, dp: DualityPair) -> ClosednessWitness:
+        """Automatic with gamma > 0: the graph norm is complete in C^n."""
+        if lower_bound(self, dp).gamma <= 0:
+            raise LowerBoundError("automatic closedness needs gamma > 0")
+        return ClosednessWitness(CLOSED_AUTOMATIC)
+
+    def _plus(self, other: SesquilinearForm, dp: DualityPair) -> SesquilinearForm:
+        """t_A + t_B on dom J_A* (all of X here) intersected with dom t_B,
+        for A with gamma > 0 on all of X and t_B closed: t_A is read through
+        the coefficients of t_B's basis in A's."""
+        if lower_bound(self, dp).gamma <= 0:
+            raise LowerBoundError("form sum needs a positive lower bound on A")
+        if self.d < self.n:
+            raise DomainError("A must be effectively everywhere defined "
+                              "(its closure carries the representation)")
+        is_closed(other, None, dp)
+        C = self._basis.coefficients(other.basis_mat)
+        return SesquilinearForm(other._basis, C.T @ self.gram @ np.conj(C) + other.gram)
+
+    def _represent(self, dp: DualityPair) -> tuple:
+        """(A, certify): :func:`associated_operator` certifies gamma > 0
+        before it builds A; ``certify`` returns that certificate."""
+        rep = associated_operator(self, dp)
+        return rep.A, lambda: rep.lower_certificate
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalForm:
@@ -129,6 +176,7 @@ class DiagonalForm:
 
     backend = SEQUENCE
     negativity = 0.0
+    symmetric = True
 
     diagonal: series.Rule
 
@@ -143,6 +191,52 @@ class DiagonalForm:
         k = series.first_below(a, np.zeros(N), sign)
         if k is not None:
             raise NotPositive(f"sequence form weight a_{k + 1} = {a[k]:.3e} is negative")
+
+    def _lower_bound(self, dp: DualityPair) -> LowerBoundCertificate:
+        """inf a_n for p >= 2, where ||x||_p <= ||x||_2 and the basis vectors
+        attain it; below p = 2 it overstates gamma."""
+        if dp.p < 2.0:
+            raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
+                                "certified (inf a_n overstates it)")
+        return LowerBoundCertificate(series.rule_lower_bound(self.diagonal),
+                                     "exact-p2" if dp.p == 2.0 else "exact-inf",
+                                     detail={"p": dp.p})
+
+    def _is_closed(self, runs: list[Vector] | None, dp: DualityPair) -> ClosednessWitness:
+        """Each supplied run is a generator-ruled limit vector; its
+        truncations must be Cauchy in the form with certified contracting
+        tails, and a run whose tails fail to contract is rejected.  With no
+        runs the witness is the form itself: a diagonal form, whose weights
+        are nonnegative once it exists, is closed on its maximal domain by
+        Fatou's lemma."""
+        if not runs:
+            return ClosednessWitness(CLOSED_DIAGONAL)
+        records = []
+        for x in runs:
+            if x.tail is None:
+                records.append(RunRecord(()))
+                continue
+            weight = self.diagonal * x.tail.abs_square()
+            ok, _ = series.decide_summable(weight)
+            if not ok:
+                raise DomainError(
+                    "run is not form-Cauchy: its truncation tails diverge")
+            tails = [series.tail_bound(weight, 2 ** k) for k in range(2, 13)]
+            contraction = tuple(tails[i + 1] / tails[i]
+                                for i in range(len(tails) - 1) if tails[i] > 0)
+            if any(r >= 1.0 for r in contraction[-10:]):
+                raise DomainError("form-Cauchy tails do not contract")
+            records.append(RunRecord(contraction))
+        return ClosednessWitness(CLOSED_SEQUENTIAL, tuple(records))
+
+    def _plus(self, other: DiagonalForm, dp: DualityPair) -> DiagonalForm:
+        """The summed weights, valid at gamma = 0 (covariance rules decay)."""
+        return DiagonalForm(self.diagonal + other.diagonal)
+
+    def _represent(self, dp: DualityPair) -> tuple:
+        """(A, certify): the generator on its graph domain needs no lower
+        bound, so ``certify`` computes inf a_n only when called."""
+        return DiagonalOperator(self.diagonal, DOMAIN_MAXIMAL), lambda: lower_bound(self, dp)
 
 
 #: a form on either backend
@@ -164,6 +258,28 @@ def form_of_operator(A: Operator) -> Form:
     t = SesquilinearForm(A._basis, A.form_gram(), symmetric=False)
     object.__setattr__(t, "symmetric", is_hermitian(t.gram))
     return t
+
+
+CLOSED_AUTOMATIC = "lower-bound-automatic"
+CLOSED_SEQUENTIAL = "sequential"
+CLOSED_DIAGONAL = "diagonal-fatou"
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    contraction: tuple[float, ...]    # ratios of certified tails t(x - x_k, x - x_k)
+
+
+@dataclass(frozen=True, eq=False)
+class ClosednessWitness:
+    kind: str                         # one of the CLOSED_* kinds
+    runs: tuple[RunRecord, ...] = ()
+
+
+def is_closed(t: Form, runs: list[Vector] | None,
+              dp: DualityPair) -> ClosednessWitness:
+    """Closedness certificate for a positive form, from its ``_is_closed``."""
+    return t._is_closed(runs, dp)
 
 
 @dataclass(frozen=True)
@@ -193,46 +309,10 @@ class LowerBoundCertificate:
             raise ValueError(f"{self.kind} certificates require p = 2")
 
 
-def equivalence_factor(n: int, p: float) -> float:
-    """kappa with ||x||_2^2 >= kappa ||x||_p^2 on n coordinates: 1 for
-    p >= 2, where ||x||_p <= ||x||_2, and n^(1 - 2/p) below."""
-    return float(n) ** (-2.0 * max(0.0, 1.0 / p - 0.5))
-
-
 def lower_bound(t: Form, dp: DualityPair) -> LowerBoundCertificate:
-    """Certified gamma with t(x,x) >= gamma ||x||_p^2.
-
-    p = 2: smallest eigenvalue of the form gram against the Euclidean
-    gram of the domain basis, exact, reduced to a standard eigenproblem
-    through the SVD of the basis.  That SVD is the one the form shares
-    with its operator, taken at most once per basis and not at all for
-    the identity, whose reduced problem is the gram itself.  p != 2: the
-    p = 2 value scaled by the certified norm-equivalence factor on the
-    form's n ambient coordinates, which is 1 above p = 2.
-
-    Sequence diagonals: inf a_n for p >= 2, where ||x||_p <= ||x||_2 and
-    the basis vectors attain it; below p = 2 it overstates gamma, which
-    is then uncertified.
-    """
-    if isinstance(t, DiagonalForm):
-        if dp.p < 2.0:
-            raise Uncertifiable(f"diagonal lower bound at p = {dp.p} < 2 is not "
-                                "certified (inf a_n overstates it)")
-        return LowerBoundCertificate(series.rule_lower_bound(t.diagonal),
-                                     "exact-p2" if dp.p == 2.0 else "exact-inf",
-                                     detail={"p": dp.p})
-    # the pencil (conj(G), B^H B) as a standard eigenproblem; it has the
-    # inertia of conj(G), which the constructor decided, so a negative
-    # value is rounding
-    gamma2 = max(float(t._spectrum[0]), 0.0)
-    if dp.p == 2.0:
-        return LowerBoundCertificate(gamma2, "exact-p2", detail={"p": 2.0})
-    kappa = equivalence_factor(t.n, dp.p)
-    gamma_p = gamma2 * kappa
-    return LowerBoundCertificate(gamma_p, "equivalence-scaled",
-                                 slack=gamma2 - gamma_p,
-                                 detail={"p": dp.p, "kappa": kappa,
-                                         "gamma_p2": gamma2})
+    """Certified gamma with t(x,x) >= gamma ||x||_p^2, from the form's
+    ``_lower_bound``."""
+    return t._lower_bound(dp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,34 +330,21 @@ class RepresentationResult:
         return self.residuals["b_norm"]
 
 
-def _solve_chol(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs through H = L L^H, reading the upper triangle of H."""
-    L = np.linalg.cholesky(H.conj().T)
-    return np.linalg.solve(L.conj().T, np.linalg.solve(L, rhs))
-
-
-def riesz_coefficients(t: SesquilinearForm, v_coords: np.ndarray) -> np.ndarray:
-    """Coefficients of f with (v, x) = [f, x] for all x in the domain."""
-    B = t.basis_mat
-    rhs = B.conj().T @ v_coords
-    Gt = t.gram.T.copy()
-    return _solve_chol(Gt, rhs)
-
-
 def riesz_solve(t: SesquilinearForm, v: Functional, dp: DualityPair) -> Vector:
-    """The Riesz representer f of (v, .) inside the form domain."""
+    """The Riesz representer f of (v, .) inside the form domain: its
+    coefficients c solve G^T c = B^H v through G^T = L L^H."""
     _require_dense("the riesz solve", t)
     cert = lower_bound(t, dp)
     if cert.gamma <= 0:
         raise LowerBoundError("riesz solve needs a positive lower bound")
-    coef = riesz_coefficients(t, v.coords)
-    f = t.basis_mat @ coef
     # defining identity on the basis: (v, b_j) = [f, b_j] for every j
     lhs = t.basis_mat.conj().T @ v.coords
+    L = np.linalg.cholesky(np.conj(t.gram))
+    coef = np.linalg.solve(L.conj().T, np.linalg.solve(L, lhs))
     rhs = t.gram.T @ coef
     if np.any(np.abs(lhs - rhs) > 1e-10 * np.maximum(1.0, np.abs(lhs))):
         raise ArithmeticError("riesz identity violated beyond tolerance")
-    return Vector(f, DENSE)
+    return Vector(t.basis_mat @ coef, DENSE)
 
 
 def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationResult:
@@ -321,7 +388,10 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
     ba_res = relative_residual(operator_norm(R @ M_A @ P - P), [scale])
     sa_res = relative_residual(operator_norm(P @ M_A - (P @ M_A).conj().T),
                                [norm_a, 1.0])
-    bnorm = _b_operator_norm(norm_r, t.n, dp)
+    # ||B|| as a map (X*, q) -> (X, p), a certified over-estimate through
+    # ||.||_p <= n^a ||.||_2 and ||.||_2 <= n^b ||.||_q, exact at p = 2
+    bnorm = (norm_r * t.n ** max(0.0, 1.0 / dp.p - 0.5)
+             * t.n ** max(0.0, 0.5 - 1.0 / dp.q))
     residuals = {
         "ab_identity": ab_res,
         "ba_identity": ba_res,
@@ -336,17 +406,6 @@ def associated_operator(t: SesquilinearForm, dp: DualityPair) -> RepresentationR
         raise ArithmeticError(
             f"||B|| = {bnorm:.12g} exceeds 1/gamma = {1.0 / cert.gamma:.12g}")
     return RepresentationResult(A, Bop, cert.gamma, cert, residuals)
-
-
-def _b_operator_norm(s: float, n: int, dp: DualityPair) -> float:
-    """Norm of B as a map (X*, q) -> (X, p) on n coordinates from its
-    spectral norm s: s itself for p = 2, a certified over-estimate
-    through norm equivalence otherwise."""
-    if dp.p == 2.0:
-        return s
-    kappa_out = n ** max(0.0, 1.0 / dp.p - 0.5)   # ||.||_p <= k ||.||_2
-    kappa_in = n ** max(0.0, 0.5 - 1.0 / dp.q)    # ||.||_2 <= k ||.||_q
-    return s * kappa_out * kappa_in
 
 
 def inverse_selfadjoint(B: DenseOperator) -> DenseOperator:

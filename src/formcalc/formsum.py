@@ -7,6 +7,8 @@ J : H_A (+) H_B -> X*, J(Ax (+) By) = Ax + By, satisfies J** J* equal to
 the form sum and extends A + B; both facts are verified numerically on
 every construction.
 
+The form sum is written once on the primitives of the operands'
+backend: the sum of the forms, the operator it represents, its check.
 The dense form sum factorizes nothing: A is everywhere defined, so
 dom J_A* = X and t_A is the form of A, read on the basis of dom t_B.
 The joint factor factorizes each operand once; the resolvent lifts of
@@ -33,76 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
 from .duality import (
-    DOMAIN_MAXIMAL, ENDO, DenseOperator, DiagonalOperator, DualityPair, Operator,
-    Vector, _require_dense, operator_from_matrix, operator_norm,
+    ENDO, DenseOperator, DualityPair, Operator, _require_dense,
+    operator_from_matrix, operator_norm,
 )
-from .errors import BackendMismatch, DomainError, LowerBoundError, NotPositive
-from .forms import (
-    DiagonalForm, Form, SesquilinearForm, associated_operator, form_of_operator,
-    lower_bound,
-)
-from .linalg import gram_quadratic, hermitian_norm, relative_residual
+from .errors import BackendMismatch, DomainError, NotPositive
+from .forms import form_of_operator
+from .linalg import gram_quadratic, hermitian_norm, max_column_norm, relative_residual
 from .ordering import FactorizationResult, factorize
-
-
-# ---------------------------------------------------------------------------
-# closedness in the general sense
-
-CLOSED_AUTOMATIC = "lower-bound-automatic"
-CLOSED_SEQUENTIAL = "sequential"
-CLOSED_DIAGONAL = "diagonal-fatou"
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    contraction: tuple[float, ...]    # ratios of certified tails t(x - x_k, x - x_k)
-
-
-@dataclass(frozen=True, eq=False)
-class ClosednessWitness:
-    kind: str                         # one of the CLOSED_* kinds
-    runs: tuple[RunRecord, ...] = ()
-
-
-def is_closed(t: Form, runs: list[Vector] | None,
-              dp: DualityPair) -> ClosednessWitness:
-    """Closedness certificate for a positive form.
-
-    Dense backend with positive lower bound: automatic (the graph norm is
-    complete in finite dimension).  Sequence backend: each supplied run
-    is a generator-ruled limit vector; its truncations must be Cauchy in
-    the form with certified contracting tails and the limit must satisfy
-    the domain rule.  A run whose tails fail to contract is rejected.
-    With no runs the witness is the form itself: a diagonal form, whose
-    weights are nonnegative once it exists, is closed on its maximal
-    domain by Fatou's lemma.
-    """
-    if not isinstance(t, DiagonalForm):
-        cert = lower_bound(t, dp)
-        if cert.gamma <= 0:
-            raise LowerBoundError("automatic closedness needs gamma > 0")
-        return ClosednessWitness(CLOSED_AUTOMATIC)
-    if not runs:
-        return ClosednessWitness(CLOSED_DIAGONAL)
-    records = []
-    for x in runs:
-        if x.tail is None:
-            records.append(RunRecord(()))
-            continue
-        weight = t.diagonal * x.tail.abs_square()
-        ok, _ = series.decide_summable(weight)
-        if not ok:
-            raise DomainError(
-                "run is not form-Cauchy: its truncation tails diverge")
-        tails = [series.tail_bound(weight, 2 ** k) for k in range(2, 13)]
-        contraction = tuple(tails[i + 1] / tails[i]
-                            for i in range(len(tails) - 1) if tails[i] > 0)
-        if any(r >= 1.0 for r in contraction[-10:]):
-            raise DomainError("form-Cauchy tails do not contract")
-        records.append(RunRecord(contraction))
-    return ClosednessWitness(CLOSED_SEQUENTIAL, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -117,70 +57,20 @@ class FormSumResult:
     collapse_exact: bool               # full domains: A (+) B == A + B
 
 
-def _max_column_norm(M: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
-
-
 def form_sum(A: Operator, B: Operator, dp: DualityPair) -> FormSumResult:
-    """The operator representing t_A + t_B.
-
-    Dense backend: requires gamma_A > 0 with A effectively everywhere
-    defined, B associated to a closed positive form on its span; the sum
-    form lives on dom t_B and the representation theorem applies.  With
-    both domains full the result collapses to the exact matrix sum.
-    Sequence backend: diagonal rules add, the domain rule is the graph
-    rule of the summed generator.
-    """
+    """The operator representing t_A + t_B: the sum of the two forms
+    (``_plus``), the operator it represents, and its check against A + B
+    (``_sum_residuals``).  On the dense backend the sum form lives on
+    dom t_B and collapses to the matrix sum on full domains; on the
+    sequence backend the rules add on the summed generator's graph."""
     if A.backend != B.backend:
         raise BackendMismatch("operands on different backends")
     t_a, t_b = form_of_operator(A), form_of_operator(B)
-    if isinstance(A, DiagonalOperator):
-        # diagonal generators: the summed form is closed coefficientwise and
-        # the construction stays valid when the lower bound degenerates to 0
-        # (covariance rules decay), so only positivity is demanded here
-        rule = A.diagonal + B.diagonal
-        cert = lower_bound(DiagonalForm(rule), dp)
-        AB = DiagonalOperator(rule, DOMAIN_MAXIMAL)
-        # density of H_{A,B}: every finitely supported vector passes both
-        # membership tests (finite sums are always certified)
-        ns = np.arange(1, 9)
-        if not (np.all(np.isfinite(np.real(A.diagonal(ns)))) and
-                np.all(np.isfinite(np.real(B.diagonal(ns))))):
-            raise DomainError("density check failed on finitely supported probes")
-        return FormSumResult(AB, cert.gamma, 0.0, False)
     if not (t_a.symmetric and t_b.symmetric):
         raise NotPositive("operator form is not symmetric")
-    if lower_bound(t_a, dp).gamma <= 0:
-        raise LowerBoundError("form sum needs a positive lower bound on A")
-    if not A.is_full_domain():
-        raise DomainError("A must be effectively everywhere defined "
-                          "(its closure carries the representation)")
-    is_closed(t_b, None, dp)
-    # H_{A,B} = dom J_A* (everything here) intersected with dom t_B
-    C = B.basis_mat
-    # t_A(u, v) = (Au, v) on all of X, read through the coefficients of
-    # B's basis in A's
-    Cc = A.coefficients_of(C)
-    G_sum = Cc.T @ t_a.gram @ np.conj(Cc) + t_b.gram
-    # the sum form lives on B's factored basis
-    t_sum = SesquilinearForm(t_b._basis, G_sum)
-    rep = associated_operator(t_sum, dp)
-    AB = rep.A
-    # extension of A + B on dom A intersect dom B = dom t_B here, the
-    # functionals compared by their restriction to dom t_B
-    M_AB = AB.canonical_matrix()
-    M_sum = A.canonical_matrix() + B.canonical_matrix()
-    scale = max(hermitian_norm(M_sum), 1.0)
-    worst = _max_column_norm(B.effective_projector() @ (M_AB @ C - M_sum @ C)) / scale
-    collapse = bool(A.is_full_domain() and B.is_full_domain())
-    if collapse:
-        exact = float(operator_norm(M_AB - M_sum)) / scale
-        if exact > 1e-12:
-            raise ArithmeticError(
-                f"everywhere-defined collapse violated (residual {exact:.3e})")
-    if worst > 1e-10:
-        raise ArithmeticError(f"form sum fails to extend A + B ({worst:.3e})")
-    return FormSumResult(AB, rep.gamma, worst, collapse)
+    AB, certify = t_a._plus(t_b, dp)._represent(dp)
+    gamma = certify().gamma
+    return FormSumResult(AB, gamma, *AB._sum_residuals(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +106,12 @@ def joint_factorize(A: DenseOperator, B: DenseOperator,
     AZ = fac_a.operator.action_mat[:, fac_a.pivots] @ Ca
     BZ = fac_b.operator.action_mat[:, fac_b.pivots] @ Cb
     # Z spans dom t_B and form_sum required dom A = X, so A and B apply
-    jstar_res = max(_max_column_norm(AZ - A.apply(Z)),
-                    _max_column_norm(BZ - B.apply(Z))) / scale
+    jstar_res = max(max_column_norm(AZ - A.apply(Z)),
+                    max_column_norm(BZ - B.apply(Z))) / scale
     # J** J* z = Az + Bz extends A + B and equals the form sum, as
     # functionals restricted to dom t_B
     MZ = M_AB @ Z
-    comp_res = _max_column_norm(B.effective_projector() @ (AZ + BZ - MZ)) / scale
+    comp_res = max_column_norm(B.effective_projector() @ (AZ + BZ - MZ)) / scale
     # the energy identity [J* y, J* z] = ((A (+) B) y, z) on every pair of
     # basis vectors, entry (y, z) of each side
     lhs = Ca.T @ fac_a.gram @ np.conj(Ca) + Cb.T @ fac_b.gram @ np.conj(Cb)
@@ -254,7 +144,7 @@ def _eq7_residual(A: DenseOperator, E_mat: np.ndarray) -> float:
         rhs = A.apply(E_mat @ A.basis_mat)
     except DomainError:
         return math.inf
-    return relative_residual(_max_column_norm(lhs - rhs), [
+    return relative_residual(max_column_norm(lhs - rhs), [
         max(float(A.action_singular_values()[0]), 1.0) * np.linalg.norm(E_mat)])
 
 
@@ -351,7 +241,7 @@ def commutation_formsum(A: DenseOperator, B: DenseOperator, E: DenseOperator,
     fac_a, fac_b = lift_a.factorization, lift_b.factorization
     Pa = fac_a.operator.action_mat[:, fac_a.pivots]
     Pb = fac_b.operator.action_mat[:, fac_b.pivots]
-    res_j = _max_column_norm(np.hstack([E_H @ Pa - Pa @ lift_a.E_hat,
+    res_j = max_column_norm(np.hstack([E_H @ Pa - Pa @ lift_a.E_hat,
                                         E_H @ Pb - Pb @ lift_b.E_hat])) / scale
     # ... and (E^_A (+) E^_B) J* = J* E on the standard basis of X,
     # compared in H_A / H_B energy norms

@@ -122,6 +122,11 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def max_column_norm(M: np.ndarray) -> float:
+    """The largest Euclidean norm of a column of M, 0.0 for no columns."""
+    return float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
+
+
 def relative_error(got, want) -> float:
     """Relative Frobenius error ||got - want|| / max(1, ||want||) of a
     computed array, or scalar, against the one expected."""

@@ -9,6 +9,7 @@ numbers, grams row-major, generators as tagged term lists.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -265,22 +266,37 @@ def json_choice(obj, key: str, values: tuple, default=_REQUIRED):
     return v
 
 
+def json_number(obj, key: str, default=_REQUIRED, low: float = -math.inf,
+                high: float = math.inf, must: str = "be finite") -> float:
+    """``json_field(obj, key, float, default)``, a number strictly between
+    ``low`` and ``high``: any other, NaN included, raises
+    :class:`MalformedOperand` saying that it ``must``."""
+    v = json_field(obj, key, float, default)
+    if not low < v < high:
+        raise MalformedOperand(f"{key!r} must {must}, got {v!r}")
+    return v
+
+
 def rule_from_json(obj) -> series.Rule:
-    return series.Rule(tuple(
-        series.Term(complex_from_json(json_field(t, "coef", object)),
-                    json_field(t, "alpha", float, 0.0),
-                    json_field(t, "ratio", float, 1.0),
-                    json_field(t, "start", int, 1))
-        for t in json_field(obj, "terms", list)))
+    """A rule whose terms are checked where they are read: ``coef`` and
+    ``alpha`` finite, ``ratio`` finite and positive, ``start`` at least 1."""
+    terms = []
+    for t in json_field(obj, "terms", list):
+        coef = complex_from_json(json_field(t, "coef", object))
+        if not cmath.isfinite(coef):
+            raise MalformedOperand(f"'coef' must be finite, got {coef!r}")
+        terms.append(series.Term(coef, json_number(t, "alpha", 0.0),
+                                 json_number(t, "ratio", 1.0, 0.0,
+                                             must="be finite and positive"),
+                                 json_size(t, "start", default=1)))
+    return series.Rule(tuple(terms))
 
 
 def pair_from_json(obj) -> DualityPair:
     """A duality pair whose sizes are checked here: ``p`` in (1, inf), a
     ``dim`` of at least 1, and a ``truncation`` from 1 to the term cap of
     :mod:`formcalc.series`, past which no certificate looks."""
-    p = json_field(obj, "p", float, 2.0)
-    if not 1.0 < p < math.inf:
-        raise MalformedOperand(f"'p' must lie in (1, inf), got {p!r}")
+    p = json_number(obj, "p", 2.0, 1.0, must="lie in (1, inf)")
     if json_choice(obj, "backend", (DENSE, SEQUENCE)) == DENSE:
         return dense_pair(json_size(obj, "dim"), p)
     return sequence_pair(json_size(obj, "truncation", 1, series._MAX_TERMS), p)

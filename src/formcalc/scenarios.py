@@ -48,7 +48,7 @@ from .ordering import antisymmetry_check, compare, factorize, form_on_X, hilbert
 from .reporting import (
     MalformedOperand, Report, _run_check, array_from_json, complex_from_json,
     expression_from_json, functional_from_json, gram_csv_rows, json_choice,
-    json_field, json_size, matrix_from_json, operator_from_json, pair_from_json,
+    json_field, json_number, json_size, matrix_from_json, operator_from_json, pair_from_json,
     real_array_from_json, rule_from_json, vector_from_json,
 )
 
@@ -83,10 +83,8 @@ def _variable_from_json(obj, space, dp):
 
 
 def _problem_from_json(obj):
-    length = json_field(obj, "length", float, 1.0)
-    if not 0.0 < length < math.inf:
-        raise MalformedOperand(f"'length' must be finite and positive, got {length!r}")
-    return EllipticProblem(length,
+    return EllipticProblem(json_number(obj, "length", 1.0, 0.0,
+                                       must="be finite and positive"),
                            expression_from_json(obj, "a"), expression_from_json(obj, "b"),
                            json_field(obj, "gamma", float), json_field(obj, "p", float, 2.0))
 

@@ -26,10 +26,10 @@ from formcalc.elliptic import (
     convergence_table, dirichlet_vs_neumann, discrete_poincare, problem,
     uniform_mesh, weak_solve,
 )
-from formcalc.forms import associated_operator, form_from_gram
+from formcalc.forms import associated_operator, form_from_gram, is_closed
 from formcalc.formsum import (
-    commutation_formsum, commuting_pair, is_closed, joint_factorize,
-    lift_commutant, spectrum_inclusion,
+    commutation_formsum, commuting_pair, joint_factorize, lift_commutant,
+    spectrum_inclusion,
 )
 from formcalc.friedrichs import friedrichs, in_extension_domain
 from formcalc.ordering import (

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from formcalc.covariance import covariance_form
 from formcalc.errors import (
     DomainError, LowerBoundError, NotEqual, NotNormalized, NotPositive, Uncertifiable,
 )
-from formcalc.reporting import CLAIM_TAGS, array_from_json, make_report, matrix_from_json
+from formcalc.reporting import (
+    CLAIM_TAGS, MalformedOperand, array_from_json, make_report, matrix_from_json,
+)
 from formcalc.scenarios import OPERATIONS, MissingOperand, _variable, judge, run_scenario
 from formcalc.suites import SUITE_NAMES, _run_checks, friedrichs_suite, run_suite
 
@@ -126,16 +129,16 @@ class TestScenarioDispatch:
         assert rep.verdict == "fail"
 
     def test_form_on_x_nan_alpha_rejected(self):
-        rep = run_scenario({
-            "id": "form-nan", "op": "form-on-x",
-            "A": {"backend": "sequence", "direction": "to-dual",
-                  "diagonal": {"terms": [{"coef": [1, 0], "alpha": math.nan,
-                                          "ratio": 1.0, "start": 1}]},
-                  "domain": "finitely-supported"},
-            "y": {"backend": "sequence", "coords": [[1.0, 0.0]] * 8},
-        })
-        assert rep.verdict == "fail"
-        assert rep.details["error"].startswith("ValueError")
+        # a term outside the domain of series.Term is malformed input
+        with pytest.raises(MalformedOperand, match="'alpha' must be finite, got nan"):
+            run_scenario({
+                "id": "form-nan", "op": "form-on-x",
+                "A": {"backend": "sequence", "direction": "to-dual",
+                      "diagonal": {"terms": [{"coef": [1, 0], "alpha": math.nan,
+                                              "ratio": 1.0, "start": 1}]},
+                      "domain": "finitely-supported"},
+                "y": {"backend": "sequence", "coords": [[1.0, 0.0]] * 8},
+            })
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_matrix_rejected_where_it_enters(self, bad):
@@ -539,9 +542,8 @@ EXPECTED_OPERANDS = [
     ("pair", {"space": {"backend": "dense", "dim": 3}, "v": {"coords": [1, 2]},
               "x": {"coords": [1, 1]}}, {"expected": "abc"}),
     ("norm", {"p": 0.5, "x": {"coords": [3, 4]}}, {"expected": "abc"}),
-    ("is-extension", {"S": {"backend": "sequence",
-                            "diagonal": {"terms": [{"coef": 1.0, "alpha": math.nan}]}},
-                      "T": NEGATIVE_RULE}, {"expected": "false"}),
+    ("is-extension", {"S": op_json([[1, 0], [0, math.nan]]), "T": NEGATIVE_RULE},
+     {"expected": "false"}),
     ("lower-bound", {"space": DENSE2, "gram": INDEFINITE}, {"expected_gamma": "abc"}),
     ("associated-operator", {"space": DENSE2, "gram": INDEFINITE},
      {"expected_matrix": "abc"}),
@@ -688,10 +690,24 @@ class TestInputChecks:
             "space_pair": {"backend": "sequence", "truncation": 8},
             "probability": {"kind": "exponential", "beta": True},
             "variable": {"kind": "exp-poly"}}),
+        # a rule term outside the domain of series.Term
+        ("ratio", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "ratio": -1.0}]}}),
+        ("ratio", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "ratio": 0.0}]}}),
+        ("start", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "start": 0}]}}),
+        ("alpha", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "alpha": math.nan}]}}),
+        ("alpha", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "alpha": 1e400}]}}),
+        ("coef", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": [1.0, math.inf]}]}}),
     ], ids=["p-zero", "dim-zero", "truncation-zero", "truncation-past-term-cap",
             "m-zero", "m-past-cap", "length-zero", "length-infinite", "dense-tail",
             "dim-true", "truncation-true", "start-true", "length-true", "gamma-true",
-            "beta-true"])
+            "beta-true", "ratio-negative", "ratio-zero", "start-zero", "alpha-nan",
+            "alpha-1e400", "coef-infinite"])
     def test_size_out_of_range_exits_four(self, tmp_path, capsys, key, op, operands):
         """A size is checked where the wire reader reads it: out of range
         it is malformed input, not a failed claim or a traceback."""
@@ -891,6 +907,23 @@ class TestSuiteFanOut:
         for name in ("summary.json", "convergence.csv"):
             assert (tmp_path / "2" / name).read_bytes() == \
                 (tmp_path / "1" / name).read_bytes(), name
+
+    def test_longest_battery_first_reports_in_battery_order(self, monkeypatch):
+        # a pool takes the batteries in the order map is handed them; the
+        # reports keep SUITE_NAMES order whatever that order is
+        for name in SUITE_NAMES:
+            monkeypatch.setitem(suites._SUITES, name, lambda seed, name=name: [
+                types.SimpleNamespace(scenario=name, details={})])
+        handed = []
+
+        def recording(fn, names, seeds):
+            handed.extend(names)
+            return map(fn, names, seeds)
+
+        res = run_suite("all", seed=1, map=recording)
+        assert handed == ["formsum", "ordering", "covariance", "representation",
+                          "friedrichs", "elliptic"]
+        assert [r.scenario for r in res.reports] == list(SUITE_NAMES)
 
     @pytest.mark.parametrize("name, cpus, forked", [
         ("all", {0, 1}, True), ("all", {0}, False), ("ordering", {0, 1}, False)])

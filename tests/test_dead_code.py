@@ -17,6 +17,9 @@ Every parameter of a function, method or lambda must be read in its body,
 unless :data:`UNREAD_PARAMETERS` lists it with the reason it stays.
 The backend constants ``DENSE`` and ``SEQUENCE`` are imported only where
 a backend is named, and no construction compares ``.backend`` with one.
+Outside the methods of the four backend classes, nothing asks whether an
+operand is an instance of one of them, unless :data:`BACKEND_BRANCHES`
+lists the function with the reason.
 """
 
 import ast
@@ -194,6 +197,16 @@ def test_every_import_is_read_in_its_module():
 UNREAD_PARAMETERS = {
     "elliptic_suite(seed)": "every battery is called as _SUITES[name](seed), and the "
                             "elliptic battery draws nothing",
+    # a backend primitive has one signature on both backends, which the
+    # constructions call without knowing the backend
+    "_order(p)": "DenseOperator._order: the dense order does not depend on the exponent; "
+                 "the sequence one decides its domain inclusions on l^p",
+    "_is_closed(runs)": "SesquilinearForm._is_closed: a dense form with gamma > 0 is closed "
+                        "without runs; a diagonal form checks the runs it is given",
+    "_is_closed(dp)": "DiagonalForm._is_closed: runs and Fatou's lemma need no space; a "
+                      "dense form certifies its lower bound on it",
+    "_plus(dp)": "DiagonalForm._plus: weights add with no precondition; the dense sum "
+                 "certifies gamma_A > 0 on the space",
 }
 
 
@@ -282,9 +295,9 @@ def is_constant(node):
 
 
 def test_no_construction_compares_a_backend_with_a_constant():
-    """A construction with both backends picks its half by the class of
-    its operand, not by comparing ``.backend`` with ``DENSE``,
-    ``SEQUENCE`` or a string."""
+    """A construction with both backends calls the primitives of its
+    operand's class, not a half picked by comparing ``.backend`` with
+    ``DENSE``, ``SEQUENCE`` or a string."""
     found = []
     for name in CONSTRUCTIONS:
         path = PACKAGE / f"{name}.py"
@@ -295,3 +308,47 @@ def test_no_construction_compares_a_backend_with_a_constant():
                         and any(map(is_constant, sides))):
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "backend compared with a constant:\n" + "\n".join(found)
+
+
+#: the operator and form classes of the two backends, whose methods are
+#: the backend implementations of the primitives
+BACKEND_CLASSES = {"DenseOperator", "DiagonalOperator", "SesquilinearForm", "DiagonalForm"}
+#: functions outside those methods that branch on one of the classes,
+#: each with the reason
+BACKEND_BRANCHES = {
+    "form_of_operator": "the form classes are defined in forms, which builds on the "
+                        "operator classes of duality, so an operator cannot name its "
+                        "form's class: the one place a form's class follows its operator's",
+}
+
+
+def backend_branches():
+    """(function, ``file:line``) of each ``isinstance`` call in
+    ``src/formcalc`` whose class argument names a backend class, outside
+    the methods of those classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {line for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name in BACKEND_CLASSES
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "isinstance" and len(call.args) == 2
+                        and {n.id for n in ast.walk(call.args[1])
+                             if isinstance(n, ast.Name)} & BACKEND_CLASSES
+                        and call.lineno not in inside):
+                    yield fn.name, f"{path.relative_to(ROOT)}:{call.lineno}"
+
+
+def test_constructions_do_not_branch_on_the_backend_class():
+    """Each construction with both backends is written once on the
+    primitives the operand's class implements, so nothing outside those
+    classes asks which class an operand has."""
+    found = dict(backend_branches())
+    assert not found.keys() - BACKEND_BRANCHES.keys(), "backend branches:\n" + "\n".join(
+        f"{where} {name}" for name, where in found.items() if name not in BACKEND_BRANCHES)
+    assert not BACKEND_BRANCHES.keys() - found.keys(), \
+        f"listed functions that no longer branch: {sorted(BACKEND_BRANCHES.keys() - found.keys())}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formcalc import formsum, ordering, series, suites
+from formcalc import forms, formsum, ordering, series, suites
 from formcalc.duality import (
     DOMAIN_FINITE, ENDO, DiagonalOperator, dense_pair, generated_vector,
     identity_operator, is_extension, operator_from_matrix, restricted_operator,
@@ -15,10 +15,12 @@ from formcalc.duality import (
 )
 from formcalc.duality import TO_DUAL, DenseOperator
 from formcalc.errors import DomainError, LowerBoundError, NotPositive
-from formcalc.forms import DiagonalForm, form_from_gram, form_of_operator
+from formcalc.forms import (
+    DiagonalForm, SesquilinearForm, form_from_gram, form_of_operator, is_closed,
+)
 from formcalc.friedrichs import friedrichs
 from formcalc.formsum import (
-    commutation_formsum, commuting_pair, form_sum, is_closed, joint_factorize,
+    commutation_formsum, commuting_pair, form_sum, joint_factorize,
     lift_commutant, spectrum_inclusion,
 )
 from formcalc.linalg import gram_inner, hermitian_residual
@@ -473,18 +475,21 @@ class TestFactorOnce:
 
     def test_commutation_formsum_bounds_each_operand_once(self, monkeypatch):
         calls = []
-        real = formsum.lower_bound
+        real = forms.lower_bound
 
         def counted(t, dp):
             calls.append(t)
             return real(t, dp)
 
-        monkeypatch.setattr(formsum, "lower_bound", counted)
+        monkeypatch.setattr(forms, "lower_bound", counted)
         A_mat, A, E, dp = commuting_instance(np.random.default_rng(84), 4)
-        assert commutation_formsum(A, operator_from_matrix(1.5 * A_mat),
-                                   E, dp).passed
-        # the form sum bounds A, and the closedness of t_B bounds B
-        assert len(calls) == 2
+        B = operator_from_matrix(1.5 * A_mat)
+        assert commutation_formsum(A, B, E, dp).passed
+        # the form sum bounds A, the closedness of t_B bounds B, and the
+        # representation bounds the sum form, each once
+        assert [t.gram.tobytes() for t in calls[:2]] == [
+            form_of_operator(M).gram.tobytes() for M in (A, B)]
+        assert len(calls) == 3
 
     def test_commutation_formsum_rejects_singular_summand(self):
         A = operator_from_matrix(np.diag([1.0, 2.0]))
@@ -658,13 +663,14 @@ class TestOneFormOfA:
 
     def test_sum_gram_matches_the_jstar_route(self, monkeypatch):
         grams = []
-        real = formsum.SesquilinearForm
+        real = SesquilinearForm._plus
 
-        def captured(basis, gram, *args, **kwargs):
-            grams.append(gram)
-            return real(basis, gram, *args, **kwargs)
+        def captured(t_a, t_b, dp):
+            t_sum = real(t_a, t_b, dp)
+            grams.append(t_sum.gram)
+            return t_sum
 
-        monkeypatch.setattr(formsum, "SesquilinearForm", captured)
+        monkeypatch.setattr(SesquilinearForm, "_plus", captured)
         rng = np.random.default_rng(120)
         for _ in range(60):
             n = int(rng.integers(2, 9))
