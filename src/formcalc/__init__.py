@@ -38,7 +38,8 @@ from .formsum import (
     joint_factorize, lift_commutant, spectrum_inclusion,
 )
 from .covariance import (
-    DiscreteProbabilitySpace, RandomVariable, SecondMomentDomain,
+    DiscreteProbabilitySpace, ExpPolyVariable, FiniteSpace, PairedRuleSpace,
+    RandomVariable, RuleSpace, SecondMomentDomain, SignedBasisVariable, TableVariable,
     covariance_form, covariance_operator, exp_poly_variable, exponential_space,
     finite_space, in_second_moment_domain, independent_sum, paired_rule_space,
     rule_space, signed_basis_variable, table_variable, weak_expectation,

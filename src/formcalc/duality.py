@@ -719,5 +719,7 @@ def adjoint(A: Operator) -> Operator:
 
 def is_extension(S: Operator, T: Operator) -> bool:
     """True iff T extends S: both on one backend with one direction, and
-    T's ``_extends`` accepts S.  Never raises; any failure is False."""
+    T's ``_extends`` accepts S.  Raises :class:`Uncertifiable` where two
+    sequence generators cannot be compared, as for a term that starts
+    past the term cap; any other failure is False."""
     return S.backend == T.backend and S.direction == T.direction and T._extends(S)

@@ -157,14 +157,14 @@ _EXPECTED = ("a number or an [re, im] pair of numbers",
 def _complex_array(v, ndim: int) -> np.ndarray:
     """``ndim`` levels of lists whose entries are all numbers or all
     [re, im] pairs of numbers, decoded by one numpy call.  Pairs are
-    viewed as complex, which gives the bits of ``complex(re, im)``;
-    ``true`` and ``false`` read as 1 and 0, as ``complex`` reads them.
-    Anything else raises :class:`MalformedOperand`."""
+    viewed as complex, which gives the bits of ``complex(re, im)``.
+    Anything else, ``true`` and ``false`` included, raises
+    :class:`MalformedOperand`."""
     try:
         a = np.asarray(v)
     except ValueError:            # ragged lists
         a = None
-    if a is not None and a.dtype.kind in "biuf":
+    if a is not None and a.dtype.kind in "iuf":
         if a.ndim == ndim:
             return a.astype(complex)
         if a.ndim == ndim + 1 and a.shape[-1] == 2:
@@ -175,15 +175,15 @@ def _complex_array(v, ndim: int) -> np.ndarray:
 def decode_arrays(obj: dict) -> dict:
     """``json.loads`` object hook: a value of ``obj`` that is a non-empty
     list of lists becomes ``np.asarray`` of it, the readers' own call, if
-    that holds booleans or numbers, so a file's lists are freed as each
-    object closes; anything else stays a list for the readers to refuse."""
+    that holds numbers, so a file's lists are freed as each object
+    closes; anything else stays a list for the readers to refuse."""
     for key, v in obj.items():
         if isinstance(v, list) and v and isinstance(v[0], list):
             try:
                 a = np.asarray(v)
             except ValueError:    # ragged lists
                 continue
-            if a.dtype.kind in "biuf":
+            if a.dtype.kind in "iuf":
                 obj[key] = a
     return obj
 
@@ -279,7 +279,9 @@ def json_number(obj, key: str, default=_REQUIRED, low: float = -math.inf,
 
 def rule_from_json(obj) -> series.Rule:
     """A rule whose terms are checked where they are read: ``coef`` and
-    ``alpha`` finite, ``ratio`` finite and positive, ``start`` at least 1."""
+    ``alpha`` finite, ``ratio`` finite and positive, ``start`` from 1 to
+    the term cap of :mod:`formcalc.series`, past which no certificate
+    looks."""
     terms = []
     for t in json_field(obj, "terms", list):
         coef = complex_from_json(json_field(t, "coef", object))
@@ -288,7 +290,7 @@ def rule_from_json(obj) -> series.Rule:
         terms.append(series.Term(coef, json_number(t, "alpha", 0.0),
                                  json_number(t, "ratio", 1.0, 0.0,
                                              must="be finite and positive"),
-                                 json_size(t, "start", default=1)))
+                                 json_size(t, "start", 1, series._MAX_TERMS, 1)))
     return series.Rule(tuple(terms))
 
 

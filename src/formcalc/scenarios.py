@@ -74,7 +74,8 @@ def _space_from_json(obj):
 def _variable_from_json(obj, space, dp):
     kind = json_choice(obj, "kind", ("table", "exp-poly", "signed-basis"), "table")
     if kind == "table":
-        values = [array_from_json(v) for v in json_field(obj, "values", list)]
+        # one matrix, a row per atom, read as the file's decoder reads it
+        values = matrix_from_json(json_field(obj, "values", list))
         _in_space(dp, *(Vector(v, dp.backend) for v in values))
         return table_variable(space, values, dp)
     if kind == "exp-poly":

@@ -146,26 +146,27 @@ class Rule:
         return Term(c, alpha, ratio)
 
 
-def _grid(rule: Rule, n: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+def _grid(rule: Rule, n: np.ndarray, rows: slice = slice(None),
+          log_scale: float = 0.0) -> np.ndarray:
     """The terms ``rows`` of ``rule`` at points ``n >= 1`` of a 1-D ``n``, a
     row per term and a column per point; for ``n`` of shape (T, 1), every
     term at its own point.  Each value is c exp(alpha log n + n log
-    ratio), 0 before the start, with the bits of its term evaluated alone:
-    a real c times an overflow is a real infinity, not a NaN imaginary
-    part."""
+    ratio + log_scale), 0 before the start, with the bits of its term
+    evaluated alone: a real c times an overflow is a real infinity, not a
+    NaN imaginary part."""
     coef, alpha, logr, start, real = rule._columns
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = coef[rows] * np.exp(alpha[rows] * np.log(n) + n * logr[rows])
+        out = coef[rows] * np.exp(alpha[rows] * np.log(n) + n * logr[rows] + log_scale)
     if real is not None:
         out.imag[real[rows]] = 0.0
     return out if start is None else np.where(n >= start[rows], out, 0.0)
 
 
-def _blocks(rule: Rule, n: np.ndarray):
+def _blocks(rule: Rule, n: np.ndarray, log_scale: float = 0.0):
     """(rows, grid) of a 1-D ``n`` in blocks of at most ``_CAP`` values."""
     step = max(1, _CAP // max(1, n.size))
     for i in range(0, len(rule.terms), step):
-        yield slice(i, i + step), _grid(rule, n, slice(i, i + step))
+        yield slice(i, i + step), _grid(rule, n, slice(i, i + step), log_scale)
 
 
 def geometric(ratio: float, coef: complex = 1.0) -> Rule:
@@ -231,9 +232,10 @@ class SumResult:
     certificate: TailCertificate
 
 
-def _term_tail_bounds(rule: Rule, n_from: int) -> list[float]:
+def _term_tail_bounds(rule: Rule, n_from: int, log_scale: float = 0.0) -> list[float]:
     """Per term, a rigorous bound for sum_{n > n_from} |coef| n**alpha
-    ratio**n; the ratio-test heads of all terms are one grid evaluation."""
+    ratio**n e**log_scale; the ratio-test heads of all terms are one grid
+    evaluation."""
     ts = rule.terms
     los = [max(n_from, t.start - 1) for t in ts]
     n2s = list(los)
@@ -249,19 +251,21 @@ def _term_tail_bounds(rule: Rule, n_from: int) -> list[float]:
                 if n2s[i] > _MAX_TERMS:
                     raise Uncertifiable("ratio test start grew past the term cap")
     if any(tested):
-        heads = _grid(rule, np.array(n2s, dtype=float)[:, None] + 1.0)[:, 0].tolist()
+        heads = _grid(rule, np.array(n2s, dtype=float)[:, None] + 1.0,
+                      log_scale=log_scale)[:, 0].tolist()
     out = []
     for i, (t, lo, n2) in enumerate(zip(ts, los, n2s)):
         if t.coef == 0:
             out.append(0.0)
         elif t.ratio < 1.0:
             ns = np.arange(lo + 1, n2 + 1, dtype=float)
-            extra = float(np.sum(np.abs(_grid(rule, ns, slice(i, i + 1))))) if n2 > lo else 0.0
+            extra = (float(np.sum(np.abs(_grid(rule, ns, slice(i, i + 1), log_scale))))
+                     if n2 > lo else 0.0)
             out.append(extra + abs(heads[i]) / (1.0 - (1.0 + t.ratio) / 2.0))
         elif t.ratio == 1.0 and t.alpha < -1.0:
             # integral test from lo; from lo = 0 the first term, 1, comes first
-            out.append(abs(t.coef) * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0)
-                                      / (-t.alpha - 1.0)))
+            out.append(abs(t.coef) * math.exp(log_scale) * (
+                (lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0)))
         else:
             out.append(math.inf)
     return out
@@ -326,7 +330,8 @@ def _euler_maclaurin(alpha: float, a: float) -> tuple[float, float]:
     return mid, b6 / 2.0
 
 
-def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
+def _tail_estimate(rule: Rule, n_from: int,
+                   log_scale: float = 0.0) -> tuple[complex, float, float]:
     """(correction, error, size): the signed tail of the rule past
     ``n_from`` is ``correction`` up to the truncation ``error``; ``size``
     is the sum of the moduli of the terms' corrections, which scales their
@@ -338,14 +343,15 @@ def _tail_estimate(rule: Rule, n_from: int) -> tuple[complex, float, float]:
     error."""
     correction = 0.0 + 0.0j
     err = size = 0.0
-    for t, bound in zip(rule.terms, _term_tail_bounds(rule, n_from)):
+    for t, bound in zip(rule.terms, _term_tail_bounds(rule, n_from, log_scale)):
         if t.coef == 0:
             continue
         if t.ratio == 1.0 and t.alpha < -1.0:
             mid, half = _euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
-            correction += t.coef * mid
-            err += abs(t.coef) * half
-            size += abs(t.coef) * mid
+            c = t.coef * math.exp(log_scale)
+            correction += c * mid
+            err += abs(c) * half
+            size += abs(c) * mid
         else:
             err += bound
     return correction, err, size
@@ -355,27 +361,29 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074        # the spacing of subnormal floats
 
 
-def _partial_sum(rule: Rule, lo: int, hi: int) -> tuple[complex, float, float]:
+def _partial_sum(rule: Rule, lo: int, hi: int,
+                 log_scale: float = 0.0) -> tuple[complex, float, float]:
     """(sum, mass, rounding) over lo <= n <= hi: the sum of a_n, the sum
     of the moduli of the term values, and a bound, in units of the
     roundoff u, on the error of the sum.
 
-    A term is evaluated as c * exp(alpha log n + n log ratio).  Its
-    relative error is the absolute error of the exponent, at most
-    4 (|alpha log n| + |n log ratio|) u with logarithms and exp good to
-    one ulp, plus a few u for the exponential and the product with c;
-    :func:`_with_tail` bounds what underflows.  Each term's values, a row
-    of the grid, are added by ``math.fsum``, which rounds the exact sum
-    once, so the summation costs u of the mass whatever the number of
-    values."""
+    A term is evaluated as c * exp(alpha log n + n log ratio + log_scale).
+    Its relative error is the absolute error of the exponent, at most
+    4 (|alpha log n| + |n log ratio| + |log_scale|) u with logarithms and
+    exp good to one ulp and log_scale good to 2 |log_scale| u, plus a few
+    u for the exponential and the product with c; :func:`_with_tail`
+    bounds what underflows.  Each term's values, a row of the grid, are
+    added by ``math.fsum``, which rounds the exact sum once, so the
+    summation costs u of the mass whatever the number of values."""
     ns = np.arange(lo, hi + 1, dtype=float)
     logn = np.log(ns)
     _, alpha, logr, _, _ = rule._columns
     total = 0.0 + 0.0j
     mass = evaluation = 0.0
-    for rows, vals in _blocks(rule, ns):
+    for rows, vals in _blocks(rule, ns, log_scale):
         mods = np.abs(vals)
-        weights = 4.0 * np.abs(alpha[rows]) * logn + 4.0 * np.abs(logr[rows]) * ns + 8.0
+        weights = (4.0 * np.abs(alpha[rows]) * logn + 4.0 * np.abs(logr[rows]) * ns
+                   + (8.0 + 4.0 * abs(log_scale)))
         for m, e, re, im in zip(mods.sum(axis=1).tolist(), (mods * weights).sum(axis=1).tolist(),
                                 vals.real, vals.imag):
             mass += m
@@ -391,7 +399,7 @@ def _tail_kind(rule: Rule) -> str:
 
 
 def _with_tail(rule: Rule, n_used: int, partial: complex, mass: float,
-               rounding_u: float) -> SumResult:
+               rounding_u: float, log_scale: float = 0.0) -> SumResult:
     """The partial sum of ``n_used`` terms, with its ``mass`` and its
     ``rounding_u`` in units of u from :func:`_partial_sum`, plus the tail
     estimate; the bound is truncation plus rounding.  32 u more of the
@@ -400,7 +408,7 @@ def _with_tail(rule: Rule, n_used: int, partial: complex, mass: float,
     term's correction.  An underflow is off by up to half the subnormal
     spacing, |c| times over in c exp(...): (|c| + 1) spacings per value
     and 32 per term cover them, and a zero rule keeps an exact 0."""
-    correction, trunc, size = _tail_estimate(rule, n_used)
+    correction, trunc, size = _tail_estimate(rule, n_used, log_scale)
     rounding = (_UNIT_ROUNDOFF * (rounding_u + 32.0 * (mass + size))
                 + sum(_SUBNORMAL * (abs(t.coef) + 1.0) * n_used + 32.0 * _SUBNORMAL
                       for t in rule.terms if t.coef != 0))
@@ -409,7 +417,8 @@ def _with_tail(rule: Rule, n_used: int, partial: complex, mass: float,
         _tail_kind(rule), n_used, err, {"truncation": trunc, "rounding": rounding}))
 
 
-def _doubling_sum(rule: Rule, tol: float, floor: float) -> tuple[SumResult, str]:
+def _doubling_sum(rule: Rule, tol: float, floor: float,
+                  log_scale: float = 0.0) -> tuple[SumResult, str]:
     """Sum 64, 128, ... terms of a convergent rule until the error bound
     meets ``tol * max(floor, |value|)``.  Returns the last result with ''
     once it does, or with the reason it stopped: rounding alone above the
@@ -421,12 +430,12 @@ def _doubling_sum(rule: Rule, tol: float, floor: float) -> tuple[SumResult, str]
     n_done = 0
     n_next = 64
     while True:
-        chunk, chunk_mass, chunk_rounding = _partial_sum(rule, n_done + 1, n_next)
+        chunk, chunk_mass, chunk_rounding = _partial_sum(rule, n_done + 1, n_next, log_scale)
         partial += chunk
         mass += chunk_mass
         rounding_u += chunk_rounding
         n_done = n_next
-        res = _with_tail(rule, n_done, partial, mass, rounding_u)
+        res = _with_tail(rule, n_done, partial, mass, rounding_u, log_scale)
         parts = res.certificate.detail
         target = tol * max(floor, abs(res.value))
         if res.tail <= target:
@@ -459,8 +468,10 @@ def certified_sum(rule: Rule, tol: float = 1e-12, scale: float | None = None) ->
     return res
 
 
-def decide_summable(rule: Rule):
-    """Return (True, SumResult) or (False, DivergenceCertificate).
+def decide_summable(rule: Rule, log_scale: float = 0.0):
+    """Return (True, SumResult) or (False, DivergenceCertificate) for the
+    series of e**log_scale a_n: a scale no coefficient can hold, such as
+    1/k! from k = 171 on, goes into the exponent of every term.
 
     Convergence is decided exactly within the rule class.  Polynomial
     tails certify through Euler-Maclaurin.  A rule that still misses
@@ -470,17 +481,17 @@ def decide_summable(rule: Rule):
     :func:`best_effort_sum`."""
     if not rule_convergent(rule):
         return False, divergence_record(rule)
-    res, failure = _doubling_sum(rule, 1e-12, 1.0)
+    res, failure = _doubling_sum(rule, 1e-12, 1.0, log_scale)
     if failure and res.n_used >= _MAX_TERMS:
-        return True, best_effort_sum(rule)
+        return True, best_effort_sum(rule, log_scale)
     return True, res
 
 
-def best_effort_sum(rule: Rule) -> SumResult:
+def best_effort_sum(rule: Rule, log_scale: float = 0.0) -> SumResult:
     """Partial sum of 2^16 terms plus tail midpoint with the certified
     (possibly loose) error bound, truncation plus rounding; for convergent
     rules only."""
-    return _with_tail(rule, 2 ** 16, *_partial_sum(rule, 1, 2 ** 16))
+    return _with_tail(rule, 2 ** 16, *_partial_sum(rule, 1, 2 ** 16, log_scale), log_scale)
 
 
 def rule_lower_bound(rule: Rule) -> float:

@@ -703,17 +703,31 @@ class TestInputChecks:
             "terms": [{"coef": 1.0, "alpha": 1e400}]}}),
         ("coef", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
             "terms": [{"coef": [1.0, math.inf]}]}}),
+        ("start", "friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": 1.0, "start": 2 ** 21 + 5}]}}),
     ], ids=["p-zero", "dim-zero", "truncation-zero", "truncation-past-term-cap",
             "m-zero", "m-past-cap", "length-zero", "length-infinite", "dense-tail",
             "dim-true", "truncation-true", "start-true", "length-true", "gamma-true",
             "beta-true", "ratio-negative", "ratio-zero", "start-zero", "alpha-nan",
-            "alpha-1e400", "coef-infinite"])
+            "alpha-1e400", "coef-infinite", "start-past-term-cap"])
     def test_size_out_of_range_exits_four(self, tmp_path, capsys, key, op, operands):
         """A size is checked where the wire reader reads it: out of range
         it is malformed input, not a failed claim or a traceback."""
         assert self.run(tmp_path, op, operands) == (4, None)
         err = capsys.readouterr().err
         assert f"scenario 'x' has a malformed operand: '{key}' " in err
+
+
+    @pytest.mark.parametrize("op, operands", [
+        ("lower-bound", {"space": {"backend": "dense", "dim": 1}, "gram": [[True]]}),
+        ("friedrichs", {"space": {**SEQ64, "truncation": 8}, "generator": {
+            "terms": [{"coef": True, "alpha": 2.0}]}}),
+    ], ids=["gram-true", "coef-true"])
+    def test_boolean_operand_exits_four(self, tmp_path, capsys, op, operands):
+        """A JSON boolean is no entry of a matrix and no coefficient,
+        although numpy and ``complex`` read it as 1."""
+        assert self.run(tmp_path, op, operands) == (4, None)
+        assert "scenario 'x' has a malformed operand: expected a" in capsys.readouterr().err
 
 
 class TestCoefficientStrings:

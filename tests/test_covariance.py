@@ -64,6 +64,31 @@ class TestWeakExpectation:
         oracle2 = sum(c * math.exp(-1.5 * n) * n ** 2 / 2 for n in range(1, 300))
         assert e.coords[1].real == pytest.approx(oracle2, rel=1e-11)
 
+    def test_exp_poly_past_the_float_range_of_one_over_k_factorial(self):
+        # E xi_k = c Li_{-k}(e^-1) / k! at beta = 1, where 1/k! is no float
+        # from k = 171 on: the coordinates read inf for k = 172 to 177 and
+        # 0 past it.  From k = 20 on the oracle sums Li_{-k}(e^-1) / k! =
+        # sum_j (1 + 2 pi i j)^(-k-1) over the integers j, which is quicker.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            c, z = mpmath.e - 1, mpmath.exp(-1)
+            want = [c * (mpmath.polylog(-k, z) / mpmath.factorial(k) if k < 20 else
+                         1 + 2 * mpmath.fsum(mpmath.re((1 + 2j * mpmath.pi * j) ** (-k - 1))
+                                             for j in range(1, 40)))
+                    for k in range(1, 401)]
+            for truncation in (172, 400):
+                xi = exp_poly_variable(exponential_space(1.0), sequence_pair(truncation))
+                sums = xi._coordinate_sums()
+                assert [s.value for s in sums] == weak_expectation(xi).coords.tolist()
+                for k, s in enumerate(sums, 1):
+                    assert abs(mpmath.mpc(s.value) - want[k - 1]) <= s.tail, k
+                rep = run_scenario({
+                    "op": "weak-expectation",
+                    "space_pair": {"backend": "sequence", "truncation": truncation},
+                    "probability": {"kind": "exponential", "beta": 1.0},
+                    "variable": {"kind": "exp-poly"}})
+                assert rep.verdict == "pass"
+
     def test_centering_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -19,7 +19,9 @@ The backend constants ``DENSE`` and ``SEQUENCE`` are imported only where
 a backend is named, and no construction compares ``.backend`` with one.
 Outside the methods of the four backend classes, nothing asks whether an
 operand is an instance of one of them, unless :data:`BACKEND_BRANCHES`
-lists the function with the reason.
+lists the function with the reason.  No space or random variable of
+``covariance`` has a ``kind`` field, and nothing compares a value with
+the name of a kind outside the functions of :data:`KIND_READERS`.
 """
 
 import ast
@@ -207,6 +209,19 @@ UNREAD_PARAMETERS = {
                       "dense form certifies its lower bound on it",
     "_plus(dp)": "DiagonalForm._plus: weights add with no precondition; the dense sum "
                  "certifies gamma_A > 0 on the space",
+    # a random variable's primitive likewise has one signature for every
+    # kind, which the covariance constructions call without knowing the kind
+    "_centered(self)": "_Variable._centered: the refusal of the kinds without centring",
+    "_independent_sum(self)": "_Variable._independent_sum: the refusal of an independent "
+                              "sum of two kinds, or of a kind without one",
+    "_independent_sum(other)": "_Variable._independent_sum: as for self",
+    "_membership(self)": "TableVariable._membership: on finitely many atoms every "
+                         "functional has a finite second moment",
+    "_membership(f)": "TableVariable._membership: as for self",
+    "_form(self)": "ExpPolyVariable._form: the uncentered exp-poly family has no "
+                   "covariance form here",
+    "_form(basis)": "ExpPolyVariable._form as for self, and SignedBasisVariable._form: a "
+                    "diagonal form needs no functional basis",
 }
 
 
@@ -352,3 +367,55 @@ def test_constructions_do_not_branch_on_the_backend_class():
         f"{where} {name}" for name, where in found.items() if name not in BACKEND_BRANCHES)
     assert not BACKEND_BRANCHES.keys() - found.keys(), \
         f"listed functions that no longer branch: {sorted(BACKEND_BRANCHES.keys() - found.keys())}"
+
+
+#: the names of the kinds of probability spaces and random variables,
+#: each of which is its own class in ``covariance``
+KIND_NAMES = {"finite", "rule", "paired-rule", "table", "exp-poly", "signed-basis"}
+#: functions that compare a value with one of the names, each with the reason
+KIND_READERS = {
+    "_space_from_json": "the wire reader that maps a space's kind to its class",
+    "_variable_from_json": "the wire reader that maps a variable's kind to its class",
+    "_op_form_on_x": "its 'finite' is the expected value of a form, not a kind",
+}
+
+
+def kind_comparisons():
+    """(function, ``file:line name``) of each comparison in
+    ``src/formcalc`` with a string of :data:`KIND_NAMES`; the function is
+    the innermost one around it."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):          # outer functions first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                for side in [node.left, *node.comparators]:
+                    for const in ast.walk(side):
+                        if isinstance(const, ast.Constant) and const.value in KIND_NAMES:
+                            yield (owner.get(id(node)),
+                                   f"{path.relative_to(ROOT)}:{node.lineno} {const.value!r}")
+
+
+def test_no_kind_is_compared_with_its_name():
+    """A covariance construction calls the primitives of its variable's
+    class, not a half picked by comparing a ``kind`` string; only the wire
+    readers turn a kind's name into its class."""
+    found = list(kind_comparisons())
+    stray = [where for fn, where in found if fn not in KIND_READERS]
+    assert not stray, "kind names compared outside the wire readers:\n" + "\n".join(stray)
+    idle = KIND_READERS.keys() - {fn for fn, _ in found}
+    assert not idle, f"listed functions that no longer compare: {sorted(idle)}"
+
+
+def test_no_space_or_variable_class_has_a_kind_field():
+    path = PACKAGE / "covariance.py"
+    with_kind = [f"{path.relative_to(ROOT)}:{st.lineno} {node.name}.kind"
+                 for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
+                 for st in node.body
+                 for target in ([st.target] if isinstance(st, ast.AnnAssign) else
+                                st.targets if isinstance(st, ast.Assign) else [])
+                 if isinstance(target, ast.Name) and target.id == "kind"]
+    assert not with_kind, "kind fields:\n" + "\n".join(with_kind)

@@ -15,7 +15,7 @@ from formcalc.duality import (
     identity_operator, is_extension, norm, operator_from_matrix, pair,
     restricted_operator, sequence_pair, vector,
 )
-from formcalc.errors import BackendMismatch, DomainError
+from formcalc.errors import BackendMismatch, DomainError, Uncertifiable
 from formcalc.forms import (
     DiagonalForm, SesquilinearForm, associated_operator, inverse_selfadjoint, riesz_solve,
 )
@@ -196,6 +196,13 @@ class TestExtension:
         af = DiagonalOperator(r, duality.DOMAIN_MAXIMAL)
         assert is_extension(a, af)
         assert not is_extension(af, a)
+
+    def test_generators_past_the_term_cap_are_uncertifiable(self):
+        """Rules that agree up to the term cap and start a term past it
+        cannot be compared: neither True nor False, but Uncertifiable."""
+        r = series.power_geometric(1.0, 0.0, 1.0, start=series._MAX_TERMS + 5)
+        with pytest.raises(Uncertifiable):
+            is_extension(DiagonalOperator(r), DiagonalOperator(r, duality.DOMAIN_MAXIMAL))
 
 
 class TestOperatorBasics:

@@ -405,39 +405,40 @@ class TestCertificateOracle:
 # grid evaluation against a term-by-term reference
 
 
-def _ref_values(t, n):
-    """One term alone: c exp(alpha log n + n log ratio), 0 before start
-    and 0 for c = 0, also where the power overflows."""
+def _ref_values(t, n, log_scale=0.0):
+    """One term alone: c exp(alpha log n + n log ratio + log_scale), 0
+    before start and 0 for c = 0, also where the power overflows."""
     n = np.asarray(n, dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = t.coef * np.exp(t.alpha * np.log(n) + n * math.log(t.ratio))
+        out = t.coef * np.exp(t.alpha * np.log(n) + n * math.log(t.ratio) + log_scale)
     return np.where((n >= t.start) & (t.coef != 0), out, 0.0)
 
 
-def _ref_call(rule, n):
+def _ref_call(rule, n, log_scale=0.0):
     n = np.atleast_1d(np.asarray(n, dtype=float))
     total = np.zeros(n.shape, dtype=complex)
     for t in rule.terms:
-        total += _ref_values(t, n)
+        total += _ref_values(t, n, log_scale)
     return total
 
 
-def _ref_partial_sum(rule, lo, hi):
+def _ref_partial_sum(rule, lo, hi, log_scale=0.0):
     ns = np.arange(lo, hi + 1, dtype=float)
     logn = np.log(ns)
     total = 0.0 + 0.0j
     mass = evaluation = 0.0
     for t in rule.terms:
-        vals = _ref_call(series.Rule((t,)), ns)
+        vals = _ref_call(series.Rule((t,)), ns, log_scale)
         mods = np.abs(vals)
         mass += float(np.sum(mods))
         evaluation += float(np.sum(mods * (
-            4.0 * abs(t.alpha) * logn + 4.0 * abs(math.log(t.ratio)) * ns + 8.0)))
+            4.0 * abs(t.alpha) * logn + 4.0 * abs(math.log(t.ratio)) * ns
+            + (8.0 + 4.0 * abs(log_scale)))))
         total += complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
     return total, mass, evaluation + (len(rule.terms) + 1) * mass
 
 
-def _ref_term_tail_bound(t, n_from):
+def _ref_term_tail_bound(t, n_from, log_scale=0.0):
     c = abs(t.coef)
     if c == 0.0:
         return 0.0
@@ -452,11 +453,13 @@ def _ref_term_tail_bound(t, n_from):
             if n2 > series._MAX_TERMS:
                 raise Uncertifiable("ratio test start grew past the term cap")
         if n2 > lo:
-            extra = float(np.sum(np.abs(_ref_values(t, np.arange(lo + 1, n2 + 1, dtype=float)))))
-        head = abs(complex(_ref_values(t, np.array([n2 + 1.0]))[0]))
+            extra = float(np.sum(np.abs(_ref_values(
+                t, np.arange(lo + 1, n2 + 1, dtype=float), log_scale))))
+        head = abs(complex(_ref_values(t, np.array([n2 + 1.0]), log_scale)[0]))
         return extra + head / (1.0 - target)
     if t.ratio == 1.0 and t.alpha < -1.0:
-        return c * ((lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0))
+        return c * math.exp(log_scale) * (
+            (lo == 0) + max(lo, 1) ** (t.alpha + 1.0) / (-t.alpha - 1.0))
     return math.inf
 
 
@@ -464,7 +467,7 @@ def _ref_tail_bound(rule, n_from):
     return sum(_ref_term_tail_bound(t, n_from) for t in rule.terms)
 
 
-def _ref_tail_estimate(rule, n_from):
+def _ref_tail_estimate(rule, n_from, log_scale=0.0):
     correction = 0.0 + 0.0j
     err = size = 0.0
     for t in rule.terms:
@@ -472,11 +475,12 @@ def _ref_tail_estimate(rule, n_from):
             continue
         if t.ratio == 1.0 and t.alpha < -1.0:
             mid, half = series._euler_maclaurin(t.alpha, max(n_from, t.start - 1) + 1.0)
-            correction += t.coef * mid
-            err += abs(t.coef) * half
-            size += abs(t.coef) * mid
+            c = t.coef * math.exp(log_scale)
+            correction += c * mid
+            err += abs(c) * half
+            size += abs(c) * mid
         else:
-            err += _ref_term_tail_bound(t, n_from)
+            err += _ref_term_tail_bound(t, n_from, log_scale)
     return correction, err, size
 
 
@@ -515,6 +519,8 @@ SUM_TERMS = st.builds(
     st.integers(1, 8))
 SUM_RULES = st.lists(SUM_TERMS, min_size=1, max_size=9).map(
     lambda ts: series.Rule(tuple(ts)))
+# a sum's scale e**log_scale, past the float range as 1/k! is from k = 171
+LOG_SCALES = st.one_of(st.just(0.0), st.floats(-1000.0, 0.0))
 
 
 class TestGridIsTheTermLoop:
@@ -529,21 +535,21 @@ class TestGridIsTheTermLoop:
         assert _bits(rule(float(count))) == _bits(_ref_call(rule, float(count)))
 
     @settings(max_examples=60, deadline=None)
-    @given(GRID_RULES, st.integers(1, 300), st.integers(0, 5000))
-    def test_partial_sum(self, rule, lo, width):
-        assert (_outcome(series._partial_sum, rule, lo, lo + width)
-                == _outcome(_ref_partial_sum, rule, lo, lo + width))
+    @given(GRID_RULES, st.integers(1, 300), st.integers(0, 5000), LOG_SCALES)
+    def test_partial_sum(self, rule, lo, width, log_scale):
+        assert (_outcome(series._partial_sum, rule, lo, lo + width, log_scale)
+                == _outcome(_ref_partial_sum, rule, lo, lo + width, log_scale))
 
     @settings(max_examples=60, deadline=None)
-    @given(GRID_RULES, st.integers(0, 3000))
+    @given(GRID_RULES, st.integers(0, 3000), LOG_SCALES)
     # a divergent ratio-1 term: its tail is unbounded, not an
     # Euler-Maclaurin enclosure (which divides by -alpha - 1)
-    @example(series.Rule((series.Term(1.0, -1.0, 1.0, 1),)), 0)
-    def test_tail_bound(self, rule, n_from):
+    @example(series.Rule((series.Term(1.0, -1.0, 1.0, 1),)), 0, 0.0)
+    def test_tail_bound(self, rule, n_from, log_scale):
         assert (_outcome(series.tail_bound, rule, n_from)
                 == _outcome(_ref_tail_bound, rule, n_from))
-        assert (_outcome(series._tail_estimate, rule, n_from)
-                == _outcome(_ref_tail_estimate, rule, n_from))
+        assert (_outcome(series._tail_estimate, rule, n_from, log_scale)
+                == _outcome(_ref_tail_estimate, rule, n_from, log_scale))
 
     @settings(max_examples=60, deadline=None)
     @given(SUM_RULES)
@@ -569,9 +575,9 @@ class TestGridIsTheTermLoop:
         calls = []
         grid = series._grid
 
-        def counting(rule, n, rows=slice(None)):
+        def counting(rule, n, rows=slice(None), log_scale=0.0):
             calls.append(n.shape)
-            return grid(rule, n, rows)
+            return grid(rule, n, rows, log_scale)
 
         monkeypatch.setattr(series, "_grid", counting)
         rule = series.Rule(tuple(series.Term(1.0 / k, k - 3.0, 0.85, k) for k in range(1, 7)))

@@ -72,13 +72,23 @@ class TestDecoderOracle:
         with pytest.raises(MalformedOperand, match="expected a number or"):
             complex_from_json(v)
 
-    def test_booleans_read_as_one_and_zero_in_every_reader(self):
-        for rows in ([[True]], [[2, True], [0, 3]], [[1.5, False]],
-                     [[[True, False], [0, 1]]]):
+    def test_an_operand_of_booleans_is_malformed_in_every_reader(self):
+        """A JSON boolean is no number: an operand that holds only
+        booleans is refused.  Among numbers, where numpy gives the
+        array a number's type, a boolean still reads as 1 or 0."""
+        for rows in ([[True]], [[True, False], [False, True]], [[[True, False]]]):
+            with pytest.raises(MalformedOperand, match="expected a matrix"):
+                matrix_from_json(rows)
+            with pytest.raises(MalformedOperand, match="expected a list"):
+                array_from_json(rows[0])
+        for v in (True, False, [True, False]):
+            with pytest.raises(MalformedOperand, match="expected a number or"):
+                complex_from_json(v)
+        for rows in ([[2, True], [0, 3]], [[1.5, False]], [[[True, False], [0, 1]]]):
             want = np.array([[per_entry(z) for z in row] for row in rows], dtype=complex)
             assert same_bits(matrix_from_json(rows), want)
             assert same_bits(array_from_json(rows[0]), want[0])
-        for v in (True, False, [True, 2], [0.5, False]):
+        for v in ([True, 2], [0.5, False]):
             assert complex_from_json(v) == per_entry(v)
 
 
@@ -206,7 +216,7 @@ class TestDecodedWhileParsed:
                          "probability": {"kind": "finite", "weights": [0.5, 0.5]},
                          "variable": {"kind": "table",
                                       "values": [[1, 2], [2 ** 64, 0]]}}]},
-         "expected a list of numbers or of [re, im] pairs"),
+         "expected a matrix: equal-length rows of numbers or of [re, im] pairs"),
         ({"scenarios": [{"op": "norm", "id": [[1]], "p": 2.0, "x": {"coords": [1]}}]},
          "is not a plain, unique file name"),
         ({"scenarios": [{"op": "norm", "seed": [[1]], "p": 2.0, "x": {"coords": [1]}}]},

@@ -9,6 +9,7 @@ the summary is the same call on a dict holding every report as
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -179,6 +180,11 @@ def test_writing_holds_one_report_at_a_time(tmp_path):
     summary = {"schema": SCHEMA_VERSION, "counts": _verdict_counts(reports),
                "exit_code": 2}
     reporting.write_outputs(tmp_path / "warm", reports[:1], {}, summary, "scenarios")
+    # pathlib interns each file name, and a first intern can resize the
+    # interpreter's table of interned strings: about 2 MB that belong to
+    # the whole process, not to the writer
+    for r in reports:
+        sys.intern(f"{r.scenario}.json")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
