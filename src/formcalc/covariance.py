@@ -118,7 +118,7 @@ class _Variable:
 @dataclass(frozen=True, eq=False)
 class TableVariable(_Variable):
     """Finitely many atoms: row a of ``values`` holds the coordinates of
-    xi(w_a)."""
+    xi(w_a), a vector of ``codomain``."""
 
     space: FiniteSpace
     values: np.ndarray
@@ -132,6 +132,7 @@ class TableVariable(_Variable):
             raise ValueError("one value per atom required")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must have finite norm")
+        self.codomain.check(Vector(values[0], self.codomain.backend))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -335,6 +336,8 @@ def in_second_moment_domain(xi: RandomVariable, f: Functional) -> bool:
 
 
 def second_moment_membership(xi: RandomVariable, f: Functional) -> MembershipCertificate:
+    """BackendMismatch unless f is a functional on the codomain of xi."""
+    xi.codomain.check(f)
     return xi._membership(f)
 
 

@@ -94,6 +94,14 @@ class DualityPair:
     def dual(self) -> "DualityPair":
         return replace(self, p=self.q)
 
+    def check(self, obj) -> None:
+        """BackendMismatch unless the vector, functional, operator or form ``obj``
+        lives on this backend and, on the dense one, has n coordinates."""
+        if obj.backend != self.backend:
+            raise BackendMismatch(f"{obj.backend} operand in a {self.backend} space")
+        if self.backend == DENSE and obj.n != self.n:
+            raise BackendMismatch(f"operand of size {obj.n} in a space of dimension {self.n}")
+
 
 def dense_pair(dim: int, p: float = 2.0) -> DualityPair:
     return DualityPair(DENSE, p, dim)

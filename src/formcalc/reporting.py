@@ -110,17 +110,21 @@ def make_report(scenario: str, claims, residuals: dict, tolerances: dict,
                   dict(details or {}), control)
 
 
+#: the errors by which a construction refuses its operands
+REFUSALS = (FormcalcError, ArithmeticError, ValueError)
+
+
 def _run_check(scenario: str, claims, fn, control: bool = False) -> Report:
     """Run ``fn() -> (residuals, tolerances, details, certificates)`` and
     judge it, timing the call.  This is the one place where an exception
     becomes a verdict: :class:`Uncertifiable` gives ``uncertified``, any
-    other library error, ``ArithmeticError`` or ``ValueError`` gives
-    ``fail`` with the error in ``details``; anything else propagates."""
+    other of the :data:`REFUSALS` gives ``fail`` with the error in
+    ``details``; anything else propagates."""
     t0 = time.perf_counter()
     try:
         residuals, tolerances, details, certs = fn()
         uncertified = False
-    except (FormcalcError, ArithmeticError, ValueError) as exc:
+    except REFUSALS as exc:
         residuals, tolerances, certs = {"raised": 1.0}, {"raised": 0.0}, []
         details = {"error": f"{type(exc).__name__}: {exc}"}
         uncertified = isinstance(exc, Uncertifiable)
@@ -142,9 +146,12 @@ def _verdict_counts(reports) -> dict:
 
 
 class MalformedOperand(Exception):
-    """An operand that breaks the wire schema.  It is an input error,
-    not a verdict: it passes through the check runner, and the command
-    line exits 4."""
+    """An operand that breaks the wire schema: an input error, not a verdict,
+    that passes through the check runner; the command line exits 4."""
+
+
+class MissingOperand(KeyError):
+    """An operand, or a field of one, that an entry lacks: an input error."""
 
 
 #: what each reader expects, by the number of list levels above the entries
@@ -208,69 +215,57 @@ def real_array_from_json(v: list) -> np.ndarray:
     return np.array(v, dtype=float)
 
 
-def expression_from_json(obj, key: str):
-    """``obj[key]`` compiled as a coefficient expression (see coeffexpr)."""
+def expression_from_json(text):
+    """A string compiled as a coefficient expression (see coeffexpr)."""
+    if not isinstance(text, str):
+        raise MalformedOperand(f"expected an expression string, got {_JSON_TYPES[type(text)]}")
     try:
-        return compile_rule(json_field(obj, key, str))
+        return compile_rule(text)
     except ExpressionError as exc:
         raise MalformedOperand(exc.args[0]) from exc
 
 
 _REQUIRED = object()
-# the JSON type of each Python type a parsed file holds, decoded arrays
-# included
+# the JSON type of each Python type in a parsed file, decoded arrays too
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", float: "a number", bool: "a boolean",
                np.ndarray: "a list", type(None): "null"}
 _PY_TYPES = {float: (int, float), list: (list, np.ndarray)}
+#: the sizes of a space, and the start of a rule term: from 1 to the term
+#: cap of :mod:`formcalc.series`, past which no certificate looks
+SIZES = range(1, series._MAX_TERMS + 1)
 
 
-def json_field(obj, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]``, or ``default`` if absent, checked to be of one JSON
-    type; ``int`` and ``float`` refuse ``true`` and ``false``, ``float``
-    takes any number, ``list`` also an array from :func:`decode_arrays`
-    and ``object`` any value.  Every wire reader checks its fields here:
-    a non-object ``obj`` or a value of another type raises
-    :class:`MalformedOperand`, an absent key without default KeyError."""
+def json_field(obj, key: str, kind, default=_REQUIRED):
+    """``obj[key]``, or ``default`` if absent, checked to be of ``kind``:
+    a JSON type, where ``int`` and ``float`` refuse ``true`` and
+    ``false``, ``float`` takes any number, ``list`` also an array from
+    :func:`decode_arrays` and ``object`` any value; a tuple of the
+    strings it may be; or a range of the integers it may be.  Every wire
+    reader checks its fields here: a non-object ``obj`` or another value is
+    :class:`MalformedOperand`, an absent key without default :class:`MissingOperand`."""
     if not isinstance(obj, dict):
         got = "list" if isinstance(obj, np.ndarray) else type(obj).__name__
         raise MalformedOperand(f"expected an object, got {got}")
     if key not in obj:
         if default is _REQUIRED:
-            raise KeyError(key)
+            raise MissingOperand(key)
         return default
     v = obj[key]
-    if (not isinstance(v, _PY_TYPES.get(kind, kind))
-            or isinstance(v, bool) and kind in (int, float)):
-        raise MalformedOperand(f"{key!r} must be {_JSON_TYPES[kind]}")
-    return float(v) if kind is float else v
-
-
-def json_size(obj, key: str, low: int = 1, high: float = math.inf,
-              default=_REQUIRED) -> int:
-    """``json_field(obj, key, int, default)``, an integer from ``low`` to
-    ``high``: any other raises :class:`MalformedOperand`."""
-    n = json_field(obj, key, int, default)
-    if not low <= n <= high:
-        bound = f"at least {low}" if high == math.inf else f"from {low} to {high}"
-        raise MalformedOperand(f"{key!r} must be {bound}, got {n}")
-    return n
-
-
-def json_choice(obj, key: str, values: tuple, default=_REQUIRED):
-    """``json_field(obj, key, str, default)``, a string that must be one
-    of ``values``: any other raises :class:`MalformedOperand`."""
-    v = json_field(obj, key, str, default)
-    if v is not default and v not in values:
-        raise MalformedOperand(f"{key!r} must be one of {', '.join(values)}")
-    return v
+    of = str if isinstance(kind, tuple) else int if isinstance(kind, range) else kind
+    if not isinstance(v, _PY_TYPES.get(of, of)) or isinstance(v, bool) and of in (int, float):
+        raise MalformedOperand(f"{key!r} must be {_JSON_TYPES[of]}")
+    if isinstance(kind, tuple) and v not in kind:
+        raise MalformedOperand(f"{key!r} must be one of {', '.join(kind)}")
+    if isinstance(kind, range) and v not in kind:
+        raise MalformedOperand(f"{key!r} must be from {kind[0]} to {kind[-1]}, got {v}")
+    return float(v) if of is float else v
 
 
 def json_number(obj, key: str, default=_REQUIRED, low: float = -math.inf,
                 high: float = math.inf, must: str = "be finite") -> float:
-    """``json_field(obj, key, float, default)``, a number strictly between
-    ``low`` and ``high``: any other, NaN included, raises
-    :class:`MalformedOperand` saying that it ``must``."""
+    """``json_field(obj, key, float, default)``, a number strictly between ``low``
+    and ``high``: any other, NaN included, is malformed: it ``must``."""
     v = json_field(obj, key, float, default)
     if not low < v < high:
         raise MalformedOperand(f"{key!r} must {must}, got {v!r}")
@@ -279,9 +274,8 @@ def json_number(obj, key: str, default=_REQUIRED, low: float = -math.inf,
 
 def rule_from_json(obj) -> series.Rule:
     """A rule whose terms are checked where they are read: ``coef`` and
-    ``alpha`` finite, ``ratio`` finite and positive, ``start`` from 1 to
-    the term cap of :mod:`formcalc.series`, past which no certificate
-    looks."""
+    ``alpha`` finite, ``ratio`` finite and positive, ``start`` of
+    :data:`SIZES`."""
     terms = []
     for t in json_field(obj, "terms", list):
         coef = complex_from_json(json_field(t, "coef", object))
@@ -290,18 +284,17 @@ def rule_from_json(obj) -> series.Rule:
         terms.append(series.Term(coef, json_number(t, "alpha", 0.0),
                                  json_number(t, "ratio", 1.0, 0.0,
                                              must="be finite and positive"),
-                                 json_size(t, "start", 1, series._MAX_TERMS, 1)))
+                                 json_field(t, "start", SIZES, 1)))
     return series.Rule(tuple(terms))
 
 
 def pair_from_json(obj) -> DualityPair:
-    """A duality pair whose sizes are checked here: ``p`` in (1, inf), a
-    ``dim`` of at least 1, and a ``truncation`` from 1 to the term cap of
-    :mod:`formcalc.series`, past which no certificate looks."""
+    """A duality pair whose sizes are checked here: ``p`` in (1, inf),
+    and a ``dim`` or ``truncation`` of :data:`SIZES`."""
     p = json_number(obj, "p", 2.0, 1.0, must="lie in (1, inf)")
-    if json_choice(obj, "backend", (DENSE, SEQUENCE)) == DENSE:
-        return dense_pair(json_size(obj, "dim"), p)
-    return sequence_pair(json_size(obj, "truncation", 1, series._MAX_TERMS), p)
+    if json_field(obj, "backend", (DENSE, SEQUENCE)) == DENSE:
+        return dense_pair(json_field(obj, "dim", SIZES), p)
+    return sequence_pair(json_field(obj, "truncation", SIZES), p)
 
 
 def vector_from_json(obj, cls=Vector):
@@ -310,12 +303,12 @@ def vector_from_json(obj, cls=Vector):
     ``"kind": "rule"``."""
     tail = json_field(obj, "tail", dict, None)
     if tail is not None:
-        json_choice(tail, "kind", ("rule",))
+        json_field(tail, "kind", ("rule",))
         tail = rule_from_json(tail)
-    backend = json_choice(obj, "backend", (DENSE, SEQUENCE), DENSE)
+    backend = json_field(obj, "backend", (DENSE, SEQUENCE), DENSE)
     if tail is not None and backend != SEQUENCE:
         raise MalformedOperand("'tail' needs the sequence backend")
-    return cls(array_from_json(obj["coords"]), backend, tail)
+    return cls(array_from_json(json_field(obj, "coords", object)), backend, tail)
 
 
 def functional_from_json(obj) -> Functional:
@@ -323,12 +316,13 @@ def functional_from_json(obj) -> Functional:
 
 
 def operator_from_json(obj) -> Operator:
-    direction = json_choice(obj, "direction", DIRECTIONS, TO_DUAL)
-    if json_choice(obj, "backend", (DENSE, SEQUENCE)) == SEQUENCE:
-        domain = json_choice(obj, "domain", (DOMAIN_FINITE, DOMAIN_MAXIMAL), DOMAIN_FINITE)
-        return DiagonalOperator(rule_from_json(obj["diagonal"]), domain, direction)
-    basis = matrix_from_json(obj["domain_basis"])
-    action = matrix_from_json(obj["action"])
+    direction = json_field(obj, "direction", DIRECTIONS, TO_DUAL)
+    if json_field(obj, "backend", (DENSE, SEQUENCE)) == SEQUENCE:
+        domain = json_field(obj, "domain", (DOMAIN_FINITE, DOMAIN_MAXIMAL), DOMAIN_FINITE)
+        return DiagonalOperator(rule_from_json(json_field(obj, "diagonal", object)), domain,
+                                direction)
+    basis = matrix_from_json(json_field(obj, "domain_basis", object))
+    action = matrix_from_json(json_field(obj, "action", object))
     return DenseOperator(direction, basis, action)
 
 

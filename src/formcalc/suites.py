@@ -50,7 +50,7 @@ from .errors import (DomainError, FormcalcError, LowerBoundError, NotEqual,
                      NotNormalized, NotPositive)
 from .forms import DiagonalForm, is_closed
 from .ordering import form_oracle_eigensolve
-from .reporting import CLAIM_TAGS, Report, _run_check, _verdict_counts, rule_from_json
+from .reporting import CLAIM_TAGS, REFUSALS, Report, _run_check, _verdict_counts, rule_from_json
 from .scenarios import judge
 
 
@@ -175,7 +175,7 @@ def _refusal(sc, error):
             got = "nothing"
         except error:
             raise
-        except (FormcalcError, ArithmeticError, ValueError) as exc:
+        except REFUSALS as exc:
             got = f"{type(exc).__name__}: {exc}"
         return {}, {}, {"expected": error.__name__, "raised": got}, []
     return check

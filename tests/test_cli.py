@@ -160,7 +160,8 @@ class TestScenarioDispatch:
     def test_non_finite_coefficient_rejected_where_it_enters(self, op):
         with np.errstate(all="ignore"):
             rep = run_scenario({
-                "id": "non-finite", "op": op, "m": 8, "g": "1",
+                "id": "non-finite", "op": op, "m": 8,
+                **({"g": "1"} if op == "weak-solve" else {}),
                 "problem": {"length": 1.0, "a": "1 + 0*exp(1000*x)", "b": "1",
                             "gamma": 1.0}})
         assert rep.verdict == "fail"
@@ -1309,3 +1310,97 @@ class TestEveryOperation:
         for key, want in details.get(op, {}).items():
             assert rep.details[key] == (pytest.approx(want, rel=1e-14)
                                         if isinstance(want, float) else want)
+
+
+class TestDeclaredOperands:
+    """Each op declares its operands once, as the parameters of its
+    handler, which reads an entry before any construction runs: a key
+    that no operand names, ``expect`` included, a missing required
+    operand and a missing or doubled one-of operand are malformed input."""
+
+    @staticmethod
+    def entry(op, drop=()):
+        """The passing entry of ``op`` (:func:`every_operation`) as a file
+        holds it, under the id ``x`` and without the keys ``drop``."""
+        sc = json.loads(json.dumps(every_operation()[0][op], default=np.ndarray.tolist))
+        return {"id": "x", "op": op, **{k: v for k, v in sc.items() if k not in drop}}
+
+    @staticmethod
+    def run(tmp_path, capsys, sc):
+        """Exit code and standard error of ``formcalc run`` on ``sc``."""
+        code = main(["run", write_scenarios(tmp_path / "in.json", [sc])])
+        return code, capsys.readouterr().err
+
+    def test_every_handler_declares_its_operands(self):
+        for op, (_, handler) in OPERATIONS.items():
+            assert set(handler.operands.values()) <= {"required", "one of", "optional"}, op
+            assert set(self.entry(op)) - {"id", "op"} <= set(handler.operands), op
+
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    @pytest.mark.parametrize("key", ["unexpected", "expect"])
+    def test_an_undeclared_key_exits_four(self, tmp_path, capsys, op, key):
+        code, err = self.run(tmp_path, capsys, {**self.entry(op), key: {"verdict": "pass"}})
+        assert code == 4
+        assert f"scenario 'x' has a malformed operand: {key!r} is not an operand of {op}, " \
+               "which takes " in err
+
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    def test_each_missing_required_operand_exits_four(self, tmp_path, capsys, op):
+        required = [k for k, need in OPERATIONS[op][1].operands.items() if need == "required"]
+        assert required
+        for key in required:
+            with pytest.raises(MissingOperand, match=f"scenario 'x' lacks operand '{key}'"):
+                run_scenario(self.entry(op, drop=(key,)))
+            code, err = self.run(tmp_path, capsys, self.entry(op, drop=(key,)))
+            assert code == 4 and f"error: scenario 'x' lacks operand '{key}'" in err, key
+
+    @pytest.mark.parametrize("key, code", [("expected_gamma", 2), ("expected_gama", 4)])
+    def test_a_misspelt_expected_operand_is_refused(self, tmp_path, capsys, key, code):
+        """gamma of diag(2, 2) is 2: an expected 5 fails, and a misspelt
+        key is no longer skipped into a pass."""
+        sc = {"id": "x", "op": "lower-bound", "space": DENSE2,
+              "gram": [[2, 0], [0, 2]], key: 5.0}
+        assert self.run(tmp_path, capsys, sc)[0] == code
+
+    @pytest.mark.parametrize("keys", [("K", "E"), ()], ids=["both", "neither"])
+    @pytest.mark.parametrize("op", ["lift-commutant", "commutation-formsum",
+                                    "spectrum-inclusion"])
+    def test_one_of_k_and_e(self, tmp_path, capsys, op, keys):
+        sc = {**self.entry(op, drop=("K",)), **{k: [[1, 0], [0, 1]] for k in keys}}
+        code, err = self.run(tmp_path, capsys, sc)
+        assert code == 4 and "give one of 'K' and 'E'" in err
+
+    @pytest.mark.parametrize("op, construction", [("factorize", "factorize"),
+                                                  ("lower-bound", "form_from_gram")])
+    def test_a_key_error_inside_a_construction_is_no_missing_operand(self, monkeypatch, op,
+                                                                     construction):
+        """Only a missing operand or field is a missing operand; a KeyError
+        of a construction, run by the handler or while the operands are
+        read, is a program fault."""
+        def broken(*args):
+            raise KeyError("rank_gap")
+        monkeypatch.setattr(f"formcalc.scenarios.{construction}", broken)
+        with pytest.raises(KeyError) as raised:
+            run_scenario(self.entry(op))
+        assert type(raised.value) is KeyError and raised.value.args == ("rank_gap",)
+
+    def test_readme_table_holds_every_ops_operands(self):
+        """README's table of operands: per op, its required operands (a
+        one-of pair as `A` or `B`) and its optional ones."""
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| op | required operands | optional operands |")
+        table = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            op, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+            table[op.strip("`")] = (required, optional)
+        want = {}
+        for op, (_, handler) in OPERATIONS.items():
+            names = {need: [f"`{k}`" for k, n in handler.operands.items() if n == need]
+                     for need in ("required", "one of", "optional")}
+            one_of = [" or ".join(names["one of"])] if names["one of"] else []
+            want[op] = (", ".join(names["required"] + one_of),
+                        ", ".join(names["optional"]) or "none")
+        assert list(table) == list(OPERATIONS)
+        assert table == want

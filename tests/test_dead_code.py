@@ -21,7 +21,10 @@ Outside the methods of the four backend classes, nothing asks whether an
 operand is an instance of one of them, unless :data:`BACKEND_BRANCHES`
 lists the function with the reason.  No space or random variable of
 ``covariance`` has a ``kind`` field, and nothing compares a value with
-the name of a kind outside the functions of :data:`KIND_READERS`.
+the name of a kind outside the functions of :data:`KIND_READERS`.  No
+``_op_`` handler of ``scenarios`` indexes an operand dict or calls a wire
+reader (``json_*`` or ``*_from_json``): its operands are its parameters,
+read before it runs.
 """
 
 import ast
@@ -222,6 +225,11 @@ UNREAD_PARAMETERS = {
                    "covariance form here",
     "_form(basis)": "ExpPolyVariable._form as for self, and SignedBasisVariable._form: a "
                     "diagonal form needs no functional basis",
+    # an op declares the space that its operands are read into, although
+    # its construction takes none
+    **{f"_op_{op}(space)": "the reader checks the op's operands against its space"
+       for op in ("pair", "adjoint_involution", "inverse_selfadjoint", "lift_commutant",
+                  "spectrum_inclusion")},
 }
 
 
@@ -377,6 +385,7 @@ KIND_READERS = {
     "_space_from_json": "the wire reader that maps a space's kind to its class",
     "_variable_from_json": "the wire reader that maps a variable's kind to its class",
     "_op_form_on_x": "its 'finite' is the expected value of a form, not a kind",
+    "_form_value": "the reader of that expected value",
 }
 
 
@@ -419,3 +428,29 @@ def test_no_space_or_variable_class_has_a_kind_field():
                                 st.targets if isinstance(st, ast.Assign) else [])
                  if isinstance(target, ast.Name) and target.id == "kind"]
     assert not with_kind, "kind fields:\n" + "\n".join(with_kind)
+
+
+def operand_reads(path):
+    """``file:line`` of each place in the body of an ``_op_`` handler of
+    ``path`` that indexes a parameter by a string, calls ``.get`` on one,
+    or calls a wire reader."""
+    for fn in ast.parse(path.read_text()).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_op_")):
+            continue
+        params = {a.arg for a in fn.args.args}
+        for node in (n for st in fn.body for n in ast.walk(st)):
+            on_param = (isinstance(node, (ast.Subscript, ast.Attribute))
+                        and isinstance(node.value, ast.Name) and node.value.id in params)
+            if (on_param and isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)
+                    or on_param and isinstance(node, ast.Attribute) and node.attr == "get"
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and (node.func.id.startswith("json_") or node.func.id.endswith("_from_json"))):
+                yield f"{path.relative_to(ROOT)}:{node.lineno} {fn.name}"
+
+
+def test_no_handler_reads_an_operand_dict():
+    """Each op declares its operands once, as its handler's parameters,
+    and the reader of ``scenarios`` reads them before the handler runs."""
+    found = list(operand_reads(PACKAGE / "scenarios.py"))
+    assert not found, "handlers reading their operands:\n" + "\n".join(found)
